@@ -4,8 +4,9 @@ Subcommands: compose, normalize, ariadne, theseus, xi, tables, eval,
 verify.  Files are the JSON shapes each module defines; output is
 canonical JSON (or a pretty rendering with --format pretty) on stdout.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 shape or
-domain mismatch, 4 enumeration limit.
+Exit codes: 0 ok, 1 verification failure, 2 parse error (including a
+maze with a dead end and a negative degree), 3 shape or domain mismatch,
+4 enumeration limit.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .labycat import (
     normalize_homogeneous,
     normalize_numerical,
     quadratic_generators,
+    validate_maze,
 )
 from .functor_lab import (
     LabyModulePresentation,
@@ -43,6 +45,11 @@ from .multisets import MultiSet
 from .scalars import scalar_str
 
 
+# What reading malformed JSON data into the package's types can raise; a
+# label or coefficient "p/0" raises ZeroDivisionError.
+_MALFORMED = (KeyError, ValueError, TypeError, ZeroDivisionError)
+
+
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,16 +62,27 @@ def _dump(obj):
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _check_maze(path, maze: Maze):
+    if not validate_maze(maze):
+        raise ParseError(f"{path}: a maze has a dead end or a passage "
+                         "outside its endpoints")
+
+
 def load_maze_hom(path) -> MazeHom:
     data = _load(path)
     try:
         if "passages" in data:
-            return MazeHom.of(Maze.from_json(data))
-        if "terms" in data:
-            return MazeHom.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+            hom = MazeHom.of(Maze.from_json(data))
+        elif "terms" in data:
+            hom = MazeHom.from_json(data)
+        else:
+            raise ParseError(
+                f"{path}: neither a maze nor a maze combination")
+    except _MALFORMED as exc:
         raise ParseError(f"{path}: malformed maze data ({exc})") from exc
-    raise ParseError(f"{path}: neither a maze nor a maze combination")
+    for maze, _ in hom.comb:
+        _check_maze(path, maze)
+    return hom
 
 
 def load_mult_hom(path) -> MultHom:
@@ -74,7 +92,7 @@ def load_mult_hom(path) -> MultHom:
             return MultHom.of(Multation.from_json(data))
         if "terms" in data:
             return MultHom.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{path}: malformed multation data ({exc})") from exc
     raise ParseError(f"{path}: neither a multation nor a combination")
 
@@ -193,14 +211,17 @@ def cmd_xi(args) -> int:
     if args.inverse:
         try:
             maze = Maze.from_json(data)
-        except (KeyError, ValueError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise ParseError(f"{args.file}: malformed maze ({exc})") from exc
+        _check_maze(args.file, maze)
+        if not maze.is_pure():
+            raise ParseError(f"{args.file}: only pure mazes correspond to spans")
         corr = bridge.xi_inverse(maze)
         _dump(corr.to_json())
         return 0
     try:
         corr = bridge.Correspondence.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{args.file}: malformed span ({exc})") from exc
     maze = bridge.xi_correspondence(corr)
     if args.format == "pretty":
@@ -284,7 +305,7 @@ def cmd_eval(args) -> int:
             row_blocks, _ = psi_block_index(pres, skeleton(matrix.nrows))
             col_legend = [a.to_json() for a in col_blocks]
             row_legend = [b.to_json() for b in row_blocks]
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{args.module}: {exc}") from exc
     _dump({
         "dom_blocks": col_legend,
@@ -386,6 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "degree", None) is not None and args.degree < 0:
+            raise ParseError(f"--degree must be nonnegative, not {args.degree}")
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -53,12 +53,14 @@ class MatrixFunctor:
     and composition preservation are checked by tests, not assumed.
     """
 
-    __slots__ = ("name", "dim", "arrow")
+    __slots__ = ("name", "dim", "arrow", "ce_basis_cache")
 
     def __init__(self, name, dim, arrow):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arrow", arrow)
+        # rank -> cross_effect_basis result; it lives as long as the functor.
+        object.__setattr__(self, "ce_basis_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixFunctor is immutable")
@@ -244,22 +246,18 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
     return out
 
 
-_CE_BASIS_CACHE = {}
-
-
 def cross_effect_basis(f: MatrixFunctor, a: int):
     """Echelon lattice basis of the top cross-effect image at rank a.
 
-    Cached per functor instance; the computation is deterministic.
+    Cached on the functor instance; the computation is deterministic.
     """
-    key = (id(f), a)
-    cached = _CE_BASIS_CACHE.get(key)
-    if cached is not None and cached[0] is f:
-        return cached[1]
+    cached = f.ce_basis_cache.get(a)
+    if cached is not None:
+        return cached
     for x, e in cross_effect_projectors(f, a):
         if len(x) == a:
             result = column_lattice_basis(e)
-            _CE_BASIS_CACHE[key] = (f, result)
+            f.ce_basis_cache[a] = result
             return result
     raise AssertionError("unreachable")
 
@@ -802,25 +800,49 @@ def _instance_subset_matrices(maze: Maze):
         yield sign, IntMat(b, a, rows)
 
 
-def _phi_deviation_block(h: LabyModulePresentation, maze: Maze):
-    """Deviation of the evaluated functor along a maze's transports,
-    restricted to the full-support blocks (with a consistency assertion
-    that the other row blocks vanish there)."""
-    a, b = len(maze.dom), len(maze.cod)
-    col_subsets, col_orders = phi_block_index(h, a)
-    row_subsets, row_orders = phi_block_index(h, b)
+def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
+                     exact):
+    """Deviation of an evaluated functor along a maze's transports,
+    restricted to the exact-support blocks, with a consistency assertion
+    that the other row blocks vanish there.
+
+    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`; the two
+    block indices are the (blocks, orders) of the maze's source and target
+    ranks, and `exact(block, k)` tells whether a block of a rank-k side has
+    full support.  Returns the grid of exact blocks with its column and row
+    blocks.
+    """
+    col_blocks, col_orders = col_index
+    row_blocks, row_orders = row_index
     total = None
     for sign, mat in _instance_subset_matrices(maze):
-        term = phi_inverse_eval(h, mat).scale(sign)
+        term = evaluate(pres, mat).scale(sign)
         total = term if total is None else total + term
-    full_col = col_subsets.index(tuple(range(1, a + 1)))
-    full_row = row_subsets.index(tuple(range(1, b + 1)))
-    for i, y in enumerate(row_subsets):
-        block = extract_block(total, row_orders, col_orders, i, full_col)
-        if i != full_row and not block.is_zero():
-            raise AssertionError(
-                "deviation leaks outside the target cross-effect block")
-    return extract_block(total, row_orders, col_orders, full_row, full_col)
+    col_exact = [i for i, x in enumerate(col_blocks)
+                 if exact(x, len(maze.dom))]
+    row_exact = [i for i, y in enumerate(row_blocks)
+                 if exact(y, len(maze.cod))]
+    for i in range(len(row_blocks)):
+        if i in row_exact:
+            continue
+        for jj in col_exact:
+            if not extract_block(total, row_orders, col_orders, i, jj).is_zero():
+                raise AssertionError(
+                    "deviation leaks outside the exact-support blocks")
+    grid = [[extract_block(total, row_orders, col_orders, i, jj)
+             for jj in col_exact] for i in row_exact]
+    return (grid,
+            [col_blocks[jj] for jj in col_exact],
+            [row_blocks[i] for i in row_exact])
+
+
+def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
+    """The deviation block of the maze-side evaluation on the full
+    subsets, the one cross-effect a stored value lives on."""
+    [[block]], _, _ = _deviation_block(
+        phi_inverse_eval, h, maze, phi_block_index(h, len(maze.dom)),
+        phi_block_index(h, len(maze.cod)), lambda x, k: len(x) == k)
+    return block
 
 
 def phi_roundtrip_check(h: LabyModulePresentation) -> bool:
@@ -832,7 +854,7 @@ def phi_roundtrip_failures(h: LabyModulePresentation):
     deviations and compare; returns mismatch descriptions."""
     failures = []
     for maze in h.mazes():
-        got = _phi_deviation_block(h, maze)
+        got = _phi_deviation(h, maze)
         if got != h.hom(maze):
             failures.append(f"round trip differs on {maze!r}")
     return failures
@@ -841,7 +863,7 @@ def phi_roundtrip_failures(h: LabyModulePresentation):
 def numerical_axiom_check(h: LabyModulePresentation, maze: Maze) -> bool:
     """The binomial expansion law on one labelled maze: the deviation
     evaluation must equal the expanded pure-table evaluation."""
-    got = _phi_deviation_block(h, maze)
+    got = _phi_deviation(h, maze)
     expected = h.eval_labeled(maze)
     return frac_rows_equal(_frac_of_abhom(got), expected,
                            h.group(len(maze.cod)).orders)
@@ -1104,34 +1126,6 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     return abhom_block(grid, col_orders, row_orders)
 
 
-def _psi_deviation_block(j: MSetModulePresentation, maze: Maze):
-    """Deviation of the evaluated functor along a maze's transports,
-    restricted to the exact-support blocks."""
-    a, b = len(maze.dom), len(maze.cod)
-    col_blocks, col_orders = psi_block_index(j, skeleton(a))
-    row_blocks, row_orders = psi_block_index(j, skeleton(b))
-    total = None
-    for sign, mat in _instance_subset_matrices(maze):
-        term = psi_inverse_eval(j, mat).scale(sign)
-        total = term if total is None else total + term
-    col_exact = [i for i, aa in enumerate(col_blocks)
-                 if set(aa.support) == set(skeleton(a))]
-    row_exact = [i for i, bb in enumerate(row_blocks)
-                 if set(bb.support) == set(skeleton(b))]
-    for i in range(len(row_blocks)):
-        if i in row_exact:
-            continue
-        for jj in col_exact:
-            if not extract_block(total, row_orders, col_orders, i, jj).is_zero():
-                raise AssertionError(
-                    "deviation leaks outside the exact-support blocks")
-    grid = [[extract_block(total, row_orders, col_orders, i, jj)
-             for jj in col_exact] for i in row_exact]
-    return (grid,
-            [col_blocks[jj] for jj in col_exact],
-            [row_blocks[i] for i in row_exact])
-
-
 def check_ariadne_thread(j: MSetModulePresentation) -> bool:
     return not ariadne_thread_failures(j)
 
@@ -1147,7 +1141,11 @@ def ariadne_thread_failures(j: MSetModulePresentation):
         for b_size in range(max_side + 1):
             for maze in pure_mazes_between(skeleton(a_size), skeleton(b_size),
                                            range(n + 1)):
-                grid, col_blocks, row_blocks = _psi_deviation_block(j, maze)
+                grid, col_blocks, row_blocks = _deviation_block(
+                    psi_inverse_eval, j, maze,
+                    psi_block_index(j, skeleton(a_size)),
+                    psi_block_index(j, skeleton(b_size)),
+                    lambda blk, k: len(blk.support) == k)
                 matrix = bridge.ariadne_maze(maze, n)
                 for bi, bb in enumerate(row_blocks):
                     for ai, aa in enumerate(col_blocks):

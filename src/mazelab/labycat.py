@@ -23,7 +23,7 @@ from math import comb
 
 from .errors import DomainMismatchError
 from .multisets import ENUM_LIMIT, MultiSet, compositions, guard_count
-from .scalars import LinComb, binomial, scalar, scalar_str
+from .scalars import HomComb, LinComb, binomial, scalar, scalar_str
 
 
 class Passage:
@@ -173,79 +173,22 @@ def validate_maze(m: Maze) -> bool:
     return sources == set(m.dom) and targets == set(m.cod)
 
 
-class MazeHom:
+class MazeHom(HomComb):
     """A formal linear combination of mazes sharing dom and cod."""
 
-    __slots__ = ("dom", "cod", "comb")
+    __slots__ = ()
+    basis = Maze
 
-    def __init__(self, dom, cod, comb: LinComb):
-        dom = tuple(sorted(set(dom)))
-        cod = tuple(sorted(set(cod)))
-        for maze, _ in comb:
-            if maze.dom != dom or maze.cod != cod:
-                raise ValueError("all terms must share dom and cod")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "comb", comb)
+    @staticmethod
+    def norm_ends(names):
+        return tuple(sorted(set(names)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MazeHom is immutable")
-
-    @classmethod
-    def zero(cls, dom, cod):
-        return cls(dom, cod, LinComb())
-
-    @classmethod
-    def of(cls, maze: Maze, coeff=1):
-        return cls(maze.dom, maze.cod, LinComb([(maze, coeff)]))
-
-    @classmethod
-    def from_terms(cls, dom, cod, terms):
-        return cls(dom, cod, LinComb(terms))
+    ends_to_json = staticmethod(list)
+    ends_from_json = norm_ends
 
     @classmethod
     def identity(cls, names):
         return cls.of(Maze.identity(names))
-
-    def __eq__(self, other):
-        return (isinstance(other, MazeHom) and self.dom == other.dom
-                and self.cod == other.cod and self.comb == other.comb)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.comb))
-
-    def __add__(self, other):
-        if other.dom != self.dom or other.cod != self.cod:
-            raise DomainMismatchError("cannot add arrows with different endpoints")
-        return MazeHom(self.dom, self.cod, self.comb + other.comb)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        return MazeHom(self.dom, self.cod, self.comb.scale(factor))
-
-    def is_zero(self):
-        return self.comb.is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(
-            (f"{scalar_str(c)}*" if c != 1 else "") + repr(maze)
-            for maze, c in self.comb)
-
-    def to_json(self):
-        return {
-            "dom": list(self.dom),
-            "cod": list(self.cod),
-            "terms": [[scalar_str(c), maze.to_json()] for maze, c in self.comb],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = [(Maze.from_json(m), scalar(c)) for c, m in data["terms"]]
-        return cls(data["dom"], data["cod"], LinComb(terms))
 
 
 def box_product(p: Maze, q: Maze):
@@ -466,31 +409,20 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     combination of pure mazes with exactly n passages.
 
     Pure mazes with m < n passages are rewritten through the scaling axiom
-    evaluated at 2: (2^n - 2^m) P equals the expansion of the relabelled
-    maze over strictly larger multiplicity assignments, and 2^n - 2^m is
-    invertible.  Recursion is on passage count, so it terminates.
+    evaluated at 2: (2^n - 2^m) P equals the binomial expansion of the
+    relabelled maze 2 [.] P minus its size-m term, which is 2^m P, and
+    2^n - 2^m is invertible.  Recursion is on passage count, so it
+    terminates.
     """
     current = dict(normalize_numerical(h, n).comb)
     for m in range(n):
         layer = [(maze, c) for maze, c in current.items() if maze.size == m]
         for maze, c in layer:
             del current[maze]
-            denom = Fraction(2**n - 2**m)
-            inst = maze.instances()
-            for total in range(m + 1, n + 1):
-                for degs in compositions(total, m):
-                    coeff = Fraction(1)
-                    for d in degs:
-                        coeff *= binomial(2, d)
-                        if coeff == 0:
-                            break
-                    if coeff == 0:
-                        continue
-                    pure = Maze(maze.dom, maze.cod,
-                                [(Passage(p.src, p.dst, 1), 1)
-                                 for p, d in zip(inst, degs)
-                                 for _ in range(d)])
-                    current[pure] = current.get(pure, Fraction(0)) + c * coeff / denom
+            factor = c / (2**n - 2**m)
+            for coeff, pure in _numerical_terms(maze.relabel_all(2), n):
+                if pure.size > m:
+                    current[pure] = current.get(pure, 0) + coeff * factor
         current = {maze: c for maze, c in current.items() if c != 0}
     return MazeHom(h.dom, h.cod, LinComb(current.items()))
 

@@ -18,7 +18,7 @@ from math import factorial
 
 from .errors import DomainMismatchError, IntegralityError
 from .multisets import MultiSet, guard_count
-from .scalars import LinComb, multinomial, scalar, scalar_str
+from .scalars import HomComb, LinComb, multinomial
 
 
 class Multation:
@@ -135,75 +135,18 @@ def divided_reduce(powers):
     return coeff, tuple(merged)
 
 
-class MultHom:
+class MultHom(HomComb):
     """A formal linear combination of multations sharing dom and cod."""
 
-    __slots__ = ("dom", "cod", "comb")
+    __slots__ = ()
+    basis = Multation
 
-    def __init__(self, dom: MultiSet, cod: MultiSet, comb: LinComb):
-        for mu, _ in comb:
-            if mu.dom != dom or mu.cod != cod:
-                raise ValueError("all terms must share dom and cod")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "comb", comb)
+    @staticmethod
+    def norm_ends(ends):
+        return ends
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultHom is immutable")
-
-    @classmethod
-    def zero(cls, dom, cod):
-        return cls(dom, cod, LinComb())
-
-    @classmethod
-    def from_terms(cls, dom, cod, terms):
-        return cls(dom, cod, LinComb(terms))
-
-    @classmethod
-    def of(cls, mu: Multation, coeff=1):
-        return cls(mu.dom, mu.cod, LinComb([(mu, coeff)]))
-
-    def __eq__(self, other):
-        return (isinstance(other, MultHom) and self.dom == other.dom
-                and self.cod == other.cod and self.comb == other.comb)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.comb))
-
-    def __add__(self, other):
-        if other.dom != self.dom or other.cod != self.cod:
-            raise DomainMismatchError("cannot add arrows with different endpoints")
-        return MultHom(self.dom, self.cod, self.comb + other.comb)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        return MultHom(self.dom, self.cod, self.comb.scale(factor))
-
-    def is_zero(self):
-        return self.comb.is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(
-            (f"{scalar_str(c)}*" if c != 1 else "") + repr(mu)
-            for mu, c in self.comb)
-
-    def to_json(self):
-        return {
-            "dom": self.dom.to_json(),
-            "cod": self.cod.to_json(),
-            "terms": [[scalar_str(c), mu.to_json()] for mu, c in self.comb],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        dom = MultiSet.from_json(data["dom"])
-        cod = MultiSet.from_json(data["cod"])
-        terms = [(Multation.from_json(m), scalar(c)) for c, m in data["terms"]]
-        return cls(dom, cod, LinComb(terms))
+    ends_to_json = staticmethod(MultiSet.to_json)
+    ends_from_json = staticmethod(MultiSet.from_json)
 
 
 def _tables(row_counts, col_counts):

@@ -53,10 +53,6 @@ class MultiSet:
     def __setattr__(self, name, value):
         raise AttributeError("MultiSet is immutable")
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls(list(pairs))
-
     def items(self):
         return self._items
 

@@ -7,6 +7,8 @@ package ever touches floating point.
 
 from fractions import Fraction
 
+from .errors import DomainMismatchError
+
 Scalar = Fraction
 
 ZERO = Fraction(0)
@@ -65,11 +67,6 @@ def binomial_product(labels, degrees) -> Fraction:
         if out == 0:
             return ZERO
     return out
-
-
-# ``maze_binomial`` is the name used by callers that think of the paired
-# sequences as (passage label, assigned multiplicity).
-maze_binomial = binomial_product
 
 
 def multinomial(parts) -> int:
@@ -139,21 +136,90 @@ class LinComb:
         factor = scalar(factor)
         return LinComb((b, factor * c) for b, c in self.terms)
 
-    def map_basis(self, fn):
-        """Apply fn to every basis element, recanonicalizing."""
-        return LinComb((fn(b), c) for b, c in self.terms)
-
-    def coefficient(self, basis) -> Fraction:
-        for b, c in self.terms:
-            if b == basis:
-                return c
-        return ZERO
-
     def __repr__(self):
         if not self.terms:
             return "LinComb(0)"
         bits = " + ".join(f"{scalar_str(c)}*{b!r}" for b, c in self.terms)
         return f"LinComb({bits})"
+
+
+class HomComb:
+    """A formal linear combination of basis arrows sharing dom and cod.
+
+    Subclasses name the basis class and how endpoints are normalized
+    (``norm_ends``) and serialized (``ends_to_json``, ``ends_from_json``);
+    equality is exact on type, so combinations from different categories
+    never compare equal.  Instances are immutable.
+    """
+
+    __slots__ = ("dom", "cod", "comb")
+
+    def __init__(self, dom, cod, comb: LinComb):
+        dom = self.norm_ends(dom)
+        cod = self.norm_ends(cod)
+        for arrow, _ in comb:
+            if arrow.dom != dom or arrow.cod != cod:
+                raise ValueError("all terms must share dom and cod")
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "comb", comb)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, dom, cod):
+        return cls(dom, cod, LinComb())
+
+    @classmethod
+    def of(cls, arrow, coeff=1):
+        return cls(arrow.dom, arrow.cod, LinComb([(arrow, coeff)]))
+
+    @classmethod
+    def from_terms(cls, dom, cod, terms):
+        return cls(dom, cod, LinComb(terms))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.dom == other.dom
+                and self.cod == other.cod and self.comb == other.comb)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.comb))
+
+    def __add__(self, other):
+        if other.dom != self.dom or other.cod != self.cod:
+            raise DomainMismatchError("cannot add arrows with different endpoints")
+        return type(self)(self.dom, self.cod, self.comb + other.comb)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, factor):
+        return type(self)(self.dom, self.cod, self.comb.scale(factor))
+
+    def is_zero(self):
+        return self.comb.is_zero()
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        return " + ".join(
+            (f"{scalar_str(c)}*" if c != 1 else "") + repr(arrow)
+            for arrow, c in self.comb)
+
+    def to_json(self):
+        return {
+            "dom": self.ends_to_json(self.dom),
+            "cod": self.ends_to_json(self.cod),
+            "terms": [[scalar_str(c), arrow.to_json()]
+                      for arrow, c in self.comb],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        terms = [(cls.basis.from_json(a), scalar(c)) for c, a in data["terms"]]
+        return cls(cls.ends_from_json(data["dom"]),
+                   cls.ends_from_json(data["cod"]), LinComb(terms))
 
 
 def lincomb_combine(combs, scales) -> LinComb:

@@ -23,6 +23,7 @@ from mazelab.labycat import (
     maze_compose,
     normalize_homogeneous,
     normalize_numerical,
+    pure_mazes_between,
     quadratic_generators,
     skeleton,
 )
@@ -176,6 +177,20 @@ def test_theseus_lands_in_homogeneous_normal_form():
             mu = identity_multation(a)
             hom = theseus_multation(mu, n)
             assert normalize_homogeneous(hom, n) == hom
+
+
+def test_homogeneous_normal_form_keeps_the_translation():
+    # The forward functor at degree n kills exactly what the degree-n
+    # homogeneous quotient identifies, so normalizing must not move it.
+    for n in (2, 3, 4):
+        for a in range(4):
+            for b in range(4):
+                for maze in pure_mazes_between(skeleton(a), skeleton(b),
+                                               range(n)):
+                    for m in (maze, maze.relabel_all(3)):
+                        h = MazeHom.of(m)
+                        assert ariadne_hom(normalize_homogeneous(h, n), n) \
+                            == ariadne_hom(h, n), (m, n)
 
 
 def test_roundtrip_small():

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from mazelab.cli import main
 from mazelab.labycat import Maze, MazeHom, quadratic_generators
 from mazelab.msetcat import MultHom, Multation, identity_multation, mset2_generators
@@ -246,3 +248,53 @@ def test_fixture_roundtrips():
             assert again.table == obj.table, name
         else:
             assert again == obj, name
+
+
+DEAD_END = {"dom": ["x", "w"], "cod": ["y"],
+            "passages": [[["x", "y", "1"], 1]]}
+BAD_INPUTS = {
+    "dead_end.json": DEAD_END,
+    "unreached.json": {"dom": ["y"], "cod": ["z", "v"],
+                       "passages": [[["y", "z", "1"], 1]]},
+    "outside.json": {"dom": ["x"], "cod": ["y"],
+                     "passages": [[["x", "y", "1"], 1], [["x", "q", "1"], 1]]},
+    "dead_term.json": {"dom": ["x", "w"], "cod": ["y"],
+                       "terms": [["2", DEAD_END]]},
+    "zero_denominator.json": {"dom": ["x"], "cod": ["y"],
+                              "passages": [[["x", "y", "1/0"], 1]]},
+    "zero_coefficient.json": {"dom": [["1", 2]], "cod": [["1", 2]],
+                              "terms": [["1/0", {"dom": [["1", 2]],
+                                                 "cod": [["1", 2]],
+                                                 "pairs": [[["1", "1"], 2]]}]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "{unreached.json}", "{dead_end.json}"],
+    ["compose", "--category", "laby_n", "-n", "2", "A.json",
+     "{outside.json}"],
+    ["compose", "--category", "laby_hom", "-n", "2", "{dead_term.json}",
+     "A.json"],
+    ["normalize", "-n", "2", "{dead_end.json}"],
+    ["ariadne", "-n", "2", "{dead_end.json}"],
+    ["ariadne", "-n", "2", "{dead_term.json}"],
+    ["xi", "--inverse", "{dead_end.json}"],
+    ["xi", "--inverse", "parallel21.json"],
+    ["normalize", "-n", "2", "{zero_denominator.json}"],
+    ["xi", "--inverse", "{zero_denominator.json}"],
+    ["theseus", "-n", "2", "{zero_coefficient.json}"],
+    ["normalize", "-n", "-1", "C.json"],
+    ["normalize", "--kind", "homogeneous", "-n", "-2", "C.json"],
+    ["compose", "--category", "laby_n", "-n", "-1", "A.json", "B.json"],
+    ["ariadne", "-n", "-1", "C.json"],
+    ["theseus", "-n", "-1", "alpha.json"],
+    ["tables", "-n", "-1"],
+])
+def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
+    for name, data in BAD_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    real = [str(tmp_path / a[1:-1]) if a.startswith("{")
+            else fx(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *real)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and "Traceback" not in err

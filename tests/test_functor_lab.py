@@ -211,6 +211,30 @@ def test_cross_effect_projectors_tensor_square_ranks():
     assert ranks == {(): 0, (1,): 1, (2,): 1, (1, 2): 2}
 
 
+def test_cross_effect_basis_cached_per_functor_instance(monkeypatch):
+    from mazelab import functor_lab
+
+    calls = []
+    real = functor_lab.cross_effect_projectors
+
+    def counting(f, a):
+        calls.append((id(f), a))
+        return real(f, a)
+
+    monkeypatch.setattr(functor_lab, "cross_effect_projectors", counting)
+    f, g = tensor_power_functor(2), tensor_power_functor(2)
+    for _ in range(2):
+        for functor in (f, g):
+            for a in (1, 2):
+                functor_lab.cross_effect_basis(functor, a)
+        LabyModulePresentation.from_functor(f, 2)
+    # one computation per (instance, rank), kept by the instance itself
+    assert sorted(calls) == sorted([(id(f), 0), (id(f), 1), (id(f), 2),
+                                    (id(g), 1), (id(g), 2)])
+    assert sorted(f.ce_basis_cache) == [0, 1, 2]
+    assert sorted(g.ce_basis_cache) == [1, 2]
+
+
 def test_cross_effect_telescoping_rank_one():
     for f in (identity_functor(), tensor_power_functor(2),
               tensor_power_functor(3)):

@@ -116,3 +116,25 @@ def test_lincomb_canonicalization_is_order_independent():
         assert LinComb(terms) == base
     # idempotent: rebuilding from stored terms changes nothing
     assert LinComb(base.terms) == base
+
+
+def test_combinations_with_endpoints_share_code_not_equality():
+    from mazelab.labycat import MazeHom
+    from mazelab.msetcat import MultHom, identity_multation
+    from mazelab.multisets import MultiSet
+
+    assert MazeHom.zero((), ()) != MultHom.zero(MultiSet(), MultiSet())
+    assert MultHom.zero(MultiSet(), MultiSet()) != MazeHom.zero((), ())
+    maze_hom = MazeHom.identity(["1"]).scale(2)
+    mult_hom = MultHom.of(identity_multation(MultiSet(["1", "1"])), 3)
+    for hom in (maze_hom, mult_hom):
+        name = type(hom).__name__
+        assert type(hom).from_json(hom.to_json()) == hom
+        assert (hom - hom).is_zero() and repr(hom - hom) == "0"
+        assert not hasattr(hom, "__dict__")
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            hom.comb = LinComb()
+    assert maze_hom.to_json()["dom"] == ["1"]
+    assert mult_hom.to_json()["dom"] == [["1", 2]]
+    assert repr(maze_hom) == "2*[1 -(1)-> 1: {'1'}->{'1'}]"
+    assert repr(mult_hom) == "3*[1 1; 1 1]"
