@@ -163,7 +163,7 @@ def cmd_compose(args) -> int:
     else:
         if args.degree is None:
             raise ParseError("--degree is required for quotient composition")
-        result = maze_hom_compose(f, g)
+        result = maze_hom_compose(f, g, args.degree)
         result = normalize_numerical(result, args.degree)
         if args.category == "laby_hom":
             result = normalize_homogeneous(result, args.degree)

@@ -16,13 +16,20 @@ maze into pure mazes with at most n passages via the binomial expansion
 axiom, and the homogeneous quotient further rewrites pure mazes with
 fewer than n passages into exactly-n ones by the label-scaling axiom,
 instantiated at scale 2 where the rewriting matrix is invertible.
+
+A maze with more than n passages is zero in the degree-n numerical
+quotient, whatever its labels.  Composition in the quotient hands n to
+the covering search, which then never builds such a composite: a
+composite has one passage per chosen pair, so the search stops as soon
+as its pairs already pass n.
 """
 
 from fractions import Fraction
 from math import comb
 
 from .errors import DomainMismatchError
-from .multisets import ENUM_LIMIT, MultiSet, compositions, guard_count
+from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
+                        multiplicity)
 from .scalars import HomComb, LinComb, binomial, scalar, scalar_str
 
 
@@ -144,7 +151,9 @@ class Maze:
         inner = ", ".join(
             repr(p) + (f" x{m}" if m > 1 else "")
             for p, m in self.passages)
-        return f"[{inner or 'empty'}: {set(self.dom) or '{}'}->{set(self.cod) or '{}'}]"
+        dom = ", ".join(map(repr, self.dom))
+        cod = ", ".join(map(repr, self.cod))
+        return f"[{inner or 'empty'}: {{{dom}}}->{{{cod}}}]"
 
     def to_json(self):
         return {
@@ -157,7 +166,7 @@ class Maze:
     @classmethod
     def from_json(cls, data):
         return cls(data["dom"], data["cod"],
-                   [(Passage(s, d, scalar(lab)), int(m))
+                   [(Passage(s, d, scalar(lab)), multiplicity(m))
                     for (s, d, lab), m in data["passages"]])
 
 
@@ -208,7 +217,7 @@ def box_product(p: Maze, q: Maze):
     return pairs
 
 
-def maze_compose(p: Maze, q: Maze) -> MazeHom:
+def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
     """p . q as the sum over covering subsets of the pair product.
 
     A subset qualifies when its projections hit every tagged instance of
@@ -218,11 +227,24 @@ def maze_compose(p: Maze, q: Maze) -> MazeHom:
     Covering subsets decompose as one nonempty bundle of pairs per
     instance of q, so enumeration runs per bundle with pruning on which
     instances of p can still be reached.
+
+    With a degree n, only the composites with at most n passages are
+    built: the others are zero in the degree-n numerical quotient, so
+    normalize_numerical of the result is the same as without n, for any
+    labels.  A composite has one passage per chosen pair, and every group
+    takes at least one pair, so a bundle may hold at most n - |q| + 1
+    pairs and a partial choice stops once its pairs plus the groups left
+    pass n; if either maze has more than n passages nothing is left.
+    With n None this is the plain composition of the labyrinth category.
     """
     if not (validate_maze(p) and validate_maze(q)):
         raise ValueError("maze_compose requires valid mazes")
     pairs = box_product(p, q)
     np_, nq = p.size, q.size
+    if n is None:
+        n = len(pairs)
+    elif max(np_, nq) > n:
+        return MazeHom.zero(q.dom, p.cod)
     full_p = (1 << np_) - 1
 
     groups = [[] for _ in range(nq)]
@@ -244,7 +266,8 @@ def maze_compose(p: Maze, q: Maze) -> MazeHom:
                 if mask >> t & 1:
                     cover |= 1 << i
                     chosen.append((pi, qj))
-            opts.append((cover, tuple(chosen)))
+            if len(chosen) <= n - nq + 1:
+                opts.append((cover, tuple(chosen)))
         choices.append(opts)
 
     # Hopeless sizes fail fast; borderline ones fall to the lazy budget
@@ -267,7 +290,7 @@ def maze_compose(p: Maze, q: Maze) -> MazeHom:
     budget = [ENUM_LIMIT]
 
     def rec(t, covered, chosen):
-        if covered | suffix[t] != full_p:
+        if covered | suffix[t] != full_p or len(chosen) + len(choices) - t > n:
             return
         if t == len(choices):
             composed = [Passage(qj.src, pi.dst, pi.label * qj.label)
@@ -285,14 +308,15 @@ def maze_compose(p: Maze, q: Maze) -> MazeHom:
     return MazeHom(q.dom, p.cod, LinComb(accum.items()))
 
 
-def maze_hom_compose(f: MazeHom, g: MazeHom) -> MazeHom:
-    """Bilinear extension of maze composition (f after g)."""
+def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
+    """Bilinear extension of maze composition (f after g); a degree n
+    drops the composites that are zero in the degree-n quotient."""
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
     out = MazeHom.zero(g.dom, f.cod)
     for p, c in f.comb:
         for q, d in g.comb:
-            out = out + maze_compose(p, q).scale(c * d)
+            out = out + maze_compose(p, q, n).scale(c * d)
     return out
 
 
@@ -367,7 +391,8 @@ def _numerical_terms(maze: Maze, n: int):
     k = len(inst)
     if k > n:
         return
-    if k == 0:
+    if all(p.label == 1 for p in inst):
+        # binomial(1, d) is 0 for d >= 2: a pure maze expands to itself.
         yield Fraction(1), maze
         return
     if any(p.label == 0 for p in inst):
@@ -401,7 +426,7 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     """Composite in the degree-n numerical quotient, in normal form."""
     f = normalize_numerical(f, n)
     g = normalize_numerical(g, n)
-    return normalize_numerical(maze_hom_compose(f, g), n)
+    return normalize_numerical(maze_hom_compose(f, g, n), n)
 
 
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:

@@ -23,6 +23,14 @@ LIFT_SEP = "#"
 PAIR_SEP = ","
 
 
+def multiplicity(value) -> int:
+    """A multiplicity read from JSON: an int, never a float, string or
+    bool, so that 1.5 is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"multiplicity {value!r} is not an integer")
+    return value
+
+
 class MultiSet:
     """Immutable multi-set with canonically sorted support."""
 
@@ -137,7 +145,7 @@ class MultiSet:
 
     @classmethod
     def from_json(cls, data):
-        return cls([(name, int(mult)) for name, mult in data])
+        return cls([(name, multiplicity(mult)) for name, mult in data])
 
 
 def ms_combine(op: str, a: MultiSet, b: MultiSet) -> MultiSet:

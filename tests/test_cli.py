@@ -266,6 +266,16 @@ BAD_INPUTS = {
                               "terms": [["1/0", {"dom": [["1", 2]],
                                                  "cod": [["1", 2]],
                                                  "pairs": [[["1", "1"], 2]]}]]},
+    "fractional_passage.json": {"dom": ["x"], "cod": ["y"],
+                                "passages": [[["x", "y", "1"], 1.5]]},
+    "string_passage.json": {"dom": ["x"], "cod": ["y"],
+                            "passages": [[["x", "y", "1"], "2"]]},
+    "bool_passage.json": {"dom": ["x"], "cod": ["y"],
+                          "passages": [[["x", "y", "1"], True]]},
+    "float_pair.json": {"dom": [["1", 2]], "cod": [["1", 2]],
+                        "pairs": [[["1", "1"], 2.0]]},
+    "fractional_multiset.json": {"dom": [["1", 1.5]], "cod": [["1", 1]],
+                                 "pairs": [[["1", "1"], 1]]},
 }
 
 
@@ -289,6 +299,13 @@ BAD_INPUTS = {
     ["ariadne", "-n", "-1", "C.json"],
     ["theseus", "-n", "-1", "alpha.json"],
     ["tables", "-n", "-1"],
+    ["normalize", "-n", "2", "{fractional_passage.json}"],
+    ["compose", "--category", "laby_n", "-n", "2", "{string_passage.json}",
+     "{string_passage.json}"],
+    ["xi", "--inverse", "{bool_passage.json}"],
+    ["theseus", "-n", "2", "{float_pair.json}"],
+    ["compose", "--category", "mset", "{fractional_multiset.json}",
+     "{fractional_multiset.json}"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

@@ -1,4 +1,9 @@
+import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -412,3 +417,60 @@ def test_json_roundtrip():
     hom = MazeHom.of(labelled, Fraction(1, 2)) + MazeHom.of(
         Maze(("x",), ("y",), [Passage("x", "y", 1)]))
     assert MazeHom.from_json(hom.to_json()) == hom
+
+
+def _skeleton_pairs(n):
+    """Every composable pair (p, q) of pure mazes on skeleta of at most n
+    points with at most n passages."""
+    mazes = [m for j in range(n + 1) for k in range(n + 1)
+             for m in pure_mazes_between(skeleton(j), skeleton(k),
+                                         range(n + 1))]
+    return [(p, q) for p in mazes for q in mazes if q.cod == p.dom]
+
+
+def test_degree_pruned_composition_matches_unpruned_oracle():
+    # The degree handed to the covering search only drops composites that
+    # the quotient kills: plain and relabelled factors, every pair.
+    count = 0
+    for n in (1, 2, 3):
+        for p, q in _skeleton_pairs(n):
+            for f in (MazeHom.of(p), MazeHom.of(p.relabel_all(3))):
+                g = MazeHom.of(q)
+                oracle = normalize_numerical(maze_hom_compose(
+                    normalize_numerical(f, n), normalize_numerical(g, n)), n)
+                assert compose_in_laby_n(f, g, n) == oracle, (p, q, n)
+                count += 1
+    assert count == 2 * (2 + 19 + 580)
+
+
+def test_degree_pruned_composition_of_oversized_mazes_is_zero():
+    loop3 = Maze(("1",), ("1",), [(Passage("1", "1", 2), 3)])
+    assert maze_compose(loop3, Maze.identity(("1",)), 2).is_zero()
+    assert normalize_numerical(maze_compose(loop3, loop3), 2).is_zero()
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_loop_composes_at_its_own_degree(k):
+    # k identical loops after k identical loops: only the k! matchings
+    # survive degree k, all giving the loop back.
+    loop = MazeHom.of(Maze(("1",), ("1",), [(Passage("1", "1", 1), k)]))
+    start = time.perf_counter()
+    got = compose_in_laby_n(loop, loop, k)
+    assert time.perf_counter() - start < 1.0
+    assert got == loop.scale(math.factorial(k))
+
+
+def test_maze_repr_does_not_depend_on_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("from mazelab.labycat import MazeHom, quadratic_generators\n"
+            "g = quadratic_generators()\n"
+            "print(repr(MazeHom.of(g['S'], 2)), repr(g['A']), repr(g['I0']))")
+    outs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout)
+    assert outs == {"2*[1 -(1)-> 2, 2 -(1)-> 1: {'1', '2'}->{'1', '2'}] "
+                    "[1 -(1)-> 1, 1 -(1)-> 2: {'1'}->{'1', '2'}] "
+                    "[empty: {}->{}]\n"}
