@@ -14,11 +14,11 @@ side is defined by transport through this translation.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import DomainMismatchError
-from .labycat import Maze, MazeHom, Passage
+from .labycat import Maze, MazeHom, Passage, pure_mazes_between
 from .msetcat import MultHom, Multation, divided_reduce
 from .multisets import MultiSet, compositions, enumerate_supported, guard_count
 
@@ -221,15 +221,12 @@ def all_cardinality_multisets(universe, n: int):
 def all_pure_mazes_on(universe, n: int):
     """All pure mazes with exactly n passages whose endpoint sets are the
     supports of the passage multiset, inside the universe."""
-    universe = tuple(sorted(set(universe)))
-    out = []
-    if n == 0:
-        return [Maze((), ())]
-    pairs_universe = [(x, y) for x in universe for y in universe]
-    guard_count(comb(len(pairs_universe) + n - 1, n))
-    for combo in combinations_with_replacement(pairs_universe, n):
-        out.append(Maze.pure(combo))
-    return sorted(set(out), key=Maze.sort_key)
+    universe = sorted(set(universe))
+    subsets = [s for k in range(len(universe) + 1)
+               for s in combinations(universe, k)]
+    return sorted((maze for dom in subsets for cod in subsets
+                   for maze in pure_mazes_between(dom, cod, [n])),
+                  key=Maze.sort_key)
 
 
 def roundtrip_failures(universe, n: int):

@@ -24,6 +24,7 @@ from .errors import (
 from .labycat import (
     Maze,
     MazeHom,
+    compose_in_laby_n,
     laby2_table,
     maze_hom_compose,
     normalize_homogeneous,
@@ -32,8 +33,10 @@ from .labycat import (
     validate_maze,
 )
 from .functor_lab import (
+    MAX_MATRIX_SIDE,
     LabyModulePresentation,
     MSetModulePresentation,
+    json_rows,
     phi_block_index,
     phi_inverse_eval,
     psi_block_index,
@@ -102,9 +105,12 @@ def load_matrix(path) -> IntMat:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{path}: expected a JSON array of rows")
     ncols = len(data[0]) if data else 0
+    if max(len(data), ncols) > MAX_MATRIX_SIDE:
+        raise ParseError(f"{path}: matrix side above the guard "
+                         f"{MAX_MATRIX_SIDE}")
     try:
-        return IntMat(len(data), ncols, data)
-    except (ShapeMismatchError, ValueError, TypeError) as exc:
+        return IntMat(len(data), ncols, json_rows(data))
+    except (ShapeMismatchError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -163,8 +169,7 @@ def cmd_compose(args) -> int:
     else:
         if args.degree is None:
             raise ParseError("--degree is required for quotient composition")
-        result = maze_hom_compose(f, g, args.degree)
-        result = normalize_numerical(result, args.degree)
+        result = compose_in_laby_n(f, g, args.degree)
         if args.category == "laby_hom":
             result = normalize_homogeneous(result, args.degree)
     _emit(result, pretty_maze_hom, args.format)

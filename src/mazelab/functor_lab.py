@@ -34,7 +34,7 @@ from .labycat import (
 )
 from .matrices import IntMat, column_lattice_basis, kron_power, solve_in_lattice
 from .msetcat import MultHom, Multation, all_multations
-from .multisets import MultiSet, guard_count
+from .multisets import MultiSet, guard_count, json_int
 from .scalars import scalar
 
 MAX_FUNCTOR_DEGREE = 3
@@ -105,28 +105,28 @@ def direct_sum_functor(f: MatrixFunctor, g: MatrixFunctor) -> MatrixFunctor:
     return MatrixFunctor(f"{f.name}+{g.name}", dim, arrow)
 
 
-def deviation(f: MatrixFunctor, maps) -> IntMat:
+def deviation(f, maps):
     """Alternating sum of f over subset sums of the given maps.
 
     With k maps this is the (k-1)-st deviation; the empty subset
-    contributes f of the zero map with sign (-1)^k.
+    contributes f of the zero map with sign (-1)^k, and with no maps at
+    all that zero map is the 0 x 0 one of the empty maze.  The values of
+    f need only + and .scale: IntMats of a MatrixFunctor or AbHoms of an
+    evaluated presentation.  Each subset sum is one addition away from
+    the sum of the subset without its lowest map.
     """
     maps = list(maps)
-    if not maps:
-        raise ValueError("deviation needs at least one map")
-    nrows, ncols = maps[0].nrows, maps[0].ncols
+    nrows, ncols = (maps[0].nrows, maps[0].ncols) if maps else (0, 0)
     for m in maps:
         if (m.nrows, m.ncols) != (nrows, ncols):
             raise ShapeMismatchError("deviation maps must share their shape")
     k = len(maps)
-    total = IntMat.zeros(f.dim(nrows), f.dim(ncols))
-    for mask in range(1 << k):
-        s = IntMat.zeros(nrows, ncols)
-        for i in range(k):
-            if mask >> i & 1:
-                s = s + maps[i]
-        sign = (-1) ** (k - bin(mask).count("1"))
-        total = total + f(s).scale(sign)
+    sums = [IntMat.zeros(nrows, ncols)]
+    total = f(sums[0]).scale((-1) ** k)
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        sums.append(sums[mask ^ low] + maps[low.bit_length() - 1])
+        total = total + f(sums[mask]).scale((-1) ** (k - bin(mask).count("1")))
     return total
 
 
@@ -262,6 +262,22 @@ def cross_effect_basis(f: MatrixFunctor, a: int):
     raise AssertionError("unreachable")
 
 
+def transport_maps(maze: Maze):
+    """The cod x dom unit matrix of each passage instance, scaled by its
+    label; labels must be integers."""
+    if not maze.passages and (maze.dom or maze.cod):
+        raise ValueError("a maze without passages must be empty-to-empty")
+    dom_idx = {x: i for i, x in enumerate(maze.dom)}
+    cod_idx = {y: i for i, y in enumerate(maze.cod)}
+    maps = []
+    for p in maze.instances():
+        if p.label.denominator != 1:
+            raise ValueError("transport labels must be integers")
+        maps.append(IntMat.unit(len(maze.cod), len(maze.dom), cod_idx[p.dst],
+                                dom_idx[p.src], p.label.numerator))
+    return maps
+
+
 def phi_forward(f: MatrixFunctor, maze: Maze):
     """The presentation value of one maze: the deviation of the labelled
     transport maps, restricted to the top cross-effect of the source and
@@ -270,23 +286,8 @@ def phi_forward(f: MatrixFunctor, maze: Maze):
     Requires integer labels; the restriction is guaranteed for functors
     with free values, and a failed corestriction raises.
     """
-    dom = maze.dom
-    cod = maze.cod
-    a, b = len(dom), len(cod)
-    dom_idx = {x: i for i, x in enumerate(dom)}
-    cod_idx = {y: i for i, y in enumerate(cod)}
-    maps = []
-    for p in maze.instances():
-        if p.label.denominator != 1:
-            raise ValueError("transport labels must be integers")
-        maps.append(IntMat.unit(b, a, cod_idx[p.dst], dom_idx[p.src],
-                                p.label.numerator))
-    if maps:
-        dev = deviation(f, maps)
-    else:
-        if a or b:
-            raise ValueError("a maze without passages must be empty-to-empty")
-        dev = f(IntMat.zeros(0, 0))
+    a, b = len(maze.dom), len(maze.cod)
+    dev = deviation(f, transport_maps(maze))
     piv_x, basis_x = cross_effect_basis(f, a)
     piv_y, basis_y = cross_effect_basis(f, b)
     cols = []
@@ -357,7 +358,14 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["rank"]), data.get("torsion", ()))
+        return cls(json_int(data["rank"], "rank"),
+                   [json_int(d, "torsion order")
+                    for d in data.get("torsion", ())])
+
+
+def json_rows(rows):
+    """Integer matrix rows read from JSON, every entry through json_int."""
+    return [[json_int(x, "matrix entry") for x in row] for row in rows]
 
 
 def _reduce_rows(rows, cod_orders):
@@ -601,14 +609,18 @@ class LabyModulePresentation:
 
     @classmethod
     def from_json(cls, data, check=True):
-        degree = int(data["degree"])
+        degree = json_int(data["degree"], "degree")
         groups = [FgAbGroup.from_json(g) for g in data["groups"]]
         table = {}
         for item in data["homs"]:
             maze = Maze.from_json(item["maze"])
             j, k = len(maze.dom), len(maze.cod)
-            hom = AbHom.of_groups(groups[j], groups[k], item["matrix"])
-            table[maze] = hom
+            if (max(j, k) >= len(groups) or set(maze.dom) != set(skeleton(j))
+                    or set(maze.cod) != set(skeleton(k))):
+                raise ValueError(f"{maze!r} does not join skeleton sets "
+                                 f"with carriers in degree {degree}")
+            table[maze] = AbHom.of_groups(groups[j], groups[k],
+                                          json_rows(item["matrix"]))
         return cls(degree, groups, table, check=check)
 
     @classmethod
@@ -726,39 +738,22 @@ def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
     for y in row_subsets:
         row = []
         for x in col_subsets:
+            if x == () and y == ():
+                row.append(AbHom.identity(h.group(0).orders))
+                continue
             dom_g = h.block_group(len(x))
             cod_g = h.block_group(len(y))
             total = AbHom.zero(dom_g.orders, cod_g.orders)
-            if x == () and y == ():
-                total = AbHom.identity(h.group(0).orders)
-                row.append(total)
-                continue
-            if not x or not y or dom_g.is_trivial() or cod_g.is_trivial():
-                row.append(total)
-                continue
-            if len(x) > n or len(y) > n:
-                row.append(total)
-                continue
-            pairs = [(yy, xx) for yy in y for xx in x]
-            if len(pairs) <= 30:
-                for mask in range(1 << len(pairs)):
-                    chosen = [pairs[t] for t in range(len(pairs))
-                              if mask >> t & 1]
+            if x and y and not dom_g.is_trivial() and not cod_g.is_trivial():
+                for chosen in surjective_pair_subsets(len(y), len(x)):
                     if len(chosen) > n:
                         continue
-                    if {xx for _, xx in chosen} != set(x):
-                        continue
-                    if {yy for yy, _ in chosen} != set(y):
-                        continue
                     maze = Maze(_subset_names(x), _subset_names(y),
-                                [Passage(str(xx), str(yy),
-                                         m.rows[yy - 1][xx - 1])
-                                 for yy, xx in chosen])
-                    val = h.eval_labeled(maze)
+                                [Passage(str(x[j - 1]), str(y[i - 1]),
+                                         m.rows[y[i - 1] - 1][x[j - 1] - 1])
+                                 for i, j in chosen])
                     total = total + _abhom_from_frac(
-                        val, dom_g.orders, cod_g.orders)
-            else:
-                raise ValueError("block too large to enumerate")
+                        h.eval_labeled(maze), dom_g.orders, cod_g.orders)
             row.append(total)
         grid.append(row)
     return abhom_block(grid, col_orders, row_orders)
@@ -778,28 +773,6 @@ def _abhom_from_frac(rows, dom_orders, cod_orders) -> AbHom:
                  IntMat(len(cod_orders), len(dom_orders), ints))
 
 
-def _instance_subset_matrices(maze: Maze):
-    """For every subset of the maze's passage instances, the matrix of
-    summed labels (cod x dom), with the subset's parity sign."""
-    dom = maze.dom
-    cod = maze.cod
-    a, b = len(dom), len(cod)
-    dom_idx = {x: i for i, x in enumerate(dom)}
-    cod_idx = {y: i for i, y in enumerate(cod)}
-    inst = maze.instances()
-    k = len(inst)
-    for mask in range(1 << k):
-        rows = [[0] * a for _ in range(b)]
-        for i in range(k):
-            if mask >> i & 1:
-                p = inst[i]
-                if p.label.denominator != 1:
-                    raise ValueError("labels must be integers here")
-                rows[cod_idx[p.dst]][dom_idx[p.src]] += p.label.numerator
-        sign = (-1) ** (k - bin(mask).count("1"))
-        yield sign, IntMat(b, a, rows)
-
-
 def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
                      exact):
     """Deviation of an evaluated functor along a maze's transports,
@@ -814,10 +787,7 @@ def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
     """
     col_blocks, col_orders = col_index
     row_blocks, row_orders = row_index
-    total = None
-    for sign, mat in _instance_subset_matrices(maze):
-        term = evaluate(pres, mat).scale(sign)
-        total = term if total is None else total + term
+    total = deviation(lambda mat: evaluate(pres, mat), transport_maps(maze))
     col_exact = [i for i, x in enumerate(col_blocks)
                  if exact(x, len(maze.dom))]
     row_exact = [i for i, y in enumerate(row_blocks)
@@ -979,8 +949,9 @@ class MSetModulePresentation:
         for item in data["homs"]:
             mu = Multation.from_json(item["multation"])
             table[mu] = AbHom.of_groups(groups[mu.dom], groups[mu.cod],
-                                        item["matrix"])
-        return cls(int(data["degree"]), universe, groups, table, check=check)
+                                        json_rows(item["matrix"]))
+        return cls(json_int(data["degree"], "degree"), universe, groups, table,
+                   check=check)
 
     @classmethod
     def tensor_power(cls, n: int, universe, check=True):

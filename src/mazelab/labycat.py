@@ -29,8 +29,8 @@ from math import comb
 
 from .errors import DomainMismatchError
 from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
-                        multiplicity)
-from .scalars import HomComb, LinComb, binomial, scalar, scalar_str
+                        json_int)
+from .scalars import HomComb, LinComb, binomial_product, scalar, scalar_str
 
 
 class Passage:
@@ -121,14 +121,6 @@ class Maze:
     def is_pure(self) -> bool:
         return all(p.label == 1 for p, _ in self.passages)
 
-    def is_simple(self) -> bool:
-        seen = set()
-        for p, m in self.passages:
-            if m > 1 or (p.src, p.dst) in seen:
-                return False
-            seen.add((p.src, p.dst))
-        return True
-
     def relabel_all(self, a):
         """a [.] P: multiply every label by a."""
         a = scalar(a)
@@ -166,7 +158,7 @@ class Maze:
     @classmethod
     def from_json(cls, data):
         return cls(data["dom"], data["cod"],
-                   [(Passage(s, d, scalar(lab)), multiplicity(m))
+                   [(Passage(s, d, scalar(lab)), json_int(m, "multiplicity"))
                     for (s, d, lab), m in data["passages"]])
 
 
@@ -395,15 +387,12 @@ def _numerical_terms(maze: Maze, n: int):
         # binomial(1, d) is 0 for d >= 2: a pure maze expands to itself.
         yield Fraction(1), maze
         return
-    if any(p.label == 0 for p in inst):
+    labels = [p.label for p in inst]
+    if 0 in labels:
         return
     for total in range(k, n + 1):
         for degs in compositions(total, k):
-            coeff = Fraction(1)
-            for p, d in zip(inst, degs):
-                coeff *= binomial(p.label, d)
-                if coeff == 0:
-                    break
+            coeff = binomial_product(labels, degs)
             if coeff == 0:
                 continue
             pure = Maze(maze.dom, maze.cod,

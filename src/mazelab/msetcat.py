@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .errors import DomainMismatchError, IntegralityError
-from .multisets import MultiSet, guard_count, multiplicity
+from .multisets import MultiSet, guard_count, json_int
 from .scalars import HomComb, LinComb, multinomial
 
 
@@ -105,7 +105,8 @@ class Multation:
         return cls(
             MultiSet.from_json(data["dom"]),
             MultiSet.from_json(data["cod"]),
-            [((a, b), multiplicity(m)) for (a, b), m in data["pairs"]],
+            [((a, b), json_int(m, "multiplicity"))
+             for (a, b), m in data["pairs"]],
         )
 
 

@@ -23,11 +23,12 @@ LIFT_SEP = "#"
 PAIR_SEP = ","
 
 
-def multiplicity(value) -> int:
-    """A multiplicity read from JSON: an int, never a float, string or
-    bool, so that 1.5 is refused rather than truncated."""
+def json_int(value, what: str) -> int:
+    """An integer read from JSON, such as a multiplicity or a matrix
+    entry: an int, never a float, string or bool, so that 1.5 is refused
+    rather than truncated.  `what` names the value in the error."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"multiplicity {value!r} is not an integer")
+        raise ValueError(f"{what} {value!r} is not an integer")
     return value
 
 
@@ -145,7 +146,8 @@ class MultiSet:
 
     @classmethod
     def from_json(cls, data):
-        return cls([(name, multiplicity(mult)) for name, mult in data])
+        return cls([(name, json_int(mult, "multiplicity"))
+                    for name, mult in data])
 
 
 def ms_combine(op: str, a: MultiSet, b: MultiSet) -> MultiSet:

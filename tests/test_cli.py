@@ -252,6 +252,18 @@ def test_fixture_roundtrips():
 
 DEAD_END = {"dom": ["x", "w"], "cod": ["y"],
             "passages": [[["x", "y", "1"], 1]]}
+THREE_TO_ONE = {"dom": ["1", "2", "3"], "cod": ["1"],
+                "passages": [[[x, "1", "1"], 1] for x in "123"]}
+
+
+def edited_fixture(name, edit):
+    """A shipped fixture's JSON after the in-place change `edit`."""
+    with open(fx(name)) as fh:
+        data = json.load(fh)
+    edit(data)
+    return data
+
+
 BAD_INPUTS = {
     "dead_end.json": DEAD_END,
     "unreached.json": {"dom": ["y"], "cod": ["z", "v"],
@@ -276,6 +288,30 @@ BAD_INPUTS = {
                         "pairs": [[["1", "1"], 2.0]]},
     "fractional_multiset.json": {"dom": [["1", 1.5]], "cod": [["1", 1]],
                                  "pairs": [[["1", "1"], 1]]},
+    "fractional_matrix.json": [[1.5, 0], [0, 1]],
+    "bool_matrix.json": [[True]],
+    "string_matrix.json": [["3"]],
+    "wide_matrix.json": [[1, 0, 0, 0]],
+    "fractional_rank.json": edited_fixture(
+        "frobenius_laby.json", lambda d: d["groups"][1].update(rank=1.5)),
+    "float_torsion.json": edited_fixture(
+        "frobenius_laby.json", lambda d: d["groups"][1].update(torsion=[2.0])),
+    "string_degree.json": edited_fixture(
+        "frobenius_laby.json", lambda d: d.update(degree="2")),
+    "fractional_entry.json": edited_fixture(
+        "frobenius_laby.json", lambda d: d["homs"][1].update(matrix=[[1.5]])),
+    "oversized_maze.json": edited_fixture(
+        "frobenius_laby.json",
+        lambda d: d["homs"].append({"maze": THREE_TO_ONE, "matrix": []})),
+    "foreign_names.json": edited_fixture(
+        "identity_laby.json",
+        lambda d: d["homs"].append({"maze": Maze.identity(["a"]).to_json(),
+                                    "matrix": [[1]]})),
+    "mset_float_degree.json": edited_fixture(
+        "square_mset.json", lambda d: d.update(degree=2.0)),
+    "mset_bool_entry.json": edited_fixture(
+        "square_mset.json",
+        lambda d: d["homs"][0].update(matrix=[[True, 0], [0, 1]])),
 }
 
 
@@ -306,6 +342,19 @@ BAD_INPUTS = {
     ["theseus", "-n", "2", "{float_pair.json}"],
     ["compose", "--category", "mset", "{fractional_multiset.json}",
      "{fractional_multiset.json}"],
+    ["eval", "--kind", "laby", "identity_laby.json",
+     "{fractional_matrix.json}"],
+    ["eval", "--kind", "mset", "square_mset.json", "{bool_matrix.json}"],
+    ["eval", "--kind", "laby", "identity_laby.json", "{string_matrix.json}"],
+    ["eval", "--kind", "laby", "identity_laby.json", "{wide_matrix.json}"],
+    ["eval", "--kind", "laby", "{fractional_rank.json}", "m3.json"],
+    ["eval", "--kind", "laby", "{float_torsion.json}", "m3.json"],
+    ["eval", "--kind", "laby", "{string_degree.json}", "m3.json"],
+    ["eval", "--kind", "laby", "{fractional_entry.json}", "m3.json"],
+    ["eval", "--kind", "laby", "{oversized_maze.json}", "m3.json"],
+    ["eval", "--kind", "laby", "{foreign_names.json}", "m3.json"],
+    ["eval", "--kind", "mset", "{mset_float_degree.json}", "m22.json"],
+    ["eval", "--kind", "mset", "{mset_bool_entry.json}", "m22.json"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():
@@ -315,3 +364,6 @@ def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *real)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and "Traceback" not in err
+    # The error names the bad file, where one was given.
+    bad = [r for a, r in zip(argv, real) if a.startswith("{")]
+    assert not bad or any(path in err for path in bad)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from mazelab.functor_lab import (
     quasi_homogeneous_check,
     signed_cover_sum,
     tensor_power_functor,
+    transport_maps,
 )
 from mazelab.labycat import Maze, Passage, quadratic_generators, skeleton
 from mazelab.matrices import IntMat
@@ -105,6 +107,62 @@ def test_deviation_values():
             got = deviation(t2, [IntMat.from_rows([[x]]),
                                  IntMat.from_rows([[y]])])
             assert got == IntMat.from_rows([[2 * x * y]])
+
+
+def reference_deviation(f, maze):
+    """Sum over subsets S of the passage instances of
+    (-1)^(k - |S|) f(sum of the transports in S), written out."""
+    dom, cod = list(maze.dom), list(maze.cod)
+    inst = maze.instances()
+    k = len(inst)
+    total = None
+    for size in range(k + 1):
+        for subset in combinations(inst, size):
+            rows = [[0] * len(dom) for _ in cod]
+            for p in subset:
+                rows[cod.index(p.dst)][dom.index(p.src)] += int(p.label)
+            term = f(IntMat(len(cod), len(dom), rows))
+            term = term.scale((-1) ** (k - size))
+            total = term if total is None else total + term
+    return total
+
+
+def deviation_mazes(max_side):
+    """Pure and labelled mazes up to a side, the empty maze first."""
+    mazes = [Maze((), ())]
+    for a in range(1, max_side + 1):
+        for b in range(1, max_side + 1):
+            dom, cod = skeleton(a), skeleton(b)
+            for labels in ((1, 1), (2, -1), (3, 3)):
+                passages = [Passage(x, cod[0], labels[0]) for x in dom]
+                passages += [Passage(dom[0], y, labels[1]) for y in cod]
+                mazes.append(Maze(dom, cod, passages))
+    return mazes
+
+
+def test_deviation_matches_written_out_sum_on_matrices():
+    for f in (identity_functor(), tensor_power_functor(2),
+              tensor_power_functor(3)):
+        for maze in deviation_mazes(3):
+            got = deviation(f, transport_maps(maze))
+            assert got == reference_deviation(f, maze), (f, maze)
+    empty = deviation(tensor_power_functor(2), transport_maps(Maze((), ())))
+    assert empty == tensor_power_functor(2)(IntMat.zeros(0, 0))
+
+
+def test_deviation_matches_written_out_sum_on_evaluations(phi_square,
+                                                           frobenius,
+                                                           j_square):
+    evaluations = [lambda m, h=h: phi_inverse_eval(h, m)
+                   for h in (phi_square, frobenius["H"])]
+    evaluations.append(lambda m: psi_inverse_eval(j_square, m))
+    for f in evaluations:
+        for maze in deviation_mazes(2):
+            got = deviation(f, transport_maps(maze))
+            assert isinstance(got, AbHom)
+            assert got == reference_deviation(f, maze), maze
+    assert deviation(evaluations[0], []) == AbHom.identity(
+        phi_square.group(0).orders)
 
 
 def test_signed_cover_sum_values():
@@ -337,6 +395,23 @@ def test_phi_inverse_eval_functoriality(phi_square, frobenius):
             assert lhs == rhs
         ident = phi_inverse_eval(h, IntMat.identity(2))
         assert ident == AbHom.identity(ident.dom_orders)
+
+
+def test_phi_inverse_eval_functoriality_cube_all_shapes(phi_cube):
+    # Blocks of three rows and columns have covering sets of up to nine
+    # pairs, more than the degree.
+    rng = random.Random(21)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                m = IntMat(c, b, [[rng.randint(-2, 2) for _ in range(b)]
+                                  for _ in range(c)])
+                k = IntMat(b, a, [[rng.randint(-2, 2) for _ in range(a)]
+                                  for _ in range(b)])
+                lhs = phi_inverse_eval(phi_cube, m @ k)
+                rhs = phi_inverse_eval(phi_cube, m).compose(
+                    phi_inverse_eval(phi_cube, k))
+                assert lhs == rhs, (a, b, c)
 
 
 def test_phi_roundtrip(phi_square, phi_identity, frobenius):
