@@ -7,10 +7,11 @@ maze-side presentation stores the projector-restricted deviation matrix
 of every small pure maze, and the multation-side presentation stores the
 divided-power action on every small multation.
 
-Both presentations can be evaluated back into honest matrix maps on free
-modules: the maze side by summing over labelled sub-mazes of a matrix,
-the multation side by summing monomial-weighted multation actions over
-blocks of cardinality-n multi-sets.  The round trips and the comparison
+Both presentations are evaluated back into honest matrix maps on free
+modules by one blockwise formula: each block sums stored values, each
+weighted by a product over its passages (or columns) of binom(entry, d)
+on the maze side and entry ** d on the multation side, d being the
+multiplicity.  The round trips and the comparison
 along the maze-to-multation translation are the substantive consistency
 checks of this module.
 
@@ -26,7 +27,6 @@ from .errors import ShapeMismatchError
 from .labycat import (
     Maze,
     MazeHom,
-    Passage,
     normalize_numerical,
     pure_mazes_between,
     rename_maze,
@@ -35,7 +35,7 @@ from .labycat import (
 from .matrices import IntMat, column_lattice_basis, kron_power, solve_in_lattice
 from .msetcat import MultHom, Multation, all_multations
 from .multisets import MultiSet, guard_count, json_int
-from .scalars import scalar
+from .scalars import binomial
 
 MAX_FUNCTOR_DEGREE = 3
 MAX_MATRIX_SIDE = 3
@@ -218,8 +218,8 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
     into its cross-effects, indexed by subsets of [a].
 
     The subset X contributes f deviated over the coordinate projections
-    it names.  Idempotence, orthogonality and completeness are asserted;
-    a functor that fails them is not additive-compatible.
+    it names.  Idempotence and completeness are asserted; a functor that
+    fails them is not additive-compatible.
     """
     if a > MAX_MATRIX_SIDE:
         raise ValueError(f"rank {a} above the guard {MAX_MATRIX_SIDE}")
@@ -237,11 +237,10 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
         if e @ e != e:
             raise ValueError(f"projector for {x} is not idempotent")
         total = total + e
-    for x, e in out:
-        for y, e2 in out:
-            if x != y and not (e @ e2).is_zero():
-                raise ValueError(f"projectors for {x} and {y} not orthogonal")
-    if total != f(IntMat.identity(a)):
+    # Idempotents summing to the identity are orthogonal: their ranks are
+    # their traces, which add up to the dimension, so the images form a
+    # direct sum.  For a functor f(identity) is that identity.
+    if total != IntMat.identity(dim):
         raise ValueError("projectors do not sum to the identity")
     return out
 
@@ -469,31 +468,20 @@ class AbHom:
 
 
 def abhom_block(grid, col_orders_list, row_orders_list) -> AbHom:
-    """Assemble a block matrix of AbHoms into one AbHom.
-
-    grid[i][j] maps the j-th column block to the i-th row block; None
-    stands for a zero block.
-    """
+    """Assemble a block matrix of AbHoms into one AbHom; grid[i][j] maps
+    the j-th column block to the i-th row block."""
     dom_orders = tuple(d for orders in col_orders_list for d in orders)
     cod_orders = tuple(d for orders in row_orders_list for d in orders)
     rows = []
     for i, row_orders in enumerate(row_orders_list):
-        height = len(row_orders)
-        block_rows = [[] for _ in range(height)]
         for j, col_orders in enumerate(col_orders_list):
-            width = len(col_orders)
             hom = grid[i][j]
-            if hom is None:
-                piece = [[0] * width for _ in range(height)]
-            else:
-                if (len(hom.cod_orders) != height
-                        or len(hom.dom_orders) != width):
-                    raise ShapeMismatchError(
-                        f"block ({i},{j}) has the wrong shape")
-                piece = [list(r) for r in hom.mat.rows]
-            for r in range(height):
-                block_rows[r].extend(piece[r])
-        rows.extend(block_rows)
+            if (len(hom.cod_orders) != len(row_orders)
+                    or len(hom.dom_orders) != len(col_orders)):
+                raise ShapeMismatchError(
+                    f"block ({i},{j}) has the wrong shape")
+        rows.extend([x for hom in grid[i] for x in hom.mat.rows[r]]
+                    for r in range(len(row_orders)))
     return AbHom(dom_orders, cod_orders,
                  IntMat(len(cod_orders), len(dom_orders), rows))
 
@@ -518,7 +506,7 @@ class LabyModulePresentation:
     """A linear functor out of the degree-n maze quotient, as finite data:
     carriers on the skeleton [0..n] and one map per small pure maze."""
 
-    __slots__ = ("degree", "groups", "table")
+    __slots__ = ("degree", "groups", "table", "shapes")
 
     def __init__(self, degree: int, groups, table, check=True):
         groups = list(groups)
@@ -528,6 +516,8 @@ class LabyModulePresentation:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "table", table)
+        # (j, k) -> shape_terms result; the table never changes.
+        object.__setattr__(self, "shapes", {})
         for maze, hom in table.items():
             j, k = len(maze.dom), len(maze.cod)
             if (hom.dom_orders != groups[j].orders
@@ -563,22 +553,31 @@ class LabyModulePresentation:
             raise KeyError(f"presentation lacks a value for {maze!r}")
         return self.table[key]
 
-    def eval_hom(self, h: MazeHom):
-        """Evaluate on a combination of pure mazes sharing endpoints,
-        returning Fraction matrix rows (coefficients may be rational)."""
-        j, k = len(h.dom), len(h.cod)
-        rows = [[Fraction(0)] * self.groups[j].dim
-                for _ in range(self.groups[k].dim)]
-        for maze, c in h.comb:
-            val = self.hom(maze)
-            for i, row in enumerate(val.mat.rows):
-                for jj, x in enumerate(row):
-                    rows[i][jj] += c * x
-        return rows
+    def shape_terms(self, j: int, k: int):
+        """The stored pure mazes [j] -> [k] of at most `degree` passages,
+        each as its (source, target, multiplicity) triples, ends counted
+        from 0, with its value; built once per shape."""
+        terms = self.shapes.get((j, k))
+        if terms is None:
+            terms = [([(int(p.src) - 1, int(p.dst) - 1, d)
+                       for p, d in maze.passages], self.hom(maze))
+                     for maze in pure_mazes_between(
+                         skeleton(j), skeleton(k), range(self.degree + 1))]
+            self.shapes[(j, k)] = terms
+        return terms
 
-    def eval_labeled(self, maze: Maze):
+    def eval_hom(self, h: MazeHom) -> AbHom:
+        """Evaluate on a combination of pure mazes sharing endpoints; the
+        coefficients must be integers."""
+        total = AbHom.zero(self.groups[len(h.dom)].orders,
+                           self.groups[len(h.cod)].orders)
+        for maze, c in h.comb:
+            total = total + self.hom(maze).scale(c)
+        return total
+
+    def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and
-        evaluate; Fraction matrix rows."""
+        evaluate."""
         return self.eval_hom(normalize_numerical(MazeHom.of(maze), self.degree))
 
     def check(self):
@@ -592,10 +591,8 @@ class LabyModulePresentation:
             for q in mazes:
                 if set(q.cod) != set(p.dom):
                     continue
-                composite = bridge_compose_table(self, p, q)
-                direct = self.hom(p).compose(self.hom(q))
-                if not frac_rows_equal(composite, _frac_of_abhom(direct),
-                                       self.groups[len(p.cod)].orders):
+                if (bridge_compose_table(self, p, q)
+                        != self.hom(p).compose(self.hom(q))):
                     raise ValueError(
                         f"table is not functorial on {p!r} after {q!r}")
 
@@ -669,48 +666,45 @@ class LabyModulePresentation:
         return cls(degree, groups, table, check=check)
 
 
-def _frac_of_abhom(hom: AbHom):
-    return [[Fraction(x) for x in row] for row in hom.mat.rows]
-
-
 def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
     """Evaluate the quotient composite of two pure mazes through the
-    table, as Fraction rows."""
+    table."""
     from .labycat import compose_in_laby_n
 
     composite = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), h.degree)
     return h.eval_hom(composite)
 
 
-def frac_rows_equal(rows_a, rows_b, cod_orders) -> bool:
-    """Entrywise congruence of Fraction matrices modulo the target orders.
-
-    Torsion rows compare modulo their order, which requires the difference
-    to be an integer multiple of it; free rows compare exactly.
-    """
-    if len(rows_a) != len(rows_b):
-        return False
-    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        if len(ra) != len(rb):
-            return False
-        d = cod_orders[i]
-        for x, y in zip(ra, rb):
-            diff = Fraction(x) - Fraction(y)
-            if d == 0:
-                if diff != 0:
-                    return False
-            else:
-                if diff.denominator != 1 or diff.numerator % d != 0:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# evaluation of maze presentations on matrices
+# evaluation of presentations on matrices
 
 
-def _subset_names(indices):
-    return tuple(str(i) for i in indices)
+def _eval_blockwise(m: IntMat, col_index, row_index, terms, weight) -> AbHom:
+    """The evaluation formula of both presentation sides.
+
+    The value on m is a block matrix over the (blocks, orders) indices of
+    its source and target.  Block (x, y) sums the stored maps that
+    `terms(x, y)` yields, each with its (row, column, exponent) triples
+    into m, times the product of weight(entry, exponent) over them.
+    """
+    col_blocks, col_orders = col_index
+    row_blocks, row_orders = row_index
+    grid = []
+    for y, cod_orders in zip(row_blocks, row_orders):
+        row = []
+        for x, dom_orders in zip(col_blocks, col_orders):
+            total = AbHom.zero(dom_orders, cod_orders)
+            for triples, hom in terms(x, y):
+                w = 1
+                for r, c, d in triples:
+                    w *= weight(m.rows[r][c], d)
+                    if w == 0:
+                        break
+                if w:
+                    total = total + hom.scale(w)
+            row.append(total)
+        grid.append(row)
+    return abhom_block(grid, col_orders, row_orders)
 
 
 def phi_block_index(h: LabyModulePresentation, a: int):
@@ -725,52 +719,21 @@ def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
     """Evaluate the presented functor on an integer matrix.
 
     The value on rank a is the direct sum of the carriers over subsets of
-    [a]; the matrix acts blockwise by summing, over sub-mazes labelled by
-    its entries, the binomial-expanded table values.
+    [a].  Block (x, y) sums the stored pure mazes [|x|] -> [|y|] of at
+    most h.degree passages, each weighted by binom(m_yx, d) for every
+    passage x -> y of multiplicity d: the binomial expansion of the
+    sub-mazes of the matrix labelled by its entries.
     """
     b, a = m.nrows, m.ncols
     if max(a, b) > MAX_MATRIX_SIDE:
         raise ValueError("matrix side above the guard")
-    col_subsets, col_orders = phi_block_index(h, a)
-    row_subsets, row_orders = phi_block_index(h, b)
-    n = h.degree
-    grid = []
-    for y in row_subsets:
-        row = []
-        for x in col_subsets:
-            if x == () and y == ():
-                row.append(AbHom.identity(h.group(0).orders))
-                continue
-            dom_g = h.block_group(len(x))
-            cod_g = h.block_group(len(y))
-            total = AbHom.zero(dom_g.orders, cod_g.orders)
-            if x and y and not dom_g.is_trivial() and not cod_g.is_trivial():
-                for chosen in surjective_pair_subsets(len(y), len(x)):
-                    if len(chosen) > n:
-                        continue
-                    maze = Maze(_subset_names(x), _subset_names(y),
-                                [Passage(str(x[j - 1]), str(y[i - 1]),
-                                         m.rows[y[i - 1] - 1][x[j - 1] - 1])
-                                 for i, j in chosen])
-                    total = total + _abhom_from_frac(
-                        h.eval_labeled(maze), dom_g.orders, cod_g.orders)
-            row.append(total)
-        grid.append(row)
-    return abhom_block(grid, col_orders, row_orders)
 
+    def terms(x, y):
+        for triples, hom in h.shape_terms(len(x), len(y)):
+            yield [(y[t] - 1, x[s] - 1, d) for s, t, d in triples], hom
 
-def _abhom_from_frac(rows, dom_orders, cod_orders) -> AbHom:
-    ints = []
-    for row in rows:
-        out = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise ValueError("expected an integral evaluation")
-            out.append(x.numerator)
-        ints.append(out)
-    return AbHom(dom_orders, cod_orders,
-                 IntMat(len(cod_orders), len(dom_orders), ints))
+    return _eval_blockwise(m, phi_block_index(h, a), phi_block_index(h, b),
+                           terms, binomial)
 
 
 def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
@@ -833,22 +796,21 @@ def phi_roundtrip_failures(h: LabyModulePresentation):
 def numerical_axiom_check(h: LabyModulePresentation, maze: Maze) -> bool:
     """The binomial expansion law on one labelled maze: the deviation
     evaluation must equal the expanded pure-table evaluation."""
-    got = _phi_deviation(h, maze)
-    expected = h.eval_labeled(maze)
-    return frac_rows_equal(_frac_of_abhom(got), expected,
-                           h.group(len(maze.cod)).orders)
+    return _phi_deviation(h, maze) == h.eval_labeled(maze)
 
 
-def quasi_homogeneous_check(h: LabyModulePresentation, samples) -> bool:
-    """Whether rescaling every label by a scales stored values by a^n."""
+def quasi_homogeneous_check(h: LabyModulePresentation) -> bool:
+    """Whether rescaling every label by a scales stored values by a^n.
+
+    For a stored maze P, a -> eval(a [.] P) - a^n h(P) is a sum over
+    i <= n of binom(a, i) c_i with c_i in the carrier, and c_i is its
+    i-th finite difference at 0.  So it vanishes at every integer iff it
+    vanishes at a = 0..n, which is where this looks.
+    """
     n = h.degree
     for maze in h.mazes():
-        base = _frac_of_abhom(h.hom(maze))
-        for a in samples:
-            a = scalar(a)
-            lhs = h.eval_labeled(maze.relabel_all(a))
-            rhs = [[a**n * x for x in row] for row in base]
-            if not frac_rows_equal(lhs, rhs, h.group(len(maze.cod)).orders):
+        for a in range(n + 1):
+            if h.eval_labeled(maze.relabel_all(a)) != h.hom(maze).scale(a**n):
                 return False
     return True
 
@@ -1067,7 +1029,8 @@ def psi_block_index(j: MSetModulePresentation, names):
 def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     """Evaluate the presented functor on an integer matrix: blocks are
     indexed by cardinality-n multi-sets, and each multation between them
-    contributes its monomial in the matrix entries times its stored map."""
+    contributes its monomial in the matrix entries times its stored map:
+    entry ** d for every column x -> y of multiplicity d."""
     b, a = m.nrows, m.ncols
     if max(a, b) > MAX_MATRIX_SIDE:
         raise ValueError("matrix side above the guard")
@@ -1076,25 +1039,14 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     if not set(dom_names) <= set(j.universe) or \
             not set(cod_names) <= set(j.universe):
         raise ValueError("matrix is larger than the presentation's universe")
-    col_blocks, col_orders = psi_block_index(j, dom_names)
-    row_blocks, row_orders = psi_block_index(j, cod_names)
-    grid = []
-    for bb in row_blocks:
-        row = []
-        for aa in col_blocks:
-            total = AbHom.zero(j.group(aa).orders, j.group(bb).orders)
-            for mu in all_multations(aa, bb):
-                weight = 1
-                for (x, y), mult in mu.pairs:
-                    weight *= m.rows[int(y) - 1][int(x) - 1] ** mult
-                    if weight == 0:
-                        break
-                if weight == 0:
-                    continue
-                total = total + j.hom(mu).scale(weight)
-            row.append(total)
-        grid.append(row)
-    return abhom_block(grid, col_orders, row_orders)
+
+    def terms(aa, bb):
+        for mu in all_multations(aa, bb):
+            yield ([(int(y) - 1, int(x) - 1, d) for (x, y), d in mu.pairs],
+                   j.hom(mu))
+
+    return _eval_blockwise(m, psi_block_index(j, dom_names),
+                           psi_block_index(j, cod_names), terms, pow)
 
 
 def check_ariadne_thread(j: MSetModulePresentation) -> bool:

@@ -1,14 +1,20 @@
+import json
+import os
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mazelab.bridge import factorization_verify
 from mazelab.functor_lab import (
     AbHom,
     FgAbGroup,
+    MAX_MATRIX_SIDE,
     LabyModulePresentation,
+    MatrixFunctor,
     MSetModulePresentation,
+    abhom_block,
     check_ariadne_thread,
     check_deviation_formula,
     cross_effect_projectors,
@@ -16,6 +22,7 @@ from mazelab.functor_lab import (
     direct_sum_functor,
     identity_functor,
     numerical_axiom_check,
+    phi_block_index,
     phi_inverse_eval,
     phi_roundtrip_check,
     psi_inverse_eval,
@@ -23,6 +30,7 @@ from mazelab.functor_lab import (
     quadratic_relations_check,
     quasi_homogeneous_check,
     signed_cover_sum,
+    surjective_pair_subsets,
     tensor_power_functor,
     transport_maps,
 )
@@ -31,8 +39,16 @@ from mazelab.matrices import IntMat
 from mazelab.multisets import MultiSet
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def ms(*names):
     return MultiSet(list(names))
+
+
+def load_laby_fixture(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return LabyModulePresentation.from_json(json.load(fh))
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +80,13 @@ def frobenius():
 @pytest.fixture(scope="module")
 def j_square():
     return MSetModulePresentation.tensor_power(2, skeleton(2))
+
+
+@pytest.fixture(scope="module")
+def j_cube():
+    # Functorial by construction; its load check alone takes about a
+    # second, and the property test below exercises the table anyway.
+    return MSetModulePresentation.tensor_power(3, skeleton(3), check=False)
 
 
 def test_tensor_power_functor_basics():
@@ -293,6 +316,31 @@ def test_cross_effect_basis_cached_per_functor_instance(monkeypatch):
     assert sorted(g.ce_basis_cache) == [1, 2]
 
 
+def test_cross_effect_projectors_pairwise_orthogonal():
+    # The pairwise products the projector assertion leaves out, as an
+    # oracle: idempotents summing to the identity are orthogonal.
+    for f in (identity_functor(), tensor_power_functor(2),
+              tensor_power_functor(3),
+              direct_sum_functor(identity_functor(), tensor_power_functor(2))):
+        for a in range(MAX_MATRIX_SIDE + 1):
+            out = cross_effect_projectors(f, a)
+            for x, e in out:
+                for y, e2 in out:
+                    if x != y:
+                        assert (e @ e2).is_zero(), (f, x, y)
+
+
+def test_cross_effect_projectors_reject_skew_idempotents():
+    # Idempotent slices that are not orthogonal cannot sum to the identity.
+    e1 = IntMat.from_rows([[1, 1], [0, 0]])
+    e2 = IntMat.from_rows([[0, 0], [0, 1]])
+    skew = MatrixFunctor(
+        "skew", lambda a: 2,
+        lambda m: e1.scale(m.rows[0][0]) + e2.scale(m.rows[1][1]))
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        cross_effect_projectors(skew, 2)
+
+
 def test_cross_effect_telescoping_rank_one():
     for f in (identity_functor(), tensor_power_functor(2),
               tensor_power_functor(3)):
@@ -323,8 +371,7 @@ def test_phi_vanishes_beyond_degree():
 
 def test_phi_functoriality_random_pairs(phi_square):
     rng = random.Random(31)
-    from mazelab.functor_lab import bridge_compose_table, _frac_of_abhom, \
-        frac_rows_equal
+    from mazelab.functor_lab import bridge_compose_table
 
     mazes = phi_square.mazes()
     pairs = [(p, q) for p in mazes for q in mazes
@@ -332,8 +379,7 @@ def test_phi_functoriality_random_pairs(phi_square):
     for p, q in pairs:
         via_table = bridge_compose_table(phi_square, p, q)
         direct = phi_square.hom(p).compose(phi_square.hom(q))
-        assert frac_rows_equal(via_table, _frac_of_abhom(direct),
-                               phi_square.group(len(p.cod)).orders)
+        assert via_table == direct
 
 
 def test_fgabgroup_validation():
@@ -414,6 +460,100 @@ def test_phi_inverse_eval_functoriality_cube_all_shapes(phi_cube):
                 assert lhs == rhs, (a, b, c)
 
 
+def covering_sum_eval(h, m):
+    """phi_inverse_eval written out over covering sets: block (x, y) sums,
+    over the covering subsets of at most n pairs, the sub-maze labelled by
+    the matrix entries there, binomial-expanded into the table."""
+    col_subsets, col_orders = phi_block_index(h, m.ncols)
+    row_subsets, row_orders = phi_block_index(h, m.nrows)
+    grid = []
+    for y in row_subsets:
+        row = []
+        for x in col_subsets:
+            if x == () and y == ():
+                row.append(AbHom.identity(h.group(0).orders))
+                continue
+            total = AbHom.zero(h.block_group(len(x)).orders,
+                               h.block_group(len(y)).orders)
+            for chosen in surjective_pair_subsets(len(y), len(x)):
+                if len(chosen) <= h.degree:
+                    maze = Maze([str(s) for s in x], [str(t) for t in y],
+                                [Passage(str(x[j - 1]), str(y[i - 1]),
+                                         m.rows[y[i - 1] - 1][x[j - 1] - 1])
+                                 for i, j in chosen])
+                    total = total + h.eval_labeled(maze)
+            row.append(total)
+        grid.append(row)
+    return abhom_block(grid, col_orders, row_orders)
+
+
+def random_matrices(rng, per_shape):
+    """Matrices of every shape up to the side guard, entries in [-3, 3]."""
+    for rows in range(MAX_MATRIX_SIDE + 1):
+        for cols in range(MAX_MATRIX_SIDE + 1):
+            for _ in range(per_shape):
+                yield IntMat(rows, cols, [[rng.randint(-3, 3)
+                                           for _ in range(cols)]
+                                          for _ in range(rows)])
+
+
+def test_phi_inverse_eval_matches_covering_sum(phi_cube, phi_square):
+    rng = random.Random(6)
+    for h in (phi_cube, phi_square, load_laby_fixture("frobenius_laby.json"),
+              load_laby_fixture("identity_laby.json")):
+        for m in random_matrices(rng, 3):
+            assert phi_inverse_eval(h, m) == covering_sum_eval(h, m), m
+
+
+def test_phi_inverse_eval_ignores_stored_mazes_above_the_degree(phi_square):
+    loop3 = Maze(("1",), ("1",), [(Passage("1", "1"), 3)])
+    table = dict(phi_square.table)
+    table[loop3] = AbHom.of_groups(phi_square.group(1), phi_square.group(1),
+                                   [[5]])
+    padded = LabyModulePresentation(2, phi_square.groups, table, check=False)
+    rng = random.Random(7)
+    for m in random_matrices(rng, 2):
+        assert phi_inverse_eval(padded, m) == phi_inverse_eval(phi_square, m)
+
+
+def test_phi_inverse_eval_names_a_missing_value(phi_square):
+    table = dict(phi_square.table)
+    del table[quadratic_generators()["C"]]
+    partial = LabyModulePresentation(2, phi_square.groups, table, check=False)
+    with pytest.raises(KeyError, match="presentation lacks a value for"):
+        phi_inverse_eval(partial, IntMat.from_rows([[2]]))
+
+
+@st.composite
+def composable_matrices(draw):
+    """Integer matrices m and k with m @ k defined, sides up to the guard."""
+    sides = st.integers(0, MAX_MATRIX_SIDE)
+    a, b, c = draw(sides), draw(sides), draw(sides)
+
+    def matrix(rows, cols):
+        row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+        return IntMat(rows, cols, draw(st.lists(row, min_size=rows,
+                                                max_size=rows)))
+
+    return matrix(c, b), matrix(b, a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=composable_matrices())
+def test_phi_inverse_eval_functorial_property(phi_cube, pair):
+    m, k = pair
+    assert phi_inverse_eval(phi_cube, m @ k) == \
+        phi_inverse_eval(phi_cube, m).compose(phi_inverse_eval(phi_cube, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=composable_matrices())
+def test_psi_inverse_eval_functorial_property(j_cube, pair):
+    m, k = pair
+    assert psi_inverse_eval(j_cube, m @ k) == \
+        psi_inverse_eval(j_cube, m).compose(psi_inverse_eval(j_cube, k))
+
+
 def test_phi_roundtrip(phi_square, phi_identity, frobenius):
     assert phi_roundtrip_check(frobenius["H"])
     assert phi_roundtrip_check(phi_identity)
@@ -490,13 +630,17 @@ def test_numerical_axiom_check_cubical(phi_cube):
             assert numerical_axiom_check(phi_cube, maze), (a, b)
 
 
-def test_quasi_homogeneous(phi_square, frobenius):
-    assert quasi_homogeneous_check(phi_square, [-1, 2, 3])
-    assert quasi_homogeneous_check(frobenius["H"], [2])
+def test_quasi_homogeneous(phi_square, frobenius, phi_identity, phi_cube):
+    assert quasi_homogeneous_check(phi_square)
+    assert quasi_homogeneous_check(frobenius["H"])
     mixed = LabyModulePresentation.from_functor(
         direct_sum_functor(identity_functor(), tensor_power_functor(2)), 2)
-    assert not quasi_homogeneous_check(mixed, [2])
-    assert not quasi_homogeneous_check(mixed, [-1, 2, 3])
+    assert not quasi_homogeneous_check(mixed)
+    assert not quasi_homogeneous_check(phi_identity)
+    assert quasi_homogeneous_check(phi_cube)
+    square_in_degree_three = LabyModulePresentation.from_functor(
+        tensor_power_functor(2), 3)
+    assert not quasi_homogeneous_check(square_in_degree_three)
 
 
 def test_psi_inverse_eval_square(j_square):
