@@ -20,8 +20,6 @@ maps between direct sums are integer matrices compared entrywise modulo
 the target generator orders.
 """
 
-from fractions import Fraction
-
 from . import bridge
 from .errors import ShapeMismatchError
 from .labycat import (
@@ -32,7 +30,8 @@ from .labycat import (
     rename_maze,
     skeleton,
 )
-from .matrices import IntMat, column_lattice_basis, kron_power, solve_in_lattice
+from .matrices import (IntMat, column_lattice_basis, integer, kron_power,
+                       solve_in_lattice)
 from .msetcat import MultHom, Multation, all_multations
 from .multisets import MultiSet, guard_count, json_int
 from .scalars import binomial
@@ -419,6 +418,29 @@ class AbHom:
         return cls(orders, orders, IntMat.identity(len(orders)))
 
     @classmethod
+    def combination(cls, dom_orders, cod_orders, terms):
+        """The sum of c * hom over the (hom, c) pairs of `terms`, every hom
+        between the given orders and every c an integer (an int or a
+        Fraction of denominator 1).  The sum is kept in plain integer
+        rows, so the well-definedness check and the torsion reduction run
+        once, on the result."""
+        dom_orders = tuple(dom_orders)
+        cod_orders = tuple(cod_orders)
+        rows = [[0] * len(dom_orders) for _ in cod_orders]
+        for hom, c in terms:
+            if (hom.dom_orders != dom_orders
+                    or hom.cod_orders != cod_orders):
+                raise ShapeMismatchError(
+                    "homomorphisms have different endpoints")
+            c = integer(c)
+            if c:
+                for row, hom_row in zip(rows, hom.mat.rows):
+                    for i, x in enumerate(hom_row):
+                        row[i] += c * x
+        return cls(dom_orders, cod_orders,
+                   IntMat(len(cod_orders), len(dom_orders), rows))
+
+    @classmethod
     def of_groups(cls, dom: FgAbGroup, cod: FgAbGroup, rows):
         return cls(dom.orders, cod.orders,
                    IntMat(cod.dim, dom.dim, rows))
@@ -441,11 +463,8 @@ class AbHom:
         return AbHom(self.dom_orders, self.cod_orders, self.mat - other.mat)
 
     def scale(self, factor: int):
-        if isinstance(factor, Fraction):
-            if factor.denominator != 1:
-                raise ValueError("AbHom scaling must be integral")
-            factor = factor.numerator
-        return AbHom(self.dom_orders, self.cod_orders, self.mat.scale(factor))
+        return AbHom(self.dom_orders, self.cod_orders,
+                     self.mat.scale(integer(factor)))
 
     def compose(self, other: "AbHom") -> "AbHom":
         if other.cod_orders != self.dom_orders:
@@ -546,9 +565,12 @@ class LabyModulePresentation:
     def hom(self, maze: Maze) -> AbHom:
         """Value on a pure maze between any small sets, transported to the
         skeleton by the order-preserving renaming."""
-        dom_map = {x: str(i + 1) for i, x in enumerate(maze.dom)}
-        cod_map = {y: str(i + 1) for i, y in enumerate(maze.cod)}
-        key = rename_maze(maze, dom_map, cod_map)
+        key = maze
+        if (maze.dom != skeleton(len(maze.dom))
+                or maze.cod != skeleton(len(maze.cod))):
+            key = rename_maze(
+                maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
+                {y: str(i + 1) for i, y in enumerate(maze.cod)})
         if key not in self.table:
             raise KeyError(f"presentation lacks a value for {maze!r}")
         return self.table[key]
@@ -569,11 +591,9 @@ class LabyModulePresentation:
     def eval_hom(self, h: MazeHom) -> AbHom:
         """Evaluate on a combination of pure mazes sharing endpoints; the
         coefficients must be integers."""
-        total = AbHom.zero(self.groups[len(h.dom)].orders,
-                           self.groups[len(h.cod)].orders)
-        for maze, c in h.comb:
-            total = total + self.hom(maze).scale(c)
-        return total
+        return AbHom.combination(self.groups[len(h.dom)].orders,
+                                 self.groups[len(h.cod)].orders,
+                                 ((self.hom(maze), c) for maze, c in h.comb))
 
     def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and
@@ -687,22 +707,23 @@ def _eval_blockwise(m: IntMat, col_index, row_index, terms, weight) -> AbHom:
     `terms(x, y)` yields, each with its (row, column, exponent) triples
     into m, times the product of weight(entry, exponent) over them.
     """
+    def weighted(block_terms):
+        for triples, hom in block_terms:
+            w = 1
+            for r, c, d in triples:
+                w *= weight(m.rows[r][c], d)
+                if w == 0:
+                    break
+            yield hom, w
+
     col_blocks, col_orders = col_index
     row_blocks, row_orders = row_index
     grid = []
     for y, cod_orders in zip(row_blocks, row_orders):
         row = []
         for x, dom_orders in zip(col_blocks, col_orders):
-            total = AbHom.zero(dom_orders, cod_orders)
-            for triples, hom in terms(x, y):
-                w = 1
-                for r, c, d in triples:
-                    w *= weight(m.rows[r][c], d)
-                    if w == 0:
-                        break
-                if w:
-                    total = total + hom.scale(w)
-            row.append(total)
+            row.append(AbHom.combination(dom_orders, cod_orders,
+                                         weighted(terms(x, y))))
         grid.append(row)
     return abhom_block(grid, col_orders, row_orders)
 
@@ -862,11 +883,9 @@ class MSetModulePresentation:
         return self.table[mu]
 
     def eval_hom(self, hom: MultHom) -> AbHom:
-        total = AbHom.zero(self.groups[hom.dom].orders,
-                           self.groups[hom.cod].orders)
-        for mu, c in hom.comb:
-            total = total + self.hom(mu).scale(c)
-        return total
+        return AbHom.combination(self.groups[hom.dom].orders,
+                                 self.groups[hom.cod].orders,
+                                 ((self.hom(mu), c) for mu, c in hom.comb))
 
     def check(self):
         for a in self.objects():
@@ -876,11 +895,12 @@ class MSetModulePresentation:
         from .msetcat import multation_compose
 
         objs = self.objects()
+        arrows = {(a, b): all_multations(a, b) for a in objs for b in objs}
         for a in objs:
             for b in objs:
                 for c in objs:
-                    for nu in all_multations(a, b):
-                        for mu in all_multations(b, c):
+                    for nu in arrows[a, b]:
+                        for mu in arrows[b, c]:
                             lhs = self.eval_hom(multation_compose(mu, nu))
                             rhs = self.hom(mu).compose(self.hom(nu))
                             if lhs != rhs:

@@ -2,17 +2,40 @@
 
 Shapes are carried separately from the row data so that 0 x k and k x 0
 matrices stay distinguishable; functor values on the zero module need
-them.  Everything is a plain tuple of tuples of ints.
+them.  Everything is a plain tuple of tuples of ints: an entry must be
+an int or a Fraction of denominator 1, and anything else is refused,
+never truncated.
 """
 
+from fractions import Fraction
+
 from .errors import ShapeMismatchError
+
+_INT = {int}
+
+
+def integer(x) -> int:
+    """x as an int: ints pass, a Fraction must have denominator 1, and
+    anything else (a float among them) is refused rather than truncated."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _int_row(row):
+    row = tuple(row)
+    if _INT.issuperset(map(type, row)):
+        return row
+    return tuple(map(integer, row))
 
 
 class IntMat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(_int_row, rows))
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ShapeMismatchError(
                 f"rows do not match declared shape {nrows}x{ncols}")

@@ -7,12 +7,13 @@ each repeated column z appearing with exponents i and j merges into
 z^(i+j) with a binomial factor, and matching middle letters are summed
 over all ways of pairing them off.
 
-Compositions are computed over the rationals and asserted integral at
-the end; the divided-power structure guarantees integrality, so a
-failure means a bug.
+Compositions are computed in integers: each matching contributes the
+merged columns' degree divided by its table's factorials, a product of
+multinomials, and every such division is asserted exact.  The
+divided-power structure guarantees integrality, so a failure means a
+bug.
 """
 
-from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
@@ -224,13 +225,13 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
                 cols[(a, c)] = cols.get((a, c), 0) + t
                 table_factor *= factorial(t)
         basis = Multation(nu.dom, mu.cod, list(cols.items()))
-        accum[basis] = accum.get(basis, Fraction(0)) + \
-            Fraction(basis.degree, table_factor)
-
-    for basis, coeff in accum.items():
-        if coeff.denominator != 1:
+        coeff, rest = divmod(basis.degree, table_factor)
+        if rest:
             raise IntegralityError(
-                f"non-integral composition coefficient {coeff} at {basis!r}")
+                f"non-integral composition coefficient "
+                f"{basis.degree}/{table_factor} at {basis!r}")
+        accum[basis] = accum.get(basis, 0) + coeff
+
     return MultHom(nu.dom, mu.cod,
                    LinComb((b, c) for b, c in accum.items()))
 

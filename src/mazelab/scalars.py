@@ -6,6 +6,7 @@ package ever touches floating point.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainMismatchError
 
@@ -34,13 +35,19 @@ def scalar_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def binomial(r, k: int) -> Fraction:
+def binomial(r, k: int) -> int | Fraction:
     """Generalized binomial coefficient r(r-1)...(r-k+1) / k!.
 
-    Defined for any rational r and natural k; k < 0 is rejected.
+    Defined for any rational r and natural k; k < 0 is rejected.  An int
+    r gives an int, through math.comb and, for r < 0, the reflection
+    binom(r, k) = (-1)^k binom(k - r - 1, k); any other r a Fraction.
     """
     if k < 0:
         raise ValueError(f"binomial undefined for k = {k} < 0")
+    if isinstance(r, int) and not isinstance(r, bool):
+        if r >= 0:
+            return comb(r, k)
+        return (-1) ** k * comb(k - r - 1, k)
     r = scalar(r)
     num = ONE
     for i in range(k):

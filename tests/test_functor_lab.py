@@ -1,12 +1,16 @@
 import json
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mazelab import functor_lab
 from mazelab.bridge import factorization_verify
+from mazelab.errors import ShapeMismatchError
 from mazelab.functor_lab import (
     AbHom,
     FgAbGroup,
@@ -34,8 +38,10 @@ from mazelab.functor_lab import (
     tensor_power_functor,
     transport_maps,
 )
-from mazelab.labycat import Maze, Passage, quadratic_generators, skeleton
+from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
+                             skeleton)
 from mazelab.matrices import IntMat
+from mazelab.msetcat import mset2_generators
 from mazelab.multisets import MultiSet
 
 
@@ -404,6 +410,53 @@ def test_abhom_congruence_and_welldefinedness():
     AbHom.of_groups(z2, z, [[0]])
 
 
+def random_abhom(rng, dom_orders, cod_orders):
+    """A random well-defined map: an entry from a generator of order dj
+    to one of order di is a multiple of di / gcd(di, dj), and 0 when the
+    target generator is free and the source one is not."""
+    rows = []
+    for di in cod_orders:
+        row = []
+        for dj in dom_orders:
+            x = rng.randint(-5, 5)
+            if dj and not di:
+                x = 0
+            elif dj:
+                x *= di // gcd(di, dj)
+            row.append(x)
+        rows.append(row)
+    return AbHom(dom_orders, cod_orders,
+                 IntMat(len(cod_orders), len(dom_orders), rows))
+
+
+def test_abhom_combination_matches_sum_of_scaled_terms():
+    rng = random.Random(12)
+    orders = (0, 2, 3, 4, 6)
+    for _ in range(300):
+        dom = tuple(rng.choice(orders) for _ in range(rng.randint(0, 3)))
+        cod = tuple(rng.choice(orders) for _ in range(rng.randint(0, 3)))
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            c = rng.randint(-4, 4)
+            terms.append((random_abhom(rng, dom, cod),
+                          Fraction(2 * c, 2) if rng.random() < 0.5 else c))
+        want = AbHom.zero(dom, cod)
+        for hom, c in terms:
+            want = want + hom.scale(c)
+        assert AbHom.combination(dom, cod, terms) == want
+        assert AbHom.combination(dom, cod, iter(terms)) == want
+
+
+def test_abhom_combination_refuses_bad_terms():
+    hom = random_abhom(random.Random(13), (0, 2), (0, 4))
+    # Even entries: half of them is still an integer matrix.
+    for c in (Fraction(1, 2), 1.5, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            AbHom.combination((0, 2), (0, 4), [(hom, 1), (hom.scale(2), c)])
+    with pytest.raises(ShapeMismatchError):
+        AbHom.combination((0,), (0, 4), [(hom, 1)])
+
+
 def test_phi_inverse_eval_frobenius(frobenius):
     h = frobenius["H"]
     got = phi_inverse_eval(h, IntMat.from_rows([[3]]))
@@ -522,6 +575,49 @@ def test_phi_inverse_eval_names_a_missing_value(phi_square):
     partial = LabyModulePresentation(2, phi_square.groups, table, check=False)
     with pytest.raises(KeyError, match="presentation lacks a value for"):
         phi_inverse_eval(partial, IntMat.from_rows([[2]]))
+
+
+def test_hom_on_the_skeleton_matches_the_renaming_path(phi_cube, phi_square):
+    for h in (phi_cube, phi_square):
+        for maze in h.mazes():
+            assert h.hom(maze) is h.table[maze]
+            j, k = len(maze.dom), len(maze.cod)
+            for dom_names, cod_names in ((("a", "b", "c"), ("x", "y", "z")),
+                                         (("2", "3", "4"), ("1", "3", "5")),
+                                         (("1", "2", "3"), ("x", "y", "z")),
+                                         (("a", "b", "c"), ("1", "2", "3"))):
+                moved = rename_maze(maze, dict(zip(skeleton(j), dom_names)),
+                                    dict(zip(skeleton(k), cod_names)))
+                assert h.hom(moved) is h.table[maze]
+
+
+def test_hom_names_a_missing_value_on_both_paths(phi_square):
+    c = quadratic_generators()["C"]
+    table = dict(phi_square.table)
+    del table[c]
+    partial = LabyModulePresentation(2, phi_square.groups, table, check=False)
+    for maze in (c, rename_maze(c, {"1": "a"}, {"1": "b"}), c.relabel_all(2),
+                 rename_maze(c.relabel_all(2), {"1": "a"}, {"1": "b"})):
+        with pytest.raises(KeyError, match="presentation lacks a value for"):
+            partial.hom(maze)
+
+
+def test_mset_check_enumerates_each_hom_set_once(monkeypatch, j_square):
+    calls = []
+    enumerate_all = functor_lab.all_multations
+
+    def counted(a, b):
+        calls.append((a, b))
+        return enumerate_all(a, b)
+
+    monkeypatch.setattr(functor_lab, "all_multations", counted)
+    j_square.check()
+    assert 0 < len(calls) <= len(j_square.objects()) ** 2
+    sigma = mset2_generators()["sigma"]
+    table = dict(j_square.table)
+    table[sigma] = table[sigma].scale(2)
+    with pytest.raises(ValueError, match="not functorial"):
+        MSetModulePresentation(2, skeleton(2), j_square.groups, table)
 
 
 @st.composite

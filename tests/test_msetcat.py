@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from mazelab.errors import DomainMismatchError
+from mazelab.errors import DomainMismatchError, IntegralityError
 from mazelab.multisets import MultiSet
 from mazelab.msetcat import (
     MultHom,
@@ -179,6 +179,16 @@ def test_composition_coefficients_integral():
                 for g in all_multations(a, b):
                     for _, coeff in multation_compose(f, g).comb:
                         assert coeff.denominator == 1
+
+
+def test_composition_asserts_each_term_integral(monkeypatch):
+    # Pairing off the doubled column of iota_{11} with itself is one table
+    # with a 2 in it; a basis degree of 1 makes its term 1/2.
+    iota = identity_multation(ms("1", "1"))
+    assert multation_compose(iota, iota) == MultHom.of(iota)
+    monkeypatch.setattr(Multation, "degree", property(lambda self: 1))
+    with pytest.raises(IntegralityError, match="1/2"):
+        multation_compose(iota, iota)
 
 
 def test_divided_power_scaling_lemma():

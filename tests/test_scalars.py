@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -51,6 +52,20 @@ def test_binomial_integrality_on_integers():
     for r in range(-6, 7):
         for k in range(13):
             assert binomial(r, k).denominator == 1
+
+
+def test_binomial_on_ints_matches_the_fraction_formula():
+    for r in range(-6, 7):
+        for k in range(7):
+            num = Fraction(1)
+            for i in range(k):
+                num *= r - i
+            want = num / factorial(k)
+            got = binomial(r, k)
+            assert type(got) is int and got == want, (r, k)
+            assert binomial(Fraction(r), k) == want
+            assert type(binomial(Fraction(r), k)) is Fraction
+    assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
 
 
 def test_binomial_product():
