@@ -21,6 +21,7 @@ from .errors import DomainMismatchError
 from .labycat import Maze, MazeHom, Passage, pure_mazes_between
 from .msetcat import MultHom, Multation, divided_reduce
 from .multisets import MultiSet, compositions, enumerate_supported, guard_count
+from .scalars import lincomb_combine
 
 
 def ariadne_object(names, n: int):
@@ -79,15 +80,6 @@ class AriadneMatrix:
                                   key=lambda kv: (kv[0][0].sort_key(),
                                                   kv[0][1].sort_key())))))
 
-    def __add__(self, other):
-        if (self.dom, self.cod, self.n) != (other.dom, other.cod, other.n):
-            raise DomainMismatchError("matrix shapes differ")
-        keys = set(self.entries) | set(other.entries)
-        out = {}
-        for b, a in keys:
-            out[(b, a)] = self.entry(b, a) + other.entry(b, a)
-        return AriadneMatrix(self.dom, self.cod, self.n, out)
-
     def scale(self, factor):
         return AriadneMatrix(self.dom, self.cod, self.n,
                              {k: h.scale(factor) for k, h in self.entries.items()})
@@ -100,15 +92,20 @@ class AriadneMatrix:
             raise DomainMismatchError("matrix endpoints do not line up")
         from .msetcat import multhom_compose
 
-        out = {}
+        terms = {}
         for (c, b1), left in self.entries.items():
             for (b2, a), right in other.entries.items():
-                if b1 != b2:
-                    continue
-                prod = multhom_compose(left, right)
-                key = (c, a)
-                out[key] = out.get(key, MultHom.zero(a, c)) + prod
-        return AriadneMatrix(other.dom, self.cod, self.n, out)
+                if b1 == b2:
+                    terms.setdefault((c, a), []).extend(
+                        multhom_compose(left, right).comb)
+        return AriadneMatrix.from_terms(other.dom, self.cod, self.n, terms)
+
+    @classmethod
+    def from_terms(cls, dom, cod, n, terms):
+        """The matrix whose entry (B, A) sums the (multation, coefficient)
+        pairs that `terms` lists under (B, A)."""
+        return cls(dom, cod, n, {(b, a): MultHom.from_terms(a, b, t)
+                                 for (b, a), t in terms.items()})
 
     def nonzero_keys(self):
         return sorted(self.entries,
@@ -150,36 +147,33 @@ def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:
     of its labels' powers times the divided-power merge of its columns.
     """
     inst = p.instances()
-    k = len(inst)
-    entries = {}
-    if k <= n:
-        for degs in compositions(n, k):
-            scalar_part = Fraction(1)
-            for passage, d in zip(inst, degs):
-                scalar_part *= passage.label ** d
-            if scalar_part == 0:
-                continue
-            coeff, merged = divided_reduce(
-                [((passage.src, passage.dst), d)
-                 for passage, d in zip(inst, degs)])
-            dom_ms = MultiSet([(passage.src, d)
-                               for passage, d in zip(inst, degs)])
-            cod_ms = MultiSet([(passage.dst, d)
-                               for passage, d in zip(inst, degs)])
-            mu = Multation(dom_ms, cod_ms, list(merged))
-            key = (cod_ms, dom_ms)
-            term = MultHom.from_terms(dom_ms, cod_ms,
-                                      [(mu, scalar_part * coeff)])
-            entries[key] = entries.get(key, MultHom.zero(dom_ms, cod_ms)) + term
-    return AriadneMatrix(p.dom, p.cod, n, entries)
+    terms = {}
+    for degs in compositions(n, len(inst)):
+        scalar_part = Fraction(1)
+        for passage, d in zip(inst, degs):
+            scalar_part *= passage.label ** d
+        if scalar_part == 0:
+            continue
+        coeff, merged = divided_reduce(
+            [((passage.src, passage.dst), d)
+             for passage, d in zip(inst, degs)])
+        dom_ms = MultiSet([(passage.src, d)
+                           for passage, d in zip(inst, degs)])
+        cod_ms = MultiSet([(passage.dst, d)
+                           for passage, d in zip(inst, degs)])
+        mu = Multation(dom_ms, cod_ms, list(merged))
+        terms.setdefault((cod_ms, dom_ms), []).append(
+            (mu, scalar_part * coeff))
+    return AriadneMatrix.from_terms(p.dom, p.cod, n, terms)
 
 
 def ariadne_hom(h: MazeHom, n: int) -> AriadneMatrix:
     """Linear extension of ariadne_maze to formal combinations."""
-    out = AriadneMatrix(h.dom, h.cod, n)
+    terms = {}
     for maze, c in h.comb:
-        out = out + ariadne_maze(maze, n).scale(c)
-    return out
+        for key, hom in ariadne_maze(maze, n).entries.items():
+            terms.setdefault(key, []).extend((mu, c * d) for mu, d in hom.comb)
+    return AriadneMatrix.from_terms(h.dom, h.cod, n, terms)
 
 
 def theseus_multation(mu: Multation, n: int) -> MazeHom:
@@ -195,13 +189,9 @@ def theseus_multation(mu: Multation, n: int) -> MazeHom:
 
 def theseus_hom(hom: MultHom, n: int) -> MazeHom:
     """Linear extension of theseus_multation."""
-    out = None
-    for mu, c in hom.comb:
-        term = theseus_multation(mu, n).scale(c)
-        out = term if out is None else out + term
-    if out is None:
-        return MazeHom.zero(hom.dom.support, hom.cod.support)
-    return out
+    return MazeHom(hom.dom.support, hom.cod.support, lincomb_combine(
+        [theseus_multation(mu, n).comb for mu, _ in hom.comb],
+        [c for _, c in hom.comb]))
 
 
 def all_cardinality_multisets(universe, n: int):

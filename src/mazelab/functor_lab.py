@@ -20,6 +20,9 @@ maps between direct sums are integer matrices compared entrywise modulo
 the target generator orders.
 """
 
+from collections import Counter
+from itertools import product
+
 from . import bridge
 from .errors import ShapeMismatchError
 from .labycat import (
@@ -939,22 +942,27 @@ class MSetModulePresentation:
     def tensor_power(cls, n: int, universe, check=True):
         """The multation module of the n-fold tensor power: carriers are
         spanned by words with prescribed letter content, and a multation
-        acts by summing over content-compatible assignments of its columns
-        to the word's slots."""
+        mu sends a word w to every word v whose columns zip(w, v) make up
+        mu, each once."""
         universe = tuple(sorted(set(universe)))
         objs = bridge.all_cardinality_multisets(universe, n)
-        words = {a: _words_with_content(a, n) for a in objs}
+        words = {a: [] for a in objs}
+        for w in product(universe, repeat=n):
+            words[MultiSet(w)].append(w)
         groups = {a: FgAbGroup(len(words[a])) for a in objs}
         table = {}
         for a in objs:
             for b in objs:
-                for mu in all_multations(a, b):
-                    rows = [[0] * len(words[a]) for _ in words[b]]
-                    row_index = {w: i for i, w in enumerate(words[b])}
-                    for j, w in enumerate(words[a]):
-                        for out in _multation_on_word(mu, w):
-                            rows[row_index[out]][j] += 1
-                    table[mu] = AbHom.of_groups(groups[a], groups[b], rows)
+                mus = all_multations(a, b)
+                rows = {mu.pairs: [[0] * len(words[a]) for _ in words[b]]
+                        for mu in mus}
+                for j, w in enumerate(words[a]):
+                    for i, v in enumerate(words[b]):
+                        cols = tuple(sorted(Counter(zip(w, v)).items()))
+                        rows[cols][i][j] = 1
+                for mu in mus:
+                    table[mu] = AbHom.of_groups(groups[a], groups[b],
+                                                rows[mu.pairs])
         return cls(n, universe, groups, table, check=check)
 
     @classmethod
@@ -980,62 +988,6 @@ class MSetModulePresentation:
                         table[mu] = AbHom.zero(groups[a].orders,
                                                groups[b].orders)
         return cls(degree, universe, groups, table, check=check)
-
-
-def _words_with_content(a: MultiSet, n: int):
-    from itertools import permutations
-
-    return sorted(set(permutations(a.elements(), n)))
-
-
-def _multation_on_word(mu: Multation, word):
-    """All words produced by assigning mu's column types to the slots of
-    `word` with the prescribed counts, matching first letters."""
-    slots_by_letter = {}
-    for i, letter in enumerate(word):
-        slots_by_letter.setdefault(letter, []).append(i)
-    cols_by_letter = {}
-    for (a, b), m in mu.pairs:
-        cols_by_letter.setdefault(a, []).append((b, m))
-    if set(slots_by_letter) != set(cols_by_letter):
-        return
-    per_letter = []
-    for letter, slots in sorted(slots_by_letter.items()):
-        targets = cols_by_letter[letter]
-        if sum(m for _, m in targets) != len(slots):
-            return
-        per_letter.append((slots, targets))
-
-    def assignments(slots, targets):
-        if not targets:
-            if not slots:
-                yield {}
-            return
-        from itertools import combinations
-
-        (b, m), rest = targets[0], targets[1:]
-        for chosen in combinations(slots, m):
-            remaining = [s for s in slots if s not in chosen]
-            for sub in assignments(remaining, rest):
-                combined = dict(sub)
-                for s in chosen:
-                    combined[s] = b
-                yield combined
-
-    def rec(idx, acc):
-        if idx == len(per_letter):
-            out = list(word)
-            for s, b in acc.items():
-                out[s] = b
-            yield tuple(out)
-            return
-        slots, targets = per_letter[idx]
-        for assign in assignments(slots, targets):
-            merged = dict(acc)
-            merged.update(assign)
-            yield from rec(idx + 1, merged)
-
-    yield from rec(0, {})
 
 
 def psi_block_index(j: MSetModulePresentation, names):

@@ -29,8 +29,9 @@ from math import comb
 
 from .errors import DomainMismatchError
 from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
-                        json_int)
-from .scalars import HomComb, LinComb, binomial_product, scalar, scalar_str
+                        json_int, tables)
+from .scalars import (HomComb, LinComb, binomial_product, lincomb_combine,
+                      scalar, scalar_str)
 
 
 class Passage:
@@ -305,11 +306,9 @@ def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
     drops the composites that are zero in the degree-n quotient."""
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
-    out = MazeHom.zero(g.dom, f.cod)
-    for p, c in f.comb:
-        for q, d in g.comb:
-            out = out + maze_compose(p, q, n).scale(c * d)
-    return out
+    return MazeHom(g.dom, f.cod, lincomb_combine(
+        [maze_compose(p, q, n).comb for p, _ in f.comb for q, _ in g.comb],
+        [c * d for _, c in f.comb for _, d in g.comb]))
 
 
 def expand_label(p: Maze, passage: Passage, parts) -> MazeHom:
@@ -474,27 +473,24 @@ def rename_maze(maze: Maze, dom_map, cod_map) -> Maze:
 
 def pure_mazes_between(dom, cod, sizes):
     """All pure mazes with dom/cod exactly the given sets and passage count
-    in `sizes`, canonically ordered."""
-    from itertools import combinations_with_replacement
+    in `sizes`, canonically ordered.
 
+    A pure maze of s passages is a table of passage counts whose row and
+    column sums are positive compositions of s.
+    """
     dom = tuple(sorted(set(dom)))
     cod = tuple(sorted(set(cod)))
-    universe = [(x, y) for x in dom for y in cod]
     out = []
     for s in sizes:
-        if s == 0:
-            if not dom and not cod:
-                out.append(Maze((), ()))
-            continue
-        if not universe:
-            continue
-        guard_count(comb(len(universe) + s - 1, s))
-        for combo in combinations_with_replacement(universe, s):
-            if {a for a, _ in combo} != set(dom):
-                continue
-            if {b for _, b in combo} != set(cod):
-                continue
-            out.append(Maze.pure(combo, dom, cod))
+        # Multi-sets of s passages over |dom| * |cod| kinds bound the count;
+        # the max keeps comb defined for s = 0 on empty ends.
+        guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s))
+        for rows in compositions(s, len(dom)):
+            for cols in compositions(s, len(cod)):
+                out.extend(
+                    Maze(dom, cod, [(Passage(x, y, 1), m)
+                                    for (x, y), m in t.items()])
+                    for t in tables(zip(dom, rows), zip(cod, cols)))
     return sorted(out, key=Maze.sort_key)
 
 

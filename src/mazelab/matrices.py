@@ -96,15 +96,9 @@ class IntMat:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        if other.nrows == 0:
-            cols = [()] * other.ncols
         return IntMat(self.nrows, other.ncols,
                       [[sum(a * b for a, b in zip(row, col)) for col in cols]
                        for row in self.rows])
-
-    def transpose(self):
-        return IntMat(self.ncols, self.nrows, list(zip(*self.rows)) or
-                      [[] for _ in range(self.ncols)])
 
     def is_zero(self):
         return all(a == 0 for row in self.rows for a in row)

@@ -18,8 +18,8 @@ from itertools import product as iproduct
 from math import factorial
 
 from .errors import DomainMismatchError, IntegralityError
-from .multisets import MultiSet, guard_count, json_int
-from .scalars import HomComb, LinComb, multinomial
+from .multisets import MultiSet, guard_count, json_int, tables
+from .scalars import HomComb, LinComb, lincomb_combine, multinomial
 
 
 class Multation:
@@ -151,45 +151,6 @@ class MultHom(HomComb):
     ends_from_json = staticmethod(MultiSet.from_json)
 
 
-def _tables(row_counts, col_counts):
-    """All nonnegative integer matrices with the given row and column sums.
-
-    row_counts / col_counts are sorted (name, count) tuples; yields dicts
-    (row_name, col_name) -> positive count.
-    """
-    rows = list(row_counts)
-    cols = list(col_counts)
-    if sum(c for _, c in rows) != sum(c for _, c in cols):
-        return
-
-    def rec(i, remaining, acc):
-        if i == len(rows):
-            if all(r == 0 for r in remaining):
-                yield dict(acc)
-            return
-        name, need = rows[i]
-
-        def fill(j, left, partial):
-            if j == len(cols):
-                if left == 0:
-                    yield partial
-                return
-            cap = min(left, remaining[j])
-            for take in range(cap + 1):
-                yield from fill(j + 1, left - take, partial + [take])
-
-        for row in fill(0, need, []):
-            for j, take in enumerate(row):
-                remaining[j] -= take
-            yield from rec(i + 1, remaining,
-                           acc + [((name, cols[j][0]), t)
-                                  for j, t in enumerate(row) if t])
-            for j, take in enumerate(row):
-                remaining[j] += take
-
-    yield from rec(0, [c for _, c in cols], [])
-
-
 def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     """Compose mu . nu by summing over all ways of matching middle letters.
 
@@ -208,12 +169,11 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
             (a, m) for (a, b2), m in nu.pairs if b2 == b))
         col_counts = tuple(sorted(
             (c, m) for (b2, c), m in mu.pairs if b2 == b))
-        tables = list(_tables(row_counts, col_counts))
-        per_letter.append(tables)
+        per_letter.append(list(tables(row_counts, col_counts)))
 
     count = 1
-    for tables in per_letter:
-        count *= len(tables)
+    for matchings in per_letter:
+        count *= len(matchings)
     guard_count(count)
 
     accum = {}
@@ -240,11 +200,10 @@ def multhom_compose(f: MultHom, g: MultHom) -> MultHom:
     """Bilinear extension of multation composition (f after g)."""
     if g.cod != f.dom:
         raise DomainMismatchError("cannot compose: middle multi-sets differ")
-    out = MultHom.zero(g.dom, f.cod)
-    for mu, c in f.comb:
-        for nu, d in g.comb:
-            out = out + multation_compose(mu, nu).scale(c * d)
-    return out
+    return MultHom(g.dom, f.cod, lincomb_combine(
+        [multation_compose(mu, nu).comb
+         for mu, _ in f.comb for nu, _ in g.comb],
+        [c * d for _, c in f.comb for _, d in g.comb]))
 
 
 def all_multations(a: MultiSet, b: MultiSet):
@@ -252,7 +211,7 @@ def all_multations(a: MultiSet, b: MultiSet):
     if a.cardinality != b.cardinality:
         return []
     out = [Multation(a, b, list(t.items()))
-           for t in _tables(a.items(), b.items())]
+           for t in tables(a.items(), b.items())]
     return sorted(out, key=Multation.sort_key)
 
 

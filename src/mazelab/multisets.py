@@ -93,9 +93,6 @@ class MultiSet:
             out.extend([name] * m)
         return out
 
-    def is_empty(self) -> bool:
-        return not self._items
-
     def __eq__(self, other):
         return isinstance(other, MultiSet) and self._items == other._items
 
@@ -210,6 +207,48 @@ def compositions(total: int, parts: int):
 
     rec(total, parts, ())
     return out
+
+
+def tables(row_counts, col_counts):
+    """All nonnegative integer matrices with the given row and column sums.
+
+    row_counts / col_counts are (name, count) sequences; yields dicts
+    (row_name, col_name) -> positive count.  Margins with unequal sums
+    give nothing; empty margins give one empty table.  Multations, the
+    middle matchings of their composition and pure mazes are all such
+    tables.
+    """
+    rows = list(row_counts)
+    cols = list(col_counts)
+    if sum(c for _, c in rows) != sum(c for _, c in cols):
+        return
+
+    def rec(i, remaining, acc):
+        if i == len(rows):
+            if all(r == 0 for r in remaining):
+                yield dict(acc)
+            return
+        name, need = rows[i]
+
+        def fill(j, left, partial):
+            if j == len(cols):
+                if left == 0:
+                    yield partial
+                return
+            cap = min(left, remaining[j])
+            for take in range(cap + 1):
+                yield from fill(j + 1, left - take, partial + [take])
+
+        for row in fill(0, need, []):
+            for j, take in enumerate(row):
+                remaining[j] -= take
+            yield from rec(i + 1, remaining,
+                           acc + [((name, cols[j][0]), t)
+                                  for j, t in enumerate(row) if t])
+            for j, take in enumerate(row):
+                remaining[j] += take
+
+    yield from rec(0, [c for _, c in cols], [])
 
 
 def enumerate_supported(s, n: int):

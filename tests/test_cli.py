@@ -220,6 +220,23 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "table1: FAIL (forced)" in out
 
 
+@pytest.mark.parametrize("trials, made", [(None, 20), (1, 1), (3, 3)])
+def test_verify_trials_reach_phi_roundtrip(monkeypatch, trials, made):
+    from mazelab import verify as verify_mod
+
+    built = []
+    real = verify_mod.random_quadratic_presentation
+
+    def counted(rng):
+        built.append(1)
+        return real(rng)
+
+    monkeypatch.setattr(verify_mod, "random_quadratic_presentation", counted)
+    results = verify_mod.run_suite("roundtrip", trials=trials)
+    assert all(ok for _, ok, _ in results)
+    assert len(built) == made
+
+
 def test_fixture_roundtrips():
     # parse then print is the identity on every shipped fixture
     from mazelab.bridge import Correspondence

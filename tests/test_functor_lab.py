@@ -95,6 +95,89 @@ def j_cube():
     return MSetModulePresentation.tensor_power(3, skeleton(3), check=False)
 
 
+def _slot_assignment_tensor_power(n, universe):
+    """The tensor-power action as it was built before it was read off
+    pairs of words: each multation assigns its columns to the slots of
+    a word, letter by letter.  Kept as the oracle."""
+    from itertools import permutations
+
+    from mazelab.bridge import all_cardinality_multisets
+    from mazelab.msetcat import all_multations
+
+    def words_with_content(a):
+        return sorted(set(permutations(a.elements(), n)))
+
+    def on_word(mu, word):
+        slots_by_letter = {}
+        for i, letter in enumerate(word):
+            slots_by_letter.setdefault(letter, []).append(i)
+        cols_by_letter = {}
+        for (a, b), m in mu.pairs:
+            cols_by_letter.setdefault(a, []).append((b, m))
+        if set(slots_by_letter) != set(cols_by_letter):
+            return
+        per_letter = []
+        for letter, slots in sorted(slots_by_letter.items()):
+            targets = cols_by_letter[letter]
+            if sum(m for _, m in targets) != len(slots):
+                return
+            per_letter.append((slots, targets))
+
+        def assignments(slots, targets):
+            if not targets:
+                if not slots:
+                    yield {}
+                return
+            (b, m), rest = targets[0], targets[1:]
+            for chosen in combinations(slots, m):
+                remaining = [s for s in slots if s not in chosen]
+                for sub in assignments(remaining, rest):
+                    combined = dict(sub)
+                    for s in chosen:
+                        combined[s] = b
+                    yield combined
+
+        def rec(idx, acc):
+            if idx == len(per_letter):
+                out = list(word)
+                for s, b in acc.items():
+                    out[s] = b
+                yield tuple(out)
+                return
+            slots, targets = per_letter[idx]
+            for assign in assignments(slots, targets):
+                merged = dict(acc)
+                merged.update(assign)
+                yield from rec(idx + 1, merged)
+
+        yield from rec(0, {})
+
+    universe = tuple(sorted(set(universe)))
+    objs = all_cardinality_multisets(universe, n)
+    words = {a: words_with_content(a) for a in objs}
+    groups = {a: FgAbGroup(len(words[a])) for a in objs}
+    table = {}
+    for a in objs:
+        for b in objs:
+            for mu in all_multations(a, b):
+                rows = [[0] * len(words[a]) for _ in words[b]]
+                row_index = {w: i for i, w in enumerate(words[b])}
+                for j, w in enumerate(words[a]):
+                    for out in on_word(mu, w):
+                        rows[row_index[out]][j] += 1
+                table[mu] = AbHom.of_groups(groups[a], groups[b], rows)
+    return MSetModulePresentation(n, universe, groups, table, check=False)
+
+
+@pytest.mark.parametrize("n, letters", [
+    (n, letters) for n in (1, 2, 3) for letters in ("1", "12", "123")
+] + [(4, "12")])
+def test_tensor_power_matches_the_slot_assignment_oracle(n, letters):
+    got = MSetModulePresentation.tensor_power(n, list(letters), check=False)
+    want = _slot_assignment_tensor_power(n, list(letters))
+    assert got.to_json() == want.to_json()
+
+
 def test_tensor_power_functor_basics():
     t1 = identity_functor()
     m = IntMat.from_rows([[1, 2], [3, 4]])

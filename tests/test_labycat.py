@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from mazelab.errors import DomainMismatchError
+from mazelab import labycat
+from mazelab.errors import DomainMismatchError, EnumerationLimitError
 from mazelab.labycat import (
     Maze,
     MazeHom,
@@ -391,6 +393,57 @@ def test_pure_mazes_between():
     gens = quadratic_generators()
     assert set(all2) == {gens["I2"], gens["S"]}
     assert pure_mazes_between((), (), [0]) == [Maze((), ())]
+
+
+def _pure_mazes_by_filter(dom, cod, sizes):
+    """The filter over combinations_with_replacement that enumerated pure
+    mazes before they were read as tables; kept as the oracle."""
+    from itertools import combinations_with_replacement
+
+    dom = tuple(sorted(set(dom)))
+    cod = tuple(sorted(set(cod)))
+    universe = [(x, y) for x in dom for y in cod]
+    out = []
+    for s in sizes:
+        if s == 0:
+            if not dom and not cod:
+                out.append(Maze((), ()))
+            continue
+        if not universe:
+            continue
+        for combo in combinations_with_replacement(universe, s):
+            if {a for a, _ in combo} != set(dom):
+                continue
+            if {b for _, b in combo} != set(cod):
+                continue
+            out.append(Maze.pure(combo, dom, cod))
+    return sorted(out, key=Maze.sort_key)
+
+
+def test_pure_mazes_between_matches_the_filter_oracle():
+    ends = [c for r in range(4) for c in itertools.combinations(skeleton(3), r)]
+    for dom in ends:
+        for cod in ends:
+            for s in range(5):
+                assert pure_mazes_between(dom, cod, [s]) == \
+                    _pure_mazes_by_filter(dom, cod, [s]), (dom, cod, s)
+            assert pure_mazes_between(dom, cod, range(5)) == \
+                _pure_mazes_by_filter(dom, cod, range(5))
+    sizes = [3, 0, 2, 4, 1]
+    assert pure_mazes_between(("y", "x"), ("q", "r", "p"), sizes) == \
+        _pure_mazes_by_filter(("y", "x"), ("q", "r", "p"), sizes)
+
+
+def test_pure_mazes_between_guard_trips_before_enumerating(monkeypatch):
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError(f"{name} ran before the guard")
+        return fail
+
+    monkeypatch.setattr(labycat, "compositions", refuse("compositions"))
+    monkeypatch.setattr(labycat, "tables", refuse("tables"))
+    with pytest.raises(EnumerationLimitError):
+        pure_mazes_between(skeleton(3), skeleton(3), [40])
 
 
 def test_domain_mismatch_raises():

@@ -12,6 +12,7 @@ from mazelab.multisets import (
     ms_combine,
     support_lift,
     support_project,
+    tables,
 )
 
 
@@ -112,6 +113,18 @@ def test_enumeration_guard():
         enumerate_supported({f"e{i}" for i in range(30)}, 60)
     with pytest.raises(EnumerationLimitError):
         enumerate_sub_multisets(MultiSet({f"e{i}": 3 for i in range(15)}))
+
+
+def test_tables_margins():
+    assert list(tables([("a", 2)], [("x", 1)])) == []
+    assert list(tables([], [("x", 1)])) == []
+    assert list(tables([("a", 0)], [])) == [{}]
+    assert list(tables([], [])) == [{}]
+    got = list(tables([("a", 2), ("b", 1)], [("x", 1), ("y", 2)]))
+    assert sorted(sorted(t.items()) for t in got) == [
+        [(("a", "x"), 1), (("a", "y"), 1), (("b", "y"), 1)],
+        [(("a", "y"), 2), (("b", "x"), 1)],
+    ]
 
 
 def test_json_roundtrip():
