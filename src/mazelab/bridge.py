@@ -201,7 +201,8 @@ def all_cardinality_multisets(universe, n: int):
         return [MultiSet()]
     if not universe:
         return []
-    guard_count(comb(len(universe) + n - 1, n))
+    guard_count(comb(len(universe) + n - 1, n), "all_cardinality_multisets",
+                f"universe {len(universe)}, cardinality {n}")
     return sorted(
         (MultiSet(list(combo))
          for combo in combinations_with_replacement(universe, n)),

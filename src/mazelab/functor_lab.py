@@ -24,20 +24,23 @@ from collections import Counter
 from itertools import product
 
 from . import bridge
-from .errors import ShapeMismatchError
+from .errors import DomainMismatchError, ShapeMismatchError
 from .labycat import (
     Maze,
     MazeHom,
+    laby_structure_constants,
     normalize_numerical,
     pure_mazes_between,
     rename_maze,
     skeleton,
+    validate_maze,
 )
-from .matrices import (IntMat, column_lattice_basis, integer, kron_power,
+from .matrices import (IntMat, column_lattice_basis, kron_power,
                        solve_in_lattice)
-from .msetcat import MultHom, Multation, all_multations
+from .msetcat import (MultHom, Multation, all_multations,
+                      mset_structure_constants)
 from .multisets import MultiSet, guard_count, json_int
-from .scalars import binomial
+from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
 MAX_MATRIX_SIDE = 3
@@ -136,7 +139,7 @@ def surjective_pair_subsets(m: int, n: int):
     """All K inside [m] x [n] with both projections surjective, as lists
     of (i, j) pairs (1-based)."""
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    guard_count(1 << len(pairs))
+    guard_count(1 << len(pairs), "surjective_pair_subsets", f"{m} x {n}")
     out = []
     for mask in range(1 << len(pairs)):
         rows = 0
@@ -163,7 +166,8 @@ def signed_cover_sum(m: int, n: int, l_pairs) -> int:
             raise ValueError(f"pair {p} outside [{m}] x [{n}]")
         l_mask |= 1 << index[p]
     free = ((1 << len(pairs)) - 1) & ~l_mask
-    guard_count(1 << bin(free).count("1"))
+    guard_count(1 << bin(free).count("1"), "signed_cover_sum",
+                f"{m} x {n}, {bin(l_mask).count('1')} pairs given")
     row_masks = []
     for i in range(1, m + 1):
         rm = 0
@@ -528,7 +532,7 @@ class LabyModulePresentation:
     """A linear functor out of the degree-n maze quotient, as finite data:
     carriers on the skeleton [0..n] and one map per small pure maze."""
 
-    __slots__ = ("degree", "groups", "table", "shapes")
+    __slots__ = ("degree", "groups", "table", "shapes", "index_values")
 
     def __init__(self, degree: int, groups, table, check=True):
         groups = list(groups)
@@ -538,8 +542,10 @@ class LabyModulePresentation:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "table", table)
-        # (j, k) -> shape_terms result; the table never changes.
+        # Caches, since the table never changes: (j, k) -> shape_terms
+        # result, and composite's stored values of the index mazes.
         object.__setattr__(self, "shapes", {})
+        object.__setattr__(self, "index_values", None)
         for maze, hom in table.items():
             j, k = len(maze.dom), len(maze.cod)
             if (hom.dom_orders != groups[j].orders
@@ -568,15 +574,52 @@ class LabyModulePresentation:
     def hom(self, maze: Maze) -> AbHom:
         """Value on a pure maze between any small sets, transported to the
         skeleton by the order-preserving renaming."""
-        key = maze
-        if (maze.dom != skeleton(len(maze.dom))
-                or maze.cod != skeleton(len(maze.cod))):
-            key = rename_maze(
-                maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
-                {y: str(i + 1) for i, y in enumerate(maze.cod)})
+        key = _on_skeleton(maze)
         if key not in self.table:
             raise KeyError(f"presentation lacks a value for {maze!r}")
         return self.table[key]
+
+    def coordinates(self, maze: Maze):
+        """The numerical normal form of a maze, moved to the skeleton, over
+        the index of pure mazes of laby_structure_constants(degree): its
+        (position, coefficient) pairs in position order.  Empty for a maze
+        of more than `degree` passages."""
+        key = _on_skeleton(maze)
+        if not validate_maze(key):
+            raise ValueError(f"{maze!r} has a dead end or a passage outside "
+                             "its endpoints")
+        index = laby_structure_constants(self.degree).index
+        return [(index[m], c) for m, c in
+                normalize_numerical(MazeHom.of(key), self.degree).comb]
+
+    def composite(self, p: Maze, q: Maze, coords) -> AbHom:
+        """The value of the quotient composite p . q of composable mazes:
+        the terms of their coordinates compose through the structure
+        constants.  `coords` keeps the coordinates of the mazes seen so
+        far; each index maze's stored value is looked up once per
+        presentation."""
+        sc = laby_structure_constants(self.degree)
+        if self.index_values is None:
+            object.__setattr__(self, "index_values", {
+                ends: [self.table.get(m) for m in arrows]
+                for ends, arrows in sc.arrows.items()})
+        for m in (p, q):
+            if m not in coords:
+                coords[m] = self.coordinates(m)
+        j, k, l = (skeleton(len(q.dom)), skeleton(len(q.cod)),
+                   skeleton(len(p.cod)))
+        block = sc.composites[j, k, l]
+        merged = {}
+        for s, b in coords[q]:
+            row = block[s]
+            for t, a in coords[p]:
+                for u, c in row[t]:
+                    merged[u] = merged.get(u, 0) + a * b * c
+        arrows, values = sc.arrows[j, l], self.index_values[j, l]
+        return AbHom.combination(
+            self.groups[len(j)].orders, self.groups[len(l)].orders,
+            ((self.hom(arrows[u]) if values[u] is None else values[u], c)
+             for u, c in sorted(merged.items()) if c))
 
     def shape_terms(self, j: int, k: int):
         """The stored pure mazes [j] -> [k] of at most `degree` passages,
@@ -604,17 +647,19 @@ class LabyModulePresentation:
         return self.eval_hom(normalize_numerical(MazeHom.of(maze), self.degree))
 
     def check(self):
-        """Identity values and functoriality over the stored table."""
+        """Identity values and functoriality over the stored table; each
+        stored maze's coordinates are worked out once."""
         for k in range(self.degree + 1):
             ident = Maze.identity(skeleton(k))
             if self.hom(ident) != AbHom.identity(self.groups[k].orders):
                 raise ValueError(f"identity of [{k}] does not map to identity")
         mazes = self.mazes()
+        coords = {}
         for p in mazes:
             for q in mazes:
                 if set(q.cod) != set(p.dom):
                     continue
-                if (bridge_compose_table(self, p, q)
+                if (self.composite(p, q, coords)
                         != self.hom(p).compose(self.hom(q))):
                     raise ValueError(
                         f"table is not functorial on {p!r} after {q!r}")
@@ -689,13 +734,22 @@ class LabyModulePresentation:
         return cls(degree, groups, table, check=check)
 
 
-def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
-    """Evaluate the quotient composite of two pure mazes through the
-    table."""
-    from .labycat import compose_in_laby_n
+def _on_skeleton(maze: Maze) -> Maze:
+    """The maze moved to skeleton sets by the order-preserving renamings
+    of its two ends."""
+    if (maze.dom == skeleton(len(maze.dom))
+            and maze.cod == skeleton(len(maze.cod))):
+        return maze
+    return rename_maze(maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
+                       {y: str(i + 1) for i, y in enumerate(maze.cod)})
 
-    composite = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), h.degree)
-    return h.eval_hom(composite)
+
+def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
+    """Evaluate the quotient composite of two mazes through the table,
+    reading it off the degree's structure constants."""
+    if set(q.cod) != set(p.dom):
+        raise DomainMismatchError("cannot compose: middle sets differ")
+    return h.composite(p, q, {})
 
 
 # ---------------------------------------------------------------------------
@@ -891,21 +945,35 @@ class MSetModulePresentation:
                                  ((self.hom(mu), c) for mu, c in hom.comb))
 
     def check(self):
+        """Identity values and functoriality over every composable pair of
+        multations, the composites read off the structure constants of
+        the degree and universe; each stored value is looked up once."""
         for a in self.objects():
             ident = Multation.identity(a)
             if self.hom(ident) != AbHom.identity(self.groups[a].orders):
                 raise ValueError(f"identity of {a!r} does not map to identity")
-        from .msetcat import multation_compose
+        sc = mset_structure_constants(self.universe, self.degree)
+        values = {ends: (arrows, [self.table.get(mu) for mu in arrows])
+                  for ends, arrows in sc.arrows.items()}
+
+        def value(hom_set, t):
+            # A missing value raises here, when first used, as hom does.
+            arrows, stored = hom_set
+            return self.hom(arrows[t]) if stored[t] is None else stored[t]
 
         objs = self.objects()
-        arrows = {(a, b): all_multations(a, b) for a in objs for b in objs}
         for a in objs:
             for b in objs:
+                ab = values[a, b]
                 for c in objs:
-                    for nu in arrows[a, b]:
-                        for mu in arrows[b, c]:
-                            lhs = self.eval_hom(multation_compose(mu, nu))
-                            rhs = self.hom(mu).compose(self.hom(nu))
+                    ac, bc = values[a, c], values[b, c]
+                    block = sc.composites[a, b, c]
+                    dom, cod = self.groups[a].orders, self.groups[c].orders
+                    for i, nu in enumerate(ab[0]):
+                        for k, mu in enumerate(bc[0]):
+                            lhs = AbHom.combination(dom, cod, (
+                                (value(ac, u), x) for u, x in block[i][k]))
+                            rhs = value(bc, k).compose(value(ab, i))
                             if lhs != rhs:
                                 raise ValueError(
                                     f"table is not functorial on "

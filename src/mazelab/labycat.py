@@ -25,13 +25,14 @@ as its pairs already pass n.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import DomainMismatchError
 from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
-                        json_int, tables)
-from .scalars import (HomComb, LinComb, binomial_product, lincomb_combine,
-                      scalar, scalar_str)
+                        json_int, limit_error, tables)
+from .scalars import (HomComb, LinComb, StructureConstants, binomial_product,
+                      lincomb_combine, scalar, scalar_str, structure_constants)
 
 
 class Passage:
@@ -265,11 +266,12 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
 
     # Hopeless sizes fail fast; borderline ones fall to the lazy budget
     # below, which charges actual work after pruning.
+    sizes = f"{np_} passages after {nq}"
     bound = 1
     for opts in choices:
         bound *= len(opts)
         if bound > ENUM_LIMIT**2:
-            guard_count(bound)
+            guard_count(bound, "maze_compose", sizes)
 
     # What the remaining groups could still cover, for pruning.
     suffix = [0] * (len(choices) + 1)
@@ -294,7 +296,9 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         for cover, bundle in choices[t]:
             budget[0] -= 1
             if budget[0] < 0:
-                guard_count(ENUM_LIMIT + 1)
+                raise limit_error(
+                    "maze_compose", sizes, "the covering search passed its "
+                    f"budget of {ENUM_LIMIT} nodes")
             rec(t + 1, covered | cover, chosen + list(bundle))
 
     rec(0, 0, [])
@@ -484,7 +488,9 @@ def pure_mazes_between(dom, cod, sizes):
     for s in sizes:
         # Multi-sets of s passages over |dom| * |cod| kinds bound the count;
         # the max keeps comb defined for s = 0 on empty ends.
-        guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s))
+        guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s),
+                    "pure_mazes_between",
+                    f"{len(dom)} -> {len(cod)} points, {s} passages")
         for rows in compositions(s, len(dom)):
             for cols in compositions(s, len(cod)):
                 out.extend(
@@ -497,6 +503,19 @@ def pure_mazes_between(dom, cod, sizes):
 def skeleton(k: int):
     """The canonical k-element set {"1", ..., "k"}."""
     return tuple(str(i) for i in range(1, k + 1))
+
+
+@cache
+def laby_structure_constants(n: int) -> StructureConstants:
+    """Composition in the degree-n numerical quotient, built once per
+    process: the pure mazes of at most n passages between every two
+    skeleton sets [0..n], in pure_mazes_between order, and every
+    composite in normal form, in integers."""
+    sets = [skeleton(k) for k in range(n + 1)]
+    return structure_constants(
+        {(x, y): pure_mazes_between(x, y, range(n + 1))
+         for x in sets for y in sets},
+        lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n))
 
 
 def quadratic_generators():
@@ -517,17 +536,8 @@ def quadratic_generators():
 
 def laby2_table():
     """All pairwise composites of A, B, C, S in the degree-2 numerical
-    quotient: dict (row, col) -> normal-form MazeHom, None if the pair is
-    not composable."""
+    quotient, read off its structure constants: dict (row, col) ->
+    normal-form MazeHom, None if the pair is not composable."""
     gens = quadratic_generators()
-    names = ["A", "B", "C", "S"]
-    table = {}
-    for r in names:
-        for c in names:
-            p, q = gens[r], gens[c]
-            if set(q.cod) == set(p.dom):
-                table[(r, c)] = compose_in_laby_n(
-                    MazeHom.of(p), MazeHom.of(q), 2)
-            else:
-                table[(r, c)] = None
-    return table
+    return laby_structure_constants(2).table(
+        MazeHom, {name: gens[name] for name in ("A", "B", "C", "S")})

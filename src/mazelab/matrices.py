@@ -7,21 +7,10 @@ an int or a Fraction of denominator 1, and anything else is refused,
 never truncated.
 """
 
-from fractions import Fraction
-
 from .errors import ShapeMismatchError
+from .scalars import integer
 
 _INT = {int}
-
-
-def integer(x) -> int:
-    """x as an int: ints pass, a Fraction must have denominator 1, and
-    anything else (a float among them) is refused rather than truncated."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise ValueError(f"{x!r} is not an integer")
 
 
 def _int_row(row):

@@ -14,12 +14,14 @@ divided-power structure guarantees integrality, so a failure means a
 bug.
 """
 
+from functools import cache
 from itertools import product as iproduct
 from math import factorial
 
 from .errors import DomainMismatchError, IntegralityError
 from .multisets import MultiSet, guard_count, json_int, tables
-from .scalars import HomComb, LinComb, lincomb_combine, multinomial
+from .scalars import (HomComb, LinComb, StructureConstants, lincomb_combine,
+                      multinomial, structure_constants)
 
 
 class Multation:
@@ -174,7 +176,8 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     count = 1
     for matchings in per_letter:
         count *= len(matchings)
-    guard_count(count)
+    guard_count(count, "multation_compose",
+                f"cardinality {middle.cardinality}")
 
     accum = {}
     for family in iproduct(*per_letter):
@@ -215,6 +218,20 @@ def all_multations(a: MultiSet, b: MultiSet):
     return sorted(out, key=Multation.sort_key)
 
 
+@cache
+def mset_structure_constants(universe, n: int) -> StructureConstants:
+    """Composition in the degree-n multation category over a universe, a
+    sorted tuple of letters, built once per process: the multations
+    between every two cardinality-n multi-sets over it, in all_multations
+    order, and every composite in integers."""
+    from .bridge import all_cardinality_multisets
+
+    objs = all_cardinality_multisets(universe, n)
+    return structure_constants(
+        {(a, b): all_multations(a, b) for a in objs for b in objs},
+        multation_compose)
+
+
 def mset2_generators():
     """The three non-identity basis multations of the degree-2 skeleton."""
     m11 = MultiSet(["1", "1"])
@@ -226,19 +243,11 @@ def mset2_generators():
 
 
 def mset2_table():
-    """All pairwise composites of the degree-2 generators.
+    """All pairwise composites of the degree-2 generators, read off the
+    degree-2 structure constants over the letters 1, 2.
 
     Returns a dict (row, col) -> MultHom for row . col where the pair is
     composable, None where it is not.
     """
-    gens = mset2_generators()
-    names = ["alpha", "beta", "sigma"]
-    table = {}
-    for r in names:
-        for c in names:
-            f, g = gens[r], gens[c]
-            if g.cod == f.dom:
-                table[(r, c)] = multhom_compose(MultHom.of(f), MultHom.of(g))
-            else:
-                table[(r, c)] = None
-    return table
+    return mset_structure_constants(("1", "2"), 2).table(
+        MultHom, mset2_generators())

@@ -179,10 +179,20 @@ def support_project(name: str) -> str:
     return name.rsplit(LIFT_SEP, 1)[0]
 
 
-def guard_count(count: int):
+def limit_error(operation: str, sizes: str, problem: str):
+    """The EnumerationLimitError for an operation, naming its input sizes
+    and what tripped the guard."""
+    return EnumerationLimitError(f"{operation} ({sizes}): {problem}")
+
+
+def guard_count(count: int, operation: str, sizes: str):
+    """Refuse an enumeration whose estimate `count` passes ENUM_LIMIT,
+    before any of it runs; the error names the operation and its input
+    sizes."""
     if count > ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"enumeration of {count} items exceeds the guard of {ENUM_LIMIT}")
+        raise limit_error(
+            operation, sizes,
+            f"an estimated {count} items exceed the guard of {ENUM_LIMIT}")
 
 
 def compositions(total: int, parts: int):
@@ -195,7 +205,8 @@ def compositions(total: int, parts: int):
         return [()] if total == 0 else []
     if total < parts:
         return []
-    guard_count(comb(total - 1, parts - 1))
+    guard_count(comb(total - 1, parts - 1), "compositions",
+                f"total {total}, parts {parts}")
     out = []
 
     def rec(remaining, slots, prefix):
@@ -277,7 +288,8 @@ def enumerate_sub_multisets(m: MultiSet):
     count = 1
     for _, mult in m.items():
         count *= mult + 1
-    guard_count(count)
+    guard_count(count, "enumerate_sub_multisets",
+                f"cardinality {m.cardinality}, support {len(m.support)}")
     out = [MultiSet()]
     for name, mult in m.items():
         out = [

@@ -7,6 +7,7 @@ package ever touches floating point.
 
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainMismatchError
 
@@ -33,6 +34,16 @@ def scalar_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer(x) -> int:
+    """x as an int: ints pass, a Fraction must have denominator 1, and
+    anything else (a float among them) is refused rather than truncated."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def binomial(r, k: int) -> int | Fraction:
@@ -239,3 +250,57 @@ def lincomb_combine(combs, scales) -> LinComb:
     for comb, s in zip(combs, scales):
         terms.extend((b, s * c) for b, c in comb.terms)
     return LinComb(terms)
+
+
+class StructureConstants(NamedTuple):
+    """Composition of basis arrows in one category, kept as integers.
+
+    `arrows` maps each (dom, cod) to its basis arrows in canonical order,
+    and `index` maps a basis arrow to its position in that list.
+    `composites` maps (a, b, c) to a table whose entry [i][k] is the
+    composite of arrows[b, c][k] after arrows[a, b][i], as
+    (position in arrows[a, c], int coefficient) pairs in position order.
+    Beyond the basis arrows themselves only ints are kept.
+    """
+
+    arrows: dict
+    index: dict
+    composites: dict
+
+    def terms(self, f, g):
+        """The composite f . g of two basis arrows, as stored."""
+        return self.composites[g.dom, g.cod, f.cod][self.index[g]][
+            self.index[f]]
+
+    def hom(self, hom_type, f, g):
+        """The composite f . g of two basis arrows as a hom_type."""
+        arrows = self.arrows[g.dom, f.cod]
+        return hom_type(g.dom, f.cod, LinComb(
+            (arrows[t], c) for t, c in self.terms(f, g)))
+
+    def table(self, hom_type, gens):
+        """Every composite row . col of the named basis arrows in `gens`,
+        keyed (row, col), as a hom_type; None where not composable."""
+        return {(r, c): self.hom(hom_type, f, g) if g.cod == f.dom else None
+                for r, f in gens.items() for c, g in gens.items()}
+
+
+def structure_constants(arrows, compose) -> StructureConstants:
+    """Tabulate `compose(f, g)`, a HomComb f . g, over every composable
+    pair of basis arrows; `arrows` maps (dom, cod) to a canonically
+    ordered list of basis arrows.  Equal term tuples are stored once."""
+    arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
+    index = {f: t for fs in arrows.values() for t, f in enumerate(fs)}
+    shared = {}
+
+    def encode(f, g):
+        terms = tuple((index[x], integer(c)) for x, c in compose(f, g).comb)
+        return shared.setdefault(terms, terms)
+
+    composites = {}
+    for (a, b), firsts in arrows.items():
+        for (b2, c), seconds in arrows.items():
+            if b2 == b:
+                composites[a, b, c] = tuple(
+                    tuple(encode(f, g) for f in seconds) for g in firsts)
+    return StructureConstants(arrows, index, composites)

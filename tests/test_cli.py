@@ -83,6 +83,38 @@ def test_enumeration_limit_exit_code(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def _loop(tmp_path, k):
+    path = tmp_path / f"loop{k}.json"
+    path.write_text(json.dumps({
+        "dom": ["1"], "cod": ["1"], "passages": [[["1", "1", "1"], k]],
+    }))
+    return str(path)
+
+
+def test_enumeration_limit_names_the_operation_and_sizes(tmp_path, capsys):
+    # Loop x7 after itself: 127 bundles per instance, and the estimate
+    # passes ENUM_LIMIT**2 at the sixth instance, before any search.
+    loop = _loop(tmp_path, 7)
+    code, out, err = run(capsys, "compose", "--category", "laby", loop, loop)
+    assert (code, out) == (4, "")
+    assert err == ("resource limit: maze_compose (7 passages after 7): an "
+                   f"estimated {127**6} items exceed the guard of 1048576\n")
+
+
+def test_covering_budget_trip_names_the_passage_counts(tmp_path, capsys,
+                                                       monkeypatch):
+    # With a budget of 100 nodes, loop x3 after itself (7**3 choices)
+    # passes the estimate check and trips the budget during the search.
+    from mazelab import labycat
+
+    monkeypatch.setattr(labycat, "ENUM_LIMIT", 100)
+    loop = _loop(tmp_path, 3)
+    code, out, err = run(capsys, "compose", "--category", "laby", loop, loop)
+    assert (code, out) == (4, "")
+    assert err == ("resource limit: maze_compose (3 passages after 3): the "
+                   "covering search passed its budget of 100 nodes\n")
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "--kind", "numerical",
                        "--degree", "3", fx("parallel21.json"))

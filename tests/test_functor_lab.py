@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazelab import functor_lab
+from mazelab import functor_lab, msetcat
 from mazelab.bridge import factorization_verify
 from mazelab.errors import ShapeMismatchError
 from mazelab.functor_lab import (
@@ -686,16 +686,24 @@ def test_hom_names_a_missing_value_on_both_paths(phi_square):
 
 
 def test_mset_check_enumerates_each_hom_set_once(monkeypatch, j_square):
+    # The enumerations happen once per process, when the structure
+    # constants are built: a cold check makes at most one per hom-set and
+    # a warm one none.
     calls = []
-    enumerate_all = functor_lab.all_multations
+    enumerate_all = msetcat.all_multations
 
     def counted(a, b):
         calls.append((a, b))
         return enumerate_all(a, b)
 
+    monkeypatch.setattr(msetcat, "all_multations", counted)
     monkeypatch.setattr(functor_lab, "all_multations", counted)
+    msetcat.mset_structure_constants.cache_clear()
     j_square.check()
     assert 0 < len(calls) <= len(j_square.objects()) ** 2
+    calls.clear()
+    j_square.check()
+    assert calls == []
     sigma = mset2_generators()["sigma"]
     table = dict(j_square.table)
     table[sigma] = table[sigma].scale(2)

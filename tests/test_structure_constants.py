@@ -1,0 +1,291 @@
+"""The memoised composition structure constants of Laby_n and MSet_n.
+
+Both presentation checks read their composites off the constants.  The
+oracle here is the check loop as it was written before, composing every
+pair afresh with compose_in_laby_n or multation_compose; the two must
+accept and refuse the same tables with the same error text.
+"""
+
+import json
+import os
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mazelab.functor_lab import (
+    AbHom,
+    FgAbGroup,
+    LabyModulePresentation,
+    MSetModulePresentation,
+    tensor_power_functor,
+)
+from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
+                             laby_structure_constants, skeleton)
+from mazelab.msetcat import (MultHom, Multation, all_multations,
+                             mset2_generators, mset_structure_constants,
+                             multation_compose)
+from mazelab.verify import random_quadratic_presentation
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def laby_check_oracle(h):
+    for k in range(h.degree + 1):
+        ident = Maze.identity(skeleton(k))
+        if h.hom(ident) != AbHom.identity(h.groups[k].orders):
+            raise ValueError(f"identity of [{k}] does not map to identity")
+    mazes = h.mazes()
+    for p in mazes:
+        for q in mazes:
+            if set(q.cod) != set(p.dom):
+                continue
+            composite = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q),
+                                          h.degree)
+            if h.eval_hom(composite) != h.hom(p).compose(h.hom(q)):
+                raise ValueError(
+                    f"table is not functorial on {p!r} after {q!r}")
+
+
+def mset_check_oracle(j):
+    for a in j.objects():
+        ident = Multation.identity(a)
+        if j.hom(ident) != AbHom.identity(j.groups[a].orders):
+            raise ValueError(f"identity of {a!r} does not map to identity")
+    objs = j.objects()
+    arrows = {(a, b): all_multations(a, b) for a in objs for b in objs}
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for nu in arrows[a, b]:
+                    for mu in arrows[b, c]:
+                        lhs = j.eval_hom(multation_compose(mu, nu))
+                        rhs = j.hom(mu).compose(j.hom(nu))
+                        if lhs != rhs:
+                            raise ValueError(
+                                f"table is not functorial on "
+                                f"{mu!r} after {nu!r}")
+
+
+def outcome(run):
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def assert_checks_agree(pres):
+    oracle = laby_check_oracle if isinstance(
+        pres, LabyModulePresentation) else mset_check_oracle
+    expected = outcome(lambda: oracle(pres))
+    assert outcome(pres.check) == expected
+    return expected
+
+
+def load(name, cls):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return cls.from_json(json.load(fh), check=False)
+
+
+@pytest.mark.parametrize("name, cls", [
+    ("frobenius_laby.json", LabyModulePresentation),
+    ("identity_laby.json", LabyModulePresentation),
+    ("frobenius_mset.json", MSetModulePresentation),
+    ("square_mset.json", MSetModulePresentation),
+])
+def test_fixture_presentations_agree_with_the_oracle(name, cls):
+    assert assert_checks_agree(load(name, cls)) is None
+
+
+def test_tensor_cubes_agree_with_the_oracle():
+    assert assert_checks_agree(LabyModulePresentation.from_functor(
+        tensor_power_functor(3), 3, check=False)) is None
+    assert assert_checks_agree(MSetModulePresentation.tensor_power(
+        3, skeleton(3), check=False)) is None
+
+
+def random_quadratic(rng):
+    """Half functorial by construction, half with arbitrary crossing maps,
+    which the relations mostly refuse."""
+    if rng.random() < 0.5:
+        h = random_quadratic_presentation(rng)
+        return LabyModulePresentation(2, h.groups, h.table, check=False)
+    x = FgAbGroup(rng.randint(1, 2))
+    y = FgAbGroup(rng.randint(1, 2))
+
+    def entries(rows, cols):
+        return [[rng.randint(-2, 2) for _ in range(cols)]
+                for _ in range(rows)]
+
+    return LabyModulePresentation.quadratic(
+        FgAbGroup(rng.randint(0, 1)), x, y,
+        AbHom.of_groups(x, y, entries(y.dim, x.dim)),
+        AbHom.of_groups(y, x, entries(x.dim, y.dim)), check=False)
+
+
+def test_random_quadratic_presentations_agree_with_the_oracle():
+    rng = random.Random(9)
+    outcomes = [assert_checks_agree(random_quadratic(rng))
+                for _ in range(20)]
+    assert None in outcomes
+    assert any(o is not None for o in outcomes)
+
+
+def test_doubled_sigma_is_refused_alike():
+    j = MSetModulePresentation.tensor_power(2, skeleton(2))
+    sigma = mset2_generators()["sigma"]
+    table = dict(j.table)
+    table[sigma] = table[sigma].scale(2)
+    broken = MSetModulePresentation(2, skeleton(2), j.groups, table,
+                                    check=False)
+    kind, text = assert_checks_agree(broken)
+    assert kind == "ValueError" and "not functorial" in text
+
+
+def test_stored_loop_above_the_degree_is_refused_alike():
+    # A degree-2 table that also stores a nonzero 3-passage loop: its
+    # normal form over the index is empty, so it composes to zero.
+    h = LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+    loop = Maze(skeleton(1), skeleton(1), [(Passage("1", "1"), 3)])
+    data = h.to_json()
+    data["homs"].append({"maze": loop.to_json(), "matrix": [[1]]})
+    oracle = outcome(lambda: laby_check_oracle(
+        LabyModulePresentation.from_json(data, check=False)))
+    assert oracle is not None and "not functorial" in oracle[1]
+    assert outcome(lambda: LabyModulePresentation.from_json(
+        data, check=True)) == oracle
+
+
+def test_stored_labelled_mazes_agree_with_the_oracle():
+    h = LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+    c = Maze(skeleton(1), skeleton(1), [(Passage("1", "1"), 2)])
+    for label in (2, -1, "1/2"):
+        labelled = c.relabel_all(label)
+        for value in (AbHom.zero((0,), (0,)), AbHom.identity((0,))):
+            table = dict(h.table)
+            table[labelled] = value
+            assert_checks_agree(
+                LabyModulePresentation(2, h.groups, table, check=False))
+
+
+def test_stored_maze_with_a_dead_end_is_named():
+    # The one refusal whose text differs from the oracle's, which said
+    # "maze_compose requires valid mazes" once such a maze was composed.
+    h = LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+    dead_end = Maze(skeleton(2), skeleton(1), [Passage("1", "1")])
+    table = dict(h.table)
+    table[dead_end] = AbHom.zero(h.groups[2].orders, h.groups[1].orders)
+    broken = LabyModulePresentation(2, h.groups, table, check=False)
+    assert outcome(lambda: laby_check_oracle(broken)) == (
+        "ValueError", "maze_compose requires valid mazes")
+    with pytest.raises(ValueError, match="has a dead end"):
+        broken.check()
+
+
+def test_missing_values_are_named_alike():
+    h = LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+    j = MSetModulePresentation.tensor_power(2, skeleton(2))
+    for pres, key in ((h, Maze(skeleton(2), skeleton(2),
+                                [Passage("1", "2"), Passage("2", "1")])),
+                      (j, mset2_generators()["alpha"])):
+        table = dict(pres.table)
+        del table[key]
+        if isinstance(pres, LabyModulePresentation):
+            partial = LabyModulePresentation(2, pres.groups, table,
+                                             check=False)
+        else:
+            partial = MSetModulePresentation(2, pres.universe, pres.groups,
+                                             table, check=False)
+        kind, text = assert_checks_agree(partial)
+        assert kind == "KeyError" and "lacks a value" in text
+
+
+# ---------------------------------------------------------------------------
+# the category laws, on the constants alone
+
+
+def composed(sc, f, g):
+    """f . g as a dict from basis arrow to coefficient."""
+    arrows = sc.arrows[g.dom, f.cod]
+    return {arrows[t]: c for t, c in sc.terms(f, g)}
+
+
+def extend(sc, comb, arrow, after):
+    """Compose a combination (a dict) with one basis arrow, on the left
+    when `after` is False and on the right otherwise; zeros dropped."""
+    out = {}
+    for x, c in comb.items():
+        for y, d in (composed(sc, x, arrow) if after
+                     else composed(sc, arrow, x)).items():
+            out[y] = out.get(y, 0) + c * d
+    return {y: c for y, c in out.items() if c}
+
+
+def assert_laws(sc, identity, f, g, h):
+    for x in (f, g, h):
+        assert sc.terms(identity(x.cod), x) == ((sc.index[x], 1),)
+        assert sc.terms(x, identity(x.dom)) == ((sc.index[x], 1),)
+    assert extend(sc, composed(sc, h, g), f, after=True) == \
+        extend(sc, composed(sc, g, f), h, after=False)
+
+
+def composable_triples(sc):
+    arrows = [x for xs in sc.arrows.values() for x in xs]
+    for f in arrows:
+        for g in arrows:
+            if g.dom != f.cod:
+                continue
+            for h in arrows:
+                if h.dom == g.cod:
+                    yield f, g, h
+
+
+def laby_identity(names):
+    return Maze.identity(names)
+
+
+def test_constants_match_pairwise_composition_in_degree_2():
+    laby = laby_structure_constants(2)
+    mset = mset_structure_constants(skeleton(2), 2)
+    for sc, hom_type, compose in (
+            (laby, MazeHom, lambda p, q: compose_in_laby_n(
+                MazeHom.of(p), MazeHom.of(q), 2)),
+            (mset, MultHom, multation_compose)):
+        arrows = [x for xs in sc.arrows.values() for x in xs]
+        for f in arrows:
+            for g in arrows:
+                if g.cod == f.dom:
+                    assert sc.hom(hom_type, f, g) == compose(f, g)
+
+
+def test_constants_laws_exhaustive_in_degree_2():
+    for sc, identity in ((laby_structure_constants(2), laby_identity),
+                         (mset_structure_constants(skeleton(2), 2),
+                          Multation.identity)):
+        triples = list(composable_triples(sc))
+        assert triples
+        for f, g, h in triples:
+            assert_laws(sc, identity, f, g, h)
+
+
+@st.composite
+def triples_in(draw, sc):
+    arrows = [x for xs in sc.arrows.values() for x in xs]
+    f = draw(st.sampled_from(arrows))
+    g = draw(st.sampled_from([x for x in arrows if x.dom == f.cod]))
+    h = draw(st.sampled_from([x for x in arrows if x.dom == g.cod]))
+    return f, g, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=triples_in(laby_structure_constants(3)))
+def test_constants_laws_sampled_on_laby_3(triple):
+    assert_laws(laby_structure_constants(3), laby_identity, *triple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=triples_in(mset_structure_constants(skeleton(3), 3)))
+def test_constants_laws_sampled_on_mset_3(triple):
+    assert_laws(mset_structure_constants(skeleton(3), 3),
+                Multation.identity, *triple)
