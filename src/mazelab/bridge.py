@@ -14,13 +14,13 @@ side is defined by transport through this translation.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb
+from itertools import combinations
 
 from .errors import DomainMismatchError
 from .labycat import Maze, MazeHom, Passage, pure_mazes_between
 from .msetcat import MultHom, Multation, divided_reduce
-from .multisets import MultiSet, compositions, enumerate_supported, guard_count
+from .multisets import (MultiSet, all_cardinality_multisets, compositions,
+                        enumerate_supported)
 from .scalars import lincomb_combine
 
 
@@ -194,21 +194,6 @@ def theseus_hom(hom: MultHom, n: int) -> MazeHom:
         [c for _, c in hom.comb]))
 
 
-def all_cardinality_multisets(universe, n: int):
-    """All multi-sets of cardinality n with support inside the universe."""
-    universe = tuple(sorted(set(universe)))
-    if n == 0:
-        return [MultiSet()]
-    if not universe:
-        return []
-    guard_count(comb(len(universe) + n - 1, n), "all_cardinality_multisets",
-                f"universe {len(universe)}, cardinality {n}")
-    return sorted(
-        (MultiSet(list(combo))
-         for combo in combinations_with_replacement(universe, n)),
-        key=MultiSet.sort_key)
-
-
 def all_pure_mazes_on(universe, n: int):
     """All pure mazes with exactly n passages whose endpoint sets are the
     supports of the passage multiset, inside the universe."""
@@ -360,7 +345,7 @@ def factorization_verify(h, j, n: int) -> bool:
         blocks = enumerate_supported(set(names), n)
         expect = []
         for b in blocks:
-            if not j.has_group(b):
+            if b not in j.groups:
                 return False
             expect.extend(j.group(b).orders)
         if tuple(expect) != h.group(k).orders:

@@ -109,8 +109,8 @@ def load_matrix(path) -> IntMat:
         raise ParseError(f"{path}: matrix side above the guard "
                          f"{MAX_MATRIX_SIDE}")
     try:
-        return IntMat(len(data), ncols, json_rows(data))
-    except (ShapeMismatchError, ValueError) as exc:
+        return IntMat(len(data), ncols, json_rows(data, len(data), ncols))
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

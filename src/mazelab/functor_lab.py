@@ -22,6 +22,7 @@ the target generator orders.
 
 from collections import Counter
 from itertools import product
+from typing import NamedTuple
 
 from . import bridge
 from .errors import DomainMismatchError, ShapeMismatchError
@@ -37,9 +38,9 @@ from .labycat import (
 )
 from .matrices import (IntMat, column_lattice_basis, kron_power,
                        solve_in_lattice)
-from .msetcat import (MultHom, Multation, all_multations,
-                      mset_structure_constants)
-from .multisets import MultiSet, guard_count, json_int
+from .msetcat import Multation, mset_structure_constants
+from .multisets import (MultiSet, all_cardinality_multisets, guard_count,
+                        json_int)
 from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
@@ -368,9 +369,13 @@ class FgAbGroup:
                     for d in data.get("torsion", ())])
 
 
-def json_rows(rows):
-    """Integer matrix rows read from JSON, every entry through json_int."""
-    return [[json_int(x, "matrix entry") for x in row] for row in rows]
+def json_rows(rows, nrows: int, ncols: int):
+    """The rows of an nrows x ncols integer matrix read from JSON, every
+    entry through json_int; any other shape is malformed data."""
+    rows = [[json_int(x, "matrix entry") for x in row] for row in rows]
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ValueError(f"matrix rows do not make {nrows} x {ncols}")
+    return rows
 
 
 def _reduce_rows(rows, cod_orders):
@@ -462,26 +467,21 @@ class AbHom:
         return hash((self.dom_orders, self.cod_orders, self.mat))
 
     def __add__(self, other):
-        self._same_ends(other)
-        return AbHom(self.dom_orders, self.cod_orders, self.mat + other.mat)
+        return self.combination(self.dom_orders, self.cod_orders,
+                                ((self, 1), (other, 1)))
 
     def __sub__(self, other):
-        self._same_ends(other)
-        return AbHom(self.dom_orders, self.cod_orders, self.mat - other.mat)
+        return self.combination(self.dom_orders, self.cod_orders,
+                                ((self, 1), (other, -1)))
 
     def scale(self, factor: int):
-        return AbHom(self.dom_orders, self.cod_orders,
-                     self.mat.scale(integer(factor)))
+        return self.combination(self.dom_orders, self.cod_orders,
+                                ((self, factor),))
 
     def compose(self, other: "AbHom") -> "AbHom":
         if other.cod_orders != self.dom_orders:
             raise ShapeMismatchError("homomorphisms are not composable")
         return AbHom(other.dom_orders, self.cod_orders, self.mat @ other.mat)
-
-    def _same_ends(self, other):
-        if (self.dom_orders != other.dom_orders
-                or self.cod_orders != other.cod_orders):
-            raise ShapeMismatchError("homomorphisms have different endpoints")
 
     def is_zero(self):
         return self.mat.is_zero()
@@ -525,41 +525,119 @@ def extract_block(hom: AbHom, row_orders_list, col_orders_list,
 
 
 # ---------------------------------------------------------------------------
+# what both presentation sides share
+
+
+class HomSet(NamedTuple):
+    """One hom-set of a presentation's index: the basis arrows of the
+    side's structure constants, their stored values (None if missing) and
+    each arrow's (source, target, multiplicity) triples."""
+
+    arrows: tuple
+    values: list
+    triples: list
+
+    def value(self, t: int) -> AbHom:
+        """The stored value of arrows[t]; a missing one raises when used."""
+        if self.values[t] is None:
+            raise KeyError(f"presentation lacks a value for "
+                           f"{self.arrows[t]!r}")
+        return self.values[t]
+
+
+class Presentation:
+    """What both presentation sides share, as HomComb is for MazeHom and
+    MultHom: the table, checked against the carriers on load, hom,
+    eval_hom and the hom-set index, one HomSet per hom-set of the side's
+    structure constants, each built on first use.  A side gives the
+    `carrier` of some ends, the table `key` of an arrow, its structure
+    `constants` and the `triples` of a basis arrow."""
+
+    __slots__ = ("degree", "groups", "table", "hom_sets")
+
+    def __init__(self, degree: int, groups, table, check):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "hom_sets", {})
+        for arrow, hom in table.items():
+            if (hom.dom_orders != self.carrier(arrow.dom).orders
+                    or hom.cod_orders != self.carrier(arrow.cod).orders):
+                raise ShapeMismatchError(
+                    f"value of {arrow!r} does not match the carriers")
+        if check:
+            self.check()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def group(self, key) -> FgAbGroup:
+        return self.groups[key]
+
+    def hom(self, arrow) -> AbHom:
+        """The stored value of an arrow, looked up under its key."""
+        value = self.table.get(self.key(arrow))
+        if value is None:
+            raise KeyError(f"presentation lacks a value for {arrow!r}")
+        return value
+
+    def eval_hom(self, h) -> AbHom:
+        """Evaluate on a combination of arrows sharing endpoints; the
+        coefficients must be integers."""
+        return AbHom.combination(self.carrier(h.dom).orders,
+                                 self.carrier(h.cod).orders,
+                                 ((self.hom(x), c) for x, c in h.comb))
+
+    def hom_set(self, dom, cod) -> HomSet:
+        """The index entry of the hom-set dom -> cod; empty for ends
+        outside the structure constants."""
+        entry = self.hom_sets.get((dom, cod))
+        if entry is None:
+            arrows = self.constants().arrows.get((dom, cod), ())
+            entry = self.hom_sets[dom, cod] = HomSet(
+                arrows, [self.table.get(x) for x in arrows],
+                [self.triples(x) for x in arrows])
+        return entry
+
+
+# ---------------------------------------------------------------------------
 # maze-side presentations
 
 
-class LabyModulePresentation:
-    """A linear functor out of the degree-n maze quotient, as finite data:
-    carriers on the skeleton [0..n] and one map per small pure maze."""
+def _on_skeleton(maze: Maze) -> Maze:
+    """The maze moved to skeleton sets by the order-preserving renamings
+    of its two ends."""
+    if (maze.dom == skeleton(len(maze.dom))
+            and maze.cod == skeleton(len(maze.cod))):
+        return maze
+    return rename_maze(maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
+                       {y: str(i + 1) for i, y in enumerate(maze.cod)})
 
-    __slots__ = ("degree", "groups", "table", "shapes", "index_values")
+
+class LabyModulePresentation(Presentation):
+    """A linear functor out of the degree-n maze quotient, as finite data:
+    carriers on the skeleton [0..n] and one map per small pure maze.  A
+    maze between other small sets is looked up on the skeleton."""
+
+    __slots__ = ()
 
     def __init__(self, degree: int, groups, table, check=True):
         groups = list(groups)
         if len(groups) != degree + 1:
             raise ValueError("need one carrier per skeleton set 0..degree")
-        table = dict(table)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "table", table)
-        # Caches, since the table never changes: (j, k) -> shape_terms
-        # result, and composite's stored values of the index mazes.
-        object.__setattr__(self, "shapes", {})
-        object.__setattr__(self, "index_values", None)
-        for maze, hom in table.items():
-            j, k = len(maze.dom), len(maze.cod)
-            if (hom.dom_orders != groups[j].orders
-                    or hom.cod_orders != groups[k].orders):
-                raise ShapeMismatchError(
-                    f"value of {maze!r} does not match the carriers")
-        if check:
-            self.check()
+        super().__init__(degree, groups, dict(table), check)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LabyModulePresentation is immutable")
+    key = staticmethod(_on_skeleton)
 
-    def group(self, k: int) -> FgAbGroup:
-        return self.groups[k]
+    def carrier(self, ends) -> FgAbGroup:
+        return self.groups[len(ends)]
+
+    def constants(self):
+        return laby_structure_constants(self.degree)
+
+    @staticmethod
+    def triples(maze: Maze):
+        return [(p.src, p.dst, d) for p, d in maze.passages]
 
     def block_group(self, k: int) -> FgAbGroup:
         """Carrier for a block index; trivial beyond the degree, where
@@ -571,24 +649,16 @@ class LabyModulePresentation:
     def mazes(self):
         return sorted(self.table, key=Maze.sort_key)
 
-    def hom(self, maze: Maze) -> AbHom:
-        """Value on a pure maze between any small sets, transported to the
-        skeleton by the order-preserving renaming."""
-        key = _on_skeleton(maze)
-        if key not in self.table:
-            raise KeyError(f"presentation lacks a value for {maze!r}")
-        return self.table[key]
-
     def coordinates(self, maze: Maze):
         """The numerical normal form of a maze, moved to the skeleton, over
-        the index of pure mazes of laby_structure_constants(degree): its
+        the index of pure mazes of the structure constants: its
         (position, coefficient) pairs in position order.  Empty for a maze
         of more than `degree` passages."""
         key = _on_skeleton(maze)
         if not validate_maze(key):
             raise ValueError(f"{maze!r} has a dead end or a passage outside "
                              "its endpoints")
-        index = laby_structure_constants(self.degree).index
+        index = self.constants().index
         return [(index[m], c) for m, c in
                 normalize_numerical(MazeHom.of(key), self.degree).comb]
 
@@ -596,50 +666,23 @@ class LabyModulePresentation:
         """The value of the quotient composite p . q of composable mazes:
         the terms of their coordinates compose through the structure
         constants.  `coords` keeps the coordinates of the mazes seen so
-        far; each index maze's stored value is looked up once per
-        presentation."""
-        sc = laby_structure_constants(self.degree)
-        if self.index_values is None:
-            object.__setattr__(self, "index_values", {
-                ends: [self.table.get(m) for m in arrows]
-                for ends, arrows in sc.arrows.items()})
+        far."""
         for m in (p, q):
             if m not in coords:
                 coords[m] = self.coordinates(m)
         j, k, l = (skeleton(len(q.dom)), skeleton(len(q.cod)),
                    skeleton(len(p.cod)))
-        block = sc.composites[j, k, l]
+        block = self.constants().block(j, k, l)
         merged = {}
         for s, b in coords[q]:
             row = block[s]
             for t, a in coords[p]:
                 for u, c in row[t]:
                     merged[u] = merged.get(u, 0) + a * b * c
-        arrows, values = sc.arrows[j, l], self.index_values[j, l]
+        hom_set = self.hom_set(j, l)
         return AbHom.combination(
             self.groups[len(j)].orders, self.groups[len(l)].orders,
-            ((self.hom(arrows[u]) if values[u] is None else values[u], c)
-             for u, c in sorted(merged.items()) if c))
-
-    def shape_terms(self, j: int, k: int):
-        """The stored pure mazes [j] -> [k] of at most `degree` passages,
-        each as its (source, target, multiplicity) triples, ends counted
-        from 0, with its value; built once per shape."""
-        terms = self.shapes.get((j, k))
-        if terms is None:
-            terms = [([(int(p.src) - 1, int(p.dst) - 1, d)
-                       for p, d in maze.passages], self.hom(maze))
-                     for maze in pure_mazes_between(
-                         skeleton(j), skeleton(k), range(self.degree + 1))]
-            self.shapes[(j, k)] = terms
-        return terms
-
-    def eval_hom(self, h: MazeHom) -> AbHom:
-        """Evaluate on a combination of pure mazes sharing endpoints; the
-        coefficients must be integers."""
-        return AbHom.combination(self.groups[len(h.dom)].orders,
-                                 self.groups[len(h.cod)].orders,
-                                 ((self.hom(maze), c) for maze, c in h.comb))
+            ((hom_set.value(u), c) for u, c in sorted(merged.items()) if c))
 
     def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and
@@ -684,8 +727,8 @@ class LabyModulePresentation:
                     or set(maze.cod) != set(skeleton(k))):
                 raise ValueError(f"{maze!r} does not join skeleton sets "
                                  f"with carriers in degree {degree}")
-            table[maze] = AbHom.of_groups(groups[j], groups[k],
-                                          json_rows(item["matrix"]))
+            table[maze] = AbHom.of_groups(groups[j], groups[k], json_rows(
+                item["matrix"], groups[k].dim, groups[j].dim))
         return cls(degree, groups, table, check=check)
 
     @classmethod
@@ -723,25 +766,11 @@ class LabyModulePresentation:
         for k in range(degree + 1):
             _, basis = cross_effect_basis(f, k)
             groups.append(FgAbGroup(len(basis)))
-        table = {}
-        for j in range(degree + 1):
-            for k in range(degree + 1):
-                for maze in pure_mazes_between(skeleton(j), skeleton(k),
-                                               range(degree + 1)):
-                    mat = phi_forward(f, maze)
-                    table[maze] = AbHom.of_groups(groups[j], groups[k],
-                                                  mat.rows)
+        hom_sets = laby_structure_constants(degree).arrows
+        table = {maze: AbHom.of_groups(groups[len(dom)], groups[len(cod)],
+                                       phi_forward(f, maze).rows)
+                 for (dom, cod), mazes in hom_sets.items() for maze in mazes}
         return cls(degree, groups, table, check=check)
-
-
-def _on_skeleton(maze: Maze) -> Maze:
-    """The maze moved to skeleton sets by the order-preserving renamings
-    of its two ends."""
-    if (maze.dom == skeleton(len(maze.dom))
-            and maze.cod == skeleton(len(maze.cod))):
-        return maze
-    return rename_maze(maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
-                       {y: str(i + 1) for i, y in enumerate(maze.cod)})
 
 
 def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
@@ -756,32 +785,35 @@ def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
 # evaluation of presentations on matrices
 
 
-def _eval_blockwise(m: IntMat, col_index, row_index, terms, weight) -> AbHom:
+def _eval_blockwise(pres, m: IntMat, col_index, row_index, place,
+                    weight) -> AbHom:
     """The evaluation formula of both presentation sides.
 
     The value on m is a block matrix over the (blocks, orders) indices of
-    its source and target.  Block (x, y) sums the stored maps that
-    `terms(x, y)` yields, each with its (row, column, exponent) triples
-    into m, times the product of weight(entry, exponent) over them.
+    its source and target.  `place(block)` gives a block's ends in the
+    hom-set index of `pres` and the index into m of each of their names.
+    Block (x, y) sums the stored values between their ends, each times
+    the product of weight(entry, multiplicity) over its triples.
     """
-    def weighted(block_terms):
-        for triples, hom in block_terms:
+    def weighted(hom_set, col_of, row_of):
+        for t, triples in enumerate(hom_set.triples):
             w = 1
-            for r, c, d in triples:
-                w *= weight(m.rows[r][c], d)
+            for s, r, d in triples:
+                w *= weight(m.rows[row_of[r]][col_of[s]], d)
                 if w == 0:
                     break
-            yield hom, w
+            yield hom_set.value(t), w
 
     col_blocks, col_orders = col_index
     row_blocks, row_orders = row_index
+    cols = [place(x) for x in col_blocks]
     grid = []
     for y, cod_orders in zip(row_blocks, row_orders):
-        row = []
-        for x, dom_orders in zip(col_blocks, col_orders):
-            row.append(AbHom.combination(dom_orders, cod_orders,
-                                         weighted(terms(x, y))))
-        grid.append(row)
+        cod, row_of = place(y)
+        grid.append([AbHom.combination(
+            dom_orders, cod_orders,
+            weighted(pres.hom_set(dom, cod), col_of, row_of))
+            for (dom, col_of), dom_orders in zip(cols, col_orders)])
     return abhom_block(grid, col_orders, row_orders)
 
 
@@ -806,12 +838,12 @@ def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
     if max(a, b) > MAX_MATRIX_SIDE:
         raise ValueError("matrix side above the guard")
 
-    def terms(x, y):
-        for triples, hom in h.shape_terms(len(x), len(y)):
-            yield [(y[t] - 1, x[s] - 1, d) for s, t, d in triples], hom
+    def place(x):
+        ends = skeleton(len(x))
+        return ends, dict(zip(ends, (i - 1 for i in x)))
 
-    return _eval_blockwise(m, phi_block_index(h, a), phi_block_index(h, b),
-                           terms, binomial)
+    return _eval_blockwise(h, m, phi_block_index(h, a), phi_block_index(h, b),
+                           place, binomial)
 
 
 def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
@@ -897,83 +929,60 @@ def quasi_homogeneous_check(h: LabyModulePresentation) -> bool:
 # multation-side presentations
 
 
-class MSetModulePresentation:
+class MSetModulePresentation(Presentation):
     """A linear functor out of the degree-n multation category over a
     finite universe, as finite data."""
 
-    __slots__ = ("degree", "universe", "groups", "table")
+    __slots__ = ("universe",)
 
     def __init__(self, degree: int, universe, groups, table, check=True):
         universe = tuple(sorted(set(universe)))
         groups = dict(groups)
-        table = dict(table)
-        for a in bridge.all_cardinality_multisets(universe, degree):
+        for a in all_cardinality_multisets(universe, degree):
             if a not in groups:
                 raise ValueError(f"missing carrier for {a!r}")
-        for mu, hom in table.items():
-            if (hom.dom_orders != groups[mu.dom].orders
-                    or hom.cod_orders != groups[mu.cod].orders):
-                raise ShapeMismatchError(
-                    f"value of {mu!r} does not match the carriers")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "table", table)
-        if check:
-            self.check()
+        super().__init__(degree, groups, dict(table), check)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MSetModulePresentation is immutable")
+    @staticmethod
+    def key(mu: Multation) -> Multation:
+        return mu
+
+    def carrier(self, ends) -> FgAbGroup:
+        return self.groups[ends]
+
+    def constants(self):
+        return mset_structure_constants(self.universe, self.degree)
+
+    @staticmethod
+    def triples(mu: Multation):
+        return [(x, y, d) for (x, y), d in mu.pairs]
 
     def objects(self):
-        return bridge.all_cardinality_multisets(self.universe, self.degree)
-
-    def has_group(self, a: MultiSet) -> bool:
-        return a in self.groups
-
-    def group(self, a: MultiSet) -> FgAbGroup:
-        return self.groups[a]
-
-    def hom(self, mu: Multation) -> AbHom:
-        if mu not in self.table:
-            raise KeyError(f"presentation lacks a value for {mu!r}")
-        return self.table[mu]
-
-    def eval_hom(self, hom: MultHom) -> AbHom:
-        return AbHom.combination(self.groups[hom.dom].orders,
-                                 self.groups[hom.cod].orders,
-                                 ((self.hom(mu), c) for mu, c in hom.comb))
+        return all_cardinality_multisets(self.universe, self.degree)
 
     def check(self):
         """Identity values and functoriality over every composable pair of
         multations, the composites read off the structure constants of
-        the degree and universe; each stored value is looked up once."""
-        for a in self.objects():
+        the degree and universe."""
+        objs = self.objects()
+        for a in objs:
             ident = Multation.identity(a)
             if self.hom(ident) != AbHom.identity(self.groups[a].orders):
                 raise ValueError(f"identity of {a!r} does not map to identity")
-        sc = mset_structure_constants(self.universe, self.degree)
-        values = {ends: (arrows, [self.table.get(mu) for mu in arrows])
-                  for ends, arrows in sc.arrows.items()}
-
-        def value(hom_set, t):
-            # A missing value raises here, when first used, as hom does.
-            arrows, stored = hom_set
-            return self.hom(arrows[t]) if stored[t] is None else stored[t]
-
-        objs = self.objects()
+        sc = self.constants()
         for a in objs:
             for b in objs:
-                ab = values[a, b]
+                ab = self.hom_set(a, b)
                 for c in objs:
-                    ac, bc = values[a, c], values[b, c]
-                    block = sc.composites[a, b, c]
+                    ac, bc = self.hom_set(a, c), self.hom_set(b, c)
+                    block = sc.block(a, b, c)
                     dom, cod = self.groups[a].orders, self.groups[c].orders
-                    for i, nu in enumerate(ab[0]):
-                        for k, mu in enumerate(bc[0]):
+                    for i, nu in enumerate(ab.arrows):
+                        for k, mu in enumerate(bc.arrows):
                             lhs = AbHom.combination(dom, cod, (
-                                (value(ac, u), x) for u, x in block[i][k]))
-                            rhs = value(bc, k).compose(value(ab, i))
+                                (ac.value(u), x) for u, x in block[i][k]))
+                            rhs = bc.value(k).compose(ab.value(i))
                             if lhs != rhs:
                                 raise ValueError(
                                     f"table is not functorial on "
@@ -994,6 +1003,10 @@ class MSetModulePresentation:
     @classmethod
     def from_json(cls, data, check=True):
         universe = data["universe"]
+        if not isinstance(universe, list) or not all(
+                isinstance(x, str) and x for x in universe):
+            raise ValueError("the universe must be a list of non-empty "
+                             "strings")
         groups = {}
         for item in data["groups"]:
             groups[MultiSet.from_json(item["multiset"])] = \
@@ -1001,8 +1014,9 @@ class MSetModulePresentation:
         table = {}
         for item in data["homs"]:
             mu = Multation.from_json(item["multation"])
-            table[mu] = AbHom.of_groups(groups[mu.dom], groups[mu.cod],
-                                        json_rows(item["matrix"]))
+            dom, cod = groups[mu.dom], groups[mu.cod]
+            table[mu] = AbHom.of_groups(dom, cod, json_rows(
+                item["matrix"], cod.dim, dom.dim))
         return cls(json_int(data["degree"], "degree"), universe, groups, table,
                    check=check)
 
@@ -1013,24 +1027,22 @@ class MSetModulePresentation:
         mu sends a word w to every word v whose columns zip(w, v) make up
         mu, each once."""
         universe = tuple(sorted(set(universe)))
-        objs = bridge.all_cardinality_multisets(universe, n)
-        words = {a: [] for a in objs}
+        words = {a: [] for a in all_cardinality_multisets(universe, n)}
         for w in product(universe, repeat=n):
             words[MultiSet(w)].append(w)
-        groups = {a: FgAbGroup(len(words[a])) for a in objs}
+        groups = {a: FgAbGroup(len(ws)) for a, ws in words.items()}
         table = {}
-        for a in objs:
-            for b in objs:
-                mus = all_multations(a, b)
-                rows = {mu.pairs: [[0] * len(words[a]) for _ in words[b]]
-                        for mu in mus}
-                for j, w in enumerate(words[a]):
-                    for i, v in enumerate(words[b]):
-                        cols = tuple(sorted(Counter(zip(w, v)).items()))
-                        rows[cols][i][j] = 1
-                for mu in mus:
-                    table[mu] = AbHom.of_groups(groups[a], groups[b],
-                                                rows[mu.pairs])
+        hom_sets = mset_structure_constants(universe, n).arrows
+        for (a, b), mus in hom_sets.items():
+            rows = {mu.pairs: [[0] * len(words[a]) for _ in words[b]]
+                    for mu in mus}
+            for j, w in enumerate(words[a]):
+                for i, v in enumerate(words[b]):
+                    cols = tuple(sorted(Counter(zip(w, v)).items()))
+                    rows[cols][i][j] = 1
+            for mu in mus:
+                table[mu] = AbHom.of_groups(groups[a], groups[b],
+                                            rows[mu.pairs])
         return cls(n, universe, groups, table, check=check)
 
     @classmethod
@@ -1040,28 +1052,21 @@ class MSetModulePresentation:
         constant multi-sets x^n carry the group, everything else is zero,
         and the single-column multations act as the identity."""
         universe = tuple(sorted(set(universe)))
-        objs = bridge.all_cardinality_multisets(universe, degree)
         zero = FgAbGroup(0)
-        groups = {}
-        for a in objs:
-            constant = len(a.support) == 1
-            groups[a] = carrier if constant else zero
-        table = {}
-        for a in objs:
-            for b in objs:
-                for mu in all_multations(a, b):
-                    if (len(a.support) == 1 and len(b.support) == 1):
-                        table[mu] = AbHom.identity(carrier.orders)
-                    else:
-                        table[mu] = AbHom.zero(groups[a].orders,
-                                               groups[b].orders)
+        groups = {a: carrier if len(a.support) == 1 else zero
+                  for a in all_cardinality_multisets(universe, degree)}
+        hom_sets = mset_structure_constants(universe, degree).arrows
+        table = {mu: AbHom.identity(carrier.orders)
+                 if len(a.support) == len(b.support) == 1
+                 else AbHom.zero(groups[a].orders, groups[b].orders)
+                 for (a, b), mus in hom_sets.items() for mu in mus}
         return cls(degree, universe, groups, table, check=check)
 
 
 def psi_block_index(j: MSetModulePresentation, names):
     """Blocks of the evaluated functor on a set: the cardinality-n
     multi-sets supported inside it, with their carriers."""
-    blocks = bridge.all_cardinality_multisets(names, j.degree)
+    blocks = all_cardinality_multisets(names, j.degree)
     orders = [j.group(a).orders for a in blocks]
     return blocks, orders
 
@@ -1074,19 +1079,13 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     b, a = m.nrows, m.ncols
     if max(a, b) > MAX_MATRIX_SIDE:
         raise ValueError("matrix side above the guard")
-    dom_names = skeleton(a)
-    cod_names = skeleton(b)
-    if not set(dom_names) <= set(j.universe) or \
-            not set(cod_names) <= set(j.universe):
+    # The letter "i" names row and column i - 1 of m.
+    names = {x: int(x) - 1 for x in skeleton(max(a, b))}
+    if not set(names) <= set(j.universe):
         raise ValueError("matrix is larger than the presentation's universe")
-
-    def terms(aa, bb):
-        for mu in all_multations(aa, bb):
-            yield ([(int(y) - 1, int(x) - 1, d) for (x, y), d in mu.pairs],
-                   j.hom(mu))
-
-    return _eval_blockwise(m, psi_block_index(j, dom_names),
-                           psi_block_index(j, cod_names), terms, pow)
+    return _eval_blockwise(j, m, psi_block_index(j, skeleton(a)),
+                           psi_block_index(j, skeleton(b)),
+                           lambda block: (block, names), pow)
 
 
 def check_ariadne_thread(j: MSetModulePresentation) -> bool:

@@ -32,7 +32,7 @@ from .errors import DomainMismatchError
 from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
                         json_int, limit_error, tables)
 from .scalars import (HomComb, LinComb, StructureConstants, binomial_product,
-                      lincomb_combine, scalar, scalar_str, structure_constants)
+                      lincomb_combine, scalar, scalar_str)
 
 
 class Passage:
@@ -507,12 +507,12 @@ def skeleton(k: int):
 
 @cache
 def laby_structure_constants(n: int) -> StructureConstants:
-    """Composition in the degree-n numerical quotient, built once per
-    process: the pure mazes of at most n passages between every two
-    skeleton sets [0..n], in pure_mazes_between order, and every
+    """Composition in the degree-n numerical quotient, one per process:
+    the pure mazes of at most n passages between every two skeleton sets
+    [0..n], in pure_mazes_between order, and, from its first use, each
     composite in normal form, in integers."""
     sets = [skeleton(k) for k in range(n + 1)]
-    return structure_constants(
+    return StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
         lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n))

@@ -19,9 +19,10 @@ from itertools import product as iproduct
 from math import factorial
 
 from .errors import DomainMismatchError, IntegralityError
-from .multisets import MultiSet, guard_count, json_int, tables
+from .multisets import (MultiSet, all_cardinality_multisets, guard_count,
+                        json_int, tables)
 from .scalars import (HomComb, LinComb, StructureConstants, lincomb_combine,
-                      multinomial, structure_constants)
+                      multinomial)
 
 
 class Multation:
@@ -221,13 +222,11 @@ def all_multations(a: MultiSet, b: MultiSet):
 @cache
 def mset_structure_constants(universe, n: int) -> StructureConstants:
     """Composition in the degree-n multation category over a universe, a
-    sorted tuple of letters, built once per process: the multations
-    between every two cardinality-n multi-sets over it, in all_multations
-    order, and every composite in integers."""
-    from .bridge import all_cardinality_multisets
-
+    sorted tuple of letters, one per process: the multations between
+    every two cardinality-n multi-sets over it, in all_multations order,
+    and, from its first use, each composite in integers."""
     objs = all_cardinality_multisets(universe, n)
-    return structure_constants(
+    return StructureConstants(
         {(a, b): all_multations(a, b) for a in objs for b in objs},
         multation_compose)
 

@@ -220,6 +220,21 @@ def compositions(total: int, parts: int):
     return out
 
 
+def all_cardinality_multisets(universe, n: int):
+    """All multi-sets of cardinality n with support inside the universe,
+    in canonical order: each composition of n + |universe| into
+    |universe| parts gives every letter a part one more than its
+    multiplicity."""
+    universe = tuple(sorted(set(universe)))
+    guard_count(comb(max(len(universe) + n - 1, 0), n),
+                "all_cardinality_multisets",
+                f"universe {len(universe)}, cardinality {n}")
+    return sorted(
+        (MultiSet({x: d - 1 for x, d in zip(universe, parts)})
+         for parts in compositions(n + len(universe), len(universe))),
+        key=MultiSet.sort_key)
+
+
 def tables(row_counts, col_counts):
     """All nonnegative integer matrices with the given row and column sums.
 

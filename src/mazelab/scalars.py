@@ -7,7 +7,6 @@ package ever touches floating point.
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 from .errors import DomainMismatchError
 
@@ -252,25 +251,47 @@ def lincomb_combine(combs, scales) -> LinComb:
     return LinComb(terms)
 
 
-class StructureConstants(NamedTuple):
+class StructureConstants:
     """Composition of basis arrows in one category, kept as integers.
 
     `arrows` maps each (dom, cod) to its basis arrows in canonical order,
     and `index` maps a basis arrow to its position in that list.
-    `composites` maps (a, b, c) to a table whose entry [i][k] is the
-    composite of arrows[b, c][k] after arrows[a, b][i], as
-    (position in arrows[a, c], int coefficient) pairs in position order.
-    Beyond the basis arrows themselves only ints are kept.
+    `block(a, b, c)` is a table whose entry [i][k] is the composite of
+    arrows[b, c][k] after arrows[a, b][i], as (position in arrows[a, c],
+    int coefficient) pairs in position order.  `compose(f, g)`, a HomComb
+    f . g, fills each block the first time it is asked for, so listing
+    the arrows composes nothing.  Beyond the basis arrows only ints are
+    kept, and equal term tuples are stored once.
     """
 
-    arrows: dict
-    index: dict
-    composites: dict
+    __slots__ = ("arrows", "index", "compose", "blocks", "shared")
+
+    def __init__(self, arrows, compose):
+        self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
+        self.index = {f: t for fs in self.arrows.values()
+                      for t, f in enumerate(fs)}
+        self.compose = compose
+        self.blocks = {}
+        self.shared = {}
+
+    def block(self, a, b, c):
+        """The composites of arrows[b, c] after arrows[a, b]."""
+        block = self.blocks.get((a, b, c))
+        if block is None:
+            block = self.blocks[a, b, c] = tuple(
+                tuple(self.encode(f, g) for f in self.arrows[b, c])
+                for g in self.arrows[a, b])
+        return block
+
+    def encode(self, f, g):
+        """The composite f . g as stored terms, shared when equal."""
+        terms = tuple((self.index[x], integer(c))
+                      for x, c in self.compose(f, g).comb)
+        return self.shared.setdefault(terms, terms)
 
     def terms(self, f, g):
         """The composite f . g of two basis arrows, as stored."""
-        return self.composites[g.dom, g.cod, f.cod][self.index[g]][
-            self.index[f]]
+        return self.block(g.dom, g.cod, f.cod)[self.index[g]][self.index[f]]
 
     def hom(self, hom_type, f, g):
         """The composite f . g of two basis arrows as a hom_type."""
@@ -283,24 +304,3 @@ class StructureConstants(NamedTuple):
         keyed (row, col), as a hom_type; None where not composable."""
         return {(r, c): self.hom(hom_type, f, g) if g.cod == f.dom else None
                 for r, f in gens.items() for c, g in gens.items()}
-
-
-def structure_constants(arrows, compose) -> StructureConstants:
-    """Tabulate `compose(f, g)`, a HomComb f . g, over every composable
-    pair of basis arrows; `arrows` maps (dom, cod) to a canonically
-    ordered list of basis arrows.  Equal term tuples are stored once."""
-    arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
-    index = {f: t for fs in arrows.values() for t, f in enumerate(fs)}
-    shared = {}
-
-    def encode(f, g):
-        terms = tuple((index[x], integer(c)) for x, c in compose(f, g).comb)
-        return shared.setdefault(terms, terms)
-
-    composites = {}
-    for (a, b), firsts in arrows.items():
-        for (b2, c), seconds in arrows.items():
-            if b2 == b:
-                composites[a, b, c] = tuple(
-                    tuple(encode(f, g) for f in seconds) for g in firsts)
-    return StructureConstants(arrows, index, composites)

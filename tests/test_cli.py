@@ -361,6 +361,15 @@ BAD_INPUTS = {
     "mset_bool_entry.json": edited_fixture(
         "square_mset.json",
         lambda d: d["homs"][0].update(matrix=[[True, 0], [0, 1]])),
+    # A string universe used to be read letter by letter.
+    "mset_string_universe.json": edited_fixture(
+        "square_mset.json", lambda d: d.update(universe="12")),
+    "mset_ragged_entry.json": edited_fixture(
+        "square_mset.json",
+        lambda d: d["homs"][0].update(matrix=[[1, 0], [0]])),
+    "laby_misshaped_entry.json": edited_fixture(
+        "frobenius_laby.json",
+        lambda d: d["homs"][1].update(matrix=[[1, 0]])),
 }
 
 
@@ -404,6 +413,9 @@ BAD_INPUTS = {
     ["eval", "--kind", "laby", "{foreign_names.json}", "m3.json"],
     ["eval", "--kind", "mset", "{mset_float_degree.json}", "m22.json"],
     ["eval", "--kind", "mset", "{mset_bool_entry.json}", "m22.json"],
+    ["eval", "--kind", "mset", "{mset_string_universe.json}", "m22.json"],
+    ["eval", "--kind", "mset", "{mset_ragged_entry.json}", "m22.json"],
+    ["eval", "--kind", "laby", "{laby_misshaped_entry.json}", "m3.json"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

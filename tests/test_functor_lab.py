@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazelab import functor_lab, msetcat
+from mazelab import functor_lab, labycat, msetcat
 from mazelab.bridge import factorization_verify
 from mazelab.errors import ShapeMismatchError
 from mazelab.functor_lab import (
@@ -19,6 +19,7 @@ from mazelab.functor_lab import (
     MatrixFunctor,
     MSetModulePresentation,
     abhom_block,
+    psi_block_index,
     check_ariadne_thread,
     check_deviation_formula,
     cross_effect_projectors,
@@ -41,7 +42,7 @@ from mazelab.functor_lab import (
 from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
                              skeleton)
 from mazelab.matrices import IntMat
-from mazelab.msetcat import mset2_generators
+from mazelab.msetcat import Multation, all_multations, mset2_generators
 from mazelab.multisets import MultiSet
 
 
@@ -55,6 +56,11 @@ def ms(*names):
 def load_laby_fixture(name):
     with open(os.path.join(FIXTURES, name)) as fh:
         return LabyModulePresentation.from_json(json.load(fh))
+
+
+def load_mset_fixture(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return MSetModulePresentation.from_json(json.load(fh))
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +546,33 @@ def test_abhom_combination_refuses_bad_terms():
         AbHom.combination((0,), (0, 4), [(hom, 1)])
 
 
+def test_abhom_arithmetic_is_entrywise_integer_arithmetic():
+    rng = random.Random(14)
+    orders = (0, 2, 3, 4, 6)
+    for _ in range(300):
+        dom = tuple(rng.choice(orders) for _ in range(rng.randint(0, 3)))
+        cod = tuple(rng.choice(orders) for _ in range(rng.randint(0, 3)))
+        f, g = random_abhom(rng, dom, cod), random_abhom(rng, dom, cod)
+        k = rng.randint(-4, 4)
+        for got, entry in ((f + g, lambda x, y: x + y),
+                           (f - g, lambda x, y: x - y),
+                           (f.scale(k), lambda x, y: k * x)):
+            want = [[entry(x, y) % d if d else entry(x, y)
+                     for x, y in zip(row_f, row_g)]
+                    for d, row_f, row_g in zip(cod, f.mat.rows, g.mat.rows)]
+            assert (got.dom_orders, got.cod_orders) == (dom, cod)
+            assert [list(r) for r in got.mat.rows] == want
+    hom = random_abhom(rng, (0, 2), (0, 4))
+    for bad in (lambda: hom + AbHom.zero((0,), (0, 4)),
+                lambda: hom - AbHom.zero((0, 2), (4,))):
+        with pytest.raises(ShapeMismatchError,
+                           match="homomorphisms have different endpoints"):
+            bad()
+    for c in (Fraction(1, 2), 1.5):
+        with pytest.raises(ValueError, match="is not an integer"):
+            hom.scale(c)
+
+
 def test_phi_inverse_eval_frobenius(frobenius):
     h = frobenius["H"]
     got = phi_inverse_eval(h, IntMat.from_rows([[3]]))
@@ -660,6 +693,64 @@ def test_phi_inverse_eval_names_a_missing_value(phi_square):
         phi_inverse_eval(partial, IntMat.from_rows([[2]]))
 
 
+def test_building_and_evaluating_compose_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a composite was computed")
+
+    labycat.laby_structure_constants.cache_clear()
+    msetcat.mset_structure_constants.cache_clear()
+    try:
+        monkeypatch.setattr(labycat, "compose_in_laby_n", refuse)
+        monkeypatch.setattr(msetcat, "multation_compose", refuse)
+        h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
+                                                check=False)
+        j = MSetModulePresentation.tensor_power(3, "123", check=False)
+        for m in random_matrices(random.Random(15), 1):
+            phi_inverse_eval(h, m)
+            psi_inverse_eval(j, m)
+    finally:
+        labycat.laby_structure_constants.cache_clear()
+        msetcat.mset_structure_constants.cache_clear()
+
+
+def test_psi_inverse_eval_names_a_missing_value(j_square):
+    table = dict(j_square.table)
+    del table[Multation.identity(ms("1", "1"))]
+    partial = MSetModulePresentation(2, skeleton(2), j_square.groups, table,
+                                     check=False)
+    with pytest.raises(KeyError, match="presentation lacks a value for"):
+        psi_inverse_eval(partial, IntMat.from_rows([[2]]))
+
+
+def per_call_psi_eval(j, m):
+    """psi_inverse_eval as it was before the hom-set index: every block
+    enumerates its multations afresh."""
+    col_blocks, col_orders = psi_block_index(j, skeleton(m.ncols))
+    row_blocks, row_orders = psi_block_index(j, skeleton(m.nrows))
+    grid = []
+    for bb, cod in zip(row_blocks, row_orders):
+        row = []
+        for aa, dom in zip(col_blocks, col_orders):
+            terms = []
+            for mu in all_multations(aa, bb):
+                w = 1
+                for (x, y), d in mu.pairs:
+                    w *= m.rows[int(y) - 1][int(x) - 1] ** d
+                terms.append((j.hom(mu), w))
+            row.append(AbHom.combination(dom, cod, terms))
+        grid.append(row)
+    return abhom_block(grid, col_orders, row_orders)
+
+
+def test_psi_inverse_eval_matches_per_call_enumeration(j_cube):
+    rng = random.Random(16)
+    for j in (j_cube, load_mset_fixture("square_mset.json"),
+              load_mset_fixture("frobenius_mset.json")):
+        for m in random_matrices(rng, 3):
+            if max(m.nrows, m.ncols) <= len(j.universe):
+                assert psi_inverse_eval(j, m) == per_call_psi_eval(j, m), m
+
+
 def test_hom_on_the_skeleton_matches_the_renaming_path(phi_cube, phi_square):
     for h in (phi_cube, phi_square):
         for maze in h.mazes():
@@ -697,7 +788,6 @@ def test_mset_check_enumerates_each_hom_set_once(monkeypatch, j_square):
         return enumerate_all(a, b)
 
     monkeypatch.setattr(msetcat, "all_multations", counted)
-    monkeypatch.setattr(functor_lab, "all_multations", counted)
     msetcat.mset_structure_constants.cache_clear()
     j_square.check()
     assert 0 < len(calls) <= len(j_square.objects()) ** 2

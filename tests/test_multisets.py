@@ -1,11 +1,14 @@
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+from mazelab import bridge, multisets
 from mazelab.errors import EnumerationLimitError
 from mazelab.multisets import (
     MultiSet,
+    all_cardinality_multisets,
     enumerate_sub_multisets,
     enumerate_supported,
     is_sub,
@@ -130,3 +133,36 @@ def test_tables_margins():
 def test_json_roundtrip():
     m = ms("b", "a", "a")
     assert MultiSet.from_json(m.to_json()) == m
+
+
+def cardinality_multisets_oracle(universe, n):
+    """The enumeration as it was written before it went through
+    compositions: one multi-set per combination with replacement."""
+    universe = tuple(sorted(set(universe)))
+    if n == 0:
+        return [MultiSet()]
+    if not universe:
+        return []
+    return sorted((MultiSet(list(combo))
+                   for combo in combinations_with_replacement(universe, n)),
+                  key=MultiSet.sort_key)
+
+
+@pytest.mark.parametrize("universe", [
+    "", "1", "21", "123", "4321", "abcd", "aab", ["b", "a", "b", "c"],
+    ("x", "y", "x", "y", "z", "w")])
+def test_all_cardinality_multisets_matches_the_oracle(universe):
+    for n in range(6):
+        want = cardinality_multisets_oracle(universe, n)
+        assert all_cardinality_multisets(universe, n) == want
+        assert bridge.all_cardinality_multisets(universe, n) == want
+
+
+def test_all_cardinality_multisets_guard_trips_first(monkeypatch):
+    def fail(*args):
+        raise AssertionError("compositions ran before the guard")
+
+    monkeypatch.setattr(multisets, "compositions", fail)
+    with pytest.raises(EnumerationLimitError,
+                       match="^all_cardinality_multisets "):
+        bridge.all_cardinality_multisets("abcd", 200)
