@@ -236,11 +236,6 @@ def roundtrip_failures(universe, n: int):
     return failures
 
 
-def roundtrip_check(universe, n: int) -> bool:
-    """True iff the two functors invert each other over the universe."""
-    return not roundtrip_failures(universe, n)
-
-
 class Correspondence:
     """A span of surjections cod <- middle -> dom, read right to left."""
 
@@ -347,8 +342,8 @@ def factorization_verify(h, j, n: int) -> bool:
         for b in blocks:
             if b not in j.groups:
                 return False
-            expect.extend(j.group(b).orders)
-        if tuple(expect) != h.group(k).orders:
+            expect.extend(j.groups[b].orders)
+        if tuple(expect) != h.groups[k].orders:
             return False
     for maze in h.mazes():
         rows = enumerate_supported(set(maze.cod), n)
@@ -361,8 +356,8 @@ def factorization_verify(h, j, n: int) -> bool:
                 row.append(j.eval_hom(matrix.entry(b, a)))
             grid.append(row)
         assembled = abhom_block(grid,
-                                [j.group(a).orders for a in cols],
-                                [j.group(b).orders for b in rows])
+                                [j.groups[a].orders for a in cols],
+                                [j.groups[b].orders for b in rows])
         if assembled != h.hom(maze):
             return False
     return True

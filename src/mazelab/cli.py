@@ -267,11 +267,9 @@ def render_tables() -> str:
         lines.append(f"{r:>6s}" + "".join(f"{c:>6s}" for c in cells))
 
     mgens = mset2_generators()
-    from .msetcat import identity_multation
-
     mult_names = {mgens[k]: k[0] for k in ("alpha", "beta", "sigma")}
-    mult_names[identity_multation(MultiSet(["1", "1"]))] = "i"
-    mult_names[identity_multation(MultiSet(["1", "2"]))] = "i"
+    mult_names[Multation.identity(MultiSet(["1", "1"]))] = "i"
+    mult_names[Multation.identity(MultiSet(["1", "2"]))] = "i"
     t2 = mset2_table()
     order2 = ["alpha", "beta", "sigma"]
     lines.append("")
@@ -414,6 +412,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "degree", None) is not None and args.degree < 0:
             raise ParseError(f"--degree must be nonnegative, not {args.degree}")
+        if getattr(args, "trials", None) is not None and args.trials < 0:
+            raise ParseError(f"--trials must be nonnegative, not {args.trials}")
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

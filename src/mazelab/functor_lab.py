@@ -571,9 +571,6 @@ class Presentation:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def group(self, key) -> FgAbGroup:
-        return self.groups[key]
-
     def hom(self, arrow) -> AbHom:
         """The stored value of an arrow, looked up under its key."""
         value = self.table.get(self.key(arrow))
@@ -888,10 +885,6 @@ def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
     return block
 
 
-def phi_roundtrip_check(h: LabyModulePresentation) -> bool:
-    return not phi_roundtrip_failures(h)
-
-
 def phi_roundtrip_failures(h: LabyModulePresentation):
     """Re-derive every stored value from the evaluated functor by
     deviations and compare; returns mismatch descriptions."""
@@ -1067,7 +1060,7 @@ def psi_block_index(j: MSetModulePresentation, names):
     """Blocks of the evaluated functor on a set: the cardinality-n
     multi-sets supported inside it, with their carriers."""
     blocks = all_cardinality_multisets(names, j.degree)
-    orders = [j.group(a).orders for a in blocks]
+    orders = [j.groups[a].orders for a in blocks]
     return blocks, orders
 
 
@@ -1086,10 +1079,6 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     return _eval_blockwise(j, m, psi_block_index(j, skeleton(a)),
                            psi_block_index(j, skeleton(b)),
                            lambda block: (block, names), pow)
-
-
-def check_ariadne_thread(j: MSetModulePresentation) -> bool:
-    return not ariadne_thread_failures(j)
 
 
 def ariadne_thread_failures(j: MSetModulePresentation):

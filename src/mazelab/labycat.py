@@ -393,15 +393,16 @@ def _numerical_terms(maze: Maze, n: int):
     labels = [p.label for p in inst]
     if 0 in labels:
         return
+    # The compositions of the totals k..n number C(n, k) together.
+    guard_count(comb(n, k), "normalize_numerical", f"{k} passages, degree {n}")
     for total in range(k, n + 1):
         for degs in compositions(total, k):
             coeff = binomial_product(labels, degs)
             if coeff == 0:
                 continue
-            pure = Maze(maze.dom, maze.cod,
-                        [(Passage(p.src, p.dst, 1), 1)
-                         for p, d in zip(inst, degs) for _ in range(d)])
-            yield coeff, pure
+            yield coeff, Maze(maze.dom, maze.cod,
+                              [(Passage(p.src, p.dst, 1), d)
+                               for p, d in zip(inst, degs)])
 
 
 def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
@@ -429,10 +430,12 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     evaluated at 2: (2^n - 2^m) P equals the binomial expansion of the
     relabelled maze 2 [.] P minus its size-m term, which is 2^m P, and
     2^n - 2^m is invertible.  Recursion is on passage count, so it
-    terminates.
+    terminates, and it stops once no maze below n passages is left.
     """
     current = dict(normalize_numerical(h, n).comb)
     for m in range(n):
+        if all(maze.size == n for maze in current):
+            break
         layer = [(maze, c) for maze, c in current.items() if maze.size == m]
         for maze, c in layer:
             del current[maze]

@@ -114,10 +114,6 @@ class Multation:
         )
 
 
-def identity_multation(a: MultiSet) -> Multation:
-    return Multation.identity(a)
-
-
 def divided_reduce(powers):
     """Merge a formal product of divided column powers into one basis term.
 

@@ -147,24 +147,6 @@ class MultiSet:
                     for name, mult in data])
 
 
-def ms_combine(op: str, a: MultiSet, b: MultiSet) -> MultiSet:
-    """Dispatch one of the five multi-set operations by name."""
-    ops = {
-        "union": MultiSet.union,
-        "disjoint_union": MultiSet.disjoint_union,
-        "intersection": MultiSet.intersection,
-        "difference": MultiSet.difference,
-        "product": MultiSet.product,
-    }
-    if op not in ops:
-        raise ValueError(f"unknown multiset operation {op!r}")
-    return ops[op](a, b)
-
-
-def is_sub(a: MultiSet, b: MultiSet) -> bool:
-    return a.is_sub(b)
-
-
 def support_lift(m: MultiSet):
     """The set of tagged instances (x, k), 1 <= k <= mult(x), one name per
     instance, serialized "x#k"."""
@@ -172,11 +154,6 @@ def support_lift(m: MultiSet):
     for name, mult in m.items():
         out.extend(f"{name}{LIFT_SEP}{k}" for k in range(1, mult + 1))
     return tuple(out)
-
-
-def support_project(name: str) -> str:
-    """Undo support_lift on a single tagged name."""
-    return name.rsplit(LIFT_SEP, 1)[0]
 
 
 def limit_error(operation: str, sizes: str, problem: str):

@@ -10,14 +10,12 @@ from math import comb
 
 from .errors import DomainMismatchError
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def scalar(value) -> Fraction:
-    """Coerce an int, string ("p" or "p/q") or Fraction to a Scalar."""
+    """Coerce an int, string ("p" or "p/q") or Fraction to a scalar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

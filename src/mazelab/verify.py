@@ -39,7 +39,7 @@ from .labycat import (
     validate_maze,
 )
 from .matrices import IntMat
-from .msetcat import MultHom, identity_multation, mset2_generators, mset2_table
+from .msetcat import MultHom, Multation, mset2_generators, mset2_table
 from .multisets import MultiSet
 from .scalars import binomial
 
@@ -80,8 +80,8 @@ def check_table2():
     """Every defined cell of the degree-2 multation multiplication table."""
     gens = mset2_generators()
     table = mset2_table()
-    i11 = identity_multation(MultiSet(["1", "1"]))
-    i12 = identity_multation(MultiSet(["1", "2"]))
+    i11 = Multation.identity(MultiSet(["1", "1"]))
+    i12 = Multation.identity(MultiSet(["1", "2"]))
     expected = {
         ("alpha", "beta"): MultHom.from_terms(
             i12.dom, i12.cod, [(i12, 1), (gens["sigma"], 1)]),

@@ -5,7 +5,7 @@ import pytest
 
 from mazelab.cli import main
 from mazelab.labycat import Maze, MazeHom, quadratic_generators
-from mazelab.msetcat import MultHom, Multation, identity_multation, mset2_generators
+from mazelab.msetcat import MultHom, Multation, mset2_generators
 from mazelab.multisets import MultiSet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -35,7 +35,7 @@ def test_compose_mset(capsys):
                        fx("alpha.json"), fx("beta.json"))
     assert code == 0
     hom = MultHom.from_json(json.loads(out))
-    i12 = identity_multation(MultiSet(["1", "2"]))
+    i12 = Multation.identity(MultiSet(["1", "2"]))
     sigma = mset2_generators()["sigma"]
     assert hom == MultHom.from_terms(i12.dom, i12.cod,
                                      [(i12, 1), (sigma, 1)])
@@ -115,6 +115,39 @@ def test_covering_budget_trip_names_the_passage_counts(tmp_path, capsys,
                    "covering search passed its budget of 100 nodes\n")
 
 
+def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):
+    # One passage labelled -1 expands over C(n, 1) = n compositions in
+    # all; the guard sees that whole count, not one total at a time.
+    path = tmp_path / "minus_one.json"
+    path.write_text(json.dumps({
+        "dom": ["x"], "cod": ["y"], "passages": [[["x", "y", "-1"], 1]],
+    }))
+    code, out, err = run(capsys, "normalize", "--degree", "2000000",
+                         str(path))
+    assert (code, out) == (4, "")
+    assert err == ("resource limit: normalize_numerical (1 passages, degree "
+                   "2000000): an estimated 2000000 items exceed the guard "
+                   "of 1048576\n")
+
+
+def test_homogeneous_normal_form_of_zero_ignores_the_degree(tmp_path,
+                                                            capsys):
+    # Nothing is left below the degree, so a huge degree costs nothing.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dom": [], "cod": [], "passages": []}))
+    zero = tmp_path / "zero_label.json"
+    zero.write_text(json.dumps({
+        "dom": ["x"], "cod": ["y"], "passages": [[["x", "y", "0"], 1]],
+    }))
+    for path in (empty, zero):
+        small = run(capsys, "normalize", "--kind", "homogeneous",
+                    "--degree", "3", str(path))
+        huge = run(capsys, "normalize", "--kind", "homogeneous",
+                   "--degree", str(10**8), str(path))
+        assert small[0] == 0
+        assert huge == small
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "--kind", "numerical",
                        "--degree", "3", fx("parallel21.json"))
@@ -134,7 +167,7 @@ def test_ariadne_and_theseus(capsys):
     data = json.loads(out)
     assert len(data["entries"]) == 1
     hom = MultHom.from_json(data["entries"][0][2])
-    iota11 = identity_multation(MultiSet(["1", "1"]))
+    iota11 = Multation.identity(MultiSet(["1", "1"]))
     assert hom == MultHom.of(iota11, 2)
 
     code, out, _ = run(capsys, "theseus", "--degree", "2", fx("alpha.json"))
@@ -416,6 +449,7 @@ BAD_INPUTS = {
     ["eval", "--kind", "mset", "{mset_string_universe.json}", "m22.json"],
     ["eval", "--kind", "mset", "{mset_ragged_entry.json}", "m22.json"],
     ["eval", "--kind", "laby", "{laby_misshaped_entry.json}", "m3.json"],
+    ["verify", "lemmas", "--trials", "-3"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

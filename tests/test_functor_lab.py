@@ -19,8 +19,8 @@ from mazelab.functor_lab import (
     MatrixFunctor,
     MSetModulePresentation,
     abhom_block,
+    ariadne_thread_failures,
     psi_block_index,
-    check_ariadne_thread,
     check_deviation_formula,
     cross_effect_projectors,
     deviation,
@@ -29,7 +29,7 @@ from mazelab.functor_lab import (
     numerical_axiom_check,
     phi_block_index,
     phi_inverse_eval,
-    phi_roundtrip_check,
+    phi_roundtrip_failures,
     psi_inverse_eval,
     quadratic_homogeneous_criterion,
     quadratic_relations_check,
@@ -280,7 +280,7 @@ def test_deviation_matches_written_out_sum_on_evaluations(phi_square,
             assert isinstance(got, AbHom)
             assert got == reference_deviation(f, maze), maze
     assert deviation(evaluations[0], []) == AbHom.identity(
-        phi_square.group(0).orders)
+        phi_square.groups[0].orders)
 
 
 def test_signed_cover_sum_values():
@@ -445,9 +445,9 @@ def test_cross_effect_telescoping_rank_one():
 
 def test_phi_square_table_values(phi_square):
     gens = quadratic_generators()
-    assert phi_square.group(0) == FgAbGroup(0)
-    assert phi_square.group(1) == FgAbGroup(1)
-    assert phi_square.group(2) == FgAbGroup(2)
+    assert phi_square.groups[0] == FgAbGroup(0)
+    assert phi_square.groups[1] == FgAbGroup(1)
+    assert phi_square.groups[2] == FgAbGroup(2)
     # in the echelon basis of the mixed-tensor block
     assert phi_square.hom(gens["C"]).mat == IntMat.from_rows([[2]])
     assert phi_square.hom(gens["A"]).mat == IntMat.from_rows([[1], [1]])
@@ -640,7 +640,7 @@ def covering_sum_eval(h, m):
         row = []
         for x in col_subsets:
             if x == () and y == ():
-                row.append(AbHom.identity(h.group(0).orders))
+                row.append(AbHom.identity(h.groups[0].orders))
                 continue
             total = AbHom.zero(h.block_group(len(x)).orders,
                                h.block_group(len(y)).orders)
@@ -677,7 +677,7 @@ def test_phi_inverse_eval_matches_covering_sum(phi_cube, phi_square):
 def test_phi_inverse_eval_ignores_stored_mazes_above_the_degree(phi_square):
     loop3 = Maze(("1",), ("1",), [(Passage("1", "1"), 3)])
     table = dict(phi_square.table)
-    table[loop3] = AbHom.of_groups(phi_square.group(1), phi_square.group(1),
+    table[loop3] = AbHom.of_groups(phi_square.groups[1], phi_square.groups[1],
                                    [[5]])
     padded = LabyModulePresentation(2, phi_square.groups, table, check=False)
     rng = random.Random(7)
@@ -832,9 +832,9 @@ def test_psi_inverse_eval_functorial_property(j_cube, pair):
 
 
 def test_phi_roundtrip(phi_square, phi_identity, frobenius):
-    assert phi_roundtrip_check(frobenius["H"])
-    assert phi_roundtrip_check(phi_identity)
-    assert phi_roundtrip_check(phi_square)
+    assert not phi_roundtrip_failures(frobenius["H"])
+    assert not phi_roundtrip_failures(phi_identity)
+    assert not phi_roundtrip_failures(phi_square)
 
 
 def test_phi_roundtrip_is_affine_in_table_but_load_check_is_not(phi_square):
@@ -845,11 +845,11 @@ def test_phi_roundtrip_is_affine_in_table_but_load_check_is_not(phi_square):
     # rejects it.
     gens = quadratic_generators()
     table = {m: phi_square.hom(m) for m in phi_square.mazes()}
-    z2grp = phi_square.group(2)
+    z2grp = phi_square.groups[2]
     table[gens["S"]] = AbHom.of_groups(z2grp, z2grp, [[0, 1], [1, 1]])
     broken = LabyModulePresentation(
-        2, [phi_square.group(k) for k in range(3)], table, check=False)
-    assert phi_roundtrip_check(broken)
+        2, [phi_square.groups[k] for k in range(3)], table, check=False)
+    assert not phi_roundtrip_failures(broken)
     with pytest.raises(ValueError):
         broken.check()
 
@@ -886,7 +886,7 @@ def test_phi_roundtrip_random_free_presentations():
             beta = AbHom.of_groups(y, x, u_inv.rows)
         h = LabyModulePresentation.quadratic(k, x, y, alpha, beta)
         assert quadratic_relations_check(k, x, y, alpha, beta)
-        assert phi_roundtrip_check(h)
+        assert not phi_roundtrip_failures(h)
 
 
 def test_numerical_axiom_check_simple(phi_identity):
@@ -947,18 +947,18 @@ def test_psi_inverse_eval_functoriality(j_square):
 
 
 def test_ariadne_thread(j_square):
-    assert check_ariadne_thread(j_square)
+    assert not ariadne_thread_failures(j_square)
 
 
 def test_ariadne_thread_degree_three():
     j3 = MSetModulePresentation.tensor_power(3, skeleton(2))
-    assert check_ariadne_thread(j3)
+    assert not ariadne_thread_failures(j3)
 
 
 def test_ariadne_thread_torsion_carriers():
     jf = MSetModulePresentation.frobenius_twist(
         FgAbGroup(0, (2,)), skeleton(2), 2)
-    assert check_ariadne_thread(jf)
+    assert not ariadne_thread_failures(jf)
 
 
 def test_ariadne_thread_negative_control(j_square):
@@ -971,7 +971,7 @@ def test_ariadne_thread_negative_control(j_square):
     table[target] = table[target].scale(-1)
     broken = MSetModulePresentation(2, skeleton(2), j_square.groups, table,
                                     check=False)
-    assert check_ariadne_thread(broken)
+    assert not ariadne_thread_failures(broken)
     with pytest.raises(ValueError):
         broken.check()
 
@@ -982,7 +982,7 @@ def test_ariadne_thread_zero_module(j_square):
         {a: FgAbGroup(0) for a in j_square.objects()},
         {mu: AbHom.zero((), ()) for mu in j_square.table})
     # all carriers trivial: every comparison is between empty matrices
-    assert check_ariadne_thread(zero)
+    assert not ariadne_thread_failures(zero)
 
 
 def test_quadratic_relations():
@@ -1068,8 +1068,8 @@ def test_presentation_json_roundtrip(phi_square, frobenius, j_square):
 def test_presentation_check_rejects_broken_table(phi_square):
     gens = quadratic_generators()
     table = {m: phi_square.hom(m) for m in phi_square.mazes()}
-    z2grp = phi_square.group(2)
+    z2grp = phi_square.groups[2]
     table[gens["S"]] = AbHom.of_groups(z2grp, z2grp, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        LabyModulePresentation(2, [phi_square.group(k) for k in range(3)],
+        LabyModulePresentation(2, [phi_square.groups[k] for k in range(3)],
                                table)

@@ -10,7 +10,6 @@ from mazelab.msetcat import (
     Multation,
     all_multations,
     divided_reduce,
-    identity_multation,
     mset2_generators,
     mset2_table,
     multation_compose,
@@ -35,12 +34,12 @@ def mut(rows):
 
 
 def test_identity_multation():
-    i12 = identity_multation(ms("1", "2"))
+    i12 = Multation.identity(ms("1", "2"))
     assert i12.pairs == ((("1", "1"), 1), (("2", "2"), 1))
-    i11 = identity_multation(ms("1", "1"))
+    i11 = Multation.identity(ms("1", "1"))
     assert i11.pairs == ((("1", "1"), 2),)
     assert i11.degree == 2
-    empty = identity_multation(MultiSet())
+    empty = Multation.identity(MultiSet())
     assert empty.pairs == ()
 
 
@@ -76,8 +75,8 @@ def test_worked_composites():
 
 def test_identity_laws():
     nu = mut("a a b/c d d")
-    assert multation_compose(identity_multation(nu.cod), nu) == MultHom.of(nu)
-    assert multation_compose(nu, identity_multation(nu.dom)) == MultHom.of(nu)
+    assert multation_compose(Multation.identity(nu.cod), nu) == MultHom.of(nu)
+    assert multation_compose(nu, Multation.identity(nu.dom)) == MultHom.of(nu)
 
 
 def test_compose_domain_mismatch():
@@ -99,8 +98,8 @@ def test_multhom_bilinearity_and_zero():
 def test_mset2_table():
     gens = mset2_generators()
     table = mset2_table()
-    i11 = identity_multation(ms("1", "1"))
-    i12 = identity_multation(ms("1", "2"))
+    i11 = Multation.identity(ms("1", "1"))
+    i12 = Multation.identity(ms("1", "2"))
     assert table[("alpha", "beta")] == MultHom.from_terms(
         i12.dom, i12.cod, [(i12, 1), (gens["sigma"], 1)])
     assert table[("beta", "alpha")] == MultHom.of(i11, 2)
@@ -184,7 +183,7 @@ def test_composition_coefficients_integral():
 def test_composition_asserts_each_term_integral(monkeypatch):
     # Pairing off the doubled column of iota_{11} with itself is one table
     # with a 2 in it; a basis degree of 1 makes its term 1/2.
-    iota = identity_multation(ms("1", "1"))
+    iota = Multation.identity(ms("1", "1"))
     assert multation_compose(iota, iota) == MultHom.of(iota)
     monkeypatch.setattr(Multation, "degree", property(lambda self: 1))
     with pytest.raises(IntegralityError, match="1/2"):

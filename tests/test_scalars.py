@@ -135,13 +135,13 @@ def test_lincomb_canonicalization_is_order_independent():
 
 def test_combinations_with_endpoints_share_code_not_equality():
     from mazelab.labycat import MazeHom
-    from mazelab.msetcat import MultHom, identity_multation
+    from mazelab.msetcat import MultHom, Multation
     from mazelab.multisets import MultiSet
 
     assert MazeHom.zero((), ()) != MultHom.zero(MultiSet(), MultiSet())
     assert MultHom.zero(MultiSet(), MultiSet()) != MazeHom.zero((), ())
     maze_hom = MazeHom.identity(["1"]).scale(2)
-    mult_hom = MultHom.of(identity_multation(MultiSet(["1", "1"])), 3)
+    mult_hom = MultHom.of(Multation.identity(MultiSet(["1", "1"])), 3)
     for hom in (maze_hom, mult_hom):
         name = type(hom).__name__
         assert type(hom).from_json(hom.to_json()) == hom
