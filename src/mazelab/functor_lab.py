@@ -20,8 +20,8 @@ maps between direct sums are integer matrices compared entrywise modulo
 the target generator orders.
 """
 
-from collections import Counter
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from . import bridge
@@ -37,7 +37,7 @@ from .labycat import (
     validate_maze,
 )
 from .matrices import (IntMat, column_lattice_basis, kron_power,
-                       solve_in_lattice)
+                       row_products, solve_in_lattice)
 from .msetcat import Multation, mset_structure_constants
 from .multisets import (MultiSet, all_cardinality_multisets, guard_count,
                         json_int)
@@ -379,11 +379,34 @@ def json_rows(rows, nrows: int, ncols: int):
 
 
 def _reduce_rows(rows, cod_orders):
-    out = []
-    for i, row in enumerate(rows):
-        d = cod_orders[i]
-        out.append([x % d if d else x for x in row])
-    return out
+    """The rows as tuples, each reduced modulo its generator's order when
+    that order is nonzero; all-free codomains pass unchanged."""
+    if not any(cod_orders):
+        return rows
+    return tuple(tuple([x % d for x in row]) if d else row
+                 for row, d in zip(rows, cod_orders))
+
+
+def _combination_rows(dom_orders, cod_orders, terms):
+    """The reduced rows of the sum of c * hom over the (hom, c) pairs of
+    `terms`; see AbHom.combination."""
+    rows = None
+    for hom, c in terms:
+        if (hom.dom_orders != dom_orders
+                or hom.cod_orders != cod_orders):
+            raise ShapeMismatchError(
+                "homomorphisms have different endpoints")
+        c = integer(c)
+        if not c:
+            continue
+        term = hom.mat.rows if c == 1 else tuple(
+            tuple([c * x for x in row]) for row in hom.mat.rows)
+        rows = term if rows is None else tuple(
+            tuple(map(add, row, term_row))
+            for row, term_row in zip(rows, term))
+    if rows is None:
+        return ((0,) * len(dom_orders),) * len(cod_orders)
+    return _reduce_rows(rows, cod_orders)
 
 
 class AbHom:
@@ -393,6 +416,11 @@ class AbHom:
     Entries in torsion rows are kept reduced, so structural equality is
     congruence.  Well-definedness demands that each domain generator's
     order annihilate its image column.
+
+    The constructor checks its input.  Sums, integer multiples,
+    composites and blocks of maps that passed it are well defined by
+    construction, so the arithmetic below builds its results through
+    `_trusted`, which only reduces the torsion rows.
     """
 
     __slots__ = ("dom_orders", "cod_orders", "mat")
@@ -411,11 +439,26 @@ class AbHom:
                     raise ValueError(
                         f"column {j} is not well defined on a generator of "
                         f"order {dj}")
-        reduced = IntMat(mat.nrows, mat.ncols,
-                         _reduce_rows(mat.rows, cod_orders))
+        if any(cod_orders):
+            mat = IntMat._trusted(mat.nrows, mat.ncols,
+                                  _reduce_rows(mat.rows, cod_orders))
         object.__setattr__(self, "dom_orders", dom_orders)
         object.__setattr__(self, "cod_orders", cod_orders)
-        object.__setattr__(self, "mat", reduced)
+        object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _trusted(cls, dom_orders, cod_orders, rows):
+        """A map from package arithmetic on checked maps: the orders are
+        tuples of ints, `rows` a tuple of int tuples of the right shape
+        whose columns are well defined.  Only the torsion rows are
+        reduced."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "dom_orders", dom_orders)
+        object.__setattr__(hom, "cod_orders", cod_orders)
+        object.__setattr__(hom, "mat", IntMat._trusted(
+            len(cod_orders), len(dom_orders),
+            _reduce_rows(rows, cod_orders)))
+        return hom
 
     def __setattr__(self, name, value):
         raise AttributeError("AbHom is immutable")
@@ -433,24 +476,13 @@ class AbHom:
     def combination(cls, dom_orders, cod_orders, terms):
         """The sum of c * hom over the (hom, c) pairs of `terms`, every hom
         between the given orders and every c an integer (an int or a
-        Fraction of denominator 1).  The sum is kept in plain integer
-        rows, so the well-definedness check and the torsion reduction run
-        once, on the result."""
-        dom_orders = tuple(dom_orders)
-        cod_orders = tuple(cod_orders)
-        rows = [[0] * len(dom_orders) for _ in cod_orders]
-        for hom, c in terms:
-            if (hom.dom_orders != dom_orders
-                    or hom.cod_orders != cod_orders):
-                raise ShapeMismatchError(
-                    "homomorphisms have different endpoints")
-            c = integer(c)
-            if c:
-                for row, hom_row in zip(rows, hom.mat.rows):
-                    for i, x in enumerate(hom_row):
-                        row[i] += c * x
-        return cls(dom_orders, cod_orders,
-                   IntMat(len(cod_orders), len(dom_orders), rows))
+        Fraction of denominator 1).  A sum of integer multiples of well
+        defined maps is well defined, so only the torsion rows of the
+        result are reduced."""
+        dom_orders = tuple(map(int, dom_orders))
+        cod_orders = tuple(map(int, cod_orders))
+        return cls._trusted(dom_orders, cod_orders, _combination_rows(
+            dom_orders, cod_orders, terms))
 
     @classmethod
     def of_groups(cls, dom: FgAbGroup, cod: FgAbGroup, rows):
@@ -481,7 +513,8 @@ class AbHom:
     def compose(self, other: "AbHom") -> "AbHom":
         if other.cod_orders != self.dom_orders:
             raise ShapeMismatchError("homomorphisms are not composable")
-        return AbHom(other.dom_orders, self.cod_orders, self.mat @ other.mat)
+        return AbHom._trusted(other.dom_orders, self.cod_orders,
+                              (self.mat @ other.mat).rows)
 
     def is_zero(self):
         return self.mat.is_zero()
@@ -495,33 +528,40 @@ class AbHom:
 
 def abhom_block(grid, col_orders_list, row_orders_list) -> AbHom:
     """Assemble a block matrix of AbHoms into one AbHom; grid[i][j] maps
-    the j-th column block to the i-th row block."""
-    dom_orders = tuple(d for orders in col_orders_list for d in orders)
-    cod_orders = tuple(d for orders in row_orders_list for d in orders)
+    the j-th column block to the i-th row block, between exactly their
+    orders."""
+    col_orders_list = [tuple(map(int, orders)) for orders in col_orders_list]
+    row_orders_list = [tuple(map(int, orders)) for orders in row_orders_list]
     rows = []
     for i, row_orders in enumerate(row_orders_list):
         for j, col_orders in enumerate(col_orders_list):
             hom = grid[i][j]
-            if (len(hom.cod_orders) != len(row_orders)
-                    or len(hom.dom_orders) != len(col_orders)):
+            if (hom.cod_orders != row_orders
+                    or hom.dom_orders != col_orders):
                 raise ShapeMismatchError(
                     f"block ({i},{j}) has the wrong shape")
-        rows.extend([x for hom in grid[i] for x in hom.mat.rows[r]]
+        rows.extend(tuple([x for hom in grid[i] for x in hom.mat.rows[r]])
                     for r in range(len(row_orders)))
-    return AbHom(dom_orders, cod_orders,
-                 IntMat(len(cod_orders), len(dom_orders), rows))
+    return AbHom._trusted(sum(col_orders_list, ()), sum(row_orders_list, ()),
+                          tuple(rows))
 
 
 def extract_block(hom: AbHom, row_orders_list, col_orders_list,
                   row_index: int, col_index: int) -> AbHom:
-    """Cut one block back out of a block-assembled AbHom."""
+    """Cut one block back out of a block-assembled AbHom; the block
+    orders must be those of its slice of the map."""
     r0 = sum(len(o) for o in row_orders_list[:row_index])
     r1 = r0 + len(row_orders_list[row_index])
     c0 = sum(len(o) for o in col_orders_list[:col_index])
     c1 = c0 + len(col_orders_list[col_index])
-    rows = [list(row[c0:c1]) for row in hom.mat.rows[r0:r1]]
-    return AbHom(col_orders_list[col_index], row_orders_list[row_index],
-                 IntMat(r1 - r0, c1 - c0, rows))
+    dom_orders = tuple(map(int, col_orders_list[col_index]))
+    cod_orders = tuple(map(int, row_orders_list[row_index]))
+    if (hom.dom_orders[c0:c1] != dom_orders
+            or hom.cod_orders[r0:r1] != cod_orders):
+        raise ShapeMismatchError(
+            f"block ({row_index},{col_index}) has the wrong shape")
+    return AbHom._trusted(dom_orders, cod_orders,
+                          tuple(row[c0:c1] for row in hom.mat.rows[r0:r1]))
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +699,11 @@ class LabyModulePresentation(Presentation):
         return [(index[m], c) for m, c in
                 normalize_numerical(MazeHom.of(key), self.degree).comb]
 
-    def composite(self, p: Maze, q: Maze, coords) -> AbHom:
-        """The value of the quotient composite p . q of composable mazes:
-        the terms of their coordinates compose through the structure
-        constants.  `coords` keeps the coordinates of the mazes seen so
-        far."""
+    def composite_terms(self, p: Maze, q: Maze, coords):
+        """The value of the quotient composite p . q of composable mazes,
+        as (stored value, coefficient) terms: the terms of their
+        coordinates compose through the structure constants.  `coords`
+        keeps the coordinates of the mazes seen so far."""
         for m in (p, q):
             if m not in coords:
                 coords[m] = self.coordinates(m)
@@ -677,9 +717,7 @@ class LabyModulePresentation(Presentation):
                 for u, c in row[t]:
                     merged[u] = merged.get(u, 0) + a * b * c
         hom_set = self.hom_set(j, l)
-        return AbHom.combination(
-            self.groups[len(j)].orders, self.groups[len(l)].orders,
-            ((hom_set.value(u), c) for u, c in sorted(merged.items()) if c))
+        return ((hom_set.value(u), c) for u, c in sorted(merged.items()) if c)
 
     def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and
@@ -687,20 +725,27 @@ class LabyModulePresentation(Presentation):
         return self.eval_hom(normalize_numerical(MazeHom.of(maze), self.degree))
 
     def check(self):
-        """Identity values and functoriality over the stored table; each
-        stored maze's coordinates are worked out once."""
+        """Identity values and functoriality over the stored table, both
+        sides of each pair compared as reduced integer rows; each stored
+        maze's coordinates and columns are worked out once."""
         for k in range(self.degree + 1):
             ident = Maze.identity(skeleton(k))
             if self.hom(ident) != AbHom.identity(self.groups[k].orders):
                 raise ValueError(f"identity of [{k}] does not map to identity")
         mazes = self.mazes()
         coords = {}
+        sources = {}
         for p in mazes:
+            cod, target = self.carrier(p.cod).orders, self.hom(p).mat.rows
             for q in mazes:
                 if set(q.cod) != set(p.dom):
                     continue
-                if (self.composite(p, q, coords)
-                        != self.hom(p).compose(self.hom(q))):
+                lhs = _combination_rows(self.carrier(q.dom).orders, cod,
+                                        self.composite_terms(p, q, coords))
+                if q not in sources:
+                    sources[q] = self.hom(q).mat.columns()
+                if lhs != _reduce_rows(row_products(target, sources[q]),
+                                       cod):
                     raise ValueError(
                         f"table is not functorial on {p!r} after {q!r}")
 
@@ -775,7 +820,8 @@ def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
     reading it off the degree's structure constants."""
     if set(q.cod) != set(p.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
-    return h.composite(p, q, {})
+    return AbHom.combination(h.carrier(q.dom).orders, h.carrier(p.cod).orders,
+                             h.composite_terms(p, q, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -967,16 +1013,20 @@ class MSetModulePresentation(Presentation):
         for a in objs:
             for b in objs:
                 ab = self.hom_set(a, b)
+                sources = [None] * len(ab.arrows)
                 for c in objs:
                     ac, bc = self.hom_set(a, c), self.hom_set(b, c)
                     block = sc.block(a, b, c)
                     dom, cod = self.groups[a].orders, self.groups[c].orders
                     for i, nu in enumerate(ab.arrows):
                         for k, mu in enumerate(bc.arrows):
-                            lhs = AbHom.combination(dom, cod, (
+                            lhs = _combination_rows(dom, cod, (
                                 (ac.value(u), x) for u, x in block[i][k]))
-                            rhs = bc.value(k).compose(ab.value(i))
-                            if lhs != rhs:
+                            target = bc.value(k).mat.rows
+                            if sources[i] is None:
+                                sources[i] = ab.value(i).mat.columns()
+                            if lhs != _reduce_rows(
+                                    row_products(target, sources[i]), cod):
                                 raise ValueError(
                                     f"table is not functorial on "
                                     f"{mu!r} after {nu!r}")
@@ -1027,15 +1077,16 @@ class MSetModulePresentation(Presentation):
         table = {}
         hom_sets = mset_structure_constants(universe, n).arrows
         for (a, b), mus in hom_sets.items():
-            rows = {mu.pairs: [[0] * len(words[a]) for _ in words[b]]
-                    for mu in mus}
+            rows = [[[0] * len(words[a]) for _ in words[b]] for _ in mus]
+            # A multation's sorted columns with repeats are what sorting
+            # the columns of a pair of words gives.
+            at = {tuple(mu.columns()): mu_rows
+                  for mu, mu_rows in zip(mus, rows)}
             for j, w in enumerate(words[a]):
                 for i, v in enumerate(words[b]):
-                    cols = tuple(sorted(Counter(zip(w, v)).items()))
-                    rows[cols][i][j] = 1
-            for mu in mus:
-                table[mu] = AbHom.of_groups(groups[a], groups[b],
-                                            rows[mu.pairs])
+                    at[tuple(sorted(zip(w, v)))][i][j] = 1
+            for mu, mu_rows in zip(mus, rows):
+                table[mu] = AbHom.of_groups(groups[a], groups[b], mu_rows)
         return cls(n, universe, groups, table, check=check)
 
     @classmethod

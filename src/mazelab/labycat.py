@@ -26,6 +26,7 @@ as its pairs already pass n.
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from .errors import DomainMismatchError
@@ -376,11 +377,56 @@ def collapse_parallel(p: Maze, group) -> MazeHom:
     return MazeHom(p.dom, p.cod, LinComb(terms))
 
 
+def _bounded_count(caps, n: int) -> int:
+    """How many tuples _bounded_compositions lists: positive parts, part
+    i at most caps[i], summing to at most n.  Each part's excess over 1
+    is counted; the parts whose cap binds below the room n - k are
+    convolved, the rest counted together by stars and bars, which is
+    C(n, k) when no cap binds."""
+    k = len(caps)
+    room = n - k
+    ways = [1]
+    free = k
+    for cap in caps:
+        if cap - 1 >= room:
+            continue
+        free -= 1
+        prefix = list(accumulate(ways, initial=0))
+        ways = [prefix[min(s, len(ways) - 1) + 1] - prefix[max(s - cap + 1, 0)]
+                for s in range(min(len(ways) + cap - 2, room) + 1)]
+    return sum(w * comb(room - s + free, free) for s, w in enumerate(ways))
+
+
+def _bounded_compositions(caps, n: int):
+    """Every tuple of positive parts, part i at most caps[i], with sum at
+    most n: by total, and within a total earlier parts largest first, as
+    `compositions` orders them."""
+    last = len(caps) - 1
+    # later[i]: the most that the parts after part i can take together.
+    later = list(accumulate(reversed(caps), initial=0))[-2::-1]
+    out = []
+
+    def rec(remaining, i, prefix):
+        if i == last:
+            out.append(prefix + (remaining,))
+            return
+        for first in range(min(caps[i], remaining - last + i),
+                           max(remaining - later[i], 1) - 1, -1):
+            rec(remaining - first, i + 1, prefix + (first,))
+
+    for total in range(last + 1, min(n, later[0] + caps[0]) + 1):
+        rec(total, 0, ())
+    return out
+
+
 def _numerical_terms(maze: Maze, n: int):
     """Binomial expansion of one maze into pure mazes with <= n passages.
 
     Yields (coefficient, pure maze).  Multiplicity assignments run over
     tagged passage instances, so repeated passages expand independently.
+    An instance labelled by a positive integer L takes at most L, since
+    binomial(L, d) is 0 for d > L; so every assignment listed has a
+    nonzero coefficient.
     """
     inst = maze.instances()
     k = len(inst)
@@ -393,16 +439,15 @@ def _numerical_terms(maze: Maze, n: int):
     labels = [p.label for p in inst]
     if 0 in labels:
         return
-    # The compositions of the totals k..n number C(n, k) together.
-    guard_count(comb(n, k), "normalize_numerical", f"{k} passages, degree {n}")
-    for total in range(k, n + 1):
-        for degs in compositions(total, k):
-            coeff = binomial_product(labels, degs)
-            if coeff == 0:
-                continue
-            yield coeff, Maze(maze.dom, maze.cod,
-                              [(Passage(p.src, p.dst, 1), d)
-                               for p, d in zip(inst, degs)])
+    caps = [min(lab.numerator, n)
+            if lab.denominator == 1 and lab.numerator > 0 else n
+            for lab in labels]
+    guard_count(_bounded_count(caps, n), "normalize_numerical",
+                f"{k} passages, degree {n}")
+    for degs in _bounded_compositions(caps, n):
+        yield binomial_product(labels, degs), Maze(
+            maze.dom, maze.cod,
+            [(Passage(p.src, p.dst, 1), d) for p, d in zip(inst, degs)])
 
 
 def normalize_numerical(h: MazeHom, n: int) -> MazeHom:

@@ -5,7 +5,14 @@ matrices stay distinguishable; functor values on the zero module need
 them.  Everything is a plain tuple of tuples of ints: an entry must be
 an int or a Fraction of denominator 1, and anything else is refused,
 never truncated.
+
+Data from outside goes through the checking constructor.  Results of
+the package's own arithmetic on matrices that passed it (sums,
+products, Kronecker products, integer multiples) are made of ints of
+the right shape by construction, so they skip the second check.
 """
+
+from operator import mul
 
 from .errors import ShapeMismatchError
 from .scalars import integer
@@ -20,6 +27,13 @@ def _int_row(row):
     return tuple(map(integer, row))
 
 
+def row_products(rows, cols):
+    """The rows, as tuples, of the product of the matrix with these rows
+    and the matrix with these columns."""
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                 for row in rows)
+
+
 class IntMat:
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -31,6 +45,17 @@ class IntMat:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, nrows, ncols, rows):
+        """A matrix from package arithmetic on checked matrices: `rows` is
+        already a tuple of nrows tuples of ncols ints, so it is not
+        checked again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "nrows", nrows)
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMat is immutable")
@@ -44,11 +69,12 @@ class IntMat:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return cls._trusted(nrows, ncols, ((0,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                        for i in range(n)))
 
     @classmethod
     def unit(cls, nrows, ncols, i, j, value=1):
@@ -65,35 +91,40 @@ class IntMat:
 
     def __add__(self, other):
         self._same_shape(other)
-        return IntMat(self.nrows, self.ncols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return IntMat._trusted(self.nrows, self.ncols, tuple(
+            tuple([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return IntMat(self.nrows, self.ncols,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return IntMat._trusted(self.nrows, self.ncols, tuple(
+            tuple([a - b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.rows, other.rows)))
 
     def scale(self, factor):
-        return IntMat(self.nrows, self.ncols,
-                      [[factor * a for a in row] for row in self.rows])
+        """factor times the matrix; a factor other than an int goes
+        through the checking constructor, which refuses a non-integer
+        result."""
+        rows = [[factor * a for a in row] for row in self.rows]
+        if type(factor) is not int:
+            return IntMat(self.nrows, self.ncols, rows)
+        return IntMat._trusted(self.nrows, self.ncols,
+                               tuple(map(tuple, rows)))
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        return IntMat(self.nrows, other.ncols,
-                      [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                       for row in self.rows])
+        return IntMat._trusted(self.nrows, other.ncols,
+                               row_products(self.rows, other.columns()))
 
     def is_zero(self):
         return all(a == 0 for row in self.rows for a in row)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
+    def columns(self):
+        """Every column as a tuple; a 0 x k matrix has k empty columns."""
+        return tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -101,17 +132,10 @@ class IntMat:
 
     def kron(self, other):
         """Kronecker product, with the left factor's indices major."""
-        nr = self.nrows * other.nrows
-        nc = self.ncols * other.ncols
-        rows = []
-        for i1 in range(self.nrows):
-            for i2 in range(other.nrows):
-                row = []
-                for j1 in range(self.ncols):
-                    for j2 in range(other.ncols):
-                        row.append(self.rows[i1][j1] * other.rows[i2][j2])
-                rows.append(row)
-        return IntMat(nr, nc, rows)
+        return IntMat._trusted(
+            self.nrows * other.nrows, self.ncols * other.ncols,
+            tuple(tuple([a * b for a in ra for b in rb])
+                  for ra in self.rows for rb in other.rows))
 
     def to_json(self):
         return [list(row) for row in self.rows]
@@ -140,7 +164,7 @@ def column_lattice_basis(m: IntMat):
     strictly increasing.  Plain integer Gaussian elimination on columns
     with gcd steps; fine at desk scale.
     """
-    cols = [list(m.column(j)) for j in range(m.ncols)]
+    cols = [list(col) for col in m.columns()]
     basis = []
     pivots = []
     row = 0

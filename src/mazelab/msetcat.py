@@ -55,13 +55,25 @@ class Multation:
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
 
+    @classmethod
+    def _trusted(cls, dom: MultiSet, cod: MultiSet, pairs):
+        """A multation whose sorted, merged, positive `pairs` have the
+        marginals dom and cod by construction, so they are not derived
+        again."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "dom", dom)
+        object.__setattr__(mu, "cod", cod)
+        object.__setattr__(mu, "pairs", pairs)
+        return mu
+
     def __setattr__(self, name, value):
         raise AttributeError("Multation is immutable")
 
     @classmethod
     def identity(cls, a: MultiSet):
-        """iota_A: every element paired off with itself."""
-        return cls(a, a, [((x, x), m) for x, m in a.items()])
+        """iota_A: every element paired off with itself; the support of a
+        is sorted, so the columns (x, x) are too."""
+        return cls._trusted(a, a, tuple(((x, x), m) for x, m in a.items()))
 
     @property
     def degree(self) -> int:
@@ -176,6 +188,8 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     guard_count(count, "multation_compose",
                 f"cardinality {middle.cardinality}")
 
+    # Each family pairs every incoming column of a middle letter with an
+    # outgoing one, so the merged columns' marginals are nu.dom and mu.cod.
     accum = {}
     for family in iproduct(*per_letter):
         cols = {}
@@ -184,7 +198,7 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
             for (a, c), t in table.items():
                 cols[(a, c)] = cols.get((a, c), 0) + t
                 table_factor *= factorial(t)
-        basis = Multation(nu.dom, mu.cod, list(cols.items()))
+        basis = Multation._trusted(nu.dom, mu.cod, tuple(sorted(cols.items())))
         coeff, rest = divmod(basis.degree, table_factor)
         if rest:
             raise IntegralityError(

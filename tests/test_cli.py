@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):
     assert err == ("resource limit: normalize_numerical (1 passages, degree "
                    "2000000): an estimated 2000000 items exceed the guard "
                    "of 1048576\n")
+
+
+def test_homogeneous_normal_form_of_a_double_loop_is_quick(capsys):
+    # Label-2 passages expand only to multiplicities 1 and 2, so each
+    # layer lists a few terms, not every composition up to the degree.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "normalize", "--kind", "homogeneous",
+                       "--degree", "15", fx("C.json"))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    hom = MazeHom.from_json(json.loads(out))
+    assert [m.size for m, _ in hom.comb] == [15]
 
 
 def test_homogeneous_normal_form_of_zero_ignores_the_degree(tmp_path,
@@ -403,6 +416,11 @@ BAD_INPUTS = {
     "laby_misshaped_entry.json": edited_fixture(
         "frobenius_laby.json",
         lambda d: d["homs"][1].update(matrix=[[1, 0]])),
+    # The carrier of {1,1} becomes Z/2, so the stored [[1], [1]] of the
+    # multation {1,1} -> {1,2} sends an order-2 generator into Z^2.
+    "mset_ill_defined_column.json": edited_fixture(
+        "square_mset.json",
+        lambda d: d["groups"][1].update(rank=0, torsion=[2])),
 }
 
 
@@ -450,6 +468,7 @@ BAD_INPUTS = {
     ["eval", "--kind", "mset", "{mset_ragged_entry.json}", "m22.json"],
     ["eval", "--kind", "laby", "{laby_misshaped_entry.json}", "m3.json"],
     ["verify", "lemmas", "--trials", "-3"],
+    ["eval", "--kind", "mset", "{mset_ill_defined_column.json}", "m22.json"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

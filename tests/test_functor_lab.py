@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -25,6 +26,7 @@ from mazelab.functor_lab import (
     cross_effect_projectors,
     deviation,
     direct_sum_functor,
+    extract_block,
     identity_functor,
     numerical_axiom_check,
     phi_block_index,
@@ -43,7 +45,7 @@ from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
                              skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import Multation, all_multations, mset2_generators
-from mazelab.multisets import MultiSet
+from mazelab.multisets import MultiSet, all_cardinality_multisets
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -173,6 +175,38 @@ def _slot_assignment_tensor_power(n, universe):
                         rows[row_index[out]][j] += 1
                 table[mu] = AbHom.of_groups(groups[a], groups[b], rows)
     return MSetModulePresentation(n, universe, groups, table, check=False)
+
+
+def _counter_tensor_power(n, universe):
+    """The tensor-power action as it was built with one Counter of
+    columns per pair of words.  Kept as the oracle."""
+    from itertools import product
+
+    universe = tuple(sorted(set(universe)))
+    words = {a: [] for a in all_cardinality_multisets(universe, n)}
+    for w in product(universe, repeat=n):
+        words[MultiSet(w)].append(w)
+    groups = {a: FgAbGroup(len(ws)) for a, ws in words.items()}
+    table = {}
+    for a in words:
+        for b in words:
+            mus = all_multations(a, b)
+            rows = {mu.pairs: [[0] * len(words[a]) for _ in words[b]]
+                    for mu in mus}
+            for j, w in enumerate(words[a]):
+                for i, v in enumerate(words[b]):
+                    rows[tuple(sorted(Counter(zip(w, v)).items()))][i][j] = 1
+            for mu in mus:
+                table[mu] = AbHom.of_groups(groups[a], groups[b],
+                                            rows[mu.pairs])
+    return MSetModulePresentation(n, universe, groups, table, check=False)
+
+
+@pytest.mark.parametrize("n, letters, check", [(3, "123", True),
+                                               (4, "1234", False)])
+def test_tensor_power_matches_the_counter_oracle(n, letters, check):
+    got = MSetModulePresentation.tensor_power(n, letters, check=check)
+    assert got.to_json() == _counter_tensor_power(n, letters).to_json()
 
 
 @pytest.mark.parametrize("n, letters", [
@@ -1073,3 +1107,116 @@ def test_presentation_check_rejects_broken_table(phi_square):
     with pytest.raises(ValueError):
         LabyModulePresentation(2, [phi_square.groups[k] for k in range(3)],
                                table)
+
+
+ORDERS = (0, 2, 3, 4, 6)
+
+
+@st.composite
+def well_defined_map(draw, dom, cod):
+    """A map dom -> cod whose columns are well defined: an entry from a
+    generator of order dj to one of order di is a multiple of
+    di / gcd(di, dj), and 0 from a torsion generator to a free one."""
+    rows = []
+    for di in cod:
+        row = []
+        for dj in dom:
+            x = draw(st.integers(-6, 6))
+            row.append(0 if dj and not di else
+                       x * (di // gcd(di, dj)) if dj else x)
+        rows.append(row)
+    return AbHom(dom, cod, IntMat(len(cod), len(dom), rows))
+
+
+def checked(dom, cod, rows):
+    """Raw integer rows through the checking constructors."""
+    return AbHom(dom, cod, IntMat(len(cod), len(dom), rows))
+
+
+@st.composite
+def trusted_cases(draw):
+    carriers = st.lists(st.sampled_from(ORDERS), max_size=3).map(tuple)
+    a, b, c = draw(carriers), draw(carriers), draw(carriers)
+    f, g = draw(well_defined_map(a, b)), draw(well_defined_map(a, b))
+    h = draw(well_defined_map(b, c))
+    k = draw(st.integers(-5, 5))
+    return a, b, c, f, g, h, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=trusted_cases())
+def test_trusted_arithmetic_matches_the_checking_constructors(case):
+    """Every result built without the second check equals the same raw
+    rows passed through AbHom(dom, cod, IntMat(...)), rank-0 carriers
+    included."""
+    a, b, c, f, g, h, k = case
+    fr, gr, hr = f.mat.rows, g.mat.rows, h.mat.rows
+    want_sum = [[x + y for x, y in zip(r, s)] for r, s in zip(fr, gr)]
+    want_diff = [[x - y for x, y in zip(r, s)] for r, s in zip(fr, gr)]
+    want_scale = [[k * x for x in r] for r in fr]
+    want_comb = [[k * x - 2 * y for x, y in zip(r, s)]
+                 for r, s in zip(fr, gr)]
+    want_comp = [[sum(hr[i][t] * fr[t][j] for t in range(len(b)))
+                  for j in range(len(a))] for i in range(len(c))]
+    results = [
+        (f + g, checked(a, b, want_sum)),
+        (f - g, checked(a, b, want_diff)),
+        (f.scale(k), checked(a, b, want_scale)),
+        (AbHom.combination(a, b, [(f, k), (g, -2), (f, 0)]),
+         checked(a, b, want_comb)),
+        (h.compose(f), checked(a, c, want_comp)),
+    ]
+    # Blocks: [[f, 0], [h.f, h]] from a + b to b + c, then each cut back
+    # out.
+    block = abhom_block([[f, AbHom.zero(b, b)], [h.compose(f), h]],
+                        [a, b], [b, c])
+    want_block = ([list(r) + [0] * len(b) for r in fr]
+                  + [list(r) + list(s) for r, s in zip(want_comp, hr)])
+    results.append((block, checked(a + b, b + c, want_block)))
+    for i, rows in enumerate((b, c)):
+        for j, cols in enumerate((a, b)):
+            r0 = len(b) * i
+            c0 = len(a) * j
+            raw = [list(row[c0:c0 + len(cols)])
+                   for row in block.mat.rows[r0:r0 + len(rows)]]
+            results.append((extract_block(block, [b, c], [a, b], i, j),
+                            checked(cols, rows, raw)))
+    for got, want in results:
+        assert got == want
+        assert (got.dom_orders, got.cod_orders) == (want.dom_orders,
+                                                    want.cod_orders)
+        assert got.mat.rows == want.mat.rows
+        assert all(type(row) is tuple for row in got.mat.rows)
+        assert all(type(x) is int for row in got.mat.rows for x in row)
+
+
+def test_blocks_refuse_orders_other_than_their_own():
+    z2, z = (2,), (0,)
+    f = AbHom.identity(z2)
+    with pytest.raises(ShapeMismatchError, match="wrong shape"):
+        abhom_block([[f]], [z], [z2])
+    whole = abhom_block([[f]], [z2], [z2])
+    with pytest.raises(ShapeMismatchError, match="wrong shape"):
+        extract_block(whole, [z2], [z], 0, 0)
+
+
+def test_checks_reduce_products_into_torsion_carriers():
+    """Both checks compare reduced rows: on Z/3 carriers whose values
+    multiply past 3 (2 * 2 = 4 = 1), a functorial table passes and a
+    doubled value fails."""
+    z3 = FgAbGroup(0, [3])
+    one, two = (AbHom.of_groups(z3, z3, [[x]]) for x in (1, 2))
+    h = LabyModulePresentation.quadratic(FgAbGroup(0), z3, z3, one, two)
+    table = dict(h.table)
+    table[quadratic_generators()["C"]] = one
+    with pytest.raises(ValueError, match="not functorial"):
+        LabyModulePresentation(2, h.groups, table)
+    letters = skeleton(2)
+    groups = {a: z3 for a in all_cardinality_multisets(letters, 1)}
+    table = {mu: one if a == b else two
+             for (a, b), mus in msetcat.mset_structure_constants(
+                 letters, 1).arrows.items() for mu in mus}
+    MSetModulePresentation(1, letters, groups, table)
+    table[next(mu for mu in table if mu.dom != mu.cod)] = one
+    with pytest.raises(ValueError, match="not functorial"):
+        MSetModulePresentation(1, letters, groups, table)

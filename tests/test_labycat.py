@@ -240,6 +240,60 @@ def test_normalize_numerical_general_binomial_expansion():
             assert got == MazeHom.from_terms(("x",), ("y",), terms), (a, b)
 
 
+def uncapped_numerical_terms(maze, n):
+    """The binomial expansion of one maze as it was enumerated before
+    positive integer labels capped their instances: every composition of
+    every total k..n, zero coefficients dropped.  Kept as the oracle."""
+    from mazelab.multisets import compositions
+    from mazelab.scalars import binomial_product
+
+    inst = maze.instances()
+    k = len(inst)
+    if k > n:
+        return []
+    if all(p.label == 1 for p in inst):
+        return [(Fraction(1), maze)]
+    labels = [p.label for p in inst]
+    if 0 in labels:
+        return []
+    out = []
+    for total in range(k, n + 1):
+        for degs in compositions(total, k):
+            coeff = binomial_product(labels, degs)
+            if coeff:
+                out.append((coeff, Maze(maze.dom, maze.cod, [
+                    (Passage(p.src, p.dst, 1), d)
+                    for p, d in zip(inst, degs)])))
+    return out
+
+
+def test_capped_expansion_matches_the_uncapped_oracle():
+    labels = (1, 2, 3, -1, Fraction(1, 2))
+    ends = [("y",), ("y", "z"), ("y", "z", "w")]
+    mazes = []
+    for cod in ends:
+        for labs in itertools.product(labels, repeat=len(cod)):
+            mazes.append(Maze(("x",), cod, [(Passage("x", y, a), 1)
+                                            for y, a in zip(cod, labs)]))
+    # Repeated instances of one passage, and two passages in parallel.
+    for a in labels:
+        mazes.append(Maze(("x",), ("y",), [(Passage("x", "y", a), 3)]))
+        for b in labels:
+            mazes.append(Maze(("x",), ("y",), [(Passage("x", "y", a), 2),
+                                               (Passage("x", "y", b), 1)]))
+    for maze in mazes:
+        for n in range(9):
+            got = list(labycat._numerical_terms(maze, n))
+            assert got == uncapped_numerical_terms(maze, n), (maze, n)
+            inst = maze.instances()
+            if len(inst) <= n and not maze.is_pure():
+                caps = [min(p.label.numerator, n)
+                        if p.label.denominator == 1 and p.label > 0 else n
+                        for p in inst]
+                # The guard's estimate is exactly the number listed.
+                assert labycat._bounded_count(caps, n) == len(got)
+
+
 def test_normalize_numerical_fixes_pure_and_kills_zero_labels():
     n = 3
     for maze in [parallel_pure(1), parallel_pure(2), Maze.identity(skeleton(2))]:

@@ -35,3 +35,45 @@ def test_abhom_scale_refuses_a_float():
     with pytest.raises(ValueError, match="not an integer"):
         hom.scale(Fraction(5, 2))
     assert hom.scale(Fraction(4, 2)) == hom.scale(2)
+
+
+# The checking constructors are the boundary for data from outside; the
+# package's own arithmetic skips them.  These refusals must stay.
+
+def test_from_rows_refuses_a_half():
+    with pytest.raises(ValueError, match="not an integer"):
+        IntMat.from_rows([[1, Fraction(1, 2)]])
+
+
+def test_of_groups_refuses_an_ill_defined_torsion_column():
+    # A generator of order 2 sent to 1 in Z/4: twice it is 2, not 0.
+    with pytest.raises(ValueError, match="column 0 is not well defined"):
+        AbHom.of_groups(FgAbGroup(0, [2]), FgAbGroup(0, [4]), [[1]])
+    assert AbHom.of_groups(FgAbGroup(0, [2]), FgAbGroup(0, [4]),
+                           [[6]]).mat.rows == ((2,),)
+
+
+@pytest.mark.parametrize("a, b, c", [(0, 2, 3), (2, 0, 3), (3, 2, 0),
+                                     (0, 0, 0), (1, 0, 1)])
+def test_products_with_empty_sides(a, b, c):
+    m = IntMat.from_rows([[i + j for j in range(b)] for i in range(c)], b)
+    k = IntMat.from_rows([[i - j for j in range(a)] for i in range(b)], a)
+    got = m @ k
+    assert (got.nrows, got.ncols) == (c, a)
+    if b == 0:
+        assert got.rows == ((0,) * a,) * c
+    assert got == IntMat(c, a, [[sum(m.rows[i][t] * k.rows[t][j]
+                                     for t in range(b)) for j in range(a)]
+                                for i in range(c)])
+    assert m.columns() == tuple(tuple(row[j] for row in m.rows)
+                                for j in range(b))
+
+
+@pytest.mark.parametrize("a, b, c, d", [(2, 3, 3, 2), (0, 2, 2, 1),
+                                        (2, 0, 1, 2), (1, 2, 0, 0)])
+def test_kron_matches_its_entry_formula(a, b, c, d):
+    m = IntMat.from_rows([[i - 2 * j for j in range(b)] for i in range(a)], b)
+    k = IntMat.from_rows([[3 * i + j for j in range(d)] for i in range(c)], d)
+    assert m.kron(k) == IntMat(a * c, b * d, [
+        [m.rows[i1][j1] * k.rows[i2][j2] for j1 in range(b) for j2 in range(d)]
+        for i1 in range(a) for i2 in range(c)])

@@ -220,3 +220,32 @@ def test_json_roundtrip():
     assert Multation.from_json(nu.to_json()) == nu
     hom = MultHom.from_terms(nu.dom, nu.cod, [(nu, 2)])
     assert MultHom.from_json(hom.to_json()) == hom
+
+
+def test_composite_terms_equal_checked_multations():
+    """multation_compose builds its terms without re-deriving their
+    marginals; over every composable pair of basis multations of degree 3
+    on three letters, the same terms through the checking constructor
+    give the same MultHom."""
+    from mazelab.multisets import all_cardinality_multisets
+
+    objs = all_cardinality_multisets(("1", "2", "3"), 3)
+    arrows = {(a, b): all_multations(a, b) for a in objs for b in objs}
+    pairs = 0
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for nu in arrows[a, b]:
+                    for mu in arrows[b, c]:
+                        got = multation_compose(mu, nu)
+                        checked = MultHom.from_terms(a, c, [
+                            (Multation(x.dom, x.cod, list(x.pairs)), k)
+                            for x, k in got.comb])
+                        assert got == checked
+                        assert [x.pairs for x, _ in got.comb] == \
+                            [x.pairs for x, _ in checked.comb]
+                        pairs += 1
+    assert pairs == 2973
+    for a in objs:
+        ident = Multation.identity(a)
+        assert ident == Multation(a, a, [((x, x), m) for x, m in a.items()])
