@@ -27,7 +27,7 @@ as its pairs already pass n.
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 from .errors import DomainMismatchError
 from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
@@ -377,26 +377,6 @@ def collapse_parallel(p: Maze, group) -> MazeHom:
     return MazeHom(p.dom, p.cod, LinComb(terms))
 
 
-def _bounded_count(caps, n: int) -> int:
-    """How many tuples _bounded_compositions lists: positive parts, part
-    i at most caps[i], summing to at most n.  Each part's excess over 1
-    is counted; the parts whose cap binds below the room n - k are
-    convolved, the rest counted together by stars and bars, which is
-    C(n, k) when no cap binds."""
-    k = len(caps)
-    room = n - k
-    ways = [1]
-    free = k
-    for cap in caps:
-        if cap - 1 >= room:
-            continue
-        free -= 1
-        prefix = list(accumulate(ways, initial=0))
-        ways = [prefix[min(s, len(ways) - 1) + 1] - prefix[max(s - cap + 1, 0)]
-                for s in range(min(len(ways) + cap - 2, room) + 1)]
-    return sum(w * comb(room - s + free, free) for s, w in enumerate(ways))
-
-
 def _bounded_compositions(caps, n: int):
     """Every tuple of positive parts, part i at most caps[i], with sum at
     most n: by total, and within a total earlier parts largest first, as
@@ -442,7 +422,9 @@ def _numerical_terms(maze: Maze, n: int):
     caps = [min(lab.numerator, n)
             if lab.denominator == 1 and lab.numerator > 0 else n
             for lab in labels]
-    guard_count(_bounded_count(caps, n), "normalize_numerical",
+    # At most C(n, k) compositions of the totals k..n, and at most
+    # prod(caps) tuples under the caps.
+    guard_count(min(comb(n, k), prod(caps)), "normalize_numerical",
                 f"{k} passages, degree {n}")
     for degs in _bounded_compositions(caps, n):
         yield binomial_product(labels, degs), Maze(
@@ -467,6 +449,30 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     return normalize_numerical(maze_hom_compose(f, g, n), n)
 
 
+def _doubling_terms(maze: Maze, n: int):
+    """The terms of more than maze.size and at most n passages in the
+    binomial expansion of the pure maze relabelled by 2.
+
+    Yields (coefficient, pure maze).  A passage repeated r times expands
+    as (2x + x^2)^r: it is repeated r + j times, for j = 0..r, with
+    coefficient C(r, j) 2^(r - j).  The term with every j = 0 is
+    2^size times the maze itself and is left out.
+    """
+    passages = maze.passages
+    if not passages:
+        return
+    # Parts j + 1 between 1 and r + 1, summing to at most the passage
+    # count plus the room left below n; the all-ones tuple comes first.
+    caps = [r + 1 for _, r in passages]
+    for parts in _bounded_compositions(caps, len(caps) + n - maze.size)[1:]:
+        coeff = 1
+        for (_, r), part in zip(passages, parts):
+            coeff *= comb(r, part - 1) << (r + 1 - part)
+        yield coeff, Maze(maze.dom, maze.cod,
+                          [(p, r + part - 1)
+                           for (p, r), part in zip(passages, parts)])
+
+
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     """Normal form in the degree-n homogeneous quotient: a rational
     combination of pure mazes with exactly n passages.
@@ -478,6 +484,22 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     terminates, and it stops once no maze below n passages is left.
     """
     current = dict(normalize_numerical(h, n).comb)
+    # Guard before the work.  Every maze met below n is pure and has the
+    # passages of some maze below n here.  On d passages there are at most
+    # C(t - 1, d - 1) mazes of size t, each expanding into fewer than
+    # C(n - t + d, d) terms: at most C(n + d, 2d) terms over every t.  A
+    # coefficient gains a factor 1 / (2^n - 2^m) at each layer m it passes,
+    # so the count is weighted by the layers above the lowest size on
+    # those passages.  The empty maze expands into nothing.
+    low = {}
+    for maze in current:
+        if 0 < maze.size < n:
+            passages = tuple(p for p, _ in maze.passages)
+            low[passages] = min(low.get(passages, n), maze.size)
+    guard_count(sum(comb(n + len(s), 2 * len(s)) * (n - m)
+                    for s, m in low.items()),
+                "normalize_homogeneous",
+                f"{len(low)} passage sets, degree {n}")
     for m in range(n):
         if all(maze.size == n for maze in current):
             break
@@ -485,9 +507,8 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
         for maze, c in layer:
             del current[maze]
             factor = c / (2**n - 2**m)
-            for coeff, pure in _numerical_terms(maze.relabel_all(2), n):
-                if pure.size > m:
-                    current[pure] = current.get(pure, 0) + coeff * factor
+            for coeff, pure in _doubling_terms(maze, n):
+                current[pure] = current.get(pure, 0) + coeff * factor
         current = {maze: c for maze, c in current.items() if c != 0}
     return MazeHom(h.dom, h.cod, LinComb(current.items()))
 

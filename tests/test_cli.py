@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import time
 
@@ -132,15 +133,47 @@ def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):
 
 
 def test_homogeneous_normal_form_of_a_double_loop_is_quick(capsys):
-    # Label-2 passages expand only to multiplicities 1 and 2, so each
-    # layer lists a few terms, not every composition up to the degree.
+    # Each layer's loop expands as one maze with its multiplicity, so a
+    # layer lists a few terms; at degree 10^8 the guard refuses before
+    # the first layer.
     start = time.perf_counter()
-    code, out, _ = run(capsys, "normalize", "--kind", "homogeneous",
-                       "--degree", "15", fx("C.json"))
+    for degree in (15, 25):
+        code, out, _ = run(capsys, "normalize", "--kind", "homogeneous",
+                           "--degree", str(degree), fx("C.json"))
+        assert code == 0
+        hom = MazeHom.from_json(json.loads(out))
+        assert [m.size for m, _ in hom.comb] == [degree]
+    code, out, err = run(capsys, "normalize", "--kind", "homogeneous",
+                         "--degree", str(10**8), fx("C.json"))
     assert time.perf_counter() - start < 1
-    assert code == 0
-    hom = MazeHom.from_json(json.loads(out))
-    assert [m.size for m, _ in hom.comb] == [15]
+    assert (code, out) == (4, "")
+    assert err == ("resource limit: normalize_homogeneous (1 passage sets, "
+                   "degree 100000000): an estimated "
+                   f"{math.comb(10**8 + 1, 2) * (10**8 - 2)} items exceed "
+                   "the guard of 1048576\n")
+
+
+def test_numerical_expansion_guard_takes_the_smaller_bound(tmp_path,
+                                                          capsys):
+    # Capped at the label, passages labelled 10^7 list at most 10^7 terms
+    # each, fewer than C(10^8, 2); uncapped -1 labels list at most
+    # C(n, k), fewer than n^k.  Either way the guard refuses at once.
+    for label, k, degree, estimate in (("10000000", 2, 10**8, 10**14),
+                                       ("-1", 3, 2000, math.comb(2000, 3))):
+        path = tmp_path / "labelled.json"
+        cod = ["y", "z", "w"][:k]
+        path.write_text(json.dumps({
+            "dom": ["x"], "cod": cod,
+            "passages": [[["x", y, label], 1] for y in cod],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "normalize", "--degree", str(degree),
+                             str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"resource limit: normalize_numerical ({k} passages, "
+                       f"degree {degree}): an estimated {estimate} items "
+                       "exceed the guard of 1048576\n")
 
 
 def test_homogeneous_normal_form_of_zero_ignores_the_degree(tmp_path,

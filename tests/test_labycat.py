@@ -267,7 +267,10 @@ def uncapped_numerical_terms(maze, n):
     return out
 
 
-def test_capped_expansion_matches_the_uncapped_oracle():
+def test_capped_expansion_matches_the_uncapped_oracle(monkeypatch):
+    estimates = []
+    monkeypatch.setattr(labycat, "guard_count",
+                        lambda count, *_: estimates.append(count))
     labels = (1, 2, 3, -1, Fraction(1, 2))
     ends = [("y",), ("y", "z"), ("y", "z", "w")]
     mazes = []
@@ -283,15 +286,83 @@ def test_capped_expansion_matches_the_uncapped_oracle():
                                                (Passage("x", "y", b), 1)]))
     for maze in mazes:
         for n in range(9):
+            estimates.clear()
             got = list(labycat._numerical_terms(maze, n))
             assert got == uncapped_numerical_terms(maze, n), (maze, n)
-            inst = maze.instances()
-            if len(inst) <= n and not maze.is_pure():
-                caps = [min(p.label.numerator, n)
-                        if p.label.denominator == 1 and p.label > 0 else n
-                        for p in inst]
-                # The guard's estimate is exactly the number listed.
-                assert labycat._bounded_count(caps, n) == len(got)
+            if len(maze.instances()) <= n and not maze.is_pure():
+                # The guard's estimate bounds the number listed.
+                assert len(estimates) == 1 and estimates[0] >= len(got)
+
+
+def homogeneous_oracle(h, n):
+    """normalize_homogeneous as it ran before a repeated passage was
+    expanded as one: each layer maze relabelled by 2 goes through the
+    uncapped oracle instance by instance, and its size-m term is
+    dropped."""
+    current = dict(normalize_numerical(h, n).comb)
+    for m in range(n):
+        layer = [(maze, c) for maze, c in current.items() if maze.size == m]
+        for maze, c in layer:
+            del current[maze]
+            for coeff, pure in uncapped_numerical_terms(maze.relabel_all(2),
+                                                        n):
+                if pure.size > m:
+                    current[pure] = (current.get(pure, 0)
+                                     + coeff * c / (2**n - 2**m))
+    return MazeHom.from_terms(h.dom, h.cod, current.items())
+
+
+def test_doubling_expansion_matches_the_instance_oracle():
+    # Every choice of up to two instances on each of three passages, two
+    # of them parallel into y, the empty maze included; labelled copies
+    # go through the numerical step first.
+    pairs = [("x", "y"), ("x", "z"), ("w", "y")]
+    for mults in itertools.product(range(3), repeat=3):
+        passages = [(Passage(a, b, 1), r)
+                    for (a, b), r in zip(pairs, mults) if r]
+        maze = Maze({p.src for p, _ in passages},
+                    {p.dst for p, _ in passages}, passages)
+        for label in (1, 2, -1, Fraction(1, 2)):
+            h = MazeHom.of(maze.relabel_all(label))
+            for n in range(7):
+                assert normalize_homogeneous(h, n) == \
+                    homogeneous_oracle(h, n), (h, n)
+
+
+def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
+    estimates, listed = [], []
+    guard, doubling = labycat.guard_count, labycat._doubling_terms
+
+    def record_guard(count, operation, sizes):
+        if operation == "normalize_homogeneous":
+            estimates.append(count)
+        guard(count, operation, sizes)
+
+    def record_terms(maze, n):
+        terms = list(doubling(maze, n))
+        listed.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(labycat, "guard_count", record_guard)
+    monkeypatch.setattr(labycat, "_doubling_terms", record_terms)
+    xy, xz = Passage("x", "y", 1), Passage("x", "z", 1)
+    wy, wz = Passage("w", "y", 1), Passage("w", "z", 1)
+    homs = [MazeHom.of(parallel_pure(r)) for r in (1, 2, 3)]
+    homs.append(MazeHom.of(Maze(("x",), ("y", "z"), [(xy, 2), (xz, 1)])))
+    # Two mazes on one set of passages, and a second set beside them.
+    ends = (("w", "x"), ("y", "z"))
+    homs.append(MazeHom.of(Maze(*ends, [xy, wz]))
+                + MazeHom.of(Maze(*ends, [(xy, 3), wz]))
+                + MazeHom.of(Maze(*ends, [xy, xz, (wy, 2)])))
+    for h in homs:
+        for n in range(1, 9):
+            estimates.clear()
+            listed.clear()
+            normalize_homogeneous(h, n)
+            assert len(estimates) == 1 and sum(listed) <= estimates[0], \
+                (h, n)
+    with pytest.raises(EnumerationLimitError):
+        normalize_homogeneous(MazeHom.of(parallel_pure(2)), 10**8)
 
 
 def test_normalize_numerical_fixes_pure_and_kills_zero_labels():
