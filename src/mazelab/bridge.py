@@ -161,7 +161,8 @@ def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:
                            for passage, d in zip(inst, degs)])
         cod_ms = MultiSet([(passage.dst, d)
                            for passage, d in zip(inst, degs)])
-        mu = Multation(dom_ms, cod_ms, list(merged))
+        # divided_reduce gives sorted, merged columns with these marginals.
+        mu = Multation._trusted(dom_ms, cod_ms, merged)
         terms.setdefault((cod_ms, dom_ms), []).append(
             (mu, scalar_part * coeff))
     return AriadneMatrix.from_terms(p.dom, p.cod, n, terms)

@@ -20,6 +20,7 @@ maps between direct sums are integer matrices compared entrywise modulo
 the target generator orders.
 """
 
+from functools import cache
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -284,16 +285,17 @@ def transport_maps(maze: Maze):
     return maps
 
 
-def phi_forward(f: MatrixFunctor, maze: Maze):
+def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
     """The presentation value of one maze: the deviation of the labelled
     transport maps, restricted to the top cross-effect of the source and
     corestricted to that of the target.
 
     Requires integer labels; the restriction is guaranteed for functors
-    with free values, and a failed corestriction raises.
+    with free values, and a failed corestriction raises.  `values`, if
+    given, stands in for f on matrices, such as a memo of f.
     """
     a, b = len(maze.dom), len(maze.cod)
-    dev = deviation(f, transport_maps(maze))
+    dev = deviation(values or f, transport_maps(maze))
     piv_x, basis_x = cross_effect_basis(f, a)
     piv_y, basis_y = cross_effect_basis(f, b)
     cols = []
@@ -809,9 +811,16 @@ class LabyModulePresentation(Presentation):
             _, basis = cross_effect_basis(f, k)
             groups.append(FgAbGroup(len(basis)))
         hom_sets = laby_structure_constants(degree).arrows
-        table = {maze: AbHom.of_groups(groups[len(dom)], groups[len(cod)],
-                                       phi_forward(f, maze).rows)
-                 for (dom, cod), mazes in hom_sets.items() for maze in mazes}
+        table = {}
+        for (dom, cod), mazes in hom_sets.items():
+            # Mazes share many subset sums of their transport maps, and
+            # only mazes of one hom-set share their shape: f is evaluated
+            # once per distinct matrix, kept for one hom-set.
+            values = cache(f)
+            for maze in mazes:
+                table[maze] = AbHom.of_groups(
+                    groups[len(dom)], groups[len(cod)],
+                    phi_forward(f, maze, values).rows)
         return cls(degree, groups, table, check=check)
 
 

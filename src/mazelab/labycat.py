@@ -39,25 +39,32 @@ from .scalars import (HomComb, LinComb, StructureConstants, binomial_product,
 class Passage:
     """A labelled formal arrow between elements of two finite sets."""
 
-    __slots__ = ("src", "dst", "label")
+    __slots__ = ("src", "dst", "label", "_hash", "_key")
 
     def __init__(self, src: str, dst: str, label=1):
+        label = scalar(label)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "label", scalar(label))
+        object.__setattr__(self, "label", label)
+        # Every passage is hashed and sorted soon after it is built, and a
+        # Fraction hashes in Python, so both are derived once, here.
+        object.__setattr__(self, "_hash", hash((src, dst, label)))
+        object.__setattr__(self, "_key",
+                           (src, dst, label.numerator, label.denominator))
 
     def __setattr__(self, name, value):
         raise AttributeError("Passage is immutable")
 
     def sort_key(self):
-        return (self.src, self.dst, self.label.numerator, self.label.denominator)
+        return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, Passage) and self.src == other.src
-                and self.dst == other.dst and self.label == other.label)
+        # A Fraction is reduced, so equal keys mean equal labels.
+        return (isinstance(other, Passage) and self._hash == other._hash
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.src, self.dst, self.label))
+        return self._hash
 
     def __repr__(self):
         return f"{self.src} -({scalar_str(self.label)})-> {self.dst}"
@@ -71,7 +78,7 @@ class Maze:
     input (see validate_maze).
     """
 
-    __slots__ = ("dom", "cod", "passages")
+    __slots__ = ("dom", "cod", "passages", "_hash", "_key")
 
     def __init__(self, dom, cod, passages=()):
         if hasattr(passages, "items"):
@@ -85,10 +92,16 @@ class Maze:
             if mult <= 0:
                 raise ValueError("passage multiplicities must be positive")
             counts[p] = counts.get(p, 0) + mult
-        object.__setattr__(self, "dom", tuple(sorted(set(dom))))
-        object.__setattr__(self, "cod", tuple(sorted(set(cod))))
-        object.__setattr__(self, "passages", tuple(
-            sorted(counts.items(), key=lambda pm: pm[0].sort_key())))
+        dom = tuple(sorted(set(dom)))
+        cod = tuple(sorted(set(cod)))
+        passages = tuple(sorted(counts.items(), key=lambda pm: pm[0]._key))
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "passages", passages)
+        # Every maze built is a dict key at once, as Passage is.
+        object.__setattr__(self, "_hash", hash((dom, cod, passages)))
+        object.__setattr__(self, "_key", (
+            dom, cod, tuple((p._key, m) for p, m in passages)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Maze is immutable")
@@ -132,15 +145,14 @@ class Maze:
                      for p, m in self.passages])
 
     def sort_key(self):
-        return (self.dom, self.cod,
-                tuple((p.sort_key(), m) for p, m in self.passages))
+        return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, Maze) and self.dom == other.dom
-                and self.cod == other.cod and self.passages == other.passages)
+        return (isinstance(other, Maze) and self._hash == other._hash
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.passages))
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(
@@ -242,9 +254,10 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         return MazeHom.zero(q.dom, p.cod)
     full_p = (1 << np_) - 1
 
+    # Each pair's composed passage is built once, here, not at every leaf.
     groups = [[] for _ in range(nq)]
     for (i, pi), (j, qj) in pairs:
-        groups[j].append((i, pi, qj))
+        groups[j].append((i, Passage(qj.src, pi.dst, pi.label * qj.label)))
 
     # Nonempty choices per group, each tagged with its p-coverage mask.
     choices = []
@@ -257,10 +270,10 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         for mask in range(1, 1 << len(members)):
             cover = 0
             chosen = []
-            for t, (i, pi, qj) in enumerate(members):
+            for t, (i, composed) in enumerate(members):
                 if mask >> t & 1:
                     cover |= 1 << i
-                    chosen.append((pi, qj))
+                    chosen.append(composed)
             if len(chosen) <= n - nq + 1:
                 opts.append((cover, tuple(chosen)))
         choices.append(opts)
@@ -289,9 +302,7 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         if covered | suffix[t] != full_p or len(chosen) + len(choices) - t > n:
             return
         if t == len(choices):
-            composed = [Passage(qj.src, pi.dst, pi.label * qj.label)
-                        for pi, qj in chosen]
-            maze = Maze(q.dom, p.cod, composed)
+            maze = Maze(q.dom, p.cod, chosen)
             accum[maze] = accum.get(maze, 0) + 1
             return
         for cover, bundle in choices[t]:
@@ -553,6 +564,8 @@ def pure_mazes_between(dom, cod, sizes):
     """
     dom = tuple(sorted(set(dom)))
     cod = tuple(sorted(set(cod)))
+    # One passage per kind, shared by every maze listed.
+    unit = {(x, y): Passage(x, y, 1) for x in dom for y in cod}
     out = []
     for s in sizes:
         # Multi-sets of s passages over |dom| * |cod| kinds bound the count;
@@ -563,8 +576,7 @@ def pure_mazes_between(dom, cod, sizes):
         for rows in compositions(s, len(dom)):
             for cols in compositions(s, len(cod)):
                 out.extend(
-                    Maze(dom, cod, [(Passage(x, y, 1), m)
-                                    for (x, y), m in t.items()])
+                    Maze(dom, cod, [(unit[xy], m) for xy, m in t.items()])
                     for t in tables(zip(dom, rows), zip(cod, cols)))
     return sorted(out, key=Maze.sort_key)
 

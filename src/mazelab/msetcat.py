@@ -32,7 +32,7 @@ class Multation:
     of first coordinates must equal dom and of second coordinates cod.
     """
 
-    __slots__ = ("dom", "cod", "pairs")
+    __slots__ = ("dom", "cod", "pairs", "_hash")
 
     def __init__(self, dom: MultiSet, cod: MultiSet, pairs):
         if hasattr(pairs, "items"):
@@ -47,13 +47,14 @@ class Multation:
         for (a, b), mult in counts.items():
             firsts[a] = firsts.get(a, 0) + mult
             seconds[b] = seconds.get(b, 0) + mult
-        if MultiSet(firsts) != dom:
+        if tuple(sorted(firsts.items())) != dom.items():
             raise ValueError("first coordinates do not reproduce the domain")
-        if MultiSet(seconds) != cod:
+        if tuple(sorted(seconds.items())) != cod.items():
             raise ValueError("second coordinates do not reproduce the codomain")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, dom: MultiSet, cod: MultiSet, pairs):
@@ -64,6 +65,7 @@ class Multation:
         object.__setattr__(mu, "dom", dom)
         object.__setattr__(mu, "cod", cod)
         object.__setattr__(mu, "pairs", pairs)
+        object.__setattr__(mu, "_hash", None)
         return mu
 
     def __setattr__(self, name, value):
@@ -98,7 +100,11 @@ class Multation:
                 and self.cod == other.cod and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.pairs))
+        # Derived on first use: most multations are sorted, never hashed.
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.dom, self.cod, self.pairs)))
+        return self._hash
 
     def sort_key(self):
         return (self.dom.sort_key(), self.cod.sort_key(), self.pairs)

@@ -35,7 +35,7 @@ def json_int(value, what: str) -> int:
 class MultiSet:
     """Immutable multi-set with canonically sorted support."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, elements=()):
         """Build from an iterable of names, or of (name, multiplicity) pairs,
@@ -58,6 +58,8 @@ class MultiSet:
             if mult:
                 counts[name] = counts.get(name, 0) + mult
         object.__setattr__(self, "_items", tuple(sorted(counts.items())))
+        # A tuple of names and ints hashes in C, cheaply, so at once.
+        object.__setattr__(self, "_hash", hash(self._items))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiSet is immutable")
@@ -97,7 +99,7 @@ class MultiSet:
         return isinstance(other, MultiSet) and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        return self._hash
 
     def __contains__(self, name):
         return self.mult(name) > 0

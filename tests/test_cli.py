@@ -68,6 +68,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("data", [
+    # The columns do not reproduce the codomain.
+    {"dom": [["a", 1]], "cod": [["b", 2]], "pairs": [[["a", "b"], 1]]},
+    # A column names an element that is not a string.
+    {"dom": [["a", 1]], "cod": [["b", 1]], "pairs": [[[1, "b"], 1]]},
+    # Column names of two types cannot be sorted together.
+    {"dom": [["a", 2]], "cod": [["b", 2]],
+     "pairs": [[[1, "b"], 1], [["a", "b"], 1]]},
+    {"dom": [["", 1]], "cod": [["b", 1]], "pairs": [[["", "b"], 1]]},
+    {"dom": [["a", 1]], "cod": [["b", 1]], "pairs": [[["a", "b"], 0]]},
+])
+def test_malformed_multation_exit_code(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "compose", "--category", "mset",
+                       str(bad), fx("alpha.json"))
+    assert code == 2
+    assert "malformed multation data" in err
+
+
 def test_enumeration_limit_exit_code(tmp_path, capsys):
     fat1 = tmp_path / "fat1.json"
     fat1.write_text(json.dumps({

@@ -445,6 +445,32 @@ def test_cross_effect_basis_cached_per_functor_instance(monkeypatch):
     assert sorted(g.ce_basis_cache) == [1, 2]
 
 
+def test_from_functor_evaluates_each_distinct_matrix_once(monkeypatch):
+    calls = []
+    real = functor_lab.kron_power
+
+    def counting(m, n):
+        calls.append(m)
+        return real(m, n)
+
+    monkeypatch.setattr(functor_lab, "kron_power", counting)
+    f = tensor_power_functor(3)
+    # The cross-effect bases are computed once and kept by the functor.
+    for a in range(4):
+        functor_lab.cross_effect_basis(f, a)
+    builds = []
+    for _ in range(2):
+        calls.clear()
+        builds.append(LabyModulePresentation.from_functor(f, 3, check=False))
+        # One evaluation per distinct matrix, in every build: the memo
+        # does not outlive the build.
+        assert len(calls) == len(set(calls)) <= 144
+    h = builds[0]
+    assert h.to_json() == builds[1].to_json()
+    assert all(h.table[maze].mat == functor_lab.phi_forward(f, maze)
+               for maze in h.mazes())
+
+
 def test_cross_effect_projectors_pairwise_orthogonal():
     # The pairwise products the projector assertion leaves out, as an
     # oracle: idempotents summing to the identity are orthogonal.

@@ -30,7 +30,7 @@ from mazelab.labycat import (
     splitting_idempotents,
     validate_maze,
 )
-from mazelab.scalars import binomial
+from mazelab.scalars import LinComb, binomial
 
 
 def parallel_pure(count, dom=("x",), cod=("y",)):
@@ -619,6 +619,54 @@ def test_degree_pruned_composition_matches_unpruned_oracle():
                 assert compose_in_laby_n(f, g, n) == oracle, (p, q, n)
                 count += 1
     assert count == 2 * (2 + 19 + 580)
+
+
+def _covering_subsets_oracle(p, q):
+    """Plain composition by brute force: every subset of the pair product
+    whose projections cover both instance lists, read as the maze of
+    multiplied labels."""
+    pairs = box_product(p, q)
+    accum = {}
+    for mask in range(1 << len(pairs)):
+        chosen = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
+        if ({i for (i, _), _ in chosen} == set(range(p.size))
+                and {j for _, (j, _) in chosen} == set(range(q.size))):
+            maze = Maze(q.dom, p.cod,
+                        [Passage(qj.src, pi.dst, pi.label * qj.label)
+                         for (_, pi), (_, qj) in chosen])
+            accum[maze] = accum.get(maze, 0) + 1
+    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+
+
+def test_covering_search_matches_the_subset_oracle_on_skeleta():
+    pairs = _skeleton_pairs(2)
+    assert len(pairs) == 19
+    for p, q in pairs:
+        assert maze_compose(p, q) == _covering_subsets_oracle(p, q), (p, q)
+
+
+def _random_valid_maze(rng, dom, cod, labels):
+    """A maze dom -> cod without dead ends whose passages repeat and carry
+    labels drawn from `labels`."""
+    passages = [Passage(x, rng.choice(cod), rng.choice(labels)) for x in dom]
+    passages += [Passage(rng.choice(dom), y, rng.choice(labels)) for y in cod]
+    passages += [rng.choice(passages) for _ in range(rng.randrange(2))]
+    return Maze(dom, cod, passages)
+
+
+def test_covering_search_matches_the_subset_oracle_on_labelled_pairs():
+    rng = random.Random(13)
+    labels = (2, -1, Fraction(1, 2))
+    repeated = 0
+    for _ in range(60):
+        x, y, z = (skeleton(rng.randint(1, 2)) for _ in range(3))
+        q = _random_valid_maze(rng, x, y, labels)
+        p = _random_valid_maze(rng, y, z, labels)
+        if len(box_product(p, q)) > 12:
+            continue
+        repeated += any(m > 1 for _, m in p.passages + q.passages)
+        assert maze_compose(p, q) == _covering_subsets_oracle(p, q), (p, q)
+    assert repeated >= 10
 
 
 def test_degree_pruned_composition_of_oversized_mazes_is_zero():

@@ -1,0 +1,133 @@
+"""Passage, Maze, MultiSet and Multation store their hash (and, for the
+first two, their sort key): equal values built by different routes must
+agree on both, and on the formulas the stored values stand for."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mazelab.bridge import ariadne_maze
+from mazelab.labycat import Maze, Passage, rename_maze
+from mazelab.msetcat import Multation, all_multations
+from mazelab.multisets import MultiSet
+
+NAMES = ("1", "2", "3")
+
+
+def assert_same_identity(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.sort_key() == y.sort_key()
+
+
+def assert_frozen(x):
+    with pytest.raises(AttributeError):
+        x._hash = 0
+
+
+# A label as a reduced Fraction and as an unreduced "p/q" string.
+labels = st.tuples(st.integers(-3, 3), st.integers(1, 4),
+                   st.integers(1, 3)).map(
+    lambda t: (Fraction(t[0], t[1]), f"{t[0] * t[2]}/{t[1] * t[2]}"))
+
+
+@st.composite
+def valid_mazes(draw):
+    """A maze without dead ends, its passages with labels in both forms."""
+    dom = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    cod = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    ends = [(x, draw(st.sampled_from(cod))) for x in dom]
+    ends += [(draw(st.sampled_from(dom)), y) for y in cod]
+    ends += draw(st.lists(st.sampled_from(ends), max_size=2))
+    return dom, cod, [(s, d, draw(labels)) for s, d in ends]
+
+
+@settings(max_examples=100, deadline=None)
+@given(maze=valid_mazes(), scale=labels)
+def test_passage_and_maze_identity_across_routes(maze, scale):
+    dom, cod, passages = maze
+    m = Maze(dom, cod, [Passage(s, d, frac) for s, d, (frac, _) in passages])
+    for p, _ in m.passages:
+        assert hash(p) == hash((p.src, p.dst, p.label))
+        assert p.sort_key() == (p.src, p.dst, p.label.numerator,
+                                p.label.denominator)
+        assert_frozen(p)
+    assert hash(m) == hash((m.dom, m.cod, m.passages))
+    assert m.sort_key() == (m.dom, m.cod, tuple((p.sort_key(), k)
+                                                for p, k in m.passages))
+    assert_frozen(m)
+
+    # Unreduced string labels, reversed order, merged multiplicities.
+    by_string = Maze(list(reversed(dom)), cod,
+                     [Passage(s, d, text)
+                      for s, d, (_, text) in reversed(passages)])
+    assert_same_identity(by_string, m)
+    assert_same_identity(Maze(dom, cod, dict(m.passages)), m)
+    assert_same_identity(Maze.from_json(m.to_json()), m)
+    for (p, _), (q, _) in zip(by_string.passages, m.passages):
+        assert_same_identity(p, q)
+
+    swap = {"1": "2", "2": "1", "3": "3"}
+    assert_same_identity(rename_maze(rename_maze(m, swap, swap), swap, swap),
+                         m)
+    factor, _ = scale
+    if factor:
+        assert_same_identity(
+            m.relabel_all(factor).relabel_all(1 / factor), m)
+    assert_same_identity(
+        Maze.identity(dom),
+        Maze(dom, dom, [Passage(x, x, "2/2") for x in reversed(dom)]))
+
+
+@st.composite
+def multisets(draw):
+    return draw(st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2),
+                                min_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=multisets(), b=multisets())
+def test_multiset_and_multation_identity_across_routes(a, b):
+    ms_a = MultiSet(a)
+    assert_frozen(ms_a)
+    assert hash(ms_a) == hash(ms_a.items())
+    assert_frozen(ms_a)
+    for other in (MultiSet(list(a.items())),
+                  MultiSet([x for x, k in a.items() for _ in range(k)]),
+                  MultiSet.from_json(ms_a.to_json())):
+        assert_same_identity(other, ms_a)
+
+    ms_b = MultiSet({x: k for x, k in b.items()})
+    mus = all_multations(ms_a, ms_b)
+    assert mus or ms_a.cardinality != ms_b.cardinality
+    for mu in mus:
+        assert_frozen(mu)
+        assert hash(mu) == hash((mu.dom, mu.cod, mu.pairs))
+        assert mu.sort_key() == (mu.dom.sort_key(), mu.cod.sort_key(),
+                                 mu.pairs)
+        assert_frozen(mu)
+        fresh_ends = (MultiSet(dict(mu.dom.items())),
+                      MultiSet(dict(mu.cod.items())))
+        assert_same_identity(Multation._trusted(*fresh_ends, mu.pairs), mu)
+        assert_same_identity(
+            Multation(*fresh_ends, list(reversed(mu.pairs))), mu)
+        assert_same_identity(Multation.from_json(mu.to_json()), mu)
+    assert_same_identity(
+        Multation.identity(ms_a),
+        Multation(MultiSet(a), MultiSet(a),
+                  [((x, x), k) for x, k in a.items()]))
+
+
+def test_ariadne_terms_equal_validated_multations():
+    # The forward translation builds its multations unchecked; each must
+    # be the multation the validating constructor gives.
+    maze = Maze(("1", "2"), ("1", "2"),
+                [(Passage("1", "1", 2), 2), Passage("1", "2", -1),
+                 Passage("2", "2", Fraction(1, 2))])
+    count = 0
+    for hom in ariadne_maze(maze, 7).entries.values():
+        for mu, _ in hom.comb:
+            assert_same_identity(Multation(mu.dom, mu.cod, mu.pairs), mu)
+            count += 1
+    assert count == 10
