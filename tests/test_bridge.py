@@ -114,6 +114,35 @@ def test_ariadne_functoriality_random():
             assert lhs == rhs
 
 
+@st.composite
+def composable_pure_mazes(draw):
+    """A degree n in {2, 3} and pure mazes p, q on at most three points,
+    each of one to three passages, with p after q defined."""
+    n = draw(st.sampled_from((2, 3)))
+    universe = skeleton(3)
+    q = Maze.pure(draw(st.lists(
+        st.tuples(st.sampled_from(universe), st.sampled_from(universe)),
+        min_size=1, max_size=3)))
+    mid = sorted(q.cod)
+    # every point of q's codomain starts a passage of p
+    heads = draw(st.lists(st.sampled_from(universe), min_size=len(mid),
+                          max_size=len(mid)))
+    extra = draw(st.lists(
+        st.tuples(st.sampled_from(mid), st.sampled_from(universe)),
+        max_size=3 - len(mid)))
+    combo = list(zip(mid, heads)) + extra
+    p = Maze.pure(combo, q.cod, {z for _, z in combo})
+    return n, p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=composable_pure_mazes())
+def test_ariadne_functoriality_property(case):
+    n, p, q = case
+    lhs = ariadne_maze(p, n).compose(ariadne_maze(q, n))
+    assert lhs == ariadne_hom(maze_compose(p, q), n)
+
+
 def test_ariadne_respects_label_splitting():
     # the label-additivity rewriting is invisible after translation
     rng = random.Random(7)

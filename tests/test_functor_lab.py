@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mazelab import functor_lab, labycat, msetcat
 from mazelab.bridge import factorization_verify
-from mazelab.errors import ShapeMismatchError
+from mazelab.errors import EnumerationLimitError, ShapeMismatchError
 from mazelab.functor_lab import (
     AbHom,
     FgAbGroup,
@@ -45,7 +47,8 @@ from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
                              skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import Multation, all_multations, mset2_generators
-from mazelab.multisets import MultiSet, all_cardinality_multisets
+from mazelab.multisets import (MultiSet, all_cardinality_multisets,
+                               guard_count)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -378,6 +381,106 @@ def test_signed_cover_sum_empty_set_aggregates_degenerate_rectangles():
                         continue
                     expected += ((-1) ** (m + n + p + q)) * comb(m, p) * comb(n, q)
             assert signed_cover_sum(m, n, []) == expected, (m, n)
+
+
+def subset_walk_signed_cover_sum(m: int, n: int, l_pairs) -> int:
+    """Sum of (-1)^|K| over all K between l_pairs and [m] x [n] whose two
+    projections are surjective, by brute-force enumeration."""
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    index = {p: t for t, p in enumerate(pairs)}
+    l_mask = 0
+    for p in set(l_pairs):
+        if p not in index:
+            raise ValueError(f"pair {p} outside [{m}] x [{n}]")
+        l_mask |= 1 << index[p]
+    free = ((1 << len(pairs)) - 1) & ~l_mask
+    guard_count(1 << bin(free).count("1"), "signed_cover_sum",
+                f"{m} x {n}, {bin(l_mask).count('1')} pairs given")
+    row_masks = []
+    for i in range(1, m + 1):
+        rm = 0
+        for j in range(1, n + 1):
+            rm |= 1 << index[(i, j)]
+        row_masks.append(rm)
+    col_masks = []
+    for j in range(1, n + 1):
+        cm = 0
+        for i in range(1, m + 1):
+            cm |= 1 << index[(i, j)]
+        col_masks.append(cm)
+    total = 0
+    sub = free
+    while True:
+        k = l_mask | sub
+        if all(k & rm for rm in row_masks) and all(k & cm for cm in col_masks):
+            total += -1 if bin(k).count("1") & 1 else 1
+        if sub == 0:
+            break
+        sub = (sub - 1) & free
+    return total
+
+
+def test_signed_cover_sum_matches_the_subset_walk_exhaustively():
+    # every L inside [m] x [n] for m, n <= 3, empty grids included, given
+    # in grid order, reversed, and with its first pair repeated
+    checked = 0
+    for m in range(4):
+        for n in range(4):
+            pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+            for mask in range(1 << len(pairs)):
+                l_pairs = [p for t, p in enumerate(pairs) if mask >> t & 1]
+                want = subset_walk_signed_cover_sum(m, n, l_pairs)
+                for given in (l_pairs, l_pairs[::-1], l_pairs + l_pairs[:1]):
+                    assert signed_cover_sum(m, n, given) == want, (m, n, given)
+                checked += 1
+    assert checked == 689
+
+
+def test_signed_cover_sum_matches_the_subset_walk_on_a_seeded_sample():
+    rng = random.Random(2024)
+    for m, n in [(4, 4), (2, 4), (4, 2)] * 100:
+        pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        density = rng.choice((0.35, 0.5, 0.75))
+        l_pairs = [p for p in pairs if rng.random() < density]
+        l_pairs += rng.choices(l_pairs, k=rng.randint(0, 3)) if l_pairs else []
+        rng.shuffle(l_pairs)
+        assert signed_cover_sum(m, n, l_pairs) == \
+            subset_walk_signed_cover_sum(m, n, l_pairs), (m, n, l_pairs)
+
+
+def test_signed_cover_sum_guard_and_errors_come_first():
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError,
+                       match=r"signed_cover_sum \(1 x 11, 0 pairs given\)"):
+        signed_cover_sum(1, 11, [])
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(EnumerationLimitError,
+                       match=r"signed_cover_sum \(1 x 11, 1 pairs given\)"):
+        signed_cover_sum(1, 11, [(1, 3), (1, 3)])
+    # a pair outside the grid is refused before the guard looks at sizes
+    for bad in [(0, 1), (1, 1, 1), (2, 1), (1, 12)]:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"pair {bad} outside [1] x [11]")):
+            signed_cover_sum(1, 11, [(1, 1), bad])
+
+
+def test_signed_cover_sum_beyond_the_old_guard_keeps_the_closed_forms():
+    # 2^25 subsets and more, once refused, now fall to the row count
+    from math import comb
+
+    for m, n in [(5, 5), (5, 6), (6, 5), (6, 6)]:
+        empty = sum((-1) ** (m + n + p + q) * comb(m, p) * comb(n, q)
+                    for p in range(m + 1) for q in range(n + 1)
+                    if not (p and q))
+        assert signed_cover_sum(m, n, []) == empty, (m, n)
+        for p in range(1, m + 1):
+            for q in range(1, n + 1):
+                rect = [(i, j) for i in range(1, p + 1)
+                        for j in range(1, q + 1)]
+                assert signed_cover_sum(m, n, rect) == \
+                    (-1) ** (m + n + p + q + p * q), (m, n, p, q)
+        assert signed_cover_sum(m, n, [(1, 1), (2, 2)]) == 0
+    assert signed_cover_sum(5, 5, []) == -1
 
 
 def test_deviation_formula_identity_functor():
