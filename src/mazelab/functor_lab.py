@@ -22,7 +22,6 @@ the target generator orders.
 
 from functools import cache
 from itertools import product
-from operator import add
 from typing import NamedTuple
 
 from . import bridge
@@ -383,8 +382,10 @@ def _reduce_rows(rows, cod_orders):
 
 def _combination_rows(dom_orders, cod_orders, terms):
     """The reduced rows of the sum of c * hom over the (hom, c) pairs of
-    `terms`; see AbHom.combination."""
-    rows = None
+    `terms`; see AbHom.combination.  The sum accumulates in one flat list
+    of entries, skipping zeros, and becomes rows once."""
+    width = len(dom_orders)
+    acc = [0] * (width * len(cod_orders))
     for hom, c in terms:
         if (hom.dom_orders != dom_orders
                 or hom.cod_orders != cod_orders):
@@ -393,14 +394,14 @@ def _combination_rows(dom_orders, cod_orders, terms):
         c = integer(c)
         if not c:
             continue
-        term = hom.mat.rows if c == 1 else tuple(
-            tuple([c * x for x in row]) for row in hom.mat.rows)
-        rows = term if rows is None else tuple(
-            tuple(map(add, row, term_row))
-            for row, term_row in zip(rows, term))
-    if rows is None:
-        return ((0,) * len(dom_orders),) * len(cod_orders)
-    return _reduce_rows(rows, cod_orders)
+        at = 0
+        for row in hom.mat.rows:
+            for x in row:
+                if x:
+                    acc[at] += c * x
+                at += 1
+    return _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
+                              for r in range(len(cod_orders))), cod_orders)
 
 
 class AbHom:
@@ -584,8 +585,9 @@ class Presentation:
     MultHom: the table, checked against the carriers on load, hom,
     eval_hom and the hom-set index, one HomSet per hom-set of the side's
     structure constants, each built on first use.  A side gives the
-    `carrier` of some ends, the table `key` of an arrow, its structure
-    `constants` and the `triples` of a basis arrow."""
+    `carrier` of some ends, the table `key` of an arrow, the `identity`
+    arrow of some ends, its structure `constants` and the `triples` of a
+    basis arrow."""
 
     __slots__ = ("degree", "groups", "table", "hom_sets")
 
@@ -630,6 +632,67 @@ class Presentation:
                 [self.triples(x) for x in arrows])
         return entry
 
+    def _functorial_on_basis(self) -> bool:
+        """Whether the table is functorial on every composable pair of
+        basis arrows of the structure constants, given that identities
+        map to identities; False too when a basis value is missing.
+
+        Composing a basis arrow with a transposition's arrow renames it
+        with coefficient 1, so with (i) identities mapping to identities,
+        (ii) hom(s . x) = hom(s) hom(x) and hom(x . s) = hom(x) hom(s)
+        for every transposition s at each end and every basis arrow x
+        give hom(g . x . h) = hom(g) hom(x) hom(h) for all renamings g
+        and h of its ends.  A composable pair and its composite rename
+        together, so then (iii) functoriality on one pair per orbit
+        gives it on every pair.  The stored values are compared as
+        reduced integer rows.
+        """
+        sc = self.constants()
+        if any(None in self.hom_set(x, y).values for x, y in sc.arrows):
+            return False
+        columns = {}
+
+        def value(x, y, t):
+            return self.hom_set(x, y).values[t].mat.rows
+
+        def cols(x, y, t):
+            key = x, y, t
+            if key not in columns:
+                columns[key] = self.hom_set(x, y).values[t].mat.columns()
+            return columns[key]
+
+        for (x, y), fs in sc.arrows.items():
+            at_x, at_y = sc.moves(x, y)
+            # The transposition's arrow y -> y2 renames the identity of y
+            # at its target; the one x2 -> x renames the identity of x at
+            # its source.
+            for j, (_, y2) in enumerate(sc.generators(y)):
+                s = sc.moves(y, y)[1][j][sc.index[self.identity(y)]]
+                cod = self.carrier(y2).orders
+                for t in range(len(fs)):
+                    if value(x, y2, at_y[j][t]) != _reduce_rows(
+                            row_products(value(y, y2, s), cols(x, y, t)),
+                            cod):
+                        return False
+            for j, (_, x2) in enumerate(sc.generators(x)):
+                s = sc.moves(x, x)[0][j][sc.index[self.identity(x)]]
+                cod = self.carrier(y).orders
+                for t in range(len(fs)):
+                    if value(x2, y, at_x[j][t]) != _reduce_rows(
+                            row_products(value(x, y, t), cols(x2, x, s)),
+                            cod):
+                        return False
+        for (a, b, c), pairs in sc.representatives():
+            block, ac = sc.block(a, b, c), self.hom_set(a, c)
+            dom, cod = self.carrier(a).orders, self.carrier(c).orders
+            for i, k in pairs:
+                if _combination_rows(dom, cod, (
+                        (ac.values[u], x) for u, x in block[i][k])) != \
+                        _reduce_rows(row_products(value(b, c, k),
+                                                  cols(a, b, i)), cod):
+                    return False
+        return True
+
 
 # ---------------------------------------------------------------------------
 # maze-side presentations
@@ -659,6 +722,7 @@ class LabyModulePresentation(Presentation):
         super().__init__(degree, groups, dict(table), check)
 
     key = staticmethod(_on_skeleton)
+    identity = staticmethod(Maze.identity)
 
     def carrier(self, ends) -> FgAbGroup:
         return self.groups[len(ends)]
@@ -719,20 +783,38 @@ class LabyModulePresentation(Presentation):
         return self.eval_hom(normalize_numerical(MazeHom.of(maze), self.degree))
 
     def check(self):
-        """Identity values and functoriality over the stored table, both
-        sides of each pair compared as reduced integer rows; each stored
-        maze's coordinates and columns are worked out once."""
+        """Identity values, then functoriality: on the basis arrows of the
+        structure constants by _functorial_on_basis, and on every pair
+        with a stored maze outside them pair by pair.  When either fails
+        or raises, every composable pair of stored mazes is checked in
+        order, which names the first failure."""
         for k in range(self.degree + 1):
             ident = Maze.identity(skeleton(k))
             if self.hom(ident) != AbHom.identity(self.groups[k].orders):
                 raise ValueError(f"identity of [{k}] does not map to identity")
+        index = self.constants().index
+        try:
+            if self._functorial_on_basis() and (
+                    all(m in index for m in self.table)
+                    or not any(self._failures(index))):
+                return
+        except Exception:  # noqa: BLE001 - the loop below gives its error
+            pass
+        for p, q in self._failures(()):
+            raise ValueError(f"table is not functorial on {p!r} after {q!r}")
+
+    def _failures(self, basis):
+        """The composable pairs of stored mazes, not both in `basis`, on
+        which the table is not functorial, both sides compared as reduced
+        integer rows; each stored maze's coordinates and columns are
+        worked out once."""
         mazes = self.mazes()
         coords = {}
         sources = {}
         for p in mazes:
             cod, target = self.carrier(p.cod).orders, self.hom(p).mat.rows
             for q in mazes:
-                if set(q.cod) != set(p.dom):
+                if (p in basis and q in basis) or set(q.cod) != set(p.dom):
                     continue
                 lhs = _combination_rows(self.carrier(q.dom).orders, cod,
                                         self.composite_terms(p, q, coords))
@@ -740,8 +822,7 @@ class LabyModulePresentation(Presentation):
                     sources[q] = self.hom(q).mat.columns()
                 if lhs != _reduce_rows(row_products(target, sources[q]),
                                        cod):
-                    raise ValueError(
-                        f"table is not functorial on {p!r} after {q!r}")
+                    yield p, q
 
     def to_json(self):
         return {
@@ -988,6 +1069,8 @@ class MSetModulePresentation(Presentation):
     def key(mu: Multation) -> Multation:
         return mu
 
+    identity = staticmethod(Multation.identity)
+
     def carrier(self, ends) -> FgAbGroup:
         return self.groups[ends]
 
@@ -1002,14 +1085,20 @@ class MSetModulePresentation(Presentation):
         return all_cardinality_multisets(self.universe, self.degree)
 
     def check(self):
-        """Identity values and functoriality over every composable pair of
-        multations, the composites read off the structure constants of
-        the degree and universe."""
+        """Identity values, then functoriality over every composable pair
+        of multations by _functorial_on_basis.  When that fails or raises,
+        every composable pair is checked in order, its composite read off
+        the structure constants, which names the first failure."""
         objs = self.objects()
         for a in objs:
             ident = Multation.identity(a)
             if self.hom(ident) != AbHom.identity(self.groups[a].orders):
                 raise ValueError(f"identity of {a!r} does not map to identity")
+        try:
+            if self._functorial_on_basis():
+                return
+        except Exception:  # noqa: BLE001 - the loop below gives its error
+            pass
         sc = self.constants()
         for a in objs:
             for b in objs:

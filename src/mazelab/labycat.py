@@ -25,13 +25,13 @@ as its pairs already pass n.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
 
 from .errors import DomainMismatchError
-from .multisets import (ENUM_LIMIT, MultiSet, compositions, guard_count,
-                        json_int, limit_error, tables)
+from .multisets import (CONSTANTS_KEPT, ENUM_LIMIT, MultiSet, compositions,
+                        guard_count, json_int, limit_error, tables)
 from .scalars import (HomComb, LinComb, StructureConstants, binomial_product,
                       lincomb_combine, scalar, scalar_str)
 
@@ -251,7 +251,7 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
     if n is None:
         n = len(pairs)
     elif max(np_, nq) > n:
-        return MazeHom.zero(q.dom, p.cod)
+        return MazeHom._trusted(q.dom, p.cod, LinComb())
     full_p = (1 << np_) - 1
 
     # Each pair's composed passage is built once, here, not at every leaf.
@@ -265,7 +265,7 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         if not members:
             # q has an instance nothing composes with; impossible for
             # valid mazes, but then there is no covering subset at all.
-            return MazeHom.zero(q.dom, p.cod)
+            return MazeHom._trusted(q.dom, p.cod, LinComb())
         opts = []
         for mask in range(1, 1 << len(members)):
             cover = 0
@@ -314,7 +314,8 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
             rec(t + 1, covered | cover, chosen + list(bundle))
 
     rec(0, 0, [])
-    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+    # Maze ends are normalized, and every leaf joins q.dom to p.cod.
+    return MazeHom._trusted(q.dom, p.cod, LinComb(accum.items()))
 
 
 def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
@@ -322,7 +323,7 @@ def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
     drops the composites that are zero in the degree-n quotient."""
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
-    return MazeHom(g.dom, f.cod, lincomb_combine(
+    return MazeHom._trusted(g.dom, f.cod, lincomb_combine(
         [maze_compose(p, q, n).comb for p, _ in f.comb for q, _ in g.comb],
         [c * d for _, c in f.comb for _, d in g.comb]))
 
@@ -450,7 +451,8 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     for maze, c in h.comb:
         for coeff, pure in _numerical_terms(maze, n):
             terms.append((pure, c * coeff))
-    return MazeHom(h.dom, h.cod, LinComb(terms))
+    # Each term keeps the ends of the maze it expands.
+    return MazeHom._trusted(h.dom, h.cod, LinComb(terms))
 
 
 def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
@@ -521,7 +523,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
             for coeff, pure in _doubling_terms(maze, n):
                 current[pure] = current.get(pure, 0) + coeff * factor
         current = {maze: c for maze, c in current.items() if c != 0}
-    return MazeHom(h.dom, h.cod, LinComb(current.items()))
+    return MazeHom._trusted(h.dom, h.cod, LinComb(current.items()))
 
 
 def splitting_idempotents(names, n: int):
@@ -547,11 +549,14 @@ def splitting_idempotents(names, n: int):
 
 
 def rename_maze(maze: Maze, dom_map, cod_map) -> Maze:
-    """Transport a maze along bijective renamings of its two endpoints."""
+    """Transport a maze along bijective renamings of its two endpoints.
+    A name a map lacks stays, and a map of None moves no name."""
+    src = (dom_map or {}).get
+    dst = (cod_map or {}).get
     return Maze(
-        [dom_map[x] for x in maze.dom],
-        [cod_map[y] for y in maze.cod],
-        [(Passage(dom_map[p.src], cod_map[p.dst], p.label), m)
+        [src(x, x) for x in maze.dom],
+        [dst(y, y) for y in maze.cod],
+        [(Passage(src(p.src, p.src), dst(p.dst, p.dst), p.label), m)
          for p, m in maze.passages])
 
 
@@ -586,17 +591,29 @@ def skeleton(k: int):
     return tuple(str(i) for i in range(1, k + 1))
 
 
-@cache
+def _skeleton_swaps(names):
+    """The adjacent transpositions of a set, each with the set it renames
+    the set to, which is the set itself."""
+    return [({x: y, y: x}, names) for x, y in zip(names, names[1:])]
+
+
+@lru_cache(maxsize=CONSTANTS_KEPT)
 def laby_structure_constants(n: int) -> StructureConstants:
-    """Composition in the degree-n numerical quotient, one per process:
-    the pure mazes of at most n passages between every two skeleton sets
-    [0..n], in pure_mazes_between order, and, from its first use, each
-    composite in normal form, in integers."""
+    """Composition in the degree-n numerical quotient, kept for the last
+    few degrees asked for: the pure mazes of at most n passages between
+    every two skeleton sets [0..n], in pure_mazes_between order, and,
+    from its first use, each composite in normal form, in integers.
+
+    A transposition of a set's points acts on a pure maze by renaming,
+    and composing with the transposition's maze gives the renamed maze
+    with coefficient 1, so blocks fill by orbits under the permutations
+    of the three sets (see StructureConstants)."""
     sets = [skeleton(k) for k in range(n + 1)]
     return StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
-        lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n))
+        lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n),
+        _skeleton_swaps, rename_maze)
 
 
 def quadratic_generators():

@@ -19,6 +19,11 @@ from .errors import EnumerationLimitError
 # keeps well under this.
 ENUM_LIMIT = 2**20
 
+# How many structure-constant sets each category keeps per process, the
+# most recently used: a presentation's check fills every block of its
+# degree, and a degree-4 set holds about half a million composites.
+CONSTANTS_KEPT = 4
+
 LIFT_SEP = "#"
 PAIR_SEP = ","
 

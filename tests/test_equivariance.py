@@ -1,0 +1,225 @@
+"""Renaming symmetry of the structure constants and of both checks.
+
+The constants fill each block by orbits of pairs under renaming the
+source, middle and target independently, composing one pair per orbit.
+Both presentation checks test (i) identities, (ii) the values of the
+adjacent transpositions' arrows against every basis arrow and (iii) one
+pair per orbit, and rerun the per-pair loop only to name a failure.  The
+references are the per-pair ones: every pair composed afresh, and the
+check oracles of test_structure_constants.
+"""
+
+import random
+
+import pytest
+
+from mazelab.functor_lab import (AbHom, LabyModulePresentation,
+                                 MSetModulePresentation, tensor_power_functor)
+from mazelab.labycat import (Maze, MazeHom, compose_in_laby_n,
+                             laby_structure_constants, skeleton)
+from mazelab.msetcat import (MultHom, Multation, mset_structure_constants,
+                             multation_compose)
+from mazelab.multisets import CONSTANTS_KEPT
+from mazelab.scalars import StructureConstants
+from test_structure_constants import assert_checks_agree
+
+
+def laby(n):
+    return (laby_structure_constants(n), MazeHom, Maze.identity,
+            lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n))
+
+
+def mset(letters, n):
+    return (mset_structure_constants(skeleton(letters), n), MultHom,
+            Multation.identity, multation_compose)
+
+
+# Every degree up to 3 on the maze side, and every degree up to 3 over
+# one to three letters on the multation side.
+CATEGORIES = ([pytest.param(laby, (n,), id=f"laby{n}") for n in range(4)]
+              + [pytest.param(mset, (k, n), id=f"mset{n}-{k}letters")
+                 for k in range(1, 4) for n in range(1, 4)])
+
+
+def counted(sc):
+    """A fresh copy of the constants, composing through a counter."""
+    calls = []
+
+    def compose(f, g):
+        calls.append((f, g))
+        return sc.compose(f, g)
+
+    return StructureConstants(sc.arrows, compose, sc.swaps, sc.rename), calls
+
+
+@pytest.mark.parametrize("make, args", CATEGORIES)
+def test_every_block_equals_the_per_pair_block(make, args):
+    sc, _, _, compose = make(*args)
+    fresh, calls = counted(sc)
+    orbits = sum(len(pairs) for _, pairs in fresh.representatives())
+    assert len(calls) == orbits
+    ends = dict.fromkeys(x for x, _ in fresh.arrows)
+    assert len(fresh.blocks) == len(ends) ** 3
+    for (a, b, c), block in fresh.blocks.items():
+        ac = fresh.arrows[a, c]
+        assert len(block) == len(fresh.arrows[a, b])
+        for g, row in zip(fresh.arrows[a, b], block):
+            assert len(row) == len(fresh.arrows[b, c])
+            for f, terms in zip(fresh.arrows[b, c], row):
+                assert terms == tuple(
+                    (ac.index(x), int(k)) for x, k in compose(f, g).comb)
+
+
+def test_orbit_counts_at_degree_3():
+    # One composition per orbit: 99 of the 580 Laby_3 pairs and 35 of
+    # the 2973 MSet_3 pairs over three letters.
+    for sc, orbits in ((laby_structure_constants(3), 99),
+                       (mset_structure_constants(skeleton(3), 3), 35)):
+        fresh, calls = counted(sc)
+        assert sum(len(p) for _, p in fresh.representatives()) == orbits
+        assert len(calls) == orbits
+
+
+@pytest.mark.parametrize("make, args", CATEGORIES)
+def test_a_transposition_renames_with_coefficient_1(make, args):
+    sc, hom_type, identity, compose = make(*args)
+    for (x, y), fs in sc.arrows.items():
+        at_x, at_y = sc.moves(x, y)
+        for (s, y2), move in zip(sc.generators(y), at_y):
+            swap = sc.rename(identity(y), None, s)
+            assert (swap.dom, swap.cod) == (y, y2)
+            for f, t in zip(fs, move):
+                renamed = sc.arrows[x, y2][t]
+                assert renamed == sc.rename(f, None, s)
+                assert compose(swap, f) == hom_type.of(renamed)
+        for (s, x2), move in zip(sc.generators(x), at_x):
+            swap = sc.rename(identity(x), s, None)
+            assert (swap.dom, swap.cod) == (x2, x)
+            for f, t in zip(fs, move):
+                renamed = sc.arrows[x2, y][t]
+                assert renamed == sc.rename(f, s, None)
+                assert compose(f, swap) == hom_type.of(renamed)
+
+
+def test_every_letter_transposition_renames_with_coefficient_1():
+    # The multation side leaves out a transposition that moves no letter
+    # of an end; composing with its arrow, the identity, renames nothing.
+    sc = mset_structure_constants(skeleton(3), 3)
+    for (x, y), fs in sc.arrows.items():
+        for u, v in (("1", "2"), ("2", "3"), ("1", "3")):
+            s = {u: v, v: u}
+            swap = sc.rename(Multation.identity(y), None, s)
+            for f in fs:
+                assert multation_compose(swap, f) == MultHom.of(
+                    sc.rename(f, None, s))
+
+
+# ---------------------------------------------------------------------------
+# the reduced check against the per-pair oracle
+
+
+@pytest.fixture(scope="module")
+def cubes():
+    return (LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
+                                                check=False),
+            MSetModulePresentation.tensor_power(3, skeleton(3), check=False))
+
+
+def with_table(pres, table):
+    if isinstance(pres, LabyModulePresentation):
+        return LabyModulePresentation(pres.degree, pres.groups, table,
+                                      check=False)
+    return MSetModulePresentation(pres.degree, pres.universe, pres.groups,
+                                  table, check=False)
+
+
+def representatives_hold(pres):
+    """(iii) alone, in plain AbHom arithmetic."""
+    sc = pres.constants()
+    for (a, b, c), pairs in sc.representatives():
+        for i, k in pairs:
+            g, f = sc.arrows[a, b][i], sc.arrows[b, c][k]
+            composite = AbHom.combination(
+                pres.carrier(a).orders, pres.carrier(c).orders,
+                [(pres.hom(sc.arrows[a, c][u]), x)
+                 for u, x in sc.terms(f, g)])
+            if composite != pres.hom(f).compose(pres.hom(g)):
+                return False
+    return True
+
+
+def test_a_table_broken_off_the_representatives_is_refused_alike(cubes):
+    for pres in cubes:
+        sc = pres.constants()
+        factors, terms = set(), set()
+        for (a, b, c), pairs in sc.representatives():
+            for i, k in pairs:
+                factors.update((sc.arrows[a, b][i], sc.arrows[b, c][k]))
+                terms.update(sc.arrows[a, c][u]
+                             for u, _ in sc.block(a, b, c)[i][k])
+        # A basis arrow in no representative pair, with a transposition at
+        # one of its ends and a nonzero value, doubled.  On the multation
+        # side it also takes no part in their composites, so (iii) alone
+        # still holds and (ii) must refuse it; on the maze side every
+        # arrow does.
+        candidates = [f for f in sc.index if f not in factors
+                      and (sc.generators(f.dom) or sc.generators(f.cod))
+                      and not pres.hom(f).is_zero()]
+        untouched = [f for f in candidates if f not in terms]
+        assert untouched or isinstance(pres, LabyModulePresentation)
+        for f in (untouched or candidates)[::7]:
+            table = dict(pres.table)
+            table[f] = table[f].scale(2)
+            broken = with_table(pres, table)
+            assert representatives_hold(broken) or not untouched
+            kind, text = assert_checks_agree(broken)
+            assert kind == "ValueError" and "not functorial" in text
+
+
+def test_a_table_broken_on_a_transposition_is_refused_alike(cubes):
+    for pres in cubes:
+        sc = pres.constants()
+        swaps = [sc.rename(pres.identity(x), None, s)
+                 for x in dict.fromkeys(x for x, _ in sc.arrows)
+                 for s, _ in sc.generators(x)]
+        assert swaps
+        for swap in swaps[::3]:
+            table = dict(pres.table)
+            table[swap] = table[swap].scale(-1)
+            kind, text = assert_checks_agree(with_table(pres, table))
+            assert kind == "ValueError" and "not functorial" in text
+
+
+def test_a_table_missing_a_basis_value_is_refused_alike(cubes):
+    rng = random.Random(15)
+    for pres in cubes:
+        arrows = sorted(pres.constants().index,
+                        key=lambda f: f.sort_key())
+        for f in rng.sample(arrows, 4):
+            if f == pres.identity(f.dom):
+                continue
+            table = dict(pres.table)
+            del table[f]
+            kind, text = assert_checks_agree(with_table(pres, table))
+            assert kind == "KeyError" and "lacks a value" in text
+
+
+def test_a_stored_maze_outside_the_basis_is_checked_pair_by_pair(cubes):
+    h = cubes[0]
+    loop = Maze(skeleton(1), skeleton(1), [(p, 4) for p, _ in
+                                           Maze.identity(skeleton(1))
+                                           .passages])
+    for value in (AbHom.zero(h.groups[1].orders, h.groups[1].orders),
+                  AbHom.identity(h.groups[1].orders)):
+        table = dict(h.table)
+        table[loop] = value
+        assert_checks_agree(with_table(h, table))
+
+
+def test_the_constants_memos_are_bounded():
+    for memo, calls in ((laby_structure_constants, [(n,) for n in range(6)]),
+                        (mset_structure_constants,
+                         [(skeleton(k), 1) for k in range(1, 7)])):
+        for args in calls:
+            memo(*args)
+        assert memo.cache_info().currsize == CONSTANTS_KEPT

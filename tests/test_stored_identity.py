@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mazelab.bridge import ariadne_maze
-from mazelab.labycat import Maze, Passage, rename_maze
+from mazelab.labycat import (Maze, MazeHom, Passage, maze_compose,
+                             maze_hom_compose, normalize_homogeneous,
+                             normalize_numerical, rename_maze)
 from mazelab.msetcat import Multation, all_multations
 from mazelab.multisets import MultiSet
 
@@ -33,10 +35,12 @@ labels = st.tuples(st.integers(-3, 3), st.integers(1, 4),
 
 
 @st.composite
-def valid_mazes(draw):
-    """A maze without dead ends, its passages with labels in both forms."""
+def valid_mazes(draw, cod=None):
+    """A maze without dead ends, its passages with labels in both forms;
+    into the given names, if any."""
     dom = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
-    cod = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    if cod is None:
+        cod = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
     ends = [(x, draw(st.sampled_from(cod))) for x in dom]
     ends += [(draw(st.sampled_from(dom)), y) for y in cod]
     ends += draw(st.lists(st.sampled_from(ends), max_size=2))
@@ -131,3 +135,36 @@ def test_ariadne_terms_equal_validated_multations():
             assert_same_identity(Multation(mu.dom, mu.cod, mu.pairs), mu)
             count += 1
     assert count == 10
+
+
+def assert_validated(h):
+    """A MazeHom from package arithmetic equals, in type, ends, terms and
+    hash, the one the validating constructor builds from its parts."""
+    checked = MazeHom(list(reversed(h.dom)), h.cod, h.comb)
+    assert type(h) is MazeHom
+    assert (h.dom, h.cod, h.comb) == (checked.dom, checked.cod, checked.comb)
+    assert h == checked and hash(h) == hash(checked)
+
+
+def labelled(maze):
+    dom, cod, passages = maze
+    return Maze(dom, cod, [Passage(s, d, frac)
+                           for s, d, (frac, _) in passages])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_trusted_maze_homs_equal_validated_ones(data, n):
+    # maze_compose, maze_hom_compose and both normal forms build their
+    # results without checking the ends again.
+    p = data.draw(valid_mazes())
+    q = labelled(data.draw(valid_mazes(cod=p[0])))
+    p = labelled(p)
+    results = [maze_compose(p, q, n),
+               maze_hom_compose(MazeHom.of(p), MazeHom.of(q, 2), n),
+               normalize_numerical(MazeHom.of(p, 3), n),
+               normalize_homogeneous(MazeHom.of(q), n)]
+    if p.size * q.size <= 6:
+        results.append(maze_compose(p, q))
+    for h in results:
+        assert_validated(h)
