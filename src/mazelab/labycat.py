@@ -592,8 +592,8 @@ def skeleton(k: int):
 
 
 def _skeleton_swaps(names):
-    """The adjacent transpositions of a set, each with the set it renames
-    the set to, which is the set itself."""
+    """The adjacent transpositions of a skeleton set's points, each with
+    the renamed set, which is the set itself."""
     return [({x: y, y: x}, names) for x, y in zip(names, names[1:])]
 
 
