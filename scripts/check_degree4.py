@@ -6,9 +6,11 @@ Prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, and the time to check the degree-4 tensor power on
 the multation side.  Then compares every Laby_4 block with the per-pair
 path, each composite computed afresh by its compose_in_laby_n (a few
-seconds), and exits 1 on the first block that differs.
+seconds), and exits 1 on the first block that differs.  Each stage also
+prints the peak resident set size of the process so far.
 """
 
+import resource
 import sys
 import time
 
@@ -17,13 +19,20 @@ from mazelab.labycat import laby_structure_constants, skeleton
 from mazelab.msetcat import mset_structure_constants
 
 
+def peak_rss():
+    """The process's peak resident set size so far, as text; Linux
+    reports ru_maxrss in KiB."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"peak RSS {kib / 1024:.1f} MB"
+
+
 def fill(name, sc):
     start = time.perf_counter()
     orbits = sum(len(pairs) for _, pairs in sc.representatives())
     seconds = time.perf_counter() - start
     pairs = sum(len(row) for block in sc.blocks.values() for row in block)
     print(f"{name}: {len(sc.index)} basis arrows, {pairs} composites, "
-          f"{orbits} composed, filled in {seconds:.2f} s")
+          f"{orbits} composed, filled in {seconds:.2f} s; {peak_rss()}")
 
 
 def main():
@@ -34,7 +43,7 @@ def main():
     start = time.perf_counter()
     MSetModulePresentation.tensor_power(4, skeleton(4))
     print(f"tensor_power(4, '1234') built and checked in "
-          f"{time.perf_counter() - start:.2f} s")
+          f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
 
     start = time.perf_counter()
     for (a, b, c), block in laby.blocks.items():
@@ -45,7 +54,7 @@ def main():
                   f"per-pair path")
             return 1
     print(f"every Laby_4 block equals the per-pair path "
-          f"({time.perf_counter() - start:.2f} s)")
+          f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
     return 0
 
 

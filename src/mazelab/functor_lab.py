@@ -25,7 +25,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import bridge
-from .errors import DomainMismatchError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .labycat import (
     Maze,
     MazeHom,
@@ -583,11 +583,13 @@ class HomSet(NamedTuple):
 class Presentation:
     """What both presentation sides share, as HomComb is for MazeHom and
     MultHom: the table, checked against the carriers on load, hom,
-    eval_hom and the hom-set index, one HomSet per hom-set of the side's
-    structure constants, each built on first use.  A side gives the
-    `carrier` of some ends, the table `key` of an arrow, the `identity`
-    arrow of some ends, its structure `constants` and the `triples` of a
-    basis arrow."""
+    eval_hom, check and the hom-set index, one HomSet per hom-set of the
+    side's structure constants, each built on first use.  A side gives
+    the `carrier` of some ends, the table `key` of an arrow, the
+    `identity` arrow of some ends, its structure `constants`, the
+    `triples` of a basis arrow, its `ends()` as (name in errors, ends)
+    pairs and its composable `pairs()` (p, q) in the order that names
+    the first failure."""
 
     __slots__ = ("degree", "groups", "table", "hom_sets")
 
@@ -682,16 +684,55 @@ class Presentation:
                             row_products(value(x, y, t), cols(x2, x, s)),
                             cod):
                         return False
-        for (a, b, c), pairs in sc.representatives():
-            block, ac = sc.block(a, b, c), self.hom_set(a, c)
-            dom, cod = self.carrier(a).orders, self.carrier(c).orders
-            for i, k in pairs:
-                if _combination_rows(dom, cod, (
-                        (ac.values[u], x) for u, x in block[i][k])) != \
-                        _reduce_rows(row_products(value(b, c, k),
-                                                  cols(a, b, i)), cod):
-                    return False
-        return True
+        return not any(self._failures(
+            (sc.arrows[b, c][k], sc.arrows[a, b][i])
+            for (a, b, c), pairs in sc.representatives() for i, k in pairs))
+
+    def composite_terms(self, p, q, coords):
+        """The composite p . q of composable basis arrows as (stored value,
+        coefficient) terms read off the structure constants."""
+        sc = self.constants()
+        terms = sc.block(q.dom, q.cod, p.cod)[sc.index[q]][sc.index[p]]
+        hom_set = self.hom_set(q.dom, p.cod)
+        return ((hom_set.value(u), c) for u, c in terms)
+
+    def _failures(self, pairs):
+        """The pairs (p, q) on which the table is not functorial: the
+        composite p . q by composite_terms against hom(p) hom(q), both as
+        reduced integer rows, with each arrow's columns worked out once."""
+        coords, columns = {}, {}
+        for p, q in pairs:
+            cod = self.carrier(p.cod).orders
+            lhs = _combination_rows(self.carrier(q.dom).orders, cod,
+                                    self.composite_terms(p, q, coords))
+            target = self.hom(p).mat.rows
+            if q not in columns:
+                columns[q] = self.hom(q).mat.columns()
+            if lhs != _reduce_rows(row_products(target, columns[q]), cod):
+                yield p, q
+
+    def check(self):
+        """Identity values, then functoriality: by _functorial_on_basis,
+        and pair by pair on the pairs with a stored arrow outside the
+        basis.  When either fails or raises, the walk over pairs() names
+        the first failure."""
+        for name, ends in self.ends():
+            if self.hom(self.identity(ends)) != AbHom.identity(
+                    self.carrier(ends).orders):
+                raise ValueError(f"identity of {name} does not map to "
+                                 "identity")
+        index = self.constants().index
+        try:
+            if self._functorial_on_basis() and (
+                    all(x in index for x in self.table)
+                    or not any(self._failures(
+                        (p, q) for p, q in self.pairs()
+                        if p not in index or q not in index))):
+                return
+        except Exception:  # noqa: BLE001 - the walk below gives its error
+            pass
+        for p, q in self._failures(self.pairs()):
+            raise ValueError(f"table is not functorial on {p!r} after {q!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +798,26 @@ class LabyModulePresentation(Presentation):
         return [(index[m], c) for m, c in
                 normalize_numerical(MazeHom.of(key), self.degree).comb]
 
+    def ends(self):
+        return [(f"[{k}]", skeleton(k)) for k in range(self.degree + 1)]
+
+    def pairs(self):
+        """Every composable pair of stored mazes, p outer."""
+        mazes = self.mazes()
+        return ((p, q) for p in mazes for q in mazes
+                if set(q.cod) == set(p.dom))
+
     def composite_terms(self, p: Maze, q: Maze, coords):
-        """The value of the quotient composite p . q of composable mazes,
-        as (stored value, coefficient) terms: the terms of their
-        coordinates compose through the structure constants.  `coords`
-        keeps the coordinates of the mazes seen so far."""
+        """The quotient composite p . q of composable mazes as (stored
+        value, coefficient) terms; outside the basis their coordinates,
+        kept in `coords`, compose through the structure constants."""
+        index = self.constants().index
+        if p in index and q in index:
+            return super().composite_terms(p, q, coords)
         for m in (p, q):
             if m not in coords:
                 coords[m] = self.coordinates(m)
-        j, k, l = (skeleton(len(q.dom)), skeleton(len(q.cod)),
-                   skeleton(len(p.cod)))
+        j, k, l = (skeleton(len(x)) for x in (q.dom, q.cod, p.cod))
         block = self.constants().block(j, k, l)
         merged = {}
         for s, b in coords[q]:
@@ -781,48 +832,6 @@ class LabyModulePresentation(Presentation):
         """Binomial-expand a labelled maze into the pure table and
         evaluate."""
         return self.eval_hom(normalize_numerical(MazeHom.of(maze), self.degree))
-
-    def check(self):
-        """Identity values, then functoriality: on the basis arrows of the
-        structure constants by _functorial_on_basis, and on every pair
-        with a stored maze outside them pair by pair.  When either fails
-        or raises, every composable pair of stored mazes is checked in
-        order, which names the first failure."""
-        for k in range(self.degree + 1):
-            ident = Maze.identity(skeleton(k))
-            if self.hom(ident) != AbHom.identity(self.groups[k].orders):
-                raise ValueError(f"identity of [{k}] does not map to identity")
-        index = self.constants().index
-        try:
-            if self._functorial_on_basis() and (
-                    all(m in index for m in self.table)
-                    or not any(self._failures(index))):
-                return
-        except Exception:  # noqa: BLE001 - the loop below gives its error
-            pass
-        for p, q in self._failures(()):
-            raise ValueError(f"table is not functorial on {p!r} after {q!r}")
-
-    def _failures(self, basis):
-        """The composable pairs of stored mazes, not both in `basis`, on
-        which the table is not functorial, both sides compared as reduced
-        integer rows; each stored maze's coordinates and columns are
-        worked out once."""
-        mazes = self.mazes()
-        coords = {}
-        sources = {}
-        for p in mazes:
-            cod, target = self.carrier(p.cod).orders, self.hom(p).mat.rows
-            for q in mazes:
-                if (p in basis and q in basis) or set(q.cod) != set(p.dom):
-                    continue
-                lhs = _combination_rows(self.carrier(q.dom).orders, cod,
-                                        self.composite_terms(p, q, coords))
-                if q not in sources:
-                    sources[q] = self.hom(q).mat.columns()
-                if lhs != _reduce_rows(row_products(target, sources[q]),
-                                       cod):
-                    yield p, q
 
     def to_json(self):
         return {
@@ -895,15 +904,6 @@ class LabyModulePresentation(Presentation):
                     groups[len(dom)], groups[len(cod)],
                     phi_forward(f, maze, values).rows)
         return cls(degree, groups, table, check=check)
-
-
-def bridge_compose_table(h: LabyModulePresentation, p: Maze, q: Maze):
-    """Evaluate the quotient composite of two mazes through the table,
-    reading it off the degree's structure constants."""
-    if set(q.cod) != set(p.dom):
-        raise DomainMismatchError("cannot compose: middle sets differ")
-    return AbHom.combination(h.carrier(q.dom).orders, h.carrier(p.cod).orders,
-                             h.composite_terms(p, q, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,9 +1059,13 @@ class MSetModulePresentation(Presentation):
     def __init__(self, degree: int, universe, groups, table, check=True):
         universe = tuple(sorted(set(universe)))
         groups = dict(groups)
-        for a in all_cardinality_multisets(universe, degree):
+        objs = all_cardinality_multisets(universe, degree)
+        for a in objs:
             if a not in groups:
                 raise ValueError(f"missing carrier for {a!r}")
+        for a in sorted(groups.keys() - set(objs), key=MultiSet.sort_key):
+            raise ValueError(f"carrier for {a!r} is not a multi-set of "
+                             f"cardinality {degree} over the universe")
         object.__setattr__(self, "universe", universe)
         super().__init__(degree, groups, dict(table), check)
 
@@ -1072,7 +1076,10 @@ class MSetModulePresentation(Presentation):
     identity = staticmethod(Multation.identity)
 
     def carrier(self, ends) -> FgAbGroup:
-        return self.groups[ends]
+        group = self.groups.get(ends)
+        if group is None:
+            raise ValueError(f"{ends!r} has no carrier")
+        return group
 
     def constants(self):
         return mset_structure_constants(self.universe, self.degree)
@@ -1084,42 +1091,14 @@ class MSetModulePresentation(Presentation):
     def objects(self):
         return all_cardinality_multisets(self.universe, self.degree)
 
-    def check(self):
-        """Identity values, then functoriality over every composable pair
-        of multations by _functorial_on_basis.  When that fails or raises,
-        every composable pair is checked in order, its composite read off
-        the structure constants, which names the first failure."""
-        objs = self.objects()
-        for a in objs:
-            ident = Multation.identity(a)
-            if self.hom(ident) != AbHom.identity(self.groups[a].orders):
-                raise ValueError(f"identity of {a!r} does not map to identity")
-        try:
-            if self._functorial_on_basis():
-                return
-        except Exception:  # noqa: BLE001 - the loop below gives its error
-            pass
-        sc = self.constants()
-        for a in objs:
-            for b in objs:
-                ab = self.hom_set(a, b)
-                sources = [None] * len(ab.arrows)
-                for c in objs:
-                    ac, bc = self.hom_set(a, c), self.hom_set(b, c)
-                    block = sc.block(a, b, c)
-                    dom, cod = self.groups[a].orders, self.groups[c].orders
-                    for i, nu in enumerate(ab.arrows):
-                        for k, mu in enumerate(bc.arrows):
-                            lhs = _combination_rows(dom, cod, (
-                                (ac.value(u), x) for u, x in block[i][k]))
-                            target = bc.value(k).mat.rows
-                            if sources[i] is None:
-                                sources[i] = ab.value(i).mat.columns()
-                            if lhs != _reduce_rows(
-                                    row_products(target, sources[i]), cod):
-                                raise ValueError(
-                                    f"table is not functorial on "
-                                    f"{mu!r} after {nu!r}")
+    def ends(self):
+        return [(repr(a), a) for a in self.objects()]
+
+    def pairs(self):
+        """Over the ends a, b, c, then the first factor, then the second."""
+        return ((mu, nu) for a, b, c in product(self.objects(), repeat=3)
+                for nu in self.hom_set(a, b).arrows
+                for mu in self.hom_set(b, c).arrows)
 
     def to_json(self):
         objs = self.objects()
@@ -1147,6 +1126,8 @@ class MSetModulePresentation(Presentation):
         table = {}
         for item in data["homs"]:
             mu = Multation.from_json(item["multation"])
+            if mu.dom not in groups or mu.cod not in groups:
+                raise ValueError(f"{mu!r} does not join two carriers")
             dom, cod = groups[mu.dom], groups[mu.cod]
             table[mu] = AbHom.of_groups(dom, cod, json_rows(
                 item["matrix"], cod.dim, dom.dim))
@@ -1229,6 +1210,9 @@ def ariadne_thread_failures(j: MSetModulePresentation):
     n = j.degree
     failures = []
     max_side = min(len(j.universe), MAX_MATRIX_SIDE)
+    if not set(skeleton(max_side)) <= set(j.universe):
+        raise ValueError(f"the thread check needs the letters 1..{max_side}"
+                         f" of its matrices in the universe {list(j.universe)}")
     for a_size in range(max_side + 1):
         for b_size in range(max_side + 1):
             for maze in pure_mazes_between(skeleton(a_size), skeleton(b_size),

@@ -586,6 +586,7 @@ def pure_mazes_between(dom, cod, sizes):
     return sorted(out, key=Maze.sort_key)
 
 
+@lru_cache(maxsize=16)  # every lookup on the skeleton compares ends with it
 def skeleton(k: int):
     """The canonical k-element set {"1", ..., "k"}."""
     return tuple(str(i) for i in range(1, k + 1))

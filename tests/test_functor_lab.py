@@ -628,14 +628,13 @@ def test_phi_vanishes_beyond_degree():
 
 
 def test_phi_functoriality_random_pairs(phi_square):
-    rng = random.Random(31)
-    from mazelab.functor_lab import bridge_compose_table
-
     mazes = phi_square.mazes()
     pairs = [(p, q) for p in mazes for q in mazes
              if set(q.cod) == set(p.dom)]
     for p, q in pairs:
-        via_table = bridge_compose_table(phi_square, p, q)
+        via_table = AbHom.combination(
+            phi_square.carrier(q.dom).orders, phi_square.carrier(p.cod).orders,
+            phi_square.composite_terms(p, q, {}))
         direct = phi_square.hom(p).compose(phi_square.hom(q))
         assert via_table == direct
 
@@ -1349,3 +1348,50 @@ def test_checks_reduce_products_into_torsion_carriers():
     table[next(mu for mu in table if mu.dom != mu.cod)] = one
     with pytest.raises(ValueError, match="not functorial"):
         MSetModulePresentation(1, letters, groups, table)
+
+
+def test_mset_carriers_outside_the_universe_and_degree_are_refused():
+    j = MSetModulePresentation.tensor_power(2, "12")
+    for letters, pairs in ((["1"], [[["1", "1"], 1]]),
+                           (["3", "3"], [[["3", "3"], 2]])):
+        ends = MultiSet(letters)
+        data = j.to_json()
+        data["groups"].append({"multiset": ends.to_json(), "rank": 1,
+                               "torsion": []})
+        data["homs"].append({"multation": {"dom": ends.to_json(),
+                                           "cod": ends.to_json(),
+                                           "pairs": pairs},
+                             "matrix": [[7]]})
+        with pytest.raises(ValueError, match=re.escape(
+                f"carrier for {ends!r} is not a multi-set of cardinality 2")):
+            MSetModulePresentation.from_json(data, check=True)
+        with pytest.raises(ValueError, match=re.escape(f"{ends!r}")):
+            MSetModulePresentation(2, "12", {**j.groups, ends: FgAbGroup(1)},
+                                   j.table)
+    # So every stored multation of a presentation is a basis arrow.
+    assert set(j.table) <= set(j.constants().index)
+
+
+def test_a_stored_multation_off_the_carriers_is_named():
+    j = MSetModulePresentation.tensor_power(2, "12")
+    loop = Multation.identity(MultiSet(["3", "3"]))
+    data = j.to_json()
+    data["homs"].append({"multation": loop.to_json(), "matrix": [[5]]})
+    with pytest.raises(ValueError, match="does not join two carriers"):
+        MSetModulePresentation.from_json(data)
+    with pytest.raises(ValueError, match=re.escape("{3,3} has no carrier")):
+        MSetModulePresentation(2, "12", j.groups,
+                               {**j.table, loop: AbHom.identity((0,))})
+
+
+def test_ariadne_thread_names_a_universe_without_the_skeleton_letters(
+        monkeypatch):
+    j = MSetModulePresentation.tensor_power(2, "ab")
+
+    def no_work(*args):
+        raise AssertionError("the thread check started its work")
+
+    monkeypatch.setattr(functor_lab, "_deviation_block", no_work)
+    with pytest.raises(ValueError, match=re.escape(
+            "letters 1..2 of its matrices in the universe ['a', 'b']")):
+        ariadne_thread_failures(j)

@@ -22,6 +22,7 @@ from mazelab.functor_lab import (
 )
 from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
                              laby_structure_constants, skeleton)
+from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset2_generators, mset_structure_constants,
                              multation_compose)
@@ -289,3 +290,48 @@ def test_constants_laws_sampled_on_laby_3(triple):
 def test_constants_laws_sampled_on_mset_3(triple):
     assert_laws(mset_structure_constants(skeleton(3), 3),
                 Multation.identity, *triple)
+
+
+# ---------------------------------------------------------------------------
+# the multation-side walk that names the first failure
+
+
+def broken_mset_tables(degree, letters, count, rng):
+    """`count` tensor-power tables, each with one change at a random
+    non-identity basis multation: its value negated, doubled, one entry
+    raised by 1, or the value deleted."""
+    pres = MSetModulePresentation.tensor_power(degree, letters, check=False)
+    arrows = sorted((mu for mu in pres.constants().index
+                     if mu != Multation.identity(mu.dom)),
+                    key=Multation.sort_key)
+    for _ in range(count):
+        mu = rng.choice(arrows)
+        table = dict(pres.table)
+        change = rng.choice(("negate", "double", "raise", "delete"))
+        if change == "delete":
+            del table[mu]
+        elif change == "raise":
+            rows = [list(row) for row in table[mu].mat.rows]
+            r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[r][c] += 1
+            table[mu] = AbHom(table[mu].dom_orders, table[mu].cod_orders,
+                              IntMat.from_rows(rows))
+        else:
+            table[mu] = table[mu].scale(-1 if change == "negate" else 2)
+        yield change, MSetModulePresentation(degree, letters, pres.groups,
+                                             table, check=False)
+
+
+@pytest.mark.parametrize("degree, letters, count", [(2, "12", 12),
+                                                    (3, "123", 16)])
+def test_broken_multation_tables_are_refused_alike(degree, letters, count):
+    rng = random.Random(16 + degree)
+    changes = set()
+    for change, broken in broken_mset_tables(degree, letters, count, rng):
+        kind, text = assert_checks_agree(broken)
+        if change == "delete":
+            assert kind == "KeyError" and "lacks a value" in text
+        else:
+            assert kind == "ValueError" and "not functorial" in text
+        changes.add(change)
+    assert len(changes) >= 3
