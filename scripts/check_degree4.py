@@ -6,14 +6,18 @@ Prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, and the time to check the degree-4 tensor power on
 the multation side.  Then compares every Laby_4 block with the per-pair
 path, each composite computed afresh by its compose_in_laby_n (a few
-seconds), and exits 1 on the first block that differs.  Each stage also
-prints the peak resident set size of the process so far.
+seconds), and exits 1 on the first block that differs.  Last, it sends
+every basis multation and every pure maze of degree 4 over four letters
+through both translations and back, and exits 1 on any failure of the
+round trip.  Each stage also prints the peak resident set size of the
+process so far.
 """
 
 import resource
 import sys
 import time
 
+from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import MSetModulePresentation
 from mazelab.labycat import laby_structure_constants, skeleton
 from mazelab.msetcat import mset_structure_constants
@@ -55,7 +59,14 @@ def main():
             return 1
     print(f"every Laby_4 block equals the per-pair path "
           f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
-    return 0
+
+    start = time.perf_counter()
+    failures = roundtrip_failures(skeleton(4), 4)
+    print(f"roundtrip_failures('1234', 4): {len(failures)} failures "
+          f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
+    for failure in failures[:5]:
+        print(f"  {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

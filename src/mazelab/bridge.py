@@ -6,7 +6,10 @@ powers; its value on a maze is a matrix of multation arrows indexed by
 the cardinality-n multi-sets supported on the endpoints.  The reverse
 functor sends a multation to its underlying pure maze scaled by the
 reciprocal of its degree.  On exactly-n pure mazes these are mutually
-inverse, and that is checked exhaustively at desk scale.
+inverse, and that is checked exhaustively at desk scale.  Both functors
+and matrix composition sum into one dict of exact coefficients and build
+their results unchecked; input from outside passes the validating
+constructors, and ariadne_hom refuses passages off a maze's ends first.
 
 The span category of surjections is not modelled on its own; its basis
 is translated to pure mazes by fiber counts and composition on the span
@@ -15,13 +18,14 @@ side is defined by transport through this translation.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import DomainMismatchError
 from .labycat import Maze, MazeHom, Passage, pure_mazes_between
 from .msetcat import MultHom, Multation, divided_reduce
 from .multisets import (MultiSet, all_cardinality_multisets, compositions,
                         enumerate_supported)
-from .scalars import lincomb_combine
+from .scalars import ONE, LinComb
 
 
 def ariadne_object(names, n: int):
@@ -52,10 +56,22 @@ class AriadneMatrix:
             if a.cardinality != n or b.cardinality != n:
                 raise ValueError("entry index of wrong cardinality")
             clean[(b, a)] = hom
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", clean)
+        for name, value in zip(self.__slots__, (dom, cod, n, clean)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, dom, cod, n, terms):
+        """The matrix summing terms[B, A], a {multation A -> B: Fraction}
+        dict, at (B, A); from package arithmetic, so nothing is checked."""
+        entries = {}
+        for (b, a), coeffs in terms.items():
+            comb = LinComb._trusted(coeffs)
+            if comb:
+                entries[b, a] = MultHom._trusted(a, b, comb)
+        matrix = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (dom, cod, n, entries)):
+            object.__setattr__(matrix, name, value)
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("AriadneMatrix is immutable")
@@ -96,16 +112,10 @@ class AriadneMatrix:
         for (c, b1), left in self.entries.items():
             for (b2, a), right in other.entries.items():
                 if b1 == b2:
-                    terms.setdefault((c, a), []).extend(
-                        multhom_compose(left, right).comb)
-        return AriadneMatrix.from_terms(other.dom, self.cod, self.n, terms)
-
-    @classmethod
-    def from_terms(cls, dom, cod, n, terms):
-        """The matrix whose entry (B, A) sums the (multation, coefficient)
-        pairs that `terms` lists under (B, A)."""
-        return cls(dom, cod, n, {(b, a): MultHom.from_terms(a, b, t)
-                                 for (b, a), t in terms.items()})
+                    entry = terms.setdefault((c, a), {})
+                    for mu, x in multhom_compose(left, right).comb:
+                        entry[mu] = entry.get(mu, 0) + x
+        return AriadneMatrix._trusted(other.dom, self.cod, self.n, terms)
 
     def nonzero_keys(self):
         return sorted(self.entries,
@@ -140,59 +150,52 @@ class AriadneMatrix:
 
 
 def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:
-    """Value of the forward functor on one maze.
-
-    Sums over all multiplicity assignments to the tagged passage
-    instances with total weight n; each assignment contributes the product
-    of its labels' powers times the divided-power merge of its columns.
-    """
-    inst = p.instances()
-    terms = {}
-    for degs in compositions(n, len(inst)):
-        scalar_part = Fraction(1)
-        for passage, d in zip(inst, degs):
-            scalar_part *= passage.label ** d
-        if scalar_part == 0:
-            continue
-        coeff, merged = divided_reduce(
-            [((passage.src, passage.dst), d)
-             for passage, d in zip(inst, degs)])
-        dom_ms = MultiSet([(passage.src, d)
-                           for passage, d in zip(inst, degs)])
-        cod_ms = MultiSet([(passage.dst, d)
-                           for passage, d in zip(inst, degs)])
-        # divided_reduce gives sorted, merged columns with these marginals.
-        mu = Multation._trusted(dom_ms, cod_ms, merged)
-        terms.setdefault((cod_ms, dom_ms), []).append(
-            (mu, scalar_part * coeff))
-    return AriadneMatrix.from_terms(p.dom, p.cod, n, terms)
+    """Value of the forward functor on one maze."""
+    return ariadne_hom(MazeHom.of(p), n)
 
 
 def ariadne_hom(h: MazeHom, n: int) -> AriadneMatrix:
-    """Linear extension of ariadne_maze to formal combinations."""
+    """The forward functor: a sum over the multiplicity assignments of
+    weight n to each maze's passage instances, each its coefficient times
+    its labels' powers times the divided-power merge of its columns."""
     terms = {}
     for maze, c in h.comb:
-        for key, hom in ariadne_maze(maze, n).entries.items():
-            terms.setdefault(key, []).extend((mu, c * d) for mu, d in hom.comb)
-    return AriadneMatrix.from_terms(h.dom, h.cod, n, terms)
+        if not all(p.src in maze.dom and p.dst in maze.cod
+                   for p, _ in maze.passages):
+            raise ValueError("entry index outside the endpoint sets")
+        inst = maze.instances()
+        cols = [(p.src, p.dst) for p in inst]
+        labelled = [(i, p.label) for i, p in enumerate(inst) if p.label != 1]
+        for degs in compositions(n, len(inst)):
+            coeff = prod((lab ** degs[i] for i, lab in labelled), start=c)
+            k, merged = divided_reduce(list(zip(cols, degs)))
+            dom_ms = MultiSet([(a, m) for (a, _), m in merged])
+            cod_ms = MultiSet([(b, m) for (_, b), m in merged])
+            # divided_reduce gives sorted, merged columns: a valid multation.
+            mu = Multation._trusted(dom_ms, cod_ms, merged)
+            entry = terms.setdefault((cod_ms, dom_ms), {})
+            entry[mu] = entry.get(mu, 0) + coeff * k
+    return AriadneMatrix._trusted(h.dom, h.cod, n, terms)
 
 
 def theseus_multation(mu: Multation, n: int) -> MazeHom:
-    """The reverse functor on one multation: its pure maze of columns,
-    scaled by the reciprocal of the multation's degree."""
-    if mu.dom.cardinality != n or mu.cod.cardinality != n:
-        raise DomainMismatchError(
-            f"multation endpoints must have cardinality {n}")
-    maze = Maze(mu.dom.support, mu.cod.support,
-                [(Passage(a, b, 1), m) for (a, b), m in mu.pairs])
-    return MazeHom.of(maze, Fraction(1, mu.degree))
+    """The reverse functor on one multation."""
+    return theseus_hom(MultHom.of(mu), n)
 
 
 def theseus_hom(hom: MultHom, n: int) -> MazeHom:
-    """Linear extension of theseus_multation."""
-    return MazeHom(hom.dom.support, hom.cod.support, lincomb_combine(
-        [theseus_multation(mu, n).comb for mu, _ in hom.comb],
-        [c for _, c in hom.comb]))
+    """The reverse functor: each multation goes to its pure maze of
+    columns, scaled by the reciprocal of its degree."""
+    terms = {}
+    for mu, c in hom.comb:
+        if mu.dom.cardinality != n or mu.cod.cardinality != n:
+            raise DomainMismatchError(
+                f"multation endpoints must have cardinality {n}")
+        maze = Maze(mu.dom.support, mu.cod.support,
+                    [(Passage(a, b, ONE), m) for (a, b), m in mu.pairs])
+        terms[maze] = Fraction(c, mu.degree)  # one maze per multation
+    return MazeHom._trusted(hom.dom.support, hom.cod.support,
+                            LinComb._trusted(terms))
 
 
 def all_pure_mazes_on(universe, n: int):

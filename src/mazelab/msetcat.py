@@ -11,9 +11,11 @@ Compositions are computed in integers: each matching contributes the
 merged columns' degree divided by its table's factorials, a product of
 multinomials, and every such division is asserted exact.  The
 divided-power structure guarantees integrality, so a failure means a
-bug.
+bug.  Composites join the composed ends by construction, so they skip
+the validating constructors, which serve input from outside.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
@@ -21,8 +23,7 @@ from math import factorial
 from .errors import DomainMismatchError, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
                         guard_count, json_int, tables)
-from .scalars import (HomComb, LinComb, StructureConstants, lincomb_combine,
-                      multinomial)
+from .scalars import HomComb, LinComb, StructureConstants, multinomial
 
 
 class Multation:
@@ -212,18 +213,20 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
                 f"{basis.degree}/{table_factor} at {basis!r}")
         accum[basis] = accum.get(basis, 0) + coeff
 
-    return MultHom(nu.dom, mu.cod,
-                   LinComb((b, c) for b, c in accum.items()))
+    return MultHom._trusted(nu.dom, mu.cod, LinComb._trusted(
+        {b: Fraction(c) for b, c in accum.items()}))
 
 
 def multhom_compose(f: MultHom, g: MultHom) -> MultHom:
     """Bilinear extension of multation composition (f after g)."""
     if g.cod != f.dom:
         raise DomainMismatchError("cannot compose: middle multi-sets differ")
-    return MultHom(g.dom, f.cod, lincomb_combine(
-        [multation_compose(mu, nu).comb
-         for mu, _ in f.comb for nu, _ in g.comb],
-        [c * d for _, c in f.comb for _, d in g.comb]))
+    accum = {}
+    for mu, c in f.comb:
+        for nu, d in g.comb:
+            for basis, e in multation_compose(mu, nu).comb:
+                accum[basis] = accum.get(basis, 0) + c * d * e
+    return MultHom._trusted(g.dom, f.cod, LinComb._trusted(accum))
 
 
 def all_multations(a: MultiSet, b: MultiSet):

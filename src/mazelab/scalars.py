@@ -98,6 +98,13 @@ def multinomial(parts) -> int:
     return out
 
 
+def _canonical(merged):
+    """The terms of a {basis: coefficient} dict without zeros, sorted."""
+    kept = [(b, c) for b, c in merged.items() if c != 0]
+    kept.sort(key=lambda bc: bc[0].sort_key())
+    return tuple(kept)
+
+
 class LinComb:
     """A formal linear combination over an ordered basis.
 
@@ -116,9 +123,14 @@ class LinComb:
                 merged[basis] += coeff
             else:
                 merged[basis] = coeff
-        kept = [(b, c) for b, c in merged.items() if c != 0]
-        kept.sort(key=lambda bc: bc[0].sort_key())
-        object.__setattr__(self, "terms", tuple(kept))
+        object.__setattr__(self, "terms", _canonical(merged))
+
+    @classmethod
+    def _trusted(cls, merged):
+        """The combination of a {basis: Fraction} dict, unchecked."""
+        comb = object.__new__(cls)
+        object.__setattr__(comb, "terms", _canonical(merged))
+        return comb
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")

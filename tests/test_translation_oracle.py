@@ -1,0 +1,340 @@
+"""The translations and multation composition build their results in one
+pass, through the trusted constructors.  They are checked here against
+the earlier implementations, kept below as the oracle, which assemble the
+same results through the validating constructors: equal in type, ends,
+terms, coefficient type, hash and serialized form, exhaustively on small
+corpora and by a Hypothesis property."""
+
+import json
+from fractions import Fraction
+from itertools import product as iproduct
+from math import factorial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mazelab import bridge
+from mazelab.bridge import (AriadneMatrix, all_pure_mazes_on, ariadne_hom,
+                            ariadne_maze, theseus_hom, theseus_multation)
+from mazelab.errors import DomainMismatchError, IntegralityError
+from mazelab.labycat import Maze, MazeHom, Passage
+from mazelab.msetcat import (MultHom, Multation, all_multations,
+                             divided_reduce, multation_compose,
+                             multhom_compose)
+from mazelab.multisets import (MultiSet, all_cardinality_multisets,
+                               compositions, guard_count, tables)
+from mazelab.scalars import LinComb, lincomb_combine
+
+# ---------------------------------------------------------------- oracle
+
+
+def old_ariadne_from_terms(dom, cod, n, terms):
+    return AriadneMatrix(dom, cod, n, {(b, a): MultHom.from_terms(a, b, t)
+                                       for (b, a), t in terms.items()})
+
+
+def old_ariadne_maze(p, n):
+    inst = p.instances()
+    terms = {}
+    for degs in compositions(n, len(inst)):
+        scalar_part = Fraction(1)
+        for passage, d in zip(inst, degs):
+            scalar_part *= passage.label ** d
+        if scalar_part == 0:
+            continue
+        coeff, merged = divided_reduce(
+            [((passage.src, passage.dst), d)
+             for passage, d in zip(inst, degs)])
+        dom_ms = MultiSet([(passage.src, d)
+                           for passage, d in zip(inst, degs)])
+        cod_ms = MultiSet([(passage.dst, d)
+                           for passage, d in zip(inst, degs)])
+        mu = Multation._trusted(dom_ms, cod_ms, merged)
+        terms.setdefault((cod_ms, dom_ms), []).append(
+            (mu, scalar_part * coeff))
+    return old_ariadne_from_terms(p.dom, p.cod, n, terms)
+
+
+def old_ariadne_hom(h, n):
+    terms = {}
+    for maze, c in h.comb:
+        for key, hom in old_ariadne_maze(maze, n).entries.items():
+            terms.setdefault(key, []).extend((mu, c * d) for mu, d in hom.comb)
+    return old_ariadne_from_terms(h.dom, h.cod, n, terms)
+
+
+def old_matrix_compose(left, right):
+    terms = {}
+    for (c, b1), f in left.entries.items():
+        for (b2, a), g in right.entries.items():
+            if b1 == b2:
+                terms.setdefault((c, a), []).extend(
+                    old_multhom_compose(f, g).comb)
+    return old_ariadne_from_terms(right.dom, left.cod, left.n, terms)
+
+
+def old_theseus_multation(mu, n):
+    if mu.dom.cardinality != n or mu.cod.cardinality != n:
+        raise DomainMismatchError(
+            f"multation endpoints must have cardinality {n}")
+    maze = Maze(mu.dom.support, mu.cod.support,
+                [(Passage(a, b, 1), m) for (a, b), m in mu.pairs])
+    return MazeHom.of(maze, Fraction(1, mu.degree))
+
+
+def old_theseus_hom(hom, n):
+    return MazeHom(hom.dom.support, hom.cod.support, lincomb_combine(
+        [old_theseus_multation(mu, n).comb for mu, _ in hom.comb],
+        [c for _, c in hom.comb]))
+
+
+def old_multation_compose(mu, nu):
+    if nu.cod != mu.dom:
+        raise DomainMismatchError("middle multi-sets differ")
+    middle = nu.cod
+    per_letter = []
+    for b, _ in middle.items():
+        row_counts = tuple(sorted(
+            (a, m) for (a, b2), m in nu.pairs if b2 == b))
+        col_counts = tuple(sorted(
+            (c, m) for (b2, c), m in mu.pairs if b2 == b))
+        per_letter.append(list(tables(row_counts, col_counts)))
+    count = 1
+    for matchings in per_letter:
+        count *= len(matchings)
+    guard_count(count, "multation_compose",
+                f"cardinality {middle.cardinality}")
+    accum = {}
+    for family in iproduct(*per_letter):
+        cols = {}
+        table_factor = 1
+        for table in family:
+            for (a, c), t in table.items():
+                cols[(a, c)] = cols.get((a, c), 0) + t
+                table_factor *= factorial(t)
+        basis = Multation._trusted(nu.dom, mu.cod, tuple(sorted(cols.items())))
+        coeff, rest = divmod(basis.degree, table_factor)
+        if rest:
+            raise IntegralityError("non-integral composition coefficient")
+        accum[basis] = accum.get(basis, 0) + coeff
+    return MultHom(nu.dom, mu.cod,
+                   LinComb((b, c) for b, c in accum.items()))
+
+
+def old_multhom_compose(f, g):
+    if g.cod != f.dom:
+        raise DomainMismatchError("middle multi-sets differ")
+    return MultHom(g.dom, f.cod, lincomb_combine(
+        [old_multation_compose(mu, nu).comb
+         for mu, _ in f.comb for nu, _ in g.comb],
+        [c * d for _, c in f.comb for _, d in g.comb]))
+
+# ------------------------------------------------------------ comparison
+
+
+def rebuilt_arrow(x):
+    """A basis arrow built again through its validating constructor."""
+    if isinstance(x, Maze):
+        return Maze(x.dom, x.cod, x.passages)
+    return Multation(x.dom, x.cod, x.pairs)
+
+
+def assert_same(new, old):
+    """new equals old in every respect the package can observe, and the
+    validating constructors rebuild it unchanged."""
+    assert type(new) is type(old)
+    if isinstance(old, AriadneMatrix):
+        assert (new.dom, new.cod, new.n) == (old.dom, old.cod, old.n)
+        assert new.nonzero_keys() == old.nonzero_keys()
+        for key, hom in old.entries.items():
+            assert_same(new.entries[key], hom)
+        rebuilt = AriadneMatrix(new.dom, new.cod, new.n, new.entries)
+    else:
+        assert (new.dom, new.cod) == (old.dom, old.cod)
+        assert new.comb.terms == old.comb.terms
+        for (x, c), (y, d) in zip(new.comb, old.comb):
+            assert type(c) is Fraction and type(d) is Fraction
+            assert hash(x) == hash(y) and x.sort_key() == y.sort_key()
+            assert rebuilt_arrow(x) == x
+        rebuilt = type(new)(new.dom, new.cod, LinComb(new.comb.terms))
+        assert repr(new) == repr(old)
+    assert rebuilt == new == old
+    assert hash(rebuilt) == hash(new) == hash(old)
+    assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+
+
+def assert_same_theseus(matrix, n):
+    """theseus on every entry of a matrix matches the oracle."""
+    for hom in matrix.entries.values():
+        assert_same(theseus_hom(hom, n), old_theseus_hom(hom, n))
+
+# --------------------------------------------------------------- corpora
+
+
+def arrows_over(universe, n):
+    objs = all_cardinality_multisets(universe, n)
+    return objs, {(a, b): all_multations(a, b) for a in objs for b in objs}
+
+
+# Coefficients and labels: negative, zero, one and non-integer.
+SCALARS = (Fraction(-2), Fraction(1, 2), Fraction(3), Fraction(-3, 4),
+           Fraction(1), Fraction(0), Fraction(5, 3))
+
+
+def relabelled(maze, shift):
+    """The maze with its passages relabelled from SCALARS, from `shift` on."""
+    return Maze(maze.dom, maze.cod,
+                [(Passage(p.src, p.dst, SCALARS[(shift + i) % len(SCALARS)]),
+                  m) for i, (p, m) in enumerate(maze.passages)])
+
+
+def mixed(dom, cod, arrows, shift=0):
+    """Every arrow of a hom-set at once, with mixed coefficients."""
+    return MultHom.from_terms(dom, cod, [
+        (mu, SCALARS[(shift + i) % len(SCALARS)])
+        for i, mu in enumerate(arrows)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_multation_pair_over_123(n):
+    objs, arrows = arrows_over("123", n)
+    for a, b, c in iproduct(objs, repeat=3):
+        for mu in arrows[b, c]:
+            for nu in arrows[a, b]:
+                assert_same(multation_compose(mu, nu),
+                            old_multation_compose(mu, nu))
+        f, g = mixed(b, c, arrows[b, c]), mixed(a, b, arrows[a, b], 3)
+        assert_same(multhom_compose(f, g), old_multhom_compose(f, g))
+    for (a, b), homset in arrows.items():
+        for mu in homset:
+            assert_same(theseus_multation(mu, n),
+                        old_theseus_multation(mu, n))
+        maze_side = theseus_hom(mixed(a, b, homset), n)
+        assert_same(maze_side, old_theseus_hom(mixed(a, b, homset), n))
+        assert_same(ariadne_hom(maze_side, n), old_ariadne_hom(maze_side, n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_pure_maze_over_123(n):
+    mazes = all_pure_mazes_on("123", n)
+    for maze in mazes:
+        for degree in range(n, 4):
+            new = ariadne_maze(maze, degree)
+            assert_same(new, old_ariadne_maze(maze, degree))
+            assert_same(ariadne_hom(MazeHom.of(maze, Fraction(-3, 2)), degree),
+                        old_ariadne_hom(MazeHom.of(maze, Fraction(-3, 2)),
+                                        degree))
+            assert_same_theseus(new, degree)
+    # Every pure maze between two end sets in one combination.
+    by_ends = {}
+    for i, maze in enumerate(mazes):
+        by_ends.setdefault((maze.dom, maze.cod), []).append(
+            (maze, SCALARS[i % len(SCALARS)]))
+    for (dom, cod), terms in by_ends.items():
+        h = MazeHom.from_terms(dom, cod, terms)
+        assert_same(ariadne_hom(h, n), old_ariadne_hom(h, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_labelled_mazes_over_123(n):
+    for maze in all_pure_mazes_on("123", n):
+        for shift in range(len(SCALARS)):
+            labelled = relabelled(maze, shift)
+            for degree in range(n, 4):
+                new = ariadne_maze(labelled, degree)
+                assert_same(new, old_ariadne_maze(labelled, degree))
+                assert_same_theseus(new, degree)
+
+
+def test_cancelling_labels_and_zero_labels():
+    loop = Maze(["1"], ["1"], [Passage("1", "1", 1), Passage("1", "1", -1)])
+    zero = Maze(["1"], ["2"], [Passage("1", "2", 0)])
+    for maze in (loop, zero):
+        for degree in range(1, 5):
+            new = ariadne_maze(maze, degree)
+            assert_same(new, old_ariadne_maze(maze, degree))
+    # The odd degrees cancel completely, the even ones do not.
+    assert ariadne_maze(loop, 3).is_zero()
+    assert not ariadne_maze(loop, 2).is_zero()
+    assert ariadne_maze(zero, 2).is_zero()
+    # Two mazes whose translations cancel against each other.
+    p = Maze(["1"], ["2"], [Passage("1", "2", 2)])
+    q = Maze(["1"], ["2"], [Passage("1", "2", -2)])
+    h = MazeHom.from_terms(("1",), ("2",), [(p, 1), (q, 1)])
+    assert_same(ariadne_hom(h, 2), old_ariadne_hom(h, 2))
+    assert ariadne_hom(h, 3).is_zero() and not ariadne_hom(h, 2).is_zero()
+
+
+def test_matrix_composition_matches_the_oracle():
+    # Mazes with fewer passages than n have several entries, so products
+    # sum over several middle multi-sets.
+    for n in (2, 3):
+        mazes = [relabelled(maze, k) for k in range(1, n + 1)
+                 for maze in all_pure_mazes_on("12", k)]
+        for p in mazes:
+            for q in mazes:
+                if set(p.dom) != set(q.cod):
+                    continue
+                left, right = ariadne_maze(p, n), ariadne_maze(q, n)
+                assert_same(left.compose(right),
+                            old_matrix_compose(left, right))
+
+
+def test_a_maze_off_its_ends_is_refused_before_the_enumeration(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("enumerated before the refusal")
+
+    monkeypatch.setattr(bridge, "compositions", unreachable)
+    off = Maze(["1"], ["2"], [Passage("1", "2"), Passage("3", "2")])
+    for call in (lambda: ariadne_maze(off, 2),
+                 lambda: ariadne_hom(MazeHom.of(off, 5), 2)):
+        with pytest.raises(ValueError,
+                           match="entry index outside the endpoint sets"):
+            call()
+    into = Maze(["1"], ["2"], [Passage("1", "2"), Passage("1", "3")])
+    with pytest.raises(ValueError, match="outside the endpoint sets"):
+        ariadne_maze(into, 2)
+
+# ------------------------------------------------------------- property
+
+NAMES = ("1", "2", "3")
+scalars = st.sampled_from(SCALARS) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def maze_combinations(draw):
+    """A combination of up to three mazes without dead ends between two
+    drawn end sets, with drawn labels and coefficients."""
+    dom = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    cod = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        ends = [(x, draw(st.sampled_from(cod))) for x in dom]
+        ends += [(draw(st.sampled_from(dom)), y) for y in cod]
+        ends += draw(st.lists(st.sampled_from(ends), max_size=1))
+        maze = Maze(dom, cod, [Passage(s, d, draw(scalars)) for s, d in ends])
+        terms.append((maze, draw(scalars)))
+    return MazeHom.from_terms(dom, cod, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=maze_combinations(), degree=st.integers(0, 4))
+def test_translations_match_the_oracle(h, degree):
+    new = ariadne_hom(h, degree)
+    assert_same(new, old_ariadne_hom(h, degree))
+    assert_same_theseus(new, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_multation_combinations_match_the_oracle(data, n):
+    objs, arrows = arrows_over(NAMES, n)
+    a, b, c = (data.draw(st.sampled_from(objs)) for _ in range(3))
+
+    def combination(x, y):
+        return MultHom.from_terms(x, y, data.draw(st.lists(
+            st.tuples(st.sampled_from(arrows[x, y]), scalars), max_size=4)))
+
+    f, g = combination(b, c), combination(a, b)
+    assert_same(multhom_compose(f, g), old_multhom_compose(f, g))
+    assert_same(theseus_hom(f, n), old_theseus_hom(f, n))
