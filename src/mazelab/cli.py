@@ -125,14 +125,15 @@ def pretty_maze(maze: Maze) -> str:
     return "\n".join(lines)
 
 
-def pretty_maze_hom(hom: MazeHom) -> str:
+def _pretty_comb(hom, pretty_basis) -> str:
     if hom.is_zero():
         return "0"
-    parts = []
-    for maze, c in hom.comb:
-        prefix = "" if c == 1 else f"{scalar_str(c)} * "
-        parts.append(prefix + pretty_maze(maze))
-    return "\n+ ".join(parts)
+    return "\n+ ".join(("" if c == 1 else f"{scalar_str(c)} * ")
+                       + pretty_basis(x) for x, c in hom.comb)
+
+
+def pretty_maze_hom(hom: MazeHom) -> str:
+    return _pretty_comb(hom, pretty_maze)
 
 
 def pretty_multation(mu: Multation) -> str:
@@ -144,13 +145,7 @@ def pretty_multation(mu: Multation) -> str:
 
 
 def pretty_mult_hom(hom: MultHom) -> str:
-    if hom.is_zero():
-        return "0"
-    parts = []
-    for mu, c in hom.comb:
-        prefix = "" if c == 1 else f"{scalar_str(c)} * "
-        parts.append(prefix + "\n" + pretty_multation(mu))
-    return "\n+ ".join(parts)
+    return _pretty_comb(hom, lambda mu: "\n" + pretty_multation(mu))
 
 
 def cmd_compose(args) -> int:
@@ -251,34 +246,29 @@ def _cell_name(hom, names) -> str:
     return "+".join(parts)
 
 
+def _render_table(title, table, order, names, label) -> str:
+    lines = [title, "      " + "".join(f"{label(c):>6s}" for c in order)]
+    for r in order:
+        cells = [_cell_name(table[r, c], names) for c in order]
+        lines.append(f"{label(r):>6s}" + "".join(f"{c:>6s}" for c in cells))
+    return "\n".join(lines)
+
+
 def render_tables() -> str:
     gens = quadratic_generators()
     maze_names = {gens[k]: k for k in ("A", "B", "C", "S")}
-    maze_names[gens["I1"]] = "I"
-    maze_names[gens["I2"]] = "I"
-    maze_names[gens["I0"]] = "I"
-    t1 = laby2_table()
-    order1 = ["A", "B", "C", "S"]
-    lines = ["degree-2 maze composition (row o column):"]
-    header = "      " + "".join(f"{c:>6s}" for c in order1)
-    lines.append(header)
-    for r in order1:
-        cells = [_cell_name(t1[(r, c)], maze_names) for c in order1]
-        lines.append(f"{r:>6s}" + "".join(f"{c:>6s}" for c in cells))
-
+    for k in ("I0", "I1", "I2"):
+        maze_names[gens[k]] = "I"
     mgens = mset2_generators()
     mult_names = {mgens[k]: k[0] for k in ("alpha", "beta", "sigma")}
-    mult_names[Multation.identity(MultiSet(["1", "1"]))] = "i"
-    mult_names[Multation.identity(MultiSet(["1", "2"]))] = "i"
-    t2 = mset2_table()
-    order2 = ["alpha", "beta", "sigma"]
-    lines.append("")
-    lines.append("degree-2 multation composition (row o column):")
-    lines.append("      " + "".join(f"{c[0]:>6s}" for c in order2))
-    for r in order2:
-        cells = [_cell_name(t2[(r, c)], mult_names) for c in order2]
-        lines.append(f"{r[0]:>6s}" + "".join(f"{c:>6s}" for c in cells))
-    return "\n".join(lines)
+    for a in (["1", "1"], ["1", "2"]):
+        mult_names[Multation.identity(MultiSet(a))] = "i"
+    return "\n\n".join((
+        _render_table("degree-2 maze composition (row o column):",
+                      laby2_table(), ["A", "B", "C", "S"], maze_names, str),
+        _render_table("degree-2 multation composition (row o column):",
+                      mset2_table(), ["alpha", "beta", "sigma"], mult_names,
+                      lambda k: k[0])))
 
 
 def cmd_tables(args) -> int:

@@ -34,7 +34,6 @@ from .labycat import (
     pure_mazes_between,
     rename_maze,
     skeleton,
-    validate_maze,
 )
 from .matrices import (IntMat, column_lattice_basis, kron_power,
                        row_products, solve_in_lattice)
@@ -589,7 +588,8 @@ class Presentation:
     `identity` arrow of some ends, its structure `constants`, the
     `triples` of a basis arrow, its `ends()` as (name in errors, ends)
     pairs and its composable `pairs()` (p, q) in the order that names
-    the first failure."""
+    the first failure.  Every arrow the table stores is a basis arrow of
+    the structure constants."""
 
     __slots__ = ("degree", "groups", "table", "hom_sets")
 
@@ -688,23 +688,21 @@ class Presentation:
             (sc.arrows[b, c][k], sc.arrows[a, b][i])
             for (a, b, c), pairs in sc.representatives() for i, k in pairs))
 
-    def composite_terms(self, p, q, coords):
+    def composite_terms(self, p, q):
         """The composite p . q of composable basis arrows as (stored value,
         coefficient) terms read off the structure constants."""
-        sc = self.constants()
-        terms = sc.block(q.dom, q.cod, p.cod)[sc.index[q]][sc.index[p]]
         hom_set = self.hom_set(q.dom, p.cod)
-        return ((hom_set.value(u), c) for u, c in terms)
+        return ((hom_set.value(u), c) for u, c in self.constants().terms(p, q))
 
     def _failures(self, pairs):
         """The pairs (p, q) on which the table is not functorial: the
         composite p . q by composite_terms against hom(p) hom(q), both as
         reduced integer rows, with each arrow's columns worked out once."""
-        coords, columns = {}, {}
+        columns = {}
         for p, q in pairs:
             cod = self.carrier(p.cod).orders
             lhs = _combination_rows(self.carrier(q.dom).orders, cod,
-                                    self.composite_terms(p, q, coords))
+                                    self.composite_terms(p, q))
             target = self.hom(p).mat.rows
             if q not in columns:
                 columns[q] = self.hom(q).mat.columns()
@@ -712,25 +710,15 @@ class Presentation:
                 yield p, q
 
     def check(self):
-        """Identity values, then functoriality: by _functorial_on_basis,
-        and pair by pair on the pairs with a stored arrow outside the
-        basis.  When either fails or raises, the walk over pairs() names
-        the first failure."""
+        """Identity values, then functoriality by _functorial_on_basis;
+        when that fails, the walk over pairs() names the first failure."""
         for name, ends in self.ends():
             if self.hom(self.identity(ends)) != AbHom.identity(
                     self.carrier(ends).orders):
                 raise ValueError(f"identity of {name} does not map to "
                                  "identity")
-        index = self.constants().index
-        try:
-            if self._functorial_on_basis() and (
-                    all(x in index for x in self.table)
-                    or not any(self._failures(
-                        (p, q) for p, q in self.pairs()
-                        if p not in index or q not in index))):
-                return
-        except Exception:  # noqa: BLE001 - the walk below gives its error
-            pass
+        if self._functorial_on_basis():
+            return
         for p, q in self._failures(self.pairs()):
             raise ValueError(f"table is not functorial on {p!r} after {q!r}")
 
@@ -751,8 +739,11 @@ def _on_skeleton(maze: Maze) -> Maze:
 
 class LabyModulePresentation(Presentation):
     """A linear functor out of the degree-n maze quotient, as finite data:
-    carriers on the skeleton [0..n] and one map per small pure maze.  A
-    maze between other small sets is looked up on the skeleton."""
+    carriers on the skeleton [0..n] and one map per small pure maze.  The
+    table stores basis mazes of Laby_n only and refuses any other maze: a
+    labelled maze has its value by binomial expansion and a larger one
+    vanishes by truncation.  A maze between other small sets is looked up
+    on the skeleton."""
 
     __slots__ = ()
 
@@ -760,7 +751,14 @@ class LabyModulePresentation(Presentation):
         groups = list(groups)
         if len(groups) != degree + 1:
             raise ValueError("need one carrier per skeleton set 0..degree")
-        super().__init__(degree, groups, dict(table), check)
+        table = dict(table)
+        index = laby_structure_constants(degree).index
+        for maze in sorted(table.keys() - index.keys(), key=Maze.sort_key):
+            raise ValueError(
+                f"{maze!r} is not a basis maze of degree {degree}: one that "
+                f"is pure, has no dead end and at most {degree} passages, "
+                f"and joins skeleton sets [0..{degree}]")
+        super().__init__(degree, groups, table, check)
 
     key = staticmethod(_on_skeleton)
     identity = staticmethod(Maze.identity)
@@ -785,19 +783,6 @@ class LabyModulePresentation(Presentation):
     def mazes(self):
         return sorted(self.table, key=Maze.sort_key)
 
-    def coordinates(self, maze: Maze):
-        """The numerical normal form of a maze, moved to the skeleton, over
-        the index of pure mazes of the structure constants: its
-        (position, coefficient) pairs in position order.  Empty for a maze
-        of more than `degree` passages."""
-        key = _on_skeleton(maze)
-        if not validate_maze(key):
-            raise ValueError(f"{maze!r} has a dead end or a passage outside "
-                             "its endpoints")
-        index = self.constants().index
-        return [(index[m], c) for m, c in
-                normalize_numerical(MazeHom.of(key), self.degree).comb]
-
     def ends(self):
         return [(f"[{k}]", skeleton(k)) for k in range(self.degree + 1)]
 
@@ -806,27 +791,6 @@ class LabyModulePresentation(Presentation):
         mazes = self.mazes()
         return ((p, q) for p in mazes for q in mazes
                 if set(q.cod) == set(p.dom))
-
-    def composite_terms(self, p: Maze, q: Maze, coords):
-        """The quotient composite p . q of composable mazes as (stored
-        value, coefficient) terms; outside the basis their coordinates,
-        kept in `coords`, compose through the structure constants."""
-        index = self.constants().index
-        if p in index and q in index:
-            return super().composite_terms(p, q, coords)
-        for m in (p, q):
-            if m not in coords:
-                coords[m] = self.coordinates(m)
-        j, k, l = (skeleton(len(x)) for x in (q.dom, q.cod, p.cod))
-        block = self.constants().block(j, k, l)
-        merged = {}
-        for s, b in coords[q]:
-            row = block[s]
-            for t, a in coords[p]:
-                for u, c in row[t]:
-                    merged[u] = merged.get(u, 0) + a * b * c
-        hom_set = self.hom_set(j, l)
-        return ((hom_set.value(u), c) for u, c in sorted(merged.items()) if c)
 
     def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and

@@ -477,6 +477,20 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("maze", [Maze.identity(["1"]).relabel_all(2),
+                                  Maze.identity(["a"])])
+def test_eval_names_a_stored_maze_outside_the_basis(tmp_path, capsys, maze):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(edited_fixture(
+        "frobenius_laby.json",
+        lambda d: d["homs"].append({"maze": maze.to_json(),
+                                    "matrix": [[1]]}))))
+    code, out, err = run(capsys, "eval", "--kind", "laby", str(module),
+                         fx("m3.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and repr(maze) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["compose", "{unreached.json}", "{dead_end.json}"],
     ["compose", "--category", "laby_n", "-n", "2", "A.json",

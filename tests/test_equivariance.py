@@ -21,7 +21,8 @@ from mazelab.msetcat import (MultHom, Multation, mset_structure_constants,
                              multation_compose)
 from mazelab.multisets import CONSTANTS_KEPT
 from mazelab.scalars import StructureConstants
-from test_structure_constants import assert_checks_agree
+from test_structure_constants import (assert_checks_agree, loaded_with,
+                                      refused_as)
 
 
 def laby(n):
@@ -205,15 +206,25 @@ def test_a_table_missing_a_basis_value_is_refused_alike(cubes):
 
 
 def test_a_stored_maze_outside_the_basis_is_checked_pair_by_pair(cubes):
+    # No pair is checked: the table is refused before any check.
     h = cubes[0]
     loop = Maze(skeleton(1), skeleton(1), [(p, 4) for p, _ in
                                            Maze.identity(skeleton(1))
                                            .passages])
     for value in (AbHom.zero(h.groups[1].orders, h.groups[1].orders),
                   AbHom.identity(h.groups[1].orders)):
-        table = dict(h.table)
-        table[loop] = value
-        assert_checks_agree(with_table(h, table))
+        assert loaded_with(h, loop, value) == refused_as(h, loop, value)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_the_check_raises_what_its_reduced_path_raises(cubes, monkeypatch,
+                                                       side):
+    def broken(self):
+        raise RuntimeError("representatives failed")
+
+    monkeypatch.setattr(StructureConstants, "representatives", broken)
+    with pytest.raises(RuntimeError, match="representatives failed"):
+        cubes[side].check()
 
 
 def test_the_constants_memos_are_bounded():
