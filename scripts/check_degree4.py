@@ -2,7 +2,10 @@
 
     PYTHONPATH=src python scripts/check_degree4.py
 
-Prints the time to fill every block of Laby_4 and of MSet_4 over four
+First it builds the maze-side presentation of the tensor cube at degree
+3, checks it and re-derives every stored value by its round trip, with
+the time of each step: the layer timing of the integer kernel.  Then it
+prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, and the time to check the degree-4 tensor power on
 the multation side.  Then compares every Laby_4 block with the per-pair
 path, each composite computed afresh by its compose_in_laby_n (a few
@@ -10,7 +13,7 @@ seconds), and exits 1 on the first block that differs.  Last, it sends
 every basis multation and every pure maze of degree 4 over four letters
 through both translations and back, and exits 1 on any failure of the
 round trip.  Each stage also prints the peak resident set size of the
-process so far.
+process so far, and the script exits 1 if any stage fails.
 """
 
 import resource
@@ -18,7 +21,9 @@ import sys
 import time
 
 from mazelab.bridge import roundtrip_failures
-from mazelab.functor_lab import MSetModulePresentation
+from mazelab.functor_lab import (LabyModulePresentation,
+                                 MSetModulePresentation,
+                                 phi_roundtrip_failures, tensor_power_functor)
 from mazelab.labycat import laby_structure_constants, skeleton
 from mazelab.msetcat import mset_structure_constants
 
@@ -39,7 +44,33 @@ def fill(name, sc):
           f"{orbits} composed, filled in {seconds:.2f} s; {peak_rss()}")
 
 
+def cube():
+    """Build, check and round-trip from_functor(tensor^3, 3); 1 on a
+    failure, else 0."""
+    start = time.perf_counter()
+    h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
+                                            check=False)
+    built = time.perf_counter()
+    print(f"from_functor(tensor^3, 3): {len(h.table)} values built in "
+          f"{built - start:.3f} s; {peak_rss()}")
+    try:
+        h.check()
+    except ValueError as exc:
+        print(f"from_functor(tensor^3, 3) fails its check: {exc}")
+        return 1
+    checked = time.perf_counter()
+    print(f"from_functor(tensor^3, 3) checked in {checked - built:.3f} s; "
+          f"{peak_rss()}")
+    failures = phi_roundtrip_failures(h)
+    print(f"phi_roundtrip_failures: {len(failures)} failures "
+          f"({time.perf_counter() - checked:.3f} s); {peak_rss()}")
+    for failure in failures[:5]:
+        print(f"  {failure}")
+    return 1 if failures else 0
+
+
 def main():
+    status = cube()
     laby = laby_structure_constants(4)
     fill("Laby_4", laby)
     fill("MSet_4 over 1234", mset_structure_constants(skeleton(4), 4))
@@ -66,7 +97,7 @@ def main():
           f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
     for failure in failures[:5]:
         print(f"  {failure}")
-    return 1 if failures else 0
+    return 1 if failures or status else 0
 
 
 if __name__ == "__main__":

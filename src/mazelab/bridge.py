@@ -126,10 +126,8 @@ class AriadneMatrix:
         cols = enumerate_supported(set(self.dom), self.n)
         row_index = {b: i for i, b in enumerate(rows)}
         col_index = {a: i for i, a in enumerate(cols)}
-        entries = []
-        for b, a in self.nonzero_keys():
-            entries.append([row_index[b], col_index[a],
-                            self.entries[(b, a)].to_json()])
+        entries = [[row_index[b], col_index[a], self.entries[b, a].to_json()]
+                   for b, a in self.nonzero_keys()]
         return {
             "n": self.n,
             "dom": list(self.dom),
@@ -353,12 +351,7 @@ def factorization_verify(h, j, n: int) -> bool:
         rows = enumerate_supported(set(maze.cod), n)
         cols = enumerate_supported(set(maze.dom), n)
         matrix = ariadne_maze(maze, n)
-        grid = []
-        for b in rows:
-            row = []
-            for a in cols:
-                row.append(j.eval_hom(matrix.entry(b, a)))
-            grid.append(row)
+        grid = [[j.eval_hom(matrix.entry(b, a)) for a in cols] for b in rows]
         assembled = abhom_block(grid,
                                 [j.groups[a].orders for a in cols],
                                 [j.groups[b].orders for b in rows])

@@ -30,6 +30,7 @@ from .labycat import (
     normalize_homogeneous,
     normalize_numerical,
     quadratic_generators,
+    skeleton,
     validate_maze,
 )
 from .functor_lab import (
@@ -43,7 +44,8 @@ from .functor_lab import (
     psi_inverse_eval,
 )
 from .matrices import IntMat
-from .msetcat import MultHom, Multation, mset2_generators, mset2_table
+from .msetcat import (MultHom, Multation, mset2_generators, mset2_table,
+                      multhom_compose)
 from .multisets import MultiSet
 from .scalars import scalar_str
 
@@ -150,15 +152,10 @@ def pretty_mult_hom(hom: MultHom) -> str:
 
 def cmd_compose(args) -> int:
     if args.category == "mset":
-        f = load_mult_hom(args.files[0])
-        g = load_mult_hom(args.files[1])
-        from .msetcat import multhom_compose
-
-        result = multhom_compose(f, g)
-        _emit(result, pretty_mult_hom, args.format)
+        f, g = map(load_mult_hom, args.files)
+        _emit(multhom_compose(f, g), pretty_mult_hom, args.format)
         return 0
-    f = load_maze_hom(args.files[0])
-    g = load_maze_hom(args.files[1])
+    f, g = map(load_maze_hom, args.files)
     if args.category == "laby":
         result = maze_hom_compose(f, g)
     else:
@@ -291,8 +288,6 @@ def cmd_eval(args) -> int:
             row_legend = [list(y) for y in row_blocks]
         else:
             pres = MSetModulePresentation.from_json(data)
-            from .labycat import skeleton
-
             hom = psi_inverse_eval(pres, matrix)
             col_blocks, _ = psi_block_index(pres, skeleton(matrix.ncols))
             row_blocks, _ = psi_block_index(pres, skeleton(matrix.nrows))
@@ -358,17 +353,14 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("ariadne", help="translate a maze to multations")
-    p.add_argument("--degree", "-n", type=int, required=True)
-    add_format(p)
-    p.add_argument("file")
-    p.set_defaults(func=cmd_ariadne)
-
-    p = sub.add_parser("theseus", help="translate a multation to a maze")
-    p.add_argument("--degree", "-n", type=int, required=True)
-    add_format(p)
-    p.add_argument("file")
-    p.set_defaults(func=cmd_theseus)
+    for name, what, func in (
+            ("ariadne", "a maze to multations", cmd_ariadne),
+            ("theseus", "a multation to a maze", cmd_theseus)):
+        p = sub.add_parser(name, help=f"translate {what}")
+        p.add_argument("--degree", "-n", type=int, required=True)
+        add_format(p)
+        p.add_argument("file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("xi", help="translate a span of surjections")
     p.add_argument("--inverse", action="store_true",

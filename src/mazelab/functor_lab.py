@@ -35,8 +35,9 @@ from .labycat import (
     rename_maze,
     skeleton,
 )
-from .matrices import (IntMat, column_lattice_basis, kron_power,
-                       row_products, solve_in_lattice)
+from .matrices import (IntMat, add_scaled, column_lattice_basis,
+                       combination_rows, kron_power, row_products,
+                       solve_in_lattice)
 from .msetcat import Multation, mset_structure_constants
 from .multisets import (MultiSet, all_cardinality_multisets, guard_count,
                         json_int)
@@ -115,10 +116,10 @@ def deviation(f, maps):
 
     With k maps this is the (k-1)-st deviation; the empty subset
     contributes f of the zero map with sign (-1)^k, and with no maps at
-    all that zero map is the 0 x 0 one of the empty maze.  The values of
-    f need only + and .scale: IntMats of a MatrixFunctor or AbHoms of an
-    evaluated presentation.  Each subset sum is one addition away from
-    the sum of the subset without its lowest map.
+    all that zero map is the 0 x 0 one of the empty maze.  Each subset
+    sum is one addition away from that of the subset without its lowest
+    map.  The 2^k signed values of f, IntMats of a MatrixFunctor or AbHoms
+    of an evaluated presentation, are summed once, skipping zeros.
     """
     maps = list(maps)
     nrows, ncols = (maps[0].nrows, maps[0].ncols) if maps else (0, 0)
@@ -127,12 +128,16 @@ def deviation(f, maps):
             raise ShapeMismatchError("deviation maps must share their shape")
     k = len(maps)
     sums = [IntMat.zeros(nrows, ncols)]
-    total = f(sums[0]).scale((-1) ** k)
     for mask in range(1, 1 << k):
         low = mask & -mask
         sums.append(sums[mask ^ low] + maps[low.bit_length() - 1])
-        total = total + f(sums[mask]).scale((-1) ** (k - bin(mask).count("1")))
-    return total
+    terms = [(f(s), -1 if (k - bin(mask).count("1")) & 1 else 1)
+             for mask, s in enumerate(sums)]
+    first = terms[0][0]
+    if isinstance(first, AbHom):
+        return AbHom.combination(first.dom_orders, first.cod_orders, terms)
+    return IntMat._trusted(first.nrows, first.ncols, combination_rows(
+        first.nrows, first.ncols, terms))
 
 
 def surjective_pair_subsets(m: int, n: int):
@@ -140,19 +145,10 @@ def surjective_pair_subsets(m: int, n: int):
     of (i, j) pairs (1-based)."""
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     guard_count(1 << len(pairs), "surjective_pair_subsets", f"{m} x {n}")
-    out = []
-    for mask in range(1 << len(pairs)):
-        rows = 0
-        cols = 0
-        chosen = []
-        for t, (i, j) in enumerate(pairs):
-            if mask >> t & 1:
-                rows |= 1 << i
-                cols |= 1 << j
-                chosen.append((i, j))
-        if rows == ((1 << (m + 1)) - 2) and cols == ((1 << (n + 1)) - 2):
-            out.append(chosen)
-    return out
+    subsets = ([p for t, p in enumerate(pairs) if mask >> t & 1]
+               for mask in range(1 << len(pairs)))
+    return [k for k in subsets
+            if len({i for i, _ in k}) == m and len({j for _, j in k}) == n]
 
 
 def signed_cover_sum(m: int, n: int, l_pairs) -> int:
@@ -222,13 +218,8 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
     if a > MAX_MATRIX_SIDE:
         raise ValueError(f"rank {a} above the guard {MAX_MATRIX_SIDE}")
     pis = [IntMat.unit(a, a, i, i) for i in range(a)]
-    out = []
-    for x in index_subsets(a):
-        if x:
-            e = deviation(f, [pis[i - 1] for i in x])
-        else:
-            e = f(IntMat.zeros(a, a))
-        out.append((x, e))
+    out = [(x, deviation(f, [pis[i - 1] for i in x]) if x
+            else f(IntMat.zeros(a, a))) for x in index_subsets(a)]
     dim = f.dim(a)
     total = IntMat.zeros(dim, dim)
     for x, e in out:
@@ -275,32 +266,49 @@ def transport_maps(maze: Maze):
     return maps
 
 
+def restricted_functor(f: MatrixFunctor, a: int):
+    """S -> f(S) B for the b x a matrices S, B the basis columns of f's top
+    cross-effect at rank a; the product reads f(S) only where B has a
+    nonzero row, and skips the zero entries there."""
+    basis = cross_effect_basis(f, a)[1]
+    support = [(j, brow) for j, brow in enumerate(zip(*basis)) if any(brow)]
+
+    def value(s: IntMat) -> IntMat:
+        rows = []
+        for row in f(s).rows:
+            acc = [0] * len(basis)
+            for j, brow in support:
+                if row[j]:
+                    acc = [c + row[j] * y for c, y in zip(acc, brow)]
+            rows.append(tuple(acc))
+        return IntMat._trusted(len(rows), len(basis), tuple(rows))
+
+    return value
+
+
 def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
     """The presentation value of one maze: the deviation of the labelled
     transport maps, restricted to the top cross-effect of the source and
     corestricted to that of the target.
 
-    Requires integer labels; the restriction is guaranteed for functors
-    with free values, and a failed corestriction raises.  `values`, if
-    given, stands in for f on matrices, such as a memo of f.
+    The deviation is linear in f, so it deviates restricted_functor(f, a)
+    and solves its columns in the target's basis.  Requires integer
+    labels; a failed corestriction raises.  `values`, if given, stands in
+    for restricted_functor(f, a), such as a memo of it.
     """
     a, b = len(maze.dom), len(maze.cod)
-    dev = deviation(values or f, transport_maps(maze))
-    piv_x, basis_x = cross_effect_basis(f, a)
+    dev = deviation(values or restricted_functor(f, a), transport_maps(maze))
     piv_y, basis_y = cross_effect_basis(f, b)
     cols = []
-    for v in basis_x:
-        w = dev @ IntMat(len(v), 1, [[x] for x in v])
-        coords = solve_in_lattice(piv_y, basis_y, [r[0] for r in w.rows])
+    for w in dev.columns():
+        coords = solve_in_lattice(piv_y, basis_y, w)
         if coords is None:
             raise ValueError(
                 "deviation does not map the source cross-effect into the "
                 "target one; functor is not free-valued or not functorial")
         cols.append(coords)
-    mat = IntMat(len(basis_y), len(basis_x),
-                 [[cols[j][i] for j in range(len(cols))]
-                  for i in range(len(basis_y))])
-    return mat
+    return IntMat(len(basis_y), len(cols),
+                  [[col[i] for col in cols] for i in range(len(basis_y))])
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +387,19 @@ def _reduce_rows(rows, cod_orders):
                  for row, d in zip(rows, cod_orders))
 
 
+def _checked_mat(hom, dom_orders, cod_orders):
+    """The matrix of hom, which must map between these orders."""
+    if hom.dom_orders != dom_orders or hom.cod_orders != cod_orders:
+        raise ShapeMismatchError("homomorphisms have different endpoints")
+    return hom.mat
+
+
 def _combination_rows(dom_orders, cod_orders, terms):
     """The reduced rows of the sum of c * hom over the (hom, c) pairs of
-    `terms`; see AbHom.combination.  The sum accumulates in one flat list
-    of entries, skipping zeros, and becomes rows once."""
-    width = len(dom_orders)
-    acc = [0] * (width * len(cod_orders))
-    for hom, c in terms:
-        if (hom.dom_orders != dom_orders
-                or hom.cod_orders != cod_orders):
-            raise ShapeMismatchError(
-                "homomorphisms have different endpoints")
-        c = integer(c)
-        if not c:
-            continue
-        at = 0
-        for row in hom.mat.rows:
-            for x in row:
-                if x:
-                    acc[at] += c * x
-                at += 1
-    return _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
-                              for r in range(len(cod_orders))), cod_orders)
+    `terms`; see AbHom.combination and matrices.combination_rows."""
+    return _reduce_rows(combination_rows(len(cod_orders), len(dom_orders), (
+        (_checked_mat(hom, dom_orders, cod_orders), integer(c))
+        for hom, c in terms)), cod_orders)
 
 
 class AbHom:
@@ -852,17 +851,16 @@ class LabyModulePresentation(Presentation):
         the top cross-effects, values the restricted deviations."""
         if degree > MAX_FUNCTOR_DEGREE:
             raise ValueError("degree above the guard")
-        groups = []
-        for k in range(degree + 1):
-            _, basis = cross_effect_basis(f, k)
-            groups.append(FgAbGroup(len(basis)))
+        groups = [FgAbGroup(len(cross_effect_basis(f, k)[1]))
+                  for k in range(degree + 1)]
         hom_sets = laby_structure_constants(degree).arrows
         table = {}
         for (dom, cod), mazes in hom_sets.items():
             # Mazes share many subset sums of their transport maps, and
-            # only mazes of one hom-set share their shape: f is evaluated
-            # once per distinct matrix, kept for one hom-set.
-            values = cache(f)
+            # only mazes of one hom-set share their shape: f and its
+            # restriction are evaluated once per distinct matrix, kept for
+            # one hom-set.
+            values = cache(restricted_functor(f, len(dom)))
             for maze in mazes:
                 table[maze] = AbHom.of_groups(
                     groups[len(dom)], groups[len(cod)],
@@ -882,36 +880,43 @@ def _eval_blockwise(pres, m: IntMat, col_index, row_index, place,
     its source and target.  `place(block)` gives a block's ends in the
     hom-set index of `pres` and the index into m of each of their names.
     Block (x, y) sums the stored values between their ends, each times
-    the product of weight(entry, multiplicity) over its triples.
+    the product of weight(entry, multiplicity) over its triples.  All
+    blocks sum into one flat list for the whole value, skipping zero
+    weights and entries; the torsion rows are reduced once at the end.
     """
-    def weighted(hom_set, col_of, row_of):
-        for t, triples in enumerate(hom_set.triples):
-            w = 1
-            for s, r, d in triples:
-                w *= weight(m.rows[row_of[r]][col_of[s]], d)
-                if w == 0:
-                    break
-            yield hom_set.value(t), w
-
     col_blocks, col_orders = col_index
     row_blocks, row_orders = row_index
+    dom_orders, cod_orders = sum(col_orders, ()), sum(row_orders, ())
+    width = len(dom_orders)
+    acc = [0] * (width * len(cod_orders))
     cols = [place(x) for x in col_blocks]
-    grid = []
-    for y, cod_orders in zip(row_blocks, row_orders):
+    at_row = 0
+    for y, y_orders in zip(row_blocks, row_orders):
         cod, row_of = place(y)
-        grid.append([AbHom.combination(
-            dom_orders, cod_orders,
-            weighted(pres.hom_set(dom, cod), col_of, row_of))
-            for (dom, col_of), dom_orders in zip(cols, col_orders)])
-    return abhom_block(grid, col_orders, row_orders)
+        at = at_row
+        for (dom, col_of), x_orders in zip(cols, col_orders):
+            hom_set = pres.hom_set(dom, cod)
+            for t, triples in enumerate(hom_set.triples):
+                mat = _checked_mat(hom_set.value(t), x_orders, y_orders)
+                w = 1
+                for s, r, d in triples:
+                    w *= weight(m.rows[row_of[r]][col_of[s]], d)
+                    if w == 0:
+                        break
+                if w:
+                    add_scaled(acc, at, width, mat.rows, w)
+            at += len(x_orders)
+        at_row += width * len(y_orders)
+    return AbHom._trusted(dom_orders, cod_orders, tuple(
+        tuple(acc[r * width:(r + 1) * width])
+        for r in range(len(cod_orders))))
 
 
 def phi_block_index(h: LabyModulePresentation, a: int):
     """The blocks of the evaluated functor on rank a: the subsets of [a]
     with their carriers, in (size, entries) order."""
     subsets = index_subsets(a)
-    orders = [h.block_group(len(x)).orders for x in subsets]
-    return subsets, orders
+    return subsets, [h.block_group(len(x)).orders for x in subsets]
 
 
 def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
@@ -950,22 +955,16 @@ def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
     col_blocks, col_orders = col_index
     row_blocks, row_orders = row_index
     total = deviation(lambda mat: evaluate(pres, mat), transport_maps(maze))
-    col_exact = [i for i, x in enumerate(col_blocks)
-                 if exact(x, len(maze.dom))]
-    row_exact = [i for i, y in enumerate(row_blocks)
-                 if exact(y, len(maze.cod))]
-    for i in range(len(row_blocks)):
-        if i in row_exact:
-            continue
-        for jj in col_exact:
-            if not extract_block(total, row_orders, col_orders, i, jj).is_zero():
-                raise AssertionError(
-                    "deviation leaks outside the exact-support blocks")
-    grid = [[extract_block(total, row_orders, col_orders, i, jj)
-             for jj in col_exact] for i in row_exact]
-    return (grid,
-            [col_blocks[jj] for jj in col_exact],
-            [row_blocks[i] for i in row_exact])
+    cols = [j for j, x in enumerate(col_blocks) if exact(x, len(maze.dom))]
+    rows = [i for i, y in enumerate(row_blocks) if exact(y, len(maze.cod))]
+    grid = [[extract_block(total, row_orders, col_orders, i, j) for j in cols]
+            for i in range(len(row_blocks))]
+    if any(not hom.is_zero() for i, row in enumerate(grid) if i not in rows
+           for hom in row):
+        raise AssertionError(
+            "deviation leaks outside the exact-support blocks")
+    return ([grid[i] for i in rows], [col_blocks[j] for j in cols],
+            [row_blocks[i] for i in rows])
 
 
 def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
@@ -980,12 +979,8 @@ def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
 def phi_roundtrip_failures(h: LabyModulePresentation):
     """Re-derive every stored value from the evaluated functor by
     deviations and compare; returns mismatch descriptions."""
-    failures = []
-    for maze in h.mazes():
-        got = _phi_deviation(h, maze)
-        if got != h.hom(maze):
-            failures.append(f"round trip differs on {maze!r}")
-    return failures
+    return [f"round trip differs on {maze!r}" for maze in h.mazes()
+            if _phi_deviation(h, maze) != h.hom(maze)]
 
 
 def numerical_axiom_check(h: LabyModulePresentation, maze: Maze) -> bool:
@@ -1146,8 +1141,7 @@ def psi_block_index(j: MSetModulePresentation, names):
     """Blocks of the evaluated functor on a set: the cardinality-n
     multi-sets supported inside it, with their carriers."""
     blocks = all_cardinality_multisets(names, j.degree)
-    orders = [j.groups[a].orders for a in blocks]
-    return blocks, orders
+    return blocks, [j.groups[a].orders for a in blocks]
 
 
 def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
@@ -1205,10 +1199,9 @@ def quadratic_relations_check(k_group: FgAbGroup, x_group: FgAbGroup,
                               y_group: FgAbGroup, alpha: AbHom,
                               beta: AbHom) -> bool:
     """The two classifying relations of degree-2 presentations."""
-    if alpha.dom_orders != x_group.orders or \
-            alpha.cod_orders != y_group.orders or \
-            beta.dom_orders != y_group.orders or \
-            beta.cod_orders != x_group.orders:
+    x, y = x_group.orders, y_group.orders
+    if ((alpha.dom_orders, alpha.cod_orders, beta.dom_orders,
+         beta.cod_orders) != (x, y, y, x)):
         raise ShapeMismatchError("alpha and beta do not fit the carriers")
     bab = beta.compose(alpha).compose(beta)
     aba = alpha.compose(beta).compose(alpha)

@@ -26,7 +26,7 @@ as its pairs already pass n.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, prod
 
 from .errors import DomainMismatchError
@@ -339,10 +339,9 @@ def expand_label(p: Maze, passage: Passage, parts) -> MazeHom:
     remaining = dict(p.passages)
     if remaining.get(passage, 0) < 1:
         raise ValueError("passage not present in maze")
-    if remaining[passage] == 1:
+    remaining[passage] -= 1
+    if not remaining[passage]:
         del remaining[passage]
-    else:
-        remaining[passage] -= 1
     terms = []
     n = len(parts)
     for mask in range(1, 1 << n):
@@ -372,10 +371,9 @@ def collapse_parallel(p: Maze, group) -> MazeHom:
     for q in group:
         if remaining.get(q, 0) < 1:
             raise ValueError("group passage not present in maze")
-        if remaining[q] == 1:
+        remaining[q] -= 1
+        if not remaining[q]:
             del remaining[q]
-        else:
-            remaining[q] -= 1
     n = len(group)
     terms = []
     for mask in range(1 << n):
@@ -447,10 +445,8 @@ def _numerical_terms(maze: Maze, n: int):
 def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     """Normal form in the degree-n numerical quotient: a combination of
     pure mazes with at most n passages."""
-    terms = []
-    for maze, c in h.comb:
-        for coeff, pure in _numerical_terms(maze, n):
-            terms.append((pure, c * coeff))
+    terms = [(pure, c * coeff) for maze, c in h.comb
+             for coeff, pure in _numerical_terms(maze, n)]
     # Each term keeps the ends of the maze it expands.
     return MazeHom._trusted(h.dom, h.cod, LinComb(terms))
 
@@ -560,6 +556,16 @@ def rename_maze(maze: Maze, dom_map, cod_map) -> Maze:
          for p, m in maze.passages])
 
 
+def _guard_pure_mazes(dom, cod, sizes):
+    """Refuse the pure mazes dom -> cod of the given sizes before any is
+    listed.  Multi-sets of s passages over |dom| * |cod| kinds bound the
+    count; the max keeps comb defined for s = 0 on empty ends."""
+    for s in sizes:
+        guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s),
+                    "pure_mazes_between",
+                    f"{len(dom)} -> {len(cod)} points, {s} passages")
+
+
 def pure_mazes_between(dom, cod, sizes):
     """All pure mazes with dom/cod exactly the given sets and passage count
     in `sizes`, canonically ordered.
@@ -569,15 +575,12 @@ def pure_mazes_between(dom, cod, sizes):
     """
     dom = tuple(sorted(set(dom)))
     cod = tuple(sorted(set(cod)))
+    sizes = tuple(sizes)
+    _guard_pure_mazes(dom, cod, sizes)
     # One passage per kind, shared by every maze listed.
     unit = {(x, y): Passage(x, y, 1) for x in dom for y in cod}
     out = []
     for s in sizes:
-        # Multi-sets of s passages over |dom| * |cod| kinds bound the count;
-        # the max keeps comb defined for s = 0 on empty ends.
-        guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s),
-                    "pure_mazes_between",
-                    f"{len(dom)} -> {len(cod)} points, {s} passages")
         for rows in compositions(s, len(dom)):
             for cols in compositions(s, len(cod)):
                 out.extend(
@@ -608,8 +611,11 @@ def laby_structure_constants(n: int) -> StructureConstants:
     A transposition of a set's points acts on a pure maze by renaming,
     and composing with the transposition's maze gives the renamed maze
     with coefficient 1, so blocks fill by orbits under the permutations
-    of the three sets (see StructureConstants)."""
+    of the three sets (see StructureConstants).  Every hom-set is guarded
+    before any is listed."""
     sets = [skeleton(k) for k in range(n + 1)]
+    for x, y in product(sets, sets):
+        _guard_pure_mazes(x, y, range(n + 1))
     return StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},

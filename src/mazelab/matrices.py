@@ -10,8 +10,14 @@ Data from outside goes through the checking constructor.  Results of
 the package's own arithmetic on matrices that passed it (sums,
 products, Kronecker products, integer multiples) are made of ints of
 the right shape by construction, so they skip the second check.
+
+Products are dense.  Sums of integer multiples (deviations, evaluated
+presentations) accumulate in one flat list that skips zeros, and the
+lattice solver walks only the nonzero rows of its basis, so their work
+follows the nonzero entries.
 """
 
+from itertools import compress
 from operator import mul
 
 from .errors import ShapeMismatchError
@@ -32,6 +38,30 @@ def row_products(rows, cols):
     and the matrix with these columns."""
     return tuple(tuple([sum(map(mul, row, col)) for col in cols])
                  for row in rows)
+
+
+def add_scaled(acc, at, width, rows, c):
+    """Add c times the matrix with these rows into the flat list acc, its
+    first row from index `at` on and its rows `width` apart; zero entries
+    are skipped."""
+    for row in rows:
+        for j, x in enumerate(row, at):
+            if x:
+                acc[j] += c * x
+        at += width
+
+
+def combination_rows(nrows, ncols, terms):
+    """The rows of the sum of c * mat over the (mat, c) pairs of `terms`,
+    every mat nrows x ncols and every c an int, summed in one flat list
+    that skips zero coefficients and zero entries."""
+    acc = [0] * (nrows * ncols)
+    for mat, c in terms:
+        if mat.nrows != nrows or mat.ncols != ncols:
+            raise ShapeMismatchError("matrix shapes differ")
+        if c:
+            add_scaled(acc, 0, ncols, mat.rows, c)
+    return tuple(tuple(acc[r * ncols:(r + 1) * ncols]) for r in range(nrows))
 
 
 class IntMat:
@@ -165,50 +195,40 @@ def column_lattice_basis(m: IntMat):
     with gcd steps; fine at desk scale.
     """
     cols = [list(col) for col in m.columns()]
-    basis = []
-    pivots = []
-    row = 0
-    while row < m.nrows and cols:
-        live = [c for c in cols if any(c[row:])]
-        cols = live
-        if not cols:
-            break
-        nz = [c for c in cols if c[row] != 0]
-        if not nz:
-            row += 1
-            continue
+    pivots, basis = [], []
+    for row in range(m.nrows):
+        cols = [c for c in cols if any(c[row:])]
+        nz = [c for c in cols if c[row]]
         # reduce all leading entries at this row to a single gcd column
-        while len([c for c in cols if c[row] != 0]) > 1:
-            nz = sorted((c for c in cols if c[row] != 0),
-                        key=lambda c: abs(c[row]))
-            small, nxt = nz[0], nz[1]
+        while len(nz) > 1:
+            small, nxt = sorted(nz, key=lambda c: abs(c[row]))[:2]
             q = nxt[row] // small[row]
-            for i in range(m.nrows):
-                nxt[i] -= q * small[i]
-        pivot = next(c for c in cols if c[row] != 0)
-        if pivot[row] < 0:
-            for i in range(m.nrows):
-                pivot[i] = -pivot[i]
-        cols.remove(pivot)
-        basis.append(tuple(pivot))
-        pivots.append(row)
-        row += 1
+            nxt[:] = [x - q * y for x, y in zip(nxt, small)]
+            nz = [c for c in cols if c[row]]
+        if nz:
+            pivot = nz[0]
+            if pivot[row] < 0:
+                pivot[:] = [-x for x in pivot]
+            cols.remove(pivot)
+            basis.append(tuple(pivot))
+            pivots.append(row)
     return pivots, basis
 
 
 def solve_in_lattice(pivots, basis, vector):
     """Coordinates of `vector` in the echelon basis, or None if it is not
-    in the integer span."""
+    in the integer span.  Each basis column is walked on its nonzero rows
+    only, and not at all for a zero coordinate."""
     v = list(vector)
     coords = []
     for prow, bcol in zip(pivots, basis):
-        lead = bcol[prow]
-        if v[prow] % lead != 0:
+        t, r = divmod(v[prow], bcol[prow])
+        if r:
             return None
-        t = v[prow] // lead
         coords.append(t)
-        for i in range(len(v)):
-            v[i] -= t * bcol[i]
+        if t:
+            for i, x in compress(enumerate(bcol), bcol):
+                v[i] -= t * x
     if any(v):
         return None
     return coords

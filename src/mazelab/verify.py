@@ -52,6 +52,17 @@ def _fail(name, detail):
     return (name, False, detail)
 
 
+def _table_check(name, table, expected):
+    """The expected cells of a multiplication table, the others undefined."""
+    for cell, want in expected.items():
+        if table[cell] != want:
+            return _fail(name, f"cell {cell} = {table[cell]!r}")
+    for cell, value in table.items():
+        if cell not in expected and value is not None:
+            return _fail(name, f"cell {cell} should be undefined")
+    return _ok(name)
+
+
 def check_table1():
     """Every defined cell of the degree-2 maze multiplication table."""
     gens = quadratic_generators()
@@ -67,13 +78,7 @@ def check_table1():
         ("B", "S"): MazeHom.of(gens["B"]),
         ("S", "S"): i2,
     }
-    for cell, want in expected.items():
-        if table[cell] != want:
-            return _fail("table1", f"cell {cell} = {table[cell]!r}")
-    for cell, value in table.items():
-        if cell not in expected and value is not None:
-            return _fail("table1", f"cell {cell} should be undefined")
-    return _ok("table1")
+    return _table_check("table1", table, expected)
 
 
 def check_table2():
@@ -90,13 +95,7 @@ def check_table2():
         ("sigma", "alpha"): MultHom.of(gens["alpha"]),
         ("sigma", "sigma"): MultHom.of(i12),
     }
-    for cell, want in expected.items():
-        if table[cell] != want:
-            return _fail("table2", f"cell {cell} = {table[cell]!r}")
-    for cell, value in table.items():
-        if cell not in expected and value is not None:
-            return _fail("table2", f"cell {cell} should be undefined")
-    return _ok("table2")
+    return _table_check("table2", table, expected)
 
 
 def check_multation_examples():
@@ -146,11 +145,9 @@ def check_axiom_iv_instance():
     n = 3
     for a in range(-2, 4):
         for b in range(-2, 4):
-            if a == b:
-                maze = Maze(("x",), ("y",), [(Passage("x", "y", a), 2)])
-            else:
-                maze = Maze(("x",), ("y",),
-                            [Passage("x", "y", a), Passage("x", "y", b)])
+            # Equal labels make one passage of multiplicity 2.
+            maze = Maze(("x",), ("y",),
+                        [Passage("x", "y", a), Passage("x", "y", b)])
             got = normalize_numerical(MazeHom.of(maze), n)
             terms = []
             for d1 in range(1, n):
@@ -458,11 +455,8 @@ def check_cubical_expansion():
     h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3)
     for a in range(-2, 3):
         for b in range(-2, 3):
-            if a == b:
-                maze = Maze(("1",), ("1",), [(Passage("1", "1", a), 2)])
-            else:
-                maze = Maze(("1",), ("1",),
-                            [Passage("1", "1", a), Passage("1", "1", b)])
+            maze = Maze(("1",), ("1",),
+                        [Passage("1", "1", a), Passage("1", "1", b)])
             if not numerical_axiom_check(h, maze):
                 return _fail("cubical_expansion", f"labels ({a}, {b})")
     return _ok("cubical_expansion")

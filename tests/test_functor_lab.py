@@ -599,6 +599,24 @@ def test_cross_effect_projectors_reject_skew_idempotents():
         cross_effect_projectors(skew, 2)
 
 
+def test_from_functor_refuses_a_deviation_off_the_target_cross_effect():
+    # tensor^2 plus m[0][0] * m[1][0] at entry (0, 0): its projectors pass
+    # their assertions, but the deviation of a maze into [2] leaves the
+    # top cross-effect of the target.
+    def arrow(m):
+        rows = [list(r) for r in functor_lab.kron_power(m, 2).rows]
+        if m.nrows > 1 and m.ncols:
+            rows[0][0] += m.rows[0][0] * m.rows[1][0]
+        return IntMat(m.nrows ** 2, m.ncols ** 2, rows)
+
+    bent = MatrixFunctor("bent", lambda a: a * a, arrow)
+    for a in range(MAX_MATRIX_SIDE + 1):
+        cross_effect_projectors(bent, a)
+    with pytest.raises(ValueError, match="deviation does not map the source "
+                       "cross-effect into the target one"):
+        LabyModulePresentation.from_functor(bent, 2)
+
+
 def test_cross_effect_telescoping_rank_one():
     for f in (identity_functor(), tensor_power_functor(2),
               tensor_power_functor(3)):
@@ -995,6 +1013,10 @@ def test_phi_roundtrip(phi_square, phi_identity, frobenius):
     assert not phi_roundtrip_failures(frobenius["H"])
     assert not phi_roundtrip_failures(phi_identity)
     assert not phi_roundtrip_failures(phi_square)
+
+
+def test_phi_roundtrip_of_the_cube(phi_cube):
+    assert not phi_roundtrip_failures(phi_cube)
 
 
 def test_phi_roundtrip_is_affine_in_table_but_load_check_is_not(phi_square):

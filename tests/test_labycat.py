@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -569,6 +570,21 @@ def test_pure_mazes_between_guard_trips_before_enumerating(monkeypatch):
     monkeypatch.setattr(labycat, "tables", refuse("tables"))
     with pytest.raises(EnumerationLimitError):
         pure_mazes_between(skeleton(3), skeleton(3), [40])
+
+
+def test_structure_constants_guard_every_hom_set_before_listing(monkeypatch):
+    # Degree 6 is refused on its first hom-set too large, 5 -> 6 points
+    # with 6 passages, before any hom-set is listed.
+    from mazelab.functor_lab import FgAbGroup, LabyModulePresentation
+
+    def refuse(*args):
+        raise AssertionError("a hom-set was listed before the guard")
+
+    monkeypatch.setattr(labycat, "compositions", refuse)
+    with pytest.raises(EnumerationLimitError, match=re.escape(
+            "pure_mazes_between (5 -> 6 points, 6 passages): an estimated "
+            "1623160 items exceed the guard of 1048576")):
+        LabyModulePresentation(6, [FgAbGroup(0)] * 7, {}, check=False)
 
 
 def test_domain_mismatch_raises():
