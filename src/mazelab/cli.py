@@ -6,7 +6,7 @@ canonical JSON (or a pretty rendering with --format pretty) on stdout.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error (including a
 maze with a dead end and a negative degree), 3 shape or domain mismatch,
-4 enumeration limit.
+4 enumeration limit or a number too long to read or print.
 """
 
 import argparse
@@ -405,6 +405,14 @@ def main(argv=None) -> int:
         return 3
     except EnumerationLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
+        return 4
+    except ValueError as exc:
+        # An int too long to read or print; any other one is a fault.
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write(f"resource limit: {args.command}: a number passes "
+                         "the interpreter's limit of "
+                         f"{sys.get_int_max_str_digits()} digits\n")
         return 4
 
 

@@ -662,24 +662,24 @@ class Presentation:
                 columns[key] = self.hom_set(x, y).values[t].mat.columns()
             return columns[key]
 
+        # The transposition's arrow x2 -> x renames the identity of x at
+        # its source, and y -> y2 that of y at its target: their positions.
+        swaps = {e: [[at[sc.index[self.identity(e)]] for at in side]
+                     for side in sc.moves(e, e)]
+                 for e in {x for x, _ in sc.arrows}}
         for (x, y), fs in sc.arrows.items():
             at_x, at_y = sc.moves(x, y)
-            # The transposition's arrow y -> y2 renames the identity of y
-            # at its target; the one x2 -> x renames the identity of x at
-            # its source.
-            for j, (_, y2) in enumerate(sc.generators(y)):
-                s = sc.moves(y, y)[1][j][sc.index[self.identity(y)]]
+            for (_, y2), moved, s in zip(sc.generators(y), at_y, swaps[y][1]):
                 cod = self.carrier(y2).orders
                 for t in range(len(fs)):
-                    if value(x, y2, at_y[j][t]) != _reduce_rows(
+                    if value(x, y2, moved[t]) != _reduce_rows(
                             row_products(value(y, y2, s), cols(x, y, t)),
                             cod):
                         return False
-            for j, (_, x2) in enumerate(sc.generators(x)):
-                s = sc.moves(x, x)[0][j][sc.index[self.identity(x)]]
+            for (_, x2), moved, s in zip(sc.generators(x), at_x, swaps[x][0]):
                 cod = self.carrier(y).orders
                 for t in range(len(fs)):
-                    if value(x2, y, at_x[j][t]) != _reduce_rows(
+                    if value(x2, y, moved[t]) != _reduce_rows(
                             row_products(value(x, y, t), cols(x2, x, s)),
                             cod):
                         return False

@@ -15,7 +15,8 @@ Two normal forms are provided: the numerical quotient rewrites every
 maze into pure mazes with at most n passages via the binomial expansion
 axiom, and the homogeneous quotient further rewrites pure mazes with
 fewer than n passages into exactly-n ones by the label-scaling axiom,
-instantiated at scale 2 where the rewriting matrix is invertible.
+in closed form: each pure maze goes to the x^n coefficient of its own
+expansion relabelled by x, whose coefficients count surjections.
 
 A maze with more than n passages is zero in the degree-n numerical
 quotient, whatever its labels.  Composition in the quotient hands n to
@@ -27,7 +28,7 @@ as its pairs already pass n.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .errors import DomainMismatchError
 from .multisets import (CONSTANTS_KEPT, ENUM_LIMIT, MultiSet, compositions,
@@ -458,68 +459,50 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     return normalize_numerical(maze_hom_compose(f, g, n), n)
 
 
-def _doubling_terms(maze: Maze, n: int):
-    """The terms of more than maze.size and at most n passages in the
-    binomial expansion of the pure maze relabelled by 2.
-
-    Yields (coefficient, pure maze).  A passage repeated r times expands
-    as (2x + x^2)^r: it is repeated r + j times, for j = 0..r, with
-    coefficient C(r, j) 2^(r - j).  The term with every j = 0 is
-    2^size times the maze itself and is left out.
-    """
-    passages = maze.passages
-    if not passages:
-        return
-    # Parts j + 1 between 1 and r + 1, summing to at most the passage
-    # count plus the room left below n; the all-ones tuple comes first.
-    caps = [r + 1 for _, r in passages]
-    for parts in _bounded_compositions(caps, len(caps) + n - maze.size)[1:]:
-        coeff = 1
-        for (_, r), part in zip(passages, parts):
-            coeff *= comb(r, part - 1) << (r + 1 - part)
-        yield coeff, Maze(maze.dom, maze.cod,
-                          [(p, r + part - 1)
-                           for (p, r), part in zip(passages, parts)])
-
-
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
-    """Normal form in the degree-n homogeneous quotient: a rational
-    combination of pure mazes with exactly n passages.
+    """Normal form in the degree-n homogeneous quotient, where x [.] P is
+    x^n P: a rational combination of pure mazes with exactly n passages.
 
-    Pure mazes with m < n passages are rewritten through the scaling axiom
-    evaluated at 2: (2^n - 2^m) P equals the binomial expansion of the
-    relabelled maze 2 [.] P minus its size-m term, which is 2^m P, and
-    2^n - 2^m is invertible.  Recursion is on passage count, so it
-    terminates, and it stops once no maze below n passages is left.
+    A pure maze P of normalize_numerical's output, passage p repeated r_p
+    times, goes to the sum over t_p >= r_p with sum n of the maze P_t
+    repeating p t_p times, times prod surj(t_p, r_p) / t_p!, where
+    surj(t, r) counts the maps of a t-set onto an r-set.  Proof: x [.] P
+    expands to the sum over sum t_p <= n of c_t(x) P_t, where c_t sums
+    prod C(x, d) over the splits of each t_p into r_p positive parts, a
+    polynomial of degree sum t_p and top coefficient prod surj / t_p!.  So
+    x^n H(P) = sum c_t(x) H(P_t) for every integer x, H(P_t) = P_t when
+    sum t_p = n, and the coefficients of x^n give the sum.
     """
-    current = dict(normalize_numerical(h, n).comb)
-    # Guard before the work.  Every maze met below n is pure and has the
-    # passages of some maze below n here.  On d passages there are at most
-    # C(t - 1, d - 1) mazes of size t, each expanding into fewer than
-    # C(n - t + d, d) terms: at most C(n + d, 2d) terms over every t.  A
-    # coefficient gains a factor 1 / (2^n - 2^m) at each layer m it passes,
-    # so the count is weighted by the layers above the lowest size on
-    # those passages.  The empty maze expands into nothing.
-    low = {}
-    for maze in current:
-        if 0 < maze.size < n:
-            passages = tuple(p for p, _ in maze.passages)
-            low[passages] = min(low.get(passages, n), maze.size)
-    guard_count(sum(comb(n + len(s), 2 * len(s)) * (n - m)
-                    for s, m in low.items()),
+    numerical = normalize_numerical(h, n).comb
+    merged = {maze: c for maze, c in numerical if maze.size == n}
+    # Guard before the work.  A maze of m passages on k distinct ones lists
+    # C(n - m + k - 1, k - 1) terms, whose coefficients have about
+    # n log n bits; the empty maze lists none.
+    below = [(maze, c) for maze, c in numerical if 0 < maze.size < n]
+    guard_count(sum(comb(n - maze.size + len(maze.passages) - 1,
+                         len(maze.passages) - 1) for maze, _ in below)
+                * n * n.bit_length(),
                 "normalize_homogeneous",
-                f"{len(low)} passage sets, degree {n}")
-    for m in range(n):
-        if all(maze.size == n for maze in current):
-            break
-        layer = [(maze, c) for maze, c in current.items() if maze.size == m]
-        for maze, c in layer:
-            del current[maze]
-            factor = c / (2**n - 2**m)
-            for coeff, pure in _doubling_terms(maze, n):
-                current[pure] = current.get(pure, 0) + coeff * factor
-        current = {maze: c for maze, c in current.items() if c != 0}
-    return MazeHom._trusted(h.dom, h.cod, LinComb(current.items()))
+                f"{len(below)} mazes to expand, degree {n}")
+    weights = {}
+    for maze, c in below:
+        passages = maze.passages
+        # One part t_p - r_p + 1 per passage: they sum to n - m + k.
+        for parts in compositions(n - maze.size + len(passages),
+                                  len(passages)):
+            coeff = c
+            counts = []
+            for (p, r), part in zip(passages, parts):
+                t = r + part - 1
+                if (t, r) not in weights:  # surj(t, r) / t!
+                    weights[t, r] = Fraction(sum(
+                        (-1)**j * comb(r, j) * (r - j)**t
+                        for j in range(r + 1)), factorial(t))
+                coeff *= weights[t, r]
+                counts.append((p, t))
+            pure = Maze(maze.dom, maze.cod, counts)
+            merged[pure] = merged.get(pure, 0) + coeff
+    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))
 
 
 def splitting_idempotents(names, n: int):

@@ -25,7 +25,6 @@ ENUM_LIMIT = 2**20
 CONSTANTS_KEPT = 4
 
 LIFT_SEP = "#"
-PAIR_SEP = ","
 
 
 def json_int(value, what: str) -> int:
@@ -136,7 +135,7 @@ class MultiSet:
         out = {}
         for a, ma in self._items:
             for b, mb in other._items:
-                out[a + PAIR_SEP + b] = ma * mb
+                out[f"{a},{b}"] = ma * mb
         return MultiSet(out)
 
     def is_sub(self, other) -> bool:

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from mazelab.cli import main
-from mazelab.labycat import Maze, MazeHom, quadratic_generators
+from mazelab.labycat import Maze, MazeHom, Passage, quadratic_generators
 from mazelab.msetcat import MultHom, Multation, mset2_generators
 from mazelab.multisets import MultiSet
 
@@ -153,24 +155,48 @@ def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):
 
 
 def test_homogeneous_normal_form_of_a_double_loop_is_quick(capsys):
-    # Each layer's loop expands as one maze with its multiplicity, so a
-    # layer lists a few terms; at degree 10^8 the guard refuses before
-    # the first layer.
+    # The double loop goes to the loop repeated `degree` times, with
+    # coefficient surj(degree, 2) / degree!: the maps of degree points
+    # onto two, over their orderings.  At degree 10^8 the guard refuses
+    # before listing it.
     start = time.perf_counter()
-    for degree in (15, 25):
+    for degree in (15, 25, 300):
         code, out, _ = run(capsys, "normalize", "--kind", "homogeneous",
                            "--degree", str(degree), fx("C.json"))
         assert code == 0
-        hom = MazeHom.from_json(json.loads(out))
-        assert [m.size for m, _ in hom.comb] == [degree]
+        loop = Maze(("1",), ("1",), [(Passage("1", "1", 1), degree)])
+        assert MazeHom.from_json(json.loads(out)) == MazeHom.of(
+            loop, Fraction(2**degree - 2, math.factorial(degree)))
     code, out, err = run(capsys, "normalize", "--kind", "homogeneous",
                          "--degree", str(10**8), fx("C.json"))
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
-    assert err == ("resource limit: normalize_homogeneous (1 passage sets, "
-                   "degree 100000000): an estimated "
-                   f"{math.comb(10**8 + 1, 2) * (10**8 - 2)} items exceed "
-                   "the guard of 1048576\n")
+    assert err == ("resource limit: normalize_homogeneous (1 mazes to "
+                   "expand, degree 100000000): an estimated "
+                   f"{10**8 * (10**8).bit_length()} items exceed the guard "
+                   "of 1048576\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_a_number_too_long_to_print_is_a_resource_limit(tmp_path, capsys,
+                                                        fmt):
+    # The label 10^4000 parses, but its expansion at degree 3 has
+    # coefficients C(10^4000, d) of up to 12000 digits, and the double
+    # loop's coefficient at degree 1600 a denominator of about 4430
+    # digits: both pass the interpreter's limit for printing an int.
+    path = tmp_path / "long_label.json"
+    path.write_text(json.dumps({
+        "dom": ["x"], "cod": ["y"],
+        "passages": [[["x", "y", str(10**4000)], 1]],
+    }))
+    for kind, degree, arrow in (("numerical", "3", str(path)),
+                                ("homogeneous", "1600", fx("C.json"))):
+        code, out, err = run(capsys, "normalize", "--kind", kind,
+                             "--degree", degree, "--format", fmt, arrow)
+        assert (code, out) == (4, "")
+        assert err == ("resource limit: normalize: a number passes the "
+                       "interpreter's limit of "
+                       f"{sys.get_int_max_str_digits()} digits\n")
 
 
 def test_numerical_expansion_guard_takes_the_smaller_bound(tmp_path,

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mazelab import labycat
 from mazelab.errors import DomainMismatchError, EnumerationLimitError
@@ -314,38 +315,58 @@ def homogeneous_oracle(h, n):
 
 
 def test_doubling_expansion_matches_the_instance_oracle():
-    # Every choice of up to two instances on each of three passages, two
+    # Every choice of up to three instances on each of three passages, two
     # of them parallel into y, the empty maze included; labelled copies
     # go through the numerical step first.
     pairs = [("x", "y"), ("x", "z"), ("w", "y")]
-    for mults in itertools.product(range(3), repeat=3):
+    for mults in itertools.product(range(4), repeat=3):
         passages = [(Passage(a, b, 1), r)
                     for (a, b), r in zip(pairs, mults) if r]
         maze = Maze({p.src for p, _ in passages},
                     {p.dst for p, _ in passages}, passages)
-        for label in (1, 2, -1, Fraction(1, 2)):
+        for label in (1, 2, 3, -1, Fraction(1, 2)):
             h = MazeHom.of(maze.relabel_all(label))
-            for n in range(7):
+            for n in range(8):
                 assert normalize_homogeneous(h, n) == \
                     homogeneous_oracle(h, n), (h, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mults=st.tuples(*[st.integers(0, 3)] * 3),
+       label=st.sampled_from([1, 2, -1, Fraction(1, 2)]),
+       n=st.integers(0, 6))
+def test_homogeneous_normal_form_scales_at_every_label(mults, label, n):
+    # The quotient's scaling axiom, x [.] P = x^n P, at labels other than
+    # the 2 that the layer-by-layer rewriting solved for.
+    pairs = [("x", "y"), ("x", "z"), ("w", "y")]
+    passages = [(Passage(a, b, label), r)
+                for (a, b), r in zip(pairs, mults) if r]
+    maze = Maze({p.src for p, _ in passages},
+                {p.dst for p, _ in passages}, passages)
+    normal = normalize_homogeneous(MazeHom.of(maze), n)
+    for x in (-3, -1, Fraction(1, 2), 3):
+        assert normalize_homogeneous(MazeHom.of(maze.relabel_all(x)), n) \
+            == normal.scale(Fraction(x)**n), (x, maze, n)
+
+
 def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
+    # The closed form lists one term per composition it asks for; the one
+    # estimate covers them with n * n.bit_length() for each coefficient.
     estimates, listed = [], []
-    guard, doubling = labycat.guard_count, labycat._doubling_terms
+    guard, listing = labycat.guard_count, labycat.compositions
 
     def record_guard(count, operation, sizes):
         if operation == "normalize_homogeneous":
             estimates.append(count)
         guard(count, operation, sizes)
 
-    def record_terms(maze, n):
-        terms = list(doubling(maze, n))
+    def record_terms(total, parts):
+        terms = listing(total, parts)
         listed.append(len(terms))
         return terms
 
     monkeypatch.setattr(labycat, "guard_count", record_guard)
-    monkeypatch.setattr(labycat, "_doubling_terms", record_terms)
+    monkeypatch.setattr(labycat, "compositions", record_terms)
     xy, xz = Passage("x", "y", 1), Passage("x", "z", 1)
     wy, wz = Passage("w", "y", 1), Passage("w", "z", 1)
     homs = [MazeHom.of(parallel_pure(r)) for r in (1, 2, 3)]
@@ -360,8 +381,8 @@ def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
             estimates.clear()
             listed.clear()
             normalize_homogeneous(h, n)
-            assert len(estimates) == 1 and sum(listed) <= estimates[0], \
-                (h, n)
+            assert len(estimates) == 1, (h, n)
+            assert sum(listed) * n * n.bit_length() <= estimates[0], (h, n)
     with pytest.raises(EnumerationLimitError):
         normalize_homogeneous(MazeHom.of(parallel_pure(2)), 10**8)
 
