@@ -396,17 +396,16 @@ def _bounded_compositions(caps, n: int):
     # later[i]: the most that the parts after part i can take together.
     later = list(accumulate(reversed(caps), initial=0))[-2::-1]
     out = []
-
-    def rec(remaining, i, prefix):
-        if i == last:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(min(caps[i], remaining - last + i),
-                           max(remaining - later[i], 1) - 1, -1):
-            rec(remaining - first, i + 1, prefix + (first,))
-
     for total in range(last + 1, min(n, later[0] + caps[0]) + 1):
-        rec(total, 0, ())
+        # Part by part, as compositions lists: no recursion depth.
+        level = [((), total)]
+        for i in range(last):
+            level = [(prefix + (first,), remaining - first)
+                     for prefix, remaining in level
+                     for first in range(min(caps[i], remaining - last + i),
+                                        max(remaining - later[i], 1) - 1,
+                                        -1)]
+        out.extend(prefix + (remaining,) for prefix, remaining in level)
     return out
 
 
@@ -475,14 +474,23 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     """
     numerical = normalize_numerical(h, n).comb
     merged = {maze: c for maze, c in numerical if maze.size == n}
-    # Guard before the work.  A maze of m passages on k distinct ones lists
-    # C(n - m + k - 1, k - 1) terms, whose coefficients have about
-    # n log n bits; the empty maze lists none.
+    # Guard before the work, on the passages listed and the weights' bits.
+    # A maze of m passages on k distinct ones lists C(n - m + k - 1, k - 1)
+    # terms of k passages each.  Its weights surj(t, r) / t!, built once
+    # per (t, r), have t = r + n - m when k = 1 and t from r up to that
+    # when k > 1; each is a gcd with t! of about t log t bits, one item a
+    # bit, and r + 1 powers of as many bits at most, one item a 64-bit
+    # word.  The empty maze lists none.
     below = [(maze, c) for maze, c in numerical if 0 < maze.size < n]
-    guard_count(sum(comb(n - maze.size + len(maze.passages) - 1,
-                         len(maze.passages) - 1) for maze, _ in below)
-                * n * n.bit_length(),
-                "normalize_homogeneous",
+    estimate = 0
+    for maze, _ in below:
+        k, room = len(maze.passages), n - maze.size
+        estimate += comb(room + k - 1, k - 1) * k
+        for r in {r for _, r in maze.passages}:
+            t = r + room
+            estimate += ((1 if k == 1 else room + 1)
+                         * t * t.bit_length() * (r + 65) // 64)
+    guard_count(estimate, "normalize_homogeneous",
                 f"{len(below)} mazes to expand, degree {n}")
     weights = {}
     for maze, c in below:
@@ -494,12 +502,14 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
             counts = []
             for (p, r), part in zip(passages, parts):
                 t = r + part - 1
+                counts.append((p, t))
+                if t == r:  # surj(r, r) / r! is 1
+                    continue
                 if (t, r) not in weights:  # surj(t, r) / t!
                     weights[t, r] = Fraction(sum(
                         (-1)**j * comb(r, j) * (r - j)**t
                         for j in range(r + 1)), factorial(t))
                 coeff *= weights[t, r]
-                counts.append((p, t))
             pure = Maze(maze.dom, maze.cod, counts)
             merged[pure] = merged.get(pure, 0) + coeff
     return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))

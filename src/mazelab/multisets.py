@@ -190,17 +190,14 @@ def compositions(total: int, parts: int):
         return []
     guard_count(comb(total - 1, parts - 1), "compositions",
                 f"total {total}, parts {parts}")
-    out = []
-
-    def rec(remaining, slots, prefix):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining - slots + 1, 0, -1):
-            rec(remaining - first, slots - 1, prefix + (first,))
-
-    rec(total, parts, ())
-    return out
+    # Part by part, each prefix followed by its extensions in turn: the
+    # order of a depth-first listing, without its recursion depth.
+    level = [((), total)]
+    for slots in range(parts, 1, -1):
+        level = [(prefix + (first,), remaining - first)
+                 for prefix, remaining in level
+                 for first in range(remaining - slots + 1, 0, -1)]
+    return [prefix + (remaining,) for prefix, remaining in level]
 
 
 def all_cardinality_multisets(universe, n: int):

@@ -171,10 +171,38 @@ def test_homogeneous_normal_form_of_a_double_loop_is_quick(capsys):
                          "--degree", str(10**8), fx("C.json"))
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
+    # One term of one passage, and the weight surj(10^8, 2) / (10^8)!: a
+    # gcd with (10^8)!, charged 10^8 * 27 for its bits, and three powers
+    # of at most as many bits, charged 3 / 64 of that.
     assert err == ("resource limit: normalize_homogeneous (1 mazes to "
                    "expand, degree 100000000): an estimated "
-                   f"{10**8 * (10**8).bit_length()} items exceed the guard "
+                   f"{1 + 10**8 * 27 * 67 // 64} items exceed the guard "
                    "of 1048576\n")
+
+
+def test_homogeneous_normal_form_of_many_passages_is_listed(tmp_path,
+                                                            capsys):
+    # Twenty distinct passages, x_i -> y_j for 4 points by 5, at degree
+    # 24: C(23, 19) = 8855 terms of twenty passages each, well inside the
+    # guard, though the terms' coefficients are products of surjection
+    # counts.
+    path = tmp_path / "k45.json"
+    path.write_text(json.dumps({
+        "dom": [f"x{i}" for i in range(4)],
+        "cod": [f"y{j}" for j in range(5)],
+        "passages": [[[f"x{i}", f"y{j}", "1"], 1]
+                     for i in range(4) for j in range(5)],
+    }))
+    code, out, err = run(capsys, "normalize", "--kind", "homogeneous",
+                         "--degree", "24", str(path))
+    assert (code, err) == (0, "")
+    normal = MazeHom.from_json(json.loads(out))
+    assert len(normal.comb) == 8855
+    # Five more passages on one of them: surj(5, 1) / 5! = 1 / 120.
+    assert dict(normal.comb)[Maze(
+        [f"x{i}" for i in range(4)], [f"y{j}" for j in range(5)],
+        [(Passage(f"x{i}", f"y{j}", 1), 5 if (i, j) == (0, 0) else 1)
+         for i in range(4) for j in range(5)])] == Fraction(1, 120)
 
 
 @pytest.mark.parametrize("fmt", ["json", "pretty"])

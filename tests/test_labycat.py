@@ -350,8 +350,8 @@ def test_homogeneous_normal_form_scales_at_every_label(mults, label, n):
 
 
 def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
-    # The closed form lists one term per composition it asks for; the one
-    # estimate covers them with n * n.bit_length() for each coefficient.
+    # The closed form lists one term per composition it asks for, with one
+    # passage per part; the one estimate covers every passage listed.
     estimates, listed = [], []
     guard, listing = labycat.guard_count, labycat.compositions
 
@@ -362,7 +362,7 @@ def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
 
     def record_terms(total, parts):
         terms = listing(total, parts)
-        listed.append(len(terms))
+        listed.append(len(terms) * parts)
         return terms
 
     monkeypatch.setattr(labycat, "guard_count", record_guard)
@@ -382,9 +382,19 @@ def test_homogeneous_guard_bounds_the_terms_listed(monkeypatch):
             listed.clear()
             normalize_homogeneous(h, n)
             assert len(estimates) == 1, (h, n)
-            assert sum(listed) * n * n.bit_length() <= estimates[0], (h, n)
+            assert sum(listed) <= estimates[0], (h, n)
     with pytest.raises(EnumerationLimitError):
         normalize_homogeneous(MazeHom.of(parallel_pure(2)), 10**8)
+
+
+def test_normalize_numerical_expands_a_thousand_instances():
+    # Each of 1000 instances labelled 2 takes 1 or 2 at degree 1000, so
+    # only the all-ones split is left, with coefficient C(2, 1)^1000; the
+    # listing goes part by part, so no recursion limit stops it.
+    xy = Passage("x", "y", 2)
+    maze = Maze(("x",), ("y",), [(xy, 1000)])
+    assert normalize_numerical(MazeHom.of(maze), 1000) == MazeHom.of(
+        Maze(("x",), ("y",), [(Passage("x", "y", 1), 1000)]), 2**1000)
 
 
 def test_normalize_numerical_fixes_pure_and_kills_zero_labels():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -9,6 +9,7 @@ from mazelab.errors import EnumerationLimitError
 from mazelab.multisets import (
     MultiSet,
     all_cardinality_multisets,
+    compositions,
     enumerate_sub_multisets,
     enumerate_supported,
     support_lift,
@@ -135,6 +136,19 @@ def test_tables_margins():
 def test_json_roundtrip():
     m = ms("b", "a", "a")
     assert MultiSet.from_json(m.to_json()) == m
+
+
+def test_compositions_run_largest_first_at_any_length():
+    for total in range(8):
+        for parts in range(5):
+            assert compositions(total, parts) == sorted(
+                (c for c in product(range(1, total + 1), repeat=parts)
+                 if sum(c) == total), reverse=True), (total, parts)
+    # A thousand parts, one of them 2, from first to last: the listing
+    # goes part by part, so no recursion limit stops it.
+    many = compositions(1001, 1000)
+    assert len(many) == 1000
+    assert many[0] == (2,) + (1,) * 999 and many[-1] == (1,) * 999 + (2,)
 
 
 def cardinality_multisets_oracle(universe, n):
