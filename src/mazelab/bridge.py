@@ -8,8 +8,10 @@ functor sends a multation to its underlying pure maze scaled by the
 reciprocal of its degree.  On exactly-n pure mazes these are mutually
 inverse, and that is checked exhaustively at desk scale.  Both functors
 and matrix composition sum into one dict of exact coefficients and build
-their results unchecked; input from outside passes the validating
-constructors, and ariadne_hom refuses passages off a maze's ends first.
+their results, down to the mazes, multations and multi-sets, unchecked;
+input from outside passes the validating constructors, and ariadne_hom
+refuses passages off a maze's ends, and names that are not nonempty
+strings, first.
 
 The span category of surjections is not modelled on its own; its basis
 is translated to pure mazes by fiber counts and composition on the span
@@ -21,11 +23,11 @@ from itertools import combinations
 from math import prod
 
 from .errors import DomainMismatchError
-from .labycat import Maze, MazeHom, Passage, pure_mazes_between
+from .labycat import Maze, MazeHom, pure_mazes_between, pure_passage
 from .msetcat import MultHom, Multation, divided_reduce
-from .multisets import (MultiSet, all_cardinality_multisets, compositions,
-                        enumerate_supported)
-from .scalars import ONE, LinComb
+from .multisets import (MultiSet, all_cardinality_multisets, check_names,
+                        compositions, enumerate_supported)
+from .scalars import LinComb
 
 
 def ariadne_object(names, n: int):
@@ -161,19 +163,29 @@ def ariadne_hom(h: MazeHom, n: int) -> AriadneMatrix:
         if not all(p.src in maze.dom and p.dst in maze.cod
                    for p, _ in maze.passages):
             raise ValueError("entry index outside the endpoint sets")
+        check_names(maze.dom + maze.cod)  # the marginals are unchecked
         inst = maze.instances()
         cols = [(p.src, p.dst) for p in inst]
         labelled = [(i, p.label) for i, p in enumerate(inst) if p.label != 1]
         for degs in compositions(n, len(inst)):
             coeff = prod((lab ** degs[i] for i, lab in labelled), start=c)
             k, merged = divided_reduce(list(zip(cols, degs)))
-            dom_ms = MultiSet([(a, m) for (a, _), m in merged])
-            cod_ms = MultiSet([(b, m) for (_, b), m in merged])
             # divided_reduce gives sorted, merged columns: a valid multation.
+            dom_ms = _marginal((a, m) for (a, _), m in merged)
+            cod_ms = _marginal((b, m) for (_, b), m in merged)
             mu = Multation._trusted(dom_ms, cod_ms, merged)
             entry = terms.setdefault((cod_ms, dom_ms), {})
             entry[mu] = entry.get(mu, 0) + coeff * k
     return AriadneMatrix._trusted(h.dom, h.cod, n, terms)
+
+
+def _marginal(columns):
+    """The multi-set of one coordinate of a multation's columns, given as
+    (letter, multiplicity) pairs; the letters are the maze's names."""
+    counts = {}
+    for x, m in columns:
+        counts[x] = counts.get(x, 0) + m
+    return MultiSet._trusted(tuple(sorted(counts.items())))
 
 
 def theseus_multation(mu: Multation, n: int) -> MazeHom:
@@ -189,8 +201,9 @@ def theseus_hom(hom: MultHom, n: int) -> MazeHom:
         if mu.dom.cardinality != n or mu.cod.cardinality != n:
             raise DomainMismatchError(
                 f"multation endpoints must have cardinality {n}")
-        maze = Maze(mu.dom.support, mu.cod.support,
-                    [(Passage(a, b, ONE), m) for (a, b), m in mu.pairs])
+        # A multation's sorted, merged columns are its maze's passages.
+        maze = Maze._trusted(mu.dom.support, mu.cod.support, tuple(
+            (pure_passage(a, b), m) for (a, b), m in mu.pairs))
         terms[maze] = Fraction(c, mu.degree)  # one maze per multation
     return MazeHom._trusted(hom.dom.support, hom.cod.support,
                             LinComb._trusted(terms))
@@ -299,9 +312,8 @@ class Correspondence:
 def xi_correspondence(c: Correspondence) -> Maze:
     """The pure maze whose passage multiplicities are the fiber counts of
     the span's joint map."""
-    return Maze(c.dom, c.cod,
-                [(Passage(x, y, 1), count)
-                 for (x, y), count in sorted(c.fiber_counts().items())])
+    return Maze(c.dom, c.cod, [(pure_passage(x, y), count)
+                               for (x, y), count in c.fiber_counts().items()])
 
 
 def xi_inverse(maze: Maze) -> Correspondence:

@@ -71,6 +71,12 @@ class Passage:
         return f"{self.src} -({scalar_str(self.label)})-> {self.dst}"
 
 
+@lru_cache(maxsize=256)  # a 16 x 16 grid of names
+def pure_passage(src: str, dst: str) -> Passage:
+    """The passage src -> dst labelled 1, one shared per pair of names."""
+    return Passage(src, dst, 1)
+
+
 class Maze:
     """A multi-set of passages X -> Y.
 
@@ -90,12 +96,23 @@ class Maze:
                 p, mult = entry, 1
             else:
                 p, mult = entry
-            if mult <= 0:
-                raise ValueError("passage multiplicities must be positive")
+                if json_int(mult, "multiplicity") <= 0:
+                    raise ValueError("passage multiplicities must be positive")
             counts[p] = counts.get(p, 0) + mult
         dom = tuple(sorted(set(dom)))
         cod = tuple(sorted(set(cod)))
         passages = tuple(sorted(counts.items(), key=lambda pm: pm[0]._key))
+        self._store(dom, cod, passages)
+
+    @classmethod
+    def _trusted(cls, dom, cod, passages):
+        """A maze from package arithmetic, unchecked: sorted ends, and each
+        passage once with a positive int multiplicity, in sort-key order."""
+        maze = object.__new__(cls)
+        maze._store(dom, cod, passages)
+        return maze
+
+    def _store(self, dom, cod, passages):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "passages", passages)
@@ -255,10 +272,13 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
         return MazeHom._trusted(q.dom, p.cod, LinComb())
     full_p = (1 << np_) - 1
 
-    # Each pair's composed passage is built once, here, not at every leaf.
+    # Each pair's composed passage is built once, here, not at every leaf;
+    # between pure mazes it is the shared pure passage of its ends.
+    pure = p.is_pure() and q.is_pure()
     groups = [[] for _ in range(nq)]
     for (i, pi), (j, qj) in pairs:
-        groups[j].append((i, Passage(qj.src, pi.dst, pi.label * qj.label)))
+        groups[j].append((i, pure_passage(qj.src, pi.dst) if pure else
+                          Passage(qj.src, pi.dst, pi.label * qj.label)))
 
     # Nonempty choices per group, each tagged with its p-coverage mask.
     choices = []
@@ -510,7 +530,8 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
                         (-1)**j * comb(r, j) * (r - j)**t
                         for j in range(r + 1)), factorial(t))
                 coeff *= weights[t, r]
-            pure = Maze(maze.dom, maze.cod, counts)
+            # counts follows maze.passages, each t >= r >= 1: canonical.
+            pure = Maze._trusted(maze.dom, maze.cod, tuple(counts))
             merged[pure] = merged.get(pure, 0) + coeff
     return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))
 
@@ -570,14 +591,14 @@ def pure_mazes_between(dom, cod, sizes):
     cod = tuple(sorted(set(cod)))
     sizes = tuple(sizes)
     _guard_pure_mazes(dom, cod, sizes)
-    # One passage per kind, shared by every maze listed.
-    unit = {(x, y): Passage(x, y, 1) for x in dom for y in cod}
     out = []
     for s in sizes:
         for rows in compositions(s, len(dom)):
             for cols in compositions(s, len(cod)):
+                # A table lists its positive cells row by row: canonical.
                 out.extend(
-                    Maze(dom, cod, [(unit[xy], m) for xy, m in t.items()])
+                    Maze._trusted(dom, cod, tuple(
+                        (pure_passage(x, y), m) for (x, y), m in t.items()))
                     for t in tables(zip(dom, rows), zip(cod, cols)))
     return sorted(out, key=Maze.sort_key)
 

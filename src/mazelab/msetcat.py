@@ -40,7 +40,7 @@ class Multation:
             pairs = pairs.items()
         counts = {}
         for (a, b), mult in pairs:
-            if mult <= 0:
+            if json_int(mult, "multiplicity") <= 0:
                 raise ValueError("column multiplicities must be positive")
             counts[(a, b)] = counts.get((a, b), 0) + mult
         firsts = {}

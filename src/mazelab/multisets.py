@@ -36,6 +36,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def check_names(names):
+    """Refuse, as MultiSet does, any name that is not a nonempty string;
+    for the callers that then build multi-sets over the names unchecked."""
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"invalid element name {name!r}")
+
+
 class MultiSet:
     """Immutable multi-set with canonically sorted support."""
 
@@ -57,13 +65,24 @@ class MultiSet:
         for name, mult in pairs:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"invalid element name {name!r}")
-            if mult < 0:
+            if json_int(mult, "multiplicity") < 0:
                 raise ValueError(f"negative multiplicity for {name!r}")
             if mult:
                 counts[name] = counts.get(name, 0) + mult
-        object.__setattr__(self, "_items", tuple(sorted(counts.items())))
+        self._store(tuple(sorted(counts.items())))
+
+    @classmethod
+    def _trusted(cls, items):
+        """A multi-set from package arithmetic, unchecked: (name, positive
+        int) pairs, each nonempty string name once, sorted by name."""
+        ms = object.__new__(cls)
+        ms._store(items)
+        return ms
+
+    def _store(self, items):
+        object.__setattr__(self, "_items", items)
         # A tuple of names and ints hashes in C, cheaply, so at once.
-        object.__setattr__(self, "_hash", hash(self._items))
+        object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiSet is immutable")
@@ -209,8 +228,10 @@ def all_cardinality_multisets(universe, n: int):
     guard_count(comb(max(len(universe) + n - 1, 0), n),
                 "all_cardinality_multisets",
                 f"universe {len(universe)}, cardinality {n}")
+    check_names(universe)
     return sorted(
-        (MultiSet({x: d - 1 for x, d in zip(universe, parts)})
+        (MultiSet._trusted(tuple((x, d - 1) for x, d in zip(universe, parts)
+                                 if d > 1))
          for parts in compositions(n + len(universe), len(universe))),
         key=MultiSet.sort_key)
 
@@ -218,15 +239,20 @@ def all_cardinality_multisets(universe, n: int):
 def tables(row_counts, col_counts):
     """All nonnegative integer matrices with the given row and column sums.
 
-    row_counts / col_counts are (name, count) sequences; yields dicts
-    (row_name, col_name) -> positive count.  Margins with unequal sums
-    give nothing; empty margins give one empty table.  Multations, the
-    middle matchings of their composition and pure mazes are all such
-    tables.
+    row_counts / col_counts are (name, nonnegative count) sequences;
+    yields dicts (row_name, col_name) -> positive count.  Margins with
+    unequal sums give nothing; empty margins give one empty table.
+    Multations, the middle matchings of their composition and pure mazes
+    are all such tables.
     """
     rows = list(row_counts)
     cols = list(col_counts)
     if sum(c for _, c in rows) != sum(c for _, c in cols):
+        return
+    if len(rows) == 1 or len(cols) == 1:
+        # The margins force the only table: each cell is the smaller of
+        # its two margins, since the single line's count is the total.
+        yield {(x, y): min(r, c) for x, r in rows for y, c in cols if r and c}
         return
 
     def rec(i, remaining, acc):

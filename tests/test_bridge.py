@@ -69,6 +69,14 @@ def test_ariadne_kills_oversized_mazes():
     assert ariadne_maze(fan3, 2).is_zero()
 
 
+@pytest.mark.parametrize("src, dst", [(1, "y"), ("x", ""), ("x", ("y",))])
+def test_ariadne_refuses_names_that_no_multi_set_takes(src, dst):
+    # Its marginals are built unchecked, so the names are checked first.
+    maze = Maze([src], [dst], [Passage(src, dst, 1)])
+    with pytest.raises(ValueError, match="invalid element name"):
+        ariadne_maze(maze, 2)
+
+
 def test_ariadne_labels_enter_as_powers():
     maze = Maze(("x",), ("y",), [Passage("x", "y", 3)])
     got = ariadne_maze(maze, 2)

@@ -47,6 +47,14 @@ def test_validate_maze():
     assert not validate_maze(stray)
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.0, True, "2"])
+def test_maze_refuses_non_int_multiplicities(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        Maze(["a"], ["x"], [(Passage("a", "x", 1), mult)])
+    with pytest.raises(ValueError, match="multiplicity"):
+        Maze(["a"], ["x"], {Passage("a", "x", 1): mult})
+
+
 def test_box_product_worked_example():
     # Two fan mazes through a single middle point: all four passage pairs
     # compose, with labels multiplied in passing.

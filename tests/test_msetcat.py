@@ -48,6 +48,12 @@ def test_multation_marginals_enforced():
         Multation(ms("a"), ms("b", "b"), [(("a", "b"), 1)])
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.0, True, "2"])
+def test_multation_refuses_non_int_multiplicities(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        Multation(ms("a", "a"), ms("x", "x"), [(("a", "x"), mult)])
+
+
 def test_divided_reduce():
     assert divided_reduce([(("a", "b"), 1), (("a", "b"), 1)]) == \
         (2, ((("a", "b"), 2),))

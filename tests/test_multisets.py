@@ -35,6 +35,14 @@ def test_construction_canonical():
     assert ms("a", "a", "a", "b", "b").degree == 12
 
 
+@pytest.mark.parametrize("mult", [1.5, 2.0, True, "2"])
+def test_multiset_refuses_non_int_multiplicities(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        MultiSet({"a": mult})
+    with pytest.raises(ValueError, match="multiplicity"):
+        MultiSet([("b", 1), ("a", mult)])
+
+
 def test_operations():
     a = ms("a", "a", "b")
     b = ms("a", "c")
@@ -133,6 +141,58 @@ def test_tables_margins():
     ]
 
 
+def tables_oracle(rows, cols):
+    """Every table with the margins by brute force: each cell, row by row,
+    from 0 to the smaller of its two margins, kept when the margins hold;
+    a table is its nonzero cells in that order."""
+    cells = [(x, y) for x, _ in rows for y, _ in cols]
+    caps = [min(r, c) for _, r in rows for _, c in cols]
+    out = []
+    for values in product(*(range(cap + 1) for cap in caps)):
+        grid = dict(zip(cells, values))
+        if all(sum(grid[x, y] for y, _ in cols) == r for x, r in rows) and \
+                all(sum(grid[x, y] for x, _ in rows) == c for y, c in cols):
+            out.append([(cell, v) for cell, v in zip(cells, values) if v])
+    return out
+
+
+def margins_up_to(total, length):
+    """Every margin of at most `length` counts summing to at most `total`,
+    zeros and the empty margin included."""
+    return [counts for k in range(length + 1)
+            for counts in product(range(total + 1), repeat=k)
+            if sum(counts) <= total]
+
+
+def listed(rows, cols):
+    return [list(t.items()) for t in tables(rows, cols)]
+
+
+def test_tables_with_one_row_or_column_match_the_oracle():
+    for one in range(5):
+        for counts in margins_up_to(4, 4):
+            line = [("a", one)]
+            other = list(zip("wxyz", counts))
+            assert listed(line, other) == tables_oracle(line, other)
+            other = list(zip("abcd", counts))
+            line = [("x", one)]
+            assert listed(other, line) == tables_oracle(other, line)
+
+
+def test_tables_of_two_and_three_lines_match_the_oracle_in_order():
+    # The recursive path: every pair of margins of two or three counts
+    # with equal sums up to 4.
+    margins = [m for m in margins_up_to(4, 3) if len(m) >= 2]
+    found = 0
+    for r, c in product(margins, margins):
+        if sum(r) == sum(c):
+            rows, cols = list(zip("abc", r)), list(zip("xyz", c))
+            got = listed(rows, cols)
+            assert got == tables_oracle(rows, cols)
+            found += len(got)
+    assert found == 1205
+
+
 def test_json_roundtrip():
     m = ms("b", "a", "a")
     assert MultiSet.from_json(m.to_json()) == m
@@ -170,8 +230,18 @@ def cardinality_multisets_oracle(universe, n):
 def test_all_cardinality_multisets_matches_the_oracle(universe):
     for n in range(6):
         want = cardinality_multisets_oracle(universe, n)
-        assert all_cardinality_multisets(universe, n) == want
+        got = all_cardinality_multisets(universe, n)
+        assert got == want
+        assert [hash(m) for m in got] == [hash(m) for m in want]
         assert bridge.all_cardinality_multisets(universe, n) == want
+
+
+@pytest.mark.parametrize("universe", [["a", ""], [2, 1], [("a",), ("b",)]])
+def test_all_cardinality_multisets_refuses_what_multi_sets_refuse(universe):
+    # The multi-sets are built unchecked, so the names are checked first.
+    for n in range(3):
+        with pytest.raises(ValueError, match="invalid element name"):
+            all_cardinality_multisets(universe, n)
 
 
 def test_all_cardinality_multisets_guard_trips_first(monkeypatch):

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazelab.bridge import ariadne_maze
+from mazelab.bridge import ariadne_hom, ariadne_maze, theseus_hom
 from mazelab.labycat import (Maze, MazeHom, Passage, maze_compose,
                              maze_hom_compose, normalize_homogeneous,
-                             normalize_numerical, rename_maze)
+                             normalize_numerical, pure_passage, rename_maze)
 from mazelab.msetcat import Multation, all_multations
 from mazelab.multisets import MultiSet
 
@@ -84,6 +84,35 @@ def test_passage_and_maze_identity_across_routes(maze, scale):
         Maze(dom, dom, [Passage(x, x, "2/2") for x in reversed(dom)]))
 
 
+def assert_canonical_maze(m):
+    """m equals, in value, hash and sort key, the maze the validating
+    constructor builds from its parts shuffled."""
+    assert_same_identity(
+        Maze(list(reversed(m.dom)), m.cod, list(reversed(m.passages))), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maze=valid_mazes())
+def test_trusted_mazes_and_pure_passages_equal_validated_ones(maze):
+    dom, cod, passages = maze
+    m = Maze(dom, cod, [Passage(s, d, frac) for s, d, (frac, _) in passages])
+    trusted = Maze._trusted(m.dom, m.cod, m.passages)
+    assert_same_identity(trusted, m)
+    assert_frozen(trusted)
+
+    # The pure maze on the same passages, through the shared passages.
+    pure = Maze(dom, cod, [Passage(s, d, 1) for s, d, _ in passages])
+    shared = Maze._trusted(pure.dom, pure.cod, tuple(
+        (pure_passage(p.src, p.dst), k) for p, k in pure.passages))
+    assert_same_identity(shared, pure)
+    assert_frozen(shared)
+    for s, d, _ in passages:
+        p = pure_passage(s, d)
+        assert_same_identity(p, Passage(s, d, 1))
+        assert p is pure_passage(s, d)
+        assert_frozen(p)
+
+
 @st.composite
 def multisets(draw):
     return draw(st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2),
@@ -96,7 +125,9 @@ def test_multiset_and_multation_identity_across_routes(a, b):
     ms_a = MultiSet(a)
     assert_frozen(ms_a)
     assert hash(ms_a) == hash(ms_a.items())
-    assert_frozen(ms_a)
+    trusted = MultiSet._trusted(tuple(sorted(a.items())))
+    assert_same_identity(trusted, ms_a)
+    assert_frozen(trusted)
     for other in (MultiSet(list(a.items())),
                   MultiSet([x for x, k in a.items() for _ in range(k)]),
                   MultiSet.from_json(ms_a.to_json())):
@@ -139,11 +170,14 @@ def test_ariadne_terms_equal_validated_multations():
 
 def assert_validated(h):
     """A MazeHom from package arithmetic equals, in type, ends, terms and
-    hash, the one the validating constructor builds from its parts."""
+    hash, the one the validating constructor builds from its parts, and
+    so does each of its mazes."""
     checked = MazeHom(list(reversed(h.dom)), h.cod, h.comb)
     assert type(h) is MazeHom
     assert (h.dom, h.cod, h.comb) == (checked.dom, checked.cod, checked.comb)
     assert h == checked and hash(h) == hash(checked)
+    for maze, _ in h.comb:
+        assert_canonical_maze(maze)
 
 
 def labelled(maze):
@@ -168,3 +202,26 @@ def test_trusted_maze_homs_equal_validated_ones(data, n):
         results.append(maze_compose(p, q))
     for h in results:
         assert_validated(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maze=valid_mazes(), n=st.integers(1, 4))
+def test_translations_build_the_validated_mazes_and_multisets(maze, n):
+    # ariadne_hom builds each term's marginals unchecked, and theseus_hom
+    # each pure maze from the shared passages.
+    forward = ariadne_hom(MazeHom.of(labelled(maze)), n)
+    for (b, a), hom in forward.entries.items():
+        for ms in (a, b):
+            assert_same_identity(MultiSet(dict(ms.items())), ms)
+        for mu, _ in hom.comb:
+            assert_same_identity(
+                MultiSet([x for (x, _), k in mu.pairs for _ in range(k)]),
+                mu.dom)
+            assert_same_identity(
+                MultiSet([y for (_, y), k in mu.pairs for _ in range(k)]),
+                mu.cod)
+        back = theseus_hom(hom, n)
+        assert_validated(back)
+        for pure, _ in back.comb:
+            for p, _ in pure.passages:
+                assert p is pure_passage(p.src, p.dst)
