@@ -5,8 +5,9 @@ verify.  Files are the JSON shapes each module defines; output is
 canonical JSON (or a pretty rendering with --format pretty) on stdout.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error (including a
-maze with a dead end and a negative degree), 3 shape or domain mismatch,
-4 enumeration limit or a number too long to read or print.
+maze with a dead end or a name that is not a nonempty string, and a
+negative degree), 3 shape or domain mismatch, 4 enumeration limit or a
+number too long to read or print.
 """
 
 import argparse
@@ -46,7 +47,7 @@ from .functor_lab import (
 from .matrices import IntMat
 from .msetcat import (MultHom, Multation, mset2_generators, mset2_table,
                       multhom_compose)
-from .multisets import MultiSet
+from .multisets import MultiSet, check_names
 from .scalars import scalar_str
 
 
@@ -68,6 +69,10 @@ def _dump(obj):
 
 
 def _check_maze(path, maze: Maze):
+    try:
+        check_names(maze.dom + maze.cod)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not validate_maze(maze):
         raise ParseError(f"{path}: a maze has a dead end or a passage "
                          "outside its endpoints")

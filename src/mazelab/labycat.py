@@ -13,10 +13,12 @@ validated against the degree-2 multiplication table.
 
 Two normal forms are provided: the numerical quotient rewrites every
 maze into pure mazes with at most n passages via the binomial expansion
-axiom, and the homogeneous quotient further rewrites pure mazes with
-fewer than n passages into exactly-n ones by the label-scaling axiom,
-in closed form: each pure maze goes to the x^n coefficient of its own
-expansion relabelled by x, whose coefficients count surjections.
+axiom, which merges all instances of a passage kind (src, dst) into one
+pure passage, so one truncated series per kind weighs its repetitions;
+the homogeneous quotient further rewrites pure mazes with fewer than n
+passages into exactly-n ones by the label-scaling axiom, in closed form:
+each pure maze goes to the x^n coefficient of its own expansion
+relabelled by x, whose coefficients count surjections.
 
 A maze with more than n passages is zero in the degree-n numerical
 quotient, whatever its labels.  Composition in the quotient hands n to
@@ -27,14 +29,14 @@ as its pairs already pass n.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from math import comb, factorial, prod
 
 from .errors import DomainMismatchError
 from .multisets import (CONSTANTS_KEPT, ENUM_LIMIT, MultiSet, compositions,
                         guard_count, json_int, limit_error, tables)
-from .scalars import (HomComb, LinComb, StructureConstants, binomial_product,
-                      lincomb_combine, scalar, scalar_str)
+from .scalars import (HomComb, LinComb, StructureConstants, lincomb_combine,
+                      scalar, scalar_str)
 
 
 class Passage:
@@ -408,65 +410,73 @@ def collapse_parallel(p: Maze, group) -> MazeHom:
     return MazeHom(p.dom, p.cod, LinComb(terms))
 
 
-def _bounded_compositions(caps, n: int):
-    """Every tuple of positive parts, part i at most caps[i], with sum at
-    most n: by total, and within a total earlier parts largest first, as
-    `compositions` orders them."""
-    last = len(caps) - 1
-    # later[i]: the most that the parts after part i can take together.
-    later = list(accumulate(reversed(caps), initial=0))[-2::-1]
-    out = []
-    for total in range(last + 1, min(n, later[0] + caps[0]) + 1):
-        # Part by part, as compositions lists: no recursion depth.
-        level = [((), total)]
-        for i in range(last):
-            level = [(prefix + (first,), remaining - first)
-                     for prefix, remaining in level
-                     for first in range(min(caps[i], remaining - last + i),
-                                        max(remaining - later[i], 1) - 1,
-                                        -1)]
-        out.extend(prefix + (remaining,) for prefix, remaining in level)
-    return out
-
-
 def _numerical_terms(maze: Maze, n: int):
-    """Binomial expansion of one maze into pure mazes with <= n passages.
-
-    Yields (coefficient, pure maze).  Multiplicity assignments run over
-    tagged passage instances, so repeated passages expand independently.
-    An instance labelled by a positive integer L takes at most L, since
-    binomial(L, d) is 0 for d > L; so every assignment listed has a
-    nonzero coefficient.
+    """Binomial expansion of a labelled maze of at most n passages into
+    (coefficient, pure maze) pairs.  A kind (src, dst) of c instances
+    labelled L_i repeats its pure passage c + d times, weighed by [x^d] of
+    prod_i ((1 + x)^L_i - 1) / x = prod_i sum_e binomial(L_i, e + 1) x^e,
+    truncated at the room n - |maze| and, for positive integer labels, at
+    its degree sum (L_i - 1); a term takes one such weight per kind.
     """
-    inst = maze.instances()
-    k = len(inst)
-    if k > n:
-        return
-    if all(p.label == 1 for p in inst):
-        # binomial(1, d) is 0 for d >= 2: a pure maze expands to itself.
-        yield Fraction(1), maze
-        return
-    labels = [p.label for p in inst]
-    if 0 in labels:
-        return
-    caps = [min(lab.numerator, n)
-            if lab.denominator == 1 and lab.numerator > 0 else n
-            for lab in labels]
-    # At most C(n, k) compositions of the totals k..n, and at most
-    # prod(caps) tuples under the caps.
-    guard_count(min(comb(n, k), prod(caps)), "normalize_numerical",
-                f"{k} passages, degree {n}")
-    for degs in _bounded_compositions(caps, n):
-        yield binomial_product(labels, degs), Maze(
-            maze.dom, maze.cod,
-            [(Passage(p.src, p.dst, 1), d) for p, d in zip(inst, degs)])
+    room, kinds = n - maze.size, {}
+    for p, m in maze.passages:
+        if p.label == 0:  # its factor is 0
+            return
+        # The degree of the factor, with the room standing in for no bound.
+        deg = (p.label.numerator - 1
+               if p.label.denominator == 1 and p.label > 0 else room)
+        kinds.setdefault((p.src, p.dst), []).append((p.label, m, deg))
+    # Guard on the terms and on the series products before any arithmetic.
+    # A term takes d_k <= cap_k from each of the K kinds, sum d_k <= room;
+    # a product of degrees a and b truncated at c multiplies min((a + 1)(b
+    # + 1), C(c + 2, 2)) pairs.
+    caps, products = [], 0
+    for factors in kinds.values():
+        caps.append(min(room, sum(deg * r for _, r, deg in factors)))
+        a, *rest = [min(caps[-1], deg) for _, r, deg in factors
+                    for _ in range(r)]
+        for b in rest:
+            c = min(a + b, caps[-1])
+            products += min((a + 1) * (b + 1), comb(c + 2, 2))
+            a = c
+    guard_count(max(min(comb(room + len(caps), len(caps)),
+                        prod(cap + 1 for cap in caps)), products),
+                "normalize_numerical", f"{maze.size} passages, degree {n}")
+    level = [(1, (), room)]
+    for ((src, dst), factors), cap in zip(kinds.items(), caps):
+        series = None
+        for lab, r, deg in factors:
+            f = [lab]  # binomial(L, e + 1) from binomial(L, e)
+            for e in range(1, min(cap, deg) + 1):
+                f.append(f[-1] * (lab - e) / (e + 1))
+            for _ in range(r):
+                series = f if series is None else [
+                    sum(series[i] * f[d - i]
+                        for i in range(max(0, d - len(f) + 1),
+                                       min(d, len(series) - 1) + 1))
+                    for d in range(min(len(series) + len(f) - 2, cap) + 1)]
+        pure, count = pure_passage(src, dst), sum(r for _, r, _ in factors)
+        level = [(coeff * series[d], passages + ((pure, count + d),), left - d)
+                 for coeff, passages, left in level
+                 for d in range(min(len(series) - 1, left) + 1) if series[d]]
+    for coeff, passages, _ in level:
+        # One pure passage per kind, in the maze's kind order: canonical.
+        yield coeff, Maze._trusted(maze.dom, maze.cod, passages)
 
 
 def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     """Normal form in the degree-n numerical quotient: a combination of
-    pure mazes with at most n passages."""
-    terms = [(pure, c * coeff) for maze, c in h.comb
-             for coeff, pure in _numerical_terms(maze, n)]
+    pure mazes with at most n passages.  A larger maze is zero, and a pure
+    one its own normal form (binomial(1, d) = 0 for d > 1)."""
+    terms = []
+    for maze, c in h.comb:
+        if maze.size > n:
+            continue
+        if maze.is_pure():
+            terms.append((maze, c))
+        else:
+            terms.extend((pure, c * coeff)
+                         for coeff, pure in _numerical_terms(maze, n))
     # Each term keeps the ends of the maze it expands.
     return MazeHom._trusted(h.dom, h.cod, LinComb(terms))
 

@@ -10,7 +10,6 @@ from math import comb
 
 from .errors import DomainMismatchError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -64,24 +63,6 @@ def binomial(r, k: int) -> int | Fraction:
     for i in range(2, k + 1):
         den *= i
     return num / den
-
-
-def binomial_product(labels, degrees) -> Fraction:
-    """Product of binomial(label_i, degree_i) over paired sequences.
-
-    This is the per-passage coefficient of the binomial expansion axiom:
-    each passage contributes binom(label, multiplicity assigned to it).
-    """
-    labels = list(labels)
-    degrees = list(degrees)
-    if len(labels) != len(degrees):
-        raise ValueError("labels and degrees must have equal length")
-    out = ONE
-    for lab, deg in zip(labels, degrees):
-        out *= binomial(lab, deg)
-        if out == 0:
-            return ZERO
-    return out
 
 
 def multinomial(parts) -> int:

@@ -602,3 +602,22 @@ def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     # The error names the bad file, where one was given.
     bad = [r for a, r in zip(argv, real) if a.startswith("{")]
     assert not bad or any(path in err for path in bad)
+
+
+@pytest.mark.parametrize("name", [1, ""])
+@pytest.mark.parametrize("argv", [["ariadne", "-n", "2"],
+                                  ["normalize", "-n", "2"],
+                                  ["compose"], ["xi", "--inverse"]])
+def test_a_maze_name_not_a_nonempty_string_is_a_parse_error(
+        tmp_path, capsys, argv, name):
+    # A pure loop composes with itself and has no dead end: only its name
+    # is wrong.  A multation names its letters by the maze's names, so
+    # ariadne once failed with a traceback here, and the other commands
+    # answered.
+    path = tmp_path / "bad_name.json"
+    path.write_text(json.dumps({"dom": [name], "cod": [name],
+                                "passages": [[[name, name, "1"], 1]]}))
+    files = [str(path)] * (2 if argv == ["compose"] else 1)
+    code, out, err = run(capsys, *argv, *files)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {path}: invalid element name {name!r}\n"

@@ -32,6 +32,7 @@ from mazelab.labycat import (
     splitting_idempotents,
     validate_maze,
 )
+from mazelab.multisets import ENUM_LIMIT
 from mazelab.scalars import LinComb, binomial
 
 
@@ -255,7 +256,6 @@ def uncapped_numerical_terms(maze, n):
     positive integer labels capped their instances: every composition of
     every total k..n, zero coefficients dropped.  Kept as the oracle."""
     from mazelab.multisets import compositions
-    from mazelab.scalars import binomial_product
 
     inst = maze.instances()
     k = len(inst)
@@ -269,7 +269,7 @@ def uncapped_numerical_terms(maze, n):
     out = []
     for total in range(k, n + 1):
         for degs in compositions(total, k):
-            coeff = binomial_product(labels, degs)
+            coeff = math.prod(map(binomial, labels, degs))
             if coeff:
                 out.append((coeff, Maze(maze.dom, maze.cod, [
                     (Passage(p.src, p.dst, 1), d)
@@ -297,11 +297,120 @@ def test_capped_expansion_matches_the_uncapped_oracle(monkeypatch):
     for maze in mazes:
         for n in range(9):
             estimates.clear()
-            got = list(labycat._numerical_terms(maze, n))
-            assert got == uncapped_numerical_terms(maze, n), (maze, n)
+            got = normalize_numerical(MazeHom.of(maze), n)
+            assert got == MazeHom.from_terms(maze.dom, maze.cod, [
+                (pure, coeff) for coeff, pure
+                in uncapped_numerical_terms(maze, n)]), (maze, n)
             if len(maze.instances()) <= n and not maze.is_pure():
                 # The guard's estimate bounds the number listed.
-                assert len(estimates) == 1 and estimates[0] >= len(got)
+                assert len(estimates) == 1 and estimates[0] >= len(got.comb)
+
+
+MIXED_LABELS = (-2, -1, Fraction(-1, 2), Fraction(2, 3), 0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.dictionaries(st.sampled_from(MIXED_LABELS),
+                                      st.integers(1, 4), min_size=1,
+                                      max_size=3),
+                      min_size=1, max_size=3),
+       n=st.integers(0, 9))
+def test_numerical_normal_form_matches_the_instance_oracle(kinds, n):
+    # Up to three passage kinds, two of them parallel into y, each with its
+    # labels mixed; every instance expands on its own in the oracle.
+    pairs = [("x", "y"), ("x", "z"), ("w", "y")]
+    passages = [(Passage(a, b, label), r)
+                for (a, b), labels in zip(pairs, kinds)
+                for label, r in labels.items()]
+    maze = Maze({p.src for p, _ in passages}, {p.dst for p, _ in passages},
+                passages)
+    assert normalize_numerical(MazeHom.of(maze), n) == MazeHom.from_terms(
+        maze.dom, maze.cod,
+        [(pure, coeff) for coeff, pure in uncapped_numerical_terms(maze, n)])
+
+
+def test_numerical_normal_form_of_one_kind_is_its_closed_sum():
+    # r instances labelled L repeat their passage t times with coefficient
+    # [x^t] ((1 + x)^L - 1)^r = sum_j (-1)^(r-j) C(r, j) C(jL, t).
+    r, n = 20, 40
+    for label in (-1, Fraction(1, 2), 3, Fraction(-2, 3)):
+        maze = Maze(("x",), ("y",), [(Passage("x", "y", label), r)])
+        assert normalize_numerical(MazeHom.of(maze), n) == \
+            MazeHom.from_terms(("x",), ("y",), [
+                (parallel_pure(t), sum((-1)**(r - j) * math.comb(r, j)
+                                       * binomial(j * Fraction(label), t)
+                                       for j in range(r + 1)))
+                for t in range(r, n + 1)]), label
+
+
+def test_numerical_guard_refuses_nothing_the_instance_guard_accepted(
+        monkeypatch):
+    # The estimate of the per-instance expansion is kept as the oracle:
+    # C(n, k) compositions of the k instances' degrees, or the product of
+    # their caps, min(L, n) for a positive integer label L and n for any
+    # other.  The stand-in guard records each new estimate and raises, so
+    # no expansion runs.  Many instances on up to eight passages, up to
+    # degree 2 * 10^6.  The new guard charges every product it runs, so it
+    # does refuse a kind of more than 349525 instances at one passage of
+    # room, 3 pairs a product, where the old one estimated k + 1 terms of
+    # k parts each; no maze here is that large.
+    class Refused(Exception):
+        pass
+
+    estimates = []
+
+    def record(count, operation, sizes):
+        estimates.append(count)
+        raise Refused
+
+    monkeypatch.setattr(labycat, "guard_count", record)
+    labels = (-3, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(2, 3), 1, 2,
+              3, 7, 1000, 10**6)
+    rng = random.Random(22)
+    accepted = 0
+    for _ in range(3000):
+        passages = [(Passage("x", f"y{i}", label),
+                     int(math.exp(rng.uniform(0, math.log(200)))))
+                    for i in range(rng.randint(1, 8))
+                    for label in rng.sample(labels, rng.randint(1, 3))]
+        maze = Maze(("x",), {p.dst for p, _ in passages}, passages)
+        n = maze.size - 1 + int(math.exp(rng.uniform(0, math.log(2 * 10**6))))
+        if maze.is_pure() or n > 2 * 10**6:
+            continue
+        caps = [(min(p.label.numerator, n)
+                 if p.label.denominator == 1 and p.label > 0 else n, m)
+                for p, m in maze.passages]
+        old = min(math.comb(n, maze.size),
+                  math.prod(cap**m for cap, m in caps))
+        with pytest.raises(Refused):
+            normalize_numerical(MazeHom.of(maze), n)
+        if old <= ENUM_LIMIT:
+            accepted += 1
+            assert estimates[-1] <= ENUM_LIMIT, (maze, n, old, estimates[-1])
+    assert accepted > 300, accepted
+
+
+def test_numerical_guard_counts_the_series_products():
+    # The instances of one passage merge, so at degree 2000 two or three
+    # instances labelled -1 list under 2000 terms, but their series takes
+    # r - 1 products of about C(2000, 2) pairs: the guard charges those,
+    # and refuses before any of them runs.
+    for r, estimate in ((2, math.comb(2000, 2)), (3, 2 * math.comb(1999, 2))):
+        maze = Maze(("x",), ("y",), [(Passage("x", "y", -1), r)])
+        with pytest.raises(EnumerationLimitError,
+                           match=f"an estimated {estimate} items"):
+            normalize_numerical(MazeHom.of(maze), 2000)
+
+
+def test_one_passage_labelled_minus_one_normalises_at_degree_3000_quickly():
+    # binomial(-1, d) = (-1)^d: one term per degree, and one series term
+    # each, by the ratio of neighbouring binomials.
+    maze = Maze(("x",), ("y",), [Passage("x", "y", -1)])
+    start = time.perf_counter()
+    normal = normalize_numerical(MazeHom.of(maze), 3000)
+    assert time.perf_counter() - start < 1
+    assert normal == MazeHom.from_terms(("x",), ("y",), [
+        (parallel_pure(d), (-1)**d) for d in range(1, 3001)])
 
 
 def homogeneous_oracle(h, n):
