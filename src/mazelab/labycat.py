@@ -24,7 +24,8 @@ A maze with more than n passages is zero in the degree-n numerical
 quotient, whatever its labels.  Composition in the quotient hands n to
 the covering search, which then never builds such a composite: a
 composite has one passage per chosen pair, so the search stops as soon
-as its pairs already pass n.
+as its pairs already pass n.  Composites and normal forms are summed
+into one dict and built once, through the trusted constructors.
 """
 
 from fractions import Fraction
@@ -35,8 +36,7 @@ from math import comb, factorial, prod
 from .errors import DomainMismatchError
 from .multisets import (CONSTANTS_KEPT, ENUM_LIMIT, MultiSet, compositions,
                         guard_count, json_int, limit_error, tables)
-from .scalars import (HomComb, LinComb, StructureConstants, lincomb_combine,
-                      scalar, scalar_str)
+from .scalars import HomComb, LinComb, StructureConstants, scalar, scalar_str
 
 
 class Passage:
@@ -338,17 +338,21 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
 
     rec(0, 0, [])
     # Maze ends are normalized, and every leaf joins q.dom to p.cod.
-    return MazeHom._trusted(q.dom, p.cod, LinComb(accum.items()))
+    return MazeHom._trusted(q.dom, p.cod, LinComb._trusted(
+        {maze: Fraction(count) for maze, count in accum.items()}))
 
 
 def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
-    """Bilinear extension of maze composition (f after g); a degree n
-    drops the composites that are zero in the degree-n quotient."""
+    """Bilinear extension of maze composition (f after g), summed into one
+    dict and built once; a degree n drops what the degree-n quotient kills."""
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
-    return MazeHom._trusted(g.dom, f.cod, lincomb_combine(
-        [maze_compose(p, q, n).comb for p, _ in f.comb for q, _ in g.comb],
-        [c * d for _, c in f.comb for _, d in g.comb]))
+    accum = {}
+    for p, c in f.comb:
+        for q, d in g.comb:
+            for maze, e in maze_compose(p, q, n).comb:
+                accum[maze] = accum.get(maze, 0) + c * d * e
+    return MazeHom._trusted(g.dom, f.cod, LinComb._trusted(accum))
 
 
 def expand_label(p: Maze, passage: Passage, parts) -> MazeHom:
@@ -449,6 +453,8 @@ def _numerical_terms(maze: Maze, n: int):
             f = [lab]  # binomial(L, e + 1) from binomial(L, e)
             for e in range(1, min(cap, deg) + 1):
                 f.append(f[-1] * (lab - e) / (e + 1))
+            if lab.denominator == 1:  # so the products run in ints
+                f = [x.numerator for x in f]
             for _ in range(r):
                 series = f if series is None else [
                     sum(series[i] * f[d - i]
@@ -466,26 +472,29 @@ def _numerical_terms(maze: Maze, n: int):
 
 def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     """Normal form in the degree-n numerical quotient: a combination of
-    pure mazes with at most n passages.  A larger maze is zero, and a pure
-    one its own normal form (binomial(1, d) = 0 for d > 1)."""
-    terms = []
+    pure mazes with at most n passages, summed into one dict and built
+    once.  A larger maze is zero, and a pure one its own normal form
+    (binomial(1, d) = 0 for d > 1), so h is returned as it is when all
+    its mazes are pure with at most n passages."""
+    if all(maze.size <= n and maze.is_pure() for maze, _ in h.comb):
+        return h
+    accum = {}
     for maze, c in h.comb:
-        if maze.size > n:
-            continue
-        if maze.is_pure():
-            terms.append((maze, c))
-        else:
-            terms.extend((pure, c * coeff)
-                         for coeff, pure in _numerical_terms(maze, n))
+        if maze.size <= n:
+            expansion = ([(1, maze)] if maze.is_pure()
+                         else _numerical_terms(maze, n))
+            for coeff, pure in expansion:
+                accum[pure] = accum.get(pure, 0) + c * coeff
     # Each term keeps the ends of the maze it expands.
-    return MazeHom._trusted(h.dom, h.cod, LinComb(terms))
+    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(accum))
 
 
 def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     """Composite in the degree-n numerical quotient, in normal form."""
-    f = normalize_numerical(f, n)
-    g = normalize_numerical(g, n)
-    return normalize_numerical(maze_hom_compose(f, g, n), n)
+    # Normalised factors are pure with at most n passages, so with n every
+    # composite is too, built from shared pure passages: in normal form.
+    return maze_hom_compose(normalize_numerical(f, n),
+                            normalize_numerical(g, n), n)
 
 
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:

@@ -233,7 +233,8 @@ def all_multations(a: MultiSet, b: MultiSet):
     """All multations a -> b, in canonical order (empty if |a| != |b|)."""
     if a.cardinality != b.cardinality:
         return []
-    out = [Multation(a, b, list(t.items()))
+    # A table lists its positive cells row by row: canonical.
+    out = [Multation._trusted(a, b, tuple(t.items()))
            for t in tables(a.items(), b.items())]
     return sorted(out, key=Multation.sort_key)
 

@@ -241,18 +241,6 @@ class HomComb:
                    cls.ends_from_json(data["cod"]), LinComb(terms))
 
 
-def lincomb_combine(combs, scales) -> LinComb:
-    """Scaled sum of linear combinations, recanonicalized."""
-    combs = list(combs)
-    scales = [scalar(s) for s in scales]
-    if len(combs) != len(scales):
-        raise ValueError("need one scale per combination")
-    terms = []
-    for comb, s in zip(combs, scales):
-        terms.extend((b, s * c) for b, c in comb.terms)
-    return LinComb(terms)
-
-
 class StructureConstants:
     """Composition of basis arrows in one category, kept as integers.
 
@@ -403,8 +391,8 @@ class StructureConstants:
     def hom(self, hom_type, f, g):
         """The composite f . g of two basis arrows as a hom_type."""
         arrows = self.arrows[g.dom, f.cod]
-        return hom_type(g.dom, f.cod, LinComb(
-            (arrows[t], c) for t, c in self.terms(f, g)))
+        return hom_type._trusted(g.dom, f.cod, LinComb._trusted(
+            {arrows[t]: Fraction(c) for t, c in self.terms(f, g)}))
 
     def table(self, hom_type, gens):
         """Every composite row . col of the named basis arrows in `gens`,

@@ -343,6 +343,24 @@ def test_numerical_normal_form_of_one_kind_is_its_closed_sum():
                 for t in range(r, n + 1)]), label
 
 
+@pytest.mark.parametrize("label, n, seconds", [(1000, 1958, 3), (-1, 1400, 1)])
+def test_two_integer_labels_at_the_guard_edge_normalise_in_ints(
+        label, n, seconds):
+    # Estimates of about 10^6 series pairs: an integer label's factor is
+    # kept in ints, so its products skip Fraction arithmetic (1.2 s and
+    # 0.07 s here, 6.1 s and 2.9 s with Fraction factors, on a shared
+    # 2 vCPU host).  Coefficients come out as Fractions all the same.
+    maze = Maze(("x",), ("y",), [(Passage("x", "y", label), 2)])
+    start = time.perf_counter()
+    normal = normalize_numerical(MazeHom.of(maze), n)
+    assert time.perf_counter() - start < seconds
+    assert all(type(c) is Fraction for _, c in normal.comb)
+    assert normal == MazeHom.from_terms(("x",), ("y",), [
+        (parallel_pure(t), sum((-1)**(2 - j) * math.comb(2, j)
+                               * binomial(j * label, t) for j in range(3)))
+        for t in range(2, n + 1)])
+
+
 def test_numerical_guard_refuses_nothing_the_instance_guard_accepted(
         monkeypatch):
     # The estimate of the per-instance expansion is kept as the oracle:

@@ -7,7 +7,6 @@ import pytest
 from mazelab.scalars import (
     LinComb,
     binomial,
-    lincomb_combine,
     multinomial,
     scalar,
     scalar_str,
@@ -108,15 +107,15 @@ def test_scalar_roundtrip():
 def test_lincomb_identity_and_cancellation():
     t = Tok("t")
     single = LinComb([(t, 1)])
-    assert lincomb_combine([single], [1]) == single
-    assert lincomb_combine([single, single], [1, -1]).is_zero()
+    assert single.scale(1) == single
+    assert (single - single).is_zero()
 
 
 def test_lincomb_merge():
     b1, b2 = Tok("b1"), Tok("b2")
     x = LinComb([(b1, 2), (b2, 1)])
     y = LinComb([(b2, 1)])
-    merged = lincomb_combine([x, y], [1, 1])
+    merged = x + y
     assert merged == LinComb([(b1, 2), (b2, 2)])
 
 

@@ -1,13 +1,15 @@
-"""The translations and multation composition build their results in one
-pass, through the trusted constructors.  They are checked here against
-the earlier implementations, kept below as the oracle, which assemble the
-same results through the validating constructors: equal in type, ends,
-terms, coefficient type, hash and serialized form, exhaustively on small
-corpora and by a Hypothesis property."""
+"""The translations, multation composition and maze composition with its
+numerical normal form build their results in one pass, through the
+trusted constructors.  They are checked here against the earlier
+implementations, kept below as the oracle, which assemble the same
+results through the validating constructors: equal in type, ends, terms,
+coefficient type, hash and serialized form, exhaustively on small corpora,
+on seeded ones and by a Hypothesis property."""
 
 import json
+import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import factorial
 
 import pytest
@@ -17,15 +19,26 @@ from mazelab import bridge
 from mazelab.bridge import (AriadneMatrix, all_pure_mazes_on, ariadne_hom,
                             ariadne_maze, theseus_hom, theseus_multation)
 from mazelab.errors import DomainMismatchError, IntegralityError
-from mazelab.labycat import Maze, MazeHom, Passage
+from mazelab.labycat import (Maze, MazeHom, Passage, _numerical_terms,
+                             box_product, compose_in_laby_n,
+                             laby_structure_constants, maze_compose,
+                             maze_hom_compose, normalize_numerical,
+                             pure_mazes_between, skeleton)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              divided_reduce, multation_compose,
-                             multhom_compose)
+                             multhom_compose, mset_structure_constants)
 from mazelab.multisets import (MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
-from mazelab.scalars import LinComb, lincomb_combine
+from mazelab.scalars import LinComb
 
 # ---------------------------------------------------------------- oracle
+
+
+def scaled_sum(combs, scales):
+    """The sum of the combinations, each times its scale, through the
+    validating LinComb."""
+    return LinComb((b, s * c) for comb, s in zip(combs, scales)
+                   for b, c in comb)
 
 
 def old_ariadne_from_terms(dom, cod, n, terms):
@@ -83,7 +96,7 @@ def old_theseus_multation(mu, n):
 
 
 def old_theseus_hom(hom, n):
-    return MazeHom(hom.dom.support, hom.cod.support, lincomb_combine(
+    return MazeHom(hom.dom.support, hom.cod.support, scaled_sum(
         [old_theseus_multation(mu, n).comb for mu, _ in hom.comb],
         [c for _, c in hom.comb]))
 
@@ -124,10 +137,62 @@ def old_multation_compose(mu, nu):
 def old_multhom_compose(f, g):
     if g.cod != f.dom:
         raise DomainMismatchError("middle multi-sets differ")
-    return MultHom(g.dom, f.cod, lincomb_combine(
+    return MultHom(g.dom, f.cod, scaled_sum(
         [old_multation_compose(mu, nu).comb
          for mu, _ in f.comb for nu, _ in g.comb],
         [c * d for _, c in f.comb for _, d in g.comb]))
+
+
+def old_all_multations(a, b):
+    if a.cardinality != b.cardinality:
+        return []
+    return sorted((Multation(a, b, list(t.items()))
+                   for t in tables(a.items(), b.items())),
+                  key=Multation.sort_key)
+
+
+def old_maze_compose(p, q, n=None):
+    """Every subset of at most n pairs of the pair product whose
+    projections cover both instance lists, by brute force, read as the
+    maze of composed passages with multiplied labels."""
+    pairs = box_product(p, q)
+    accum = {}
+    for k in range(len(pairs) + 1 if n is None else min(n, len(pairs)) + 1):
+        for chosen in combinations(pairs, k):
+            if ({i for (i, _), _ in chosen} == set(range(p.size))
+                    and {j for _, (j, _) in chosen} == set(range(q.size))):
+                maze = Maze(q.dom, p.cod,
+                            [Passage(qj.src, pi.dst, pi.label * qj.label)
+                             for (_, pi), (_, qj) in chosen])
+                accum[maze] = accum.get(maze, 0) + 1
+    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+
+
+def old_maze_hom_compose(f, g, n=None):
+    if set(g.cod) != set(f.dom):
+        raise DomainMismatchError("cannot compose: middle sets differ")
+    return MazeHom(g.dom, f.cod, scaled_sum(
+        [old_maze_compose(p, q, n).comb for p, _ in f.comb for q, _ in g.comb],
+        [c * d for _, c in f.comb for _, d in g.comb]))
+
+
+def old_normalize_numerical(h, n):
+    terms = []
+    for maze, c in h.comb:
+        if maze.size > n:
+            continue
+        if maze.is_pure():
+            terms.append((maze, c))
+        else:
+            terms.extend((pure, c * coeff)
+                         for coeff, pure in _numerical_terms(maze, n))
+    return MazeHom(h.dom, h.cod, LinComb(terms))
+
+
+def old_compose_in_laby_n(f, g, n):
+    f = old_normalize_numerical(f, n)
+    g = old_normalize_numerical(g, n)
+    return old_normalize_numerical(old_maze_hom_compose(f, g, n), n)
 
 # ------------------------------------------------------------ comparison
 
@@ -205,6 +270,12 @@ def test_every_multation_pair_over_123(n):
                             old_multation_compose(mu, nu))
         f, g = mixed(b, c, arrows[b, c]), mixed(a, b, arrows[a, b], 3)
         assert_same(multhom_compose(f, g), old_multhom_compose(f, g))
+    sc = mset_structure_constants(tuple("123"), n)
+    for a, b, c in iproduct(objs, repeat=3):
+        for mu in arrows[b, c]:
+            for nu in arrows[a, b]:
+                assert_same(sc.hom(MultHom, mu, nu),
+                            old_multation_compose(mu, nu))
     for (a, b), homset in arrows.items():
         for mu in homset:
             assert_same(theseus_multation(mu, n),
@@ -295,6 +366,102 @@ def test_a_maze_off_its_ends_is_refused_before_the_enumeration(monkeypatch):
     with pytest.raises(ValueError, match="outside the endpoint sets"):
         ariadne_maze(into, 2)
 
+
+
+def test_multation_listing_matches_its_validating_rebuild():
+    # mset-translate lists every degree-4 multation over 1234 at set-up.
+    count = 0
+    for universe, n in (("123", 3), ("1234", 4)):
+        objs = all_cardinality_multisets(universe, n)
+        for a, b in iproduct(objs, repeat=2):
+            new, old = all_multations(a, b), old_all_multations(a, b)
+            assert new == old
+            for mu, nu in zip(new, old):
+                assert mu.pairs == nu.pairs and type(mu.pairs) is tuple
+                assert hash(mu) == hash(nu) and mu.sort_key() == nu.sort_key()
+                assert rebuilt_arrow(mu) == mu
+                assert json.dumps(mu.to_json()) == json.dumps(nu.to_json())
+            count += len(new)
+    assert count == 165 + 3876
+
+
+def skeleton_pairs(n):
+    """Every composable pair (p, q) of pure mazes on skeleta of at most n
+    points with at most n passages: the basis pairs of Laby_n."""
+    mazes = [m for j in range(n + 1) for k in range(n + 1)
+             for m in pure_mazes_between(skeleton(j), skeleton(k),
+                                         range(n + 1))]
+    return [(p, q) for p in mazes for q in mazes if q.cod == p.dom]
+
+
+def test_every_pure_pair_on_skeleta_composes_as_the_oracle():
+    # Pure and relabelled by 3, in the quotient and plainly, and read off
+    # the structure constants.
+    count = 0
+    for n in (1, 2, 3):
+        sc = laby_structure_constants(n)
+        for p, q in skeleton_pairs(n):
+            g = MazeHom.of(q)
+            for f in (MazeHom.of(p), MazeHom.of(p.relabel_all(3))):
+                assert_same(compose_in_laby_n(f, g, n),
+                            old_compose_in_laby_n(f, g, n))
+                assert_same(maze_hom_compose(f, g),
+                            old_maze_hom_compose(f, g))
+                count += 1
+            assert_same(maze_compose(p, q, n), old_maze_compose(p, q, n))
+            assert_same(sc.hom(MazeHom, p, q),
+                        old_compose_in_laby_n(MazeHom.of(p), g, n))
+    assert count == 2 * (2 + 19 + 580)
+
+
+def seeded_combination(rng, dom, cod):
+    """One to three mazes dom -> cod without dead ends, one passage maybe
+    repeated, labels and coefficients from SCALARS."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        ends = [(x, rng.choice(cod)) for x in dom]
+        ends = list(dict.fromkeys(ends + [(rng.choice(dom), y) for y in cod]))
+        ends += rng.sample(ends, rng.randint(0, 1))
+        maze = Maze(dom, cod, [Passage(x, y, rng.choice(SCALARS))
+                               for x, y in ends])
+        terms.append((maze, rng.choice(SCALARS)))
+    return MazeHom.from_terms(dom, cod, terms)
+
+
+def test_seeded_labelled_combinations_compose_as_the_oracle():
+    rng = random.Random(2301)
+    for _ in range(40):
+        a, b, c = (tuple(sorted(rng.sample(NAMES, rng.randint(1, 2))))
+                   for _ in range(3))
+        f, g = seeded_combination(rng, b, c), seeded_combination(rng, a, b)
+        for n in range(5):
+            assert_same(normalize_numerical(f, n),
+                        old_normalize_numerical(f, n))
+            assert_same(compose_in_laby_n(f, g, n),
+                        old_compose_in_laby_n(f, g, n))
+        # Plain composition, where the brute force stays small.
+        if all(p.size * q.size <= 12 for p, _ in f.comb for q, _ in g.comb):
+            assert_same(maze_hom_compose(f, g), old_maze_hom_compose(f, g))
+
+
+def test_a_pure_combination_within_the_degree_is_its_own_normal_form():
+    for n in (1, 2, 3):
+        for j, k in iproduct(range(n + 1), repeat=2):
+            mazes = pure_mazes_between(skeleton(j), skeleton(k),
+                                       range(n + 1))
+            h = MazeHom.from_terms(skeleton(j), skeleton(k), [
+                (maze, SCALARS[i % len(SCALARS)])
+                for i, maze in enumerate(mazes)])
+            for degree in (n, n + 1):
+                assert normalize_numerical(h, degree) is h
+            # Below n the mazes of n passages go, and the rest is rebuilt.
+            if any(maze.size == n for maze, _ in h.comb):
+                smaller = normalize_numerical(h, n - 1)
+                assert smaller is not h
+                assert_same(smaller, old_normalize_numerical(h, n - 1))
+    labelled = MazeHom.of(relabelled(Maze.identity(skeleton(2)), 0))
+    assert normalize_numerical(labelled, 2) is not labelled
+
 # ------------------------------------------------------------- property
 
 NAMES = ("1", "2", "3")
@@ -323,6 +490,8 @@ def test_translations_match_the_oracle(h, degree):
     new = ariadne_hom(h, degree)
     assert_same(new, old_ariadne_hom(h, degree))
     assert_same_theseus(new, degree)
+    assert_same(normalize_numerical(h, degree),
+                old_normalize_numerical(h, degree))
 
 
 @settings(max_examples=60, deadline=None)
