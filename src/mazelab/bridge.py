@@ -26,7 +26,7 @@ from .errors import DomainMismatchError
 from .labycat import Maze, MazeHom, pure_mazes_between, pure_passage
 from .msetcat import MultHom, Multation, divided_reduce
 from .multisets import (MultiSet, all_cardinality_multisets, check_names,
-                        compositions, enumerate_supported)
+                        compositions, enumerate_supported, json_int)
 from .scalars import LinComb
 
 
@@ -146,7 +146,8 @@ class AriadneMatrix:
         entries = {}
         for ri, ci, hom in data["entries"]:
             entries[(rows[ri], cols[ci])] = MultHom.from_json(hom)
-        return cls(data["dom"], data["cod"], int(data["n"]), entries)
+        return cls(data["dom"], data["cod"], json_int(data["n"], "degree"),
+                   entries)
 
 
 def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:

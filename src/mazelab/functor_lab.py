@@ -21,7 +21,7 @@ the target generator orders.
 """
 
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from . import bridge
@@ -39,8 +39,8 @@ from .matrices import (IntMat, add_scaled, column_lattice_basis,
                        combination_rows, kron_power, row_products,
                        solve_in_lattice)
 from .msetcat import Multation, mset_structure_constants
-from .multisets import (MultiSet, all_cardinality_multisets, guard_count,
-                        json_int)
+from .multisets import (MultiSet, all_cardinality_multisets, covering_count,
+                        covering_sets, guard_count, json_int)
 from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
@@ -140,17 +140,6 @@ def deviation(f, maps):
         first.nrows, first.ncols, terms))
 
 
-def surjective_pair_subsets(m: int, n: int):
-    """All K inside [m] x [n] with both projections surjective, as lists
-    of (i, j) pairs (1-based)."""
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    guard_count(1 << len(pairs), "surjective_pair_subsets", f"{m} x {n}")
-    subsets = ([p for t, p in enumerate(pairs) if mask >> t & 1]
-               for mask in range(1 << len(pairs)))
-    return [k for k in subsets
-            if len({i for i, _ in k}) == m and len({j for _, j in k}) == n]
-
-
 def signed_cover_sum(m: int, n: int, l_pairs) -> int:
     """Sum of (-1)^|K| over all K between l_pairs and [m] x [n] whose two
     projections are surjective, counted from that definition row by row:
@@ -192,19 +181,17 @@ def check_deviation_formula(f: MatrixFunctor, alphas, betas) -> bool:
     lhs = deviation(f, alphas) @ deviation(f, betas)
     m, n = len(alphas), len(betas)
     rhs = IntMat.zeros(lhs.nrows, lhs.ncols)
-    for k_pairs in surjective_pair_subsets(m, n):
-        prods = [alphas[i - 1] @ betas[j - 1] for (i, j) in k_pairs]
+    guard_count(covering_count([(m, n)], m * n), "check_deviation_formula",
+                f"{m} x {n}")
+    for cover in covering_sets(m, n, m * n):
+        prods = [alphas[k // n] @ betas[k % n] for k in cover]
         rhs = rhs + deviation(f, prods)
     return lhs == rhs
 
 
 def index_subsets(a: int):
     """Subsets of [a] as 1-based tuples, ordered by size then entries."""
-    out = [()]
-    for mask in range(1, 1 << a):
-        out.append(tuple(i + 1 for i in range(a) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    return [s for k in range(a + 1) for s in combinations(range(1, a + 1), k)]
 
 
 def cross_effect_projectors(f: MatrixFunctor, a: int):
@@ -321,15 +308,14 @@ class FgAbGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion=()):
-        torsion = tuple(int(d) for d in torsion)
+        rank = json_int(rank, "rank")
+        torsion = tuple(json_int(d, "torsion order") for d in torsion)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        for d in torsion:
-            if d < 2:
-                raise ValueError("torsion orders must be >= 2")
-        for d1, d2 in zip(torsion, torsion[1:]):
-            if d2 % d1 != 0:
-                raise ValueError("torsion orders must form a divisibility chain")
+        if any(d < 2 for d in torsion):
+            raise ValueError("torsion orders must be >= 2")
+        if any(d2 % d1 for d1, d2 in zip(torsion, torsion[1:])):
+            raise ValueError("torsion orders must form a divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
 
@@ -364,9 +350,7 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls(json_int(data["rank"], "rank"),
-                   [json_int(d, "torsion order")
-                    for d in data.get("torsion", ())])
+        return cls(data["rank"], data.get("torsion", ()))
 
 
 def json_rows(rows, nrows: int, ncols: int):
@@ -419,8 +403,8 @@ class AbHom:
     __slots__ = ("dom_orders", "cod_orders", "mat")
 
     def __init__(self, dom_orders, cod_orders, mat: IntMat):
-        dom_orders = tuple(int(d) for d in dom_orders)
-        cod_orders = tuple(int(d) for d in cod_orders)
+        dom_orders = tuple(json_int(d, "order") for d in dom_orders)
+        cod_orders = tuple(json_int(d, "order") for d in cod_orders)
         if mat.nrows != len(cod_orders) or mat.ncols != len(dom_orders):
             raise ShapeMismatchError("matrix does not match the generator counts")
         for j, dj in enumerate(dom_orders):

@@ -20,22 +20,30 @@ passages into exactly-n ones by the label-scaling axiom, in closed form:
 each pure maze goes to the x^n coefficient of its own expansion
 relabelled by x, whose coefficients count surjections.
 
+Composition factors over the middle points: a covering subset is one
+0/1 matrix per point with no zero row or column, its rows the instances
+of the right factor entering the point, its columns those of the left
+one leaving it.  Proof: a pair joins its two instances through one
+point and each instance passes through one, so a subset covers both
+factors exactly when each point's pairs cover that point's instances.
+
 A maze with more than n passages is zero in the degree-n numerical
 quotient, whatever its labels.  Composition in the quotient hands n to
-the covering search, which then never builds such a composite: a
-composite has one passage per chosen pair, so the search stops as soon
-as its pairs already pass n.  Composites and normal forms are summed
-into one dict and built once, through the trusted constructors.
+maze_compose, which then never builds such a composite.  Composites
+and normal forms are summed into one dict and built once, through the
+trusted constructors.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial, prod
 
 from .errors import DomainMismatchError
-from .multisets import (CONSTANTS_KEPT, ENUM_LIMIT, MultiSet, compositions,
-                        guard_count, json_int, limit_error, tables)
+from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
+                        covering_count, covering_sets, guard_count, json_int,
+                        tables)
 from .scalars import HomComb, LinComb, StructureConstants, scalar, scalar_str
 
 
@@ -149,10 +157,7 @@ class Maze:
 
     def instances(self):
         """Passage instances with repetition, in canonical order."""
-        out = []
-        for p, m in self.passages:
-            out.extend([p] * m)
-        return out
+        return [p for p, m in self.passages for _ in range(m)]
 
     def is_pure(self) -> bool:
         return all(p.label == 1 for p, _ in self.passages)
@@ -227,119 +232,78 @@ class MazeHom(HomComb):
         return cls.of(Maze.identity(names))
 
 
-def box_product(p: Maze, q: Maze):
-    """Tagged multi-set of composable passage pairs of P (x) Q.
-
-    Returns a list of ((i, passage of P), (j, passage of Q)) where i and j
-    index the instance lists, so repeated passages stay distinguishable.
-    """
-    if set(p.dom) != set(q.cod):
-        raise DomainMismatchError(
-            f"cannot form pair product: {set(q.cod)} != {set(p.dom)}")
-    pairs = []
-    for i, pi in enumerate(p.instances()):
-        for j, qj in enumerate(q.instances()):
-            if qj.dst == pi.src:
-                pairs.append(((i, pi), (j, qj)))
-    return pairs
-
-
 def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
-    """p . q as the sum over covering subsets of the pair product.
+    """p . q as the sum over the covering subsets of the pair product, the
+    subsets whose projections hit every instance of both mazes, each read
+    as the maze of composed passages with multiplied labels.
 
-    A subset qualifies when its projections hit every tagged instance of
-    both mazes; each subset is read as the maze of composed passages with
-    multiplied labels, and equal mazes accumulate coefficients.
-
-    Covering subsets decompose as one nonempty bundle of pairs per
-    instance of q, so enumeration runs per bundle with pruning on which
-    instances of p can still be reached.
-
-    With a degree n, only the composites with at most n passages are
-    built: the others are zero in the degree-n numerical quotient, so
-    normalize_numerical of the result is the same as without n, for any
-    labels.  A composite has one passage per chosen pair, and every group
-    takes at least one pair, so a bundle may hold at most n - |q| + 1
-    pairs and a partial choice stops once its pairs plus the groups left
-    pass n; if either maze has more than n passages nothing is left.
-    With n None this is the plain composition of the labyrinth category.
+    They factor over the middle points (see the module notes), so they are
+    counted and guarded before any is listed.  Then each point lists its
+    covering sets, merging equal composites, and the points combine.  With
+    a degree n only composites of at most n passages are built, the others
+    being zero in the degree-n numerical quotient; with n None this is the
+    plain composition of the labyrinth category.
     """
     if not (validate_maze(p) and validate_maze(q)):
         raise ValueError("maze_compose requires valid mazes")
-    pairs = box_product(p, q)
-    np_, nq = p.size, q.size
-    if n is None:
-        n = len(pairs)
-    elif max(np_, nq) > n:
+    if set(p.dom) != set(q.cod):
+        raise DomainMismatchError(
+            f"cannot form pair product: {set(q.cod)} != {set(p.dom)}")
+    entering, leaving = {y: [] for y in q.cod}, {y: [] for y in p.dom}
+    for passage, m in q.passages:
+        entering[passage.dst].append((passage, m))
+    for passage, m in p.passages:
+        leaving[passage.src].append((passage, m))
+    shapes = [(sum(m for _, m in entering[y]), sum(m for _, m in leaving[y]))
+              for y in q.cod]
+    n = sum(a * b for a, b in shapes) if n is None else n
+    count = covering_count(shapes, n)
+    guard_count(count, "maze_compose", f"{p.size} passages after {q.size}")
+    if not count:
         return MazeHom._trusted(q.dom, p.cod, LinComb())
-    full_p = (1 << np_) - 1
-
-    # Each pair's composed passage is built once, here, not at every leaf;
+    # The composed passage of each pair through each point, row by row;
     # between pure mazes it is the shared pure passage of its ends.
     pure = p.is_pure() and q.is_pure()
-    groups = [[] for _ in range(nq)]
-    for (i, pi), (j, qj) in pairs:
-        groups[j].append((i, pure_passage(qj.src, pi.dst) if pure else
-                          Passage(qj.src, pi.dst, pi.label * qj.label)))
-
-    # Nonempty choices per group, each tagged with its p-coverage mask.
-    choices = []
-    for members in groups:
-        if not members:
-            # q has an instance nothing composes with; impossible for
-            # valid mazes, but then there is no covering subset at all.
-            return MazeHom._trusted(q.dom, p.cod, LinComb())
-        opts = []
-        for mask in range(1, 1 << len(members)):
-            cover = 0
-            chosen = []
-            for t, (i, composed) in enumerate(members):
-                if mask >> t & 1:
-                    cover |= 1 << i
-                    chosen.append(composed)
-            if len(chosen) <= n - nq + 1:
-                opts.append((cover, tuple(chosen)))
-        choices.append(opts)
-
-    # Hopeless sizes fail fast; borderline ones fall to the lazy budget
-    # below, which charges actual work after pruning.
-    sizes = f"{np_} passages after {nq}"
-    bound = 1
-    for opts in choices:
-        bound *= len(opts)
-        if bound > ENUM_LIMIT**2:
-            guard_count(bound, "maze_compose", sizes)
-
-    # What the remaining groups could still cover, for pruning.
-    suffix = [0] * (len(choices) + 1)
-    for t in range(len(choices) - 1, -1, -1):
-        reach = 0
-        for cover, _ in choices[t]:
-            reach |= cover
-        suffix[t] = suffix[t + 1] | reach
-
-    accum = {}
-    budget = [ENUM_LIMIT]
-
-    def rec(t, covered, chosen):
-        if covered | suffix[t] != full_p or len(chosen) + len(choices) - t > n:
-            return
-        if t == len(choices):
-            maze = Maze(q.dom, p.cod, chosen)
-            accum[maze] = accum.get(maze, 0) + 1
-            return
-        for cover, bundle in choices[t]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise limit_error(
-                    "maze_compose", sizes, "the covering search passed its "
-                    f"budget of {ENUM_LIMIT} nodes")
-            rec(t + 1, covered | cover, chosen + list(bundle))
-
-    rec(0, 0, [])
-    # Maze ends are normalized, and every leaf joins q.dom to p.cod.
-    return MazeHom._trusted(q.dom, p.cod, LinComb._trusted(
-        {maze: Fraction(count) for maze, count in accum.items()}))
+    cells = [[pure_passage(s.src, t.dst) if pure else
+              Passage(s.src, t.dst, t.label * s.label)
+              for s, m in entering[y] for _ in range(m)
+              for t, r in leaving[y] for _ in range(r)] for y in q.cod]
+    # With one covering subset every point is a line, all of whose pairs
+    # cover it: two sides above 1 give two covering sets at least.
+    if count == 1:
+        return MazeHom._trusted(q.dom, p.cod, LinComb._trusted({
+            Maze._trusted(q.dom, p.cod, tuple(sorted(
+                Counter(chain.from_iterable(cells)).items(),
+                key=lambda pm: pm[0]._key))): Fraction(1)}))
+    # A composite is its size and its passage counts, `width` bits each in
+    # sort-key order, packed into an int, so that the points add theirs as
+    # ints: no count passes n.  A point takes max(a, b) pairs at least, so
+    # it is listed up to n less the other points' least sizes.
+    order = sorted(set(chain.from_iterable(cells)), key=Passage.sort_key)
+    width = n.bit_length()
+    weight = {passage: 1 << width * k for k, passage in enumerate(order)}
+    least = later = sum(max(shape) for shape in shapes)
+    found = {(0, 0): 1}
+    for point, (a, b) in zip(cells, shapes):
+        later -= max(a, b)
+        point, here = [weight[x] for x in point], {}
+        for cover in covering_sets(a, b, min(n - least + max(a, b), a * b)):
+            key = len(cover), sum(map(point.__getitem__, cover))
+            here[key] = here.get(key, 0) + 1
+        here, step = sorted(here.items()), {}
+        for (size, packed), c in found.items():
+            for (more, extra), d in here:
+                if size + more + later > n:
+                    break
+                key = size + more, packed + extra
+                step[key] = step.get(key, 0) + c * d
+        found = step
+    mask = (1 << width) - 1
+    return MazeHom._trusted(q.dom, p.cod, LinComb._trusted({
+        Maze._trusted(q.dom, p.cod, tuple(
+            (passage, packed >> width * k & mask)
+            for k, passage in enumerate(order) if packed >> width * k & mask)):
+        Fraction(c) for (_, packed), c in found.items()}))
 
 
 def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
@@ -565,9 +529,7 @@ def splitting_idempotents(names, n: int):
     """
     names = tuple(sorted(set(names)))
     out = []
-    if len(names) > n:
-        return out
-    if not names:
+    if not names or len(names) > n:
         return out
     for degs in compositions(n, len(names)):
         s = MultiSet(list(zip(names, degs)))

@@ -10,7 +10,9 @@ multi-set to the plain set of its element instances tags instances as
 "name#k", so the lifted universe is again made of strings.
 """
 
-from math import comb, factorial
+from functools import lru_cache
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 from .errors import EnumerationLimitError
 
@@ -106,17 +108,11 @@ class MultiSet:
 
     @property
     def degree(self) -> int:
-        out = 1
-        for _, m in self._items:
-            out *= factorial(m)
-        return out
+        return prod(factorial(m) for _, m in self._items)
 
     def elements(self):
         """All elements with multiplicity, in canonical order."""
-        out = []
-        for name, m in self._items:
-            out.extend([name] * m)
-        return out
+        return [name for name, m in self._items for _ in range(m)]
 
     def __eq__(self, other):
         return isinstance(other, MultiSet) and self._items == other._items
@@ -175,16 +171,8 @@ class MultiSet:
 def support_lift(m: MultiSet):
     """The set of tagged instances (x, k), 1 <= k <= mult(x), one name per
     instance, serialized "x#k"."""
-    out = []
-    for name, mult in m.items():
-        out.extend(f"{name}{LIFT_SEP}{k}" for k in range(1, mult + 1))
-    return tuple(out)
-
-
-def limit_error(operation: str, sizes: str, problem: str):
-    """The EnumerationLimitError for an operation, naming its input sizes
-    and what tripped the guard."""
-    return EnumerationLimitError(f"{operation} ({sizes}): {problem}")
+    return tuple(f"{name}{LIFT_SEP}{k}" for name, mult in m.items()
+                 for k in range(1, mult + 1))
 
 
 def guard_count(count: int, operation: str, sizes: str):
@@ -192,9 +180,9 @@ def guard_count(count: int, operation: str, sizes: str):
     before any of it runs; the error names the operation and its input
     sizes."""
     if count > ENUM_LIMIT:
-        raise limit_error(
-            operation, sizes,
-            f"an estimated {count} items exceed the guard of {ENUM_LIMIT}")
+        raise EnumerationLimitError(
+            f"{operation} ({sizes}): an estimated {count} items exceed the "
+            f"guard of {ENUM_LIMIT}")
 
 
 def compositions(total: int, parts: int):
@@ -283,6 +271,76 @@ def tables(row_counts, col_counts):
     yield from rec(0, [c for _, c in cols], [])
 
 
+@lru_cache(maxsize=64)  # the shapes and caps of composition at degree 4
+def covering_sets(a: int, b: int, cap: int):
+    """Every a x b 0/1 matrix with no zero row or column and at most `cap`
+    ones, as the increasing tuple of its ones' cells, (i, j) numbered
+    i b + j: a middle point's share of a covering subset in maze
+    composition, since each pair and each instance passes one point.  A
+    row is added only if the matrix can still be completed, so the work
+    follows the output, which callers guard by covering_count."""
+    level = [((), 0, 0)]  # the cells so far, the columns hit, the ones
+    for i in range(a):
+        later, grown = a - 1 - i, []
+        for chosen, hit, ones in level:
+            empty = [j for j in range(b) if not hit >> j & 1]
+            full = [j for j in range(b) if hit >> j & 1]
+            # k empty columns, then up to `spare` hit ones, one in all at
+            # least: the rows left need a one each and the empty columns
+            # one each, so the last row takes every empty column.
+            for k in range(0 if later else len(empty), len(empty) + 1):
+                spare = cap - ones - k - max(later, len(empty) - k)
+                for new in combinations(empty, k) if spare >= (k == 0) else ():
+                    now = hit | sum(1 << j for j in new)
+                    for r in range(k == 0, min(spare, len(full)) + 1):
+                        grown.extend((chosen + tuple(
+                            i * b + j for j in sorted(new + old)),
+                            now, ones + k + r)
+                            for old in combinations(full, r))
+        level = grown
+    # With no rows nothing above checks the columns.
+    return tuple(chosen for chosen, hit, _ in level if hit == (1 << b) - 1)
+
+
+@lru_cache(maxsize=256)
+def covering_counts(a: int, b: int):
+    """(s, count) for the a x b 0/1 matrices with no zero row or column
+    and s ones, where nonzero: by inclusion-exclusion over the i rows and
+    j columns kept empty, sum (-1)^(i + j) C(a, i) C(b, j) C((a - i)(b -
+    j), s)."""
+    if min(a, b) == 1:  # the one line is all ones
+        return ((max(a, b), 1),)
+    counts = [0] * (a * b + 1)
+    for i, j in product(range(a + 1), range(b + 1)):
+        cells = (a - i) * (b - j)
+        term = (-1) ** (i + j) * comb(a, i) * comb(b, j)
+        for s in range(cells + 1):
+            counts[s] += term
+            term = term * (cells - s) // (s + 1)  # the next binomial
+    return tuple((s, count) for s, count in enumerate(counts) if count)
+
+
+def covering_count(shapes, n: int) -> int:
+    """The choices of one covering set per shape (a, b), n ones at most in
+    all: the counts by size convolved up to n.  When the least sizes,
+    max(a, b), fit in n, a shape of sides above 1 has surj(max(a, b),
+    min(a, b)) >= 2^(max(a, b) - 1) covering sets, so one wider than the
+    guard's bits gives 2^bits, refused as the exact count would be."""
+    if sum(max(shape) for shape in shapes) > n:
+        return 0
+    bits, total = ENUM_LIMIT.bit_length(), {0: 1}
+    for a, b in shapes:
+        if min(a, b) > 1 and max(a, b) > bits:
+            return 1 << bits
+        step = {}
+        for t, x in total.items():
+            for s, y in covering_counts(a, b):
+                if t + s <= n:
+                    step[t + s] = step.get(t + s, 0) + x * y
+        total = step
+    return sum(total.values())
+
+
 def enumerate_supported(s, n: int):
     """All multi-sets with support exactly `s` and cardinality `n`.
 
@@ -294,14 +352,8 @@ def enumerate_supported(s, n: int):
         names = support_lift(s)
     else:
         names = tuple(sorted(set(s)))
-    if n == 0:
-        return [MultiSet()] if not names else []
-    if not names:
-        return []
-    return [
-        MultiSet(list(zip(names, degs)))
-        for degs in compositions(n, len(names))
-    ]
+    return [MultiSet(list(zip(names, degs)))
+            for degs in compositions(n, len(names))]
 
 
 def enumerate_sub_multisets(m: MultiSet):

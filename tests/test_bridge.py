@@ -335,6 +335,14 @@ def test_ariadne_matrix_json_roundtrip():
     assert AriadneMatrix.from_json(got.to_json()) == got
 
 
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
+def test_ariadne_matrix_json_refuses_a_degree_that_is_no_integer(degree):
+    data = ariadne_maze(quadratic_generators()["A"], 2).to_json()
+    data["n"] = degree
+    with pytest.raises(ValueError, match="degree .* is not an integer"):
+        AriadneMatrix.from_json(data)
+
+
 def test_all_pure_mazes_on():
     mazes = all_pure_mazes_on(skeleton(2), 2)
     gens = quadratic_generators()

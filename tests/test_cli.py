@@ -116,27 +116,28 @@ def _loop(tmp_path, k):
 
 
 def test_enumeration_limit_names_the_operation_and_sizes(tmp_path, capsys):
-    # Loop x7 after itself: 127 bundles per instance, and the estimate
-    # passes ENUM_LIMIT**2 at the sixth instance, before any search.
+    # Loop x7 after itself: its covering subsets are the 7 x 7 0/1
+    # matrices with no zero row or column, counted before any is listed.
     loop = _loop(tmp_path, 7)
     code, out, err = run(capsys, "compose", "--category", "laby", loop, loop)
     assert (code, out) == (4, "")
     assert err == ("resource limit: maze_compose (7 passages after 7): an "
-                   f"estimated {127**6} items exceed the guard of 1048576\n")
+                   "estimated 505874809287625 items exceed the guard of "
+                   "1048576\n")
 
 
 def test_covering_budget_trip_names_the_passage_counts(tmp_path, capsys,
                                                        monkeypatch):
-    # With a budget of 100 nodes, loop x3 after itself (7**3 choices)
-    # passes the estimate check and trips the budget during the search.
-    from mazelab import labycat
+    # Under a stand-in limit of 100, loop x3 after itself is refused on
+    # its 265 covering subsets, the 3 x 3 covering matrices.
+    from mazelab import multisets
 
-    monkeypatch.setattr(labycat, "ENUM_LIMIT", 100)
+    monkeypatch.setattr(multisets, "ENUM_LIMIT", 100)
     loop = _loop(tmp_path, 3)
     code, out, err = run(capsys, "compose", "--category", "laby", loop, loop)
     assert (code, out) == (4, "")
-    assert err == ("resource limit: maze_compose (3 passages after 3): the "
-                   "covering search passed its budget of 100 nodes\n")
+    assert err == ("resource limit: maze_compose (3 passages after 3): an "
+                   "estimated 265 items exceed the guard of 100\n")
 
 
 def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):

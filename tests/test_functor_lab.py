@@ -39,7 +39,6 @@ from mazelab.functor_lab import (
     quadratic_relations_check,
     quasi_homogeneous_check,
     signed_cover_sum,
-    surjective_pair_subsets,
     tensor_power_functor,
     transport_maps,
 )
@@ -48,7 +47,7 @@ from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
 from mazelab.matrices import IntMat
 from mazelab.msetcat import Multation, all_multations, mset2_generators
 from mazelab.multisets import (MultiSet, all_cardinality_multisets,
-                               guard_count)
+                               covering_sets, guard_count)
 from test_structure_constants import loaded_with, refused_as
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -666,6 +665,15 @@ def test_fgabgroup_validation():
     assert FgAbGroup(1, (2,)).orders == (0, 2)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_group_and_map_orders_are_integers_not_truncated(value):
+    for build in (lambda: FgAbGroup(value), lambda: FgAbGroup(1, (value,)),
+                  lambda: AbHom((value,), (0,), IntMat.zeros(1, 1)),
+                  lambda: AbHom((0,), (value,), IntMat.zeros(1, 1))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+
+
 def test_abhom_congruence_and_welldefinedness():
     z2 = FgAbGroup(0, (2,))
     z = FgAbGroup(1)
@@ -824,13 +832,12 @@ def covering_sum_eval(h, m):
                 continue
             total = AbHom.zero(h.block_group(len(x)).orders,
                                h.block_group(len(y)).orders)
-            for chosen in surjective_pair_subsets(len(y), len(x)):
-                if len(chosen) <= h.degree:
-                    maze = Maze([str(s) for s in x], [str(t) for t in y],
-                                [Passage(str(x[j - 1]), str(y[i - 1]),
-                                         m.rows[y[i - 1] - 1][x[j - 1] - 1])
-                                 for i, j in chosen])
-                    total = total + h.eval_labeled(maze)
+            for cover in covering_sets(len(y), len(x), h.degree):
+                maze = Maze([str(s) for s in x], [str(t) for t in y],
+                            [Passage(str(x[j]), str(y[i]),
+                                     m.rows[y[i] - 1][x[j] - 1])
+                             for i, j in (divmod(k, len(x)) for k in cover)])
+                total = total + h.eval_labeled(maze)
             row.append(total)
         grid.append(row)
     return abhom_block(grid, col_orders, row_orders)

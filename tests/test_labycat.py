@@ -17,7 +17,6 @@ from mazelab.labycat import (
     Maze,
     MazeHom,
     Passage,
-    box_product,
     collapse_parallel,
     compose_in_laby_n,
     expand_label,
@@ -54,6 +53,25 @@ def test_maze_refuses_non_int_multiplicities(mult):
         Maze(["a"], ["x"], [(Passage("a", "x", 1), mult)])
     with pytest.raises(ValueError, match="multiplicity"):
         Maze(["a"], ["x"], {Passage("a", "x", 1): mult})
+
+
+def box_product(p: Maze, q: Maze):
+    """Tagged multi-set of composable passage pairs of P (x) Q, for the
+    brute-force oracles.
+
+    Returns a list of ((i, passage of P), (j, passage of Q)) where i and j
+    index the instance lists, so repeated passages stay distinguishable.
+    """
+    if set(p.dom) != set(q.cod):
+        raise DomainMismatchError(
+            f"cannot form pair product: {set(q.cod)} != {set(p.dom)}")
+    q_instances = q.instances()
+    pairs = []
+    for i, pi in enumerate(p.instances()):
+        for j, qj in enumerate(q_instances):
+            if qj.dst == pi.src:
+                pairs.append(((i, pi), (j, qj)))
+    return pairs
 
 
 def test_box_product_worked_example():

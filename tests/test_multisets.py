@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -10,6 +10,9 @@ from mazelab.multisets import (
     MultiSet,
     all_cardinality_multisets,
     compositions,
+    covering_count,
+    covering_counts,
+    covering_sets,
     enumerate_sub_multisets,
     enumerate_supported,
     support_lift,
@@ -252,3 +255,48 @@ def test_all_cardinality_multisets_guard_trips_first(monkeypatch):
     with pytest.raises(EnumerationLimitError,
                        match="^all_cardinality_multisets "):
         bridge.all_cardinality_multisets("abcd", 200)
+
+
+@pytest.mark.parametrize("a, b", list(product(range(5), repeat=2)))
+def test_covering_counts_count_the_covering_sets_at_every_cap(a, b):
+    counts = dict(covering_counts(a, b))
+    for cap in range(a * b + 1):
+        sets = covering_sets(a, b, cap)
+        assert len(sets) == sum(c for s, c in counts.items() if s <= cap)
+        assert len(set(sets)) == len(sets)
+        assert all(list(cover) == sorted(cover) for cover in sets)
+
+
+@pytest.mark.parametrize("a, b", list(product(range(4), repeat=2)))
+def test_covering_sets_are_the_covering_subsets_by_brute_force(a, b):
+    cells = range(a * b)
+    for cap in range(a * b + 1):
+        brute = {chosen for k in range(cap + 1)
+                 for chosen in combinations(cells, k)
+                 if {i // b for i in chosen} == set(range(a))
+                 and {i % b for i in chosen} == set(range(b))}
+        assert set(covering_sets(a, b, cap)) == brute
+
+
+def test_covering_count_convolves_the_shapes_up_to_n():
+    shapes = [(2, 2), (1, 3), (3, 2)]
+    for n in range(14):
+        families = [sizes for sizes in product(*(
+            [len(cover) for cover in covering_sets(a, b, a * b)]
+            for a, b in shapes)) if sum(sizes) <= n]
+        assert covering_count(shapes, n) == len(families)
+    assert covering_count([], 0) == 1
+    # The covering subsets of loop x5 after loop x5: the edge covers of
+    # K5,5, on which plain composition is refused.
+    assert covering_count([(5, 5)], 25) == 24997921
+
+
+def test_covering_count_of_a_wide_point_is_a_bound_past_the_guard():
+    # A line has its one covering set at any length; a point of two sides
+    # above 1 wider than the guard's bits is refused on 2^bits at once.
+    assert covering_count([(1, 10**6), (10**6, 1)], 2 * 10**6) == 1
+    bits = multisets.ENUM_LIMIT.bit_length()
+    assert covering_count([(2, bits + 1)], 2 * bits + 2) == 1 << bits
+    # Up to the bits the count is exact: each column is one of three
+    # nonempty subsets of two rows, and two choices leave a row empty.
+    assert covering_count([(2, bits)], 2 * bits) == 3**bits - 2

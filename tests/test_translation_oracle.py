@@ -4,7 +4,9 @@ trusted constructors.  They are checked here against the earlier
 implementations, kept below as the oracle, which assemble the same
 results through the validating constructors: equal in type, ends, terms,
 coefficient type, hash and serialized form, exhaustively on small corpora,
-on seeded ones and by a Hypothesis property."""
+on seeded ones and by a Hypothesis property.  Maze composition by middle
+points is also checked against the bundle search it replaced, and its
+guard against that search's budget."""
 
 import json
 import random
@@ -15,21 +17,23 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazelab import bridge
+from mazelab import bridge, labycat, multisets
 from mazelab.bridge import (AriadneMatrix, all_pure_mazes_on, ariadne_hom,
                             ariadne_maze, theseus_hom, theseus_multation)
-from mazelab.errors import DomainMismatchError, IntegralityError
+from mazelab.errors import (DomainMismatchError, EnumerationLimitError,
+                            IntegralityError)
 from mazelab.labycat import (Maze, MazeHom, Passage, _numerical_terms,
-                             box_product, compose_in_laby_n,
-                             laby_structure_constants, maze_compose,
-                             maze_hom_compose, normalize_numerical,
-                             pure_mazes_between, skeleton)
+                             compose_in_laby_n, laby_structure_constants,
+                             maze_compose, maze_hom_compose,
+                             normalize_numerical, pure_mazes_between,
+                             skeleton, validate_maze)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              divided_reduce, multation_compose,
                              multhom_compose, mset_structure_constants)
-from mazelab.multisets import (MultiSet, all_cardinality_multisets,
+from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
 from mazelab.scalars import LinComb
+from test_labycat import box_product
 
 # ---------------------------------------------------------------- oracle
 
@@ -165,6 +169,66 @@ def old_maze_compose(p, q, n=None):
                             [Passage(qj.src, pi.dst, pi.label * qj.label)
                              for (_, pi), (_, qj) in chosen])
                 accum[maze] = accum.get(maze, 0) + 1
+    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+
+
+def old_bundle_compose(p, q, n=None, limit=ENUM_LIMIT):
+    """maze_compose as a search over bundles: one nonempty bundle of pairs
+    per instance of q, pruned on the instances of p the rest can still
+    reach and on the degree, each leaf through the validating Maze.  It
+    refuses when the product of the bundle counts passes limit squared,
+    and when the search passes a budget of `limit` nodes."""
+    if not (validate_maze(p) and validate_maze(q)):
+        raise ValueError("maze_compose requires valid mazes")
+    pairs = box_product(p, q)
+    np_, nq = p.size, q.size
+    if n is None:
+        n = len(pairs)
+    elif max(np_, nq) > n:
+        return MazeHom(q.dom, p.cod, LinComb())
+    full_p = (1 << np_) - 1
+    groups = [[] for _ in range(nq)]
+    for (i, pi), (j, qj) in pairs:
+        groups[j].append((i, Passage(qj.src, pi.dst, pi.label * qj.label)))
+    # Nonempty choices per group, each tagged with its p-coverage mask.
+    choices = []
+    for members in groups:
+        opts = []
+        for mask in range(1, 1 << len(members)):
+            chosen = [(i, composed) for t, (i, composed) in enumerate(members)
+                      if mask >> t & 1]
+            if len(chosen) <= n - nq + 1:
+                opts.append((sum(1 << i for i, _ in chosen),
+                             [composed for _, composed in chosen]))
+        choices.append(opts)
+    bound = 1
+    for opts in choices:
+        bound *= len(opts)
+        if bound > limit**2:
+            raise EnumerationLimitError(f"{bound} bundle choices")
+    # What the remaining groups could still cover, for pruning.
+    suffix = [0] * (len(choices) + 1)
+    for t in range(len(choices) - 1, -1, -1):
+        suffix[t] = suffix[t + 1]
+        for cover, _ in choices[t]:
+            suffix[t] |= cover
+    accum = {}
+    budget = [limit]
+
+    def rec(t, covered, chosen):
+        if covered | suffix[t] != full_p or len(chosen) + len(choices) - t > n:
+            return
+        if t == len(choices):
+            maze = Maze(q.dom, p.cod, chosen)
+            accum[maze] = accum.get(maze, 0) + 1
+            return
+        for cover, bundle in choices[t]:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise EnumerationLimitError(f"budget of {limit} nodes")
+            rec(t + 1, covered | cover, chosen + bundle)
+
+    rec(0, 0, [])
     return MazeHom(q.dom, p.cod, LinComb(accum.items()))
 
 
@@ -409,9 +473,19 @@ def test_every_pure_pair_on_skeleta_composes_as_the_oracle():
                             old_maze_hom_compose(f, g))
                 count += 1
             assert_same(maze_compose(p, q, n), old_maze_compose(p, q, n))
+            for degree in (n, None):
+                assert_same(maze_compose(p, q, degree),
+                            old_bundle_compose(p, q, degree))
             assert_same(sc.hom(MazeHom, p, q),
                         old_compose_in_laby_n(MazeHom.of(p), g, n))
     assert count == 2 * (2 + 19 + 580)
+
+
+def test_seeded_laby4_pairs_compose_as_the_bundle_search():
+    pairs = skeleton_pairs(4)
+    assert len(pairs) == 34101
+    for p, q in random.Random(2401).sample(pairs, 2000):
+        assert_same(maze_compose(p, q, 4), old_bundle_compose(p, q, 4))
 
 
 def seeded_combination(rng, dom, cod):
@@ -442,6 +516,59 @@ def test_seeded_labelled_combinations_compose_as_the_oracle():
         # Plain composition, where the brute force stays small.
         if all(p.size * q.size <= 12 for p, _ in f.comb for q, _ in g.comb):
             assert_same(maze_hom_compose(f, g), old_maze_hom_compose(f, g))
+        for (p, _), (q, _) in iproduct(f.comb, g.comb):
+            for n in (None, 0, 1, 2, 3, 4):
+                assert_same(maze_compose(p, q, n), old_bundle_compose(p, q, n))
+
+
+def sweep_maze(rng, dom, cod, labelled):
+    """A maze dom -> cod without dead ends, each passage repeated up to four
+    times, more often once, labelled from SCALARS or pure."""
+    ends = [(x, rng.choice(cod)) for x in dom]
+    ends += [(rng.choice(dom), y) for y in cod]
+    ends += [(rng.choice(dom), rng.choice(cod))
+             for _ in range(rng.randint(0, 1))]
+    return Maze(dom, cod, [
+        (Passage(x, y, rng.choice(SCALARS) if labelled else 1),
+         min(rng.randint(1, 4), rng.randint(1, 4)))
+        for x, y in dict.fromkeys(ends)])
+
+
+def test_no_refusal_where_the_bundle_search_finished(monkeypatch):
+    # A stand-in limit of 2000 on both sides: the guard counts the leaves,
+    # and the bundle search visits at least as many nodes, so whatever it
+    # finishes is composed, and alike.
+    limit = 2000
+    monkeypatch.setattr(multisets, "ENUM_LIMIT", limit)
+    rng = random.Random(24)
+    finished = composed = refused = 0
+    for _ in range(600):
+        outer = ("a", "b")[:rng.randint(1, 2)], ("x", "y")[:rng.randint(1, 2)]
+        middle = skeleton(rng.randint(1, 4))
+        labelled = rng.random() < 0.5
+        q = sweep_maze(rng, outer[0], middle, labelled)
+        p = sweep_maze(rng, middle, outer[1], labelled)
+        n = rng.choice((None,) + tuple(range(1, 9)))
+        try:
+            old = old_bundle_compose(p, q, n, limit)
+        except EnumerationLimitError:
+            refused += 1
+            continue
+        finished += 1
+        composed += bool(old.comb)
+        assert_same(maze_compose(p, q, n), old)
+    assert finished > 500 and composed > 150 and refused > 30
+
+
+def test_a_refusal_comes_before_any_covering_set_is_listed(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("listed before the refusal")
+
+    monkeypatch.setattr(labycat, "covering_sets", unreachable)
+    loop = Maze(["1"], ["1"], [(Passage("1", "1"), 5)])
+    with pytest.raises(EnumerationLimitError,
+                       match="an estimated 24997921 items"):
+        maze_compose(loop, loop)
 
 
 def test_a_pure_combination_within_the_degree_is_its_own_normal_form():
