@@ -1,10 +1,10 @@
 """Translation between the maze and multation worlds.
 
-The forward functor expands a maze over all multiplicity assignments of
-total weight n, reading each assignment as a product of divided column
-powers; its value on a maze is a matrix of multation arrows indexed by
-the cardinality-n multi-sets supported on the endpoints.  The reverse
-functor sends a multation to its underlying pure maze scaled by the
+The forward functor expands a maze over the weights of total n of its
+distinct passages, each repeated r times and weighted t standing for its
+instances through surj(t, r); its value on a maze is a matrix of
+multation arrows indexed by the cardinality-n multi-sets supported on
+the endpoints.  The reverse functor sends a multation to its underlying pure maze scaled by the
 reciprocal of its degree.  On exactly-n pure mazes these are mutually
 inverse, and that is checked exhaustively at desk scale.  Both functors
 and matrix composition sum into one dict of exact coefficients and build
@@ -20,14 +20,14 @@ side is defined by transport through this translation.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb
 
 from .errors import DomainMismatchError
 from .labycat import Maze, MazeHom, pure_mazes_between, pure_passage
-from .msetcat import MultHom, Multation, divided_reduce
+from .msetcat import MultHom, Multation
 from .multisets import (MultiSet, all_cardinality_multisets, check_names,
                         compositions, enumerate_supported, json_int)
-from .scalars import LinComb
+from .scalars import LinComb, surjections
 
 
 def ariadne_object(names, n: int):
@@ -156,37 +156,44 @@ def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:
 
 
 def ariadne_hom(h: MazeHom, n: int) -> AriadneMatrix:
-    """The forward functor: a sum over the multiplicity assignments of
-    weight n to each maze's passage instances, each its coefficient times
-    its labels' powers times the divided-power merge of its columns."""
+    """The forward functor: a maze whose passage p, labelled L_p, is
+    repeated r_p times gives per choice of weights t_p >= r_p summing to n
+    its coefficient times prod L_p^t_p surj(t_p, r_p), times the
+    multinomial of the t's of each column several passages share, at the
+    multation of the merged columns.  Proof: summed over the splits of t_p
+    into r_p positive instance weights, the multinomials give surj(t_p,
+    r_p) and the labels L_p^t_p."""
     terms = {}
     for maze, c in h.comb:
         if not all(p.src in maze.dom and p.dst in maze.cod
                    for p, _ in maze.passages):
             raise ValueError("entry index outside the endpoint sets")
         check_names(maze.dom + maze.cod)  # the marginals are unchecked
-        inst = maze.instances()
-        cols = [(p.src, p.dst) for p in inst]
-        labelled = [(i, p.label) for i, p in enumerate(inst) if p.label != 1]
-        for degs in compositions(n, len(inst)):
-            coeff = prod((lab ** degs[i] for i, lab in labelled), start=c)
-            k, merged = divided_reduce(list(zip(cols, degs)))
-            # divided_reduce gives sorted, merged columns: a valid multation.
-            dom_ms = _marginal((a, m) for (a, _), m in merged)
-            cod_ms = _marginal((b, m) for (_, b), m in merged)
-            mu = Multation._trusted(dom_ms, cod_ms, merged)
+        passages = maze.passages
+        # One part t_p - r_p + 1 per passage: they sum to n - m + k.
+        for parts in compositions(n - maze.size + len(passages),
+                                  len(passages)):
+            coeff, k = c, 1
+            cols, dom, cod = {}, {}, {}
+            for (p, r), part in zip(passages, parts):
+                t = r + part - 1
+                k *= surjections(t, r)
+                if p.label != 1:
+                    coeff *= p.label ** t
+                col = p.src, p.dst
+                if col in cols:  # a passage beside it: merge the columns
+                    k *= comb(cols[col] + t, t)
+                cols[col] = cols.get(col, 0) + t
+                dom[p.src] = dom.get(p.src, 0) + t
+                cod[p.dst] = cod.get(p.dst, 0) + t
+            # The passages, so the columns and their sources, are sorted.
+            dom_ms = MultiSet._trusted(tuple(dom.items()))
+            cod_ms = MultiSet._trusted(tuple(sorted(cod.items())))
+            mu = Multation._trusted(dom_ms, cod_ms, tuple(cols.items()))
             entry = terms.setdefault((cod_ms, dom_ms), {})
-            entry[mu] = entry.get(mu, 0) + coeff * k
+            coeff *= k
+            entry[mu] = entry[mu] + coeff if mu in entry else coeff
     return AriadneMatrix._trusted(h.dom, h.cod, n, terms)
-
-
-def _marginal(columns):
-    """The multi-set of one coordinate of a multation's columns, given as
-    (letter, multiplicity) pairs; the letters are the maze's names."""
-    counts = {}
-    for x, m in columns:
-        counts[x] = counts.get(x, 0) + m
-    return MultiSet._trusted(tuple(sorted(counts.items())))
 
 
 def theseus_multation(mu: Multation, n: int) -> MazeHom:

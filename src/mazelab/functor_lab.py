@@ -154,7 +154,7 @@ def signed_cover_sum(m: int, n: int, l_pairs) -> int:
             raise ValueError(f"pair {p} outside [{m}] x [{n}]")
         need[p[0] - 1] |= 1 << (p[1] - 1)
     guard_count(m << 2 * n, "signed_cover_sum",
-                f"{m} x {n}, {len(given)} pairs given")
+                lambda: f"{m} x {n}, {len(given)} pairs given")
     full = (1 << n) - 1
     covered = {0: 1}
     for row_need in need:
@@ -182,7 +182,7 @@ def check_deviation_formula(f: MatrixFunctor, alphas, betas) -> bool:
     m, n = len(alphas), len(betas)
     rhs = IntMat.zeros(lhs.nrows, lhs.ncols)
     guard_count(covering_count([(m, n)], m * n), "check_deviation_formula",
-                f"{m} x {n}")
+                lambda: f"{m} x {n}")
     for cover in covering_sets(m, n, m * n):
         prods = [alphas[k // n] @ betas[k % n] for k in cover]
         rhs = rhs + deviation(f, prods)
@@ -503,12 +503,18 @@ class AbHom:
         return self.mat.to_json()
 
 
+def _int_orders(orders) -> tuple:
+    """Block orders as ints: 2.5, 2.0, True or "2" is refused, not read."""
+    return tuple(d if type(d) is int else json_int(d, "order")
+                 for d in orders)
+
+
 def abhom_block(grid, col_orders_list, row_orders_list) -> AbHom:
     """Assemble a block matrix of AbHoms into one AbHom; grid[i][j] maps
     the j-th column block to the i-th row block, between exactly their
     orders."""
-    col_orders_list = [tuple(map(int, orders)) for orders in col_orders_list]
-    row_orders_list = [tuple(map(int, orders)) for orders in row_orders_list]
+    col_orders_list = [_int_orders(orders) for orders in col_orders_list]
+    row_orders_list = [_int_orders(orders) for orders in row_orders_list]
     rows = []
     for i, row_orders in enumerate(row_orders_list):
         for j, col_orders in enumerate(col_orders_list):
@@ -531,8 +537,8 @@ def extract_block(hom: AbHom, row_orders_list, col_orders_list,
     r1 = r0 + len(row_orders_list[row_index])
     c0 = sum(len(o) for o in col_orders_list[:col_index])
     c1 = c0 + len(col_orders_list[col_index])
-    dom_orders = tuple(map(int, col_orders_list[col_index]))
-    cod_orders = tuple(map(int, row_orders_list[row_index]))
+    dom_orders = _int_orders(col_orders_list[col_index])
+    cod_orders = _int_orders(row_orders_list[row_index])
     if (hom.dom_orders[c0:c1] != dom_orders
             or hom.cod_orders[r0:r1] != cod_orders):
         raise ShapeMismatchError(

@@ -44,7 +44,8 @@ from .errors import DomainMismatchError
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
                         covering_count, covering_sets, guard_count, json_int,
                         tables)
-from .scalars import HomComb, LinComb, StructureConstants, scalar, scalar_str
+from .scalars import (HomComb, LinComb, StructureConstants, scalar, scalar_str,
+                      surjections)
 
 
 class Passage:
@@ -258,7 +259,8 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
               for y in q.cod]
     n = sum(a * b for a, b in shapes) if n is None else n
     count = covering_count(shapes, n)
-    guard_count(count, "maze_compose", f"{p.size} passages after {q.size}")
+    guard_count(count, "maze_compose",
+                lambda: f"{p.size} passages after {q.size}")
     if not count:
         return MazeHom._trusted(q.dom, p.cod, LinComb())
     # The composed passage of each pair through each point, row by row;
@@ -409,7 +411,8 @@ def _numerical_terms(maze: Maze, n: int):
             a = c
     guard_count(max(min(comb(room + len(caps), len(caps)),
                         prod(cap + 1 for cap in caps)), products),
-                "normalize_numerical", f"{maze.size} passages, degree {n}")
+                "normalize_numerical",
+                lambda: f"{maze.size} passages, degree {n}")
     level = [(1, (), room)]
     for ((src, dst), factors), cap in zip(kinds.items(), caps):
         series = None
@@ -494,7 +497,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
             estimate += ((1 if k == 1 else room + 1)
                          * t * t.bit_length() * (r + 65) // 64)
     guard_count(estimate, "normalize_homogeneous",
-                f"{len(below)} mazes to expand, degree {n}")
+                lambda: f"{len(below)} mazes to expand, degree {n}")
     weights = {}
     for maze, c in below:
         passages = maze.passages
@@ -509,9 +512,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
                 if t == r:  # surj(r, r) / r! is 1
                     continue
                 if (t, r) not in weights:  # surj(t, r) / t!
-                    weights[t, r] = Fraction(sum(
-                        (-1)**j * comb(r, j) * (r - j)**t
-                        for j in range(r + 1)), factorial(t))
+                    weights[t, r] = Fraction(surjections(t, r), factorial(t))
                 coeff *= weights[t, r]
             # counts follows maze.passages, each t >= r >= 1: canonical.
             pure = Maze._trusted(maze.dom, maze.cod, tuple(counts))
@@ -558,7 +559,7 @@ def _guard_pure_mazes(dom, cod, sizes):
     for s in sizes:
         guard_count(comb(max(len(dom) * len(cod) + s - 1, 0), s),
                     "pure_mazes_between",
-                    f"{len(dom)} -> {len(cod)} points, {s} passages")
+                    lambda: f"{len(dom)} -> {len(cod)} points, {s} passages")
 
 
 def pure_mazes_between(dom, cod, sizes):

@@ -13,17 +13,21 @@ multinomials, and every such division is asserted exact.  The
 divided-power structure guarantees integrality, so a failure means a
 bug.  Composites join the composed ends by construction, so they skip
 the validating constructors, which serve input from outside.
+
+A middle letter's matchings depend only on the multiplicities of its
+incoming and outgoing columns, so they are kept by that shape (85 up to
+multiplicity 4), as cells by index, and the letters are put in on use.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 
 from .errors import DomainMismatchError, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
                         guard_count, json_int, tables)
-from .scalars import HomComb, LinComb, StructureConstants, multinomial
+from .scalars import HomComb, LinComb, StructureConstants
 
 
 class Multation:
@@ -133,28 +137,6 @@ class Multation:
         )
 
 
-def divided_reduce(powers):
-    """Merge a formal product of divided column powers into one basis term.
-
-    `powers` is a list of (column, exponent) with positive exponents.
-    Repeated columns merge by z^[i] z^[j] = C(i+j, i) z^[i+j]; the returned
-    coefficient is the resulting integer multinomial, the returned basis the
-    merged column multi-set as sorted ((a, b), mult) pairs.
-    """
-    groups = {}
-    for col, exp in powers:
-        if exp < 1:
-            raise ValueError("exponents must be >= 1")
-        groups.setdefault(col, []).append(exp)
-    coeff = 1
-    merged = []
-    for col in sorted(groups):
-        exps = groups[col]
-        coeff *= multinomial(exps)
-        merged.append((col, sum(exps)))
-    return coeff, tuple(merged)
-
-
 class MultHom(HomComb):
     """A formal linear combination of multations sharing dom and cod."""
 
@@ -169,6 +151,21 @@ class MultHom(HomComb):
     ends_from_json = staticmethod(MultiSet.from_json)
 
 
+def _matchings(rows, cols):
+    """The tables() between margins of these multiplicities, in its order,
+    each as its cells (i, j, t) by the margins' indices and the product of
+    the cells' factorials: a middle letter's matchings, by shape."""
+    return tuple(
+        (cells, prod(factorial(t) for _, _, t in cells))
+        for cells in (tuple((i, j, t) for (i, j), t in table.items())
+                      for table in tables(enumerate(rows), enumerate(cols))))
+
+
+# Every shape of a letter up to multiplicity 5, 85 + 256 of them of at most
+# 5! tables; a larger one is listed per call, as 8! tables hold 26 MB.
+_kept_matchings = lru_cache(maxsize=341)(_matchings)
+
+
 def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     """Compose mu . nu by summing over all ways of matching middle letters.
 
@@ -181,19 +178,17 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
             f"cannot compose: middle multi-sets differ ({nu.cod!r} vs {mu.dom!r})")
     middle = nu.cod
 
-    per_letter = []
-    for b, _ in middle.items():
-        row_counts = tuple(sorted(
-            (a, m) for (a, b2), m in nu.pairs if b2 == b))
-        col_counts = tuple(sorted(
-            (c, m) for (b2, c), m in mu.pairs if b2 == b))
-        per_letter.append(list(tables(row_counts, col_counts)))
+    # The pairs are sorted, so each letter's columns come in letter order.
+    ends, per_letter = [], []
+    for b, size in middle.items():
+        into = [(a, m) for (a, b2), m in nu.pairs if b2 == b]
+        out = [(c, m) for (b2, c), m in mu.pairs if b2 == b]
+        ends.append(([a for a, _ in into], [c for c, _ in out]))
+        per_letter.append((_kept_matchings if size <= 5 else _matchings)(
+            tuple(m for _, m in into), tuple(m for _, m in out)))
 
-    count = 1
-    for matchings in per_letter:
-        count *= len(matchings)
-    guard_count(count, "multation_compose",
-                f"cardinality {middle.cardinality}")
+    guard_count(prod(map(len, per_letter)), "multation_compose",
+                lambda: f"cardinality {middle.cardinality}")
 
     # Each family pairs every incoming column of a middle letter with an
     # outgoing one, so the merged columns' marginals are nu.dom and mu.cod.
@@ -201,10 +196,11 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     for family in iproduct(*per_letter):
         cols = {}
         table_factor = 1
-        for table in family:
-            for (a, c), t in table.items():
-                cols[(a, c)] = cols.get((a, c), 0) + t
-                table_factor *= factorial(t)
+        for (into, out), (cells, factor) in zip(ends, family):
+            table_factor *= factor
+            for i, j, t in cells:
+                col = into[i], out[j]
+                cols[col] = cols.get(col, 0) + t
         basis = Multation._trusted(nu.dom, mu.cod, tuple(sorted(cols.items())))
         coeff, rest = divmod(basis.degree, table_factor)
         if rest:

@@ -175,13 +175,13 @@ def support_lift(m: MultiSet):
                  for k in range(1, mult + 1))
 
 
-def guard_count(count: int, operation: str, sizes: str):
+def guard_count(count: int, operation: str, sizes):
     """Refuse an enumeration whose estimate `count` passes ENUM_LIMIT,
     before any of it runs; the error names the operation and its input
-    sizes."""
+    sizes, the text `sizes()` returns, formatted only on a refusal."""
     if count > ENUM_LIMIT:
         raise EnumerationLimitError(
-            f"{operation} ({sizes}): an estimated {count} items exceed the "
+            f"{operation} ({sizes()}): an estimated {count} items exceed the "
             f"guard of {ENUM_LIMIT}")
 
 
@@ -193,10 +193,10 @@ def compositions(total: int, parts: int):
     """
     if parts == 0:
         return [()] if total == 0 else []
-    if total < parts:
-        return []
+    if total <= parts:  # all ones, or none
+        return [(1,) * parts] if total == parts else []
     guard_count(comb(total - 1, parts - 1), "compositions",
-                f"total {total}, parts {parts}")
+                lambda: f"total {total}, parts {parts}")
     # Part by part, each prefix followed by its extensions in turn: the
     # order of a depth-first listing, without its recursion depth.
     level = [((), total)]
@@ -215,7 +215,7 @@ def all_cardinality_multisets(universe, n: int):
     universe = tuple(sorted(set(universe)))
     guard_count(comb(max(len(universe) + n - 1, 0), n),
                 "all_cardinality_multisets",
-                f"universe {len(universe)}, cardinality {n}")
+                lambda: f"universe {len(universe)}, cardinality {n}")
     check_names(universe)
     return sorted(
         (MultiSet._trusted(tuple((x, d - 1) for x, d in zip(universe, parts)
@@ -362,7 +362,8 @@ def enumerate_sub_multisets(m: MultiSet):
     for _, mult in m.items():
         count *= mult + 1
     guard_count(count, "enumerate_sub_multisets",
-                f"cardinality {m.cardinality}, support {len(m.support)}")
+                lambda: f"cardinality {m.cardinality}, "
+                f"support {len(m.support)}")
     out = [MultiSet()]
     for name, mult in m.items():
         out = [

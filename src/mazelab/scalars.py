@@ -6,6 +6,7 @@ package ever touches floating point.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import DomainMismatchError
@@ -63,6 +64,12 @@ def binomial(r, k: int) -> int | Fraction:
     for i in range(2, k + 1):
         den *= i
     return num / den
+
+
+@lru_cache(maxsize=256)
+def surjections(t: int, r: int) -> int:
+    """The number of maps of a t-set onto an r-set (inclusion-exclusion)."""
+    return sum((-1)**j * comb(r, j) * (r - j)**t for j in range(r + 1))
 
 
 def multinomial(parts) -> int:

@@ -297,6 +297,21 @@ def test_ariadne_and_theseus(capsys):
     assert hom == MazeHom.of(quadratic_generators()["A"])
 
 
+def test_ariadne_lists_passages_not_instances(capsys):
+    # A loop repeated five times at degree 200 is one term weighted by the
+    # surjections of 200 points onto 5; listed per instance it was C(199,
+    # 4) = 63391251 terms, past the guard.
+    code, out, err = run(capsys, "ariadne", "--degree", "200",
+                         fx("loop5.json"))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert len(data["entries"]) == 1
+    hom = MultHom.from_json(data["entries"][0][2])
+    loop = Multation.identity(MultiSet([("1", 200)]))
+    surj = sum((-1)**j * math.comb(5, j) * (5 - j)**200 for j in range(6))
+    assert hom == MultHom.of(loop, surj)
+
+
 def test_xi(capsys):
     code, out, _ = run(capsys, "xi", fx("corr_double.json"))
     assert code == 0

@@ -394,7 +394,7 @@ def subset_walk_signed_cover_sum(m: int, n: int, l_pairs) -> int:
         l_mask |= 1 << index[p]
     free = ((1 << len(pairs)) - 1) & ~l_mask
     guard_count(1 << bin(free).count("1"), "signed_cover_sum",
-                f"{m} x {n}, {bin(l_mask).count('1')} pairs given")
+                lambda: f"{m} x {n}, {bin(l_mask).count('1')} pairs given")
     row_masks = []
     for i in range(1, m + 1):
         rm = 0
@@ -1353,6 +1353,18 @@ def test_blocks_refuse_orders_other_than_their_own():
     whole = abhom_block([[f]], [z2], [z2])
     with pytest.raises(ShapeMismatchError, match="wrong shape"):
         extract_block(whole, [z2], [z], 0, 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_block_orders_are_integers_not_truncated(value):
+    h = AbHom.identity((2,))
+    whole = abhom_block([[h]], [(2,)], [(2,)])
+    for call in (lambda: abhom_block([[h]], [(value,)], [(2,)]),
+                 lambda: abhom_block([[h]], [(2,)], [(value,)]),
+                 lambda: extract_block(whole, [(value,)], [(2,)], 0, 0),
+                 lambda: extract_block(whole, [(2,)], [(value,)], 0, 0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
 
 
 def test_checks_reduce_products_into_torsion_carriers():

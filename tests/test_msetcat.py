@@ -9,7 +9,6 @@ from mazelab.msetcat import (
     MultHom,
     Multation,
     all_multations,
-    divided_reduce,
     mset2_generators,
     mset2_table,
     multation_compose,
@@ -52,14 +51,6 @@ def test_multation_marginals_enforced():
 def test_multation_refuses_non_int_multiplicities(mult):
     with pytest.raises(ValueError, match="multiplicity"):
         Multation(ms("a", "a"), ms("x", "x"), [(("a", "x"), mult)])
-
-
-def test_divided_reduce():
-    assert divided_reduce([(("a", "b"), 1), (("a", "b"), 1)]) == \
-        (2, ((("a", "b"), 2),))
-    assert divided_reduce([(("a", "b"), 2)]) == (1, ((("a", "b"), 2),))
-    assert divided_reduce([(("a", "b"), 2), (("a", "b"), 1)]) == \
-        (3, ((("a", "b"), 3),))
 
 
 def test_worked_composites():
