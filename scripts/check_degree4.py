@@ -8,8 +8,14 @@ the time of each step: the layer timing of the integer kernel.  Then it
 prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, and the time to check the degree-4 tensor power on
 the multation side.  Then compares every Laby_4 block with the per-pair
-path, each composite computed afresh by its compose_in_laby_n (a few
-seconds), and exits 1 on the first block that differs.  Last, it sends
+path, each composite computed afresh by the engine, maze_hom_compose (a
+few seconds), and exits 1 on the first block that differs.  Then, from a
+cleared memo, it composes all 34101 Laby_4 pairs through
+compose_in_laby_n, which reads a block off the constants once its
+direct composes have paid for its fill, and compares each with the
+engine: it prints the time of that sweep, the number of blocks filled
+and the time of a second, warm sweep, and exits 1 on the first pair
+that differs.  Last, it sends
 every basis multation and every pure maze of degree 4 over four letters
 through both translations and back, and exits 1 on any failure of the
 round trip.  Then it times plain composition of the loop repeated four
@@ -27,8 +33,10 @@ from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
                                  MSetModulePresentation,
                                  phi_roundtrip_failures, tensor_power_functor)
-from mazelab.labycat import (Maze, MazeHom, Passage, laby_structure_constants,
-                             maze_hom_compose, skeleton)
+from mazelab import labycat
+from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
+                             laby_structure_constants, maze_hom_compose,
+                             skeleton)
 from mazelab.msetcat import mset_structure_constants
 
 
@@ -73,6 +81,33 @@ def cube():
     return 1 if failures else 0
 
 
+def sweep_laby4():
+    """Compose every Laby_4 pair through compose_in_laby_n twice, from a
+    cleared memo, against the engine; 1 on the first pair that differs."""
+    arrows = laby_structure_constants(4).arrows
+    pairs = [(p, q) for (b, _), ps in arrows.items() for p in ps
+             for (_, b2), qs in arrows.items() if b2 == b for q in qs]
+    laby_structure_constants.cache_clear()
+    labycat._asked.clear()
+    labycat._rents.clear()
+    for sweep in ("cold", "warm"):
+        start = time.perf_counter()
+        got = [compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), 4)
+               for p, q in pairs]
+        seconds = time.perf_counter() - start
+        for (p, q), h in zip(pairs, got):
+            if h != maze_hom_compose(MazeHom.of(p), MazeHom.of(q), 4):
+                print(f"compose_in_laby_n({p!r}, {q!r}, 4) differs from "
+                      f"the engine ({sweep} sweep)")
+                return 1
+        del got
+        filled = len(laby_structure_constants(4).blocks)
+        print(f"{sweep} sweep of the {len(pairs)} Laby_4 pairs through "
+              f"compose_in_laby_n in {seconds:.2f} s, {filled} blocks "
+              f"filled, each as the engine; {peak_rss()}")
+    return 0
+
+
 def main():
     status = cube()
     laby = laby_structure_constants(4)
@@ -94,6 +129,9 @@ def main():
             return 1
     print(f"every Laby_4 block equals the per-pair path "
           f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
+
+    if sweep_laby4():
+        return 1
 
     start = time.perf_counter()
     failures = roundtrip_failures(skeleton(4), 4)

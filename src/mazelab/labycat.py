@@ -32,6 +32,17 @@ quotient, whatever its labels.  Composition in the quotient hands n to
 maze_compose, which then never builds such a composite.  Composites
 and normal forms are summed into one dict and built once, through the
 trusted constructors.
+
+Composition in the quotient commutes with renaming the points of the
+three sets, so compose_in_laby_n reads a composite of normalised
+factors off the structure constants of Laby_n, ends renamed to skeleta
+in sorted order and back.  It rents before it buys: a block of the
+constants, one per triple of end sizes, is composed directly until the
+composes asked of it reach the cost of filling it, measured in direct
+composes, and is filled on the next ask.  The fill composes each orbit
+of pairs with maze_hom_compose, the one engine, which also serves
+plain composition and the tests as the oracle; it never calls
+compose_in_laby_n, so the route cannot recurse.
 """
 
 from collections import Counter
@@ -40,10 +51,10 @@ from functools import lru_cache
 from itertools import chain, product
 from math import comb, factorial, prod
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, EnumerationLimitError
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
                         covering_count, covering_sets, guard_count, json_int,
-                        tables)
+                        table_count, tables)
 from .scalars import (HomComb, LinComb, StructureConstants, scalar, scalar_str,
                       surjections)
 
@@ -456,12 +467,131 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(accum))
 
 
+# The composes asked directly of each block of Laby_n's structure
+# constants, keyed (n, |dom|, |middle|, |cod|), or True once the block is
+# filled; and each block's rent, set on its second ask, None for never.
+_asked = {}
+_rents = {}
+# A pair that the orbit walk moves costs about a 32nd of a direct compose:
+# 0.7-1.8 us against 27-40 us, on Laby_4 and Laby_5.
+_WALK = 32
+
+
+def _rent(n, a, b, c):
+    """The direct composes that pay for filling the block of ends of sizes
+    a, b, c in Laby_n: one per orbit of its pairs, of which there are at
+    least pairs / (a! b! c!), plus the walk over every pair.  None where
+    the block lies off the constants or the guard refuses them."""
+    if max(a, b, c) > n:
+        return None
+    try:  # the guard's estimates grow with the ends and the size
+        _guard_pure_mazes(skeleton(n), skeleton(n), (n,))
+    except EnumerationLimitError:
+        return None
+    pairs = _pure_maze_count(a, b, n) * _pure_maze_count(b, c, n)
+    return max(2, -(-pairs // (factorial(a) * factorial(b) * factorial(c)))
+               + -(-pairs // _WALK))
+
+
+def _listing_paid(n):
+    """Whether the hom-sets of Laby_n, which the first fill lists, are
+    paid for: a block is filled, or the composes asked directly at degree
+    n reach half their count, as a maze listed costs about half a direct
+    compose (321 in 4.7 ms at degree 4, 3282 in 51 ms at degree 5)."""
+    asked = [v for k, v in _asked.items() if k[0] == n]
+    return any(v is True for v in asked) or 2 * sum(asked) >= sum(
+        _pure_maze_count(j, k, n) for j in range(n + 1) for k in range(n + 1))
+
+
+def _paid(key, composes):
+    """Whether block `key` is to be read off the constants: once the
+    composes asked of it directly reach its rent and those of its degree
+    pay for the listing.  Otherwise they are counted, and the first ask
+    of a block is only counted."""
+    asked = _asked.get(key, 0)
+    if asked is True:
+        return True
+    if asked:
+        if key not in _rents:
+            _rents[key] = _rent(*key)
+        rent = _rents[key]
+        if rent is not None and asked >= rent and _listing_paid(key[0]):
+            _asked[key] = True
+            return True
+    _asked[key] = asked + composes
+    return False
+
+
+def _on_skeleton(h, dom, cod, index):
+    """The terms of h as (position among the basis mazes dom -> cod,
+    coefficient), its ends renamed to the skeleta dom and cod in sorted
+    order; None if a term is not a basis maze there."""
+    if (h.dom, h.cod) == (dom, cod):
+        terms = [(index.get(maze), c) for maze, c in h.comb]
+    else:
+        src, dst = dict(zip(h.dom, dom)), dict(zip(h.cod, cod))
+        if not all(p.src in src and p.dst in dst
+                   for maze, _ in h.comb for p, _ in maze.passages):
+            return None
+        terms = [(index.get(rename_maze(maze, src, dst)), c)
+                 for maze, c in h.comb]
+    return None if any(t is None for t, _ in terms) else terms
+
+
+def _read_off(f: MazeHom, g: MazeHom, n: int):
+    """f . g summed from the structure constants of Laby_n, the block
+    filled if need be; None if a term is not a basis maze."""
+    sc = laby_structure_constants(n)
+    a, b, c = skeleton(len(g.dom)), skeleton(len(g.cod)), skeleton(len(f.cod))
+    gs, fs = _on_skeleton(g, a, b, sc.index), _on_skeleton(f, b, c, sc.index)
+    if gs is None or fs is None:
+        return None
+    block, accum = sc.block(a, b, c), {}
+    for i, d in gs:
+        row = block[i]
+        for k, e in fs:
+            # Integral coefficients keep the sums in ints.
+            scale = (e.numerator * d.numerator
+                     if e.denominator == d.denominator == 1 else e * d)
+            for t, x in row[k]:
+                accum[t] = accum.get(t, 0) + scale * x
+    mazes = sc.arrows[a, c]
+    if (g.dom, f.cod) != (a, c):
+        src, dst = dict(zip(a, g.dom)), dict(zip(c, f.cod))
+        mazes = {t: rename_maze(mazes[t], src, dst) for t in accum}
+    return MazeHom._trusted(g.dom, f.cod, LinComb._trusted(
+        {mazes[t]: Fraction(x) for t, x in accum.items()}))
+
+
 def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
-    """Composite in the degree-n numerical quotient, in normal form."""
+    """Composite in the degree-n numerical quotient, in normal form.
+
+    Both factors are normalised.  Their composite is then read off the
+    structure constants of Laby_n, the ends renamed to skeleta in sorted
+    order and back, once the block of their sizes is filled.  Until then
+    it is composed directly, and each block counts the composes asked of
+    it, whatever the names of its ends: it is filled on the ask after
+    they reach its rent, the cost of the fill in direct composes (see
+    _rent).  So one cold compose touches neither the constants nor a
+    hom-set listing.  The fill composes with maze_hom_compose, the one
+    engine, never through this function.  Where the guard refuses the
+    constants or the fill, the compose is direct, as is one whose terms
+    are not basis mazes, so that the engine raises: nothing is refused
+    that the engine answers."""
     # Normalised factors are pure with at most n passages, so with n every
     # composite is too, built from shared pure passages: in normal form.
-    return maze_hom_compose(normalize_numerical(f, n),
-                            normalize_numerical(g, n), n)
+    f, g = normalize_numerical(f, n), normalize_numerical(g, n)
+    if set(g.cod) != set(f.dom):
+        raise DomainMismatchError("cannot compose: middle sets differ")
+    key = n, len(g.dom), len(g.cod), len(f.cod)
+    if _paid(key, len(f.comb) * len(g.comb)):
+        try:
+            h = _read_off(f, g, n)
+        except EnumerationLimitError:  # a guard lowered since the rent
+            h = None
+        if h is not None:
+            return h
+    return maze_hom_compose(f, g, n)
 
 
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
@@ -615,8 +745,16 @@ def laby_structure_constants(n: int) -> StructureConstants:
     return StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
-        lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n),
+        lambda p, q: maze_hom_compose(MazeHom.of(p), MazeHom.of(q), n),
         _skeleton_swaps, rename_maze)
+
+
+@lru_cache(maxsize=64)  # every hom-set of Laby_5 and below
+def _pure_maze_count(j, k, n):
+    """The pure mazes between skeleta of j and k points with at most n
+    passages, counted, not listed: tables of positive margins."""
+    return sum(table_count(rows, cols) for s in range(n + 1)
+               for rows in compositions(s, j) for cols in compositions(s, k))
 
 
 def quadratic_generators():

@@ -26,7 +26,7 @@ from math import factorial, prod
 
 from .errors import DomainMismatchError, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
-                        guard_count, json_int, tables)
+                        guard_count, json_int, table_count, tables)
 from .scalars import HomComb, LinComb, StructureConstants
 
 
@@ -162,7 +162,8 @@ def _matchings(rows, cols):
 
 
 # Every shape of a letter up to multiplicity 5, 85 + 256 of them of at most
-# 5! tables; a larger one is listed per call, as 8! tables hold 26 MB.
+# 5! tables; a larger one is counted, then listed per call, as 8! tables
+# hold 26 MB.
 _kept_matchings = lru_cache(maxsize=341)(_matchings)
 
 
@@ -179,16 +180,27 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
     middle = nu.cod
 
     # The pairs are sorted, so each letter's columns come in letter order.
-    ends, per_letter = [], []
+    # A larger letter stays a shape until the guard has passed: it is
+    # counted from its margins, for 10 unit columns each way hold 10!
+    # tables.  The count is exact, so the guard decides as on the listing.
+    ends, per_letter, large, count = [], [], [], 1
     for b, size in middle.items():
         into = [(a, m) for (a, b2), m in nu.pairs if b2 == b]
         out = [(c, m) for (b2, c), m in mu.pairs if b2 == b]
         ends.append(([a for a, _ in into], [c for c, _ in out]))
-        per_letter.append((_kept_matchings if size <= 5 else _matchings)(
-            tuple(m for _, m in into), tuple(m for _, m in out)))
+        shape = tuple(m for _, m in into), tuple(m for _, m in out)
+        if size <= 5:
+            per_letter.append(_kept_matchings(*shape))
+            count *= len(per_letter[-1])
+        else:
+            large.append(len(per_letter))
+            per_letter.append(shape)
+            count *= table_count(*shape)
 
-    guard_count(prod(map(len, per_letter)), "multation_compose",
+    guard_count(count, "multation_compose",
                 lambda: f"cardinality {middle.cardinality}")
+    for k in large:
+        per_letter[k] = _matchings(*per_letter[k])
 
     # Each family pairs every incoming column of a middle letter with an
     # outgoing one, so the merged columns' marginals are nu.dom and mu.cod.

@@ -271,6 +271,41 @@ def tables(row_counts, col_counts):
     yield from rec(0, [c for _, c in cols], [])
 
 
+@lru_cache(maxsize=256)
+def table_count(rows, cols) -> int:
+    """The number of tables with these row and column sums (tuples of
+    counts), found without listing them.  Row by row, each way to fill a
+    row from the column sums left is counted once per resulting multi-set
+    of sums left: the g columns with v left, k_t of them taking t, give
+    g! / prod k_t! ways.  The count does not depend on the columns'
+    order, so the sums left are kept sorted, and equal ones merge."""
+    if sum(rows) != sum(cols):
+        return 0
+    level = {tuple(sorted(cols)): 1}
+    for r in rows:
+        step = {}
+        for left, count in level.items():
+            fills = [((), r, count)]  # sums left, units to place, ways
+            for v in sorted(set(left)):
+                grown = []
+                for done, need, ways in fills:
+                    parts = [(done, need, ways, left.count(v))]
+                    for t in range(1, min(v, need) + 1):
+                        parts = [(d + (v - t,) * k, rest - t * k,
+                                  w * comb(free, k), free - k)
+                                 for d, rest, w, free in parts
+                                 for k in range(min(free, rest // t) + 1)]
+                    grown += [(d + (v,) * free, rest, w)
+                              for d, rest, w, free in parts]
+                fills = grown
+            for done, need, ways in fills:
+                if not need:
+                    key = tuple(sorted(x for x in done if x))
+                    step[key] = step.get(key, 0) + ways
+        level = step
+    return sum(level.values())
+
+
 @lru_cache(maxsize=64)  # the shapes and caps of composition at degree 4
 def covering_sets(a: int, b: int, cap: int):
     """Every a x b 0/1 matrix with no zero row or column and at most `cap`

@@ -72,20 +72,6 @@ def surjections(t: int, r: int) -> int:
     return sum((-1)**j * comb(r, j) * (r - j)**t for j in range(r + 1))
 
 
-def multinomial(parts) -> int:
-    """(sum parts)! / prod(part!) for nonnegative integer parts."""
-    parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError("multinomial parts must be nonnegative")
-    total = 0
-    out = 1
-    for p in parts:
-        for i in range(1, p + 1):
-            total += 1
-            out = out * total // i
-    return out
-
-
 def _canonical(merged):
     """The terms of a {basis: coefficient} dict without zeros, sorted."""
     kept = [(b, c) for b, c in merged.items() if c != 0]

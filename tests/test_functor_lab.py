@@ -885,7 +885,9 @@ def test_building_and_evaluating_compose_nothing(monkeypatch):
     labycat.laby_structure_constants.cache_clear()
     msetcat.mset_structure_constants.cache_clear()
     try:
+        # The constants fill by the engine, never by compose_in_laby_n.
         monkeypatch.setattr(labycat, "compose_in_laby_n", refuse)
+        monkeypatch.setattr(labycat, "maze_hom_compose", refuse)
         monkeypatch.setattr(msetcat, "multation_compose", refuse)
         h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
                                                 check=False)

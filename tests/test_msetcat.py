@@ -14,7 +14,8 @@ from mazelab.msetcat import (
     multation_compose,
     multhom_compose,
 )
-from mazelab.scalars import binomial, multinomial
+from mazelab.scalars import binomial
+from test_scalars import multinomial
 
 
 def ms(*names):

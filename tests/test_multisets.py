@@ -16,6 +16,7 @@ from mazelab.multisets import (
     enumerate_sub_multisets,
     enumerate_supported,
     support_lift,
+    table_count,
     tables,
 )
 
@@ -194,6 +195,18 @@ def test_tables_of_two_and_three_lines_match_the_oracle_in_order():
             assert got == tables_oracle(rows, cols)
             found += len(got)
     assert found == 1205
+
+
+def test_table_count_counts_what_tables_lists():
+    # Every pair of margins of up to four counts, zeros among them, with
+    # sums up to 5, and wide unit margins the listing could not reach.
+    margins = margins_up_to(5, 4)
+    for r, c in product(margins, margins):
+        assert table_count(r, c) == len(listed(list(enumerate(r)),
+                                               list(enumerate(c)))), (r, c)
+    assert table_count((1,) * 10, (1,) * 10) == 3628800
+    assert table_count((2, 2, 2), (3, 3)) == 7
+    assert table_count((1,) * 40, (40,)) == 1
 
 
 def test_json_roundtrip():

@@ -11,6 +11,7 @@ guard against that search's budget."""
 import json
 import os
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import factorial
@@ -27,14 +28,15 @@ from mazelab.labycat import (Maze, MazeHom, Passage, _numerical_terms,
                              compose_in_laby_n, laby_structure_constants,
                              maze_compose, maze_hom_compose,
                              normalize_numerical, pure_mazes_between,
-                             skeleton, validate_maze)
+                             rename_maze, skeleton, validate_maze)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              multation_compose, multhom_compose,
                              mset_structure_constants, rename_multation)
 from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
-from mazelab.scalars import LinComb, multinomial
+from mazelab.scalars import LinComb, StructureConstants
 from test_labycat import box_product
+from test_scalars import multinomial
 
 # ---------------------------------------------------------------- oracle
 
@@ -533,12 +535,21 @@ def seeded_combination(rng, dom, cod):
     return MazeHom.from_terms(dom, cod, terms)
 
 
-def test_seeded_labelled_combinations_compose_as_the_oracle():
+def seeded_combination_pairs():
+    """Forty composable pairs of seeded combinations between one or two
+    of NAMES, so mostly on ends other than the skeleta."""
     rng = random.Random(2301)
+    pairs = []
     for _ in range(40):
         a, b, c = (tuple(sorted(rng.sample(NAMES, rng.randint(1, 2))))
                    for _ in range(3))
-        f, g = seeded_combination(rng, b, c), seeded_combination(rng, a, b)
+        pairs.append((seeded_combination(rng, b, c),
+                      seeded_combination(rng, a, b)))
+    return pairs
+
+
+def test_seeded_labelled_combinations_compose_as_the_oracle():
+    for f, g in seeded_combination_pairs():
         for n in range(5):
             assert_same(normalize_numerical(f, n),
                         old_normalize_numerical(f, n))
@@ -550,6 +561,168 @@ def test_seeded_labelled_combinations_compose_as_the_oracle():
         for (p, _), (q, _) in iproduct(f.comb, g.comb):
             for n in (None, 0, 1, 2, 3, 4):
                 assert_same(maze_compose(p, q, n), old_bundle_compose(p, q, n))
+
+
+# ------------------------------------- composition read off the constants
+
+STATES = ("cold", "rented", "filled")
+
+
+def set_blocks(n, state):
+    """Clear the structure constants and every ask count ("cold"); then
+    count each block of Laby_n one compose short of its rent ("rented"),
+    or mark every block paid, with the constants filled ("filled")."""
+    laby_structure_constants.cache_clear()
+    labycat._asked.clear()
+    labycat._rents.clear()
+    for key in iproduct((n,), *[range(n + 1)] * 3):
+        if state == "rented":
+            labycat._asked[key] = max(1, labycat._rent(*key) - 1)
+        elif state == "filled":
+            labycat._asked[key] = True
+    if state == "filled":
+        laby_structure_constants(n).representatives()
+
+
+@pytest.fixture
+def blocks():
+    """set_blocks, with the memo and the ask counts cleared afterwards."""
+    yield set_blocks
+    set_blocks(0, "cold")
+
+
+# Renamings of the three skeleton ends [3] that reverse or shuffle them.
+RENAMED = ({"1": "z", "2": "y", "3": "x"}, {"1": "b", "2": "a", "3": "c"},
+           {"1": "q", "2": "r", "3": "p"})
+
+
+def test_every_pure_pair_reads_off_the_constants_as_the_oracle(blocks):
+    # On skeleta and renamed, cold, part-rented and with every block
+    # filled; the oracle is computed once per pair.
+    for n in (1, 2, 3):
+        cases = []
+        for p, q in skeleton_pairs(n):
+            f, g = MazeHom.of(p), MazeHom.of(q)
+            named = (MazeHom.of(rename_maze(p, RENAMED[1], RENAMED[2])),
+                     MazeHom.of(rename_maze(q, RENAMED[0], RENAMED[1])))
+            cases += [(f, g, old_compose_in_laby_n(f, g, n)),
+                      (*named, old_compose_in_laby_n(*named, n))]
+        for state in STATES:
+            blocks(n, state)
+            for f, g, old in cases:
+                assert_same(compose_in_laby_n(f, g, n), old)
+            if state == "cold" and n == 3:  # the sweep paid some rents
+                assert any(v is True for v in labycat._asked.values())
+                assert 0 < len(laby_structure_constants(n).blocks) < 4 ** 3
+
+
+def test_seeded_laby4_pairs_read_off_the_constants_as_the_oracle(blocks):
+    sample = random.Random(2401).sample(skeleton_pairs(4), 2000)
+    cases = []
+    for p, q in sample:
+        f, g = MazeHom.of(p), MazeHom.of(q)
+        cases.append((f, g, old_compose_in_laby_n(f, g, 4)))
+    for p, q in sample[:200]:
+        f = MazeHom.of(rename_maze(p, RENAMED[1], RENAMED[2]))
+        g = MazeHom.of(rename_maze(q, RENAMED[0], RENAMED[1]))
+        cases.append((f, g, old_compose_in_laby_n(f, g, 4)))
+    for state in STATES:
+        blocks(4, state)
+        for f, g, old in cases:
+            assert_same(compose_in_laby_n(f, g, 4), old)
+
+
+def test_seeded_combinations_read_off_the_constants_as_the_oracle(blocks):
+    pairs = seeded_combination_pairs()
+    for n in range(5):
+        olds = [old_compose_in_laby_n(f, g, n) for f, g in pairs]
+        for state in STATES:
+            blocks(n, state)
+            for (f, g), old in zip(pairs, olds):
+                assert_same(compose_in_laby_n(f, g, n), old)
+
+
+def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
+                                                              monkeypatch):
+    fills, listings, engine = [], [], []
+    fill, listing = StructureConstants._fill, labycat.pure_mazes_between
+    compose = labycat.maze_hom_compose
+
+    def counted(calls, call):
+        def run(*args):
+            calls.append(args)
+            return call(*args)
+        return run
+
+    monkeypatch.setattr(StructureConstants, "_fill", counted(fills, fill))
+    monkeypatch.setattr(labycat, "pure_mazes_between",
+                        counted(listings, listing))
+    monkeypatch.setattr(labycat, "maze_hom_compose", counted(engine, compose))
+    blocks(4, "cold")
+    three = skeleton(3)
+    p, q = (Maze.pure([("1", "2"), ("2", "3"), ("3", "1")], three, three),
+            Maze.pure([("1", "1"), ("2", "3"), ("3", "2")], three, three))
+    f, g = MazeHom.of(p), MazeHom.of(q)
+    old = old_compose_in_laby_n(f, g, 4)
+    assert_same(compose_in_laby_n(f, g, 4), old)
+    assert (fills, listings, len(engine)) == ([], [], 1)
+    assert labycat._asked == {(4, 3, 3, 3): 1}
+    # The block is filled on the ask after its rent, by the engine, and
+    # read off from then on.
+    rent = labycat._rent(4, 3, 3, 3)
+    assert rent == 23 + 149  # 4761 pairs over 3!^3, then over 32
+    for _ in range(rent - 1):
+        assert_same(compose_in_laby_n(f, g, 4), old)
+    assert (fills, listings, len(engine)) == ([], [], rent)
+    for _ in range(3):
+        assert_same(compose_in_laby_n(f, g, 4), old)
+    assert len(fills) == 1 and len(listings) == 25
+    assert len(engine) == rent + 33  # one per orbit of the block's pairs
+    assert labycat._asked[4, 3, 3, 3] is True
+
+
+def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
+    # At degree 6 the guard refuses the hom-sets of the constants, so
+    # every ask composes directly, as before, and nothing is listed.
+    listings = []
+    monkeypatch.setattr(labycat, "pure_mazes_between",
+                        lambda *args: listings.append(args))
+    blocks(6, "cold")
+    loop = MazeHom.of(Maze(("1",), ("1",), [(Passage("1", "1"), 3)]))
+    for _ in range(5):
+        assert_same(compose_in_laby_n(loop, loop, 6),
+                    maze_hom_compose(loop, loop, 6))
+    assert labycat._asked == {(6, 1, 1, 1): 5}
+    assert labycat._rents == {(6, 1, 1, 1): None}
+    assert listings == [] and laby_structure_constants.cache_info().hits == 0
+
+
+def test_a_guard_lowered_after_the_rent_refuses_nothing(blocks,
+                                                       monkeypatch):
+    # Every block is paid, then the guard falls below the constants' own
+    # estimate and the memo is cleared: the route composes directly.
+    pairs = skeleton_pairs(3)[::7]
+    blocks(3, "filled")
+    laby_structure_constants.cache_clear()
+    monkeypatch.setattr(multisets, "ENUM_LIMIT", 20)
+    for p, q in pairs:
+        f, g = MazeHom.of(p), MazeHom.of(q)
+        assert_same(compose_in_laby_n(f, g, 3), maze_hom_compose(f, g, 3))
+    assert laby_structure_constants.cache_info().currsize == 0
+
+
+def test_invalid_mazes_are_refused_as_the_engine_refuses(blocks):
+    # A dead end, and a passage off the ends, on filled blocks: the
+    # engine's error, whatever the names.
+    blocks(2, "filled")
+    good = MazeHom.of(Maze.identity(("1", "2")))
+    for dom in (("1", "2"), ("a", "b")):
+        dead = MazeHom.of(Maze(dom, ("1", "2"), [Passage(dom[0], "1")]))
+        with pytest.raises(ValueError, match="requires valid mazes"):
+            compose_in_laby_n(good, dead, 2)
+    off = MazeHom.of(Maze(("a",), ("1",), [Passage("b", "1")]))
+    with pytest.raises(ValueError, match="requires valid mazes"):
+        compose_in_laby_n(MazeHom.of(Maze.identity(("1",))), off, 2)
 
 
 def sweep_maze(rng, dom, cod, labelled):
@@ -748,6 +921,37 @@ def test_loop5_translates_as_the_oracle():
     for degree in (4, 5, 12):
         assert_same(ariadne_maze(loop5, degree),
                     old_ariadne_maze(loop5, degree))
+
+
+def through_one_letter(widths):
+    """mu . nu joining two multi-sets through the one middle letter "m",
+    its incoming and outgoing columns of the given multiplicities."""
+    ends = MultiSet([(f"{i:02}", w) for i, w in enumerate(widths)])
+    middle = MultiSet([("m", sum(widths))])
+    nu = Multation(ends, middle, [((x, "m"), w) for x, w in ends.items()])
+    mu = Multation(middle, ends, [(("m", x), w) for x, w in ends.items()])
+    return mu, nu
+
+
+def test_a_wide_letter_is_refused_before_its_tables_are_listed(monkeypatch):
+    # Ten unit columns each way: 10! tables, counted from the margins.
+    def unlisted(*args):
+        raise AssertionError("listed before the refusal")
+
+    mu, nu = through_one_letter([1] * 10)
+    monkeypatch.setattr(msetcat, "tables", unlisted)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError,
+                       match=r"multation_compose \(cardinality 10\): an "
+                             r"estimated 3628800 items exceed the guard"):
+        multation_compose(mu, nu)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_letters_past_the_kept_shapes_compose_as_the_oracle():
+    for widths in ([1] * 6, [2, 1, 1, 1, 1], [3, 2, 2], [1] * 7):
+        mu, nu = through_one_letter(widths)
+        assert_same(multation_compose(mu, nu), old_multation_compose(mu, nu))
 
 
 def test_seeded_mset4_pairs_compose_as_the_oracle_whatever_the_letters():
