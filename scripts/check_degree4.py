@@ -33,10 +33,9 @@ from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
                                  MSetModulePresentation,
                                  phi_roundtrip_failures, tensor_power_functor)
-from mazelab import labycat
 from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
                              laby_structure_constants, maze_hom_compose,
-                             skeleton)
+                             reset_laby_constants, skeleton)
 from mazelab.msetcat import mset_structure_constants
 
 
@@ -87,9 +86,7 @@ def sweep_laby4():
     arrows = laby_structure_constants(4).arrows
     pairs = [(p, q) for (b, _), ps in arrows.items() for p in ps
              for (_, b2), qs in arrows.items() if b2 == b for q in qs]
-    laby_structure_constants.cache_clear()
-    labycat._asked.clear()
-    labycat._rents.clear()
+    reset_laby_constants()
     for sweep in ("cold", "warm"):
         start = time.perf_counter()
         got = [compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), 4)

@@ -39,8 +39,9 @@ factors off the structure constants of Laby_n, ends renamed to skeleta
 in sorted order and back.  It rents before it buys: a block of the
 constants, one per triple of end sizes, is composed directly until the
 composes asked of it reach the cost of filling it, measured in direct
-composes, and is filled on the next ask.  The fill composes each orbit
-of pairs with maze_hom_compose, the one engine, which also serves
+composes, and is filled on the next ask; the first block of a degree
+also pays for listing the degree's hom-sets.  The fill composes each
+orbit of pairs with maze_hom_compose, the one engine, which also serves
 plain composition and the tests as the oracle; it never calls
 compose_in_laby_n, so the route cannot recurse.
 """
@@ -50,6 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import comb, factorial, prod
+from weakref import WeakValueDictionary
 
 from .errors import DomainMismatchError, EnumerationLimitError
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
@@ -468,15 +470,17 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
 
 
 # The composes asked directly of each block of Laby_n's structure
-# constants, keyed (n, |dom|, |middle|, |cod|), or True once the block is
-# filled; and each block's rent, set on its second ask, None for never.
+# constants, keyed (n, |dom|, |middle|, |cod|), and the constants of each
+# degree for as long as the memo keeps them: whether a block is filled is
+# read off the constants' own blocks.
 _asked = {}
-_rents = {}
+_kept = WeakValueDictionary()
 # A pair that the orbit walk moves costs about a 32nd of a direct compose:
 # 0.7-1.8 us against 27-40 us, on Laby_4 and Laby_5.
 _WALK = 32
 
 
+@lru_cache(maxsize=None)
 def _rent(n, a, b, c):
     """The direct composes that pay for filling the block of ends of sizes
     a, b, c in Laby_n: one per orbit of its pairs, of which there are at
@@ -493,33 +497,43 @@ def _rent(n, a, b, c):
                + -(-pairs // _WALK))
 
 
-def _listing_paid(n):
-    """Whether the hom-sets of Laby_n, which the first fill lists, are
-    paid for: a block is filled, or the composes asked directly at degree
-    n reach half their count, as a maze listed costs about half a direct
-    compose (321 in 4.7 ms at degree 4, 3282 in 51 ms at degree 5)."""
-    asked = [v for k, v in _asked.items() if k[0] == n]
-    return any(v is True for v in asked) or 2 * sum(asked) >= sum(
-        _pure_maze_count(j, k, n) for j in range(n + 1) for k in range(n + 1))
+@lru_cache(maxsize=None)
+def _listing_rent(n):
+    """The direct composes that pay for listing every hom-set of Laby_n,
+    which the first fill of a degree does: a maze listed costs about half
+    a direct compose (321 in 4.7 ms at degree 4, 3282 in 51 ms at 5)."""
+    return -(-sum(_pure_maze_count(j, k, n)
+                  for j in range(n + 1) for k in range(n + 1)) // 2)
 
 
-def _paid(key, composes):
-    """Whether block `key` is to be read off the constants: once the
-    composes asked of it directly reach its rent and those of its degree
-    pay for the listing.  Otherwise they are counted, and the first ask
-    of a block is only counted."""
+def _constants(key, composes):
+    """The structure constants of Laby_n to read block `key` off, or None
+    to compose directly, the composes then counted.  A filled block is
+    read off; another is filled once the composes asked of it directly
+    reach its rent, plus the listing's while its degree is not kept.  So
+    the first ask of a block is only counted."""
+    n = key[0]
+    sc = _kept.get(n)
+    if sc is not None and tuple(map(skeleton, key[1:])) in sc.blocks:
+        return sc
     asked = _asked.get(key, 0)
-    if asked is True:
-        return True
-    if asked:
-        if key not in _rents:
-            _rents[key] = _rent(*key)
-        rent = _rents[key]
-        if rent is not None and asked >= rent and _listing_paid(key[0]):
-            _asked[key] = True
-            return True
+    rent = _rent(*key) if asked else None
+    if rent is not None:
+        if sc is None:  # the first fill of a degree lists its hom-sets
+            rent += _listing_rent(n)
+        if asked >= rent:
+            return laby_structure_constants(n)
     _asked[key] = asked + composes
-    return False
+    return None
+
+
+def reset_laby_constants():
+    """Drop the structure constants of every Laby_n and the composes asked
+    of their blocks, so that compose_in_laby_n starts cold."""
+    laby_structure_constants.cache_clear()
+    _kept.clear()
+    _asked.clear()
+    _rent.cache_clear()
 
 
 def _on_skeleton(h, dom, cod, index):
@@ -538,10 +552,9 @@ def _on_skeleton(h, dom, cod, index):
     return None if any(t is None for t, _ in terms) else terms
 
 
-def _read_off(f: MazeHom, g: MazeHom, n: int):
-    """f . g summed from the structure constants of Laby_n, the block
-    filled if need be; None if a term is not a basis maze."""
-    sc = laby_structure_constants(n)
+def _read_off(sc: StructureConstants, f: MazeHom, g: MazeHom):
+    """f . g summed from the structure constants sc, the block filled if
+    need be; None if a term is not a basis maze."""
     a, b, c = skeleton(len(g.dom)), skeleton(len(g.cod)), skeleton(len(f.cod))
     gs, fs = _on_skeleton(g, a, b, sc.index), _on_skeleton(f, b, c, sc.index)
     if gs is None or fs is None:
@@ -572,25 +585,27 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     it is composed directly, and each block counts the composes asked of
     it, whatever the names of its ends: it is filled on the ask after
     they reach its rent, the cost of the fill in direct composes (see
-    _rent).  So one cold compose touches neither the constants nor a
-    hom-set listing.  The fill composes with maze_hom_compose, the one
-    engine, never through this function.  Where the guard refuses the
-    constants or the fill, the compose is direct, as is one whose terms
-    are not basis mazes, so that the engine raises: nothing is refused
-    that the engine answers."""
+    _rent), plus the cost of listing the hom-sets of Laby_n while its
+    constants are not kept (see _listing_rent).  So one cold compose
+    touches neither the constants nor a hom-set listing.  The fill
+    composes with maze_hom_compose, the one engine, never through this
+    function.  Where the guard refuses the constants or the fill, the
+    compose is direct, as is one whose terms are not basis mazes, so
+    that the engine raises: nothing is refused that the engine
+    answers."""
     # Normalised factors are pure with at most n passages, so with n every
     # composite is too, built from shared pure passages: in normal form.
     f, g = normalize_numerical(f, n), normalize_numerical(g, n)
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
     key = n, len(g.dom), len(g.cod), len(f.cod)
-    if _paid(key, len(f.comb) * len(g.comb)):
-        try:
-            h = _read_off(f, g, n)
-        except EnumerationLimitError:  # a guard lowered since the rent
-            h = None
-        if h is not None:
-            return h
+    try:
+        sc = _constants(key, len(f.comb) * len(g.comb))
+        h = None if sc is None else _read_off(sc, f, g)
+    except EnumerationLimitError:  # a guard lowered since the rent
+        h = None
+    if h is not None:
+        return h
     return maze_hom_compose(f, g, n)
 
 
@@ -742,11 +757,12 @@ def laby_structure_constants(n: int) -> StructureConstants:
     sets = [skeleton(k) for k in range(n + 1)]
     for x, y in product(sets, sets):
         _guard_pure_mazes(x, y, range(n + 1))
-    return StructureConstants(
+    sc = _kept[n] = StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
         lambda p, q: maze_hom_compose(MazeHom.of(p), MazeHom.of(q), n),
         _skeleton_swaps, rename_maze)
+    return sc
 
 
 @lru_cache(maxsize=64)  # every hom-set of Laby_5 and below

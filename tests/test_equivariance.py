@@ -5,8 +5,9 @@ source, middle and target independently, composing one pair per orbit.
 Both presentation checks test (i) identities, (ii) the values of the
 adjacent transpositions' arrows against every basis arrow and (iii) one
 pair per orbit, and rerun the per-pair loop only to name a failure.  The
-references are the per-pair ones: every pair composed afresh, and the
-check oracles of test_structure_constants.
+references are the per-pair ones: every pair composed afresh, on the
+maze side by the engine rather than compose_in_laby_n, which reads the
+constants, and the check oracles of test_structure_constants.
 """
 
 import random
@@ -15,19 +16,19 @@ import pytest
 
 from mazelab.functor_lab import (AbHom, LabyModulePresentation,
                                  MSetModulePresentation, tensor_power_functor)
-from mazelab.labycat import (Maze, MazeHom, compose_in_laby_n,
-                             laby_structure_constants, skeleton)
+from mazelab.labycat import Maze, MazeHom, laby_structure_constants, skeleton
 from mazelab.msetcat import (MultHom, Multation, mset_structure_constants,
                              multation_compose)
 from mazelab.multisets import CONSTANTS_KEPT
 from mazelab.scalars import StructureConstants
-from test_structure_constants import (assert_checks_agree, loaded_with,
+from test_structure_constants import (assert_checks_agree,
+                                      laby_compose_oracle, loaded_with,
                                       refused_as)
 
 
 def laby(n):
     return (laby_structure_constants(n), MazeHom, Maze.identity,
-            lambda p, q: compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n))
+            lambda p, q: laby_compose_oracle(MazeHom.of(p), MazeHom.of(q), n))
 
 
 def mset(letters, n):

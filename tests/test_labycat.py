@@ -812,11 +812,11 @@ def test_degree_pruned_composition_matches_unpruned_oracle():
     count = 0
     for n in (1, 2, 3):
         for p, q in _skeleton_pairs(n):
-            for f in (MazeHom.of(p), MazeHom.of(p.relabel_all(3))):
-                g = MazeHom.of(q)
-                oracle = normalize_numerical(maze_hom_compose(
-                    normalize_numerical(f, n), normalize_numerical(g, n)), n)
-                assert compose_in_laby_n(f, g, n) == oracle, (p, q, n)
+            for p_ in (p, p.relabel_all(3)):
+                f = normalize_numerical(MazeHom.of(p_), n)
+                g = normalize_numerical(MazeHom.of(q), n)
+                oracle = normalize_numerical(maze_hom_compose(f, g), n)
+                assert maze_hom_compose(f, g, n) == oracle, (p, q, n)
                 count += 1
     assert count == 2 * (2 + 19 + 580)
 

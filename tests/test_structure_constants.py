@@ -2,8 +2,10 @@
 
 Both presentation checks read their composites off the constants.  The
 oracle here is the check loop as it was written before, composing every
-pair afresh with compose_in_laby_n or multation_compose; the two must
-accept and refuse the same tables with the same error text.
+pair afresh with the engine or multation_compose; the two must accept
+and refuse the same tables with the same error text.  The engine,
+maze_hom_compose on normalised factors, is the maze side's oracle, as
+compose_in_laby_n reads composites off the constants themselves.
 """
 
 import json
@@ -20,8 +22,8 @@ from mazelab.functor_lab import (
     MSetModulePresentation,
     tensor_power_functor,
 )
-from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
-                             laby_structure_constants, skeleton)
+from mazelab.labycat import (Maze, MazeHom, Passage, laby_structure_constants,
+                             maze_hom_compose, normalize_numerical, skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset2_generators, mset_structure_constants,
@@ -29,6 +31,12 @@ from mazelab.msetcat import (MultHom, Multation, all_multations,
 from mazelab.verify import random_quadratic_presentation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def laby_compose_oracle(f, g, n):
+    """The composite in Laby_n by the engine, never off the constants."""
+    return maze_hom_compose(normalize_numerical(f, n),
+                            normalize_numerical(g, n), n)
 
 
 def laby_check_oracle(h):
@@ -41,8 +49,8 @@ def laby_check_oracle(h):
         for q in mazes:
             if set(q.cod) != set(p.dom):
                 continue
-            composite = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q),
-                                          h.degree)
+            composite = laby_compose_oracle(MazeHom.of(p), MazeHom.of(q),
+                                            h.degree)
             if h.eval_hom(composite) != h.hom(p).compose(h.hom(q)):
                 raise ValueError(
                     f"table is not functorial on {p!r} after {q!r}")
@@ -274,7 +282,7 @@ def test_constants_match_pairwise_composition_in_degree_2():
     laby = laby_structure_constants(2)
     mset = mset_structure_constants(skeleton(2), 2)
     for sc, hom_type, compose in (
-            (laby, MazeHom, lambda p, q: compose_in_laby_n(
+            (laby, MazeHom, lambda p, q: laby_compose_oracle(
                 MazeHom.of(p), MazeHom.of(q), 2)),
             (mset, MultHom, multation_compose)):
         arrows = [x for xs in sc.arrows.values() for x in xs]

@@ -571,16 +571,12 @@ STATES = ("cold", "rented", "filled")
 def set_blocks(n, state):
     """Clear the structure constants and every ask count ("cold"); then
     count each block of Laby_n one compose short of its rent ("rented"),
-    or mark every block paid, with the constants filled ("filled")."""
-    laby_structure_constants.cache_clear()
-    labycat._asked.clear()
-    labycat._rents.clear()
-    for key in iproduct((n,), *[range(n + 1)] * 3):
-        if state == "rented":
+    or fill every block of the constants ("filled")."""
+    labycat.reset_laby_constants()
+    if state == "rented":
+        for key in iproduct((n,), *[range(n + 1)] * 3):
             labycat._asked[key] = max(1, labycat._rent(*key) - 1)
-        elif state == "filled":
-            labycat._asked[key] = True
-    if state == "filled":
+    elif state == "filled":
         laby_structure_constants(n).representatives()
 
 
@@ -612,8 +608,7 @@ def test_every_pure_pair_reads_off_the_constants_as_the_oracle(blocks):
             for f, g, old in cases:
                 assert_same(compose_in_laby_n(f, g, n), old)
             if state == "cold" and n == 3:  # the sweep paid some rents
-                assert any(v is True for v in labycat._asked.values())
-                assert 0 < len(laby_structure_constants(n).blocks) < 4 ** 3
+                assert 0 < len(labycat._kept[n].blocks) < 4 ** 3
 
 
 def test_seeded_laby4_pairs_read_off_the_constants_as_the_oracle(blocks):
@@ -667,10 +662,10 @@ def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
     assert_same(compose_in_laby_n(f, g, 4), old)
     assert (fills, listings, len(engine)) == ([], [], 1)
     assert labycat._asked == {(4, 3, 3, 3): 1}
-    # The block is filled on the ask after its rent, by the engine, and
-    # read off from then on.
-    rent = labycat._rent(4, 3, 3, 3)
-    assert rent == 23 + 149  # 4761 pairs over 3!^3, then over 32
+    # The block is filled on the ask after its rent and the listing's, by
+    # the engine, and read off from then on.
+    rent = labycat._rent(4, 3, 3, 3) + labycat._listing_rent(4)
+    assert rent == 23 + 149 + 161  # 4761 pairs over 3!^3, over 32; 321 / 2
     for _ in range(rent - 1):
         assert_same(compose_in_laby_n(f, g, 4), old)
     assert (fills, listings, len(engine)) == ([], [], rent)
@@ -678,7 +673,7 @@ def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
         assert_same(compose_in_laby_n(f, g, 4), old)
     assert len(fills) == 1 and len(listings) == 25
     assert len(engine) == rent + 33  # one per orbit of the block's pairs
-    assert labycat._asked[4, 3, 3, 3] is True
+    assert (skeleton(3),) * 3 in labycat._kept[4].blocks
 
 
 def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
@@ -693,17 +688,18 @@ def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
         assert_same(compose_in_laby_n(loop, loop, 6),
                     maze_hom_compose(loop, loop, 6))
     assert labycat._asked == {(6, 1, 1, 1): 5}
-    assert labycat._rents == {(6, 1, 1, 1): None}
+    assert labycat._rent(6, 1, 1, 1) is None
     assert listings == [] and laby_structure_constants.cache_info().hits == 0
 
 
 def test_a_guard_lowered_after_the_rent_refuses_nothing(blocks,
                                                        monkeypatch):
-    # Every block is paid, then the guard falls below the constants' own
-    # estimate and the memo is cleared: the route composes directly.
+    # Every block's rent is paid, then the guard falls below the
+    # constants' own estimate: the route composes directly.
     pairs = skeleton_pairs(3)[::7]
-    blocks(3, "filled")
-    laby_structure_constants.cache_clear()
+    blocks(3, "cold")
+    for key in iproduct((3,), *[range(4)] * 3):
+        labycat._asked[key] = labycat._rent(*key) + labycat._listing_rent(3)
     monkeypatch.setattr(multisets, "ENUM_LIMIT", 20)
     for p, q in pairs:
         f, g = MazeHom.of(p), MazeHom.of(q)
