@@ -11,16 +11,19 @@ the multation side.  Then compares every Laby_4 block with the per-pair
 path, each composite computed afresh by the engine, maze_hom_compose (a
 few seconds), and exits 1 on the first block that differs.  Then, from a
 cleared memo, it composes all 34101 Laby_4 pairs through
-compose_in_laby_n, which reads a block off the constants once its
-direct composes have paid for its fill, and compares each with the
-engine: it prints the time of that sweep, the number of blocks filled
-and the time of a second, warm sweep, and exits 1 on the first pair
-that differs.  Last, it sends
+compose_in_laby_n, which composes a block directly on its first ask and
+fills it and reads it off the constants from its second, and compares
+each with the engine: it prints the time of that sweep, the number of
+blocks filled and the time of a second, warm sweep, and exits 1 on the
+first pair that differs.  Then it sends
 every basis multation and every pure maze of degree 4 over four letters
 through both translations and back, and exits 1 on any failure of the
 round trip.  Then it times plain composition of the loop repeated four
-times with itself, whose 41503 covering subsets are listed, and last
-it fills every block of Laby_5, cold: its time and peak memory.  Each
+times with itself, whose 41503 covering subsets are listed.  From a
+cleared memo, it times the first ask of one Laby_5 pair of the block
+(4, 4, 4), composed directly, and the second, which lists the degree
+and fills the block, each checked against the engine.  Last it fills
+every block of Laby_5, cold again: its time and peak memory.  Each
 stage also prints the peak resident set size of the process so far, and
 the script exits 1 if any stage fails.
 """
@@ -105,6 +108,31 @@ def sweep_laby4():
     return 0
 
 
+def second_ask_laby5():
+    """Compose one Laby_5 pair of the block (4, 4, 4) twice through
+    compose_in_laby_n, from a cleared memo: the first ask composes
+    directly, the second fills the block.  1 if either differs from the
+    engine."""
+    four = skeleton(4)
+    f = MazeHom.of(Maze.pure([("1", "2"), ("2", "3"), ("3", "4"),
+                              ("4", "1")], four, four))
+    g = MazeHom.of(Maze.pure([("1", "1"), ("2", "3"), ("3", "2"),
+                              ("4", "4")], four, four))
+    expected = maze_hom_compose(f, g, 5)
+    reset_laby_constants()
+    for ask in ("first", "second"):
+        start = time.perf_counter()
+        h = compose_in_laby_n(f, g, 5)
+        seconds = time.perf_counter() - start
+        print(f"{ask} ask of a Laby_5 (4, 4, 4) pair through "
+              f"compose_in_laby_n in {seconds * 1e3:.3f} ms, "
+              f"{'as' if h == expected else 'NOT as'} the engine; "
+              f"{peak_rss()}")
+        if h != expected:
+            return 1
+    return 0
+
+
 def main():
     status = cube()
     laby = laby_structure_constants(4)
@@ -144,6 +172,9 @@ def main():
     print(f"plain loop x4 after loop x4: {terms} terms in "
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
 
+    if second_ask_laby5():
+        return 1
+    reset_laby_constants()
     fill("Laby_5", laby_structure_constants(5))
     return 1 if failures or status else 0
 

@@ -31,8 +31,8 @@ from .labycat import (
     MazeHom,
     laby_structure_constants,
     normalize_numerical,
+    on_skeleton,
     pure_mazes_between,
-    rename_maze,
     skeleton,
 )
 from .matrices import (IntMat, add_scaled, column_lattice_basis,
@@ -716,16 +716,6 @@ class Presentation:
 # maze-side presentations
 
 
-def _on_skeleton(maze: Maze) -> Maze:
-    """The maze moved to skeleton sets by the order-preserving renamings
-    of its two ends."""
-    if (maze.dom == skeleton(len(maze.dom))
-            and maze.cod == skeleton(len(maze.cod))):
-        return maze
-    return rename_maze(maze, {x: str(i + 1) for i, x in enumerate(maze.dom)},
-                       {y: str(i + 1) for i, y in enumerate(maze.cod)})
-
-
 class LabyModulePresentation(Presentation):
     """A linear functor out of the degree-n maze quotient, as finite data:
     carriers on the skeleton [0..n] and one map per small pure maze.  The
@@ -749,7 +739,7 @@ class LabyModulePresentation(Presentation):
                 f"and joins skeleton sets [0..{degree}]")
         super().__init__(degree, groups, table, check)
 
-    key = staticmethod(_on_skeleton)
+    key = staticmethod(on_skeleton)
     identity = staticmethod(Maze.identity)
 
     def carrier(self, ends) -> FgAbGroup:

@@ -36,11 +36,9 @@ trusted constructors.
 Composition in the quotient commutes with renaming the points of the
 three sets, so compose_in_laby_n reads a composite of normalised
 factors off the structure constants of Laby_n, ends renamed to skeleta
-in sorted order and back.  It rents before it buys: a block of the
-constants, one per triple of end sizes, is composed directly until the
-composes asked of it reach the cost of filling it, measured in direct
-composes, and is filled on the next ask; the first block of a degree
-also pays for listing the degree's hom-sets.  The fill composes each
+in sorted order and back.  A block of the constants, one per triple of
+end sizes, is composed directly on its first ask and filled on its
+second, so one cold compose lists nothing.  The fill composes each
 orbit of pairs with maze_hom_compose, the one engine, which also serves
 plain composition and the tests as the oracle; it never calls
 compose_in_laby_n, so the route cannot recurse.
@@ -51,12 +49,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import comb, factorial, prod
-from weakref import WeakValueDictionary
 
 from .errors import DomainMismatchError, EnumerationLimitError
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
                         covering_count, covering_sets, guard_count, json_int,
-                        table_count, tables)
+                        tables)
 from .scalars import (HomComb, LinComb, StructureConstants, scalar, scalar_str,
                       surjections)
 
@@ -469,96 +466,41 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(accum))
 
 
-# The composes asked directly of each block of Laby_n's structure
-# constants, keyed (n, |dom|, |middle|, |cod|), and the constants of each
-# degree for as long as the memo keeps them: whether a block is filled is
-# read off the constants' own blocks.
+# The blocks of Laby_n's structure constants asked of compose_in_laby_n,
+# keyed (n, |dom|, |middle|, |cod|): True where the next ask reads the
+# block off the constants, False where an end larger than n puts the
+# block off them or where the guard refused them.
 _asked = {}
-_kept = WeakValueDictionary()
-# A pair that the orbit walk moves costs about a 32nd of a direct compose:
-# 0.7-1.8 us against 27-40 us, on Laby_4 and Laby_5.
-_WALK = 32
-
-
-@lru_cache(maxsize=None)
-def _rent(n, a, b, c):
-    """The direct composes that pay for filling the block of ends of sizes
-    a, b, c in Laby_n: one per orbit of its pairs, of which there are at
-    least pairs / (a! b! c!), plus the walk over every pair.  None where
-    the block lies off the constants or the guard refuses them."""
-    if max(a, b, c) > n:
-        return None
-    try:  # the guard's estimates grow with the ends and the size
-        _guard_pure_mazes(skeleton(n), skeleton(n), (n,))
-    except EnumerationLimitError:
-        return None
-    pairs = _pure_maze_count(a, b, n) * _pure_maze_count(b, c, n)
-    return max(2, -(-pairs // (factorial(a) * factorial(b) * factorial(c)))
-               + -(-pairs // _WALK))
-
-
-@lru_cache(maxsize=None)
-def _listing_rent(n):
-    """The direct composes that pay for listing every hom-set of Laby_n,
-    which the first fill of a degree does: a maze listed costs about half
-    a direct compose (321 in 4.7 ms at degree 4, 3282 in 51 ms at 5)."""
-    return -(-sum(_pure_maze_count(j, k, n)
-                  for j in range(n + 1) for k in range(n + 1)) // 2)
-
-
-def _constants(key, composes):
-    """The structure constants of Laby_n to read block `key` off, or None
-    to compose directly, the composes then counted.  A filled block is
-    read off; another is filled once the composes asked of it directly
-    reach its rent, plus the listing's while its degree is not kept.  So
-    the first ask of a block is only counted."""
-    n = key[0]
-    sc = _kept.get(n)
-    if sc is not None and tuple(map(skeleton, key[1:])) in sc.blocks:
-        return sc
-    asked = _asked.get(key, 0)
-    rent = _rent(*key) if asked else None
-    if rent is not None:
-        if sc is None:  # the first fill of a degree lists its hom-sets
-            rent += _listing_rent(n)
-        if asked >= rent:
-            return laby_structure_constants(n)
-    _asked[key] = asked + composes
-    return None
 
 
 def reset_laby_constants():
-    """Drop the structure constants of every Laby_n and the composes asked
-    of their blocks, so that compose_in_laby_n starts cold."""
+    """Drop the structure constants of every Laby_n and the blocks asked
+    of them, so that compose_in_laby_n starts cold."""
     laby_structure_constants.cache_clear()
-    _kept.clear()
     _asked.clear()
-    _rent.cache_clear()
 
 
-def _on_skeleton(h, dom, cod, index):
-    """The terms of h as (position among the basis mazes dom -> cod,
-    coefficient), its ends renamed to the skeleta dom and cod in sorted
-    order; None if a term is not a basis maze there."""
-    if (h.dom, h.cod) == (dom, cod):
-        terms = [(index.get(maze), c) for maze, c in h.comb]
-    else:
-        src, dst = dict(zip(h.dom, dom)), dict(zip(h.cod, cod))
-        if not all(p.src in src and p.dst in dst
-                   for maze, _ in h.comb for p, _ in maze.passages):
-            return None
-        terms = [(index.get(rename_maze(maze, src, dst)), c)
-                 for maze, c in h.comb]
-    return None if any(t is None for t, _ in terms) else terms
+def on_skeleton(maze: Maze):
+    """The maze moved to skeleton sets by the order-preserving renamings
+    of its two ends; None if a passage lies off them, as the renaming
+    could then make another, valid maze of it."""
+    dom, cod = skeleton(len(maze.dom)), skeleton(len(maze.cod))
+    if (maze.dom, maze.cod) == (dom, cod):
+        return maze
+    src, dst = dict(zip(maze.dom, dom)), dict(zip(maze.cod, cod))
+    if not all(p.src in src and p.dst in dst for p, _ in maze.passages):
+        return None
+    return rename_maze(maze, src, dst)
 
 
 def _read_off(sc: StructureConstants, f: MazeHom, g: MazeHom):
     """f . g summed from the structure constants sc, the block filled if
     need be; None if a term is not a basis maze."""
-    a, b, c = skeleton(len(g.dom)), skeleton(len(g.cod)), skeleton(len(f.cod))
-    gs, fs = _on_skeleton(g, a, b, sc.index), _on_skeleton(f, b, c, sc.index)
-    if gs is None or fs is None:
+    gs, fs = ([(sc.index.get(on_skeleton(maze)), c) for maze, c in h.comb]
+              for h in (g, f))
+    if any(t is None for t, _ in chain(gs, fs)):
         return None
+    a, b, c = skeleton(len(g.dom)), skeleton(len(g.cod)), skeleton(len(f.cod))
     block, accum = sc.block(a, b, c), {}
     for i, d in gs:
         row = block[i]
@@ -579,34 +521,33 @@ def _read_off(sc: StructureConstants, f: MazeHom, g: MazeHom):
 def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     """Composite in the degree-n numerical quotient, in normal form.
 
-    Both factors are normalised.  Their composite is then read off the
-    structure constants of Laby_n, the ends renamed to skeleta in sorted
-    order and back, once the block of their sizes is filled.  Until then
-    it is composed directly, and each block counts the composes asked of
-    it, whatever the names of its ends: it is filled on the ask after
-    they reach its rent, the cost of the fill in direct composes (see
-    _rent), plus the cost of listing the hom-sets of Laby_n while its
-    constants are not kept (see _listing_rent).  So one cold compose
-    touches neither the constants nor a hom-set listing.  The fill
-    composes with maze_hom_compose, the one engine, never through this
-    function.  Where the guard refuses the constants or the fill, the
-    compose is direct, as is one whose terms are not basis mazes, so
-    that the engine raises: nothing is refused that the engine
-    answers."""
+    Both factors are normalised.  The first ask of a block of the
+    structure constants of Laby_n, one per triple of end sizes whatever
+    the names of the ends, composes directly, so one cold compose touches
+    neither the constants nor a hom-set listing.  From its second ask the
+    composite is read off the constants, the block filled then, the ends
+    renamed to skeleta in sorted order and back.  The fill composes with
+    maze_hom_compose, the one engine, never through this function.  A
+    block with an end larger than n lies off the constants, and one whose
+    constants or fill the guard refuses is composed directly from then
+    on, until reset_laby_constants.  A compose whose terms are not basis
+    mazes is direct too, so that the engine raises: nothing is refused
+    that the engine answers."""
     # Normalised factors are pure with at most n passages, so with n every
     # composite is too, built from shared pure passages: in normal form.
     f, g = normalize_numerical(f, n), normalize_numerical(g, n)
     if set(g.cod) != set(f.dom):
         raise DomainMismatchError("cannot compose: middle sets differ")
     key = n, len(g.dom), len(g.cod), len(f.cod)
-    try:
-        sc = _constants(key, len(f.comb) * len(g.comb))
-        h = None if sc is None else _read_off(sc, f, g)
-    except EnumerationLimitError:  # a guard lowered since the rent
-        h = None
-    if h is not None:
-        return h
-    return maze_hom_compose(f, g, n)
+    h = None
+    if _asked.get(key):
+        try:
+            h = _read_off(laby_structure_constants(n), f, g)
+        except EnumerationLimitError:  # refused: direct from now on
+            _asked[key] = False
+    else:
+        _asked.setdefault(key, max(key[1:]) <= n)
+    return maze_hom_compose(f, g, n) if h is None else h
 
 
 def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
@@ -757,20 +698,11 @@ def laby_structure_constants(n: int) -> StructureConstants:
     sets = [skeleton(k) for k in range(n + 1)]
     for x, y in product(sets, sets):
         _guard_pure_mazes(x, y, range(n + 1))
-    sc = _kept[n] = StructureConstants(
+    return StructureConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
         lambda p, q: maze_hom_compose(MazeHom.of(p), MazeHom.of(q), n),
         _skeleton_swaps, rename_maze)
-    return sc
-
-
-@lru_cache(maxsize=64)  # every hom-set of Laby_5 and below
-def _pure_maze_count(j, k, n):
-    """The pure mazes between skeleta of j and k points with at most n
-    passages, counted, not listed: tables of positive margins."""
-    return sum(table_count(rows, cols) for s in range(n + 1)
-               for rows in compositions(s, j) for cols in compositions(s, k))
 
 
 def quadratic_generators():

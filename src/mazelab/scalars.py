@@ -260,7 +260,7 @@ class StructureConstants:
     """
 
     __slots__ = ("arrows", "index", "compose", "swaps", "rename", "gens",
-                 "moved", "blocks", "orbits", "shared", "__weakref__")
+                 "moved", "blocks", "orbits", "shared")
 
     def __init__(self, arrows, compose, swaps, rename):
         self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}

@@ -963,6 +963,17 @@ def test_hom_names_a_missing_value_on_both_paths(phi_square):
             partial.hom(maze)
 
 
+def test_hom_refuses_a_passage_off_the_ends(phi_square):
+    # Renamed to the skeleton, the stray passage 1 -> 1 would make this
+    # maze the basis maze B: a maze with a passage off its ends has no
+    # value.
+    off = Maze(("a", "b"), ("1",), [Passage("b", "1"), Passage("1", "1")])
+    assert (rename_maze(off, {"a": "1", "b": "2"}, None)
+            == quadratic_generators()["B"])
+    with pytest.raises(KeyError, match="presentation lacks a value for"):
+        phi_square.hom(off)
+
+
 def test_mset_check_enumerates_each_hom_set_once(monkeypatch, j_square):
     # The enumerations happen once per process, when the structure
     # constants are built: a cold check makes at most one per hom-set and

@@ -565,24 +565,26 @@ def test_seeded_labelled_combinations_compose_as_the_oracle():
 
 # ------------------------------------- composition read off the constants
 
-STATES = ("cold", "rented", "filled")
+STATES = ("cold", "asked", "filled")
 
 
 def set_blocks(n, state):
-    """Clear the structure constants and every ask count ("cold"); then
-    count each block of Laby_n one compose short of its rent ("rented"),
-    or fill every block of the constants ("filled")."""
+    """Clear the structure constants and the blocks asked ("cold"); then
+    ask every block of Laby_n once, through a composite of zeros
+    ("asked"), or fill every block of the constants ("filled")."""
     labycat.reset_laby_constants()
-    if state == "rented":
-        for key in iproduct((n,), *[range(n + 1)] * 3):
-            labycat._asked[key] = max(1, labycat._rent(*key) - 1)
+    if state == "asked":
+        for a, b, c in iproduct(*[range(n + 1)] * 3):
+            compose_in_laby_n(MazeHom.zero(skeleton(b), skeleton(c)),
+                              MazeHom.zero(skeleton(a), skeleton(b)), n)
+        assert laby_structure_constants.cache_info().currsize == 0
     elif state == "filled":
         laby_structure_constants(n).representatives()
 
 
 @pytest.fixture
 def blocks():
-    """set_blocks, with the memo and the ask counts cleared afterwards."""
+    """set_blocks, with the memo and the blocks asked cleared afterwards."""
     yield set_blocks
     set_blocks(0, "cold")
 
@@ -593,8 +595,8 @@ RENAMED = ({"1": "z", "2": "y", "3": "x"}, {"1": "b", "2": "a", "3": "c"},
 
 
 def test_every_pure_pair_reads_off_the_constants_as_the_oracle(blocks):
-    # On skeleta and renamed, cold, part-rented and with every block
-    # filled; the oracle is computed once per pair.
+    # On skeleta and renamed, cold, every block asked once and every
+    # block filled; the oracle is computed once per pair.
     for n in (1, 2, 3):
         cases = []
         for p, q in skeleton_pairs(n):
@@ -607,8 +609,8 @@ def test_every_pure_pair_reads_off_the_constants_as_the_oracle(blocks):
             blocks(n, state)
             for f, g, old in cases:
                 assert_same(compose_in_laby_n(f, g, n), old)
-            if state == "cold" and n == 3:  # the sweep paid some rents
-                assert 0 < len(labycat._kept[n].blocks) < 4 ** 3
+            if state == "cold" and n == 3:  # blocks asked twice are filled
+                assert 0 < len(laby_structure_constants(n).blocks) < 4 ** 3
 
 
 def test_seeded_laby4_pairs_read_off_the_constants_as_the_oracle(blocks):
@@ -661,19 +663,16 @@ def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
     old = old_compose_in_laby_n(f, g, 4)
     assert_same(compose_in_laby_n(f, g, 4), old)
     assert (fills, listings, len(engine)) == ([], [], 1)
-    assert labycat._asked == {(4, 3, 3, 3): 1}
-    # The block is filled on the ask after its rent and the listing's, by
-    # the engine, and read off from then on.
-    rent = labycat._rent(4, 3, 3, 3) + labycat._listing_rent(4)
-    assert rent == 23 + 149 + 161  # 4761 pairs over 3!^3, over 32; 321 / 2
-    for _ in range(rent - 1):
-        assert_same(compose_in_laby_n(f, g, 4), old)
-    assert (fills, listings, len(engine)) == ([], [], rent)
+    assert list(labycat._asked) == [(4, 3, 3, 3)]
+    # The second ask lists the 25 hom-sets of Laby_4 and fills the block
+    # by the engine, one compose per orbit of its pairs, and reads it off.
+    assert_same(compose_in_laby_n(f, g, 4), old)
+    assert (len(fills), len(listings), len(engine)) == (1, 25, 1 + 33)
+    # Later asks only read it off.
     for _ in range(3):
         assert_same(compose_in_laby_n(f, g, 4), old)
-    assert len(fills) == 1 and len(listings) == 25
-    assert len(engine) == rent + 33  # one per orbit of the block's pairs
-    assert (skeleton(3),) * 3 in labycat._kept[4].blocks
+    assert (len(fills), len(listings), len(engine)) == (1, 25, 1 + 33)
+    assert (skeleton(3),) * 3 in laby_structure_constants(4).blocks
 
 
 def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
@@ -687,19 +686,39 @@ def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
     for _ in range(5):
         assert_same(compose_in_laby_n(loop, loop, 6),
                     maze_hom_compose(loop, loop, 6))
-    assert labycat._asked == {(6, 1, 1, 1): 5}
-    assert labycat._rent(6, 1, 1, 1) is None
+    assert labycat._asked == {(6, 1, 1, 1): False}
     assert listings == [] and laby_structure_constants.cache_info().hits == 0
+
+
+def test_a_refused_block_is_refused_once(blocks, monkeypatch):
+    # The memo keeps no exception, so the refusal itself is kept: of five
+    # asks of one degree-6 block, the second meets the guard and refuses,
+    # the other four compose directly without asking it.
+    guard, refusals = labycat._guard_pure_mazes, []
+
+    def counted(*args):
+        try:
+            guard(*args)
+        except EnumerationLimitError:
+            refusals.append(args)
+            raise
+
+    monkeypatch.setattr(labycat, "_guard_pure_mazes", counted)
+    blocks(6, "cold")
+    loop = MazeHom.of(Maze(("1",), ("1",), [(Passage("1", "1"), 3)]))
+    for _ in range(5):
+        assert_same(compose_in_laby_n(loop, loop, 6),
+                    maze_hom_compose(loop, loop, 6))
+    assert len(refusals) == 1
 
 
 def test_a_guard_lowered_after_the_rent_refuses_nothing(blocks,
                                                        monkeypatch):
-    # Every block's rent is paid, then the guard falls below the
-    # constants' own estimate: the route composes directly.
+    # Every block is asked once, so the next ask reads it off; then the
+    # guard falls below the constants' own estimate: the route composes
+    # directly.
     pairs = skeleton_pairs(3)[::7]
-    blocks(3, "cold")
-    for key in iproduct((3,), *[range(4)] * 3):
-        labycat._asked[key] = labycat._rent(*key) + labycat._listing_rent(3)
+    blocks(3, "asked")
     monkeypatch.setattr(multisets, "ENUM_LIMIT", 20)
     for p, q in pairs:
         f, g = MazeHom.of(p), MazeHom.of(q)
