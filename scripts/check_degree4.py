@@ -22,10 +22,12 @@ round trip.  Then it times plain composition of the loop repeated four
 times with itself, whose 41503 covering subsets are listed.  From a
 cleared memo, it times the first ask of one Laby_5 pair of the block
 (4, 4, 4), composed directly, and the second, which lists the degree
-and fills the block, each checked against the engine.  Last it fills
-every block of Laby_5, cold again: its time and peak memory.  Each
-stage also prints the peak resident set size of the process so far, and
-the script exits 1 if any stage fails.
+and fills the block, each checked against the engine.  Then it fills
+every block of Laby_5, cold again: its time and peak memory.  Last it
+builds the degree-5 tensor power on the multation side over four
+letters and checks it, with the time of each step, and exits 1 if the
+check fails.  Each stage also prints the peak resident set size of the
+process so far, and the script exits 1 if any stage fails.
 """
 
 import resource
@@ -133,6 +135,23 @@ def second_ask_laby5():
     return 0
 
 
+def tensor_power5():
+    """Build and check tensor_power(5, '1234'); 1 on a failed check."""
+    start = time.perf_counter()
+    h = MSetModulePresentation.tensor_power(5, skeleton(4), check=False)
+    built = time.perf_counter()
+    print(f"tensor_power(5, '1234'): {len(h.table)} values built in "
+          f"{built - start:.2f} s; {peak_rss()}")
+    try:
+        h.check()
+    except ValueError as exc:
+        print(f"tensor_power(5, '1234') fails its check: {exc}")
+        return 1
+    print(f"tensor_power(5, '1234') checked in "
+          f"{time.perf_counter() - built:.2f} s; {peak_rss()}")
+    return 0
+
+
 def main():
     status = cube()
     laby = laby_structure_constants(4)
@@ -176,6 +195,9 @@ def main():
         return 1
     reset_laby_constants()
     fill("Laby_5", laby_structure_constants(5))
+    reset_laby_constants()
+    if tensor_power5():
+        return 1
     return 1 if failures or status else 0
 
 

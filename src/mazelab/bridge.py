@@ -30,12 +30,6 @@ from .multisets import (MultiSet, all_cardinality_multisets, check_names,
 from .scalars import LinComb, surjections
 
 
-def ariadne_object(names, n: int):
-    """The cardinality-n multi-sets supported exactly on a set, i.e. the
-    summands a set splits into; empty when the set is too large."""
-    return enumerate_supported(set(names), n)
-
-
 class AriadneMatrix:
     """A matrix of multation arrows indexed by multi-sets.
 

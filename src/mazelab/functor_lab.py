@@ -36,8 +36,8 @@ from .labycat import (
     skeleton,
 )
 from .matrices import (IntMat, add_scaled, column_lattice_basis,
-                       combination_rows, kron_power, row_products,
-                       solve_in_lattice)
+                       combination_rows, kron_power, nonzero_rows,
+                       row_products, solve_in_lattice)
 from .msetcat import Multation, mset_structure_constants
 from .multisets import (MultiSet, all_cardinality_multisets, covering_count,
                         covering_sets, guard_count, json_int)
@@ -255,20 +255,16 @@ def transport_maps(maze: Maze):
 
 def restricted_functor(f: MatrixFunctor, a: int):
     """S -> f(S) B for the b x a matrices S, B the basis columns of f's top
-    cross-effect at rank a; the product reads f(S) only where B has a
-    nonzero row, and skips the zero entries there."""
+    cross-effect at rank a.  B's rows are listed by their nonzero entries
+    once, for every S, and the one product kernel multiplies only the
+    nonzero entries of f(S) by them."""
     basis = cross_effect_basis(f, a)[1]
-    support = [(j, brow) for j, brow in enumerate(zip(*basis)) if any(brow)]
+    right = nonzero_rows(zip(*basis))
 
     def value(s: IntMat) -> IntMat:
-        rows = []
-        for row in f(s).rows:
-            acc = [0] * len(basis)
-            for j, brow in support:
-                if row[j]:
-                    acc = [c + row[j] * y for c, y in zip(acc, brow)]
-            rows.append(tuple(acc))
-        return IntMat._trusted(len(rows), len(basis), tuple(rows))
+        fs = f(s)
+        return IntMat._trusted(fs.nrows, len(basis), row_products(
+            fs.rows, right, len(basis)))
 
     return value
 
@@ -369,6 +365,12 @@ def _reduce_rows(rows, cod_orders):
         return rows
     return tuple(tuple([x % d for x in row]) if d else row
                  for row, d in zip(rows, cod_orders))
+
+
+def _product_rows(left: IntMat, right: IntMat, cod_orders):
+    """The rows of left @ right, reduced as _reduce_rows does."""
+    return _reduce_rows(row_products(left.rows, nonzero_rows(right.rows),
+                                     right.ncols), cod_orders)
 
 
 def _checked_mat(hom, dom_orders, cod_orders):
@@ -636,21 +638,15 @@ class Presentation:
         and h of its ends.  A composable pair and its composite rename
         together, so then (iii) functoriality on one pair per orbit
         gives it on every pair.  The stored values are compared as
-        reduced integer rows.
+        reduced integer rows, each product straight from the stored rows
+        by the one product kernel.
         """
         sc = self.constants()
         if any(None in self.hom_set(x, y).values for x, y in sc.arrows):
             return False
-        columns = {}
 
         def value(x, y, t):
-            return self.hom_set(x, y).values[t].mat.rows
-
-        def cols(x, y, t):
-            key = x, y, t
-            if key not in columns:
-                columns[key] = self.hom_set(x, y).values[t].mat.columns()
-            return columns[key]
+            return self.hom_set(x, y).values[t].mat
 
         # The transposition's arrow x2 -> x renames the identity of x at
         # its source, and y -> y2 that of y at its target: their positions.
@@ -662,16 +658,14 @@ class Presentation:
             for (_, y2), moved, s in zip(sc.generators(y), at_y, swaps[y][1]):
                 cod = self.carrier(y2).orders
                 for t in range(len(fs)):
-                    if value(x, y2, moved[t]) != _reduce_rows(
-                            row_products(value(y, y2, s), cols(x, y, t)),
-                            cod):
+                    if value(x, y2, moved[t]).rows != _product_rows(
+                            value(y, y2, s), value(x, y, t), cod):
                         return False
             for (_, x2), moved, s in zip(sc.generators(x), at_x, swaps[x][0]):
                 cod = self.carrier(y).orders
                 for t in range(len(fs)):
-                    if value(x2, y, moved[t]) != _reduce_rows(
-                            row_products(value(x, y, t), cols(x2, x, s)),
-                            cod):
+                    if value(x2, y, moved[t]).rows != _product_rows(
+                            value(x, y, t), value(x2, x, s), cod):
                         return False
         return not any(self._failures(
             (sc.arrows[b, c][k], sc.arrows[a, b][i])
@@ -686,16 +680,12 @@ class Presentation:
     def _failures(self, pairs):
         """The pairs (p, q) on which the table is not functorial: the
         composite p . q by composite_terms against hom(p) hom(q), both as
-        reduced integer rows, with each arrow's columns worked out once."""
-        columns = {}
+        reduced integer rows, the product straight from the stored rows."""
         for p, q in pairs:
             cod = self.carrier(p.cod).orders
             lhs = _combination_rows(self.carrier(q.dom).orders, cod,
                                     self.composite_terms(p, q))
-            target = self.hom(p).mat.rows
-            if q not in columns:
-                columns[q] = self.hom(q).mat.columns()
-            if lhs != _reduce_rows(row_products(target, columns[q]), cod):
+            if lhs != _product_rows(self.hom(p).mat, self.hom(q).mat, cod):
                 yield p, q
 
     def check(self):

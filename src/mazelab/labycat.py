@@ -530,9 +530,11 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
     maze_hom_compose, the one engine, never through this function.  A
     block with an end larger than n lies off the constants, and one whose
     constants or fill the guard refuses is composed directly from then
-    on, until reset_laby_constants.  A compose whose terms are not basis
-    mazes is direct too, so that the engine raises: nothing is refused
-    that the engine answers."""
+    on, until reset_laby_constants.  A compose with a zero factor counts
+    as an ask but reads nothing off: the engine gives the zero
+    combination, and no block is filled for it.  One whose terms are not
+    basis mazes is direct too, so that the engine raises: nothing is
+    refused that the engine answers."""
     # Normalised factors are pure with at most n passages, so with n every
     # composite is too, built from shared pure passages: in normal form.
     f, g = normalize_numerical(f, n), normalize_numerical(g, n)
@@ -540,7 +542,7 @@ def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
         raise DomainMismatchError("cannot compose: middle sets differ")
     key = n, len(g.dom), len(g.cod), len(f.cod)
     h = None
-    if _asked.get(key):
+    if f.comb and g.comb and _asked.get(key):
         try:
             h = _read_off(laby_structure_constants(n), f, g)
         except EnumerationLimitError:  # refused: direct from now on

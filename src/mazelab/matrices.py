@@ -11,14 +11,13 @@ the package's own arithmetic on matrices that passed it (sums,
 products, Kronecker products, integer multiples) are made of ints of
 the right shape by construction, so they skip the second check.
 
-Products are dense.  Sums of integer multiples (deviations, evaluated
-presentations) accumulate in one flat list that skips zeros, and the
-lattice solver walks only the nonzero rows of its basis, so their work
-follows the nonzero entries.
+Every product runs through row_products, which multiplies only nonzero
+entries.  Sums of integer multiples (deviations, evaluated presentations)
+accumulate in one flat list that skips zeros, and the lattice solver
+walks only the nonzero rows of its basis: all work follows the nonzeros.
 """
 
 from itertools import compress
-from operator import mul
 
 from .errors import ShapeMismatchError
 from .scalars import integer
@@ -33,11 +32,24 @@ def _int_row(row):
     return tuple(map(integer, row))
 
 
-def row_products(rows, cols):
+def nonzero_rows(rows):
+    """The (column, entry) pairs of each row's nonzero entries: the right
+    factor as row_products reads it."""
+    return [list(compress(enumerate(row), row)) for row in rows]
+
+
+def row_products(rows, right, ncols):
     """The rows, as tuples, of the product of the matrix with these rows
-    and the matrix with these columns."""
-    return tuple(tuple([sum(map(mul, row, col)) for col in cols])
-                 for row in rows)
+    and the ncols-column matrix with rows `right`, listed by nonzero_rows:
+    each nonzero x of a left row adds x times the matching right row."""
+    out = []
+    for row in rows:
+        acc = [0] * ncols
+        for x, entries in compress(zip(row, right), row):
+            for j, y in entries:
+                acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def add_scaled(acc, at, width, rows, c):
@@ -146,8 +158,8 @@ class IntMat:
             raise ShapeMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        return IntMat._trusted(self.nrows, other.ncols,
-                               row_products(self.rows, other.columns()))
+        return IntMat._trusted(self.nrows, other.ncols, row_products(
+            self.rows, nonzero_rows(other.rows), other.ncols))
 
     def is_zero(self):
         return all(a == 0 for row in self.rows for a in row)

@@ -10,7 +10,6 @@ from mazelab.bridge import (
     all_pure_mazes_on,
     ariadne_hom,
     ariadne_maze,
-    ariadne_object,
     roundtrip_failures,
     theseus_hom,
     theseus_multation,
@@ -32,7 +31,7 @@ from mazelab.labycat import (
 )
 from mazelab.msetcat import (MultHom, Multation, mset2_generators,
                              mset_structure_constants, multation_compose)
-from mazelab.multisets import MultiSet
+from mazelab.multisets import MultiSet, enumerate_supported
 
 
 def ms(*names):
@@ -40,10 +39,12 @@ def ms(*names):
 
 
 def test_ariadne_object():
-    assert ariadne_object(skeleton(1), 2) == [ms("1", "1")]
-    assert ariadne_object(skeleton(2), 2) == [ms("1", "2")]
-    assert ariadne_object(skeleton(3), 2) == []
-    assert ariadne_object(skeleton(2), 3) == [ms("1", "1", "2"), ms("1", "2", "2")]
+    # The summands a set splits into: its multi-sets of exact support.
+    assert enumerate_supported(skeleton(1), 2) == [ms("1", "1")]
+    assert enumerate_supported(skeleton(2), 2) == [ms("1", "2")]
+    assert enumerate_supported(skeleton(3), 2) == []
+    assert enumerate_supported(skeleton(2), 3) == [ms("1", "1", "2"),
+                                                   ms("1", "2", "2")]
 
 
 def test_ariadne_on_quadratic_generators():
@@ -214,7 +215,7 @@ def test_theseus_values():
 def test_theseus_lands_in_homogeneous_normal_form():
     # the image of a multation is already an exactly-n pure maze
     for n in (2, 3):
-        for a in ariadne_object(skeleton(2), n):
+        for a in enumerate_supported(skeleton(2), n):
             mu = Multation.identity(a)
             hom = theseus_multation(mu, n)
             assert normalize_homogeneous(hom, n) == hom

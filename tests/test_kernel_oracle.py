@@ -4,16 +4,19 @@ cross-effect before summing, and solves in the lattice over the nonzero
 rows of the basis only.  It is checked here against the earlier dense
 implementations, kept below as the oracle: they add and scale whole
 matrices one at a time through the checking constructors, and the
-lattice basis comes from the earlier column elimination.  Results must
-agree in type, shape, rows and serialized form, and failures in type
-and message."""
+lattice basis comes from the earlier column elimination.  Every matrix
+product multiplies only nonzero entries; the earlier dense product, which
+multiplies every entry pair, is its oracle.  Results must agree in type,
+shape, rows and serialized form, and failures in type and message."""
 
 import json
 import os
 import random
 from functools import cache
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mazelab.errors import ShapeMismatchError
 from mazelab.functor_lab import (
@@ -23,6 +26,7 @@ from mazelab.functor_lab import (
     MSetModulePresentation,
     MatrixFunctor,
     abhom_block,
+    cross_effect_basis,
     cross_effect_projectors,
     deviation,
     direct_sum_functor,
@@ -33,6 +37,7 @@ from mazelab.functor_lab import (
     phi_inverse_eval,
     psi_block_index,
     psi_inverse_eval,
+    restricted_functor,
     tensor_power_functor,
     transport_maps,
 )
@@ -44,6 +49,13 @@ from mazelab.verify import random_quadratic_presentation
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # ---------------------------------------------------------------- oracle
+
+
+def dense_row_products(rows, cols):
+    """The rows, as tuples, of the product of the matrix with these rows
+    and the matrix with these columns."""
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                 for row in rows)
 
 
 def dense_add(x, y):
@@ -453,3 +465,52 @@ def test_solve_in_lattice_matches_the_oracle():
     assert results == [old_solve_in_lattice(*case) for case in cases]
     assert sum(r is None for r in results) > 20
     assert sum(r is not None for r in results) > 100
+
+
+@st.composite
+def product_pairs(draw):
+    """Two multipliable matrices, every side 0 to 6, each entry in
+    [-9, 9] and nonzero with a drawn chance, from none to every entry."""
+    a, b, c = (draw(st.integers(0, 6)) for _ in range(3))
+    density = draw(st.sampled_from((0, 0.1, 0.3, 0.6, 1)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if rng.random() < density:
+            return rng.choice((-9, -2, -1, 1, 2, 7))
+        return 0
+
+    return tuple(IntMat(nrows, ncols, [[entry() for _ in range(ncols)]
+                                       for _ in range(nrows)])
+                 for nrows, ncols in ((a, b), (b, c)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=product_pairs())
+def test_products_match_the_dense_oracle(pair):
+    m, k = pair
+    got = m @ k
+    assert (got.nrows, got.ncols) == (m.nrows, k.ncols)
+    assert got.rows == dense_row_products(m.rows, k.columns())
+    assert all(type(x) is int for row in got.rows for x in row)
+
+
+def test_restricted_functor_matches_the_dense_product():
+    # f(S) B with B the basis columns, on every S up to 3 x 3 of rank a;
+    # tensor^2 at rank 3 has no basis column.
+    rng = random.Random(19)
+    empty = []
+    for n in (1, 2, 3):
+        f = tensor_power_functor(n)
+        for a in range(4):
+            basis = cross_effect_basis(f, a)[1]
+            if not basis:
+                empty.append((n, a))
+            value = restricted_functor(f, a)
+            for s in matrices(rng, 3):
+                if s.ncols == a:
+                    got = value(s)
+                    assert (got.nrows, got.ncols) == (f.dim(s.nrows),
+                                                      len(basis))
+                    assert got.rows == dense_row_products(f(s).rows, basis)
+    assert (2, 3) in empty

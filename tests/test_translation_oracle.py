@@ -675,6 +675,29 @@ def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
     assert (skeleton(3),) * 3 in laby_structure_constants(4).blocks
 
 
+def test_a_zero_factor_fills_no_block_and_lists_no_hom_set(blocks,
+                                                           monkeypatch):
+    # Nothing is read off a block for a zero factor, so no ask of such a
+    # composite lists the degree or fills the block, the second included:
+    # the engine answers with the zero combination.
+    fills, listings = [], []
+    fill, listing = StructureConstants._fill, labycat.pure_mazes_between
+    monkeypatch.setattr(StructureConstants, "_fill",
+                        lambda *args: fills.append(args) or fill(*args))
+    monkeypatch.setattr(labycat, "pure_mazes_between",
+                        lambda *args: listings.append(args) or listing(*args))
+    blocks(4, "cold")
+    three = skeleton(3)
+    z = MazeHom.zero(three, three)
+    f = MazeHom.of(Maze.pure([("1", "2"), ("2", "3"), ("3", "1")],
+                             three, three))
+    for left, right in ((z, z), (z, z), (f, z), (z, f), (f, z)):
+        assert_same(compose_in_laby_n(left, right, 4),
+                    old_compose_in_laby_n(left, right, 4))
+    assert (fills, listings) == ([], [])
+    assert labycat._asked == {(4, 3, 3, 3): True}
+
+
 def test_refused_constants_leave_composition_direct(blocks, monkeypatch):
     # At degree 6 the guard refuses the hom-sets of the constants, so
     # every ask composes directly, as before, and nothing is listed.
