@@ -7,40 +7,50 @@ First it builds the maze-side presentation of the tensor cube at degree
 the time of each step: the layer timing of the integer kernel.  Then it
 prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, and the time to check the degree-4 tensor power on
-the multation side.  Then compares every Laby_4 block with the per-pair
-path, each composite computed afresh by the engine, maze_hom_compose (a
-few seconds), and exits 1 on the first block that differs.  Then, from a
-cleared memo, it composes all 34101 Laby_4 pairs through
-compose_in_laby_n, which composes a block directly on its first ask and
-fills it and reads it off the constants from its second, and compares
-each with the engine: it prints the time of that sweep, the number of
-blocks filled and the time of a second, warm sweep, and exits 1 on the
-first pair that differs.  Then it sends
+the multation side.  It evaluates that checked presentation on two
+seeded 3 x 3 matrices m and k: it prints the time of the first
+evaluation, which builds the presentation's plan for the shape, the time
+of a warm one and the size the plan retains (tracemalloc after a
+collection, the plan built again under tracing), and exits 1 unless the
+value on m @ k is the value on m after the value on k.  Then compares
+every Laby_4 block with the per-pair path, each composite computed
+afresh by the engine, maze_hom_compose (a few seconds), and exits 1 on
+the first block that differs.  Then, from a cleared memo, it composes
+all 34101 Laby_4 pairs through compose_in_laby_n, which composes a block
+directly on its first ask and fills it and reads it off the constants
+from its second, and compares each with the engine: it prints the time
+of that sweep, the number of blocks filled and the time of a second,
+warm sweep, and exits 1 on the first pair that differs.  Then it sends
 every basis multation and every pure maze of degree 4 over four letters
 through both translations and back, and exits 1 on any failure of the
 round trip.  Then it times plain composition of the loop repeated four
 times with itself, whose 41503 covering subsets are listed.  From a
 cleared memo, it times the first ask of one Laby_5 pair of the block
-(4, 4, 4), composed directly, and the second, which lists the degree
-and fills the block, each checked against the engine.  Then it fills
-every block of Laby_5, cold again: its time and peak memory.  Last it
-builds the degree-5 tensor power on the multation side over four
-letters and checks it, with the time of each step, and exits 1 if the
-check fails.  Each stage also prints the peak resident set size of the
-process so far, and the script exits 1 if any stage fails.
+(4, 4, 4), composed directly, and the second, which lists the degree and
+fills the block, each checked against the engine.  Then it fills every
+block of Laby_5, cold again: its time and peak memory.  Last it builds
+the degree-5 tensor power on the multation side over four letters and
+checks it, with the time of each step, and exits 1 if the check fails.
+Each stage also prints the peak resident set size of the process so far,
+and the script exits 1 if any stage fails.
 """
 
+import gc
+import random
 import resource
 import sys
 import time
+import tracemalloc
 
 from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
                                  MSetModulePresentation,
-                                 phi_roundtrip_failures, tensor_power_functor)
+                                 phi_roundtrip_failures, psi_inverse_eval,
+                                 tensor_power_functor)
 from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
                              laby_structure_constants, maze_hom_compose,
                              reset_laby_constants, skeleton)
+from mazelab.matrices import IntMat
 from mazelab.msetcat import mset_structure_constants
 
 
@@ -135,6 +145,37 @@ def second_ask_laby5():
     return 0
 
 
+def evaluate4(h):
+    """Evaluate the checked tensor_power(4, '1234') on two seeded 3 x 3
+    matrices, cold and warm, and weigh the plan; 1 unless the value on
+    m @ k is the value on m after the value on k."""
+    rng = random.Random(4)
+    m, k = (IntMat(3, 3, [[rng.randint(-3, 3) for _ in range(3)]
+                          for _ in range(3)]) for _ in range(2))
+    start = time.perf_counter()
+    on_m = psi_inverse_eval(h, m)
+    first = time.perf_counter()
+    on_k = psi_inverse_eval(h, k)
+    warm = time.perf_counter()
+    # Build the plan again under tracing: what stays after a collection
+    # is the plan.
+    h.plans.clear()
+    gc.collect()
+    tracemalloc.start()
+    psi_inverse_eval(h, m)
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    print(f"tensor_power(4, '1234') on 3 x 3: first evaluation "
+          f"{(first - start) * 1e3:.2f} ms, warm {(warm - first) * 1e3:.2f} "
+          f"ms, plan of {len(h.plans[3, 3].terms)} terms retains "
+          f"{retained / 1024:.1f} KiB; {peak_rss()}")
+    if psi_inverse_eval(h, m @ k) != on_m.compose(on_k):
+        print("tensor_power(4, '1234') is not functorial on m @ k")
+        return 1
+    return 0
+
+
 def tensor_power5():
     """Build and check tensor_power(5, '1234'); 1 on a failed check."""
     start = time.perf_counter()
@@ -159,9 +200,12 @@ def main():
     fill("MSet_4 over 1234", mset_structure_constants(skeleton(4), 4))
 
     start = time.perf_counter()
-    MSetModulePresentation.tensor_power(4, skeleton(4))
+    four = MSetModulePresentation.tensor_power(4, skeleton(4))
     print(f"tensor_power(4, '1234') built and checked in "
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
+    if evaluate4(four):
+        return 1
+    del four
 
     start = time.perf_counter()
     for (a, b, c), block in laby.blocks.items():

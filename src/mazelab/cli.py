@@ -31,7 +31,6 @@ from .labycat import (
     normalize_homogeneous,
     normalize_numerical,
     quadratic_generators,
-    skeleton,
     validate_maze,
 )
 from .functor_lab import (
@@ -39,9 +38,7 @@ from .functor_lab import (
     LabyModulePresentation,
     MSetModulePresentation,
     json_rows,
-    phi_block_index,
     phi_inverse_eval,
-    psi_block_index,
     psi_inverse_eval,
 )
 from .matrices import IntMat
@@ -283,26 +280,19 @@ def cmd_tables(args) -> int:
 def cmd_eval(args) -> int:
     matrix = load_matrix(args.matrix)
     data = _load(args.module)
+    cls, evaluate, legend = {
+        "laby": (LabyModulePresentation, phi_inverse_eval, list),
+        "mset": (MSetModulePresentation, psi_inverse_eval, MultiSet.to_json),
+    }[args.kind]
     try:
-        if args.kind == "laby":
-            pres = LabyModulePresentation.from_json(data)
-            hom = phi_inverse_eval(pres, matrix)
-            col_blocks, _ = phi_block_index(pres, matrix.ncols)
-            row_blocks, _ = phi_block_index(pres, matrix.nrows)
-            col_legend = [list(x) for x in col_blocks]
-            row_legend = [list(y) for y in row_blocks]
-        else:
-            pres = MSetModulePresentation.from_json(data)
-            hom = psi_inverse_eval(pres, matrix)
-            col_blocks, _ = psi_block_index(pres, skeleton(matrix.ncols))
-            row_blocks, _ = psi_block_index(pres, skeleton(matrix.nrows))
-            col_legend = [a.to_json() for a in col_blocks]
-            row_legend = [b.to_json() for b in row_blocks]
+        pres = cls.from_json(data)
+        hom = evaluate(pres, matrix)
     except _MALFORMED as exc:
         raise ParseError(f"{args.module}: {exc}") from exc
+    plan = pres.plans[matrix.nrows, matrix.ncols]
     _dump({
-        "dom_blocks": col_legend,
-        "cod_blocks": row_legend,
+        "dom_blocks": [legend(x) for x in plan.col_index[0]],
+        "cod_blocks": [legend(y) for y in plan.row_index[0]],
         "dom_orders": list(hom.dom_orders),
         "cod_orders": list(hom.cod_orders),
         "matrix": hom.to_json(),

@@ -10,16 +10,17 @@ divided-power action on every small multation.
 Both presentations are evaluated back into honest matrix maps on free
 modules by one blockwise formula: each block sums stored values, each
 weighted by a product over its passages (or columns) of binom(entry, d)
-on the maze side and entry ** d on the multation side, d being the
-multiplicity.  The round trips and the comparison
-along the maze-to-multation translation are the substantive consistency
-checks of this module.
+on the maze side and entry ** d on the multation side, d the
+multiplicity; blocks and values are walked once per matrix shape, into a
+plan the presentation keeps.  The round trips and the comparison along
+the maze-to-multation translation are the consistency checks.
 
 Carriers are finitely generated abelian groups in invariant-factor form;
 maps between direct sums are integer matrices compared entrywise modulo
 the target generator orders.
 """
 
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -45,6 +46,7 @@ from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
 MAX_MATRIX_SIDE = 3
+_INDEX_OF_LETTER = {x: i for i, x in enumerate(skeleton(MAX_MATRIX_SIDE))}
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +292,8 @@ def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
                 "deviation does not map the source cross-effect into the "
                 "target one; functor is not free-valued or not functorial")
         cols.append(coords)
-    return IntMat(len(basis_y), len(cols),
-                  [[col[i] for col in cols] for i in range(len(basis_y))])
+    return IntMat._trusted(len(basis_y), len(cols), tuple(
+        tuple([col[i] for col in cols]) for i in range(len(basis_y))))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +369,11 @@ def _reduce_rows(rows, cod_orders):
                  for row, d in zip(rows, cod_orders))
 
 
-def _product_rows(left: IntMat, right: IntMat, cod_orders):
-    """The rows of left @ right, reduced as _reduce_rows does."""
-    return _reduce_rows(row_products(left.rows, nonzero_rows(right.rows),
-                                     right.ncols), cod_orders)
+def _product_rows(left: IntMat, right: IntMat, cod_orders, listed=None):
+    """The rows of left @ right, reduced as _reduce_rows does; `listed`
+    may hold right's rows as nonzero_rows lists them, for many products."""
+    return _reduce_rows(row_products(left.rows, listed or nonzero_rows(
+        right.rows), right.ncols), cod_orders)
 
 
 def _checked_mat(hom, dom_orders, cod_orders):
@@ -574,21 +577,22 @@ class Presentation:
     """What both presentation sides share, as HomComb is for MazeHom and
     MultHom: the table, checked against the carriers on load, hom,
     eval_hom, check and the hom-set index, one HomSet per hom-set of the
-    side's structure constants, each built on first use.  A side gives
-    the `carrier` of some ends, the table `key` of an arrow, the
-    `identity` arrow of some ends, its structure `constants`, the
-    `triples` of a basis arrow, its `ends()` as (name in errors, ends)
-    pairs and its composable `pairs()` (p, q) in the order that names
-    the first failure.  Every arrow the table stores is a basis arrow of
-    the structure constants."""
+    side's structure constants, each built on first use, with one EvalPlan
+    per matrix shape beside it.  A side gives the `carrier` of some ends,
+    the table `key` of an arrow, the `identity` arrow of some ends, its
+    structure `constants`, the `triples` of a basis arrow, its `ends()` as
+    (name in errors, ends) pairs and its composable `pairs()` (p, q) in the
+    order that names the first failure.  Every arrow the table stores is a
+    basis arrow of the structure constants."""
 
-    __slots__ = ("degree", "groups", "table", "hom_sets")
+    __slots__ = ("degree", "groups", "table", "hom_sets", "plans")
 
     def __init__(self, degree: int, groups, table, check):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "hom_sets", {})
+        object.__setattr__(self, "plans", {})
         for arrow, hom in table.items():
             if (hom.dom_orders != self.carrier(arrow.dom).orders
                     or hom.cod_orders != self.carrier(arrow.cod).orders):
@@ -655,17 +659,21 @@ class Presentation:
                  for e in {x for x, _ in sc.arrows}}
         for (x, y), fs in sc.arrows.items():
             at_x, at_y = sc.moves(x, y)
+            listed = [nonzero_rows(value(x, y, t).rows)
+                      for t in range(len(fs))] if at_y else ()
             for (_, y2), moved, s in zip(sc.generators(y), at_y, swaps[y][1]):
                 cod = self.carrier(y2).orders
                 for t in range(len(fs)):
                     if value(x, y2, moved[t]).rows != _product_rows(
-                            value(y, y2, s), value(x, y, t), cod):
+                            value(y, y2, s), value(x, y, t), cod, listed[t]):
                         return False
             for (_, x2), moved, s in zip(sc.generators(x), at_x, swaps[x][0]):
                 cod = self.carrier(y).orders
+                right = value(x2, x, s)
+                right_rows = nonzero_rows(right.rows)
                 for t in range(len(fs)):
                     if value(x2, y, moved[t]).rows != _product_rows(
-                            value(x, y, t), value(x2, x, s), cod):
+                            value(x, y, t), right, cod, right_rows):
                         return False
         return not any(self._failures(
             (sc.arrows[b, c][k], sc.arrows[a, b][i])
@@ -818,7 +826,7 @@ class LabyModulePresentation(Presentation):
     @classmethod
     def from_functor(cls, f: MatrixFunctor, degree: int, check=True):
         """The presentation of a free-valued matrix functor: carriers are
-        the top cross-effects, values the restricted deviations."""
+        the top cross-effects, values the restricted deviations, trusted."""
         if degree > MAX_FUNCTOR_DEGREE:
             raise ValueError("degree above the guard")
         groups = [FgAbGroup(len(cross_effect_basis(f, k)[1]))
@@ -832,8 +840,8 @@ class LabyModulePresentation(Presentation):
             # one hom-set.
             values = cache(restricted_functor(f, len(dom)))
             for maze in mazes:
-                table[maze] = AbHom.of_groups(
-                    groups[len(dom)], groups[len(cod)],
+                table[maze] = AbHom._trusted(
+                    groups[len(dom)].orders, groups[len(cod)].orders,
                     phi_forward(f, maze, values).rows)
         return cls(degree, groups, table, check=check)
 
@@ -842,44 +850,72 @@ class LabyModulePresentation(Presentation):
 # evaluation of presentations on matrices
 
 
-def _eval_blockwise(pres, m: IntMat, col_index, row_index, place,
-                    weight) -> AbHom:
-    """The evaluation formula of both presentation sides.
+EvalPlan = namedtuple("EvalPlan", ["col_index", "row_index", "dom_orders",
+                                   "cod_orders", "width", "terms"])
 
-    The value on m is a block matrix over the (blocks, orders) indices of
-    its source and target.  `place(block)` gives a block's ends in the
-    hom-set index of `pres` and the index into m of each of their names.
-    Block (x, y) sums the stored values between their ends, each times
-    the product of weight(entry, multiplicity) over its triples.  All
-    blocks sum into one flat list for the whole value, skipping zero
-    weights and entries; the torsion rows are reduced once at the end.
-    """
-    col_blocks, col_orders = col_index
-    row_blocks, row_orders = row_index
-    dom_orders, cod_orders = sum(col_orders, ()), sum(row_orders, ())
-    width = len(dom_orders)
-    acc = [0] * (width * len(cod_orders))
-    cols = [place(x) for x in col_blocks]
-    at_row = 0
-    for y, y_orders in zip(row_blocks, row_orders):
-        cod, row_of = place(y)
-        at = at_row
-        for (dom, col_of), x_orders in zip(cols, col_orders):
-            hom_set = pres.hom_set(dom, cod)
-            for t, triples in enumerate(hom_set.triples):
-                mat = _checked_mat(hom_set.value(t), x_orders, y_orders)
-                w = 1
-                for s, r, d in triples:
-                    w *= weight(m.rows[row_of[r]][col_of[s]], d)
-                    if w == 0:
-                        break
-                if w:
-                    add_scaled(acc, at, width, mat.rows, w)
-            at += len(x_orders)
-        at_row += width * len(y_orders)
-    return AbHom._trusted(dom_orders, cod_orders, tuple(
+
+def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
+    """The evaluation formula of both presentation sides: block (x, y) of
+    the value on m sums the stored values between their ends, each times
+    the product of weight(entry, d) over its triples, d the multiplicity.
+
+    A shape's first evaluation checks the side guard, gets the (blocks,
+    orders) of rank k from `index(k)` and a block's ends in the hom-set
+    index, with the index into m of their names, from `place(block)`.  Its
+    one walk over the blocks checks each stored value's orders and sums the
+    value as it lists its term into the shape's EvalPlan: (block offset in
+    the flat list, rows, cells), a cell folding a triple's (d, row, column)
+    into an index of the weights of m's entries at each d up to the degree.
+    A walk that raises keeps no plan; later calls sum the plan's terms.
+    Zero weights and entries are skipped, torsion rows reduced once."""
+    b, a = shape = m.nrows, m.ncols
+    plan = pres.plans.get(shape)
+    if plan is None:
+        if max(shape) > MAX_MATRIX_SIDE:
+            raise ValueError("matrix side above the guard")
+        col_index = index(a)
+        row_index = col_index if b == a else index(b)
+        dom_orders = sum(col_index[1], ())
+        plan = EvalPlan(col_index, row_index, dom_orders,
+                        sum(row_index[1], ()), len(dom_orders), [])
+    table = [weight(x, d) for d in range(1, pres.degree + 1)
+             for row in m.rows for x in row]
+    width = plan.width
+    acc = [0] * (width * len(plan.cod_orders))
+    if shape in pres.plans:
+        for at, rows, cells in plan.terms:
+            w = 1
+            for c in cells:
+                w *= table[c]
+                if w == 0:
+                    break
+            if w:
+                add_scaled(acc, at, width, rows, w)
+    else:
+        size, cols = b * a, [place(x) for x in plan.col_index[0]]
+        at_row = 0
+        for y, y_orders in zip(*plan.row_index):
+            cod, row_of = place(y)
+            at = at_row
+            for (dom, col_of), x_orders in zip(cols, plan.col_index[1]):
+                hom_set = pres.hom_set(dom, cod)
+                for t, triples in enumerate(hom_set.triples):
+                    rows = _checked_mat(hom_set.value(t), x_orders,
+                                        y_orders).rows
+                    cells = [(d - 1) * size + row_of[r] * a + col_of[s]
+                             for s, r, d in triples]
+                    plan.terms.append((at, rows, cells))
+                    w = 1
+                    for c in cells:
+                        w *= table[c]
+                    if w:
+                        add_scaled(acc, at, width, rows, w)
+                at += len(x_orders)
+            at_row += width * len(y_orders)
+        pres.plans[shape] = plan
+    return AbHom._trusted(plan.dom_orders, plan.cod_orders, tuple(
         tuple(acc[r * width:(r + 1) * width])
-        for r in range(len(cod_orders))))
+        for r in range(len(plan.cod_orders))))
 
 
 def phi_block_index(h: LabyModulePresentation, a: int):
@@ -896,35 +932,33 @@ def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
     [a].  Block (x, y) sums the stored pure mazes [|x|] -> [|y|] of at
     most h.degree passages, each weighted by binom(m_yx, d) for every
     passage x -> y of multiplicity d: the binomial expansion of the
-    sub-mazes of the matrix labelled by its entries.
+    sub-mazes of the matrix labelled by its entries.  The blocks and
+    their stored values are walked once per shape of m, into h's plan.
     """
-    b, a = m.nrows, m.ncols
-    if max(a, b) > MAX_MATRIX_SIDE:
-        raise ValueError("matrix side above the guard")
-
     def place(x):
         ends = skeleton(len(x))
         return ends, dict(zip(ends, (i - 1 for i in x)))
 
-    return _eval_blockwise(h, m, phi_block_index(h, a), phi_block_index(h, b),
-                           place, binomial)
+    return _eval_blockwise(h, m, lambda k: phi_block_index(h, k), place,
+                           binomial)
 
 
-def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
-                     exact):
+def _deviation_block(evaluate, pres, maze: Maze, exact):
     """Deviation of an evaluated functor along a maze's transports,
     restricted to the exact-support blocks, with a consistency assertion
     that the other row blocks vanish there.
 
-    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`; the two
-    block indices are the (blocks, orders) of the maze's source and target
-    ranks, and `exact(block, k)` tells whether a block of a rank-k side has
-    full support.  Returns the grid of exact blocks with its column and row
+    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`; the
+    (blocks, orders) indices of the maze's source and target ranks are
+    read from the plan that evaluation keeps for the transports' shape,
+    and `exact(block, k)` tells whether a block of a rank-k side has full
+    support.  Returns the grid of exact blocks with its column and row
     blocks.
     """
-    col_blocks, col_orders = col_index
-    row_blocks, row_orders = row_index
     total = deviation(lambda mat: evaluate(pres, mat), transport_maps(maze))
+    plan = pres.plans[len(maze.cod), len(maze.dom)]
+    (col_blocks, col_orders), (row_blocks, row_orders) = (plan.col_index,
+                                                          plan.row_index)
     cols = [j for j, x in enumerate(col_blocks) if exact(x, len(maze.dom))]
     rows = [i for i, y in enumerate(row_blocks) if exact(y, len(maze.cod))]
     grid = [[extract_block(total, row_orders, col_orders, i, j) for j in cols]
@@ -940,9 +974,8 @@ def _deviation_block(evaluate, pres, maze: Maze, col_index, row_index,
 def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
     """The deviation block of the maze-side evaluation on the full
     subsets, the one cross-effect a stored value lives on."""
-    [[block]], _, _ = _deviation_block(
-        phi_inverse_eval, h, maze, phi_block_index(h, len(maze.dom)),
-        phi_block_index(h, len(maze.cod)), lambda x, k: len(x) == k)
+    [[block]], _, _ = _deviation_block(phi_inverse_eval, h, maze,
+                                       lambda x, k: len(x) == k)
     return block
 
 
@@ -1108,8 +1141,10 @@ class MSetModulePresentation(Presentation):
 
 
 def psi_block_index(j: MSetModulePresentation, names):
-    """Blocks of the evaluated functor on a set: the cardinality-n
-    multi-sets supported inside it, with their carriers."""
+    """Blocks of the evaluated functor on a set of the universe's letters:
+    the cardinality-n multi-sets supported inside it, with carriers."""
+    if not set(names) <= set(j.universe):
+        raise ValueError("matrix is larger than the presentation's universe")
     blocks = all_cardinality_multisets(names, j.degree)
     return blocks, [j.groups[a].orders for a in blocks]
 
@@ -1118,17 +1153,10 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
     """Evaluate the presented functor on an integer matrix: blocks are
     indexed by cardinality-n multi-sets, and each multation between them
     contributes its monomial in the matrix entries times its stored map:
-    entry ** d for every column x -> y of multiplicity d."""
-    b, a = m.nrows, m.ncols
-    if max(a, b) > MAX_MATRIX_SIDE:
-        raise ValueError("matrix side above the guard")
-    # The letter "i" names row and column i - 1 of m.
-    names = {x: int(x) - 1 for x in skeleton(max(a, b))}
-    if not set(names) <= set(j.universe):
-        raise ValueError("matrix is larger than the presentation's universe")
-    return _eval_blockwise(j, m, psi_block_index(j, skeleton(a)),
-                           psi_block_index(j, skeleton(b)),
-                           lambda block: (block, names), pow)
+    entry ** d for every column x -> y of multiplicity d.  The blocks and
+    their stored values are walked once per shape of m, into j's plan."""
+    return _eval_blockwise(j, m, lambda k: psi_block_index(j, skeleton(k)),
+                           lambda block: (block, _INDEX_OF_LETTER), pow)
 
 
 def ariadne_thread_failures(j: MSetModulePresentation):
@@ -1147,8 +1175,6 @@ def ariadne_thread_failures(j: MSetModulePresentation):
                                            range(n + 1)):
                 grid, col_blocks, row_blocks = _deviation_block(
                     psi_inverse_eval, j, maze,
-                    psi_block_index(j, skeleton(a_size)),
-                    psi_block_index(j, skeleton(b_size)),
                     lambda blk, k: len(blk.support) == k)
                 matrix = bridge.ariadne_maze(maze, n)
                 for bi, bb in enumerate(row_blocks):

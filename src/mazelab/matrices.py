@@ -122,7 +122,9 @@ class IntMat:
     def unit(cls, nrows, ncols, i, j, value=1):
         rows = [[0] * ncols for _ in range(nrows)]
         rows[i][j] = value
-        return cls(nrows, ncols, rows)
+        if type(value) is not int:  # checked: 1.5 is refused
+            return cls(nrows, ncols, rows)
+        return cls._trusted(nrows, ncols, tuple(map(tuple, rows)))
 
     def __eq__(self, other):
         return (isinstance(other, IntMat) and self.nrows == other.nrows

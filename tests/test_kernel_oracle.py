@@ -18,30 +18,37 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mazelab import bridge, functor_lab
 from mazelab.errors import ShapeMismatchError
 from mazelab.functor_lab import (
     AbHom,
+    EvalPlan,
     FgAbGroup,
     LabyModulePresentation,
     MSetModulePresentation,
     MatrixFunctor,
     abhom_block,
+    ariadne_thread_failures,
     cross_effect_basis,
     cross_effect_projectors,
     deviation,
     direct_sum_functor,
+    extract_block,
     identity_functor,
     index_subsets,
+    numerical_axiom_check,
     phi_block_index,
     phi_forward,
     phi_inverse_eval,
+    phi_roundtrip_failures,
     psi_block_index,
     psi_inverse_eval,
     restricted_functor,
     tensor_power_functor,
     transport_maps,
 )
-from mazelab.labycat import laby_structure_constants, skeleton
+from mazelab.labycat import (Maze, Passage, laby_structure_constants,
+                             pure_mazes_between, skeleton)
 from mazelab.matrices import IntMat, column_lattice_basis, solve_in_lattice
 from mazelab.scalars import binomial
 from mazelab.verify import random_quadratic_presentation
@@ -234,6 +241,66 @@ def old_psi_inverse_eval(j, m):
                               psi_block_index(j, skeleton(b)),
                               lambda block: (block, names), pow)
 
+
+def old_deviation_block(evaluate, pres, maze, col_index, row_index, exact):
+    col_blocks, col_orders = col_index
+    row_blocks, row_orders = row_index
+    total = old_deviation(lambda mat: evaluate(pres, mat),
+                          transport_maps(maze))
+    cols = [j for j, x in enumerate(col_blocks) if exact(x, len(maze.dom))]
+    rows = [i for i, y in enumerate(row_blocks) if exact(y, len(maze.cod))]
+    grid = [[extract_block(total, row_orders, col_orders, i, j) for j in cols]
+            for i in range(len(row_blocks))]
+    if any(not hom.is_zero() for i, row in enumerate(grid) if i not in rows
+           for hom in row):
+        raise AssertionError(
+            "deviation leaks outside the exact-support blocks")
+    return ([grid[i] for i in rows], [col_blocks[j] for j in cols],
+            [row_blocks[i] for i in rows])
+
+
+def old_phi_deviation(h, maze):
+    [[block]], _, _ = old_deviation_block(
+        old_phi_inverse_eval, h, maze, phi_block_index(h, len(maze.dom)),
+        phi_block_index(h, len(maze.cod)), lambda x, k: len(x) == k)
+    return block
+
+
+def old_phi_roundtrip_failures(h):
+    return [f"round trip differs on {maze!r}" for maze in h.mazes()
+            if old_phi_deviation(h, maze) != h.hom(maze)]
+
+
+def old_numerical_axiom_check(h, maze):
+    return old_phi_deviation(h, maze) == h.eval_labeled(maze)
+
+
+def old_ariadne_thread_failures(j):
+    n = j.degree
+    failures = []
+    max_side = min(len(j.universe), 3)
+    if not set(skeleton(max_side)) <= set(j.universe):
+        raise ValueError(f"the thread check needs the letters 1..{max_side}"
+                         f" of its matrices in the universe {list(j.universe)}")
+    for a_size in range(max_side + 1):
+        for b_size in range(max_side + 1):
+            for maze in pure_mazes_between(skeleton(a_size), skeleton(b_size),
+                                           range(n + 1)):
+                grid, col_blocks, row_blocks = old_deviation_block(
+                    old_psi_inverse_eval, j, maze,
+                    psi_block_index(j, skeleton(a_size)),
+                    psi_block_index(j, skeleton(b_size)),
+                    lambda blk, k: len(blk.support) == k)
+                matrix = bridge.ariadne_maze(maze, n)
+                for bi, bb in enumerate(row_blocks):
+                    for ai, aa in enumerate(col_blocks):
+                        expected = j.eval_hom(matrix.entry(bb, aa))
+                        if grid[bi][ai] != expected:
+                            failures.append(
+                                f"thread mismatch on {maze!r} at "
+                                f"({bb!r}, {aa!r})")
+    return failures
+
 # ------------------------------------------------------------ comparison
 
 
@@ -366,6 +433,102 @@ def test_a_missing_value_is_named_alike():
     for m in matrices(random.Random(3), 1):
         assert outcome(phi_inverse_eval, partial, m) == outcome(
             old_phi_inverse_eval, partial, m), m
+        # A walk that raised kept no plan, so the shape's second
+        # evaluation walks again and raises the same text.
+        assert outcome(phi_inverse_eval, partial, m) == outcome(
+            old_phi_inverse_eval, partial, m), m
+    assert partial.plans == {}
+
+
+# ------------------------------------------------------ evaluation plans
+
+
+def fresh(pres):
+    """A copy of pres with no hom-set index and no evaluation plan yet."""
+    return type(pres).from_json(pres.to_json(), check=False)
+
+
+def evaluators(pres):
+    """The evaluation of pres's side and its oracle."""
+    if isinstance(pres, LabyModulePresentation):
+        return phi_inverse_eval, old_phi_inverse_eval
+    return psi_inverse_eval, old_psi_inverse_eval
+
+
+def interleaved(rng):
+    """The matrices of every shape up to 3 x 3 in a seeded shuffled order,
+    so that the shapes interleave."""
+    ms = list(matrices(rng, 2))
+    rng.shuffle(ms)
+    return ms
+
+
+CORPUS = LABY + MSET
+
+
+@pytest.mark.parametrize("name, pres", CORPUS,
+                         ids=[name for name, _ in CORPUS])
+def test_plans_evaluate_interleaved_shapes_as_the_oracle(name, pres):
+    # Twice over every matrix: most evaluations read a kept plan.
+    pres = fresh(pres)
+    evaluate, oracle = evaluators(pres)
+    ms = interleaved(random.Random(name))
+    for m in ms + ms:
+        assert outcome(evaluate, pres, m) == outcome(oracle, pres, m), m
+
+
+def test_a_plan_is_built_once_per_presentation_and_shape(monkeypatch):
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return EvalPlan(*fields)
+
+    monkeypatch.setattr(functor_lab, "EvalPlan", counted)
+    refused = 0
+    for name, pres in CORPUS:
+        pres, evaluate = fresh(pres), evaluators(pres)[0]
+        built.clear()
+        ok = set()
+        for m in interleaved(random.Random(name)) * 3:
+            if outcome(evaluate, pres, m)[0] != "raised":
+                ok.add((m.nrows, m.ncols))
+        # One plan for each shape that evaluates, however often it does.
+        assert set(pres.plans) == ok, name
+        assert len(built) == len(ok), name
+        refused += 16 - len(ok)
+    # The two-letter universes refuse the shapes with a side of 3 before
+    # a plan is begun.
+    assert refused == 2 * 7
+
+
+def labelled_mazes():
+    """Labelled mazes on [1] and [2]: a doubled loop, a crossing with a
+    loop, each labelled in a few ways."""
+    one, two = skeleton(1), skeleton(2)
+    for a, b in [(1, 1), (2, -1), (-2, 3), (0, 2)]:
+        yield Maze(one, one, [Passage("1", "1", a), Passage("1", "1", b)])
+        yield Maze(two, one, [Passage("1", "1", a), Passage("2", "1", b)])
+        yield Maze(two, two, [Passage("1", "2", a), Passage("2", "1", b),
+                              Passage("2", "2", a * b)])
+
+
+@pytest.mark.parametrize("name, h", LABY, ids=[name for name, _ in LABY])
+def test_maze_side_deviations_match_the_oracle(name, h):
+    h = fresh(h)
+    assert phi_roundtrip_failures(h) == old_phi_roundtrip_failures(h)
+    for maze in h.mazes():
+        assert outcome(functor_lab._phi_deviation, h, maze) == outcome(
+            old_phi_deviation, h, maze), maze
+    for maze in labelled_mazes():
+        assert numerical_axiom_check(h, maze) == old_numerical_axiom_check(
+            h, maze), maze
+
+
+@pytest.mark.parametrize("name, j", MSET, ids=[name for name, _ in MSET])
+def test_ariadne_thread_failures_match_the_oracle(name, j):
+    j = fresh(j)
+    assert ariadne_thread_failures(j) == old_ariadne_thread_failures(j)
 
 
 def map_lists(rng, shape, most):
