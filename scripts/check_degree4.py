@@ -12,10 +12,12 @@ seeded 3 x 3 matrices m and k: it prints the time of the first
 evaluation, which builds the presentation's plan for the shape, the time
 of a warm one and the size the plan retains (tracemalloc after a
 collection, the plan built again under tracing), and exits 1 unless the
-value on m @ k is the value on m after the value on k.  Then compares
-every Laby_4 block with the per-pair path, each composite computed
-afresh by the engine, maze_hom_compose (a few seconds), and exits 1 on
-the first block that differs.  Then, from a cleared memo, it composes
+value on m @ k is the value on m after the value on k.  It runs the
+thread check, ariadne_thread_failures, on the same presentation, prints
+its time and exits 1 on any failure.  Then compares every Laby_4 block
+with the per-pair path, each composite computed afresh by the engine,
+maze_hom_compose (a few seconds), and exits 1 on the first block that
+differs.  Then, from a cleared memo, it composes
 all 34101 Laby_4 pairs through compose_in_laby_n, which composes a block
 directly on its first ask and fills it and reads it off the constants
 from its second, and compares each with the engine: it prints the time
@@ -45,6 +47,7 @@ import tracemalloc
 from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
                                  MSetModulePresentation,
+                                 ariadne_thread_failures,
                                  phi_roundtrip_failures, psi_inverse_eval,
                                  tensor_power_functor)
 from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
@@ -176,6 +179,19 @@ def evaluate4(h):
     return 0
 
 
+def thread4(h):
+    """Run the thread check on the checked tensor_power(4, '1234'); 1 on
+    any failure."""
+    start = time.perf_counter()
+    failures = ariadne_thread_failures(h)
+    print(f"ariadne_thread_failures on tensor_power(4, '1234'): "
+          f"{len(failures)} failures ({time.perf_counter() - start:.2f} s); "
+          f"{peak_rss()}")
+    for failure in failures[:5]:
+        print(f"  {failure}")
+    return 1 if failures else 0
+
+
 def tensor_power5():
     """Build and check tensor_power(5, '1234'); 1 on a failed check."""
     start = time.perf_counter()
@@ -203,7 +219,7 @@ def main():
     four = MSetModulePresentation.tensor_power(4, skeleton(4))
     print(f"tensor_power(4, '1234') built and checked in "
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
-    if evaluate4(four):
+    if evaluate4(four) or thread4(four):
         return 1
     del four
 

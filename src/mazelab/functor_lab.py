@@ -12,8 +12,9 @@ modules by one blockwise formula: each block sums stored values, each
 weighted by a product over its passages (or columns) of binom(entry, d)
 on the maze side and entry ** d on the multation side, d the
 multiplicity; blocks and values are walked once per matrix shape, into a
-plan the presentation keeps.  The round trips and the comparison along
-the maze-to-multation translation are the consistency checks.
+plan the presentation keeps.  The round trips and the thread, which
+compares a multation module's deviations with its ariadne_pullback to
+each maze, linear in the table, are the consistency checks.
 
 Carriers are finitely generated abelian groups in invariant-factor form;
 maps between direct sums are integer matrices compared entrywise modulo
@@ -22,7 +23,7 @@ the target generator orders.
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 from . import bridge
@@ -41,7 +42,8 @@ from .matrices import (IntMat, add_scaled, column_lattice_basis,
                        row_products, solve_in_lattice)
 from .msetcat import Multation, mset_structure_constants
 from .multisets import (MultiSet, all_cardinality_multisets, covering_count,
-                        covering_sets, guard_count, json_int)
+                        covering_sets, enumerate_supported, guard_count,
+                        json_int)
 from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
@@ -534,36 +536,17 @@ def abhom_block(grid, col_orders_list, row_orders_list) -> AbHom:
                           tuple(rows))
 
 
-def extract_block(hom: AbHom, row_orders_list, col_orders_list,
-                  row_index: int, col_index: int) -> AbHom:
-    """Cut one block back out of a block-assembled AbHom; the block
-    orders must be those of its slice of the map."""
-    r0 = sum(len(o) for o in row_orders_list[:row_index])
-    r1 = r0 + len(row_orders_list[row_index])
-    c0 = sum(len(o) for o in col_orders_list[:col_index])
-    c1 = c0 + len(col_orders_list[col_index])
-    dom_orders = _int_orders(col_orders_list[col_index])
-    cod_orders = _int_orders(row_orders_list[row_index])
-    if (hom.dom_orders[c0:c1] != dom_orders
-            or hom.cod_orders[r0:r1] != cod_orders):
-        raise ShapeMismatchError(
-            f"block ({row_index},{col_index}) has the wrong shape")
-    return AbHom._trusted(dom_orders, cod_orders,
-                          tuple(row[c0:c1] for row in hom.mat.rows[r0:r1]))
-
-
 # ---------------------------------------------------------------------------
 # what both presentation sides share
 
 
 class HomSet(NamedTuple):
     """One hom-set of a presentation's index: the basis arrows of the
-    side's structure constants, their stored values (None if missing) and
-    each arrow's (source, target, multiplicity) triples."""
+    side's structure constants and their stored values (None if
+    missing)."""
 
     arrows: tuple
     values: list
-    triples: list
 
     def value(self, t: int) -> AbHom:
         """The stored value of arrows[t]; a missing one raises when used."""
@@ -625,8 +608,7 @@ class Presentation:
         if entry is None:
             arrows = self.constants().arrows.get((dom, cod), ())
             entry = self.hom_sets[dom, cod] = HomSet(
-                arrows, [self.table.get(x) for x in arrows],
-                [self.triples(x) for x in arrows])
+                arrows, [self.table.get(x) for x in arrows])
         return entry
 
     def _functorial_on_basis(self) -> bool:
@@ -899,11 +881,11 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
             at = at_row
             for (dom, col_of), x_orders in zip(cols, plan.col_index[1]):
                 hom_set = pres.hom_set(dom, cod)
-                for t, triples in enumerate(hom_set.triples):
+                for t, arrow in enumerate(hom_set.arrows):
                     rows = _checked_mat(hom_set.value(t), x_orders,
                                         y_orders).rows
                     cells = [(d - 1) * size + row_of[r] * a + col_of[s]
-                             for s, r, d in triples]
+                             for s, r, d in pres.triples(arrow)]
                     plan.terms.append((at, rows, cells))
                     w = 1
                     for c in cells:
@@ -943,40 +925,43 @@ def phi_inverse_eval(h: LabyModulePresentation, m: IntMat) -> AbHom:
                            binomial)
 
 
-def _deviation_block(evaluate, pres, maze: Maze, exact):
-    """Deviation of an evaluated functor along a maze's transports,
-    restricted to the exact-support blocks, with a consistency assertion
-    that the other row blocks vanish there.
+def _deviation_block(evaluate, pres, maze: Maze, cols, rows) -> AbHom:
+    """Deviation of an evaluated functor along a maze's transports, cut
+    to the column blocks `cols` and the row blocks `rows`, each list in
+    the caller's order, with a consistency assertion that the rows outside
+    `rows` vanish on `cols`.
 
-    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`; the
-    (blocks, orders) indices of the maze's source and target ranks are
-    read from the plan that evaluation keeps for the transports' shape,
-    and `exact(block, k)` tells whether a block of a rank-k side has full
-    support.  Returns the grid of exact blocks with its column and row
-    blocks.
+    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`.  The cut
+    is by generator positions, read from the (blocks, orders) indices of
+    the plan that evaluation keeps for the transports' shape.
     """
     total = deviation(lambda mat: evaluate(pres, mat), transport_maps(maze))
     plan = pres.plans[len(maze.cod), len(maze.dom)]
-    (col_blocks, col_orders), (row_blocks, row_orders) = (plan.col_index,
-                                                          plan.row_index)
-    cols = [j for j, x in enumerate(col_blocks) if exact(x, len(maze.dom))]
-    rows = [i for i, y in enumerate(row_blocks) if exact(y, len(maze.cod))]
-    grid = [[extract_block(total, row_orders, col_orders, i, j) for j in cols]
-            for i in range(len(row_blocks))]
-    if any(not hom.is_zero() for i, row in enumerate(grid) if i not in rows
-           for hom in row):
+
+    def positions(index, wanted):
+        ends = list(accumulate(map(len, index[1]), initial=0))
+        at = {x: range(ends[i], ends[i + 1]) for i, x in enumerate(index[0])}
+        return [p for x in wanted for p in at[x]]
+
+    col_at = positions(plan.col_index, cols)
+    row_at = positions(plan.row_index, rows)
+    kept, mat = set(row_at), total.mat.rows
+    if any(row[c] for i, row in enumerate(mat) if i not in kept
+           for c in col_at):
         raise AssertionError(
             "deviation leaks outside the exact-support blocks")
-    return ([grid[i] for i in rows], [col_blocks[j] for j in cols],
-            [row_blocks[i] for i in rows])
+    return AbHom._trusted(tuple([total.dom_orders[c] for c in col_at]),
+                          tuple([total.cod_orders[r] for r in row_at]),
+                          tuple(tuple([mat[r][c] for c in col_at])
+                                for r in row_at))
 
 
 def _phi_deviation(h: LabyModulePresentation, maze: Maze) -> AbHom:
     """The deviation block of the maze-side evaluation on the full
     subsets, the one cross-effect a stored value lives on."""
-    [[block]], _, _ = _deviation_block(phi_inverse_eval, h, maze,
-                                       lambda x, k: len(x) == k)
-    return block
+    return _deviation_block(phi_inverse_eval, h, maze,
+                            [tuple(range(1, len(maze.dom) + 1))],
+                            [tuple(range(1, len(maze.cod) + 1))])
 
 
 def phi_roundtrip_failures(h: LabyModulePresentation):
@@ -1159,10 +1144,25 @@ def psi_inverse_eval(j: MSetModulePresentation, m: IntMat) -> AbHom:
                            lambda block: (block, _INDEX_OF_LETTER), pow)
 
 
+def ariadne_pullback(j: MSetModulePresentation, maze: Maze) -> AbHom:
+    """The multation presentation j pulled back to one pure maze along
+    ariadne: block (B, A) is j on the ariadne entry A -> B, over the
+    multi-sets of degree j.degree supported exactly on the maze's ends, in
+    enumerate_supported order; j's values at other ends are not read."""
+    cols = enumerate_supported(maze.dom, j.degree)
+    rows = enumerate_supported(maze.cod, j.degree)
+    matrix = bridge.ariadne_maze(maze, j.degree)
+    return abhom_block([[j.eval_hom(matrix.entry(b, a)) for a in cols]
+                        for b in rows], [j.groups[a].orders for a in cols],
+                       [j.groups[b].orders for b in rows])
+
+
 def ariadne_thread_failures(j: MSetModulePresentation):
-    """Compare the deviation evaluation of the multation module with the
-    pushforward of mazes through the translation functor, on all small
-    pure mazes inside the universe."""
+    """Compare the deviation evaluation of the multation module, cut to
+    the exact-support blocks, with its ariadne_pullback on all small pure
+    mazes inside the universe; a mismatch names its maze.  Both sides are
+    linear in the stored table, so this checks the evaluation and
+    translation formulas, not the table: that is what check() does."""
     n = j.degree
     failures = []
     max_side = min(len(j.universe), MAX_MATRIX_SIDE)
@@ -1170,20 +1170,14 @@ def ariadne_thread_failures(j: MSetModulePresentation):
         raise ValueError(f"the thread check needs the letters 1..{max_side}"
                          f" of its matrices in the universe {list(j.universe)}")
     for a_size in range(max_side + 1):
+        cols = enumerate_supported(skeleton(a_size), n)
         for b_size in range(max_side + 1):
+            rows = enumerate_supported(skeleton(b_size), n)
             for maze in pure_mazes_between(skeleton(a_size), skeleton(b_size),
                                            range(n + 1)):
-                grid, col_blocks, row_blocks = _deviation_block(
-                    psi_inverse_eval, j, maze,
-                    lambda blk, k: len(blk.support) == k)
-                matrix = bridge.ariadne_maze(maze, n)
-                for bi, bb in enumerate(row_blocks):
-                    for ai, aa in enumerate(col_blocks):
-                        expected = j.eval_hom(matrix.entry(bb, aa))
-                        if grid[bi][ai] != expected:
-                            failures.append(
-                                f"thread mismatch on {maze!r} at "
-                                f"({bb!r}, {aa!r})")
+                if _deviation_block(psi_inverse_eval, j, maze, cols,
+                                    rows) != ariadne_pullback(j, maze):
+                    failures.append(f"thread mismatch on {maze!r}")
     return failures
 
 

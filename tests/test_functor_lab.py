@@ -22,13 +22,13 @@ from mazelab.functor_lab import (
     MatrixFunctor,
     MSetModulePresentation,
     abhom_block,
+    ariadne_pullback,
     ariadne_thread_failures,
     psi_block_index,
     check_deviation_formula,
     cross_effect_projectors,
     deviation,
     direct_sum_functor,
-    extract_block,
     identity_functor,
     numerical_axiom_check,
     phi_block_index,
@@ -47,7 +47,8 @@ from mazelab.labycat import (Maze, Passage, quadratic_generators, rename_maze,
 from mazelab.matrices import IntMat
 from mazelab.msetcat import Multation, all_multations, mset2_generators
 from mazelab.multisets import (MultiSet, all_cardinality_multisets,
-                               covering_sets, guard_count)
+                               covering_sets, enumerate_supported,
+                               guard_count)
 from test_structure_constants import loaded_with, refused_as
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -1178,6 +1179,38 @@ def test_ariadne_thread_negative_control(j_square):
         broken.check()
 
 
+def test_the_deviation_cut_asserts_that_other_rows_vanish():
+    """Along 1 -> 1, 1 -> 2 the deviation of tensor_power(2, "12") from
+    {1,1} lives on the row block {1,2}: cut there it is the pullback, and
+    a cut that leaves {1,2} out trips the assertion."""
+    j = MSetModulePresentation.tensor_power(2, "12")
+    maze = Maze.pure([("1", "1"), ("1", "2")], skeleton(1), skeleton(2))
+    cols = enumerate_supported(skeleton(1), 2)
+    rows = enumerate_supported(skeleton(2), 2)
+    assert functor_lab._deviation_block(
+        psi_inverse_eval, j, maze, cols, rows) == ariadne_pullback(j, maze)
+    with pytest.raises(AssertionError,
+                       match="leaks outside the exact-support blocks"):
+        functor_lab._deviation_block(psi_inverse_eval, j, maze, cols,
+                                     rows[:-1])
+
+
+def test_a_thread_mismatch_names_its_maze(monkeypatch):
+    j = MSetModulePresentation.tensor_power(2, "12")
+    pullback, moved = functor_lab.ariadne_pullback, []
+
+    def doubled(j, maze):
+        value = pullback(j, maze)
+        if not value.is_zero():
+            moved.append(maze)
+        return value.scale(2)
+
+    monkeypatch.setattr(functor_lab, "ariadne_pullback", doubled)
+    failures = ariadne_thread_failures(j)
+    assert moved and failures == [f"thread mismatch on {maze!r}"
+                                  for maze in moved]
+
+
 def test_ariadne_thread_zero_module(j_square):
     zero = MSetModulePresentation(
         2, skeleton(2),
@@ -1228,6 +1261,20 @@ def test_factorization_verify(phi_square, j_square, frobenius):
     j_frob = MSetModulePresentation.frobenius_twist(
         frobenius["X"], skeleton(2), 2)
     assert factorization_verify(frobenius["H"], j_frob, 2)
+
+
+def test_factorization_verify_rejects_a_negated_value(phi_square, j_square):
+    # Every stored value between {1,1} and {1,2}, the multi-sets
+    # supported on a skeleton set, enters the comparison.
+    on_skeleta = (ms("1", "1"), ms("1", "2"))
+    targets = [mu for mu in j_square.table
+               if mu.dom in on_skeleta and mu.cod in on_skeleta]
+    assert len(targets) == 5
+    for mu in targets:
+        table = {**j_square.table, mu: j_square.table[mu].scale(-1)}
+        broken = MSetModulePresentation(2, skeleton(2), j_square.groups,
+                                        table, check=False)
+        assert not factorization_verify(phi_square, broken, 2), mu
 
 
 def test_factorization_verify_degree_mismatch(frobenius):
@@ -1334,21 +1381,12 @@ def test_trusted_arithmetic_matches_the_checking_constructors(case):
          checked(a, b, want_comb)),
         (h.compose(f), checked(a, c, want_comp)),
     ]
-    # Blocks: [[f, 0], [h.f, h]] from a + b to b + c, then each cut back
-    # out.
+    # Blocks: [[f, 0], [h.f, h]] from a + b to b + c.
     block = abhom_block([[f, AbHom.zero(b, b)], [h.compose(f), h]],
                         [a, b], [b, c])
     want_block = ([list(r) + [0] * len(b) for r in fr]
                   + [list(r) + list(s) for r, s in zip(want_comp, hr)])
     results.append((block, checked(a + b, b + c, want_block)))
-    for i, rows in enumerate((b, c)):
-        for j, cols in enumerate((a, b)):
-            r0 = len(b) * i
-            c0 = len(a) * j
-            raw = [list(row[c0:c0 + len(cols)])
-                   for row in block.mat.rows[r0:r0 + len(rows)]]
-            results.append((extract_block(block, [b, c], [a, b], i, j),
-                            checked(cols, rows, raw)))
     for got, want in results:
         assert got == want
         assert (got.dom_orders, got.cod_orders) == (want.dom_orders,
@@ -1363,19 +1401,13 @@ def test_blocks_refuse_orders_other_than_their_own():
     f = AbHom.identity(z2)
     with pytest.raises(ShapeMismatchError, match="wrong shape"):
         abhom_block([[f]], [z], [z2])
-    whole = abhom_block([[f]], [z2], [z2])
-    with pytest.raises(ShapeMismatchError, match="wrong shape"):
-        extract_block(whole, [z2], [z], 0, 0)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
 def test_block_orders_are_integers_not_truncated(value):
     h = AbHom.identity((2,))
-    whole = abhom_block([[h]], [(2,)], [(2,)])
     for call in (lambda: abhom_block([[h]], [(value,)], [(2,)]),
-                 lambda: abhom_block([[h]], [(2,)], [(value,)]),
-                 lambda: extract_block(whole, [(value,)], [(2,)], 0, 0),
-                 lambda: extract_block(whole, [(2,)], [(value,)], 0, 0)):
+                 lambda: abhom_block([[h]], [(2,)], [(value,)])):
         with pytest.raises(ValueError, match="is not an integer"):
             call()
 

@@ -33,7 +33,6 @@ from mazelab.functor_lab import (
     cross_effect_projectors,
     deviation,
     direct_sum_functor,
-    extract_block,
     identity_functor,
     index_subsets,
     numerical_axiom_check,
@@ -196,7 +195,7 @@ def old_combination(dom_orders, cod_orders, terms):
 
 def old_eval_blockwise(pres, m, col_index, row_index, place, weight):
     def weighted(hom_set, col_of, row_of):
-        for t, triples in enumerate(hom_set.triples):
+        for t, triples in enumerate([pres.triples(x) for x in hom_set.arrows]):
             w = 1
             for s, r, d in triples:
                 w *= weight(m.rows[row_of[r]][col_of[s]], d)
@@ -240,6 +239,17 @@ def old_psi_inverse_eval(j, m):
     return old_eval_blockwise(j, m, psi_block_index(j, skeleton(a)),
                               psi_block_index(j, skeleton(b)),
                               lambda block: (block, names), pow)
+
+
+def extract_block(hom, row_orders_list, col_orders_list, row_index,
+                  col_index):
+    r0 = sum(len(o) for o in row_orders_list[:row_index])
+    r1 = r0 + len(row_orders_list[row_index])
+    c0 = sum(len(o) for o in col_orders_list[:col_index])
+    c1 = c0 + len(col_orders_list[col_index])
+    return AbHom(col_orders_list[col_index], row_orders_list[row_index],
+                 IntMat(r1 - r0, c1 - c0, [row[c0:c1]
+                                           for row in hom.mat.rows[r0:r1]]))
 
 
 def old_deviation_block(evaluate, pres, maze, col_index, row_index, exact):
