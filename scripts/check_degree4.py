@@ -6,8 +6,13 @@ First it builds the maze-side presentation of the tensor cube at degree
 3, checks it and re-derives every stored value by its round trip, with
 the time of each step: the layer timing of the integer kernel.  Then it
 prints the time to fill every block of Laby_4 and of MSet_4 over four
-letters, each cold, and the time to check the degree-4 tensor power on
-the multation side.  It evaluates that checked presentation on two
+letters, each cold, with the number of pairs composed (one per orbit),
+and after each fill runs the exact span test (tests/generation.py): the
+words in the elementary mazes, or in the divided powers of adjacent
+letters, and the identities must span every hom-set over Z, or the
+script exits 1.  Then it prints the time to build and check the degree-4
+tensor power on the multation side and the number of composites g . x
+that check compares.  It evaluates that checked presentation on two
 seeded 3 x 3 matrices m and k: it prints the time of the first
 evaluation, which builds the presentation's plan for the shape, the time
 of a warm one and the size the plan retains (tracemalloc after a
@@ -30,19 +35,22 @@ times with itself, whose 41503 covering subsets are listed.  From a
 cleared memo, it times the first ask of one Laby_5 pair of the block
 (4, 4, 4), composed directly, and the second, which lists the degree and
 fills the block, each checked against the engine.  Then it fills every
-block of Laby_5, cold again: its time and peak memory.  Last it builds
-the degree-5 tensor power on the multation side over four letters and
-checks it, with the time of each step, and exits 1 if the check fails.
+block of Laby_5, cold again: its time and peak memory, and runs the span
+test on Laby_5.  Last it builds the degree-5 tensor power on the
+multation side over four letters and checks it, with the time of each
+step, and exits 1 if the check fails.
 Each stage also prints the peak resident set size of the process so far,
 and the script exits 1 if any stage fails.
 """
 
 import gc
+import os
 import random
 import resource
 import sys
 import time
 import tracemalloc
+from itertools import product
 
 from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
@@ -51,10 +59,15 @@ from mazelab.functor_lab import (LabyModulePresentation,
                                  phi_roundtrip_failures, psi_inverse_eval,
                                  tensor_power_functor)
 from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
-                             laby_structure_constants, maze_hom_compose,
-                             reset_laby_constants, skeleton)
+                             elementary_mazes, laby_structure_constants,
+                             maze_hom_compose, reset_laby_constants, skeleton)
 from mazelab.matrices import IntMat
-from mazelab.msetcat import mset_structure_constants
+from mazelab.msetcat import (Multation, divided_powers,
+                             mset_structure_constants)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from generation import composites, unspanned  # noqa: E402
 
 
 def peak_rss():
@@ -65,12 +78,39 @@ def peak_rss():
 
 
 def fill(name, sc):
+    """Ask every block of sc once, which fills them all, counting the
+    pairs composed through a wrapper around sc.compose."""
+    calls = []
+    compose = sc.compose
+
+    def counted(f, g):
+        calls.append(None)
+        return compose(f, g)
+
+    sc.compose = counted
     start = time.perf_counter()
-    orbits = sum(len(pairs) for _, pairs in sc.representatives())
+    ends = list(dict.fromkeys(x for x, _ in sc.arrows))
+    for a, b, c in product(ends, repeat=3):
+        sc.block(a, b, c)
     seconds = time.perf_counter() - start
+    sc.compose = compose
     pairs = sum(len(row) for block in sc.blocks.values() for row in block)
     print(f"{name}: {len(sc.index)} basis arrows, {pairs} composites, "
-          f"{orbits} composed, filled in {seconds:.2f} s; {peak_rss()}")
+          f"{len(calls)} composed, filled in {seconds:.2f} s; {peak_rss()}")
+
+
+def spans(name, sc, generators, identity):
+    """The exact span test on filled constants; 1 if a hom-set is left
+    unspanned, else 0."""
+    start = time.perf_counter()
+    missing = unspanned(sc, generators, identity)
+    print(f"{name}: {len(generators)} generators span "
+          f"{sum(1 for fs in sc.arrows.values() if fs) - len(missing)} of "
+          f"the nonempty hom-sets over Z, {len(missing)} unspanned "
+          f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
+    for a, c in missing[:5]:
+        print(f"  {a!r} -> {c!r} is not spanned")
+    return 1 if missing else 0
 
 
 def cube():
@@ -213,12 +253,18 @@ def main():
     status = cube()
     laby = laby_structure_constants(4)
     fill("Laby_4", laby)
-    fill("MSet_4 over 1234", mset_structure_constants(skeleton(4), 4))
+    status |= spans("Laby_4", laby, elementary_mazes(4), Maze.identity)
+    mset = mset_structure_constants(skeleton(4), 4)
+    fill("MSet_4 over 1234", mset)
+    status |= spans("MSet_4 over 1234", mset, divided_powers(skeleton(4), 4),
+                    Multation.identity)
 
     start = time.perf_counter()
     four = MSetModulePresentation.tensor_power(4, skeleton(4))
     print(f"tensor_power(4, '1234') built and checked in "
-          f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
+          f"{time.perf_counter() - start:.2f} s, the check comparing "
+          f"{composites(mset, divided_powers(skeleton(4), 4))} composites "
+          f"g . x; {peak_rss()}")
     if evaluate4(four) or thread4(four):
         return 1
     del four
@@ -255,6 +301,8 @@ def main():
         return 1
     reset_laby_constants()
     fill("Laby_5", laby_structure_constants(5))
+    status |= spans("Laby_5", laby_structure_constants(5),
+                    elementary_mazes(5), Maze.identity)
     reset_laby_constants()
     if tensor_power5():
         return 1

@@ -341,8 +341,8 @@ def factorization_verify(h, j, n: int) -> bool:
     a value of j with an end elsewhere, such as {2,2}, lies outside.
 
     Shape disagreements (wrong degree, blocks that do not assemble to the
-    stored groups) report False rather than raising; they are exactly what
-    the verifier exists to detect.
+    stored groups) and values j lacks report False rather than raising;
+    they are exactly what the verifier exists to detect.
     """
     from .functor_lab import ariadne_pullback
     from .labycat import skeleton
@@ -362,4 +362,7 @@ def factorization_verify(h, j, n: int) -> bool:
             expect.extend(j.groups[b].orders)
         if tuple(expect) != h.groups[k].orders:
             return False
-    return all(ariadne_pullback(j, maze) == h.hom(maze) for maze in h.mazes())
+    try:
+        return all(h.hom(m) == ariadne_pullback(j, m) for m in h.mazes())
+    except KeyError:  # j lacks a value that a pullback reads
+        return False

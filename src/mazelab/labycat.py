@@ -707,20 +707,31 @@ def laby_structure_constants(n: int) -> StructureConstants:
         _skeleton_swaps, rename_maze)
 
 
+def elementary_mazes(n: int):
+    """The adjacent transpositions of each skeleton [k], 2 <= k <= n, and
+    for k < n the split A_k: [k] -> [k+1] of the last point, the merge B_k
+    back and the doubled loop C_k on it: with the identities, their words
+    span Laby_n over Z at each n <= 5 the guard allows (span tests)."""
+    out = []
+    for k in range(1, n + 1):
+        names, up = skeleton(k), skeleton(k + 1)
+        ones, x, y = [(z, z) for z in names], names[-1], up[-1]
+        out += [(names, names, ones[:i] + [(u, v), (v, u)] + ones[i + 2:])
+                for i, (u, v) in enumerate(zip(names, names[1:]))]
+        if k < n:
+            out += [(names, up, ones + [(x, y)]),
+                    (up, names, ones + [(y, x)]),
+                    (names, names, ones + [(x, x)])]
+    return [Maze._trusted(dom, cod, tuple(
+        (pure_passage(*p), m) for p, m in sorted(Counter(pairs).items())))
+        for dom, cod, pairs in out]
+
+
 def quadratic_generators():
-    """The four non-identity pure mazes of the degree-2 skeleton, plus the
-    identities, keyed by their conventional one-letter names."""
-    one = skeleton(1)
-    two = skeleton(2)
-    return {
-        "A": Maze(one, two, [Passage("1", "1", 1), Passage("1", "2", 1)]),
-        "B": Maze(two, one, [Passage("1", "1", 1), Passage("2", "1", 1)]),
-        "C": Maze(one, one, [(Passage("1", "1", 1), 2)]),
-        "S": Maze(two, two, [Passage("1", "2", 1), Passage("2", "1", 1)]),
-        "I0": Maze((), ()),
-        "I1": Maze.identity(one),
-        "I2": Maze.identity(two),
-    }
+    """The elementary mazes of the degree-2 skeleton, A, B, C and S, plus
+    the identities, keyed by their conventional names."""
+    return dict(zip("ABCS", elementary_mazes(2))) | {
+        f"I{k}": Maze.identity(skeleton(k)) for k in range(3)}
 
 
 def laby2_table():

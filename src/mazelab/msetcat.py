@@ -292,6 +292,19 @@ def mset_structure_constants(universe, n: int) -> StructureConstants:
         multation_compose, swaps, rename_multation)
 
 
+@lru_cache(maxsize=CONSTANTS_KEPT)
+def divided_powers(universe, n: int):
+    """The divided powers of adjacent letters in degree n over a sorted
+    universe: the basis multations with one column x -> y off the diagonal,
+    x and y adjacent, which pair copies of x with y and the rest of the
+    domain with itself.  With the identities they generate MSet_n over Z
+    (S. Doty and A. Giaquinto, "Presenting Schur algebras", IMRN 2002)."""
+    adjacent = {*zip(universe, universe[1:]), *zip(universe[1:], universe)}
+    return tuple(mu for mu in mset_structure_constants(universe, n).index
+                 if len(off := [c for c, _ in mu.pairs if c[0] != c[1]]) == 1
+                 and off[0] in adjacent)
+
+
 def mset2_generators():
     """The three non-identity basis multations of the degree-2 skeleton."""
     m11 = MultiSet(["1", "1"])

@@ -253,14 +253,12 @@ class StructureConstants:
     at its source and target.  So the first time a block is asked for, a
     walk over the transpositions at the three ends of each block it meets
     fills every block and pair of its orbit.  `compose(f, g)`, a HomComb
-    f . g, runs once per orbit of pairs, on the first pair of the orbit in
-    the block asked for, which `orbits` records; every other pair takes
-    that composite's terms with their positions renamed and re-sorted.
-    Listing the arrows composes nothing.
-    """
+    f . g, runs on one pair per orbit; every other pair takes its terms
+    with their positions renamed and re-sorted.  Listing the arrows
+    composes nothing."""
 
     __slots__ = ("arrows", "index", "compose", "swaps", "rename", "gens",
-                 "moved", "blocks", "orbits", "shared")
+                 "moved", "blocks", "shared")
 
     def __init__(self, arrows, compose, swaps, rename):
         self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
@@ -272,7 +270,6 @@ class StructureConstants:
         self.gens = {}
         self.moved = {}
         self.blocks = {}
-        self.orbits = {}
         self.shared = {}
 
     def generators(self, x):
@@ -333,12 +330,10 @@ class StructureConstants:
         rows = [[[None] * len(self.arrows[b, c]) for _ in self.arrows[a, b]]
                 for a, b, c in order]
         a, b, c = root
-        reps = []
         for i, g in enumerate(self.arrows[a, b]):
             for k, f in enumerate(self.arrows[b, c]):
                 if rows[0][i][k] is not None:
                     continue
-                reps.append((i, k))
                 rows[0][i][k] = terms = self.encode(f, g)
                 todo = [(0, i, k, terms)]
                 while todo:
@@ -355,18 +350,6 @@ class StructureConstants:
                             todo.append((e2, i2, k2, moved))
         for ends, block in zip(order, rows):
             self.blocks[ends] = tuple(map(tuple, block))
-        self.orbits[root] = reps
-
-    def representatives(self):
-        """Every block filled; then one composable pair per orbit, as
-        ((a, b, c), [(i, k), ...]): the positions of a pair in arrows[a, b]
-        and arrows[b, c] for each orbit met first in block (a, b, c)."""
-        ends = list(dict.fromkeys(x for x, _ in self.arrows))
-        for a in ends:
-            for b in ends:
-                for c in ends:
-                    self.block(a, b, c)
-        return self.orbits.items()
 
     def share(self, terms):
         """The stored copy of a term tuple."""

@@ -1,29 +1,33 @@
-"""Renaming symmetry of the structure constants and of both checks.
+"""Renaming symmetry of the structure constants, and both checks.
 
 The constants fill each block by orbits of pairs under renaming the
 source, middle and target independently, composing one pair per orbit.
-Both presentation checks test (i) identities, (ii) the values of the
-adjacent transpositions' arrows against every basis arrow and (iii) one
-pair per orbit, and rerun the per-pair loop only to name a failure.  The
-references are the per-pair ones: every pair composed afresh, on the
+Both presentation checks test (i) identities and (ii) hom(g . x) =
+hom(g) hom(x) for every generator g of the side and every basis arrow x
+into its source, and rerun the per-pair loop only to name a failure.
+The references are the per-pair ones: every pair composed afresh, on the
 maze side by the engine rather than compose_in_laby_n, which reads the
 constants, and the check oracles of test_structure_constants.
 """
 
+import json
+import os
 import random
+from itertools import product
 
 import pytest
 
 from mazelab.functor_lab import (AbHom, LabyModulePresentation,
                                  MSetModulePresentation, tensor_power_functor)
 from mazelab.labycat import Maze, MazeHom, laby_structure_constants, skeleton
+from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, mset_structure_constants,
                              multation_compose)
 from mazelab.multisets import CONSTANTS_KEPT
 from mazelab.scalars import StructureConstants
-from test_structure_constants import (assert_checks_agree,
-                                      laby_compose_oracle, loaded_with,
-                                      refused_as)
+from test_structure_constants import (FIXTURES, assert_checks_agree,
+                                      fill_every_block, laby_compose_oracle,
+                                      loaded_with, refused_as)
 
 
 def laby(n):
@@ -54,12 +58,39 @@ def counted(sc):
     return StructureConstants(sc.arrows, compose, sc.swaps, sc.rename), calls
 
 
+def orbit_count(sc):
+    """The orbits of composable pairs (f, g) of basis arrows under the
+    transpositions at their source, middle and target, by a plain walk."""
+    seen, orbits = set(), 0
+    for (a, b), gs in sc.arrows.items():
+        for c in dict.fromkeys(y for _, y in sc.arrows):
+            for pair in product(sc.arrows[b, c], gs):
+                if pair in seen:
+                    continue
+                orbits += 1
+                seen.add(pair)
+                todo = [pair]
+                while todo:
+                    f, g = todo.pop()
+                    for moved in (
+                            [(f, sc.rename(g, s, None))
+                             for s, _ in sc.generators(g.dom)]
+                            + [(sc.rename(f, s, None), sc.rename(g, None, s))
+                               for s, _ in sc.generators(g.cod)]
+                            + [(sc.rename(f, None, s), g)
+                               for s, _ in sc.generators(f.cod)]):
+                        if moved not in seen:
+                            seen.add(moved)
+                            todo.append(moved)
+    return orbits
+
+
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_every_block_equals_the_per_pair_block(make, args):
     sc, _, _, compose = make(*args)
     fresh, calls = counted(sc)
-    orbits = sum(len(pairs) for _, pairs in fresh.representatives())
-    assert len(calls) == orbits
+    fill_every_block(fresh)
+    assert len(calls) == len(set(calls)) == orbit_count(sc)
     ends = dict.fromkeys(x for x, _ in fresh.arrows)
     assert len(fresh.blocks) == len(ends) ** 3
     for (a, b, c), block in fresh.blocks.items():
@@ -78,7 +109,7 @@ def test_orbit_counts_at_degree_3():
     for sc, orbits in ((laby_structure_constants(3), 99),
                        (mset_structure_constants(skeleton(3), 3), 35)):
         fresh, calls = counted(sc)
-        assert sum(len(p) for _, p in fresh.representatives()) == orbits
+        fill_every_block(fresh)
         assert len(calls) == orbits
 
 
@@ -135,47 +166,34 @@ def with_table(pres, table):
                                   table, check=False)
 
 
-def representatives_hold(pres):
-    """(iii) alone, in plain AbHom arithmetic."""
-    sc = pres.constants()
-    for (a, b, c), pairs in sc.representatives():
-        for i, k in pairs:
-            g, f = sc.arrows[a, b][i], sc.arrows[b, c][k]
-            composite = AbHom.combination(
-                pres.carrier(a).orders, pres.carrier(c).orders,
-                [(pres.hom(sc.arrows[a, c][u]), x)
-                 for u, x in sc.terms(f, g)])
-            if composite != pres.hom(f).compose(pres.hom(g)):
-                return False
-    return True
-
-
-def test_a_table_broken_off_the_representatives_is_refused_alike(cubes):
-    for pres in cubes:
-        sc = pres.constants()
-        factors, terms = set(), set()
-        for (a, b, c), pairs in sc.representatives():
-            for i, k in pairs:
-                factors.update((sc.arrows[a, b][i], sc.arrows[b, c][k]))
-                terms.update(sc.arrows[a, c][u]
-                             for u, _ in sc.block(a, b, c)[i][k])
-        # A basis arrow in no representative pair, with a transposition at
-        # one of its ends and a nonzero value, doubled.  On the multation
-        # side it also takes no part in their composites, so (iii) alone
-        # still holds and (ii) must refuse it; on the maze side every
-        # arrow does.
-        candidates = [f for f in sc.index if f not in factors
-                      and (sc.generators(f.dom) or sc.generators(f.cod))
-                      and not pres.hom(f).is_zero()]
-        untouched = [f for f in candidates if f not in terms]
-        assert untouched or isinstance(pres, LabyModulePresentation)
-        for f in (untouched or candidates)[::7]:
+def test_one_value_broken_per_hom_set_is_refused_alike(cubes):
+    # One stored value per hom-set, the last that is not an identity and
+    # has an entry, gets 1 added to its first entry.  The generator check
+    # and the per-pair walk over the constants agree on each, and both
+    # refuse it, as the per-pair oracle does.
+    with open(os.path.join(FIXTURES, "frobenius_mset.json")) as fh:
+        frobenius = MSetModulePresentation.from_json(json.load(fh))
+    for pres in (*cubes, frobenius):
+        broken = 0
+        for (a, b), arrows in pres.constants().arrows.items():
+            for f in reversed(arrows):
+                value = pres.hom(f)
+                if f != pres.identity(a) and value.mat.nrows * value.mat.ncols:
+                    break
+            else:
+                continue
+            rows = [list(row) for row in value.mat.rows]
+            rows[0][0] += 1
             table = dict(pres.table)
-            table[f] = table[f].scale(2)
-            broken = with_table(pres, table)
-            assert representatives_hold(broken) or not untouched
-            kind, text = assert_checks_agree(broken)
+            table[f] = AbHom(value.dom_orders, value.cod_orders,
+                             IntMat.from_rows(rows))
+            mutant = with_table(pres, table)
+            assert not mutant._functorial_on_basis()
+            assert any(mutant._failures(mutant.pairs()))
+            kind, text = assert_checks_agree(mutant)
             assert kind == "ValueError" and "not functorial" in text
+            broken += 1
+        assert broken
 
 
 def test_a_table_broken_on_a_transposition_is_refused_alike(cubes):
@@ -220,11 +238,12 @@ def test_a_stored_maze_outside_the_basis_is_checked_pair_by_pair(cubes):
 @pytest.mark.parametrize("side", [0, 1])
 def test_the_check_raises_what_its_reduced_path_raises(cubes, monkeypatch,
                                                        side):
+    # The reduced path is the loop over the side's generators.
     def broken(self):
-        raise RuntimeError("representatives failed")
+        raise RuntimeError("generators failed")
 
-    monkeypatch.setattr(StructureConstants, "representatives", broken)
-    with pytest.raises(RuntimeError, match="representatives failed"):
+    monkeypatch.setattr(type(cubes[side]), "generators", broken)
+    with pytest.raises(RuntimeError, match="generators failed"):
         cubes[side].check()
 
 

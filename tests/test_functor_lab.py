@@ -1277,6 +1277,18 @@ def test_factorization_verify_rejects_a_negated_value(phi_square, j_square):
         assert not factorization_verify(phi_square, broken, 2), mu
 
 
+def test_factorization_verify_rejects_a_missing_value(phi_square):
+    # The pullback to the maze 1 -> 1, 2 -> 1 reads the value of
+    # {1,2} -> {1,1}; without it the verifier answers False, not KeyError.
+    j = MSetModulePresentation.tensor_power(2, skeleton(2), check=False)
+    table = dict(j.table)
+    del table[Multation(ms("1", "2"), ms("1", "1"),
+                        [(("1", "1"), 1), (("2", "1"), 1)])]
+    broken = MSetModulePresentation(2, skeleton(2), j.groups, table,
+                                    check=False)
+    assert not factorization_verify(phi_square, broken, 2)
+
+
 def test_factorization_verify_degree_mismatch(frobenius):
     # the same underlying carrier presented as a degree-1 module does not
     # factor the degree-2 presentation

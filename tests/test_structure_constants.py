@@ -11,6 +11,7 @@ compose_in_laby_n reads composites off the constants themselves.
 import json
 import os
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,13 @@ def mset_check_oracle(j):
                             raise ValueError(
                                 f"table is not functorial on "
                                 f"{mu!r} after {nu!r}")
+
+
+def fill_every_block(sc):
+    """Ask every block of the constants once, which fills them all."""
+    ends = list(dict.fromkeys(x for x, _ in sc.arrows))
+    for a, b, c in product(ends, repeat=3):
+        sc.block(a, b, c)
 
 
 def outcome(run):

@@ -37,6 +37,7 @@ from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
 from mazelab.scalars import LinComb, StructureConstants
 from test_labycat import box_product
 from test_scalars import multinomial
+from test_structure_constants import fill_every_block
 
 # ---------------------------------------------------------------- oracle
 
@@ -579,7 +580,7 @@ def set_blocks(n, state):
                               MazeHom.zero(skeleton(a), skeleton(b)), n)
         assert laby_structure_constants.cache_info().currsize == 0
     elif state == "filled":
-        laby_structure_constants(n).representatives()
+        fill_every_block(laby_structure_constants(n))
 
 
 @pytest.fixture
