@@ -4,7 +4,11 @@
 
 First it builds the maze-side presentation of the tensor cube at degree
 3, checks it and re-derives every stored value by its round trip, with
-the time of each step: the layer timing of the integer kernel.  Then it
+the time of each step: the layer timing of the integer kernel.  It builds
+it again, the cross-effect bases kept by the functor, and prints the
+distinct matrices that build evaluates f on, counted through a wrapper of
+the functor's arrow, and the deviation terms it sums, counted through a
+wrapper of the values each covering_deviation sums (58 and 100).  Then it
 prints the time to fill every block of Laby_4 and of MSet_4 over four
 letters, each cold, with the number of pairs composed (one per orbit),
 and after each fill runs the exact span test (tests/generation.py): the
@@ -52,9 +56,10 @@ import time
 import tracemalloc
 from itertools import product
 
+from mazelab import functor_lab
 from mazelab.bridge import roundtrip_failures
 from mazelab.functor_lab import (LabyModulePresentation,
-                                 MSetModulePresentation,
+                                 MSetModulePresentation, MatrixFunctor,
                                  ariadne_thread_failures,
                                  phi_roundtrip_failures, psi_inverse_eval,
                                  tensor_power_functor)
@@ -113,12 +118,41 @@ def spans(name, sc, generators, identity):
     return 1 if missing else 0
 
 
+def counted_build(f, degree):
+    """Build from_functor(f, degree) again with f's cross-effect bases
+    kept; returns the matrices f's arrow is called on and the number of
+    values the covering deviations sum."""
+    evaluated, terms = [], []
+    summed = functor_lab.covering_deviation
+
+    def arrow(m):
+        evaluated.append(m)
+        return f.arrow(m)
+
+    def covering(values, maze):
+        def counted(s):
+            terms.append(s)
+            return values(s)
+
+        return summed(counted, maze)
+
+    g = MatrixFunctor(f.name, f.dim, arrow)
+    g.ce_basis_cache.update(f.ce_basis_cache)
+    functor_lab.covering_deviation = covering
+    try:
+        LabyModulePresentation.from_functor(g, degree, check=False)
+    finally:
+        functor_lab.covering_deviation = summed
+    return evaluated, len(terms)
+
+
 def cube():
-    """Build, check and round-trip from_functor(tensor^3, 3); 1 on a
-    failure, else 0."""
+    """Build, check and round-trip from_functor(tensor^3, 3), then count a
+    second build's f evaluations and deviation terms; 1 on a failure,
+    else 0."""
+    f = tensor_power_functor(3)
     start = time.perf_counter()
-    h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
-                                            check=False)
+    h = LabyModulePresentation.from_functor(f, 3, check=False)
     built = time.perf_counter()
     print(f"from_functor(tensor^3, 3): {len(h.table)} values built in "
           f"{built - start:.3f} s; {peak_rss()}")
@@ -135,6 +169,10 @@ def cube():
           f"({time.perf_counter() - checked:.3f} s); {peak_rss()}")
     for failure in failures[:5]:
         print(f"  {failure}")
+    evaluated, terms = counted_build(f, 3)
+    print(f"from_functor(tensor^3, 3) with the bases kept: f evaluated on "
+          f"{len(evaluated)} matrices, {len(set(evaluated))} distinct; "
+          f"{terms} deviation terms summed")
     return 1 if failures else 0
 
 

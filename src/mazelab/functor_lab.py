@@ -136,8 +136,12 @@ def deviation(f, maps):
     for mask in range(1, 1 << k):
         low = mask & -mask
         sums.append(sums[mask ^ low] + maps[low.bit_length() - 1])
-    terms = [(f(s), -1 if (k - bin(mask).count("1")) & 1 else 1)
-             for mask, s in enumerate(sums)]
+    return _value_sum([(f(s), -1 if (k - bin(mask).count("1")) & 1 else 1)
+                       for mask, s in enumerate(sums)])
+
+
+def _value_sum(terms):
+    """The sum of c * value over (value, c) pairs of the first's shape."""
     first = terms[0][0]
     if isinstance(first, AbHom):
         return AbHom.combination(first.dom_orders, first.cod_orders, terms)
@@ -227,19 +231,12 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
 
 
 def cross_effect_basis(f: MatrixFunctor, a: int):
-    """Echelon lattice basis of the top cross-effect image at rank a.
-
-    Cached on the functor instance; the computation is deterministic.
-    """
-    cached = f.ce_basis_cache.get(a)
-    if cached is not None:
-        return cached
-    for x, e in cross_effect_projectors(f, a):
-        if len(x) == a:
-            result = column_lattice_basis(e)
-            f.ce_basis_cache[a] = result
-            return result
-    raise AssertionError("unreachable")
+    """Echelon lattice basis of the top cross-effect image at rank a, that
+    of the last projector; cached on the functor, as it is deterministic."""
+    if a not in f.ce_basis_cache:
+        f.ce_basis_cache[a] = column_lattice_basis(
+            cross_effect_projectors(f, a)[-1][1])
+    return f.ce_basis_cache[a]
 
 
 def transport_maps(maze: Maze):
@@ -256,6 +253,23 @@ def transport_maps(maze: Maze):
         maps.append(IntMat.unit(len(maze.cod), len(maze.dom), cod_idx[p.dst],
                                 dom_idx[p.src], p.label.numerator))
     return maps
+
+
+def covering_deviation(f, maze: Maze):
+    """The terms f(sum of S) (-1)^(k - |S|) of deviation(f, transport_maps(
+    maze)) whose instance set S has a passage out of every source, summed
+    over the product of the sources' nonempty instance subsets, each sum
+    one addition from one before; with no such S, 0 f(0) of f's shape."""
+    maps = transport_maps(maze)
+    zero = IntMat.zeros(len(maze.cod), len(maze.dom))
+    terms = [(zero, len(maps))]
+    for x in maze.dom:
+        fresh = []
+        for m in [m for p, m in zip(maze.instances(), maps) if p.src == x]:
+            fresh += [(s + m, c - 1) for s, c in terms + fresh]
+        terms = fresh
+    return _value_sum([(f(s), -1 if c & 1 else 1) for s, c in terms]
+                      or [(f(zero), 0)])
 
 
 def restricted_functor(f: MatrixFunctor, a: int):
@@ -280,21 +294,21 @@ def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
     corestricted to that of the target.
 
     The deviation is linear in f, so it deviates restricted_functor(f, a)
-    and solves its columns in the target's basis.  Requires integer
-    labels; a failed corestriction raises.  `values`, if given, stands in
-    for restricted_functor(f, a), such as a memo of it.
+    and solves its columns in the target's basis.  f must preserve
+    composition, so only covering_deviation's terms count: a subset missing
+    the source x sums to s = s pi_T, pi_T the projection onto T = [a] - {x},
+    and f(s) B = f(s) f(pi_T) e_[a] B = 0, as f(pi_T) sums the projectors
+    e_X, X in T, orthogonal to e_[a].  Labels must be integers; a failed
+    corestriction raises.  `values` stands in for restricted_functor(f, a).
     """
     a, b = len(maze.dom), len(maze.cod)
-    dev = deviation(values or restricted_functor(f, a), transport_maps(maze))
+    dev = covering_deviation(values or restricted_functor(f, a), maze)
     piv_y, basis_y = cross_effect_basis(f, b)
-    cols = []
-    for w in dev.columns():
-        coords = solve_in_lattice(piv_y, basis_y, w)
-        if coords is None:
-            raise ValueError(
-                "deviation does not map the source cross-effect into the "
-                "target one; functor is not free-valued or not functorial")
-        cols.append(coords)
+    cols = [solve_in_lattice(piv_y, basis_y, w) for w in dev.columns()]
+    if None in cols:
+        raise ValueError(
+            "deviation does not map the source cross-effect into the "
+            "target one; functor is not free-valued or not functorial")
     return IntMat._trusted(len(basis_y), len(cols), tuple(
         tuple([col[i] for col in cols]) for i in range(len(basis_y))))
 
@@ -793,8 +807,9 @@ class LabyModulePresentation(Presentation):
 
     @classmethod
     def from_functor(cls, f: MatrixFunctor, degree: int, check=True):
-        """The presentation of a free-valued matrix functor: carriers are
-        the top cross-effects, values the restricted deviations, trusted."""
+        """The presentation of a free-valued matrix functor preserving
+        composition (phi_forward): carriers are the top cross-effects,
+        values the restricted deviations, trusted."""
         if degree > MAX_FUNCTOR_DEGREE:
             raise ValueError("degree above the guard")
         groups = [FgAbGroup(len(cross_effect_basis(f, k)[1]))
@@ -802,10 +817,7 @@ class LabyModulePresentation(Presentation):
         hom_sets = laby_structure_constants(degree).arrows
         table = {}
         for (dom, cod), mazes in hom_sets.items():
-            # Mazes share many subset sums of their transport maps, and
-            # only mazes of one hom-set share their shape: f and its
-            # restriction are evaluated once per distinct matrix, kept for
-            # one hom-set.
+            # Only mazes of one hom-set share subset sums: one memo each.
             values = cache(restricted_functor(f, len(dom)))
             for maze in mazes:
                 table[maze] = AbHom._trusted(
@@ -819,7 +831,7 @@ class LabyModulePresentation(Presentation):
 
 
 EvalPlan = namedtuple("EvalPlan", ["col_index", "row_index", "dom_orders",
-                                   "cod_orders", "width", "terms"])
+                                   "cod_orders", "width", "terms", "cuts"])
 
 
 def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
@@ -845,7 +857,7 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
         row_index = col_index if b == a else index(b)
         dom_orders = sum(col_index[1], ())
         plan = EvalPlan(col_index, row_index, dom_orders,
-                        sum(row_index[1], ()), len(dom_orders), [])
+                        sum(row_index[1], ()), len(dom_orders), [], {})
     table = [weight(x, d) for d in range(1, pres.degree + 1)
              for row in m.rows for x in row]
     width = plan.width
@@ -917,11 +929,12 @@ def _deviation_block(evaluate, pres, maze: Maze, cols, rows) -> AbHom:
     the caller's order, with a consistency assertion that the rows outside
     `rows` vanish on `cols`.
 
-    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`.  The cut
-    is by generator positions, read from the (blocks, orders) indices of
-    the plan that evaluation keeps for the transports' shape.
-    """
-    total = deviation(lambda mat: evaluate(pres, mat), transport_maps(maze))
+    `evaluate` is phi_inverse_eval or psi_inverse_eval on `pres`.  Each
+    column block has exact full support: a stored arrow into it has a
+    passage (or column) of multiplicity d >= 1 out of every source, and
+    binom(0, d) = 0 ** d = 0, so only covering_deviation's terms count.
+    The cut's generator positions come from the shape's plan, once a cut."""
+    total = covering_deviation(lambda mat: evaluate(pres, mat), maze)
     plan = pres.plans[len(maze.cod), len(maze.dom)]
 
     def positions(index, wanted):
@@ -929,8 +942,9 @@ def _deviation_block(evaluate, pres, maze: Maze, cols, rows) -> AbHom:
         at = {x: range(ends[i], ends[i + 1]) for i, x in enumerate(index[0])}
         return [p for x in wanted for p in at[x]]
 
-    col_at = positions(plan.col_index, cols)
-    row_at = positions(plan.row_index, rows)
+    key = tuple(cols), tuple(rows)
+    col_at, row_at = plan.cuts.get(key) or plan.cuts.setdefault(key, (
+        positions(plan.col_index, cols), positions(plan.row_index, rows)))
     kept, mat = set(row_at), total.mat.rows
     if any(row[c] for i, row in enumerate(mat) if i not in kept
            for c in col_at):
@@ -1152,22 +1166,18 @@ def ariadne_thread_failures(j: MSetModulePresentation):
     mazes inside the universe; a mismatch names its maze.  Both sides are
     linear in the stored table, so this checks the evaluation and
     translation formulas, not the table: that is what check() does."""
-    n = j.degree
-    failures = []
     max_side = min(len(j.universe), MAX_MATRIX_SIDE)
     if not set(skeleton(max_side)) <= set(j.universe):
         raise ValueError(f"the thread check needs the letters 1..{max_side}"
                          f" of its matrices in the universe {list(j.universe)}")
-    for a_size in range(max_side + 1):
-        cols = enumerate_supported(skeleton(a_size), n)
-        for b_size in range(max_side + 1):
-            rows = enumerate_supported(skeleton(b_size), n)
-            for maze in pure_mazes_between(skeleton(a_size), skeleton(b_size),
-                                           range(n + 1)):
-                if _deviation_block(psi_inverse_eval, j, maze, cols,
-                                    rows) != ariadne_pullback(j, maze):
-                    failures.append(f"thread mismatch on {maze!r}")
-    return failures
+    supported = [enumerate_supported(skeleton(k), j.degree)
+                 for k in range(max_side + 1)]
+    return [f"thread mismatch on {maze!r}"
+            for a, b in product(range(max_side + 1), repeat=2)
+            for maze in pure_mazes_between(skeleton(a), skeleton(b),
+                                           range(j.degree + 1))
+            if _deviation_block(psi_inverse_eval, j, maze, supported[a],
+                                supported[b]) != ariadne_pullback(j, maze)]
 
 
 # ---------------------------------------------------------------------------

@@ -557,21 +557,25 @@ def test_from_functor_evaluates_each_distinct_matrix_once(monkeypatch):
         return real(m, n)
 
     monkeypatch.setattr(functor_lab, "kron_power", counting)
-    f = tensor_power_functor(3)
-    # The cross-effect bases are computed once and kept by the functor.
-    for a in range(4):
-        functor_lab.cross_effect_basis(f, a)
-    builds = []
-    for _ in range(2):
-        calls.clear()
-        builds.append(LabyModulePresentation.from_functor(f, 3, check=False))
-        # One evaluation per distinct matrix, in every build: the memo
-        # does not outlive the build.
-        assert len(calls) == len(set(calls)) <= 144
-    h = builds[0]
-    assert h.to_json() == builds[1].to_json()
-    assert all(h.table[maze].mat == functor_lab.phi_forward(f, maze)
-               for maze in h.mazes())
+    # Only the transport subsets reaching every source are summed: 9 and
+    # 58 distinct matrices, where all subsets gave 19 and 144.
+    for degree, count in [(2, 9), (3, 58)]:
+        f = tensor_power_functor(degree)
+        # The cross-effect bases are computed once and kept by the functor.
+        for a in range(degree + 1):
+            functor_lab.cross_effect_basis(f, a)
+        builds = []
+        for _ in range(2):
+            calls.clear()
+            builds.append(LabyModulePresentation.from_functor(
+                f, degree, check=False))
+            # One evaluation per distinct matrix, in every build: the memo
+            # does not outlive the build.
+            assert len(calls) == len(set(calls)) == count
+        h = builds[0]
+        assert h.to_json() == builds[1].to_json()
+        assert all(h.table[maze].mat == functor_lab.phi_forward(f, maze)
+                   for maze in h.mazes())
 
 
 def test_cross_effect_projectors_pairwise_orthogonal():

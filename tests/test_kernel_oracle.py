@@ -1,7 +1,8 @@
 """The integer kernel sums deviations and evaluations into one flat list
 of entries that skips zeros, restricts a maze's deviation to the source
-cross-effect before summing, and solves in the lattice over the nonzero
-rows of the basis only.  It is checked here against the earlier dense
+cross-effect before summing, sums there only the transport subsets that
+reach every source, and solves in the lattice over the nonzero rows of
+the basis only.  It is checked here against the earlier dense
 implementations, kept below as the oracle: they add and scale whole
 matrices one at a time through the checking constructors, and the
 lattice basis comes from the earlier column elimination.  Every matrix
@@ -13,6 +14,7 @@ import json
 import os
 import random
 from functools import cache
+from itertools import product
 from operator import mul
 
 import pytest
@@ -29,6 +31,7 @@ from mazelab.functor_lab import (
     MatrixFunctor,
     abhom_block,
     ariadne_thread_failures,
+    covering_deviation,
     cross_effect_basis,
     cross_effect_projectors,
     deviation,
@@ -49,6 +52,7 @@ from mazelab.functor_lab import (
 from mazelab.labycat import (Maze, Passage, laby_structure_constants,
                              pure_mazes_between, skeleton)
 from mazelab.matrices import IntMat, column_lattice_basis, solve_in_lattice
+from mazelab.multisets import enumerate_supported
 from mazelab.scalars import binomial
 from mazelab.verify import random_quadratic_presentation
 
@@ -687,3 +691,115 @@ def test_restricted_functor_matches_the_dense_product():
                                                       len(basis))
                     assert got.rows == dense_row_products(f(s).rows, basis)
     assert (2, 3) in empty
+
+
+# ------------------------------------------------- covering deviations
+
+
+def dead_end_mazes():
+    """Mazes with a source that no passage leaves, so that no transport
+    subset reaches every source."""
+    one, two = skeleton(1), skeleton(2)
+    yield Maze(two, one, [Passage("1", "1", 1)])
+    yield Maze(two, two, [Passage("2", "1", 2), Passage("2", "2", -1)])
+
+
+def zero_labelled_mazes():
+    """Mazes with zero labels, some with every label zero."""
+    one, two = skeleton(1), skeleton(2)
+    yield Maze(one, one, [Passage("1", "1", 0)])
+    yield Maze(two, two, [Passage("1", "1", 0), Passage("2", "2", 0)])
+    yield Maze(two, one, [Passage("1", "1", 0), Passage("2", "1", 0),
+                          Passage("2", "1", 3)])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTORS))
+def test_covering_deviation_is_the_restricted_deviation(name):
+    """Cut to the source's top cross-effect, the transport subsets that
+    miss a source add nothing: the covering deviation of
+    restricted_functor(f, a) is its whole deviation on every basis maze
+    of degree 3 (those of degrees 1 and 2 among them), on labelled mazes
+    with zero labels, on dead ends and on the empty maze."""
+    f = FUNCTORS[name]()
+    mazes = [maze for ms in laby_structure_constants(3).arrows.values()
+             for maze in ms]
+    mazes += [*labelled_mazes(), *zero_labelled_mazes(), *dead_end_mazes(),
+              Maze((), ())]
+    for maze in mazes:
+        values = restricted_functor(f, len(maze.dom))
+        assert outcome(covering_deviation, values, maze) == outcome(
+            deviation, values, transport_maps(maze)), maze
+
+
+def test_a_dead_end_source_gives_the_zero_of_the_values_shape():
+    """No transport subset reaches the source 2: phi_forward gives the
+    zero of the value's shape, as the whole deviation does, and the
+    deviation block is zero on a presentation with no plan yet for the
+    transports' shape, on both sides."""
+    f = tensor_power_functor(2)
+    maze = next(dead_end_mazes())
+    assert described(phi_forward(f, maze)) == described(
+        IntMat.zeros(1, 2)) == described(old_phi_forward(f, maze))
+    h = fresh(LabyModulePresentation.from_functor(f, 2))
+    assert h.plans == {}
+    assert outcome(functor_lab._phi_deviation, h, maze) == outcome(
+        old_phi_deviation, h, maze) == described(AbHom.zero((0, 0), (0,)))
+    j = fresh(MSetModulePresentation.tensor_power(2, "12"))
+    cols, rows = (enumerate_supported(skeleton(k), 2) for k in (2, 1))
+    assert j.plans == {}
+    assert functor_lab._deviation_block(
+        psi_inverse_eval, j, maze, cols, rows) == AbHom.zero(
+        sum((j.groups[x].orders for x in cols), ()),
+        sum((j.groups[y].orders for y in rows), ()))
+
+
+def phi_cut_cases(h):
+    """The maze-side deviation blocks the checks ask for, on the full
+    subsets: stored, labelled, zero-labelled and dead-end mazes."""
+    for maze in [*h.mazes(), *labelled_mazes(), *zero_labelled_mazes(),
+                 *dead_end_mazes()]:
+        yield (phi_inverse_eval, maze, [tuple(range(1, len(maze.dom) + 1))],
+               [tuple(range(1, len(maze.cod) + 1))])
+
+
+def psi_cut_cases(j):
+    """The multation-side deviation blocks of the thread check, on the
+    exact-support blocks, and of the dead-end and zero-labelled mazes."""
+    sides = range(min(len(j.universe), 3) + 1)
+    supported = [enumerate_supported(skeleton(k), j.degree) for k in sides]
+    for a, b in product(sides, repeat=2):
+        mazes = pure_mazes_between(skeleton(a), skeleton(b),
+                                   range(j.degree + 1))
+        mazes += [maze for maze in [*dead_end_mazes(), *zero_labelled_mazes()]
+                  if (len(maze.dom), len(maze.cod)) == (a, b)]
+        for maze in mazes:
+            yield psi_inverse_eval, maze, supported[a], supported[b]
+
+
+def cuts(pres, cases):
+    """The outcome of _deviation_block on every case, on a fresh copy of
+    pres, so that each shape's plan is built by the pass itself."""
+    pres = fresh(pres)
+    return [outcome(functor_lab._deviation_block, evaluate, pres, maze,
+                    cols, rows) for evaluate, maze, cols, rows in cases]
+
+
+CUT_CORPUS = LABY + [
+    ("tensor_power(2, 12)", MSetModulePresentation.tensor_power(2, "12")),
+    ("tensor_power(3, 123)", MSetModulePresentation.tensor_power(3, "123"))]
+
+
+@pytest.mark.parametrize("name, pres", CUT_CORPUS,
+                         ids=[name for name, _ in CUT_CORPUS])
+def test_deviation_cuts_match_the_unpruned_cuts(name, pres, monkeypatch):
+    """_deviation_block cut from the covering deviation against the same
+    cut of the whole deviation, every transport subset summed."""
+    cases = list(phi_cut_cases(pres)
+                 if isinstance(pres, LabyModulePresentation)
+                 else psi_cut_cases(pres))
+    pruned = cuts(pres, cases)
+    monkeypatch.setattr(functor_lab, "covering_deviation",
+                        lambda f, maze: deviation(f, transport_maps(maze)))
+    for (_, maze, _, _), got, want in zip(cases, pruned, cuts(pres, cases)):
+        assert got == want, maze
+    assert all(got[0] == "AbHom" for got in pruned)
