@@ -1,4 +1,5 @@
-"""Fill the degree-4 structure constants and check them, outside tier-1.
+"""Check the structure constants and presentations of degrees 4 and 5,
+outside tier-1.
 
     PYTHONPATH=src python scripts/check_degree4.py
 
@@ -9,42 +10,45 @@ it again, the cross-effect bases kept by the functor, and prints the
 distinct matrices that build evaluates f on, counted through a wrapper of
 the functor's arrow, and the deviation terms it sums, counted through a
 wrapper of the values each covering_deviation sums (58 and 100).  Then it
-prints the time to fill every block of Laby_4 and of MSet_4 over four
-letters, each cold, with the number of pairs composed (one per orbit),
-and after each fill runs the exact span test (tests/generation.py): the
-words in the elementary mazes, or in the divided powers of adjacent
-letters, and the identities must span every hom-set over Z, or the
-script exits 1.  Then it prints the time to build and check the degree-4
-tensor power on the multation side and the number of composites g . x
-that check compares.  It evaluates that checked presentation on two
-seeded 3 x 3 matrices m and k: it prints the time of the first
-evaluation, which builds the presentation's plan for the shape, the time
-of a warm one and the size the plan retains (tracemalloc after a
-collection, the plan built again under tracing), and exits 1 unless the
-value on m @ k is the value on m after the value on k.  It runs the
-thread check, ariadne_thread_failures, on the same presentation, prints
-its time and exits 1 on any failure.  Then compares every Laby_4 block
-with the per-pair path, each composite computed afresh by the engine,
-maze_hom_compose (a few seconds), and exits 1 on the first block that
-differs.  Then, from a cleared memo, it composes
-all 34101 Laby_4 pairs through compose_in_laby_n, which composes a block
-directly on its first ask and fills it and reads it off the constants
-from its second, and compares each with the engine: it prints the time
-of that sweep, the number of blocks filled and the time of a second,
-warm sweep, and exits 1 on the first pair that differs.  Then it sends
-every basis multation and every pure maze of degree 4 over four letters
-through both translations and back, and exits 1 on any failure of the
-round trip.  Then it times plain composition of the loop repeated four
-times with itself, whose 41503 covering subsets are listed.  From a
-cleared memo, it times the first ask of one Laby_5 pair of the block
-(4, 4, 4), composed directly, and the second, which lists the degree and
-fills the block, each checked against the engine.  Then it fills every
-block of Laby_5, cold again: its time and peak memory, and runs the span
-test on Laby_5.  Last it builds the degree-5 tensor power on the
-multation side over four letters and checks it, with the time of each
-step, and exits 1 if the check fails.
-Each stage also prints the peak resident set size of the process so far,
-and the script exits 1 if any stage fails.
+runs the exact span test (tests/generation.py) on the generator columns
+of Laby_4, cold: the words in the elementary mazes and the identities
+must span every hom-set over Z.  It prints the composites the test
+composes and the calls of StructureConstants._fill, none.  It prints the
+time to fill every block of Laby_4, with the number of pairs composed
+(one per orbit), and runs the span test on the columns of MSet_4 over
+four letters, in the divided powers of adjacent letters.  Then it builds
+the degree-4 tensor power on the multation side and checks it from
+cleared constants, printing the time, the composites g . x the check
+composes and the _fill calls, none.  It evaluates that checked
+presentation on two seeded 3 x 3 matrices m and k: it prints the time
+of the first evaluation, which builds the presentation's plan for the
+shape, the time of a warm one and the size the plan retains
+(tracemalloc after a collection, the plan built again under tracing),
+and exits 1 unless the value on m @ k is the value on m after the value
+on k.  It runs the thread check, ariadne_thread_failures, on the same
+presentation, prints its time and exits 1 on any failure.  Then
+compares every Laby_4 block with the per-pair path, each composite
+computed afresh by the engine, maze_hom_compose (a few seconds), and
+exits 1 on the first block that differs.  Then, from a cleared memo, it
+composes all 34101 Laby_4 pairs through compose_in_laby_n, which
+composes a block directly on its first ask and fills it and reads it off
+the constants from its second, and compares each with the engine: it
+prints the time of that sweep, the number of blocks filled and the time
+of a second, warm sweep, and exits 1 on the first pair that differs.
+Then it sends every basis multation and every pure maze of degree 4 over
+four letters through both translations and back, and exits 1 on any
+failure of the round trip.  Then it times plain composition of the loop
+repeated four times with itself, whose 41503 covering subsets are
+listed.  From a cleared memo, it times the first ask of one Laby_5 pair
+of the block (4, 4, 4), composed directly, and the second, which lists
+the degree and fills the block, each checked against the engine.  Then
+it runs the span test on the generator columns of Laby_5, cold again,
+and fills every block of Laby_5: its time and peak memory.  Last it
+builds the degree-5 tensor power on the multation side over four letters
+and checks it from cleared constants, printed as at degree 4.
+Each stage also prints the peak resident set size of the process so far.
+The script exits 1 if any stage fails, if a span test leaves a hom-set
+unspanned, or if a span test or a check fills a block.
 """
 
 import gc
@@ -54,6 +58,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from itertools import product
 
 from mazelab import functor_lab
@@ -69,10 +74,11 @@ from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (Multation, divided_powers,
                              mset_structure_constants)
+from mazelab.scalars import StructureConstants
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
-from generation import composites, unspanned  # noqa: E402
+from generation import unspanned  # noqa: E402
 
 
 def peak_rss():
@@ -82,40 +88,75 @@ def peak_rss():
     return f"peak RSS {kib / 1024:.1f} MB"
 
 
-def fill(name, sc):
-    """Ask every block of sc once, which fills them all, counting the
-    pairs composed through a wrapper around sc.compose."""
-    calls = []
-    compose = sc.compose
+@contextmanager
+def counting(sc):
+    """Count the pairs sc composes, through a wrapper around sc.compose,
+    and the calls of StructureConstants._fill meanwhile, into two lists."""
+    composed, fills = [], []
+    compose, fill_orbit = sc.compose, StructureConstants._fill
 
     def counted(f, g):
-        calls.append(None)
+        composed.append(None)
         return compose(f, g)
 
-    sc.compose = counted
+    def counted_fill(self, root):
+        fills.append(root)
+        return fill_orbit(self, root)
+
+    sc.compose, StructureConstants._fill = counted, counted_fill
+    try:
+        yield composed, fills
+    finally:
+        sc.compose, StructureConstants._fill = compose, fill_orbit
+
+
+def fill(name, sc):
+    """Ask every block of sc once, which fills them all, counting the
+    pairs composed."""
     start = time.perf_counter()
-    ends = list(dict.fromkeys(x for x, _ in sc.arrows))
-    for a, b, c in product(ends, repeat=3):
-        sc.block(a, b, c)
+    with counting(sc) as (composed, _):
+        ends = list(dict.fromkeys(x for x, _ in sc.arrows))
+        for a, b, c in product(ends, repeat=3):
+            sc.block(a, b, c)
     seconds = time.perf_counter() - start
-    sc.compose = compose
     pairs = sum(len(row) for block in sc.blocks.values() for row in block)
     print(f"{name}: {len(sc.index)} basis arrows, {pairs} composites, "
-          f"{len(calls)} composed, filled in {seconds:.2f} s; {peak_rss()}")
+          f"{len(composed)} composed, filled in {seconds:.2f} s; "
+          f"{peak_rss()}")
 
 
 def spans(name, sc, generators, identity):
-    """The exact span test on filled constants; 1 if a hom-set is left
-    unspanned, else 0."""
+    """The exact span test, which reads the generators' columns of sc,
+    with the pairs it composes and the blocks it fills (none); 1 if a
+    hom-set is left unspanned or a block is filled, else 0."""
     start = time.perf_counter()
-    missing = unspanned(sc, generators, identity)
+    with counting(sc) as (composed, fills):
+        missing = unspanned(sc, generators, identity)
     print(f"{name}: {len(generators)} generators span "
           f"{sum(1 for fs in sc.arrows.values() if fs) - len(missing)} of "
-          f"the nonempty hom-sets over Z, {len(missing)} unspanned "
-          f"({time.perf_counter() - start:.2f} s); {peak_rss()}")
+          f"the nonempty hom-sets over Z, {len(missing)} unspanned; "
+          f"{len(composed)} composites composed, {len(fills)} blocks "
+          f"filled ({time.perf_counter() - start:.2f} s); {peak_rss()}")
     for a, c in missing[:5]:
         print(f"  {a!r} -> {c!r} is not spanned")
-    return 1 if missing else 0
+    return 1 if missing or fills else 0
+
+
+def checked(name, h):
+    """Check h, from constants that have composed nothing, with the
+    composites composed, the time and the _fill calls (none); 1 if the
+    check fails or fills a block, else 0."""
+    start = time.perf_counter()
+    with counting(h.constants()) as (composed, fills):
+        try:
+            h.check()
+        except ValueError as exc:
+            print(f"{name} fails its check: {exc}")
+            return 1
+    print(f"{name} checked in {time.perf_counter() - start:.2f} s: "
+          f"{len(composed)} composites composed, {len(fills)} blocks "
+          f"filled; {peak_rss()}")
+    return 1 if fills else 0
 
 
 def counted_build(f, degree):
@@ -271,39 +312,31 @@ def thread4(h):
 
 
 def tensor_power5():
-    """Build and check tensor_power(5, '1234'); 1 on a failed check."""
+    """Build and check tensor_power(5, '1234') from cleared constants; 1
+    on a failed check or a filled block."""
+    mset_structure_constants.cache_clear()
     start = time.perf_counter()
     h = MSetModulePresentation.tensor_power(5, skeleton(4), check=False)
-    built = time.perf_counter()
     print(f"tensor_power(5, '1234'): {len(h.table)} values built in "
-          f"{built - start:.2f} s; {peak_rss()}")
-    try:
-        h.check()
-    except ValueError as exc:
-        print(f"tensor_power(5, '1234') fails its check: {exc}")
-        return 1
-    print(f"tensor_power(5, '1234') checked in "
-          f"{time.perf_counter() - built:.2f} s; {peak_rss()}")
-    return 0
+          f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
+    return checked("tensor_power(5, '1234')", h)
 
 
 def main():
     status = cube()
     laby = laby_structure_constants(4)
-    fill("Laby_4", laby)
     status |= spans("Laby_4", laby, elementary_mazes(4), Maze.identity)
-    mset = mset_structure_constants(skeleton(4), 4)
-    fill("MSet_4 over 1234", mset)
-    status |= spans("MSet_4 over 1234", mset, divided_powers(skeleton(4), 4),
-                    Multation.identity)
+    fill("Laby_4", laby)
+    status |= spans("MSet_4 over 1234", mset_structure_constants(
+        skeleton(4), 4), divided_powers(skeleton(4), 4), Multation.identity)
 
+    mset_structure_constants.cache_clear()
     start = time.perf_counter()
-    four = MSetModulePresentation.tensor_power(4, skeleton(4))
-    print(f"tensor_power(4, '1234') built and checked in "
-          f"{time.perf_counter() - start:.2f} s, the check comparing "
-          f"{composites(mset, divided_powers(skeleton(4), 4))} composites "
-          f"g . x; {peak_rss()}")
-    if evaluate4(four) or thread4(four):
+    four = MSetModulePresentation.tensor_power(4, skeleton(4), check=False)
+    print(f"tensor_power(4, '1234'): {len(four.table)} values built in "
+          f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
+    if (checked("tensor_power(4, '1234')", four) or evaluate4(four)
+            or thread4(four)):
         return 1
     del four
 
@@ -338,9 +371,9 @@ def main():
     if second_ask_laby5():
         return 1
     reset_laby_constants()
-    fill("Laby_5", laby_structure_constants(5))
     status |= spans("Laby_5", laby_structure_constants(5),
                     elementary_mazes(5), Maze.identity)
+    fill("Laby_5", laby_structure_constants(5))
     reset_laby_constants()
     if tensor_power5():
         return 1

@@ -208,14 +208,16 @@ def cross_effect_projectors(f: MatrixFunctor, a: int):
     into its cross-effects, indexed by subsets of [a].
 
     The subset X contributes f deviated over the coordinate projections
-    it names.  Idempotence and completeness are asserted; a functor that
-    fails them is not additive-compatible.
+    it names.  Its subset sums are the projections onto subsets of X, so
+    f is evaluated once on each of the 2^a projections for all X.
+    Idempotence and completeness are asserted; a functor that fails them
+    is not additive-compatible.
     """
     if a > MAX_MATRIX_SIDE:
         raise ValueError(f"rank {a} above the guard {MAX_MATRIX_SIDE}")
-    pis = [IntMat.unit(a, a, i, i) for i in range(a)]
-    out = [(x, deviation(f, [pis[i - 1] for i in x]) if x
-            else f(IntMat.zeros(a, a))) for x in index_subsets(a)]
+    pis, values = [IntMat.unit(a, a, i, i) for i in range(a)], cache(f)
+    out = [(x, deviation(values, [pis[i - 1] for i in x]) if x
+            else values(IntMat.zeros(a, a))) for x in index_subsets(a)]
     dim = f.dim(a)
     total = IntMat.zeros(dim, dim)
     for x, e in out:
@@ -631,9 +633,10 @@ class Presentation:
         hom(y) hom(x) for every basis arrow x form a Z-submodule, closed
         under composition, holding the identities; with these, the side's
         generators() generate it all (the class docstring), so one loop
-        compares hom(g . x), read off the structure constants, with hom(g)
-        hom(x) for every generator g and basis arrow x into its source, as
-        reduced integer rows, each hom-set's nonzero rows listed once."""
+        compares hom(g . x), read off the generator's column of the
+        structure constants, with hom(g) hom(x) for every generator g and
+        basis arrow x into its source, as reduced integer rows, each
+        hom-set's nonzero rows listed once.  No block is filled."""
         sc, out = self.constants(), {}
         if any(None in self.hom_set(x, y).values for x, y in sc.arrows):
             return False
@@ -648,8 +651,8 @@ class Presentation:
                                  for r in zip(*(x.mat.rows for x in values))])
             for k, c, left, cod in out.get(b, ()) if xs else ():
                 gx, acc = self.hom_set(a, c).values, [0] * (len(cod) * width)
-                for t, row in enumerate(sc.block(a, b, c)):
-                    for u, e in row[k]:
+                for t, terms in enumerate(sc.column(a, b, c, k)):
+                    for u, e in terms:
                         add_scaled(acc, w * t, width, gx[u].mat.rows, e)
                 if _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
                                       for r in range(len(cod))), cod) != (
@@ -842,11 +845,11 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
     A shape's first evaluation checks the side guard, gets the (blocks,
     orders) of rank k from `index(k)` and a block's ends in the hom-set
     index, with the index into m of their names, from `place(block)`.  Its
-    one walk over the blocks checks each stored value's orders and sums the
-    value as it lists its term into the shape's EvalPlan: (block offset in
-    the flat list, rows, cells), a cell folding a triple's (d, row, column)
-    into an index of the weights of m's entries at each d up to the degree.
-    A walk that raises keeps no plan; later calls sum the plan's terms.
+    one walk over the blocks checks each stored value's orders and lists
+    its term into the shape's EvalPlan: (block offset in the flat list,
+    rows, cells), a cell folding a triple's (d, row, column) into an index
+    of the weights of m's entries at each d up to the degree.  A walk that
+    raises keeps no plan.  Every evaluation then sums the plan's terms.
     Zero weights and entries are skipped, torsion rows reduced once."""
     b, a = shape = m.nrows, m.ncols
     plan = pres.plans.get(shape)
@@ -858,41 +861,33 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
         dom_orders = sum(col_index[1], ())
         plan = EvalPlan(col_index, row_index, dom_orders,
                         sum(row_index[1], ()), len(dom_orders), [], {})
+        size, cols = b * a, [place(x) for x in col_index[0]]
+        at_row = 0
+        for y, y_orders in zip(*row_index):
+            cod, row_of = place(y)
+            at = at_row
+            for (dom, col_of), x_orders in zip(cols, col_index[1]):
+                hom_set = pres.hom_set(dom, cod)
+                for t, arrow in enumerate(hom_set.arrows):
+                    plan.terms.append((at, _checked_mat(
+                        hom_set.value(t), x_orders, y_orders).rows, tuple(
+                        (d - 1) * size + row_of[r] * a + col_of[s]
+                        for s, r, d in pres.triples(arrow))))
+                at += len(x_orders)
+            at_row += plan.width * len(y_orders)
+        pres.plans[shape] = plan
     table = [weight(x, d) for d in range(1, pres.degree + 1)
              for row in m.rows for x in row]
     width = plan.width
     acc = [0] * (width * len(plan.cod_orders))
-    if shape in pres.plans:
-        for at, rows, cells in plan.terms:
-            w = 1
-            for c in cells:
-                w *= table[c]
-                if w == 0:
-                    break
-            if w:
-                add_scaled(acc, at, width, rows, w)
-    else:
-        size, cols = b * a, [place(x) for x in plan.col_index[0]]
-        at_row = 0
-        for y, y_orders in zip(*plan.row_index):
-            cod, row_of = place(y)
-            at = at_row
-            for (dom, col_of), x_orders in zip(cols, plan.col_index[1]):
-                hom_set = pres.hom_set(dom, cod)
-                for t, arrow in enumerate(hom_set.arrows):
-                    rows = _checked_mat(hom_set.value(t), x_orders,
-                                        y_orders).rows
-                    cells = [(d - 1) * size + row_of[r] * a + col_of[s]
-                             for s, r, d in pres.triples(arrow)]
-                    plan.terms.append((at, rows, cells))
-                    w = 1
-                    for c in cells:
-                        w *= table[c]
-                    if w:
-                        add_scaled(acc, at, width, rows, w)
-                at += len(x_orders)
-            at_row += width * len(y_orders)
-        pres.plans[shape] = plan
+    for at, rows, cells in plan.terms:
+        w = 1
+        for c in cells:
+            w *= table[c]
+            if w == 0:
+                break
+        if w:
+            add_scaled(acc, at, width, rows, w)
     return AbHom._trusted(plan.dom_orders, plan.cod_orders, tuple(
         tuple(acc[r * width:(r + 1) * width])
         for r in range(len(plan.cod_orders))))

@@ -17,6 +17,8 @@ the validating constructors, which serve input from outside.
 A middle letter's matchings depend only on the multiplicities of its
 incoming and outgoing columns, so they are kept by that shape (85 up to
 multiplicity 4), as cells by index, and the letters are put in on use.
+The structure constants of MSet_n compose each pair they are asked for;
+the presentation check asks only for the divided powers' columns.
 """
 
 from fractions import Fraction
@@ -247,49 +249,18 @@ def all_multations(a: MultiSet, b: MultiSet):
     return sorted(out, key=Multation.sort_key)
 
 
-def rename_multiset(a: MultiSet, names) -> MultiSet:
-    """A multi-set with its elements moved by a bijective renaming; an
-    element the map lacks stays."""
-    return MultiSet({names.get(x, x): m for x, m in a.items()})
-
-
-def rename_multation(mu: Multation, dom_map, cod_map) -> Multation:
-    """Transport a multation along bijective renamings of the letters of
-    its two ends.  A letter a map lacks stays, and a map of None moves no
-    letter.  Renaming keeps the columns distinct, so only their order
-    changes."""
-    src = (dom_map or {}).get
-    dst = (cod_map or {}).get
-    return Multation._trusted(
-        mu.dom if dom_map is None else rename_multiset(mu.dom, dom_map),
-        mu.cod if cod_map is None else rename_multiset(mu.cod, cod_map),
-        tuple(sorted(((src(x, x), dst(y, y)), m) for (x, y), m in mu.pairs)))
-
-
 @lru_cache(maxsize=CONSTANTS_KEPT)
 def mset_structure_constants(universe, n: int) -> StructureConstants:
     """Composition in the degree-n multation category over a universe, a
     sorted tuple of letters, kept for the last few asked for: the
     multations between every two cardinality-n multi-sets over it, in
-    all_multations order, and, from its first use, each composite in
-    integers.
-
-    A transposition of two adjacent letters acts on the letters of a
-    multi-set, and composing with the multation that pairs each element
-    with its renamed self renames one end of a multation with coefficient
-    1, so blocks fill by orbits under the letter permutations at the
-    three ends (see StructureConstants).  A transposition moving no
-    letter of an end acts there as the identity and is left out."""
+    all_multations order, and each composite asked for, in integers.
+    There are no swaps, so a block, asked for by no presentation, is its
+    own orbit and composes pair by pair (see StructureConstants)."""
     objs = all_cardinality_multisets(universe, n)
-    adjacent = [{x: y, y: x} for x, y in zip(universe, universe[1:])]
-
-    def swaps(a):
-        return [(s, rename_multiset(a, s)) for s in adjacent
-                if any(x in s for x in a.support)]
-
     return StructureConstants(
         {(a, b): all_multations(a, b) for a in objs for b in objs},
-        multation_compose, swaps, rename_multation)
+        multation_compose, lambda end: (), None)
 
 
 @lru_cache(maxsize=CONSTANTS_KEPT)

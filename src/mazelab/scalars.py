@@ -238,27 +238,32 @@ class StructureConstants:
     """Composition of basis arrows in one category, kept as integers.
 
     `arrows` maps each (dom, cod) to its basis arrows in canonical order,
-    and `index` maps a basis arrow to its position in that list.
-    `block(a, b, c)` is a table whose entry [i][k] is the composite of
-    arrows[b, c][k] after arrows[a, b][i], as (position in arrows[a, c],
-    int coefficient) pairs in position order.  Beyond the basis arrows
-    only ints are kept, and equal term tuples are stored once.
+    and `index` maps a basis arrow to its position in that list.  A
+    composite is kept as (position in arrows[a, c], int coefficient)
+    pairs in position order.  Beyond the basis arrows only ints are kept,
+    and equal term tuples are stored once.
 
-    Blocks fill by orbits.  `swaps(x)` lists the adjacent transpositions
-    of the names of an end x, as (name map, renamed end) pairs, and
-    `rename(f, dom_map, cod_map)` moves the names of a basis arrow's ends
-    (a map of None moves none): the result is again a basis arrow.
-    Composition commutes with renaming: renaming a composable pair
-    independently at its source, middle and target renames its composite
-    at its source and target.  So the first time a block is asked for, a
-    walk over the transpositions at the three ends of each block it meets
-    fills every block and pair of its orbit.  `compose(f, g)`, a HomComb
-    f . g, runs on one pair per orbit; every other pair takes its terms
-    with their positions renamed and re-sorted.  Listing the arrows
-    composes nothing."""
+    `column(a, b, c, k)` holds the composites of arrows[b, c][k] after
+    every arrow of arrows[a, b], each pair composed once, by `compose(f,
+    g)`, a HomComb f . g, on the column's first ask; `terms` reads them.
+
+    `block(a, b, c)` is a table whose entry [i][k] is column(a, b, c,
+    k)[i], filled by orbits for compose_in_laby_n.  `swaps(x)` lists the
+    adjacent transpositions of the names of an end x, as (name map,
+    renamed end) pairs, and `rename(f, dom_map, cod_map)` moves the names
+    of a basis arrow's ends (a map of None moves none): the result is
+    again a basis arrow.  Composition commutes with renaming: renaming a
+    composable pair independently at its source, middle and target
+    renames its composite at its source and target.  So the first time a
+    block is asked for, a walk over the transpositions at the three ends
+    of each block it meets fills every block and pair of its orbit,
+    composing one pair per orbit; every other pair takes its terms with
+    their positions renamed and re-sorted.  With no swaps a block is its
+    own orbit and every pair is composed.  Listing the arrows composes
+    nothing."""
 
     __slots__ = ("arrows", "index", "compose", "swaps", "rename", "gens",
-                 "moved", "blocks", "shared")
+                 "moved", "blocks", "columns", "shared")
 
     def __init__(self, arrows, compose, swaps, rename):
         self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
@@ -270,6 +275,7 @@ class StructureConstants:
         self.gens = {}
         self.moved = {}
         self.blocks = {}
+        self.columns = {}
         self.shared = {}
 
     def generators(self, x):
@@ -351,6 +357,15 @@ class StructureConstants:
         for ends, block in zip(order, rows):
             self.blocks[ends] = tuple(map(tuple, block))
 
+    def column(self, a, b, c, k):
+        """The composites of arrows[b, c][k] after each of arrows[a, b]."""
+        column = self.columns.get((a, b, c, k))
+        if column is None:
+            f = self.arrows[b, c][k]
+            column = self.columns[a, b, c, k] = tuple(
+                self.encode(f, g) for g in self.arrows[a, b])
+        return column
+
     def share(self, terms):
         """The stored copy of a term tuple."""
         return self.shared.setdefault(terms, terms)
@@ -362,7 +377,7 @@ class StructureConstants:
 
     def terms(self, f, g):
         """The composite f . g of two basis arrows, as stored."""
-        return self.block(g.dom, g.cod, f.cod)[self.index[g]][self.index[f]]
+        return self.column(g.dom, g.cod, f.cod, self.index[f])[self.index[g]]
 
     def hom(self, hom_type, f, g):
         """The composite f . g of two basis arrows as a hom_type."""

@@ -46,7 +46,7 @@ def unspanned(sc, generators, identity):
                 row[0] -= 1
             b, i = pivot
             for c, k in out.get(b, ()):
-                row = [0, c, sc.block(a, b, c)[i][k]]
+                row = [0, c, sc.column(a, b, c, k)[i]]
                 for u, _ in row[2]:
                     if (c, u) not in pivots:
                         row[0] += 1

@@ -1,13 +1,18 @@
 """Renaming symmetry of the structure constants, and both checks.
 
-The constants fill each block by orbits of pairs under renaming the
-source, middle and target independently, composing one pair per orbit.
-Both presentation checks test (i) identities and (ii) hom(g . x) =
-hom(g) hom(x) for every generator g of the side and every basis arrow x
-into its source, and rerun the per-pair loop only to name a failure.
-The references are the per-pair ones: every pair composed afresh, on the
-maze side by the engine rather than compose_in_laby_n, which reads the
-constants, and the check oracles of test_structure_constants.
+On the maze side the constants fill each block by orbits of pairs under
+renaming the source, middle and target independently, composing one
+pair per orbit; the multation side has no swaps, so its blocks compose
+pair by pair.  Both presentation checks read the generators' columns
+alone, each pair composed once.  The checks test (i) identities and
+(ii) hom(g . x) = hom(g) hom(x) for every generator g of the side and
+every basis arrow x into its source, and rerun the per-pair loop only to
+name a failure.  The references are the per-pair ones: every pair
+composed afresh, on the maze side by the engine rather than
+compose_in_laby_n, which reads the constants, and the check oracles of
+test_structure_constants.  Letters of multations are renamed here, by
+rename_multation of test_structure_constants: the law holds though the
+constants do not use it.
 """
 
 import json
@@ -27,17 +32,21 @@ from mazelab.multisets import CONSTANTS_KEPT
 from mazelab.scalars import StructureConstants
 from test_structure_constants import (FIXTURES, assert_checks_agree,
                                       fill_every_block, laby_compose_oracle,
-                                      loaded_with, refused_as)
+                                      letter_swaps, loaded_with, refused_as,
+                                      rename_multation)
 
 
 def laby(n):
-    return (laby_structure_constants(n), MazeHom, Maze.identity,
-            lambda p, q: laby_compose_oracle(MazeHom.of(p), MazeHom.of(q), n))
+    sc = laby_structure_constants(n)
+    return (sc, MazeHom, Maze.identity,
+            lambda p, q: laby_compose_oracle(MazeHom.of(p), MazeHom.of(q), n),
+            sc.generators, sc.rename)
 
 
 def mset(letters, n):
     return (mset_structure_constants(skeleton(letters), n), MultHom,
-            Multation.identity, multation_compose)
+            Multation.identity, multation_compose,
+            letter_swaps(skeleton(letters)), rename_multation)
 
 
 # Every degree up to 3 on the maze side, and every degree up to 3 over
@@ -60,7 +69,8 @@ def counted(sc):
 
 def orbit_count(sc):
     """The orbits of composable pairs (f, g) of basis arrows under the
-    transpositions at their source, middle and target, by a plain walk."""
+    constants' transpositions at their source, middle and target, by a
+    plain walk."""
     seen, orbits = set(), 0
     for (a, b), gs in sc.arrows.items():
         for c in dict.fromkeys(y for _, y in sc.arrows):
@@ -85,29 +95,58 @@ def orbit_count(sc):
     return orbits
 
 
+def encoded(sc, compose, f, g):
+    """The composite f . g by the reference `compose`, as stored terms."""
+    ac = sc.arrows[g.dom, f.cod]
+    return tuple((ac.index(x), int(k)) for x, k in compose(f, g).comb)
+
+
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_every_block_equals_the_per_pair_block(make, args):
-    sc, _, _, compose = make(*args)
+    sc, _, _, compose, _, _ = make(*args)
     fresh, calls = counted(sc)
     fill_every_block(fresh)
     assert len(calls) == len(set(calls)) == orbit_count(sc)
     ends = dict.fromkeys(x for x, _ in fresh.arrows)
     assert len(fresh.blocks) == len(ends) ** 3
     for (a, b, c), block in fresh.blocks.items():
-        ac = fresh.arrows[a, c]
         assert len(block) == len(fresh.arrows[a, b])
         for g, row in zip(fresh.arrows[a, b], block):
             assert len(row) == len(fresh.arrows[b, c])
             for f, terms in zip(fresh.arrows[b, c], row):
-                assert terms == tuple(
-                    (ac.index(x), int(k)) for x, k in compose(f, g).comb)
+                assert terms == encoded(fresh, compose, f, g)
+
+
+@pytest.mark.parametrize("make, args", CATEGORIES)
+def test_every_column_equals_the_filled_block(make, args):
+    # Against the block filled by orbits (on the multation side pair by
+    # pair) and the composite by the reference; a column composes each of
+    # its pairs once and fills no block.
+    sc, _, _, compose, _, _ = make(*args)
+    fresh, calls = counted(sc)
+    filled = StructureConstants(sc.arrows, sc.compose, sc.swaps, sc.rename)
+    fill_every_block(filled)
+    ends = list(dict.fromkeys(x for x, _ in sc.arrows))
+    for a, b, c in product(ends, repeat=3):
+        for k, f in enumerate(sc.arrows[b, c]):
+            column = fresh.column(a, b, c, k)
+            assert fresh.column(a, b, c, k) is column
+            assert len(column) == len(sc.arrows[a, b])
+            for i, g in enumerate(sc.arrows[a, b]):
+                assert column[i] == filled.block(a, b, c)[i][k] == encoded(
+                    sc, compose, f, g)
+    assert fresh.blocks == {}
+    assert len(calls) == len(set(calls)) == sum(
+        len(sc.arrows[a, b]) * len(sc.arrows[b, c])
+        for a, b, c in product(ends, repeat=3))
 
 
 def test_orbit_counts_at_degree_3():
-    # One composition per orbit: 99 of the 580 Laby_3 pairs and 35 of
-    # the 2973 MSet_3 pairs over three letters.
+    # One composition per orbit: 99 of the 580 Laby_3 pairs.  The
+    # multation side has no swaps: all 2973 MSet_3 pairs over three
+    # letters are composed.
     for sc, orbits in ((laby_structure_constants(3), 99),
-                       (mset_structure_constants(skeleton(3), 3), 35)):
+                       (mset_structure_constants(skeleton(3), 3), 2973)):
         fresh, calls = counted(sc)
         fill_every_block(fresh)
         assert len(calls) == orbits
@@ -115,36 +154,43 @@ def test_orbit_counts_at_degree_3():
 
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_a_transposition_renames_with_coefficient_1(make, args):
-    sc, hom_type, identity, compose = make(*args)
+    # The maze side's transpositions are the constants' own; the
+    # multation side's are letter_swaps and rename_multation.
+    sc, hom_type, identity, compose, swaps, rename = make(*args)
     for (x, y), fs in sc.arrows.items():
-        at_x, at_y = sc.moves(x, y)
-        for (s, y2), move in zip(sc.generators(y), at_y):
-            swap = sc.rename(identity(y), None, s)
+        for s, y2 in swaps(y):
+            swap = rename(identity(y), None, s)
             assert (swap.dom, swap.cod) == (y, y2)
-            for f, t in zip(fs, move):
-                renamed = sc.arrows[x, y2][t]
-                assert renamed == sc.rename(f, None, s)
+            for f in fs:
+                renamed = rename(f, None, s)
+                assert renamed in sc.arrows[x, y2]
                 assert compose(swap, f) == hom_type.of(renamed)
-        for (s, x2), move in zip(sc.generators(x), at_x):
-            swap = sc.rename(identity(x), s, None)
+        for s, x2 in swaps(x):
+            swap = rename(identity(x), s, None)
             assert (swap.dom, swap.cod) == (x2, x)
-            for f, t in zip(fs, move):
-                renamed = sc.arrows[x2, y][t]
-                assert renamed == sc.rename(f, s, None)
+            for f in fs:
+                renamed = rename(f, s, None)
+                assert renamed in sc.arrows[x2, y]
                 assert compose(f, swap) == hom_type.of(renamed)
+        if rename is sc.rename:  # the positions the maze side's fill moves
+            assert sc.moves(x, y) == (
+                [[sc.index[rename(f, s, None)] for f in fs]
+                 for s, _ in swaps(x)],
+                [[sc.index[rename(f, None, s)] for f in fs]
+                 for s, _ in swaps(y)])
 
 
 def test_every_letter_transposition_renames_with_coefficient_1():
-    # The multation side leaves out a transposition that moves no letter
-    # of an end; composing with its arrow, the identity, renames nothing.
+    # Any transposition of letters renames, one moving no letter of an
+    # end too: its arrow there is the identity.
     sc = mset_structure_constants(skeleton(3), 3)
     for (x, y), fs in sc.arrows.items():
         for u, v in (("1", "2"), ("2", "3"), ("1", "3")):
             s = {u: v, v: u}
-            swap = sc.rename(Multation.identity(y), None, s)
+            swap = rename_multation(Multation.identity(y), None, s)
             for f in fs:
                 assert multation_compose(swap, f) == MultHom.of(
-                    sc.rename(f, None, s))
+                    rename_multation(f, None, s))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +243,14 @@ def test_one_value_broken_per_hom_set_is_refused_alike(cubes):
 
 
 def test_a_table_broken_on_a_transposition_is_refused_alike(cubes):
-    for pres in cubes:
+    laby3 = cubes[0].constants()
+    for pres, generators, rename in (
+            (cubes[0], laby3.generators, laby3.rename),
+            (cubes[1], letter_swaps(skeleton(3)), rename_multation)):
         sc = pres.constants()
-        swaps = [sc.rename(pres.identity(x), None, s)
+        swaps = [rename(pres.identity(x), None, s)
                  for x in dict.fromkeys(x for x, _ in sc.arrows)
-                 for s, _ in sc.generators(x)]
+                 for s, _ in generators(x)]
         assert swaps
         for swap in swaps[::3]:
             table = dict(pres.table)

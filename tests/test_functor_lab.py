@@ -30,6 +30,7 @@ from mazelab.functor_lab import (
     deviation,
     direct_sum_functor,
     identity_functor,
+    index_subsets,
     numerical_axiom_check,
     phi_block_index,
     phi_inverse_eval,
@@ -522,6 +523,29 @@ def test_cross_effect_projectors_tensor_square_ranks():
     e = dict(cross_effect_projectors(tensor_power_functor(2), 2))
     ranks = {x: len(column_lattice_basis(mat)[1]) for x, mat in e.items()}
     assert ranks == {(): 0, (1,): 1, (2,): 1, (1, 2): 2}
+
+
+def test_cross_effect_projectors_evaluate_each_projection_once():
+    # The subset sums of every subset's deviation are the 2^a projections
+    # onto subsets of [a], each evaluated once: 8 calls of f at rank 3,
+    # where one deviation per subset made 27.  The projectors are those of
+    # one uncached deviation per subset.
+    calls = []
+    cube = tensor_power_functor(3)
+
+    def arrow(m):
+        calls.append(m)
+        return cube.arrow(m)
+
+    counted = MatrixFunctor("counted cube", cube.dim, arrow)
+    for a in range(MAX_MATRIX_SIDE + 1):
+        calls.clear()
+        out = cross_effect_projectors(counted, a)
+        assert len(calls) == len(set(calls)) == 2 ** a
+        pis = [IntMat.unit(a, a, i, i) for i in range(a)]
+        assert out == [(x, deviation(cube, [pis[i - 1] for i in x]) if x
+                        else cube(IntMat.zeros(a, a)))
+                       for x in index_subsets(a)]
 
 
 def test_cross_effect_basis_cached_per_functor_instance(monkeypatch):

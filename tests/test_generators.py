@@ -13,12 +13,14 @@ from math import comb
 import pytest
 
 from generation import composites, unspanned
-from mazelab import labycat
-from mazelab.functor_lab import LabyModulePresentation, tensor_power_functor
+from mazelab import labycat, msetcat
+from mazelab.functor_lab import (LabyModulePresentation,
+                                 MSetModulePresentation, tensor_power_functor)
 from mazelab.labycat import (Maze, elementary_mazes, laby_structure_constants,
                              quadratic_generators, skeleton)
 from mazelab.msetcat import Multation, divided_powers, mset_structure_constants
 from mazelab.multisets import MultiSet
+from mazelab.scalars import StructureConstants
 
 
 def test_the_degree_2_elementary_mazes_are_a_b_c_and_s():
@@ -95,15 +97,29 @@ def test_the_span_test_sees_a_missing_generator():
     assert (MultiSet("11"), MultiSet("22")) in missing
 
 
-def test_a_cold_laby3_check_fills_only_the_generator_blocks():
-    # The check reads hom(g . x) off the blocks (a, b, c) with a generator
-    # b -> c and a nonempty a -> b: 21 of the 64 blocks of Laby_3.
+def test_a_cold_laby3_check_fills_only_the_generator_blocks(monkeypatch):
+    # The check reads hom(g . x) off the generator columns alone, so no
+    # check fills a block: not the Laby_3 cube's, not tensor_power(3,
+    # "123")'s and not the failing check of a one-value mutant, whose walk
+    # over pairs reads columns too.
+    fills, fill = [], StructureConstants._fill
+    monkeypatch.setattr(StructureConstants, "_fill",
+                        lambda sc, root: fills.append(root) or fill(sc, root))
     labycat.reset_laby_constants()
+    msetcat.mset_structure_constants.cache_clear()
     try:
         h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
                                                 check=False)
-        assert laby_structure_constants(3).blocks == {}
+        j = MSetModulePresentation.tensor_power(3, skeleton(3), check=False)
         h.check()
-        assert len(laby_structure_constants(3).blocks) == 21
+        j.check()
+        a = quadratic_generators()["A"]
+        table = dict(h.table)
+        table[a] = table[a].scale(2)
+        with pytest.raises(ValueError, match="not functorial"):
+            LabyModulePresentation(3, h.groups, table)
+        assert fills == []
+        assert laby_structure_constants(3).blocks == {}
+        assert mset_structure_constants(skeleton(3), 3).blocks == {}
     finally:
         labycat.reset_laby_constants()

@@ -29,6 +29,7 @@ from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset2_generators, mset_structure_constants,
                              multation_compose)
+from mazelab.multisets import MultiSet
 from mazelab.verify import random_quadratic_presentation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -75,6 +76,28 @@ def mset_check_oracle(j):
                             raise ValueError(
                                 f"table is not functorial on "
                                 f"{mu!r} after {nu!r}")
+
+
+def rename_multation(mu, dom_map, cod_map):
+    """A multation moved along bijective renamings of the letters of its
+    two ends; a letter a map lacks stays, and a map of None moves none."""
+    src, dst = (dom_map or {}).get, (cod_map or {}).get
+    return Multation(
+        MultiSet({src(x, x): m for x, m in mu.dom.items()}),
+        MultiSet({dst(y, y): m for y, m in mu.cod.items()}),
+        [((src(x, x), dst(y, y)), m) for (x, y), m in mu.pairs])
+
+
+def letter_swaps(universe):
+    """swaps(a): the transpositions of adjacent letters of the universe
+    that move a letter of the multi-set a, each as (name map, renamed a)."""
+    adjacent = [{x: y, y: x} for x, y in zip(universe, universe[1:])]
+
+    def swaps(a):
+        return [(s, MultiSet({s.get(x, x): m for x, m in a.items()}))
+                for s in adjacent if any(x in s for x in a.support)]
+
+    return swaps
 
 
 def fill_every_block(sc):

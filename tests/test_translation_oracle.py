@@ -31,13 +31,13 @@ from mazelab.labycat import (Maze, MazeHom, Passage, _numerical_terms,
                              rename_maze, skeleton, validate_maze)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              multation_compose, multhom_compose,
-                             mset_structure_constants, rename_multation)
+                             mset_structure_constants)
 from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
 from mazelab.scalars import LinComb, StructureConstants
 from test_labycat import box_product
 from test_scalars import multinomial
-from test_structure_constants import fill_every_block
+from test_structure_constants import fill_every_block, rename_multation
 
 # ---------------------------------------------------------------- oracle
 
