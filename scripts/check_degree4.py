@@ -13,7 +13,7 @@ wrapper of the values each covering_deviation sums (58 and 100).  Then it
 runs the exact span test (tests/generation.py) on the generator columns
 of Laby_4, cold: the words in the elementary mazes and the identities
 must span every hom-set over Z.  It prints the composites the test
-composes and the calls of StructureConstants._fill, none.  It prints the
+composes and the calls of LabyConstants._fill, none.  It prints the
 time to fill every block of Laby_4, with the number of pairs composed
 (one per orbit), and runs the span test on the columns of MSet_4 over
 four letters, in the divided powers of adjacent letters.  Then it builds
@@ -68,13 +68,13 @@ from mazelab.functor_lab import (LabyModulePresentation,
                                  ariadne_thread_failures,
                                  phi_roundtrip_failures, psi_inverse_eval,
                                  tensor_power_functor)
-from mazelab.labycat import (Maze, MazeHom, Passage, compose_in_laby_n,
-                             elementary_mazes, laby_structure_constants,
-                             maze_hom_compose, reset_laby_constants, skeleton)
+from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
+                             compose_in_laby_n, elementary_mazes,
+                             laby_structure_constants, maze_hom_compose,
+                             reset_laby_constants, skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (Multation, divided_powers,
                              mset_structure_constants)
-from mazelab.scalars import StructureConstants
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
@@ -91,28 +91,28 @@ def peak_rss():
 @contextmanager
 def counting(sc):
     """Count the pairs sc composes, through a wrapper around sc.compose,
-    and the calls of StructureConstants._fill meanwhile, into two lists."""
+    and the calls of LabyConstants._fill meanwhile, into two lists."""
     composed, fills = [], []
-    compose, fill_orbit = sc.compose, StructureConstants._fill
+    compose, fill_block = sc.compose, LabyConstants._fill
 
     def counted(f, g):
         composed.append(None)
         return compose(f, g)
 
-    def counted_fill(self, root):
-        fills.append(root)
-        return fill_orbit(self, root)
+    def counted_fill(self, *ends):
+        fills.append(ends)
+        return fill_block(self, *ends)
 
-    sc.compose, StructureConstants._fill = counted, counted_fill
+    sc.compose, LabyConstants._fill = counted, counted_fill
     try:
         yield composed, fills
     finally:
-        sc.compose, StructureConstants._fill = compose, fill_orbit
+        sc.compose, LabyConstants._fill = compose, fill_block
 
 
 def fill(name, sc):
-    """Ask every block of sc once, which fills them all, counting the
-    pairs composed."""
+    """Ask every block of Laby_n's constants sc once, which fills them
+    all, counting the pairs composed."""
     start = time.perf_counter()
     with counting(sc) as (composed, _):
         ends = list(dict.fromkeys(x for x, _ in sc.arrows))

@@ -38,10 +38,10 @@ three sets, so compose_in_laby_n reads a composite of normalised
 factors off the structure constants of Laby_n, ends renamed to skeleta
 in sorted order and back.  A block of the constants, one per triple of
 end sizes, is composed directly on its first ask and filled on its
-second, so one cold compose lists nothing.  The fill composes each
-orbit of pairs with maze_hom_compose, the one engine, which also serves
-plain composition and the tests as the oracle; it never calls
-compose_in_laby_n, so the route cannot recurse.
+second, so one cold compose lists nothing.  The fill (LabyConstants)
+composes each orbit of the block's pairs with maze_hom_compose, the one
+engine, which also serves plain composition and the tests as the
+oracle; it never calls compose_in_laby_n, so the route cannot recurse.
 """
 
 from collections import Counter
@@ -466,6 +466,74 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
     return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(accum))
 
 
+class LabyConstants(StructureConstants):
+    """Laby_n's structure constants with the blocks compose_in_laby_n
+    reads: block(a, b, c)[i][k] is column(a, b, c, k)[i].  Renaming a
+    pair at its source, middle and target renames its composite at its
+    source and target, and an adjacent transposition of a skeleton maps
+    it to itself.  So a block's first ask walks its pairs under the
+    transpositions of its three ends, composing one pair per orbit; the
+    other pairs take its terms, positions renamed and re-sorted."""
+
+    __slots__ = ("moved", "blocks")
+
+    def __init__(self, arrows, compose):
+        super().__init__(arrows, compose)
+        self.moved = {}
+        self.blocks = {}
+
+    def moves(self, x, y):
+        """The transpositions on arrows[x, y] as int arrays: one per
+        adjacent transposition of x, giving the position of each maze with
+        its source renamed, and one per adjacent transposition of y, with
+        its target renamed."""
+        moves = self.moved.get((x, y))
+        if moves is None:
+            fs, index = self.arrows[x, y], self.index
+            moves = self.moved[x, y] = (
+                [[index[rename_maze(f, s, None)] for f in fs]
+                 for s in _skeleton_swaps(x)],
+                [[index[rename_maze(f, None, s)] for f in fs]
+                 for s in _skeleton_swaps(y)])
+        return moves
+
+    def block(self, a, b, c):
+        """The composites of arrows[b, c] after arrows[a, b]."""
+        block = self.blocks.get((a, b, c))
+        if block is None:
+            block = self.blocks[a, b, c] = self._fill(a, b, c)
+        return block
+
+    def _fill(self, a, b, c):
+        """The block (a, b, c), one composition per orbit of its pairs."""
+        (ab_a, ab_b), (bc_b, bc_c), (ac_a, ac_c) = (
+            self.moves(a, b), self.moves(b, c), self.moves(a, c))
+        # Each step moves the positions in arrows[a, b], arrows[b, c] and
+        # arrows[a, c]; None where a position stays.
+        steps = ([(g, None, h) for g, h in zip(ab_a, ac_a)]
+                 + [(g, f, None) for g, f in zip(ab_b, bc_b)]
+                 + [(None, f, h) for f, h in zip(bc_c, ac_c)])
+        rows = [[None] * len(self.arrows[b, c]) for _ in self.arrows[a, b]]
+        for i, g in enumerate(self.arrows[a, b]):
+            for k, f in enumerate(self.arrows[b, c]):
+                if rows[i][k] is not None:
+                    continue
+                rows[i][k] = terms = self.encode(f, g)
+                todo = [(i, k, terms)]
+                while todo:
+                    i1, k1, terms = todo.pop()
+                    for g_move, f_move, h_move in steps:
+                        i2 = i1 if g_move is None else g_move[i1]
+                        k2 = k1 if f_move is None else f_move[k1]
+                        if rows[i2][k2] is None:
+                            moved = terms if h_move is None else self.share(
+                                tuple(sorted([(h_move[u], x)
+                                              for u, x in terms])))
+                            rows[i2][k2] = moved
+                            todo.append((i2, k2, moved))
+        return tuple(map(tuple, rows))
+
+
 # The blocks of Laby_n's structure constants asked of compose_in_laby_n,
 # keyed (n, |dom|, |middle|, |cod|): True where the next ask reads the
 # block off the constants, False where an end larger than n puts the
@@ -493,7 +561,7 @@ def on_skeleton(maze: Maze):
     return rename_maze(maze, src, dst)
 
 
-def _read_off(sc: StructureConstants, f: MazeHom, g: MazeHom):
+def _read_off(sc: LabyConstants, f: MazeHom, g: MazeHom):
     """f . g summed from the structure constants sc, the block filled if
     need be; None if a term is not a basis maze."""
     gs, fs = ([(sc.index.get(on_skeleton(maze)), c) for maze, c in h.comb]
@@ -680,13 +748,12 @@ def skeleton(k: int):
 
 
 def _skeleton_swaps(names):
-    """The adjacent transpositions of a skeleton set's points, each with
-    the renamed set, which is the set itself."""
-    return [({x: y, y: x}, names) for x, y in zip(names, names[1:])]
+    """The adjacent transpositions of a skeleton set's points."""
+    return [{x: y, y: x} for x, y in zip(names, names[1:])]
 
 
 @lru_cache(maxsize=CONSTANTS_KEPT)
-def laby_structure_constants(n: int) -> StructureConstants:
+def laby_structure_constants(n: int) -> LabyConstants:
     """Composition in the degree-n numerical quotient, kept for the last
     few degrees asked for: the pure mazes of at most n passages between
     every two skeleton sets [0..n], in pure_mazes_between order, and,
@@ -694,24 +761,24 @@ def laby_structure_constants(n: int) -> StructureConstants:
 
     A transposition of a set's points acts on a pure maze by renaming,
     and composing with the transposition's maze gives the renamed maze
-    with coefficient 1, so blocks fill by orbits under the permutations
-    of the three sets (see StructureConstants).  Every hom-set is guarded
-    before any is listed."""
+    with coefficient 1, so a block fills by orbits under the
+    transpositions of its three ends (see LabyConstants).  Every hom-set
+    is guarded before any is listed."""
     sets = [skeleton(k) for k in range(n + 1)]
     for x, y in product(sets, sets):
         _guard_pure_mazes(x, y, range(n + 1))
-    return StructureConstants(
+    return LabyConstants(
         {(x, y): pure_mazes_between(x, y, range(n + 1))
          for x in sets for y in sets},
-        lambda p, q: maze_hom_compose(MazeHom.of(p), MazeHom.of(q), n),
-        _skeleton_swaps, rename_maze)
+        lambda p, q: maze_hom_compose(MazeHom.of(p), MazeHom.of(q), n))
 
 
 def elementary_mazes(n: int):
     """The adjacent transpositions of each skeleton [k], 2 <= k <= n, and
-    for k < n the split A_k: [k] -> [k+1] of the last point, the merge B_k
-    back and the doubled loop C_k on it: with the identities, their words
-    span Laby_n over Z at each n <= 5 the guard allows (span tests)."""
+    for k < n the split A_k: [k] -> [k+1] of the last point and the merge
+    B_k back: with the identities, their words span Laby_n over Z at each
+    n <= 5 the guard allows (span tests).  The doubled loop C_k on the
+    last point is B_k A_k, so it is left out."""
     out = []
     for k in range(1, n + 1):
         names, up = skeleton(k), skeleton(k + 1)
@@ -720,17 +787,19 @@ def elementary_mazes(n: int):
                 for i, (u, v) in enumerate(zip(names, names[1:]))]
         if k < n:
             out += [(names, up, ones + [(x, y)]),
-                    (up, names, ones + [(y, x)]),
-                    (names, names, ones + [(x, x)])]
+                    (up, names, ones + [(y, x)])]
     return [Maze._trusted(dom, cod, tuple(
         (pure_passage(*p), m) for p, m in sorted(Counter(pairs).items())))
         for dom, cod, pairs in out]
 
 
 def quadratic_generators():
-    """The elementary mazes of the degree-2 skeleton, A, B, C and S, plus
-    the identities, keyed by their conventional names."""
-    return dict(zip("ABCS", elementary_mazes(2))) | {
+    """The paper's quadratic generators A, B, C = B A and S, the
+    elementary mazes of the degree-2 skeleton with the doubled loop C,
+    plus the identities, keyed by their conventional names."""
+    a, b, s = elementary_mazes(2)
+    c = Maze._trusted(a.dom, a.dom, ((pure_passage("1", "1"), 2),))
+    return {"A": a, "B": b, "C": c, "S": s} | {
         f"I{k}": Maze.identity(skeleton(k)) for k in range(3)}
 
 

@@ -254,13 +254,12 @@ def mset_structure_constants(universe, n: int) -> StructureConstants:
     """Composition in the degree-n multation category over a universe, a
     sorted tuple of letters, kept for the last few asked for: the
     multations between every two cardinality-n multi-sets over it, in
-    all_multations order, and each composite asked for, in integers.
-    There are no swaps, so a block, asked for by no presentation, is its
-    own orbit and composes pair by pair (see StructureConstants)."""
+    all_multations order, and each column of composites asked for, in
+    integers (see StructureConstants)."""
     objs = all_cardinality_multisets(universe, n)
     return StructureConstants(
         {(a, b): all_multations(a, b) for a in objs for b in objs},
-        multation_compose, lambda end: (), None)
+        multation_compose)
 
 
 @lru_cache(maxsize=CONSTANTS_KEPT)

@@ -246,116 +246,17 @@ class StructureConstants:
     `column(a, b, c, k)` holds the composites of arrows[b, c][k] after
     every arrow of arrows[a, b], each pair composed once, by `compose(f,
     g)`, a HomComb f . g, on the column's first ask; `terms` reads them.
+    Listing the arrows composes nothing."""
 
-    `block(a, b, c)` is a table whose entry [i][k] is column(a, b, c,
-    k)[i], filled by orbits for compose_in_laby_n.  `swaps(x)` lists the
-    adjacent transpositions of the names of an end x, as (name map,
-    renamed end) pairs, and `rename(f, dom_map, cod_map)` moves the names
-    of a basis arrow's ends (a map of None moves none): the result is
-    again a basis arrow.  Composition commutes with renaming: renaming a
-    composable pair independently at its source, middle and target
-    renames its composite at its source and target.  So the first time a
-    block is asked for, a walk over the transpositions at the three ends
-    of each block it meets fills every block and pair of its orbit,
-    composing one pair per orbit; every other pair takes its terms with
-    their positions renamed and re-sorted.  With no swaps a block is its
-    own orbit and every pair is composed.  Listing the arrows composes
-    nothing."""
+    __slots__ = ("arrows", "index", "compose", "columns", "shared")
 
-    __slots__ = ("arrows", "index", "compose", "swaps", "rename", "gens",
-                 "moved", "blocks", "columns", "shared")
-
-    def __init__(self, arrows, compose, swaps, rename):
+    def __init__(self, arrows, compose):
         self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
         self.index = {f: t for fs in self.arrows.values()
                       for t, f in enumerate(fs)}
         self.compose = compose
-        self.swaps = swaps
-        self.rename = rename
-        self.gens = {}
-        self.moved = {}
-        self.blocks = {}
         self.columns = {}
         self.shared = {}
-
-    def generators(self, x):
-        """The (name map, renamed end) of each transposition at end x."""
-        gens = self.gens.get(x)
-        if gens is None:
-            gens = self.gens[x] = tuple(self.swaps(x))
-        return gens
-
-    def moves(self, x, y):
-        """The transpositions on arrows[x, y] as int arrays: one per
-        generator at x, giving the position of each arrow with its source
-        renamed, in arrows[x', y], and one per generator at y, in
-        arrows[x, y']."""
-        moves = self.moved.get((x, y))
-        if moves is None:
-            fs, index, rename = self.arrows[x, y], self.index, self.rename
-            moves = self.moved[x, y] = (
-                [[index[rename(f, s, None)] for f in fs]
-                 for s, _ in self.generators(x)],
-                [[index[rename(f, None, s)] for f in fs]
-                 for s, _ in self.generators(y)])
-        return moves
-
-    def block(self, a, b, c):
-        """The composites of arrows[b, c] after arrows[a, b]."""
-        block = self.blocks.get((a, b, c))
-        if block is None:
-            self._fill((a, b, c))
-            block = self.blocks[a, b, c]
-        return block
-
-    def _fill(self, root):
-        """Fill every block of root's orbit, one composition per orbit of
-        pairs; see the class docstring."""
-        # The blocks of the orbit, numbered, each with the generators at
-        # its three ends: (block reached, move on the first factor, on the
-        # second, on the composite), None where a position stays.
-        order = [root]
-        number = {root: 0}
-        steps = []
-        for a, b, c in order:  # grows while the walk finds blocks
-            (ab_a, ab_b), (bc_b, bc_c), (ac_a, ac_c) = (
-                self.moves(a, b), self.moves(b, c), self.moves(a, c))
-            step = []
-            for ends, f, g, h in (
-                    [((x, b, c), f, None, h) for (_, x), f, h
-                     in zip(self.generators(a), ab_a, ac_a)]
-                    + [((a, x, c), f, g, None) for (_, x), f, g
-                       in zip(self.generators(b), ab_b, bc_b)]
-                    + [((a, b, x), None, g, h) for (_, x), g, h
-                       in zip(self.generators(c), bc_c, ac_c)]):
-                if ends not in number:
-                    number[ends] = len(order)
-                    order.append(ends)
-                step.append((number[ends], f, g, h))
-            steps.append(step)
-        rows = [[[None] * len(self.arrows[b, c]) for _ in self.arrows[a, b]]
-                for a, b, c in order]
-        a, b, c = root
-        for i, g in enumerate(self.arrows[a, b]):
-            for k, f in enumerate(self.arrows[b, c]):
-                if rows[0][i][k] is not None:
-                    continue
-                rows[0][i][k] = terms = self.encode(f, g)
-                todo = [(0, i, k, terms)]
-                while todo:
-                    e, i1, k1, terms = todo.pop()
-                    for e2, f_move, g_move, h_move in steps[e]:
-                        i2 = i1 if f_move is None else f_move[i1]
-                        k2 = k1 if g_move is None else g_move[k1]
-                        row = rows[e2][i2]
-                        if row[k2] is None:
-                            moved = terms if h_move is None else self.share(
-                                tuple(sorted([(h_move[u], x)
-                                              for u, x in terms])))
-                            row[k2] = moved
-                            todo.append((e2, i2, k2, moved))
-        for ends, block in zip(order, rows):
-            self.blocks[ends] = tuple(map(tuple, block))
 
     def column(self, a, b, c, k):
         """The composites of arrows[b, c][k] after each of arrows[a, b]."""

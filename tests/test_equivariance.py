@@ -1,18 +1,19 @@
 """Renaming symmetry of the structure constants, and both checks.
 
-On the maze side the constants fill each block by orbits of pairs under
-renaming the source, middle and target independently, composing one
-pair per orbit; the multation side has no swaps, so its blocks compose
-pair by pair.  Both presentation checks read the generators' columns
-alone, each pair composed once.  The checks test (i) identities and
-(ii) hom(g . x) = hom(g) hom(x) for every generator g of the side and
-every basis arrow x into its source, and rerun the per-pair loop only to
-name a failure.  The references are the per-pair ones: every pair
-composed afresh, on the maze side by the engine rather than
-compose_in_laby_n, which reads the constants, and the check oracles of
-test_structure_constants.  Letters of multations are renamed here, by
-rename_multation of test_structure_constants: the law holds though the
-constants do not use it.
+On the maze side a block of the constants fills by orbits of its pairs
+under renaming the source, middle and target independently, composing
+one pair per orbit (LabyConstants); the multation side has columns
+alone, each pair composed once.  Both presentation checks read the
+generators' columns alone.  The checks test (i) identities and (ii)
+hom(g . x) = hom(g) hom(x) for every generator g of the side and every
+basis arrow x into its source, and rerun the per-pair loop only to name
+a failure.  The references are the per-pair ones: every pair composed
+afresh, on the maze side by the engine rather than compose_in_laby_n,
+which reads the constants, and the check oracles of
+test_structure_constants.  Transpositions are walked here by the tests'
+own skeleton_swaps and rename_maze on the maze side, and letter_swaps
+and rename_multation on the multation side, where the law holds though
+the constants do not use it.
 """
 
 import json
@@ -24,23 +25,22 @@ import pytest
 
 from mazelab.functor_lab import (AbHom, LabyModulePresentation,
                                  MSetModulePresentation, tensor_power_functor)
-from mazelab.labycat import Maze, MazeHom, laby_structure_constants, skeleton
+from mazelab.labycat import (LabyConstants, Maze, MazeHom,
+                             laby_structure_constants, rename_maze, skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, mset_structure_constants,
                              multation_compose)
 from mazelab.multisets import CONSTANTS_KEPT
-from mazelab.scalars import StructureConstants
 from test_structure_constants import (FIXTURES, assert_checks_agree,
                                       fill_every_block, laby_compose_oracle,
                                       letter_swaps, loaded_with, refused_as,
-                                      rename_multation)
+                                      rename_multation, skeleton_swaps)
 
 
 def laby(n):
-    sc = laby_structure_constants(n)
-    return (sc, MazeHom, Maze.identity,
+    return (laby_structure_constants(n), MazeHom, Maze.identity,
             lambda p, q: laby_compose_oracle(MazeHom.of(p), MazeHom.of(q), n),
-            sc.generators, sc.rename)
+            skeleton_swaps, rename_maze)
 
 
 def mset(letters, n):
@@ -64,17 +64,28 @@ def counted(sc):
         calls.append((f, g))
         return sc.compose(f, g)
 
-    return StructureConstants(sc.arrows, compose, sc.swaps, sc.rename), calls
+    return type(sc)(sc.arrows, compose), calls
 
 
-def orbit_count(sc):
-    """The orbits of composable pairs (f, g) of basis arrows under the
-    constants' transpositions at their source, middle and target, by a
-    plain walk."""
+def ends_of(sc):
+    return list(dict.fromkeys(x for x, _ in sc.arrows))
+
+
+def pair_count(sc):
+    """The composable pairs of basis arrows."""
+    ends = ends_of(sc)
+    return sum(len(sc.arrows[a, b]) * len(sc.arrows[b, c])
+               for a, b, c in product(ends, repeat=3))
+
+
+def orbit_count(arrows, swaps, rename):
+    """The orbits of composable pairs (f, g) of the basis arrows under the
+    transpositions swaps(x) of their source, middle and target, by a
+    plain walk that renames with `rename`."""
     seen, orbits = set(), 0
-    for (a, b), gs in sc.arrows.items():
-        for c in dict.fromkeys(y for _, y in sc.arrows):
-            for pair in product(sc.arrows[b, c], gs):
+    for (a, b), gs in arrows.items():
+        for c in dict.fromkeys(y for _, y in arrows):
+            for pair in product(arrows[b, c], gs):
                 if pair in seen:
                     continue
                 orbits += 1
@@ -83,12 +94,11 @@ def orbit_count(sc):
                 while todo:
                     f, g = todo.pop()
                     for moved in (
-                            [(f, sc.rename(g, s, None))
-                             for s, _ in sc.generators(g.dom)]
-                            + [(sc.rename(f, s, None), sc.rename(g, None, s))
-                               for s, _ in sc.generators(g.cod)]
-                            + [(sc.rename(f, None, s), g)
-                               for s, _ in sc.generators(f.cod)]):
+                            [(f, rename(g, s, None)) for s, _ in swaps(g.dom)]
+                            + [(rename(f, s, None), rename(g, None, s))
+                               for s, _ in swaps(g.cod)]
+                            + [(rename(f, None, s), g)
+                               for s, _ in swaps(f.cod)]):
                         if moved not in seen:
                             seen.add(moved)
                             todo.append(moved)
@@ -101,61 +111,99 @@ def encoded(sc, compose, f, g):
     return tuple((ac.index(x), int(k)) for x, k in compose(f, g).comb)
 
 
+def block_of(sc, a, b, c):
+    """The composites of arrows[b, c] after arrows[a, b]: Laby_n's block,
+    and on the multation side, which has no blocks, its columns."""
+    if isinstance(sc, LabyConstants):
+        return sc.block(a, b, c)
+    columns = [sc.column(a, b, c, k) for k in range(len(sc.arrows[b, c]))]
+    return tuple(tuple(column[i] for column in columns)
+                 for i in range(len(sc.arrows[a, b])))
+
+
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_every_block_equals_the_per_pair_block(make, args):
-    sc, _, _, compose, _, _ = make(*args)
+    # Laby_n composes one pair per orbit of the test's own walk and fills
+    # every block; MSet_n composes every pair once, into columns.
+    sc, _, _, compose, swaps, rename = make(*args)
     fresh, calls = counted(sc)
-    fill_every_block(fresh)
-    assert len(calls) == len(set(calls)) == orbit_count(sc)
-    ends = dict.fromkeys(x for x, _ in fresh.arrows)
-    assert len(fresh.blocks) == len(ends) ** 3
-    for (a, b, c), block in fresh.blocks.items():
+    for a, b, c in product(ends_of(sc), repeat=3):
+        block = block_of(fresh, a, b, c)
         assert len(block) == len(fresh.arrows[a, b])
         for g, row in zip(fresh.arrows[a, b], block):
             assert len(row) == len(fresh.arrows[b, c])
             for f, terms in zip(fresh.arrows[b, c], row):
                 assert terms == encoded(fresh, compose, f, g)
+    if isinstance(sc, LabyConstants):
+        assert len(calls) == len(set(calls)) == orbit_count(
+            sc.arrows, swaps, rename)
+        assert len(fresh.blocks) == len(ends_of(sc)) ** 3
+    else:
+        assert len(calls) == len(set(calls)) == pair_count(sc)
+
+
+def test_a_blocks_first_ask_fills_that_block_and_no_other():
+    # A transposition of a skeleton maps it to itself, so the walk from a
+    # block's pairs stays in the block: its first ask composes its own
+    # pairs alone, and the blocks' orbits add up to those of Laby_3.
+    sc, orbits = laby_structure_constants(3), 0
+    for a, b, c in product(ends_of(sc), repeat=3):
+        fresh, calls = counted(sc)
+        block = fresh.block(a, b, c)
+        assert list(fresh.blocks) == [(a, b, c)]
+        assert fresh.block(a, b, c) is block
+        assert all(g in sc.arrows[a, b] and f in sc.arrows[b, c]
+                   for f, g in calls)
+        orbits += len(calls)
+    assert orbits == 99
 
 
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_every_column_equals_the_filled_block(make, args):
-    # Against the block filled by orbits (on the multation side pair by
-    # pair) and the composite by the reference; a column composes each of
-    # its pairs once and fills no block.
+    # Against the composite by the reference and, on the maze side, the
+    # block filled by orbits; a column composes each of its pairs once
+    # and fills no block.
     sc, _, _, compose, _, _ = make(*args)
     fresh, calls = counted(sc)
-    filled = StructureConstants(sc.arrows, sc.compose, sc.swaps, sc.rename)
-    fill_every_block(filled)
-    ends = list(dict.fromkeys(x for x, _ in sc.arrows))
-    for a, b, c in product(ends, repeat=3):
+    filled = None
+    if isinstance(sc, LabyConstants):
+        filled = LabyConstants(sc.arrows, sc.compose)
+        fill_every_block(filled)
+    for a, b, c in product(ends_of(sc), repeat=3):
         for k, f in enumerate(sc.arrows[b, c]):
             column = fresh.column(a, b, c, k)
             assert fresh.column(a, b, c, k) is column
             assert len(column) == len(sc.arrows[a, b])
             for i, g in enumerate(sc.arrows[a, b]):
-                assert column[i] == filled.block(a, b, c)[i][k] == encoded(
-                    sc, compose, f, g)
-    assert fresh.blocks == {}
-    assert len(calls) == len(set(calls)) == sum(
-        len(sc.arrows[a, b]) * len(sc.arrows[b, c])
-        for a, b, c in product(ends, repeat=3))
+                assert column[i] == encoded(sc, compose, f, g)
+                if filled is not None:
+                    assert filled.block(a, b, c)[i][k] == column[i]
+    if filled is not None:
+        assert fresh.blocks == {}
+    assert len(calls) == len(set(calls)) == pair_count(sc)
 
 
 def test_orbit_counts_at_degree_3():
-    # One composition per orbit: 99 of the 580 Laby_3 pairs.  The
-    # multation side has no swaps: all 2973 MSet_3 pairs over three
-    # letters are composed.
-    for sc, orbits in ((laby_structure_constants(3), 99),
-                       (mset_structure_constants(skeleton(3), 3), 2973)):
-        fresh, calls = counted(sc)
-        fill_every_block(fresh)
-        assert len(calls) == orbits
+    # One composition per orbit: 99 of the 580 Laby_3 pairs, the orbits
+    # counted by the test's own walk.  The multation side's columns
+    # compose all 2973 MSet_3 pairs over three letters.
+    laby3 = laby_structure_constants(3)
+    assert orbit_count(laby3.arrows, skeleton_swaps, rename_maze) == 99
+    fresh, calls = counted(laby3)
+    fill_every_block(fresh)
+    assert len(calls) == 99
+    mset3 = mset_structure_constants(skeleton(3), 3)
+    fresh, calls = counted(mset3)
+    for a, b, c in product(ends_of(mset3), repeat=3):
+        for k in range(len(mset3.arrows[b, c])):
+            fresh.column(a, b, c, k)
+    assert len(calls) == pair_count(mset3) == 2973
 
 
 @pytest.mark.parametrize("make, args", CATEGORIES)
 def test_a_transposition_renames_with_coefficient_1(make, args):
-    # The maze side's transpositions are the constants' own; the
-    # multation side's are letter_swaps and rename_multation.
+    # The maze side's transpositions are skeleton_swaps; the multation
+    # side's are letter_swaps and rename_multation.
     sc, hom_type, identity, compose, swaps, rename = make(*args)
     for (x, y), fs in sc.arrows.items():
         for s, y2 in swaps(y):
@@ -172,7 +220,7 @@ def test_a_transposition_renames_with_coefficient_1(make, args):
                 renamed = rename(f, s, None)
                 assert renamed in sc.arrows[x2, y]
                 assert compose(f, swap) == hom_type.of(renamed)
-        if rename is sc.rename:  # the positions the maze side's fill moves
+        if isinstance(sc, LabyConstants):  # the positions its fill moves
             assert sc.moves(x, y) == (
                 [[sc.index[rename(f, s, None)] for f in fs]
                  for s, _ in swaps(x)],
@@ -243,9 +291,8 @@ def test_one_value_broken_per_hom_set_is_refused_alike(cubes):
 
 
 def test_a_table_broken_on_a_transposition_is_refused_alike(cubes):
-    laby3 = cubes[0].constants()
     for pres, generators, rename in (
-            (cubes[0], laby3.generators, laby3.rename),
+            (cubes[0], skeleton_swaps, rename_maze),
             (cubes[1], letter_swaps(skeleton(3)), rename_multation)):
         sc = pres.constants()
         swaps = [rename(pres.identity(x), None, s)

@@ -100,8 +100,14 @@ def letter_swaps(universe):
     return swaps
 
 
+def skeleton_swaps(names):
+    """The transpositions of adjacent points of a skeleton set, each as
+    (name map, renamed set), which is the set itself."""
+    return [({x: y, y: x}, names) for x, y in zip(names, names[1:])]
+
+
 def fill_every_block(sc):
-    """Ask every block of the constants once, which fills them all."""
+    """Ask every block of Laby_n's constants once, which fills them all."""
     ends = list(dict.fromkeys(x for x, _ in sc.arrows))
     for a, b, c in product(ends, repeat=3):
         sc.block(a, b, c)

@@ -24,17 +24,18 @@ from mazelab.bridge import (AriadneMatrix, all_pure_mazes_on, ariadne_hom,
                             ariadne_maze, theseus_hom, theseus_multation)
 from mazelab.errors import (DomainMismatchError, EnumerationLimitError,
                             IntegralityError)
-from mazelab.labycat import (Maze, MazeHom, Passage, _numerical_terms,
-                             compose_in_laby_n, laby_structure_constants,
-                             maze_compose, maze_hom_compose,
-                             normalize_numerical, pure_mazes_between,
-                             rename_maze, skeleton, validate_maze)
+from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
+                             _numerical_terms, compose_in_laby_n,
+                             laby_structure_constants, maze_compose,
+                             maze_hom_compose, normalize_numerical,
+                             pure_mazes_between, rename_maze, skeleton,
+                             validate_maze)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              multation_compose, multhom_compose,
                              mset_structure_constants)
 from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
-from mazelab.scalars import LinComb, StructureConstants
+from mazelab.scalars import LinComb
 from test_labycat import box_product
 from test_scalars import multinomial
 from test_structure_constants import fill_every_block, rename_multation
@@ -643,7 +644,7 @@ def test_seeded_combinations_read_off_the_constants_as_the_oracle(blocks):
 def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
                                                               monkeypatch):
     fills, listings, engine = [], [], []
-    fill, listing = StructureConstants._fill, labycat.pure_mazes_between
+    fill, listing = LabyConstants._fill, labycat.pure_mazes_between
     compose = labycat.maze_hom_compose
 
     def counted(calls, call):
@@ -652,7 +653,7 @@ def test_one_cold_compose_fills_no_block_and_lists_no_hom_set(blocks,
             return call(*args)
         return run
 
-    monkeypatch.setattr(StructureConstants, "_fill", counted(fills, fill))
+    monkeypatch.setattr(LabyConstants, "_fill", counted(fills, fill))
     monkeypatch.setattr(labycat, "pure_mazes_between",
                         counted(listings, listing))
     monkeypatch.setattr(labycat, "maze_hom_compose", counted(engine, compose))
@@ -682,8 +683,8 @@ def test_a_zero_factor_fills_no_block_and_lists_no_hom_set(blocks,
     # composite lists the degree or fills the block, the second included:
     # the engine answers with the zero combination.
     fills, listings = [], []
-    fill, listing = StructureConstants._fill, labycat.pure_mazes_between
-    monkeypatch.setattr(StructureConstants, "_fill",
+    fill, listing = LabyConstants._fill, labycat.pure_mazes_between
+    monkeypatch.setattr(LabyConstants, "_fill",
                         lambda *args: fills.append(args) or fill(*args))
     monkeypatch.setattr(labycat, "pure_mazes_between",
                         lambda *args: listings.append(args) or listing(*args))
