@@ -22,11 +22,13 @@ cleared constants, printing the time, the composites g . x the check
 composes and the _fill calls, none.  It evaluates that checked
 presentation on two seeded 3 x 3 matrices m and k: it prints the time
 of the first evaluation, which builds the presentation's plan for the
-shape, the time of a warm one and the size the plan retains
-(tracemalloc after a collection, the plan built again under tracing),
-and exits 1 unless the value on m @ k is the value on m after the value
-on k.  It runs the thread check, ariadne_thread_failures, on the same
-presentation, prints its time and exits 1 on any failure.  Then
+shape, the time of a warm one, the plan's terms and the nonzero entries
+they list and the size the plan retains (tracemalloc after a collection,
+the plan built again under tracing).  It exits 1 unless the plan lists
+exactly the nonzero entries of the stored values it covers and the
+value on m @ k is the value on m after the value on k.  It runs the
+thread check, ariadne_thread_failures, on the same presentation, prints
+its time and exits 1 on any failure.  Then
 compares every Laby_4 block with the per-pair path, each composite
 computed afresh by the engine, maze_hom_compose (a few seconds), and
 exits 1 on the first block that differs.  Then, from a cleared memo, it
@@ -59,7 +61,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, product
 
 from mazelab import functor_lab
 from mazelab.bridge import roundtrip_failures
@@ -269,8 +271,9 @@ def second_ask_laby5():
 
 def evaluate4(h):
     """Evaluate the checked tensor_power(4, '1234') on two seeded 3 x 3
-    matrices, cold and warm, and weigh the plan; 1 unless the value on
-    m @ k is the value on m after the value on k."""
+    matrices, cold and warm, and weigh the plan; 1 unless the plan lists
+    exactly the nonzero entries of the stored values it covers and the
+    value on m @ k is the value on m after the value on k."""
     rng = random.Random(4)
     m, k = (IntMat(3, 3, [[rng.randint(-3, 3) for _ in range(3)]
                           for _ in range(3)]) for _ in range(2))
@@ -288,10 +291,19 @@ def evaluate4(h):
     gc.collect()
     retained = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
+    plan = h.plans[3, 3]
+    listed = sum(len(nonzeros) for nonzeros, _ in plan.terms)
+    covered = sum(sum(map(bool, chain(*value.mat.rows)))
+                  for y, x in product(plan.row_index[0], plan.col_index[0])
+                  for value in h.hom_set(x, y).values)
     print(f"tensor_power(4, '1234') on 3 x 3: first evaluation "
           f"{(first - start) * 1e3:.2f} ms, warm {(warm - first) * 1e3:.2f} "
-          f"ms, plan of {len(h.plans[3, 3].terms)} terms retains "
-          f"{retained / 1024:.1f} KiB; {peak_rss()}")
+          f"ms, plan of {len(plan.terms)} terms listing {listed} nonzero "
+          f"entries retains {retained / 1024:.1f} KiB; {peak_rss()}")
+    if listed != covered:
+        print(f"the plan lists {listed} nonzero entries; the stored values "
+              f"it covers hold {covered}")
+        return 1
     if psi_inverse_eval(h, m @ k) != on_m.compose(on_k):
         print("tensor_power(4, '1234') is not functorial on m @ k")
         return 1

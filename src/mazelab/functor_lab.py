@@ -12,9 +12,9 @@ modules by one blockwise formula: each block sums stored values, each
 weighted by a product over its passages (or columns) of binom(entry, d)
 on the maze side and entry ** d on the multation side, d the
 multiplicity; blocks and values are walked once per matrix shape, into a
-plan the presentation keeps.  The round trips and the thread, which
-compares a multation module's deviations with its ariadne_pullback to
-each maze, linear in the table, are the consistency checks.
+plan of nonzeros the presentation keeps.  The round trips and the thread,
+which compares a multation module's deviations with its ariadne_pullback
+to each maze, linear in the table, are the consistency checks.
 
 Carriers are finitely generated abelian groups in invariant-factor form;
 maps between direct sums are integer matrices compared entrywise modulo
@@ -845,12 +845,13 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
     A shape's first evaluation checks the side guard, gets the (blocks,
     orders) of rank k from `index(k)` and a block's ends in the hom-set
     index, with the index into m of their names, from `place(block)`.  Its
-    one walk over the blocks checks each stored value's orders and lists
-    its term into the shape's EvalPlan: (block offset in the flat list,
-    rows, cells), a cell folding a triple's (d, row, column) into an index
-    of the weights of m's entries at each d up to the degree.  A walk that
-    raises keeps no plan.  Every evaluation then sums the plan's terms.
-    Zero weights and entries are skipped, torsion rows reduced once."""
+    one walk over the blocks makes each stored value with a nonzero entry
+    a term of the shape's EvalPlan: (nonzeros, cells), its (flat position,
+    entry) pairs listed and orders checked once a hom-set and shifted to
+    the hom-set's other blocks; a cell folds a triple's (d, row, column)
+    into an index of the weights of m's entries at each d up to the degree.
+    A walk that raises keeps no plan.  Evaluations add the nonzeros times
+    their terms' nonzero weights and reduce the torsion rows once."""
     b, a = shape = m.nrows, m.ncols
     plan = pres.plans.get(shape)
     if plan is None:
@@ -862,17 +863,25 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
         plan = EvalPlan(col_index, row_index, dom_orders,
                         sum(row_index[1], ()), len(dom_orders), [], {})
         size, cols = b * a, [place(x) for x in col_index[0]]
-        at_row = 0
+        at_row, first = 0, {}
         for y, y_orders in zip(*row_index):
             cod, row_of = place(y)
             at = at_row
             for (dom, col_of), x_orders in zip(cols, col_index[1]):
                 hom_set = pres.hom_set(dom, cod)
-                for t, arrow in enumerate(hom_set.arrows):
-                    plan.terms.append((at, _checked_mat(
-                        hom_set.value(t), x_orders, y_orders).rows, tuple(
-                        (d - 1) * size + row_of[r] * a + col_of[s]
-                        for s, r, d in pres.triples(arrow))))
+                if (dom, cod) not in first:
+                    first[dom, cod] = at, [[(at + i * plan.width + j, x)
+                        for i, row in enumerate(_checked_mat(
+                            hom_set.value(t), x_orders, y_orders).rows)
+                        for j, x in enumerate(row) if x]
+                        for t in range(len(hom_set.arrows))]
+                at0, listed = first[dom, cod]
+                for nonzeros, arrow in zip(listed, hom_set.arrows):
+                    if nonzeros:
+                        plan.terms.append((nonzeros if at == at0 else [
+                            (p + at - at0, x) for p, x in nonzeros], tuple([
+                            (d - 1) * size + row_of[r] * a + col_of[s]
+                            for s, r, d in pres.triples(arrow)])))
                 at += len(x_orders)
             at_row += plan.width * len(y_orders)
         pres.plans[shape] = plan
@@ -880,14 +889,15 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
              for row in m.rows for x in row]
     width = plan.width
     acc = [0] * (width * len(plan.cod_orders))
-    for at, rows, cells in plan.terms:
+    for nonzeros, cells in plan.terms:
         w = 1
         for c in cells:
             w *= table[c]
             if w == 0:
                 break
         if w:
-            add_scaled(acc, at, width, rows, w)
+            for p, x in nonzeros:
+                acc[p] += w * x
     return AbHom._trusted(plan.dom_orders, plan.cod_orders, tuple(
         tuple(acc[r * width:(r + 1) * width])
         for r in range(len(plan.cod_orders))))

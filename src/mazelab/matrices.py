@@ -12,9 +12,9 @@ products, Kronecker products, integer multiples) are made of ints of
 the right shape by construction, so they skip the second check.
 
 Every product runs through row_products, which multiplies only nonzero
-entries.  Sums of integer multiples (deviations, evaluated presentations)
-accumulate in one flat list that skips zeros, and the lattice solver
-walks only the nonzero rows of its basis: all work follows the nonzeros.
+entries.  Sums of integer multiples skip zeros in one flat list, evaluation
+plans add only the nonzeros they list, and the lattice solver walks only
+the nonzero rows of its basis: all work follows the nonzeros.
 """
 
 from itertools import compress
@@ -54,8 +54,8 @@ def row_products(rows, right, ncols):
 
 def add_scaled(acc, at, width, rows, c):
     """Add c times the matrix with these rows into the flat list acc, its
-    first row from index `at` on and its rows `width` apart; zero entries
-    are skipped."""
+    first row from index `at` on and its rows `width` apart, skipping zero
+    entries: for combination_rows and the check, not evaluation plans."""
     for row in rows:
         for j, x in enumerate(row, at):
             if x:

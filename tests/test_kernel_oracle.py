@@ -1,8 +1,9 @@
-"""The integer kernel sums deviations and evaluations into one flat list
-of entries that skips zeros, restricts a maze's deviation to the source
-cross-effect before summing, sums there only the transport subsets that
-reach every source, and solves in the lattice over the nonzero rows of
-the basis only.  It is checked here against the earlier dense
+"""The integer kernel sums deviations into one flat list of entries that
+skips zeros, evaluates presentations over the nonzero entries of the
+stored values, listed once in each shape's plan, restricts a maze's
+deviation to the source cross-effect before summing, sums there only the
+transport subsets that reach every source, and solves in the lattice
+over the nonzero rows of the basis only.  It is checked here against the earlier dense
 implementations, kept below as the oracle: they add and scale whole
 matrices one at a time through the checking constructors, and the
 lattice basis comes from the earlier column elimination.  Every matrix
@@ -14,7 +15,8 @@ import json
 import os
 import random
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -52,7 +54,8 @@ from mazelab.functor_lab import (
 from mazelab.labycat import (Maze, Passage, laby_structure_constants,
                              pure_mazes_between, skeleton)
 from mazelab.matrices import IntMat, column_lattice_basis, solve_in_lattice
-from mazelab.multisets import enumerate_supported
+from mazelab.msetcat import mset_structure_constants
+from mazelab.multisets import all_cardinality_multisets, enumerate_supported
 from mazelab.scalars import binomial
 from mazelab.verify import random_quadratic_presentation
 
@@ -514,6 +517,150 @@ def test_a_plan_is_built_once_per_presentation_and_shape(monkeypatch):
     # The two-letter universes refuse the shapes with a side of 3 before
     # a plan is begun.
     assert refused == 2 * 7
+
+
+def place(pres, block):
+    """The ends of a block's hom-sets: a subset of [a] reads as the
+    skeleton of its size on the maze side, a multi-set as itself."""
+    if isinstance(pres, LabyModulePresentation):
+        return skeleton(len(block))
+    return block
+
+
+def visited_nonzeros(pres, plan):
+    """The nonzero entries of every stored value the plan's walk visits,
+    one tuple of (flat position, entry) pairs per value with any, worked
+    out block by block from the value's dense rows."""
+    col_at = list(accumulate(map(len, plan.col_index[1]), initial=0))
+    row_at = list(accumulate(map(len, plan.row_index[1]), initial=0))
+    out = []
+    for y, top in zip(plan.row_index[0], row_at):
+        for x, left in zip(plan.col_index[0], col_at):
+            for value in pres.hom_set(place(pres, x), place(pres, y)).values:
+                entries = tuple(
+                    ((top + i) * plan.width + left + j, e)
+                    for i, row in enumerate(value.mat.rows)
+                    for j, e in enumerate(row) if e)
+                if entries:
+                    out.append(entries)
+    return out
+
+
+def listed_nonzeros(plan):
+    """The plan's terms as the (flat position, entry) pairs they add."""
+    return [tuple(nonzeros) for nonzeros, _ in plan.terms]
+
+
+@pytest.mark.parametrize("name, pres", CORPUS,
+                         ids=[name for name, _ in CORPUS])
+def test_a_plan_lists_the_nonzeros_of_the_values_it_visits(name, pres):
+    pres, evaluate = fresh(pres), evaluators(pres)[0]
+    for m in matrices(random.Random(name), 0):
+        if outcome(evaluate, pres, m)[0] == "raised":
+            continue
+        plan = pres.plans[m.nrows, m.ncols]
+        expected, listed = visited_nonzeros(pres, plan), listed_nonzeros(plan)
+        # As many entries as the visited values have nonzeros, each at
+        # its position with its entry, one term per value with any.
+        assert sum(map(len, listed)) == sum(map(len, expected)), (name, m)
+        assert sorted(listed) == sorted(expected), (name, m)
+
+
+def with_table(pres, table):
+    """pres with another table, unchecked."""
+    if isinstance(pres, LabyModulePresentation):
+        return LabyModulePresentation(pres.degree, pres.groups, table,
+                                      check=False)
+    return MSetModulePresentation(pres.degree, pres.universe, pres.groups,
+                                  table, check=False)
+
+
+@pytest.mark.parametrize("name, pres", CORPUS,
+                         ids=[name for name, _ in CORPUS])
+def test_a_zeroed_value_leaves_no_term(name, pres):
+    pres = fresh(pres)
+    evaluate, oracle = evaluators(pres)
+    arrow = min((x for x, value in pres.table.items() if not value.is_zero()),
+                key=repr)
+    table = dict(pres.table)
+    table[arrow] = AbHom.zero(table[arrow].dom_orders,
+                              table[arrow].cod_orders)
+    zero = with_table(pres, table)
+    ms, visited = interleaved(random.Random(name)), 0
+    for m in ms + ms:
+        assert outcome(evaluate, zero, m) == outcome(oracle, zero, m), m
+        if outcome(evaluate, pres, m)[0] == "raised":
+            continue
+        plan = zero.plans[m.nrows, m.ncols]
+        assert sorted(listed_nonzeros(plan)) == sorted(
+            visited_nonzeros(zero, plan)), m
+        # One term fewer for each block pair whose hom-set holds the arrow.
+        visits = sum(1 for x, y in product(plan.col_index[0],
+                                           plan.row_index[0])
+                     if (place(pres, x), place(pres, y)) == (arrow.dom,
+                                                             arrow.cod))
+        assert len(plan.terms) == len(
+            pres.plans[m.nrows, m.ncols].terms) - visits, m
+        visited += visits
+    assert visited
+
+
+CARRIERS = (FgAbGroup(0), FgAbGroup(1), FgAbGroup(2), FgAbGroup(0, (2,)),
+            FgAbGroup(0, (2, 4)), FgAbGroup(1, (3,)))
+
+
+def random_value(rng, dom_orders, cod_orders, density):
+    """A well-defined map between the orders whose entries are nonzero
+    with probability `density`: a generator of order d > 0 goes to a
+    multiple of e / gcd(d, e) in a generator of order e > 0, and to 0 in
+    a free one."""
+    def entry(d, e):
+        if rng.random() >= density:
+            return 0
+        x = rng.choice((-3, -2, -1, 1, 2, 3))
+        if d == 0:
+            return x
+        return 0 if e == 0 else x * (e // gcd(d, e))
+
+    return AbHom(dom_orders, cod_orders, IntMat(
+        len(cod_orders), len(dom_orders),
+        [[entry(d, e) for d in dom_orders] for e in cod_orders]))
+
+
+@st.composite
+def random_presentations(draw):
+    """A presentation of degree 1 to 3 on either side, its carriers free
+    or torsion, its stored values random and unchecked, at a density from
+    all-zero to full."""
+    degree = draw(st.integers(1, 3))
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        groups = [rng.choice(CARRIERS) for _ in range(degree + 1)]
+        arrows = laby_structure_constants(degree).arrows
+        return LabyModulePresentation(degree, groups, {
+            x: random_value(rng, groups[len(dom)].orders,
+                            groups[len(cod)].orders, density)
+            for (dom, cod), xs in arrows.items() for x in xs}, check=False)
+    universe = draw(st.sampled_from(("12", "123")))
+    constants = mset_structure_constants(tuple(universe), degree)
+    groups = {a: rng.choice(CARRIERS)
+              for a in all_cardinality_multisets(universe, degree)}
+    return MSetModulePresentation(degree, universe, groups, {
+        x: random_value(rng, groups[a].orders, groups[b].orders, density)
+        for (a, b), xs in constants.arrows.items() for x in xs},
+        check=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pres=random_presentations(), seed=st.integers(0, 2 ** 32))
+def test_evaluations_at_every_density_match_the_oracle(pres, seed):
+    # Each matrix twice: the second evaluation reads the kept plan.
+    evaluate, oracle = evaluators(pres)
+    for m in matrices(random.Random(seed), 1):
+        expected = outcome(oracle, pres, m)
+        for _ in range(2):
+            assert outcome(evaluate, pres, m) == expected, m
 
 
 def labelled_mazes():
