@@ -28,8 +28,12 @@ the plan built again under tracing).  It exits 1 unless the plan lists
 exactly the nonzero entries of the stored values it covers and the
 value on m @ k is the value on m after the value on k.  It runs the
 thread check, ariadne_thread_failures, on the same presentation, prints
-its time and exits 1 on any failure.  Then
-compares every Laby_4 block with the per-pair path, each composite
+its time and exits 1 on any failure.  It breaks one late value of that
+presentation and checks it again on the same warm constants, printing
+the time, the pair the refusal names and the pairs composed; it exits 1
+unless the check raises ValueError, composes no pair and names a pair
+that fails when multation_compose composes it.  Then it compares every
+Laby_4 block with the per-pair path, each composite
 computed afresh by the engine, maze_hom_compose (a few seconds), and
 exits 1 on the first block that differs.  Then, from a cleared memo, it
 composes all 34101 Laby_4 pairs through compose_in_laby_n, which
@@ -65,7 +69,7 @@ from itertools import chain, product
 
 from mazelab import functor_lab
 from mazelab.bridge import roundtrip_failures
-from mazelab.functor_lab import (LabyModulePresentation,
+from mazelab.functor_lab import (AbHom, LabyModulePresentation,
                                  MSetModulePresentation, MatrixFunctor,
                                  ariadne_thread_failures,
                                  phi_roundtrip_failures, psi_inverse_eval,
@@ -76,7 +80,7 @@ from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
                              reset_laby_constants, skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (Multation, divided_powers,
-                             mset_structure_constants)
+                             mset_structure_constants, multation_compose)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
@@ -323,6 +327,43 @@ def thread4(h):
     return 1 if failures else 0
 
 
+def broken4(h):
+    """Add 1 to the first entry of the last stored value of the checked
+    tensor_power(4, '1234') that has an entry and is not an identity, and
+    check that table on the same warm constants; 1 unless the check raises
+    ValueError, composes no pair and names a pair that fails when
+    multation_compose composes it."""
+    sc, prefix = h.constants(), "table is not functorial on "
+    f = next(f for fs in reversed(sc.arrows.values()) for f in reversed(fs)
+             if f != Multation.identity(f.dom)
+             and h.hom(f).mat.nrows * h.hom(f).mat.ncols)
+    value = h.hom(f)
+    rows = [list(row) for row in value.mat.rows]
+    rows[0][0] += 1
+    broken = MSetModulePresentation(4, h.universe, h.groups, {
+        **h.table, f: AbHom(value.dom_orders, value.cod_orders,
+                            IntMat.from_rows(rows))}, check=False)
+    start = time.perf_counter()
+    with counting(sc) as (composed, _):
+        try:
+            broken.check()
+            text = None
+        except ValueError as exc:
+            text = str(exc)
+    print(f"tensor_power(4, '1234') with {f!r} broken: checked in "
+          f"{time.perf_counter() - start:.2f} s, {len(composed)} pairs "
+          f"composed: {text}; {peak_rss()}")
+    if text is None or not text.startswith(prefix) or composed:
+        return 1
+    by_name = {repr(x): x for x in sc.index}
+    p, q = (by_name[x] for x in text[len(prefix):].split(" after "))
+    if broken.eval_hom(multation_compose(p, q)) == broken.hom(p).compose(
+            broken.hom(q)):
+        print(f"the named pair {p!r} after {q!r} composes functorially")
+        return 1
+    return 0
+
+
 def tensor_power5():
     """Build and check tensor_power(5, '1234') from cleared constants; 1
     on a failed check or a filled block."""
@@ -348,7 +389,7 @@ def main():
     print(f"tensor_power(4, '1234'): {len(four.table)} values built in "
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
     if (checked("tensor_power(4, '1234')", four) or evaluate4(four)
-            or thread4(four)):
+            or thread4(four) or broken4(four)):
         return 1
     del four
 

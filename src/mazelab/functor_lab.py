@@ -574,14 +574,14 @@ class Presentation:
     per matrix shape beside it.  A side gives the `carrier` of some ends,
     the table `key` of an arrow, the `identity` arrow of some ends, its
     structure `constants`, the `triples` of a basis arrow, its `ends()` as
-    (name in errors, ends) pairs, its composable `pairs()` (p, q) in the
-    order that names the first failure and the `generators()` that, with
-    the identities, generate its category over Z: on the multation side
-    the divided powers of adjacent letters (S. Doty and A. Giaquinto,
+    (name in errors, ends) pairs and the `generators()` that, with the
+    identities, generate its category over Z: on the multation side the
+    divided powers of adjacent letters (S. Doty and A. Giaquinto,
     "Presenting Schur algebras", IMRN 2002), on the maze side the
     elementary mazes, by exact span tests at every degree n <= 5 the
-    constants' guard allows.  Every arrow the table stores is a basis
-    arrow of the structure constants."""
+    constants' guard allows.  So check is one loop over the generators,
+    and a refusal names a generator pair.  Every arrow the table stores is
+    a basis arrow of the structure constants."""
 
     __slots__ = ("degree", "groups", "table", "hom_sets", "plans")
 
@@ -626,70 +626,55 @@ class Presentation:
                 arrows, [self.table.get(x) for x in arrows])
         return entry
 
-    def _functorial_on_basis(self) -> bool:
-        """Whether the table is functorial on every composable pair of
-        basis arrows, given that identities map to identities; False too
-        when a basis value is missing.  The arrows y with hom(y . x) =
-        hom(y) hom(x) for every basis arrow x form a Z-submodule, closed
-        under composition, holding the identities; with these, the side's
-        generators() generate it all (the class docstring), so one loop
-        compares hom(g . x), read off the generator's column of the
-        structure constants, with hom(g) hom(x) for every generator g and
-        basis arrow x into its source, as reduced integer rows, each
-        hom-set's nonzero rows listed once.  No block is filled."""
+    def check(self):
+        """Refuse a table that is not a functor: identities must map to
+        identities, every basis arrow needs a value, and hom(y . x) =
+        hom(y) hom(x) on every composable pair of basis arrows.  The
+        arrows y for which that holds for every basis arrow x form a
+        Z-submodule, closed under composition, holding the identities;
+        with these, the side's generators() generate it all (the class
+        docstring).  So one loop compares hom(g . x), read off the
+        generator's column of the structure constants, with hom(g) hom(x)
+        for every generator g and basis arrow x into its source, as
+        reduced integer rows, each hom-set's values side by side and its
+        nonzero rows listed once.  No block is filled.  A missing value
+        raises KeyError naming the first in the constants' arrow order; a
+        failure raises ValueError naming the generator g and the first x
+        of the hom-set on which the two sides differ, a pair that fails."""
+        for name, ends in self.ends():
+            if self.hom(self.identity(ends)) != AbHom.identity(
+                    self.carrier(ends).orders):
+                raise ValueError(f"identity of {name} does not map to "
+                                 "identity")
         sc, out = self.constants(), {}
-        if any(None in self.hom_set(x, y).values for x, y in sc.arrows):
-            return False
+        for ends in sc.arrows:
+            hom_set = self.hom_set(*ends)
+            if None in hom_set.values:
+                hom_set.value(hom_set.values.index(None))
         for g in self.generators():
-            out.setdefault(g.dom, []).append((sc.index[g], g.cod, self.hom(
-                g).mat.rows, self.carrier(g.cod).orders))
+            out.setdefault(g.dom, []).append((g, self.hom(g).mat.rows,
+                                              self.carrier(g.cod).orders))
         for (a, b), xs in sc.arrows.items():
             # The hom-set's values side by side, xs[t] from column w t on.
             values, w = self.hom_set(a, b).values, len(self.carrier(a).orders)
             width = w * len(xs)
             wide = nonzero_rows([list(chain(*r))
                                  for r in zip(*(x.mat.rows for x in values))])
-            for k, c, left, cod in out.get(b, ()) if xs else ():
-                gx, acc = self.hom_set(a, c).values, [0] * (len(cod) * width)
-                for t, terms in enumerate(sc.column(a, b, c, k)):
+            for g, left, cod in out.get(b, ()) if xs else ():
+                gx = self.hom_set(a, g.cod).values
+                acc = [0] * (len(cod) * width)
+                for t, terms in enumerate(sc.column(a, b, g.cod, sc.index[g])):
                     for u, e in terms:
                         add_scaled(acc, w * t, width, gx[u].mat.rows, e)
-                if _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
-                                      for r in range(len(cod))), cod) != (
-                        _reduce_rows(row_products(left, wide, width), cod)):
-                    return False
-        return True
-
-    def composite_terms(self, p, q):
-        """The composite p . q of composable basis arrows as (stored value,
-        coefficient) terms read off the structure constants."""
-        hom_set = self.hom_set(q.dom, p.cod)
-        return ((hom_set.value(u), c) for u, c in self.constants().terms(p, q))
-
-    def _failures(self, pairs):
-        """The pairs (p, q) on which the table is not functorial: the
-        composite p . q by composite_terms against hom(p) hom(q), both as
-        reduced integer rows, the product straight from the stored rows."""
-        for p, q in pairs:
-            cod = self.carrier(p.cod).orders
-            lhs = _combination_rows(self.carrier(q.dom).orders, cod,
-                                    self.composite_terms(p, q))
-            if lhs != _reduce_rows((self.hom(p).mat @ self.hom(q).mat).rows,
-                                   cod):
-                yield p, q
-
-    def check(self):
-        """Identity values, then functoriality by _functorial_on_basis;
-        when that fails, the walk over pairs() names the first failure."""
-        for name, ends in self.ends():
-            if self.hom(self.identity(ends)) != AbHom.identity(
-                    self.carrier(ends).orders):
-                raise ValueError(f"identity of {name} does not map to "
-                                 "identity")
-        if self._functorial_on_basis():
-            return
-        for p, q in self._failures(self.pairs()):
-            raise ValueError(f"table is not functorial on {p!r} after {q!r}")
+                lhs = _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
+                                         for r in range(len(cod))), cod)
+                rhs = _reduce_rows(row_products(left, wide, width), cod)
+                if lhs != rhs:
+                    t = next(t for t in range(len(xs)) if any(
+                        x[w * t:w * (t + 1)] != y[w * t:w * (t + 1)]
+                        for x, y in zip(lhs, rhs)))
+                    raise ValueError(f"table is not functorial on {g!r} "
+                                     f"after {xs[t]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +732,6 @@ class LabyModulePresentation(Presentation):
 
     def ends(self):
         return [(f"[{k}]", skeleton(k)) for k in range(self.degree + 1)]
-
-    def pairs(self):
-        """Every composable pair of stored mazes, p outer."""
-        mazes = self.mazes()
-        return ((p, q) for p in mazes for q in mazes
-                if set(q.cod) == set(p.dom))
 
     def eval_labeled(self, maze: Maze) -> AbHom:
         """Binomial-expand a labelled maze into the pure table and
@@ -1048,12 +1027,6 @@ class MSetModulePresentation(Presentation):
 
     def ends(self):
         return [(repr(a), a) for a in self.objects()]
-
-    def pairs(self):
-        """Over the ends a, b, c, then the first factor, then the second."""
-        return ((mu, nu) for a, b, c in product(self.objects(), repeat=3)
-                for nu in self.hom_set(a, b).arrows
-                for mu in self.hom_set(b, c).arrows)
 
     def to_json(self):
         objs = self.objects()

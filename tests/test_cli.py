@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mazelab.cli import main
+from mazelab.functor_lab import LabyModulePresentation, tensor_power_functor
 from mazelab.labycat import Maze, MazeHom, Passage, quadratic_generators
 from mazelab.msetcat import MultHom, Multation, mset2_generators
 from mazelab.multisets import MultiSet
@@ -559,6 +560,22 @@ def test_eval_names_a_stored_maze_outside_the_basis(tmp_path, capsys, maze):
                          fx("m3.json"))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and repr(maze) in err
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_eval_refuses_a_table_lacking_a_basis_value(tmp_path, capsys, name):
+    # No stored composite reaches A or B, so only the value scan names it.
+    h = LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+    maze = quadratic_generators()[name]
+    data = h.to_json()
+    data["homs"] = [x for x in data["homs"]
+                    if Maze.from_json(x["maze"]) != maze]
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(data))
+    code, out, err = run(capsys, "eval", "--kind", "laby", str(module),
+                         fx("m3.json"))
+    assert (code, out) == (2, "")
+    assert "lacks a value" in err and repr(maze) in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,15 @@
 
 Both presentation checks read their composites off the constants.  The
 oracle here is the check loop as it was written before, composing every
-pair afresh with the engine or multation_compose; the two must accept
-and refuse the same tables with the same error text.  The engine,
+pair afresh with the engine or multation_compose.  The two must accept
+and refuse the same tables with the same exception type, and the check
+must name a pair that fails when the engine composes it, or an arrow the
+table lacks.  The engine,
 maze_hom_compose on normalised factors, is the maze side's oracle, as
 compose_in_laby_n reads composites off the constants themselves.
 """
 
+import ast
 import json
 import os
 import random
@@ -24,7 +27,8 @@ from mazelab.functor_lab import (
     tensor_power_functor,
 )
 from mazelab.labycat import (Maze, MazeHom, Passage, laby_structure_constants,
-                             maze_hom_compose, normalize_numerical, skeleton)
+                             maze_hom_compose, normalize_numerical,
+                             pure_mazes_between, skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset2_generators, mset_structure_constants,
@@ -46,6 +50,10 @@ def laby_check_oracle(h):
         ident = Maze.identity(skeleton(k))
         if h.hom(ident) != AbHom.identity(h.groups[k].orders):
             raise ValueError(f"identity of [{k}] does not map to identity")
+    for j, k in product(range(h.degree + 1), repeat=2):
+        for maze in pure_mazes_between(skeleton(j), skeleton(k),
+                                       range(h.degree + 1)):
+            h.hom(maze)
     mazes = h.mazes()
     for p in mazes:
         for q in mazes:
@@ -121,12 +129,55 @@ def outcome(run):
     return None
 
 
+def engine_composite(pres, p, q):
+    """p . q for two basis arrows, composed by the engine or
+    multation_compose, never off the constants."""
+    if isinstance(pres, LabyModulePresentation):
+        return laby_compose_oracle(MazeHom.of(p), MazeHom.of(q), pres.degree)
+    return multation_compose(p, q)
+
+
+def named(pres, text, prefix):
+    """The basis arrows an error text names after `prefix`, split at
+    ' after '."""
+    assert text.startswith(prefix)
+    by_name = {repr(f): f for f in pres.constants().index}
+    return [by_name[name] for name in text[len(prefix):].split(" after ")]
+
+
 def assert_checks_agree(pres):
+    """check() and the per-pair oracle both accept, or both refuse with
+    the same exception type.  A pair check() names fails when the engine
+    composes it, an arrow it names lacks a value, and an identity it
+    names is the oracle's.  Returns check()'s outcome."""
     oracle = laby_check_oracle if isinstance(
         pres, LabyModulePresentation) else mset_check_oracle
-    expected = outcome(lambda: oracle(pres))
-    assert outcome(pres.check) == expected
-    return expected
+    expected, got = outcome(lambda: oracle(pres)), outcome(pres.check)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return None
+    kind, text = got
+    assert kind == expected[0]
+    if kind == "KeyError":
+        x, = named(pres, ast.literal_eval(text),
+                   "presentation lacks a value for ")
+        assert x not in pres.table
+    elif "not functorial" in text:
+        p, q = named(pres, text, "table is not functorial on ")
+        assert pres.eval_hom(engine_composite(pres, p, q)) != \
+            pres.hom(p).compose(pres.hom(q))
+    else:
+        assert got == expected
+    return got
+
+
+def with_table(pres, table):
+    """pres with another table, unchecked."""
+    if isinstance(pres, LabyModulePresentation):
+        return LabyModulePresentation(pres.degree, pres.groups, table,
+                                      check=False)
+    return MSetModulePresentation(pres.degree, pres.universe, pres.groups,
+                                  table, check=False)
 
 
 def load(name, cls):
@@ -134,12 +185,15 @@ def load(name, cls):
         return cls.from_json(json.load(fh), check=False)
 
 
-@pytest.mark.parametrize("name, cls", [
+FIXTURE_PRESENTATIONS = [
     ("frobenius_laby.json", LabyModulePresentation),
     ("identity_laby.json", LabyModulePresentation),
     ("frobenius_mset.json", MSetModulePresentation),
     ("square_mset.json", MSetModulePresentation),
-])
+]
+
+
+@pytest.mark.parametrize("name, cls", FIXTURE_PRESENTATIONS)
 def test_fixture_presentations_agree_with_the_oracle(name, cls):
     assert assert_checks_agree(load(name, cls)) is None
 
@@ -269,6 +323,24 @@ def test_missing_values_are_named_alike():
                                              table, check=False)
         kind, text = assert_checks_agree(partial)
         assert kind == "KeyError" and "lacks a value" in text
+
+
+def test_every_deleted_value_is_named():
+    # Each value deleted alone, on both sides at degrees 1-3 and in the
+    # fixtures, A and B at degree 2 among them, which no stored composite
+    # reaches.
+    presentations = [load(name, cls) for name, cls in FIXTURE_PRESENTATIONS]
+    for n in (1, 2, 3):
+        presentations += [
+            LabyModulePresentation.from_functor(tensor_power_functor(n), n,
+                                                check=False),
+            MSetModulePresentation.tensor_power(n, skeleton(n), check=False)]
+    for pres in presentations:
+        for f in pres.table:
+            table = dict(pres.table)
+            del table[f]
+            assert outcome(with_table(pres, table).check) == (
+                "KeyError", repr(f"presentation lacks a value for {f!r}"))
 
 
 # ---------------------------------------------------------------------------
