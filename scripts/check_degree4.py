@@ -9,8 +9,8 @@ the time of each step: the layer timing of the integer kernel.  It builds
 it again, the cross-effect bases kept by the functor, and prints the
 distinct matrices that build evaluates f on, counted through a wrapper of
 the functor's arrow, and the deviation terms it sums, counted through a
-wrapper of the values each covering_deviation sums (58 and 100).  Then it
-runs the exact span test (tests/generation.py) on the generator columns
+wrapper of the values each covering_deviation sums (11 and 11).  Then it
+runs the exact span test (StructureConstants.span) on the generator columns
 of Laby_4, cold: the words in the elementary mazes and the identities
 must span every hom-set over Z.  It prints the composites the test
 composes and the calls of LabyConstants._fill, none.  It prints the
@@ -58,7 +58,6 @@ unspanned, or if a span test or a check fills a block.
 """
 
 import gc
-import os
 import random
 import resource
 import sys
@@ -81,10 +80,6 @@ from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (Multation, divided_powers,
                              mset_structure_constants, multation_compose)
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "tests"))
-from generation import unspanned  # noqa: E402
 
 
 def peak_rss():
@@ -137,7 +132,7 @@ def spans(name, sc, generators, identity):
     hom-set is left unspanned or a block is filled, else 0."""
     start = time.perf_counter()
     with counting(sc) as (composed, fills):
-        missing = unspanned(sc, generators, identity)
+        missing = sc.span(generators, identity)[1]
     print(f"{name}: {len(generators)} generators span "
           f"{sum(1 for fs in sc.arrows.values() if fs) - len(missing)} of "
           f"the nonempty hom-sets over Z, {len(missing)} unspanned; "

@@ -290,7 +290,7 @@ def restricted_functor(f: MatrixFunctor, a: int):
     return value
 
 
-def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
+def phi_forward(f: MatrixFunctor, maze: Maze):
     """The presentation value of one maze: the deviation of the labelled
     transport maps, restricted to the top cross-effect of the source and
     corestricted to that of the target.
@@ -301,10 +301,10 @@ def phi_forward(f: MatrixFunctor, maze: Maze, values=None):
     the source x sums to s = s pi_T, pi_T the projection onto T = [a] - {x},
     and f(s) B = f(s) f(pi_T) e_[a] B = 0, as f(pi_T) sums the projectors
     e_X, X in T, orthogonal to e_[a].  Labels must be integers; a failed
-    corestriction raises.  `values` stands in for restricted_functor(f, a).
+    corestriction raises.
     """
     a, b = len(maze.dom), len(maze.cod)
-    dev = covering_deviation(values or restricted_functor(f, a), maze)
+    dev = covering_deviation(restricted_functor(f, a), maze)
     piv_y, basis_y = cross_effect_basis(f, b)
     cols = [solve_in_lattice(piv_y, basis_y, w) for w in dev.columns()]
     if None in cols:
@@ -789,22 +789,35 @@ class LabyModulePresentation(Presentation):
 
     @classmethod
     def from_functor(cls, f: MatrixFunctor, degree: int, check=True):
-        """The presentation of a free-valued matrix functor preserving
+        """The presentation of a free-valued matrix functor f preserving
         composition (phi_forward): carriers are the top cross-effects,
-        values the restricted deviations, trusted."""
+        values the restricted deviations, trusted.  Only the elementary
+        mazes g are evaluated.  f preserves composition, as covering_deviation
+        assumes, so each row x = e (g . y - the other terms) of the
+        constants' span walk gives hom(x) = e (hom(g) hom(y) - theirs).  The
+        rows are unitriangular with pivots e = 1 or -1, so the generators'
+        values fix the table, in integers.  An unspanned hom-set raises."""
         if degree > MAX_FUNCTOR_DEGREE:
             raise ValueError("degree above the guard")
+        sc, gens = laby_structure_constants(degree), elementary_mazes(degree)
+        rows, missing = sc.span(gens, Maze.identity)
+        for a, c in missing:
+            raise ValueError(f"the elementary mazes leave the hom-set "
+                             f"[{len(a)}] -> [{len(c)}] unspanned")
         groups = [FgAbGroup(len(cross_effect_basis(f, k)[1]))
                   for k in range(degree + 1)]
-        hom_sets = laby_structure_constants(degree).arrows
-        table = {}
-        for (dom, cod), mazes in hom_sets.items():
-            # Only mazes of one hom-set share subset sums: one memo each.
-            values = cache(restricted_functor(f, len(dom)))
-            for maze in mazes:
-                table[maze] = AbHom._trusted(
-                    groups[len(dom)].orders, groups[len(cod)].orders,
-                    phi_forward(f, maze, values).rows)
+        orders = [group.orders for group in groups]
+        table = {Maze.identity(skeleton(k)): AbHom.identity(orders[k])
+                 for k in range(degree + 1)}
+        table |= {g: AbHom._trusted(orders[len(g.dom)], orders[len(g.cod)],
+                                    phi_forward(f, g).rows) for g in gens}
+        for a, i, g, u, terms in rows:
+            xs, e = sc.arrows[a, g.cod], dict(terms)[u]
+            if xs[u] not in table:
+                gy = table[g].compose(table[sc.arrows[a, g.dom][i]])
+                table[xs[u]] = AbHom.combination(
+                    orders[len(a)], orders[len(g.cod)], [(gy, e)] + [
+                        (table[xs[v]], -e * c) for v, c in terms if v != u])
         return cls(degree, groups, table, check=check)
 
 
@@ -1085,7 +1098,8 @@ class MSetModulePresentation(Presentation):
                 for i, v in enumerate(words[b]):
                     at[tuple(sorted(zip(w, v)))][i][j] = 1
             for mu, mu_rows in zip(mus, rows):
-                table[mu] = AbHom.of_groups(groups[a], groups[b], mu_rows)
+                table[mu] = AbHom._trusted(groups[a].orders, groups[b].orders,
+                                           tuple(map(tuple, mu_rows)))
         return cls(n, universe, groups, table, check=check)
 
     @classmethod

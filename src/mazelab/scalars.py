@@ -5,6 +5,7 @@ already keeps them reduced with a positive denominator.  Nothing in this
 package ever touches floating point.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -291,3 +292,49 @@ class StructureConstants:
         keyed (row, col), as a hom_type; None where not composable."""
         return {(r, c): self.hom(hom_type, f, g) if g.cod == f.dom else None
                 for r, f in gens.items() for c, g in gens.items()}
+
+    def span(self, generators, identity):
+        """The exact span test, on the generators' columns only: a walk
+        from each source a builds an integer echelon form of the span of
+        the words in `generators` and the identities (identity(a) that of
+        a).  When every term of a composite g . y, y a pivot, is a pivot
+        but one, x, of coefficient e = 1 or -1, x = e (g . y - the other
+        terms) becomes a pivot: a spanned hom-set's rows form a
+        unitriangular matrix.  Returns the rows (a, i, g, u, terms) in walk
+        order, y = arrows[a, g.dom][i], x = arrows[a, g.cod][u], terms g . y,
+        and the nonempty hom-sets (a, c) left unspanned by the walk."""
+        out, rows, missing = {}, [], []
+        for g in generators:
+            out.setdefault(g.dom, []).append((g, self.index[g]))
+        ends = list(dict.fromkeys(x for x, _ in self.arrows))
+        for a in ends:
+            # A composite waits as [its terms off the pivots, g, i, terms]
+            # under each such term (end, position).
+            pivots, waiting = set(), {}
+            new = [(a, self.index[identity(a)], None)]
+            while new:
+                b, i, made = new.pop()
+                if (b, i) in pivots:
+                    continue
+                pivots.add((b, i))
+                if made:
+                    rows.append(made)
+                found = waiting.pop((b, i), [])
+                for row in found:
+                    row[0] -= 1
+                for g, k in out.get(b, ()):
+                    row = [0, g, i, self.column(a, b, g.cod, k)[i]]
+                    for u, _ in row[3]:
+                        if (g.cod, u) not in pivots:
+                            row[0] += 1
+                            waiting.setdefault((g.cod, u), []).append(row)
+                    found.append(row)
+                for count, g, j, terms in found:
+                    if count == 1:
+                        new.extend((g.cod, u, (a, j, g, u, terms))
+                                   for u, e in terms
+                                   if (g.cod, u) not in pivots and abs(e) == 1)
+            found = Counter(c for c, _ in pivots)
+            missing += [(a, c) for c in ends
+                        if len(self.arrows[a, c]) > found[c]]
+        return rows, missing

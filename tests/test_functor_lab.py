@@ -581,9 +581,10 @@ def test_from_functor_evaluates_each_distinct_matrix_once(monkeypatch):
         return real(m, n)
 
     monkeypatch.setattr(functor_lab, "kron_power", counting)
-    # Only the transport subsets reaching every source are summed: 9 and
-    # 58 distinct matrices, where all subsets gave 19 and 144.
-    for degree, count in [(2, 9), (3, 58)]:
+    # f is evaluated on the elementary mazes alone, and on the transport
+    # subsets of each that reach every source: 5 and 11 distinct matrices,
+    # where every basis maze gave 9 and 58, and all subsets 19 and 144.
+    for degree, count in [(2, 5), (3, 11)]:
         f = tensor_power_functor(degree)
         # The cross-effect bases are computed once and kept by the functor.
         for a in range(degree + 1):
@@ -600,6 +601,54 @@ def test_from_functor_evaluates_each_distinct_matrix_once(monkeypatch):
         assert h.to_json() == builds[1].to_json()
         assert all(h.table[maze].mat == functor_lab.phi_forward(f, maze)
                    for maze in h.mazes())
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_from_functor_evaluates_phi_forward_on_the_generators_only(
+        monkeypatch, degree):
+    # The identities and the walk's rows give every other value.
+    calls, real = [], functor_lab.phi_forward
+
+    def counting(f, maze):
+        calls.append(maze)
+        return real(f, maze)
+
+    monkeypatch.setattr(functor_lab, "phi_forward", counting)
+    h = LabyModulePresentation.from_functor(tensor_power_functor(degree),
+                                            degree)
+    assert calls == labycat.elementary_mazes(degree)
+    assert len(calls) == [0, 3, 7][degree - 1]
+    assert len(h.table) == [2, 7, 40][degree - 1]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("functor", [
+    tensor_power_functor, lambda n: direct_sum_functor(
+        identity_functor(), tensor_power_functor(2))])
+def test_from_functor_fills_the_same_table_along_another_walk(
+        monkeypatch, functor, degree):
+    # With the generators reversed, the walk reaches some mazes x only
+    # through a composite of several terms, g . y = x + the other terms.
+    f = functor(degree)
+    h = LabyModulePresentation.from_functor(f, degree)
+    monkeypatch.setattr(functor_lab, "elementary_mazes",
+                        lambda n: labycat.elementary_mazes(n)[::-1])
+    rows, _ = labycat.laby_structure_constants(degree).span(
+        functor_lab.elementary_mazes(degree), Maze.identity)
+    assert any(len(terms) > 1 for *_, terms in rows)
+    assert LabyModulePresentation.from_functor(f, degree).to_json() == \
+        h.to_json()
+
+
+def test_from_functor_refuses_generators_that_leave_a_hom_set_unspanned(
+        monkeypatch):
+    # Without A no word leads from [1] to [2] (C = B A is no substitute).
+    gens = quadratic_generators()
+    monkeypatch.setattr(functor_lab, "elementary_mazes",
+                        lambda n: [gens[k] for k in "BCS"])
+    with pytest.raises(ValueError, match=re.escape(
+            "the elementary mazes leave the hom-set [1] -> [2] unspanned")):
+        LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
 
 
 def test_cross_effect_projectors_pairwise_orthogonal():
@@ -913,15 +962,23 @@ def test_building_and_evaluating_compose_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a composite was computed")
 
+    composed, engine = [], labycat.maze_hom_compose
     labycat.laby_structure_constants.cache_clear()
     msetcat.mset_structure_constants.cache_clear()
     try:
         # The constants fill by the engine, never by compose_in_laby_n.
+        # The maze side's build reads the elementary mazes' 103 columns of
+        # composites, as its span walk fills the table; nothing else
+        # composes.
         monkeypatch.setattr(labycat, "compose_in_laby_n", refuse)
-        monkeypatch.setattr(labycat, "maze_hom_compose", refuse)
+        monkeypatch.setattr(labycat, "maze_hom_compose",
+                            lambda *args: composed.append(args)
+                            or engine(*args))
         monkeypatch.setattr(msetcat, "multation_compose", refuse)
         h = LabyModulePresentation.from_functor(tensor_power_functor(3), 3,
                                                 check=False)
+        assert len(composed) == 103
+        monkeypatch.setattr(labycat, "maze_hom_compose", refuse)
         j = MSetModulePresentation.tensor_power(3, "123", check=False)
         for m in random_matrices(random.Random(15), 1):
             phi_inverse_eval(h, m)

@@ -3,16 +3,16 @@
 Both checks compare hom(g . x) with hom(g) hom(x) for every generator g
 of the side and every basis arrow x into its source, which proves the
 table functorial only if the generators and the identities generate the
-category over Z.  The exact span tests here prove it at every degree
-tier-1 reaches; scripts/check_degree4.py runs them at Laby_4, Laby_5 and
-MSet_4 over four letters.
+category over Z.  The exact span tests here, StructureConstants.span,
+prove it at every degree tier-1 reaches; scripts/check_degree4.py runs
+them at Laby_4, Laby_5 and MSet_4 over four letters.
 """
 
 from math import comb
 
 import pytest
 
-from generation import composites, unspanned
+from generation import composites
 from mazelab import labycat, msetcat
 from mazelab.functor_lab import (LabyModulePresentation,
                                  MSetModulePresentation, tensor_power_functor)
@@ -69,15 +69,15 @@ def test_generator_and_composite_counts_at_degree_3():
 
 @pytest.mark.parametrize("n", range(4))
 def test_elementary_mazes_span_every_hom_set(n):
-    assert unspanned(laby_structure_constants(n), elementary_mazes(n),
-                     Maze.identity) == []
+    assert laby_structure_constants(n).span(elementary_mazes(n),
+                                            Maze.identity)[1] == []
 
 
 @pytest.mark.parametrize("k", range(1, 4))
 @pytest.mark.parametrize("n", range(1, 4))
 def test_divided_powers_span_every_hom_set(n, k):
-    assert unspanned(mset_structure_constants(skeleton(k), n),
-                     divided_powers(skeleton(k), n), Multation.identity) == []
+    assert mset_structure_constants(skeleton(k), n).span(
+        divided_powers(skeleton(k), n), Multation.identity)[1] == []
 
 
 def test_the_span_test_sees_a_missing_generator():
@@ -85,10 +85,10 @@ def test_the_span_test_sees_a_missing_generator():
     gens = quadratic_generators()
     # C = B A, so the other three generate Laby_2; without A no word
     # leads from [1] to [2], and without any only identities are left.
-    assert unspanned(sc, [gens[k] for k in "ABS"], Maze.identity) == []
-    assert unspanned(sc, [gens[k] for k in "BCS"], Maze.identity) == [
+    assert sc.span([gens[k] for k in "ABS"], Maze.identity)[1] == []
+    assert sc.span([gens[k] for k in "BCS"], Maze.identity)[1] == [
         (skeleton(1), skeleton(2))]
-    assert unspanned(sc, [], Maze.identity) == [
+    assert sc.span([], Maze.identity)[1] == [
         (x, y) for x in (skeleton(1), skeleton(2))
         for y in (skeleton(1), skeleton(2))]
     # Over two letters in degree 2, e^(1) e^(1) = 2 e^(2): without the
@@ -96,7 +96,7 @@ def test_the_span_test_sees_a_missing_generator():
     msc = mset_structure_constants(skeleton(2), 2)
     units = [mu for mu in divided_powers(skeleton(2), 2)
              if all(t == 1 for (x, y), t in mu.pairs if x != y)]
-    missing = unspanned(msc, units, Multation.identity)
+    missing = msc.span(units, Multation.identity)[1]
     assert (MultiSet("11"), MultiSet("22")) in missing
 
 
