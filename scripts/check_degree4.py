@@ -19,7 +19,9 @@ time to fill every block of Laby_4, with the number of pairs composed
 four letters, in the divided powers of adjacent letters.  Then it builds
 the degree-4 tensor power on the multation side and checks it from
 cleared constants, printing the time, the composites g . x the check
-composes and the _fill calls, none.  It evaluates that checked
+composes, the _fill calls, none, and the nonzero entries the hom-set
+index lists; it exits 1 unless these are exactly the nonzero entries of
+the stored values, counted from their dense rows.  It evaluates that checked
 presentation on two seeded 3 x 3 matrices m and k: it prints the time
 of the first evaluation, which builds the presentation's plan for the
 shape, the time of a warm one, the plan's terms and the nonzero entries
@@ -51,7 +53,8 @@ the degree and fills the block, each checked against the engine.  Then
 it runs the span test on the generator columns of Laby_5, cold again,
 and fills every block of Laby_5: its time and peak memory.  Last it
 builds the degree-5 tensor power on the multation side over four letters
-and checks it from cleared constants, printed as at degree 4.
+and checks it from cleared constants, printed as at degree 4, the listed
+nonzero entries beside the peak memory.
 Each stage also prints the peak resident set size of the process so far.
 The script exits 1 if any stage fails, if a span test leaves a hom-set
 unspanned, or if a span test or a check fills a block.
@@ -156,8 +159,28 @@ def checked(name, h):
             return 1
     print(f"{name} checked in {time.perf_counter() - start:.2f} s: "
           f"{len(composed)} composites composed, {len(fills)} blocks "
-          f"filled; {peak_rss()}")
+          f"filled, {listed_nonzeros(h)} nonzero entries listed; "
+          f"{peak_rss()}")
     return 1 if fills else 0
+
+
+def listed_nonzeros(h):
+    """The nonzero entries of h's values that its hom-set index lists."""
+    return sum(len(listed) // 3 for hom_set in h.hom_sets.values()
+               for listed in hom_set.nonzeros if listed)
+
+
+def listing4(h):
+    """1 unless the hom-set index of the checked tensor_power(4, '1234')
+    lists exactly the nonzero entries of its stored values, counted from
+    their dense rows."""
+    values, listed = h.table.values(), listed_nonzeros(h)
+    dense = sum(sum(map(bool, chain(*value.mat.rows))) for value in values)
+    entries = sum(value.mat.nrows * value.mat.ncols for value in values)
+    print(f"tensor_power(4, '1234'): the hom-set index lists {listed} "
+          f"nonzero entries; the {len(h.table)} stored values hold {dense} "
+          f"of {entries}")
+    return 0 if listed == dense else 1
 
 
 def counted_build(f, degree):
@@ -383,8 +406,8 @@ def main():
     four = MSetModulePresentation.tensor_power(4, skeleton(4), check=False)
     print(f"tensor_power(4, '1234'): {len(four.table)} values built in "
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
-    if (checked("tensor_power(4, '1234')", four) or evaluate4(four)
-            or thread4(four) or broken4(four)):
+    if (checked("tensor_power(4, '1234')", four) or listing4(four)
+            or evaluate4(four) or thread4(four) or broken4(four)):
         return 1
     del four
 

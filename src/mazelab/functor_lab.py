@@ -23,7 +23,7 @@ the target generator orders.
 
 from collections import namedtuple
 from functools import cache
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, compress, product
 from typing import NamedTuple
 
 from . import bridge
@@ -38,9 +38,9 @@ from .labycat import (
     pure_mazes_between,
     skeleton,
 )
-from .matrices import (IntMat, add_scaled, column_lattice_basis,
-                       combination_rows, kron_power, nonzero_rows,
-                       row_products, solve_in_lattice)
+from .matrices import (IntMat, column_lattice_basis, combination_rows,
+                       kron_power, nonzero_rows, row_products,
+                       solve_in_lattice)
 from .msetcat import Multation, divided_powers, mset_structure_constants
 from .multisets import (MultiSet, all_cardinality_multisets, covering_count,
                         covering_sets, enumerate_supported, guard_count,
@@ -552,11 +552,12 @@ def abhom_block(grid, col_orders_list, row_orders_list) -> AbHom:
 
 class HomSet(NamedTuple):
     """One hom-set of a presentation's index: the basis arrows of the
-    side's structure constants and their stored values (None if
-    missing)."""
+    side's structure constants, their stored values (None if missing) and
+    each value's nonzeros listed once, row by row, as row, column, entry."""
 
     arrows: tuple
     values: list
+    nonzeros: list
 
     def value(self, t: int) -> AbHom:
         """The stored value of arrows[t]; a missing one raises when used."""
@@ -622,8 +623,12 @@ class Presentation:
         entry = self.hom_sets.get((dom, cod))
         if entry is None:
             arrows = self.constants().arrows.get((dom, cod), ())
-            entry = self.hom_sets[dom, cod] = HomSet(
-                arrows, [self.table.get(x) for x in arrows])
+            values = [self.table.get(x) for x in arrows]
+            entry = self.hom_sets[dom, cod] = HomSet(arrows, values, [
+                None if value is None else tuple(chain.from_iterable(
+                    (i, j, x) for i, row in enumerate(value.mat.rows)
+                    for j, x in compress(enumerate(row), row)))
+                for value in values])
         return entry
 
     def check(self):
@@ -636,19 +641,18 @@ class Presentation:
         docstring).  So one loop compares hom(g . x), read off the
         generator's column of the structure constants, with hom(g) hom(x)
         for every generator g and basis arrow x into its source, as
-        reduced integer rows, each hom-set's values side by side and its
-        nonzero rows listed once.  No block is filled.  A missing value
-        raises KeyError naming the first in the constants' arrow order; a
-        failure raises ValueError naming the generator g and the first x
-        of the hom-set on which the two sides differ, a pair that fails."""
+        reduced integer rows, each hom-set's values side by side and summed
+        over the nonzeros its index entry lists.  No block is filled.  A
+        missing value raises KeyError naming the first in the constants'
+        arrow order; a failure raises ValueError naming the generator g and
+        the first x of the hom-set on which the two sides differ."""
         for name, ends in self.ends():
             if self.hom(self.identity(ends)) != AbHom.identity(
                     self.carrier(ends).orders):
                 raise ValueError(f"identity of {name} does not map to "
                                  "identity")
         sc, out = self.constants(), {}
-        for ends in sc.arrows:
-            hom_set = self.hom_set(*ends)
+        for hom_set in (self.hom_set(*ends) for ends in sc.arrows):
             if None in hom_set.values:
                 hom_set.value(hom_set.values.index(None))
         for g in self.generators():
@@ -656,16 +660,20 @@ class Presentation:
                                               self.carrier(g.cod).orders))
         for (a, b), xs in sc.arrows.items():
             # The hom-set's values side by side, xs[t] from column w t on.
-            values, w = self.hom_set(a, b).values, len(self.carrier(a).orders)
+            w = len(self.carrier(a).orders)
             width = w * len(xs)
-            wide = nonzero_rows([list(chain(*r))
-                                 for r in zip(*(x.mat.rows for x in values))])
+            wide = [[] for _ in self.carrier(b).orders]
+            for t, listed in enumerate(self.hom_set(a, b).nonzeros):
+                for i, j, x in zip(*[iter(listed)] * 3):
+                    wide[i].append((w * t + j, x))
             for g, left, cod in out.get(b, ()) if xs else ():
-                gx = self.hom_set(a, g.cod).values
+                gx = self.hom_set(a, g.cod).nonzeros
                 acc = [0] * (len(cod) * width)
                 for t, terms in enumerate(sc.column(a, b, g.cod, sc.index[g])):
+                    at = w * t
                     for u, e in terms:
-                        add_scaled(acc, w * t, width, gx[u].mat.rows, e)
+                        for i, j, x in zip(*[iter(gx[u])] * 3):
+                            acc[at + i * width + j] += e * x
                 lhs = _reduce_rows(tuple(tuple(acc[r * width:(r + 1) * width])
                                          for r in range(len(cod))), cod)
                 rhs = _reduce_rows(row_products(left, wide, width), cod)
@@ -818,7 +826,13 @@ class LabyModulePresentation(Presentation):
                 table[xs[u]] = AbHom.combination(
                     orders[len(a)], orders[len(g.cod)], [(gy, e)] + [
                         (table[xs[v]], -e * c) for v, c in terms if v != u])
-        return cls(degree, groups, table, check=check)
+        try:
+            return cls(degree, groups, table, check=check)
+        except ValueError as exc:
+            if degree >= MAX_MATRIX_SIDE or not cross_effect_basis(
+                    f, degree + 1)[1]:
+                raise
+            raise ValueError(f"{f.name} has degree above {degree}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -837,13 +851,13 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
     A shape's first evaluation checks the side guard, gets the (blocks,
     orders) of rank k from `index(k)` and a block's ends in the hom-set
     index, with the index into m of their names, from `place(block)`.  Its
-    one walk over the blocks makes each stored value with a nonzero entry
-    a term of the shape's EvalPlan: (nonzeros, cells), its (flat position,
-    entry) pairs listed and orders checked once a hom-set and shifted to
-    the hom-set's other blocks; a cell folds a triple's (d, row, column)
-    into an index of the weights of m's entries at each d up to the degree.
-    A walk that raises keeps no plan.  Evaluations add the nonzeros times
-    their terms' nonzero weights and reduce the torsion rows once."""
+    one walk over the blocks checks the stored values' orders and makes
+    each listed value a term of the shape's EvalPlan: (nonzeros, cells),
+    its (flat position, entry) pairs placed from the index's listing; a
+    cell folds a triple's (d, row, column) into an index of the weights of
+    m's entries at each d up to the degree.  A walk that raises keeps no
+    plan.  Evaluations add the nonzeros times their terms' nonzero weights
+    and reduce the torsion rows once."""
     b, a = shape = m.nrows, m.ncols
     plan = pres.plans.get(shape)
     if plan is None:
@@ -855,27 +869,21 @@ def _eval_blockwise(pres, m: IntMat, index, place, weight) -> AbHom:
         plan = EvalPlan(col_index, row_index, dom_orders,
                         sum(row_index[1], ()), len(dom_orders), [], {})
         size, cols = b * a, [place(x) for x in col_index[0]]
-        at_row, first = 0, {}
+        width, at_row = plan.width, 0
         for y, y_orders in zip(*row_index):
             cod, row_of = place(y)
             at = at_row
             for (dom, col_of), x_orders in zip(cols, col_index[1]):
                 hom_set = pres.hom_set(dom, cod)
-                if (dom, cod) not in first:
-                    first[dom, cod] = at, [[(at + i * plan.width + j, x)
-                        for i, row in enumerate(_checked_mat(
-                            hom_set.value(t), x_orders, y_orders).rows)
-                        for j, x in enumerate(row) if x]
-                        for t in range(len(hom_set.arrows))]
-                at0, listed = first[dom, cod]
-                for nonzeros, arrow in zip(listed, hom_set.arrows):
-                    if nonzeros:
-                        plan.terms.append((nonzeros if at == at0 else [
-                            (p + at - at0, x) for p, x in nonzeros], tuple([
+                for t, listed in enumerate(hom_set.nonzeros):
+                    _checked_mat(hom_set.value(t), x_orders, y_orders)
+                    if listed:
+                        plan.terms.append(([(at + i * width + j, x)
+                            for i, j, x in zip(*[iter(listed)] * 3)], tuple([
                             (d - 1) * size + row_of[r] * a + col_of[s]
-                            for s, r, d in pres.triples(arrow)])))
+                            for s, r, d in pres.triples(hom_set.arrows[t])])))
                 at += len(x_orders)
-            at_row += plan.width * len(y_orders)
+            at_row += width * len(y_orders)
         pres.plans[shape] = plan
     table = [weight(x, d) for d in range(1, pres.degree + 1)
              for row in m.rows for x in row]

@@ -12,12 +12,12 @@ products, Kronecker products, integer multiples) are made of ints of
 the right shape by construction, so they skip the second check.
 
 Every product runs through row_products, which multiplies only nonzero
-entries.  Sums of integer multiples skip zeros in one flat list, evaluation
-plans add only the nonzeros they list, and the lattice solver walks only
-the nonzero rows of its basis: all work follows the nonzeros.
+entries.  Sums of integer multiples skip zeros in one flat list, checks
+and plans add only the nonzeros a presentation lists once, and the
+lattice solver walks only the nonzero rows of its basis.
 """
 
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import ShapeMismatchError
 from .scalars import integer
@@ -52,17 +52,6 @@ def row_products(rows, right, ncols):
     return tuple(out)
 
 
-def add_scaled(acc, at, width, rows, c):
-    """Add c times the matrix with these rows into the flat list acc, its
-    first row from index `at` on and its rows `width` apart, skipping zero
-    entries: for combination_rows and the check, not evaluation plans."""
-    for row in rows:
-        for j, x in enumerate(row, at):
-            if x:
-                acc[j] += c * x
-        at += width
-
-
 def combination_rows(nrows, ncols, terms):
     """The rows of the sum of c * mat over the (mat, c) pairs of `terms`,
     every mat nrows x ncols and every c an int, summed in one flat list
@@ -72,7 +61,9 @@ def combination_rows(nrows, ncols, terms):
         if mat.nrows != nrows or mat.ncols != ncols:
             raise ShapeMismatchError("matrix shapes differ")
         if c:
-            add_scaled(acc, 0, ncols, mat.rows, c)
+            for j, x in enumerate(chain.from_iterable(mat.rows)):
+                if x:
+                    acc[j] += c * x
     return tuple(tuple(acc[r * ncols:(r + 1) * ncols]) for r in range(nrows))
 
 

@@ -50,7 +50,8 @@ from mazelab.msetcat import Multation, all_multations, mset2_generators
 from mazelab.multisets import (MultiSet, all_cardinality_multisets,
                                covering_sets, enumerate_supported,
                                guard_count)
-from test_structure_constants import loaded_with, refused_as
+from test_structure_constants import (engine_composite, loaded_with, named,
+                                      refused_as)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -649,6 +650,22 @@ def test_from_functor_refuses_generators_that_leave_a_hom_set_unspanned(
     with pytest.raises(ValueError, match=re.escape(
             "the elementary mazes leave the hom-set [1] -> [2] unspanned")):
         LabyModulePresentation.from_functor(tensor_power_functor(2), 2)
+
+
+def test_from_functor_names_a_degree_above_the_presentations():
+    # tensor^3 truncated to degree 2 is not functorial; the refusal says
+    # why and still names a pair that fails.
+    f = tensor_power_functor(3)
+    with pytest.raises(ValueError) as refused:
+        LabyModulePresentation.from_functor(f, 2)
+    prefix = "tensor^3 has degree above 2: table is not functorial on "
+    h = LabyModulePresentation.from_functor(f, 2, check=False)
+    p, q = named(h, str(refused.value), prefix)
+    assert h.eval_hom(engine_composite(h, p, q)) != \
+        h.hom(p).compose(h.hom(q))
+    # The same table unchecked, and tensor^2 at degree 1, are accepted.
+    assert len(h.table) == 7
+    LabyModulePresentation.from_functor(tensor_power_functor(2), 1)
 
 
 def test_cross_effect_projectors_pairwise_orthogonal():
