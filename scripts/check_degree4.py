@@ -43,6 +43,11 @@ composes a block directly on its first ask and fills it and reads it off
 the constants from its second, and compares each with the engine: it
 prints the time of that sweep, the number of blocks filled and the time
 of a second, warm sweep, and exits 1 on the first pair that differs.
+It takes the homogeneous normal form, normalize_homogeneous(h, 4), of
+each composite of the warm sweep and prints the time of that pass and
+how many composites came back as they are (the same object, a count
+that does not depend on the host); it exits 1 if a form holds a term
+without exactly 4 passages.
 Then it sends every basis multation and every pure maze of degree 4 over
 four letters through both translations and back, and exits 1 on any
 failure of the round trip.  Then it times plain composition of the loop
@@ -79,7 +84,8 @@ from mazelab.functor_lab import (AbHom, LabyModulePresentation,
 from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
                              compose_in_laby_n, elementary_mazes,
                              laby_structure_constants, maze_hom_compose,
-                             reset_laby_constants, skeleton)
+                             normalize_homogeneous, reset_laby_constants,
+                             skeleton)
 from mazelab.matrices import IntMat
 from mazelab.msetcat import (Multation, divided_powers,
                              mset_structure_constants, multation_compose)
@@ -241,9 +247,28 @@ def cube():
     return 1 if failures else 0
 
 
+def homogeneous4(composites):
+    """Take normalize_homogeneous(h, 4) of every composite, counting those
+    returned as they are; 1 if a form keeps a term without 4 passages."""
+    start = time.perf_counter()
+    forms = [normalize_homogeneous(h, 4) for h in composites]
+    seconds = time.perf_counter() - start
+    kept = sum(form is h for h, form in zip(composites, forms))
+    print(f"normalize_homogeneous of the {len(forms)} warm composites in "
+          f"{seconds:.2f} s, {kept} returned as they are; {peak_rss()}")
+    for h, form in zip(composites, forms):
+        if any(maze.size != 4 for maze, _ in form.comb):
+            print(f"normalize_homogeneous({h!r}, 4) keeps a term without "
+                  f"4 passages")
+            return 1
+    return 0
+
+
 def sweep_laby4():
     """Compose every Laby_4 pair through compose_in_laby_n twice, from a
-    cleared memo, against the engine; 1 on the first pair that differs."""
+    cleared memo, against the engine, and take the homogeneous normal
+    form of the warm composites; 1 on the first pair that differs or a
+    form that is not homogeneous."""
     arrows = laby_structure_constants(4).arrows
     pairs = [(p, q) for (b, _), ps in arrows.items() for p in ps
              for (_, b2), qs in arrows.items() if b2 == b for q in qs]
@@ -258,11 +283,13 @@ def sweep_laby4():
                 print(f"compose_in_laby_n({p!r}, {q!r}, 4) differs from "
                       f"the engine ({sweep} sweep)")
                 return 1
-        del got
         filled = len(laby_structure_constants(4).blocks)
         print(f"{sweep} sweep of the {len(pairs)} Laby_4 pairs through "
               f"compose_in_laby_n in {seconds:.2f} s, {filled} blocks "
               f"filled, each as the engine; {peak_rss()}")
+        if sweep == "warm" and homogeneous4(got):
+            return 1
+        del got
     return 0
 
 

@@ -632,10 +632,14 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     prod C(x, d) over the splits of each t_p into r_p positive parts, a
     polynomial of degree sum t_p and top coefficient prod surj / t_p!.  So
     x^n H(P) = sum c_t(x) H(P_t) for every integer x, H(P_t) = P_t when
-    sum t_p = n, and the coefficients of x^n give the sum.
+    sum t_p = n, and the coefficients of x^n give the sum.  A numerical
+    form whose mazes all have n passages is returned as it is, guarded.
     """
-    numerical = normalize_numerical(h, n).comb
-    merged = {maze: c for maze, c in numerical if maze.size == n}
+    numerical = normalize_numerical(h, n)
+    if all(maze.size == n for maze, _ in numerical.comb):
+        guard_count(0, "normalize_homogeneous",
+                    lambda: f"0 mazes to expand, degree {n}")
+        return numerical
     # Guard before the work, on the passages listed and the weights' bits.
     # A maze of m passages on k distinct ones lists C(n - m + k - 1, k - 1)
     # terms of k passages each.  Its weights surj(t, r) / t!, built once
@@ -643,7 +647,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
     # when k > 1; each is a gcd with t! of about t log t bits, one item a
     # bit, and r + 1 powers of as many bits at most, one item a 64-bit
     # word.  The empty maze lists none.
-    below = [(maze, c) for maze, c in numerical if 0 < maze.size < n]
+    below = [(maze, c) for maze, c in numerical.comb if 0 < maze.size < n]
     estimate = 0
     for maze, _ in below:
         k, room = len(maze.passages), n - maze.size
@@ -654,6 +658,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
                          * t * t.bit_length() * (r + 65) // 64)
     guard_count(estimate, "normalize_homogeneous",
                 lambda: f"{len(below)} mazes to expand, degree {n}")
+    merged = {maze: c for maze, c in numerical.comb if maze.size == n}
     weights = {}
     for maze, c in below:
         passages = maze.passages

@@ -139,9 +139,11 @@ class IntMat:
     def scale(self, factor):
         """factor times the matrix; a factor other than an int goes
         through the checking constructor, which refuses a non-integer
-        result."""
+        result; a bool is refused, as integer refuses it."""
         rows = [[factor * a for a in row] for row in self.rows]
         if type(factor) is not int:
+            if isinstance(factor, bool):
+                raise ValueError(f"{factor!r} is not an integer")
             return IntMat(self.nrows, self.ncols, rows)
         return IntMat._trusted(self.nrows, self.ncols,
                                tuple(map(tuple, rows)))

@@ -36,8 +36,8 @@ def scalar_str(value: Fraction) -> str:
 
 def integer(x) -> int:
     """x as an int: ints pass, a Fraction must have denominator 1, and
-    anything else (a float among them) is refused rather than truncated."""
-    if isinstance(x, int):
+    anything else (a bool or a float) is refused rather than truncated."""
+    if type(x) is int or isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
@@ -74,7 +74,10 @@ def surjections(t: int, r: int) -> int:
 
 
 def _canonical(merged):
-    """The terms of a {basis: coefficient} dict without zeros, sorted."""
+    """The terms of a {basis: coefficient} dict without zeros, sorted; zero
+    or one term is read off at once, with no list and no sort."""
+    if len(merged) < 2:
+        return tuple(merged.items()) if all(merged.values()) else ()
     kept = [(b, c) for b, c in merged.items() if c != 0]
     kept.sort(key=lambda bc: bc[0].sort_key())
     return tuple(kept)
@@ -185,8 +188,13 @@ class HomComb:
         return cls(dom, cod, LinComb())
 
     @classmethod
-    def of(cls, arrow, coeff=1):
-        return cls(arrow.dom, arrow.cod, LinComb([(arrow, coeff)]))
+    def of(cls, arrow, coeff=ONE):
+        """coeff * arrow: checked as by the constructor, built trusted."""
+        coeff = scalar(coeff)
+        dom, cod = cls.norm_ends(arrow.dom), cls.norm_ends(arrow.cod)
+        if coeff and (arrow.dom != dom or arrow.cod != cod):
+            raise ValueError("all terms must share dom and cod")
+        return cls._trusted(dom, cod, LinComb._trusted({arrow: coeff}))
 
     @classmethod
     def from_terms(cls, dom, cod, terms):

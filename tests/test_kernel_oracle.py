@@ -59,7 +59,7 @@ from mazelab.matrices import IntMat, column_lattice_basis, solve_in_lattice
 from mazelab.msetcat import mset_structure_constants
 from mazelab.multisets import all_cardinality_multisets, enumerate_supported
 from mazelab.scalars import binomial
-from mazelab.verify import random_quadratic_presentation
+from mazelab.verify import _random_unimodular, random_quadratic_presentation
 from test_structure_constants import assert_checks_agree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -356,7 +356,7 @@ def matrices(rng, per_shape):
 
 def load(cls, name):
     with open(os.path.join(FIXTURES, name)) as fh:
-        return cls.from_json(json.load(fh))
+        return cls.from_json(json.load(fh), check=False)
 
 
 def constant_plus_identity():
@@ -395,6 +395,22 @@ def test_from_functor_matches_the_oracle(name, degree):
             old_phi_forward(f, maze)), maze
 
 
+def unchecked_quadratic(rng):
+    """random_quadratic_presentation's draw from rng, built unchecked."""
+    r = rng.randint(1, 2)
+    u, u_inv = _random_unimodular(rng, r)
+    x, y, k = FgAbGroup(r), FgAbGroup(r), FgAbGroup(rng.randint(0, 2))
+    if rng.random() < 0.5:
+        alpha, beta = u.rows, u_inv.scale(2).rows
+    else:
+        alpha, beta = u.scale(2).rows, u_inv.rows
+    return LabyModulePresentation.quadratic(
+        k, x, y, AbHom.of_groups(x, y, alpha), AbHom.of_groups(y, x, beta),
+        check=False)
+
+
+# The corpora are built unchecked, so that a fault in a check fails the
+# test below that runs it, not the collection of this module.
 def laby_corpus():
     zero, z2 = FgAbGroup(0), FgAbGroup(0, (2,))
     out = [("frobenius_laby.json", load(LabyModulePresentation,
@@ -403,13 +419,14 @@ def laby_corpus():
                                        "identity_laby.json")),
            ("quadratic Z/2", LabyModulePresentation.quadratic(
                zero, z2, zero, AbHom.of_groups(z2, zero, []),
-               AbHom.of_groups(zero, z2, [[]])))]
+               AbHom.of_groups(zero, z2, [[]]), check=False))]
     out += [(f"{name} degree {n}",
-             LabyModulePresentation.from_functor(FUNCTORS[name](), n))
+             LabyModulePresentation.from_functor(FUNCTORS[name](), n,
+                                                 check=False))
             for name in ("tensor^2", "tensor^3") for n in (2, 3)
             if name != "tensor^3" or n == 3]
     rng = random.Random(19)
-    out += [(f"random quadratic #{i}", random_quadratic_presentation(rng))
+    out += [(f"random quadratic #{i}", unchecked_quadratic(rng))
             for i in range(4)]
     return out
 
@@ -1051,8 +1068,10 @@ def cuts(pres, cases):
 
 
 CUT_CORPUS = LABY + [
-    ("tensor_power(2, 12)", MSetModulePresentation.tensor_power(2, "12")),
-    ("tensor_power(3, 123)", MSetModulePresentation.tensor_power(3, "123"))]
+    ("tensor_power(2, 12)", MSetModulePresentation.tensor_power(
+        2, "12", check=False)),
+    ("tensor_power(3, 123)", MSetModulePresentation.tensor_power(
+        3, "123", check=False))]
 
 
 @pytest.mark.parametrize("name, pres", CUT_CORPUS,
@@ -1069,3 +1088,26 @@ def test_deviation_cuts_match_the_unpruned_cuts(name, pres, monkeypatch):
     for (_, maze, _, _), got, want in zip(cases, pruned, cuts(pres, cases)):
         assert got == want, maze
     assert all(got[0] == "AbHom" for got in pruned)
+
+
+# ------------------------------------------------------ the corpus checked
+
+CHECKED = CORPUS + CUT_CORPUS[len(LABY):len(LABY) + 1]
+
+
+@pytest.mark.parametrize("name, pres", CHECKED,
+                         ids=[name for name, _ in CHECKED])
+def test_every_corpus_entry_is_checked_as_a_functor(name, pres):
+    pres = fresh(pres)
+    if name == "frobenius_twist Z/2 + Z/4":  # no functor in degree 3
+        with pytest.raises(ValueError, match="not functorial"):
+            pres.check()
+    else:
+        pres.check()
+
+
+def test_the_unchecked_quadratics_are_the_checked_draws():
+    ours, theirs = random.Random(19), random.Random(19)
+    for _ in range(4):
+        assert json.dumps(unchecked_quadratic(ours).to_json()) == json.dumps(
+            random_quadratic_presentation(theirs).to_json())

@@ -37,6 +37,35 @@ def test_abhom_scale_refuses_a_float():
     assert hom.scale(Fraction(4, 2)) == hom.scale(2)
 
 
+# A bool is no integer, as it is no scalar: True is refused, not read as 1.
+
+def test_from_rows_refuses_a_bool():
+    with pytest.raises(ValueError, match="^True is not an integer$"):
+        IntMat.from_rows([[True]])
+    assert IntMat.from_rows([[1]]).rows == ((1,),)
+
+
+def test_intmat_scale_refuses_a_bool():
+    with pytest.raises(ValueError, match="^True is not an integer$"):
+        IntMat.identity(2).scale(True)
+    assert IntMat.identity(2).scale(1) == IntMat.identity(2)
+
+
+def test_abhom_scale_refuses_a_bool():
+    hom = AbHom.identity(FgAbGroup(2).orders)
+    with pytest.raises(ValueError, match="^True is not an integer$"):
+        hom.scale(True)
+    assert hom.scale(1) == hom
+
+
+def test_abhom_combination_refuses_a_bool_coefficient():
+    hom = AbHom.identity(FgAbGroup(2).orders)
+    with pytest.raises(ValueError, match="^True is not an integer$"):
+        AbHom.combination(hom.dom_orders, hom.cod_orders, [(hom, True)])
+    assert AbHom.combination(hom.dom_orders, hom.cod_orders,
+                             [(hom, 1)]) == hom
+
+
 # The checking constructors are the boundary for data from outside; the
 # package's own arithmetic skips them.  These refusals must stay.
 

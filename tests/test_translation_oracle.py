@@ -27,7 +27,8 @@ from mazelab.errors import (DomainMismatchError, EnumerationLimitError,
 from mazelab.labycat import (LabyConstants, Maze, MazeHom, Passage,
                              _numerical_terms, compose_in_laby_n,
                              laby_structure_constants, maze_compose,
-                             maze_hom_compose, normalize_numerical,
+                             maze_hom_compose, normalize_homogeneous,
+                             normalize_numerical,
                              pure_mazes_between, rename_maze, skeleton,
                              validate_maze)
 from mazelab.msetcat import (MultHom, Multation, all_multations,
@@ -35,7 +36,7 @@ from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset_structure_constants)
 from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
-from mazelab.scalars import LinComb
+from mazelab.scalars import LinComb, surjections
 from test_labycat import box_product
 from test_scalars import multinomial
 from test_structure_constants import fill_every_block, rename_multation
@@ -292,6 +293,38 @@ def old_compose_in_laby_n(f, g, n):
     f = old_normalize_numerical(f, n)
     g = old_normalize_numerical(g, n)
     return old_normalize_numerical(old_maze_hom_compose(f, g, n), n)
+
+
+def old_of(cls, arrow, coeff=1):
+    """cls.of through the validating constructors."""
+    return cls(arrow.dom, arrow.cod, LinComb([(arrow, coeff)]))
+
+
+def old_normalize_homogeneous(h, n):
+    """normalize_homogeneous's general path, which rebuilds every form,
+    without its guard."""
+    numerical = normalize_numerical(h, n).comb
+    merged = {maze: c for maze, c in numerical if maze.size == n}
+    weights = {}
+    for maze, c in numerical:
+        if not 0 < maze.size < n:
+            continue
+        passages = maze.passages
+        for parts in compositions(n - maze.size + len(passages),
+                                  len(passages)):
+            coeff = c
+            counts = []
+            for (p, r), part in zip(passages, parts):
+                t = r + part - 1
+                counts.append((p, t))
+                if t == r:
+                    continue
+                if (t, r) not in weights:
+                    weights[t, r] = Fraction(surjections(t, r), factorial(t))
+                coeff *= weights[t, r]
+            pure = Maze._trusted(maze.dom, maze.cod, tuple(counts))
+            merged[pure] = merged.get(pure, 0) + coeff
+    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))
 
 # ------------------------------------------------------------ comparison
 
@@ -832,6 +865,101 @@ def test_a_pure_combination_within_the_degree_is_its_own_normal_form():
                 assert_same(smaller, old_normalize_numerical(h, n - 1))
     labelled = MazeHom.of(relabelled(Maze.identity(skeleton(2)), 0))
     assert normalize_numerical(labelled, 2) is not labelled
+
+# ------------------------------- one-term lifts and the homogeneous form
+
+
+def raised(call):
+    """The type and message of what call() raises."""
+    with pytest.raises((TypeError, ValueError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture
+def lincombs(monkeypatch):
+    """Count the LinComb built through __init__ and through _trusted."""
+    built = {"__init__": 0, "_trusted": 0}
+    init, trusted = LinComb.__init__, LinComb._trusted.__func__
+
+    def counted_init(self, *args):
+        built["__init__"] += 1
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        built["_trusted"] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(LinComb, "__init__", counted_init)
+    monkeypatch.setattr(LinComb, "_trusted", classmethod(counted_trusted))
+    return built
+
+
+def test_one_term_lifts_build_as_the_validating_path(lincombs):
+    _, multations = arrows_over("123", 3)
+    arrows = [(MazeHom, maze) for maze in laby_structure_constants(3).index]
+    arrows += [(MultHom, mu) for mus in multations.values() for mu in mus]
+    for cls, arrow in arrows:
+        for c in (None, 1, -2, "3/4", Fraction(0)):
+            args = (arrow,) if c is None else (arrow, c)  # None: the default
+            lincombs["__init__"] = 0
+            new = cls.of(*args)
+            assert lincombs["__init__"] == 0, (arrow, c)
+            assert len(new.comb) == (c != 0), (arrow, c)
+            assert_same(new, old_of(cls, *args))
+    assert len(arrows) == 40 + 165
+
+
+def test_one_term_lifts_refuse_as_the_validating_path():
+    loop = Maze.identity(NAMES)
+    unsorted = Maze._trusted(("2", "1"), ("1",), ((Passage("1", "1"), 1),
+                                                 (Passage("2", "1"), 1)))
+    mu = next(iter(mset_structure_constants(NAMES, 2).index))
+    for cls, arrow in ((MazeHom, loop), (MazeHom, unsorted), (MultHom, mu)):
+        for c in (True, 1.5):
+            assert raised(lambda: cls.of(arrow, c)) == raised(
+                lambda: old_of(cls, arrow, c))
+    assert raised(lambda: MazeHom.of(unsorted)) == raised(
+        lambda: old_of(MazeHom, unsorted)) == (
+            ValueError, "all terms must share dom and cod")
+    # A zero term is dropped before its ends are compared.
+    assert_same(MazeHom.of(unsorted, 0), old_of(MazeHom, unsorted, 0))
+
+
+def test_homogeneous_forms_of_laby3_composites_match_the_oracle(lincombs):
+    kept = 0
+    for p, q in skeleton_pairs(3):
+        h = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), 3)
+        want = old_normalize_homogeneous(h, 3)
+        lincombs.update({"__init__": 0, "_trusted": 0})
+        got, built = normalize_homogeneous(h, 3), dict(lincombs)
+        assert_same(got, want)
+        if all(maze.size == 3 for maze, _ in h.comb):
+            # Pure with 3 passages in every term: h itself, nothing built.
+            assert got is h
+            assert built == {"__init__": 0, "_trusted": 0}, h
+            kept += 1
+    assert kept == 561  # of 580
+
+
+def test_homogeneous_forms_of_seeded_laby4_composites_match_the_oracle():
+    kept = 0
+    for p, q in random.Random(2401).sample(skeleton_pairs(4), 2000):
+        h = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), 4)
+        got = normalize_homogeneous(h, 4)
+        assert_same(got, old_normalize_homogeneous(h, 4))
+        if all(maze.size == 4 for maze, _ in h.comb):
+            assert got is h
+            kept += 1
+    assert kept == 1971  # of 2000
+
+
+def test_homogeneous_forms_of_labelled_combinations_match_the_oracle():
+    for f, g in seeded_combination_pairs():
+        for n in range(5):
+            for h in (f, compose_in_laby_n(f, g, n)):
+                assert_same(normalize_homogeneous(h, n),
+                            old_normalize_homogeneous(h, n))
 
 # ------------------------------------------------------------- property
 
