@@ -47,7 +47,9 @@ It takes the homogeneous normal form, normalize_homogeneous(h, 4), of
 each composite of the warm sweep and prints the time of that pass and
 how many composites came back as they are (the same object, a count
 that does not depend on the host); it exits 1 if a form holds a term
-without exactly 4 passages.
+without exactly 4 passages.  It then walks the passages of every
+distinct maze of those composites, prints how many, and exits 1 on the
+first whose stored size or purity is not what its passages give.
 Then it sends every basis multation and every pure maze of degree 4 over
 four letters through both translations and back, and exits 1 on any
 failure of the round trip.  Then it times plain composition of the loop
@@ -249,7 +251,8 @@ def cube():
 
 def homogeneous4(composites):
     """Take normalize_homogeneous(h, 4) of every composite, counting those
-    returned as they are; 1 if a form keeps a term without 4 passages."""
+    returned as they are; 1 if a form keeps a term without 4 passages, or
+    if a composite maze stores a size or purity its passages do not give."""
     start = time.perf_counter()
     forms = [normalize_homogeneous(h, 4) for h in composites]
     seconds = time.perf_counter() - start
@@ -261,6 +264,17 @@ def homogeneous4(composites):
             print(f"normalize_homogeneous({h!r}, 4) keeps a term without "
                   f"4 passages")
             return 1
+    # The early returns read the stored sizes and purities: walk them anew.
+    mazes = {maze for h in composites for maze, _ in h.comb}
+    for maze in sorted(mazes, key=Maze.sort_key):
+        if (maze.size, maze.is_pure()) != (
+                sum(m for _, m in maze.passages),
+                all(p.label == 1 for p, _ in maze.passages)):
+            print(f"{maze!r} stores size {maze.size} and purity "
+                  f"{maze.is_pure()}, not its passages' own")
+            return 1
+    print(f"stored size and purity of the {len(mazes)} distinct composite "
+          f"mazes as their passages give them")
     return 0
 
 

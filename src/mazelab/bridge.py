@@ -18,7 +18,6 @@ is translated to pure mazes by fiber counts and composition on the span
 side is defined by transport through this translation.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -158,11 +157,15 @@ def ariadne_hom(h: MazeHom, n: int) -> AriadneMatrix:
     into r_p positive instance weights, the multinomials give surj(t_p,
     r_p) and the labels L_p^t_p."""
     terms = {}
-    for maze, c in h.comb:
-        if not all(p.src in maze.dom and p.dst in maze.cod
+    # Every maze has the hom's ends: its names are checked once, after the
+    # first maze's passages, as a check per maze would first fail there.
+    dom_set, cod_set = set(h.dom), set(h.cod)
+    for i, (maze, c) in enumerate(h.comb):
+        if not all(p.src in dom_set and p.dst in cod_set
                    for p, _ in maze.passages):
             raise ValueError("entry index outside the endpoint sets")
-        check_names(maze.dom + maze.cod)  # the marginals are unchecked
+        if i == 0:
+            check_names(h.dom + h.cod)  # the marginals are unchecked
         passages = maze.passages
         # One part t_p - r_p + 1 per passage: they sum to n - m + k.
         for parts in compositions(n - maze.size + len(passages),
@@ -198,17 +201,17 @@ def theseus_multation(mu: Multation, n: int) -> MazeHom:
 def theseus_hom(hom: MultHom, n: int) -> MazeHom:
     """The reverse functor: each multation goes to its pure maze of
     columns, scaled by the reciprocal of its degree."""
-    terms = {}
+    # Every multation has the hom's ends, so they are checked once.
+    if hom.comb and (hom.dom.cardinality != n or hom.cod.cardinality != n):
+        raise DomainMismatchError(
+            f"multation endpoints must have cardinality {n}")
+    dom, cod, terms = hom.dom.support, hom.cod.support, {}
     for mu, c in hom.comb:
-        if mu.dom.cardinality != n or mu.cod.cardinality != n:
-            raise DomainMismatchError(
-                f"multation endpoints must have cardinality {n}")
         # A multation's sorted, merged columns are its maze's passages.
-        maze = Maze._trusted(mu.dom.support, mu.cod.support, tuple(
+        maze = Maze._trusted(dom, cod, tuple(
             (pure_passage(a, b), m) for (a, b), m in mu.pairs))
-        terms[maze] = Fraction(c, mu.degree)  # one maze per multation
-    return MazeHom._trusted(hom.dom.support, hom.cod.support,
-                            LinComb._trusted(terms))
+        terms[maze] = c / mu.degree  # one maze per multation
+    return MazeHom._trusted(dom, cod, LinComb._trusted(terms))
 
 
 def all_pure_mazes_on(universe, n: int):

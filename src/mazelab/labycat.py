@@ -103,10 +103,11 @@ class Maze:
 
     The constructor does not reject dead ends so that validity itself can
     be queried; every operation that composes or normalizes assumes valid
-    input (see validate_maze).
+    input (see validate_maze).  The passage count and purity are derived
+    on their first ask and stored: the maze is immutable, so they hold.
     """
 
-    __slots__ = ("dom", "cod", "passages", "_hash", "_key")
+    __slots__ = ("dom", "cod", "passages", "_hash", "_key", "_size", "_pure")
 
     def __init__(self, dom, cod, passages=()):
         if hasattr(passages, "items"):
@@ -141,6 +142,10 @@ class Maze:
         object.__setattr__(self, "_hash", hash((dom, cod, passages)))
         object.__setattr__(self, "_key", (
             dom, cod, tuple((p._key, m) for p, m in passages)))
+        # The normal forms ask these of a maze again and again; most mazes
+        # built are never asked.
+        object.__setattr__(self, "_size", None)
+        object.__setattr__(self, "_pure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Maze is immutable")
@@ -163,15 +168,24 @@ class Maze:
 
     @property
     def size(self) -> int:
-        """Number of passages counted with multiplicity."""
-        return sum(m for _, m in self.passages)
+        """Number of passages counted with multiplicity, summed once."""
+        size = self._size
+        if size is None:
+            size = sum(m for _, m in self.passages)
+            object.__setattr__(self, "_size", size)
+        return size
 
     def instances(self):
         """Passage instances with repetition, in canonical order."""
         return [p for p, m in self.passages for _ in range(m)]
 
     def is_pure(self) -> bool:
-        return all(p.label == 1 for p, _ in self.passages)
+        """Whether every label is 1, compared once."""
+        pure = self._pure
+        if pure is None:
+            pure = all(p.label == 1 for p, _ in self.passages)
+            object.__setattr__(self, "_pure", pure)
+        return pure
 
     def relabel_all(self, a):
         """a [.] P: multiply every label by a."""

@@ -900,3 +900,116 @@ def test_maze_repr_does_not_depend_on_hash_seed():
     assert outs == {"2*[1 -(1)-> 2, 2 -(1)-> 1: {'1', '2'}->{'1', '2'}] "
                     "[1 -(1)-> 1, 1 -(1)-> 2: {'1'}->{'1', '2'}] "
                     "[empty: {}->{}]\n"}
+
+# ------------------------------------------ stored size and purity
+
+
+def summed(maze):
+    """A maze's passage count and purity, walked anew."""
+    return (sum(m for _, m in maze.passages),
+            all(p.label == 1 for p, _ in maze.passages))
+
+
+def assert_stored(maze):
+    """Each stored value is the walked one, at its first ask and after."""
+    want = summed(maze)
+    for _ in range(2):
+        assert (maze.size, maze.is_pure()) == want, maze
+
+
+def test_stored_size_and_purity_of_every_constructor():
+    x, y = Passage("x", "y"), Passage("x", "y", -1)
+    built = [
+        Maze((), ()),
+        Maze(["x"], ["y"], [x, x, (x, 3)]),  # merged: 5 instances
+        Maze(["x"], ["y"], {x: 2, y: 1}),
+        Maze(["x"], ["y"], [Passage("x", "y", Fraction(1, 2))]),
+        Maze(["x"], ["y"], [(Passage("x", "y", 0), 2), x]),
+        Maze._trusted(("x",), ("y",), ((x, 4),)),
+        Maze._trusted(("x",), ("y",), ((y, 1),)),
+        Maze.identity(skeleton(3)),
+        Maze.pure([("1", "2"), ("1", "2"), ("2", "1")]),
+        Maze.identity(skeleton(2)).relabel_all(Fraction(1, 2)),
+        Maze.identity(skeleton(2)).relabel_all(1),
+        labycat.rename_maze(Maze(["x"], ["y"], [(y, 2)]), {"x": "a"}, None),
+    ]
+    hom = MazeHom.from_terms(("x",), ("y",), [(built[2], 3), (built[4], 1)])
+    built += [maze for maze, _ in MazeHom.from_json(hom.to_json()).comb]
+    assert [summed(maze) for maze in built] == [
+        (0, True), (5, True), (3, False), (1, False), (3, False), (4, True),
+        (1, False), (3, True), (3, True), (2, False), (2, True), (2, False),
+        (3, False), (3, False)]
+    for maze in built:
+        assert_stored(maze)
+
+
+def test_stored_size_and_purity_of_laby3_and_seeded_laby4_composites():
+    pairs = [(3, p, q) for p, q in _skeleton_pairs(3)]
+    assert len(pairs) == 580
+    pairs += [(4, p, q) for p, q in
+              random.Random(2401).sample(_skeleton_pairs(4), 2000)]
+    for n, p, q in pairs:
+        # A basis maze cold, then its composites: pure and relabelled.
+        fresh = Maze._trusted(p.dom, p.cod, p.passages)
+        assert_stored(fresh)
+        assert_stored(p)
+        for h in (compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n),
+                  maze_compose(p.relabel_all(Fraction(1, 2)), q, n)):
+            for maze, _ in h.comb:
+                assert_stored(maze)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from("uvw"),
+                          st.sampled_from(MIXED_LABELS), st.integers(1, 3)),
+                max_size=6))
+def test_stored_size_and_purity_of_random_passage_lists(entries):
+    passages = [(Passage(s, d, label), m) for s, d, label, m in entries]
+    maze = Maze("xy", "uvw", passages)
+    assert_stored(maze)
+    assert maze.size == sum(m for *_, m in entries)
+    assert maze.is_pure() == all(label == 1 for _, _, label, _ in entries)
+
+
+def test_an_asked_maze_equals_and_hashes_as_a_fresh_one():
+    asked = Maze.pure([("1", "1"), ("1", "2"), ("1", "2")])
+    assert (asked.size, asked.is_pure()) == (3, True)
+    fresh = Maze.pure([("1", "1"), ("1", "2"), ("1", "2")])
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert asked.sort_key() == fresh.sort_key() and {asked: 1}[fresh] == 1
+    for name in Maze.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(asked, name, None)
+    assert (asked.size, asked.is_pure()) == (3, True)
+
+
+class WalkedPassages(tuple):
+    """A maze's passages that count the walks over them."""
+
+    def __new__(cls, passages):
+        walked = super().__new__(cls, passages)
+        walked.walks = 0
+        return walked
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_a_warm_normal_form_walks_no_passage():
+    # Pure mazes of 4 passages: normal in both quotients at degree 4.
+    mazes = pure_mazes_between(skeleton(2), skeleton(2), [4])[:6]
+    walked = [Maze._trusted(m.dom, m.cod, WalkedPassages(m.passages))
+              for m in mazes]
+    assert walked == mazes
+    h = MazeHom.from_terms(skeleton(2), skeleton(2),
+                           [(maze, i + 1) for i, maze in enumerate(walked)])
+    built = [maze.passages.walks for maze in walked]
+    assert normalize_numerical(h, 4) is h  # cold: one walk for each value
+    derived = [maze.passages.walks for maze in walked]
+    assert [d - b for b, d in zip(built, derived)] == [2] * len(walked)
+    for _ in range(2):
+        assert normalize_numerical(h, 4) is h
+        assert normalize_homogeneous(h, 4) is h
+        assert [maze.passages.walks for maze in walked] == derived
+    assert [(maze.size, maze.is_pure()) for maze in walked] == [(4, True)] * 6

@@ -500,6 +500,56 @@ def test_a_maze_off_its_ends_is_refused_before_the_enumeration(monkeypatch):
 
 
 
+def outcome(call):
+    """What call() raises, by type and message, or what it returns."""
+    try:
+        got = call()
+    except (ValueError, DomainMismatchError) as error:
+        return type(error).__name__, str(error)
+    return "returned", got
+
+
+def test_a_homs_ends_are_refused_once_as_each_term_refused_them():
+    # Every term has the hom's ends, so ariadne_hom checks the names once,
+    # after the first maze's passages, and theseus_hom the cardinalities
+    # once: each refusal is the one the first failing term gave.
+    off_names = "ValueError", "invalid element name ''"
+    off_ends = "ValueError", "entry index outside the endpoint sets"
+
+    def hom(dom, cod, *passage_lists):
+        mazes = [Maze(dom, cod, passages) for passages in passage_lists]
+        h = MazeHom.from_terms(dom, cod, [(m, i + 1)
+                                          for i, m in enumerate(mazes)])
+        assert [m for m, _ in h.comb] == mazes  # in this order
+        return h
+
+    x, xx = Passage("1", "2"), (Passage("1", "2"), 2)
+    blank, blank2 = Passage("", "2"), (Passage("", "2"), 2)
+    cases = [
+        (hom(["1"], ["2"], [x], [xx, Passage("3", "2")]), off_ends),
+        (hom([""], ["2"], [blank], [blank2]), off_names),
+        (hom([""], ["2"], [blank], [blank2, Passage("3", "2")]), off_names),
+        (hom([""], ["2"], [Passage("", "1"), blank], [blank2]), off_ends),
+        (MazeHom.of(Maze([""], ["2"], [Passage("3", "2")])), off_ends),
+    ]
+    for h, refusal in cases:
+        for n in (2, 3):
+            assert outcome(lambda: ariadne_hom(h, n)) == refusal
+    empty = ariadne_hom(MazeHom.zero([""], ["2"]), 2)
+    assert empty.entries == {} and (empty.dom, empty.cod) == (("",), ("2",))
+    a, b = MultiSet("12"), MultiSet("34")
+    h = MultHom.from_terms(a, b, [(mu, 1) for mu in all_multations(a, b)])
+    assert len(h.comb) == 2
+    for n in (1, 3):
+        assert outcome(lambda: theseus_hom(h, n)) == (
+            "DomainMismatchError",
+            f"multation endpoints must have cardinality {n}")
+    assert_same(theseus_hom(h, 2), old_theseus_hom(h, 2))
+    for n in (1, 2, 3):
+        assert_same(theseus_hom(MultHom.zero(a, MultiSet("3")), n),
+                    old_theseus_hom(MultHom.zero(a, MultiSet("3")), n))
+
+
 def test_multation_listing_matches_its_validating_rebuild():
     # mset-translate lists every degree-4 multation over 1234 at set-up.
     count = 0
@@ -952,6 +1002,45 @@ def test_homogeneous_forms_of_seeded_laby4_composites_match_the_oracle():
             assert got is h
             kept += 1
     assert kept == 1971  # of 2000
+
+
+def returned_as_they_are(h, n):
+    """Whether the numerical and the homogeneous normal form at degree n
+    return h itself, from each maze's size and purity walked anew."""
+    walked = [(sum(m for _, m in maze.passages),
+               all(p.label == 1 for p, _ in maze.passages))
+              for maze, _ in h.comb]
+    numerical = all(size <= n and pure for size, pure in walked)
+    return numerical, numerical and all(size == n for size, _ in walked)
+
+
+def cold(h):
+    """h with every maze built again, its size and purity not yet asked."""
+    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted({
+        Maze._trusted(maze.dom, maze.cod, maze.passages): c
+        for maze, c in h.comb}))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_normal_forms_return_the_same_composites_as_they_are(n):
+    # The stored sizes and purities answer the early returns exactly as
+    # the walks did, on cold mazes and again on warm ones, at the degree
+    # and one below it.
+    pairs = skeleton_pairs(n)
+    if n == 4:
+        pairs = random.Random(2401).sample(pairs, 2000)
+    kept = 0
+    for p, q in pairs:
+        composite = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), n)
+        for degree in (n, n - 1):
+            want = returned_as_they_are(composite, degree)
+            for form, as_it_is in zip(
+                    (normalize_numerical, normalize_homogeneous), want):
+                h = cold(composite)
+                for _ in ("cold", "warm"):
+                    assert (form(h, degree) is h) == as_it_is, (h, degree)
+            kept += degree == n and want[1]
+    assert kept == {3: 561, 4: 1971}[n]  # of 580 and of 2000
 
 
 def test_homogeneous_forms_of_labelled_combinations_match_the_oracle():
