@@ -34,7 +34,10 @@ its time and exits 1 on any failure.  It breaks one late value of that
 presentation and checks it again on the same warm constants, printing
 the time, the pair the refusal names and the pairs composed; it exits 1
 unless the check raises ValueError, composes no pair and names a pair
-that fails when multation_compose composes it.  Then it compares every
+that fails when multation_compose composes it.  It fills MSet_4 over
+four letters from that presentation's 210 divided-power values alone
+(Presentation.fill), prints the time and exits 1 unless the filled table
+equals its 3876 values.  Then it compares every
 Laby_4 block with the per-pair path, each composite
 computed afresh by the engine, maze_hom_compose (a few seconds), and
 exits 1 on the first block that differs.  Then, from a cleared memo, it
@@ -423,6 +426,23 @@ def broken4(h):
     return 0
 
 
+def filled4(h):
+    """Fill MSet_4 over '1234' from the divided-power values of the checked
+    tensor_power(4, '1234') alone, on its warm constants; 1 unless the
+    filled table equals the built one."""
+    gens = divided_powers(h.universe, 4)
+    cut = MSetModulePresentation(4, h.universe, h.groups,
+                                 {g: h.hom(g) for g in gens}, check=False)
+    start = time.perf_counter()
+    cut.fill()
+    same = cut.table == h.table
+    print(f"MSet_4 over 1234 filled from the {len(gens)} divided-power "
+          f"values in {time.perf_counter() - start:.2f} s: {len(cut.table)} "
+          f"values, {'equal' if same else 'NOT equal'} to the "
+          f"{len(h.table)} of tensor_power(4, '1234'); {peak_rss()}")
+    return 0 if same else 1
+
+
 def tensor_power5():
     """Build and check tensor_power(5, '1234') from cleared constants; 1
     on a failed check or a filled block."""
@@ -449,6 +469,8 @@ def main():
           f"{time.perf_counter() - start:.2f} s; {peak_rss()}")
     if (checked("tensor_power(4, '1234')", four) or listing4(four)
             or evaluate4(four) or thread4(four) or broken4(four)):
+        return 1
+    if filled4(four):
         return 1
     del four
 

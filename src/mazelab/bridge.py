@@ -21,15 +21,16 @@ side is defined by transport through this translation.
 from itertools import combinations
 from math import comb
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, Immutable
 from .labycat import Maze, MazeHom, pure_mazes_between, pure_passage
 from .msetcat import MultHom, Multation
 from .multisets import (MultiSet, all_cardinality_multisets, check_names,
-                        compositions, enumerate_supported, json_int)
+                        compositions, enumerate_supported, json_int,
+                        json_list)
 from .scalars import LinComb, surjections
 
 
-class AriadneMatrix:
+class AriadneMatrix(Immutable):
     """A matrix of multation arrows indexed by multi-sets.
 
     Entry (B, A) is a MultHom from A to B; absent entries are zero.  Rows
@@ -67,9 +68,6 @@ class AriadneMatrix:
         for name, value in zip(cls.__slots__, (dom, cod, n, entries)):
             object.__setattr__(matrix, name, value)
         return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AriadneMatrix is immutable")
 
     def entry(self, b: MultiSet, a: MultiSet) -> MultHom:
         hom = self.entries.get((b, a))
@@ -139,8 +137,8 @@ class AriadneMatrix:
         entries = {}
         for ri, ci, hom in data["entries"]:
             entries[(rows[ri], cols[ci])] = MultHom.from_json(hom)
-        return cls(data["dom"], data["cod"], json_int(data["n"], "degree"),
-                   entries)
+        return cls(*(json_list(data[k], k) for k in ("dom", "cod")),
+                   json_int(data["n"], "degree"), entries)
 
 
 def ariadne_maze(p: Maze, n: int) -> AriadneMatrix:
@@ -256,7 +254,7 @@ def roundtrip_failures(universe, n: int):
     return failures
 
 
-class Correspondence:
+class Correspondence(Immutable):
     """A span of surjections cod <- middle -> dom, read right to left."""
 
     __slots__ = ("cod", "middle", "dom", "left", "right")
@@ -278,9 +276,6 @@ class Correspondence:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Correspondence is immutable")
 
     def fiber_counts(self):
         counts = {}
@@ -309,9 +304,10 @@ class Correspondence:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["cod"], data["middle"], data["dom"],
-                   {u: y for u, y in data["left"]},
-                   {u: x for u, x in data["right"]})
+        ends = [json_list(data[k], k) for k in ("cod", "middle", "dom")]
+        legs = [dict(json_list(pair, f"{leg} pair") for pair in data[leg])
+                for leg in ("left", "right")]
+        return cls(*ends, *legs)
 
 
 def xi_correspondence(c: Correspondence) -> Maze:

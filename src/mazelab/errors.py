@@ -6,6 +6,15 @@ exceptions.
 """
 
 
+class Immutable:
+    """A value whose attributes, once set by object.__setattr__, stay."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class MazelabError(Exception):
     pass
 

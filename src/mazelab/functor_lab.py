@@ -27,7 +27,7 @@ from itertools import accumulate, chain, combinations, compress, product
 from typing import NamedTuple
 
 from . import bridge
-from .errors import ShapeMismatchError
+from .errors import Immutable, ShapeMismatchError
 from .labycat import (
     Maze,
     MazeHom,
@@ -42,9 +42,9 @@ from .matrices import (IntMat, column_lattice_basis, combination_rows,
                        kron_power, nonzero_rows, row_products,
                        solve_in_lattice)
 from .msetcat import Multation, divided_powers, mset_structure_constants
-from .multisets import (MultiSet, all_cardinality_multisets, covering_count,
-                        covering_sets, enumerate_supported, guard_count,
-                        json_int)
+from .multisets import (MultiSet, all_cardinality_multisets, check_names,
+                        covering_count, covering_sets, enumerate_supported,
+                        guard_count, json_int, json_list)
 from .scalars import binomial, integer
 
 MAX_FUNCTOR_DEGREE = 3
@@ -56,7 +56,7 @@ _INDEX_OF_LETTER = {x: i for i, x in enumerate(skeleton(MAX_MATRIX_SIDE))}
 # matrix functors and the deviation calculus
 
 
-class MatrixFunctor:
+class MatrixFunctor(Immutable):
     """A functor on free modules presented by matrices.
 
     `dim` maps a rank to the value's rank; `arrow` maps a b x a integer
@@ -72,9 +72,6 @@ class MatrixFunctor:
         object.__setattr__(self, "arrow", arrow)
         # rank -> cross_effect_basis result; it lives as long as the functor.
         object.__setattr__(self, "ce_basis_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixFunctor is immutable")
 
     def __call__(self, m: IntMat) -> IntMat:
         out = self.arrow(m)
@@ -319,7 +316,7 @@ def phi_forward(f: MatrixFunctor, maze: Maze):
 # finitely generated abelian groups and their maps
 
 
-class FgAbGroup:
+class FgAbGroup(Immutable):
     """Free rank plus an invariant-factor chain of torsion orders."""
 
     __slots__ = ("rank", "torsion")
@@ -335,9 +332,6 @@ class FgAbGroup:
             raise ValueError("torsion orders must form a divisibility chain")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
 
     @property
     def orders(self):
@@ -395,15 +389,7 @@ def _checked_mat(hom, dom_orders, cod_orders):
     return hom.mat
 
 
-def _combination_rows(dom_orders, cod_orders, terms):
-    """The reduced rows of the sum of c * hom over the (hom, c) pairs of
-    `terms`; see AbHom.combination and matrices.combination_rows."""
-    return _reduce_rows(combination_rows(len(cod_orders), len(dom_orders), (
-        (_checked_mat(hom, dom_orders, cod_orders), integer(c))
-        for hom, c in terms)), cod_orders)
-
-
-class AbHom:
+class AbHom(Immutable):
     """An integer-matrix map between direct sums of cyclic groups.
 
     dom_orders and cod_orders list the generator orders (0 for free).
@@ -454,9 +440,6 @@ class AbHom:
             _reduce_rows(rows, cod_orders)))
         return hom
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AbHom is immutable")
-
     @classmethod
     def zero(cls, dom_orders, cod_orders):
         return cls(dom_orders, cod_orders,
@@ -475,8 +458,10 @@ class AbHom:
         result are reduced."""
         dom_orders = tuple(map(int, dom_orders))
         cod_orders = tuple(map(int, cod_orders))
-        return cls._trusted(dom_orders, cod_orders, _combination_rows(
-            dom_orders, cod_orders, terms))
+        return cls._trusted(dom_orders, cod_orders, combination_rows(
+            len(cod_orders), len(dom_orders), (
+                (_checked_mat(hom, dom_orders, cod_orders), integer(c))
+                for hom, c in terms)))
 
     @classmethod
     def of_groups(cls, dom: FgAbGroup, cod: FgAbGroup, rows):
@@ -567,22 +552,22 @@ class HomSet(NamedTuple):
         return self.values[t]
 
 
-class Presentation:
+class Presentation(Immutable):
     """What both presentation sides share, as HomComb is for MazeHom and
     MultHom: the table, checked against the carriers on load, hom,
-    eval_hom, check and the hom-set index, one HomSet per hom-set of the
-    side's structure constants, each built on first use, with one EvalPlan
-    per matrix shape beside it.  A side gives the `carrier` of some ends,
-    the table `key` of an arrow, the `identity` arrow of some ends, its
-    structure `constants`, the `triples` of a basis arrow, its `ends()` as
-    (name in errors, ends) pairs and the `generators()` that, with the
-    identities, generate its category over Z: on the multation side the
-    divided powers of adjacent letters (S. Doty and A. Giaquinto,
-    "Presenting Schur algebras", IMRN 2002), on the maze side the
-    elementary mazes, by exact span tests at every degree n <= 5 the
-    constants' guard allows.  So check is one loop over the generators,
-    and a refusal names a generator pair.  Every arrow the table stores is
-    a basis arrow of the structure constants."""
+    eval_hom, fill, check and the hom-set index, one HomSet per hom-set of
+    the side's structure constants, each built on first use, with one
+    EvalPlan per matrix shape beside it.  A side gives the `carrier` of
+    some ends, the table `key` of an arrow, the `identity` arrow of some
+    ends, its structure `constants`, the `triples` of a basis arrow, its
+    `ends()` as (name in errors, ends) pairs and the `generators()`, named
+    `generator_names`, that with the identities generate its category over
+    Z: on the multation side the divided powers of adjacent letters (S.
+    Doty and A. Giaquinto, "Presenting Schur algebras", IMRN 2002), on the
+    maze side the elementary mazes, by exact span tests at every degree
+    n <= 5 the constants' guard allows.  So check is one loop over the
+    generators, and a refusal names a generator pair.  Every arrow the
+    table stores is a basis arrow of the structure constants."""
 
     __slots__ = ("degree", "groups", "table", "hom_sets", "plans")
 
@@ -599,9 +584,6 @@ class Presentation:
                     f"value of {arrow!r} does not match the carriers")
         if check:
             self.check()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def hom(self, arrow) -> AbHom:
         """The stored value of an arrow, looked up under its key."""
@@ -630,6 +612,34 @@ class Presentation:
                     for j, x in compress(enumerate(row), row)))
                 for value in values])
         return entry
+
+    def fill(self):
+        """Give each basis arrow the table lacks its value, assuming a
+        functor; only check() proves one.  Identities map to identities,
+        and as a functor preserves composition, each row x = e (g . y - the
+        other terms) of the constants' span walk, y and the other terms
+        earlier pivots, gives hom(x) = e (hom(g) hom(y) - theirs).  The
+        pivots e are 1 or -1, so the generators' values fix the table with
+        no division, exactly on torsion carriers too.  No stored value is
+        overwritten; a missing generator value raises check's KeyError, an
+        unspanned hom-set ValueError.  Run it before the index is read."""
+        sc, table, gens = self.constants(), self.table, self.generators()
+        rows, missing = sc.span(gens, self.identity)
+        names = {ends: name for name, ends in self.ends()}
+        for a, c in missing:
+            raise ValueError(f"{self.generator_names} leave the hom-set "
+                             f"{names[a]} -> {names[c]} unspanned")
+        given = {g: self.hom(g) for g in gens}
+        for ends in names:
+            table.setdefault(self.identity(ends),
+                             AbHom.identity(self.carrier(ends).orders))
+        for a, i, g, u, terms in rows:
+            xs, e = sc.arrows[a, g.cod], dict(terms)[u]
+            if xs[u] not in table:
+                gy = given[g].compose(table[sc.arrows[a, g.dom][i]])
+                table[xs[u]] = AbHom.combination(
+                    gy.dom_orders, gy.cod_orders, [(gy, e)] + [
+                        (table[xs[v]], -e * c) for v, c in terms if v != u])
 
     def check(self):
         """Refuse a table that is not a functor: identities must map to
@@ -700,6 +710,8 @@ class LabyModulePresentation(Presentation):
     __slots__ = ()
 
     def __init__(self, degree: int, groups, table, check=True):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, not {degree}")
         groups = list(groups)
         if len(groups) != degree + 1:
             raise ValueError("need one carrier per skeleton set 0..degree")
@@ -714,6 +726,7 @@ class LabyModulePresentation(Presentation):
 
     key = staticmethod(on_skeleton)
     identity = staticmethod(Maze.identity)
+    generator_names = "the elementary mazes"
 
     def carrier(self, ends) -> FgAbGroup:
         return self.groups[len(ends)]
@@ -774,65 +787,50 @@ class LabyModulePresentation(Presentation):
     def quadratic(cls, k_group: FgAbGroup, x_group: FgAbGroup,
                   y_group: FgAbGroup, alpha: AbHom, beta: AbHom, check=True):
         """Degree-2 presentation from the classifying diagram: carriers
-        for [0], [1], [2] and the two crossing maps."""
-        from .labycat import quadratic_generators
-
-        gens = quadratic_generators()
+        for [0], [1], [2] and the two crossing maps, the values of A and
+        B.  The transposition S stores alpha beta - 1, and fill() gives the
+        identities and C = B A the value beta alpha."""
         if alpha.dom_orders != x_group.orders or \
                 alpha.cod_orders != y_group.orders:
             raise ShapeMismatchError("alpha must map the [1] carrier to [2]")
         if beta.dom_orders != y_group.orders or \
                 beta.cod_orders != x_group.orders:
             raise ShapeMismatchError("beta must map the [2] carrier to [1]")
-        table = {
-            gens["I0"]: AbHom.identity(k_group.orders),
-            gens["I1"]: AbHom.identity(x_group.orders),
-            gens["I2"]: AbHom.identity(y_group.orders),
-            gens["A"]: alpha,
-            gens["B"]: beta,
-            gens["C"]: beta.compose(alpha),
-            gens["S"]: alpha.compose(beta) - AbHom.identity(y_group.orders),
-        }
-        return cls(2, [k_group, x_group, y_group], table, check=check)
+        a, b, s = elementary_mazes(2)
+        h = cls(2, [k_group, x_group, y_group], {
+            a: alpha, b: beta,
+            s: alpha.compose(beta) - AbHom.identity(y_group.orders)},
+            check=False)
+        h.fill()
+        if check:
+            h.check()
+        return h
 
     @classmethod
     def from_functor(cls, f: MatrixFunctor, degree: int, check=True):
         """The presentation of a free-valued matrix functor f preserving
-        composition (phi_forward): carriers are the top cross-effects,
-        values the restricted deviations, trusted.  Only the elementary
-        mazes g are evaluated.  f preserves composition, as covering_deviation
-        assumes, so each row x = e (g . y - the other terms) of the
-        constants' span walk gives hom(x) = e (hom(g) hom(y) - theirs).  The
-        rows are unitriangular with pivots e = 1 or -1, so the generators'
-        values fix the table, in integers.  An unspanned hom-set raises."""
+        composition (phi_forward): carriers are the top cross-effects, and
+        only the elementary mazes are evaluated, their values the
+        restricted deviations, trusted; fill() gives the rest.  A refused
+        check says so when f has a degree above the presentation's."""
         if degree > MAX_FUNCTOR_DEGREE:
             raise ValueError("degree above the guard")
-        sc, gens = laby_structure_constants(degree), elementary_mazes(degree)
-        rows, missing = sc.span(gens, Maze.identity)
-        for a, c in missing:
-            raise ValueError(f"the elementary mazes leave the hom-set "
-                             f"[{len(a)}] -> [{len(c)}] unspanned")
         groups = [FgAbGroup(len(cross_effect_basis(f, k)[1]))
                   for k in range(degree + 1)]
-        orders = [group.orders for group in groups]
-        table = {Maze.identity(skeleton(k)): AbHom.identity(orders[k])
-                 for k in range(degree + 1)}
-        table |= {g: AbHom._trusted(orders[len(g.dom)], orders[len(g.cod)],
-                                    phi_forward(f, g).rows) for g in gens}
-        for a, i, g, u, terms in rows:
-            xs, e = sc.arrows[a, g.cod], dict(terms)[u]
-            if xs[u] not in table:
-                gy = table[g].compose(table[sc.arrows[a, g.dom][i]])
-                table[xs[u]] = AbHom.combination(
-                    orders[len(a)], orders[len(g.cod)], [(gy, e)] + [
-                        (table[xs[v]], -e * c) for v, c in terms if v != u])
+        h = cls(degree, groups, {g: AbHom._trusted(
+            groups[len(g.dom)].orders, groups[len(g.cod)].orders,
+            phi_forward(f, g).rows) for g in elementary_mazes(degree)},
+            check=False)
+        h.fill()
         try:
-            return cls(degree, groups, table, check=check)
+            if check:
+                h.check()
         except ValueError as exc:
             if degree >= MAX_MATRIX_SIDE or not cross_effect_basis(
                     f, degree + 1)[1]:
                 raise
             raise ValueError(f"{f.name} has degree above {degree}: {exc}")
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1007,8 @@ class MSetModulePresentation(Presentation):
     __slots__ = ("universe",)
 
     def __init__(self, degree: int, universe, groups, table, check=True):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, not {degree}")
         universe = tuple(sorted(set(universe)))
         groups = dict(groups)
         objs = all_cardinality_multisets(universe, degree)
@@ -1026,6 +1026,7 @@ class MSetModulePresentation(Presentation):
         return mu
 
     identity = staticmethod(Multation.identity)
+    generator_names = "the divided powers"
 
     def carrier(self, ends) -> FgAbGroup:
         group = self.groups.get(ends)
@@ -1063,11 +1064,8 @@ class MSetModulePresentation(Presentation):
 
     @classmethod
     def from_json(cls, data, check=True):
-        universe = data["universe"]
-        if not isinstance(universe, list) or not all(
-                isinstance(x, str) and x for x in universe):
-            raise ValueError("the universe must be a list of non-empty "
-                             "strings")
+        universe = json_list(data["universe"], "universe")
+        check_names(universe)
         groups = {}
         for item in data["groups"]:
             groups[MultiSet.from_json(item["multiset"])] = \

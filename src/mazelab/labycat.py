@@ -50,15 +50,15 @@ from functools import lru_cache
 from itertools import chain, product
 from math import comb, factorial, prod
 
-from .errors import DomainMismatchError, EnumerationLimitError
+from .errors import DomainMismatchError, EnumerationLimitError, Immutable
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
                         covering_count, covering_sets, guard_count, json_int,
-                        tables)
+                        json_list, tables)
 from .scalars import (HomComb, LinComb, StructureConstants, scalar, scalar_str,
                       surjections)
 
 
-class Passage:
+class Passage(Immutable):
     """A labelled formal arrow between elements of two finite sets."""
 
     __slots__ = ("src", "dst", "label", "_hash", "_key")
@@ -73,9 +73,6 @@ class Passage:
         object.__setattr__(self, "_hash", hash((src, dst, label)))
         object.__setattr__(self, "_key",
                            (src, dst, label.numerator, label.denominator))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Passage is immutable")
 
     def sort_key(self):
         return self._key
@@ -98,7 +95,7 @@ def pure_passage(src: str, dst: str) -> Passage:
     return Passage(src, dst, 1)
 
 
-class Maze:
+class Maze(Immutable):
     """A multi-set of passages X -> Y.
 
     The constructor does not reject dead ends so that validity itself can
@@ -146,9 +143,6 @@ class Maze:
         # built are never asked.
         object.__setattr__(self, "_size", None)
         object.__setattr__(self, "_pure", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Maze is immutable")
 
     @classmethod
     def identity(cls, names):
@@ -222,9 +216,13 @@ class Maze:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["dom"], data["cod"],
-                   [(Passage(s, d, scalar(lab)), json_int(m, "multiplicity"))
-                    for (s, d, lab), m in data["passages"]])
+        dom, cod = (json_list(data[k], k) for k in ("dom", "cod"))
+        passages = []
+        for entry in data["passages"]:
+            triple, m = json_list(entry, "passage")
+            s, d, lab = json_list(triple, "passage")
+            passages.append((Passage(s, d, lab), m))
+        return cls(dom, cod, passages)
 
 
 def validate_maze(m: Maze) -> bool:

@@ -19,7 +19,7 @@ lattice solver walks only the nonzero rows of its basis.
 
 from itertools import chain, compress
 
-from .errors import ShapeMismatchError
+from .errors import Immutable, ShapeMismatchError
 from .scalars import integer
 
 _INT = {int}
@@ -67,7 +67,7 @@ def combination_rows(nrows, ncols, terms):
     return tuple(tuple(acc[r * ncols:(r + 1) * ncols]) for r in range(nrows))
 
 
-class IntMat:
+class IntMat(Immutable):
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows):
@@ -89,9 +89,6 @@ class IntMat:
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "rows", rows)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMat is immutable")
 
     @classmethod
     def from_rows(cls, rows, ncols=None):

@@ -26,13 +26,13 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, prod
 
-from .errors import DomainMismatchError, IntegralityError
+from .errors import DomainMismatchError, Immutable, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
-                        guard_count, json_int, table_count, tables)
+                        guard_count, json_int, json_list, table_count, tables)
 from .scalars import HomComb, LinComb, StructureConstants
 
 
-class Multation:
+class Multation(Immutable):
     """A multation between multi-sets of equal cardinality.
 
     `pairs` maps columns (a, b) to positive multiplicities; the multi-set
@@ -74,9 +74,6 @@ class Multation:
         object.__setattr__(mu, "pairs", pairs)
         object.__setattr__(mu, "_hash", None)
         return mu
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multation is immutable")
 
     @classmethod
     def identity(cls, a: MultiSet):
@@ -131,12 +128,10 @@ class Multation:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            MultiSet.from_json(data["dom"]),
-            MultiSet.from_json(data["cod"]),
-            [((a, b), json_int(m, "multiplicity"))
-             for (a, b), m in data["pairs"]],
-        )
+        dom, cod = (MultiSet.from_json(data[k]) for k in ("dom", "cod"))
+        pairs = [json_list(pair, "pair") for pair in data["pairs"]]
+        return cls(dom, cod, [(json_list(column, "column"), m)
+                              for column, m in pairs])
 
 
 class MultHom(HomComb):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, Immutable
 
 # Ceiling on the number of items any enumeration in the package may
 # produce.  Composition sums are exponential in passage count; desk scale
@@ -39,6 +39,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str):
+    """A list read from JSON, such as a maze's ends: never a string, which
+    unpacking takes apart letter by letter.  `what` names it in errors."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} {value!r} is not a list")
+    return value
+
+
 def check_names(names):
     """Refuse, as MultiSet does, any name that is not a nonempty string;
     for the callers that then build multi-sets over the names unchecked."""
@@ -47,7 +55,7 @@ def check_names(names):
             raise ValueError(f"invalid element name {name!r}")
 
 
-class MultiSet:
+class MultiSet(Immutable):
     """Immutable multi-set with canonically sorted support."""
 
     __slots__ = ("_items", "_hash")
@@ -86,9 +94,6 @@ class MultiSet:
         object.__setattr__(self, "_items", items)
         # A tuple of names and ints hashes in C, cheaply, so at once.
         object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiSet is immutable")
 
     def items(self):
         return self._items

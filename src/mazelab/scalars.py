@@ -10,7 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, Immutable
+from .multisets import json_list
 
 ONE = Fraction(1)
 
@@ -83,7 +84,7 @@ def _canonical(merged):
     return tuple(kept)
 
 
-class LinComb:
+class LinComb(Immutable):
     """A formal linear combination over an ordered basis.
 
     Stored canonically: terms sorted by the basis element's ``sort_key()``,
@@ -109,9 +110,6 @@ class LinComb:
         comb = object.__new__(cls)
         object.__setattr__(comb, "terms", _canonical(merged))
         return comb
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinComb is immutable")
 
     def __iter__(self):
         return iter(self.terms)
@@ -148,7 +146,7 @@ class LinComb:
         return f"LinComb({bits})"
 
 
-class HomComb:
+class HomComb(Immutable):
     """A formal linear combination of basis arrows sharing dom and cod.
 
     Subclasses name the basis class and how endpoints are normalized
@@ -179,9 +177,6 @@ class HomComb:
         object.__setattr__(h, "cod", cod)
         object.__setattr__(h, "comb", comb)
         return h
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, dom, cod):
@@ -239,8 +234,8 @@ class HomComb:
     @classmethod
     def from_json(cls, data):
         terms = [(cls.basis.from_json(a), scalar(c)) for c, a in data["terms"]]
-        return cls(cls.ends_from_json(data["dom"]),
-                   cls.ends_from_json(data["cod"]), LinComb(terms))
+        return cls(*(cls.ends_from_json(json_list(data[k], k))
+                     for k in ("dom", "cod")), LinComb(terms))
 
 
 class StructureConstants:
@@ -257,7 +252,7 @@ class StructureConstants:
     g)`, a HomComb f . g, on the column's first ask; `terms` reads them.
     Listing the arrows composes nothing."""
 
-    __slots__ = ("arrows", "index", "compose", "columns", "shared")
+    __slots__ = ("arrows", "index", "compose", "columns", "shared", "spans")
 
     def __init__(self, arrows, compose):
         self.arrows = {ends: tuple(fs) for ends, fs in arrows.items()}
@@ -266,6 +261,7 @@ class StructureConstants:
         self.compose = compose
         self.columns = {}
         self.shared = {}
+        self.spans = {}
 
     def column(self, a, b, c, k):
         """The composites of arrows[b, c][k] after each of arrows[a, b]."""
@@ -310,9 +306,13 @@ class StructureConstants:
         terms) becomes a pivot: a spanned hom-set's rows form a
         unitriangular matrix.  Returns the rows (a, i, g, u, terms) in walk
         order, y = arrows[a, g.dom][i], x = arrows[a, g.cod][u], terms g . y,
-        and the nonempty hom-sets (a, c) left unspanned by the walk."""
+        which Presentation.fill reads, and the nonempty hom-sets (a, c) left
+        unspanned, both kept in `spans` per tuple of generators, unchanged."""
+        key = tuple(generators)
+        if key in self.spans:
+            return self.spans[key]
         out, rows, missing = {}, [], []
-        for g in generators:
+        for g in key:
             out.setdefault(g.dom, []).append((g, self.index[g]))
         ends = list(dict.fromkeys(x for x, _ in self.arrows))
         for a in ends:
@@ -345,4 +345,5 @@ class StructureConstants:
             found = Counter(c for c, _ in pivots)
             missing += [(a, c) for c in ends
                         if len(self.arrows[a, c]) > found[c]]
+        self.spans[key] = rows, missing
         return rows, missing

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -342,6 +343,45 @@ def test_ariadne_matrix_json_refuses_a_degree_that_is_no_integer(degree):
     data["n"] = degree
     with pytest.raises(ValueError, match="degree .* is not an integer"):
         AriadneMatrix.from_json(data)
+
+
+def a_maze():
+    return Maze.pure([("x", "z"), ("y", "z")]).to_json()
+
+
+def a_span():
+    return xi_inverse(Maze.pure([("x", "a"), ("x", "b")])).to_json()
+
+
+@pytest.mark.parametrize("reader, data, text", [
+    (Maze.from_json, {**a_maze(), "dom": "xy"}, "dom 'xy'"),
+    (Maze.from_json, {**a_maze(), "cod": {"z": 1}}, "cod {'z': 1}"),
+    (Maze.from_json, {**a_maze(), "passages": [["xz1", 1]]},
+     "passage 'xz1'"),
+    (Maze.from_json, {**a_maze(), "passages": ["xz"]}, "passage 'xz'"),
+    (MazeHom.from_json, {**MazeHom.of(Maze.pure([("x", "z")])).to_json(),
+                         "dom": "x"}, "dom 'x'"),
+    (MultHom.from_json, {**MultHom.of(mset2_generators()["sigma"]).to_json(),
+                         "cod": {"1": 1, "2": 1}}, "cod {'1': 1, '2': 1}"),
+    (Multation.from_json, {**mset2_generators()["sigma"].to_json(),
+                           "pairs": [["12", 1], ["21", 1]]}, "column '12'"),
+    (Multation.from_json, {**mset2_generators()["sigma"].to_json(),
+                           "pairs": ["ab"]}, "pair 'ab'"),
+    (Correspondence.from_json, {**a_span(), "cod": "ab"}, "cod 'ab'"),
+    (Correspondence.from_json, {**a_span(), "middle": "uv"},
+     "middle 'uv'"),
+    (Correspondence.from_json, {**a_span(), "left": ["ua", "vb"]},
+     "left pair 'ua'"),
+    (Correspondence.from_json, {**a_span(), "right": {"u": "x"}},
+     "right pair 'u'"),
+    (AriadneMatrix.from_json, {**ariadne_maze(
+        quadratic_generators()["A"], 2).to_json(), "dom": "1"}, "dom '1'"),
+])
+def test_json_readers_refuse_a_string_where_a_list_belongs(reader, data,
+                                                           text):
+    # Read as a list, a string is taken apart letter by letter.
+    with pytest.raises(ValueError, match=re.escape(f"{text} is not a list")):
+        reader(data)
 
 
 def test_all_pure_mazes_on():

@@ -545,6 +545,23 @@ BAD_INPUTS = {
     "mset_ill_defined_column.json": edited_fixture(
         "square_mset.json",
         lambda d: d["groups"][1].update(rank=0, torsion=[2])),
+    # No carriers for the skeleton sets [0..-1]: once an empty functor.
+    "negative_degree.json": {"degree": -1, "groups": [], "homs": []},
+    "mset_negative_degree.json": {"degree": -2, "universe": ["1", "2"],
+                                  "groups": [], "homs": []},
+    # A string where a list belongs was once taken apart letter by letter:
+    # ends "xy" as x and y, a passage "xz1" as x -> z labelled 1, a column
+    # "ab" as a -> b and a leg "ua" as u -> a.
+    "string_ends.json": {"dom": "xy", "cod": ["z"],
+                         "passages": [[["x", "z", "1"], 1],
+                                      [["y", "z", "1"], 1]]},
+    "string_passage_triple.json": {"dom": ["x"], "cod": ["z"],
+                                   "passages": [["xz1", 1]]},
+    "string_column.json": {"dom": [["a", 1]], "cod": [["b", 1]],
+                           "pairs": [["ab", 1]]},
+    "string_legs.json": {"cod": ["a", "b"], "middle": ["u", "v"],
+                         "dom": ["x"], "left": ["ua", "vb"],
+                         "right": [["u", "x"], ["v", "x"]]},
 }
 
 
@@ -623,6 +640,12 @@ def test_eval_refuses_a_table_lacking_a_basis_value(tmp_path, capsys, name):
     ["eval", "--kind", "laby", "{laby_misshaped_entry.json}", "m3.json"],
     ["verify", "lemmas", "--trials", "-3"],
     ["eval", "--kind", "mset", "{mset_ill_defined_column.json}", "m22.json"],
+    ["eval", "--kind", "laby", "{negative_degree.json}", "m3.json"],
+    ["eval", "--kind", "mset", "{mset_negative_degree.json}", "m22.json"],
+    ["normalize", "-n", "2", "{string_ends.json}"],
+    ["normalize", "-n", "2", "{string_passage_triple.json}"],
+    ["theseus", "-n", "1", "{string_column.json}"],
+    ["xi", "{string_legs.json}"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

@@ -1572,6 +1572,28 @@ def test_mset_carriers_outside_the_universe_and_degree_are_refused():
     assert set(j.table) <= set(j.constants().index)
 
 
+def test_a_negative_degree_is_refused_on_the_maze_side():
+    # One carrier per skeleton set [0..-1] is none, so the carrier count
+    # alone let degree -1 through, with an empty table.
+    text = re.escape("degree must be nonnegative, not -1")
+    with pytest.raises(ValueError, match=text):
+        LabyModulePresentation(-1, [], {})
+    with pytest.raises(ValueError, match=text):
+        LabyModulePresentation.from_json({"degree": -1, "groups": [],
+                                          "homs": []})
+    with pytest.raises(ValueError, match=text):
+        LabyModulePresentation.from_functor(identity_functor(), -1)
+
+
+def test_a_negative_degree_is_refused_on_the_multation_side():
+    text = re.escape("degree must be nonnegative, not -2")
+    with pytest.raises(ValueError, match=text):
+        MSetModulePresentation(-2, "12", {}, {})
+    with pytest.raises(ValueError, match=text):
+        MSetModulePresentation.from_json({"degree": -2, "universe": ["1"],
+                                          "groups": [], "homs": []})
+
+
 def test_a_stored_multation_off_the_carriers_is_named():
     j = MSetModulePresentation.tensor_power(2, "12")
     loop = Multation.identity(MultiSet(["3", "3"]))

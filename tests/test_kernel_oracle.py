@@ -49,12 +49,14 @@ from mazelab.functor_lab import (
     phi_roundtrip_failures,
     psi_block_index,
     psi_inverse_eval,
+    quadratic_relations_check,
     restricted_functor,
     tensor_power_functor,
     transport_maps,
 )
 from mazelab.labycat import (Maze, Passage, laby_structure_constants,
-                             pure_mazes_between, skeleton)
+                             pure_mazes_between, quadratic_generators,
+                             skeleton)
 from mazelab.matrices import IntMat, column_lattice_basis, solve_in_lattice
 from mazelab.msetcat import mset_structure_constants
 from mazelab.multisets import all_cardinality_multisets, enumerate_supported
@@ -194,6 +196,18 @@ def old_from_functor(f, degree):
                 groups[len(dom)], groups[len(cod)],
                 old_phi_forward(f, maze, values).rows)
     return LabyModulePresentation(degree, groups, table, check=False)
+
+
+def old_quadratic_table(k, x, y, alpha, beta):
+    """The table quadratic wrote by hand before it filled through
+    Presentation.fill: the identities, A and B, C = B A and S = A B - 1."""
+    gens = quadratic_generators()
+    return {gens["I0"]: AbHom.identity(k.orders),
+            gens["I1"]: AbHom.identity(x.orders),
+            gens["I2"]: AbHom.identity(y.orders),
+            gens["A"]: alpha, gens["B"]: beta,
+            gens["C"]: beta.compose(alpha),
+            gens["S"]: alpha.compose(beta) - AbHom.identity(y.orders)}
 
 
 def old_combination(dom_orders, cod_orders, terms):
@@ -1104,6 +1118,37 @@ def test_every_corpus_entry_is_checked_as_a_functor(name, pres):
             pres.check()
     else:
         pres.check()
+
+
+def test_quadratic_fills_the_hand_written_table():
+    gens = quadratic_generators()
+    quadratics = [h for name, h in LABY if "quadratic" in name]
+    assert len(quadratics) == 5
+    for h in quadratics:
+        inputs = (*h.groups, h.hom(gens["A"]), h.hom(gens["B"]))
+        old = old_quadratic_table(*inputs)
+        assert h.table == old
+        assert LabyModulePresentation.quadratic(*inputs).table == old
+    # Unchecked, crossing maps that break the relations fill alike.
+    rng, broken = random.Random(41), 0
+    carriers = [FgAbGroup(1), FgAbGroup(2), FgAbGroup(0, (2,)),
+                FgAbGroup(0, (2, 2)), FgAbGroup(1, (3,))]
+    while broken < 20:
+        k, x, y = (rng.choice(carriers) for _ in range(3))
+        try:
+            alpha, beta = (AbHom.of_groups(d, c, [
+                [rng.randint(-3, 3) for _ in range(d.dim)]
+                for _ in range(c.dim)]) for d, c in ((x, y), (y, x)))
+        except ValueError:  # a column that is not well defined
+            continue
+        if quadratic_relations_check(k, x, y, alpha, beta):
+            continue
+        broken += 1
+        h = LabyModulePresentation.quadratic(k, x, y, alpha, beta,
+                                             check=False)
+        assert h.table == old_quadratic_table(k, x, y, alpha, beta)
+        with pytest.raises(ValueError, match="not functorial"):
+            h.check()
 
 
 def test_the_unchecked_quadratics_are_the_checked_draws():
