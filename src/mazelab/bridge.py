@@ -45,6 +45,9 @@ class AriadneMatrix(Immutable):
         cod = tuple(sorted(set(cod)))
         clean = {}
         for (b, a), hom in (entries or {}).items():
+            if (hom.dom, hom.cod) != (a, b):
+                raise ValueError(f"entry at ({b!r}, {a!r}) holds a hom "
+                                 f"{hom.dom!r} -> {hom.cod!r}")
             if hom.is_zero():
                 continue
             if not set(a.support) <= set(dom) or not set(b.support) <= set(cod):
@@ -136,6 +139,11 @@ class AriadneMatrix(Immutable):
         cols = [MultiSet.from_json(a) for a in data["cols"]]
         entries = {}
         for ri, ci, hom in data["entries"]:
+            at = f"entry [{ri!r}, {ci!r}]"
+            if not (0 <= json_int(ri, f"{at}: row index") < len(rows) and
+                    0 <= json_int(ci, f"{at}: column index") < len(cols)):
+                raise ValueError(f"{at}: index outside the {len(rows)} x "
+                                 f"{len(cols)} matrix")
             entries[(rows[ri], cols[ci])] = MultHom.from_json(hom)
         return cls(*(json_list(data[k], k) for k in ("dom", "cod")),
                    json_int(data["n"], "degree"), entries)

@@ -99,20 +99,6 @@ def identity_functor() -> MatrixFunctor:
     return tensor_power_functor(1)
 
 
-def direct_sum_functor(f: MatrixFunctor, g: MatrixFunctor) -> MatrixFunctor:
-    def dim(a):
-        return f.dim(a) + g.dim(a)
-
-    def arrow(m: IntMat) -> IntMat:
-        top = f(m)
-        bot = g(m)
-        rows = [list(r) + [0] * bot.ncols for r in top.rows]
-        rows += [[0] * top.ncols + list(r) for r in bot.rows]
-        return IntMat(top.nrows + bot.nrows, top.ncols + bot.ncols, rows)
-
-    return MatrixFunctor(f"{f.name}+{g.name}", dim, arrow)
-
-
 def deviation(f, maps):
     """Alternating sum of f over subset sums of the given maps.
 
@@ -774,6 +760,8 @@ class LabyModulePresentation(Presentation):
         table = {}
         for item in data["homs"]:
             maze = Maze.from_json(item["maze"])
+            if maze in table:
+                raise ValueError(f"{maze!r} is listed twice")
             j, k = len(maze.dom), len(maze.cod)
             if (max(j, k) >= len(groups) or set(maze.dom) != set(skeleton(j))
                     or set(maze.cod) != set(skeleton(k))):
@@ -1068,11 +1056,15 @@ class MSetModulePresentation(Presentation):
         check_names(universe)
         groups = {}
         for item in data["groups"]:
-            groups[MultiSet.from_json(item["multiset"])] = \
-                FgAbGroup.from_json(item)
+            a = MultiSet.from_json(item["multiset"])
+            if a in groups:
+                raise ValueError(f"the carrier of {a!r} is listed twice")
+            groups[a] = FgAbGroup.from_json(item)
         table = {}
         for item in data["homs"]:
             mu = Multation.from_json(item["multation"])
+            if mu in table:
+                raise ValueError(f"{mu!r} is listed twice")
             if mu.dom not in groups or mu.cod not in groups:
                 raise ValueError(f"{mu!r} does not join two carriers")
             dom, cod = groups[mu.dom], groups[mu.cod]
@@ -1088,12 +1080,13 @@ class MSetModulePresentation(Presentation):
         mu sends a word w to every word v whose columns zip(w, v) make up
         mu, each once."""
         universe = tuple(sorted(set(universe)))
+        # The constants' guard refuses before the |universe|^n words.
+        hom_sets = mset_structure_constants(universe, n).arrows
         words = {a: [] for a in all_cardinality_multisets(universe, n)}
         for w in product(universe, repeat=n):
             words[MultiSet(w)].append(w)
         groups = {a: FgAbGroup(len(ws)) for a, ws in words.items()}
         table = {}
-        hom_sets = mset_structure_constants(universe, n).arrows
         for (a, b), mus in hom_sets.items():
             rows = [[[0] * len(words[a]) for _ in words[b]] for _ in mus]
             # A multation's sorted columns with repeats are what sorting

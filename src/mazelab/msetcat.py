@@ -24,7 +24,7 @@ the presentation check asks only for the divided powers' columns.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import DomainMismatchError, Immutable, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
@@ -250,7 +250,12 @@ def mset_structure_constants(universe, n: int) -> StructureConstants:
     sorted tuple of letters, kept for the last few asked for: the
     multations between every two cardinality-n multi-sets over it, in
     all_multations order, and each column of composites asked for, in
-    integers (see StructureConstants)."""
+    integers (see StructureConstants).  Refused before any listing when
+    the basis multations, the multi-sets of n columns over universe x
+    universe, pass the guard."""
+    guard_count(comb(max(len(universe) ** 2 + n - 1, 0), n),
+                "mset_structure_constants",
+                lambda: f"universe {len(universe)}, degree {n}")
     objs = all_cardinality_multisets(universe, n)
     return StructureConstants(
         {(a, b): all_multations(a, b) for a in objs for b in objs},

@@ -5,9 +5,7 @@ cardinality counts elements with multiplicity; the degree is the product
 of the factorials of the multiplicities, which is the symmetry factor
 that divided-power bookkeeping keeps dividing by.
 
-Elements are short strings compared lexicographically.  Lifting a
-multi-set to the plain set of its element instances tags instances as
-"name#k", so the lifted universe is again made of strings.
+Elements are short strings compared lexicographically.
 """
 
 from functools import lru_cache
@@ -26,8 +24,6 @@ ENUM_LIMIT = 2**20
 # columns, and compose_in_laby_n the Laby_n blocks it asks for; every
 # block of Laby_5 filled holds 3255542 composites.
 CONSTANTS_KEPT = 4
-
-LIFT_SEP = "#"
 
 
 def json_int(value, what: str) -> int:
@@ -102,12 +98,6 @@ class MultiSet(Immutable):
     def support(self):
         return tuple(name for name, _ in self._items)
 
-    def mult(self, name: str) -> int:
-        for n, m in self._items:
-            if n == name:
-                return m
-        return 0
-
     @property
     def cardinality(self) -> int:
         return sum(m for _, m in self._items)
@@ -126,44 +116,11 @@ class MultiSet(Immutable):
     def __hash__(self):
         return self._hash
 
-    def __contains__(self, name):
-        return self.mult(name) > 0
-
     def sort_key(self):
         return self._items
 
     def __repr__(self):
         return "{" + ",".join(self.elements()) + "}"
-
-    # The five multi-set operations: degree functions combine by max,
-    # sum, min, truncated difference and pointwise product respectively.
-
-    def union(self, other):
-        names = set(self.support) | set(other.support)
-        return MultiSet({n: max(self.mult(n), other.mult(n)) for n in names})
-
-    def disjoint_union(self, other):
-        names = set(self.support) | set(other.support)
-        return MultiSet({n: self.mult(n) + other.mult(n) for n in names})
-
-    def intersection(self, other):
-        return MultiSet({n: min(m, other.mult(n)) for n, m in self._items})
-
-    def difference(self, other):
-        return MultiSet({n: max(m - other.mult(n), 0) for n, m in self._items})
-
-    def product(self, other):
-        out = {}
-        for a, ma in self._items:
-            for b, mb in other._items:
-                out[f"{a},{b}"] = ma * mb
-        return MultiSet(out)
-
-    def is_sub(self, other) -> bool:
-        return all(m <= other.mult(n) for n, m in self._items)
-
-    def __le__(self, other):
-        return self.is_sub(other)
 
     def to_json(self):
         return [[name, mult] for name, mult in self._items]
@@ -172,13 +129,6 @@ class MultiSet(Immutable):
     def from_json(cls, data):
         return cls([(name, json_int(mult, "multiplicity"))
                     for name, mult in data])
-
-
-def support_lift(m: MultiSet):
-    """The set of tagged instances (x, k), 1 <= k <= mult(x), one name per
-    instance, serialized "x#k"."""
-    return tuple(f"{name}{LIFT_SEP}{k}" for name, mult in m.items()
-                 for k in range(1, mult + 1))
 
 
 def guard_count(count: int, operation: str, sizes):
@@ -383,33 +333,8 @@ def covering_count(shapes, n: int) -> int:
 
 
 def enumerate_supported(s, n: int):
-    """All multi-sets with support exactly `s` and cardinality `n`.
-
-    `s` may be a set/iterable of names or a MultiSet; a MultiSet support is
-    lifted to its instance set first (so the results live over the tagged
-    universe).  Canonical (lexicographic) order.
-    """
-    if isinstance(s, MultiSet):
-        names = support_lift(s)
-    else:
-        names = tuple(sorted(set(s)))
+    """All multi-sets with support exactly `s`, an iterable of names, and
+    cardinality `n`, in canonical (lexicographic) order."""
+    names = tuple(sorted(set(s)))
     return [MultiSet(list(zip(names, degs)))
             for degs in compositions(n, len(names))]
-
-
-def enumerate_sub_multisets(m: MultiSet):
-    """All sub-multi-sets of m, including the empty one and m itself."""
-    count = 1
-    for _, mult in m.items():
-        count *= mult + 1
-    guard_count(count, "enumerate_sub_multisets",
-                lambda: f"cardinality {m.cardinality}, "
-                f"support {len(m.support)}")
-    out = [MultiSet()]
-    for name, mult in m.items():
-        out = [
-            MultiSet(list(prev.items()) + ([(name, k)] if k else []))
-            for prev in out
-            for k in range(mult + 1)
-        ]
-    return sorted(out, key=lambda s: (s.cardinality, s.sort_key()))

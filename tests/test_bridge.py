@@ -33,6 +33,7 @@ from mazelab.labycat import (
 from mazelab.msetcat import (MultHom, Multation, mset2_generators,
                              mset_structure_constants, multation_compose)
 from mazelab.multisets import MultiSet, enumerate_supported
+from oracles import expand_label
 
 
 def ms(*names):
@@ -156,8 +157,6 @@ def test_ariadne_functoriality_property(case):
 def test_ariadne_respects_label_splitting():
     # the label-additivity rewriting is invisible after translation
     rng = random.Random(7)
-    from mazelab.labycat import expand_label
-
     for _ in range(20):
         a = rng.randint(-2, 3)
         b = rng.randint(-2, 3)
@@ -342,6 +341,56 @@ def test_ariadne_matrix_json_refuses_a_degree_that_is_no_integer(degree):
     data = ariadne_maze(quadratic_generators()["A"], 2).to_json()
     data["n"] = degree
     with pytest.raises(ValueError, match="degree .* is not an integer"):
+        AriadneMatrix.from_json(data)
+
+
+def test_ariadne_matrix_refuses_an_entry_off_its_index():
+    # A {1,1,1} -> {1,2,2} hom was once filed under ({1,1,2}, {1,1,1}).
+    a, b, c = ms("1", "1", "1"), ms("1", "2", "2"), ms("1", "1", "2")
+    hom = MultHom.of(Multation(a, b, [(("1", "1"), 1), (("1", "2"), 2)]))
+    ends = skeleton(2), skeleton(2), 3
+    assert AriadneMatrix(*ends, {(b, a): hom}).entries == {(b, a): hom}
+    for key, value in [((c, a), hom), ((b, c), hom), ((a, b), hom),
+                       ((c, a), MultHom.zero(a, b))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"entry at ({key[0]!r}, {key[1]!r}) holds a hom "
+                f"{{1,1,1}} -> {{1,2,2}}")):
+            AriadneMatrix(*ends, {key: value})
+
+
+def two_row_ariadne_json():
+    """ariadne of 1 -> 1, 1 -> 2 at degree 3: rows {1,1,2} and {1,2,2},
+    each holding one entry, the one at {1,2,2} listed first, and the one
+    column {1,1,1}."""
+    data = ariadne_maze(Maze.pure([("1", "1"), ("1", "2")]), 3).to_json()
+    assert [ri for ri, _, _ in data["entries"]] == [1, 0]
+    return data
+
+
+@pytest.mark.parametrize("index, text", [
+    ((-1, 0), "entry [-1, 0]: index outside the 2 x 1 matrix"),
+    ((2, 0), "entry [2, 0]: index outside the 2 x 1 matrix"),
+    ((0, 99), "entry [0, 99]: index outside the 2 x 1 matrix"),
+    ((0, -1), "entry [0, -1]: index outside the 2 x 1 matrix"),
+    ((0.0, 0), "entry [0.0, 0]: row index 0.0 is not an integer"),
+    ((0, True), "entry [0, True]: column index True is not an integer"),
+    (("1", 0), "entry ['1', 0]: row index '1' is not an integer"),
+])
+def test_ariadne_matrix_json_refuses_an_index_off_its_rows_or_columns(
+        index, text):
+    data = two_row_ariadne_json()
+    data["entries"][0][:2] = index
+    with pytest.raises(ValueError, match=re.escape(text)):
+        AriadneMatrix.from_json(data)
+
+
+def test_ariadne_matrix_json_refuses_entries_at_swapped_rows():
+    data = two_row_ariadne_json()
+    assert AriadneMatrix.from_json(data).to_json() == data
+    for entry in data["entries"]:
+        entry[0] = 1 - entry[0]
+    with pytest.raises(ValueError, match=re.escape(
+            "entry at ({1,1,2}, {1,1,1}) holds a hom {1,1,1} -> {1,2,2}")):
         AriadneMatrix.from_json(data)
 
 

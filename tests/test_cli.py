@@ -11,7 +11,7 @@ from mazelab.cli import main
 from mazelab.functor_lab import LabyModulePresentation, tensor_power_functor
 from mazelab.labycat import Maze, MazeHom, Passage, quadratic_generators
 from mazelab.msetcat import MultHom, Multation, mset2_generators
-from mazelab.multisets import MultiSet
+from mazelab.multisets import MultiSet, all_cardinality_multisets
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -139,6 +139,26 @@ def test_covering_budget_trip_names_the_passage_counts(tmp_path, capsys,
     assert (code, out) == (4, "")
     assert err == ("resource limit: maze_compose (3 passages after 3): an "
                    "estimated 265 items exceed the guard of 100\n")
+
+
+def test_a_multation_presentation_past_the_guard_is_refused(tmp_path,
+                                                           capsys):
+    # Seven letters at degree 6: 924 zero carriers, each with its identity,
+    # but C(7^2 + 5, 6) basis multations to check, counted before any is
+    # listed.
+    objs = all_cardinality_multisets("1234567", 6)
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({
+        "degree": 6, "universe": list("1234567"),
+        "groups": [{"multiset": a.to_json(), "rank": 0} for a in objs],
+        "homs": [{"multation": Multation.identity(a).to_json(), "matrix": []}
+                 for a in objs]}))
+    code, out, err = run(capsys, "eval", "--kind", "mset", str(module),
+                         fx("m22.json"))
+    assert (code, out) == (4, "")
+    assert err == ("resource limit: mset_structure_constants (universe 7, "
+                   "degree 6): an estimated 25827165 items exceed the guard "
+                   "of 1048576\n")
 
 
 def test_numerical_expansion_is_guarded_before_the_work(tmp_path, capsys):
@@ -562,6 +582,13 @@ BAD_INPUTS = {
     "string_legs.json": {"cod": ["a", "b"], "middle": ["u", "v"],
                          "dom": ["x"], "left": ["ua", "vb"],
                          "right": [["u", "x"], ["v", "x"]]},
+    # An arrow or a carrier listed twice: the last entry used to win.
+    **{f"repeated_{kind}_{name}": edited_fixture(
+        name, lambda d, kind=kind: d[kind].append(d[kind][-1]))
+       for name in ("frobenius_laby.json", "identity_laby.json",
+                    "frobenius_mset.json", "square_mset.json")
+       for kind in ("homs", "groups")
+       if kind == "homs" or "mset" in name},
 }
 
 
@@ -646,6 +673,18 @@ def test_eval_refuses_a_table_lacking_a_basis_value(tmp_path, capsys, name):
     ["normalize", "-n", "2", "{string_passage_triple.json}"],
     ["theseus", "-n", "1", "{string_column.json}"],
     ["xi", "{string_legs.json}"],
+    ["eval", "--kind", "laby", "{repeated_homs_frobenius_laby.json}",
+     "m3.json"],
+    ["eval", "--kind", "laby", "{repeated_homs_identity_laby.json}",
+     "m3.json"],
+    ["eval", "--kind", "mset", "{repeated_homs_frobenius_mset.json}",
+     "m22.json"],
+    ["eval", "--kind", "mset", "{repeated_homs_square_mset.json}",
+     "m22.json"],
+    ["eval", "--kind", "mset", "{repeated_groups_frobenius_mset.json}",
+     "m22.json"],
+    ["eval", "--kind", "mset", "{repeated_groups_square_mset.json}",
+     "m22.json"],
 ])
 def test_invalid_input_is_a_parse_error(tmp_path, capsys, argv):
     for name, data in BAD_INPUTS.items():

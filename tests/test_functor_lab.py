@@ -28,7 +28,6 @@ from mazelab.functor_lab import (
     check_deviation_formula,
     cross_effect_projectors,
     deviation,
-    direct_sum_functor,
     identity_functor,
     index_subsets,
     numerical_axiom_check,
@@ -50,6 +49,7 @@ from mazelab.msetcat import Multation, all_multations, mset2_generators
 from mazelab.multisets import (MultiSet, all_cardinality_multisets,
                                covering_sets, enumerate_supported,
                                guard_count)
+from oracles import direct_sum_functor
 from test_structure_constants import (engine_composite, loaded_with, named,
                                       refused_as)
 
@@ -1592,6 +1592,27 @@ def test_a_negative_degree_is_refused_on_the_multation_side():
     with pytest.raises(ValueError, match=text):
         MSetModulePresentation.from_json({"degree": -2, "universe": ["1"],
                                           "groups": [], "homs": []})
+
+
+@pytest.mark.parametrize("cls, name, kind", [
+    (LabyModulePresentation, "frobenius_laby.json", "homs"),
+    (LabyModulePresentation, "identity_laby.json", "homs"),
+    (MSetModulePresentation, "frobenius_mset.json", "homs"),
+    (MSetModulePresentation, "square_mset.json", "homs"),
+    (MSetModulePresentation, "frobenius_mset.json", "groups"),
+    (MSetModulePresentation, "square_mset.json", "groups"),
+])
+def test_an_entry_listed_twice_is_refused_by_name(cls, name, kind):
+    # The last of two entries used to win.
+    with open(os.path.join(FIXTURES, name)) as fh:
+        data = json.load(fh)
+    last = data[kind][-1]
+    data[kind].append(last)
+    named = (MultiSet.from_json(last["multiset"]) if kind == "groups"
+             else Maze.from_json(last["maze"]) if "maze" in last
+             else Multation.from_json(last["multation"]))
+    with pytest.raises(ValueError, match=re.escape(f"{named!r} is listed")):
+        cls.from_json(data)
 
 
 def test_a_stored_multation_off_the_carriers_is_named():

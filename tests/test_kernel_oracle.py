@@ -39,7 +39,6 @@ from mazelab.functor_lab import (
     cross_effect_basis,
     cross_effect_projectors,
     deviation,
-    direct_sum_functor,
     identity_functor,
     index_subsets,
     numerical_axiom_check,
@@ -62,6 +61,7 @@ from mazelab.msetcat import mset_structure_constants
 from mazelab.multisets import all_cardinality_multisets, enumerate_supported
 from mazelab.scalars import binomial
 from mazelab.verify import _random_unimodular, random_quadratic_presentation
+from oracles import direct_sum_functor
 from test_structure_constants import assert_checks_agree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

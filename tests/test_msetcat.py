@@ -1,9 +1,13 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
-from mazelab.errors import DomainMismatchError, IntegralityError
+from mazelab import functor_lab, msetcat, multisets
+from mazelab.errors import (DomainMismatchError, EnumerationLimitError,
+                            IntegralityError)
+from mazelab.functor_lab import MSetModulePresentation
 from mazelab.multisets import MultiSet
 from mazelab.msetcat import (
     MultHom,
@@ -247,3 +251,31 @@ def test_composite_terms_equal_checked_multations():
     for a in objs:
         ident = Multation.identity(a)
         assert ident == Multation(a, a, [((x, x), m) for x, m in a.items()])
+
+
+def test_the_constants_are_guarded_before_anything_is_listed(monkeypatch):
+    # Under a stand-in limit of 100, the C(3^2 + 2, 3) = 165 multations
+    # of degree 3 over three letters are refused on their count alone.
+    def unreachable(*args):
+        raise AssertionError("listed before the refusal")
+
+    monkeypatch.setattr(multisets, "ENUM_LIMIT", 100)
+    monkeypatch.setattr(msetcat, "all_cardinality_multisets", unreachable)
+    monkeypatch.setattr(msetcat, "tables", unreachable)
+    with pytest.raises(EnumerationLimitError, match=re.escape(
+            "mset_structure_constants (universe 3, degree 3): an estimated "
+            "165 items exceed the guard of 100")):
+        msetcat.mset_structure_constants(("p", "q", "r"), 3)
+
+
+def test_a_tensor_power_past_the_guard_is_refused(monkeypatch):
+    # C(6^2 + 5, 6) = 4496388 basis multations pass the real guard, which
+    # refuses before the 6^6 words are listed.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("words listed before the refusal")
+
+    monkeypatch.setattr(functor_lab, "product", unreachable)
+    with pytest.raises(EnumerationLimitError,
+                       match="mset_structure_constants .* 4496388 items"):
+        MSetModulePresentation.tensor_power(6, "123456")
+

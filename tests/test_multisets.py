@@ -1,4 +1,3 @@
-import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -13,9 +12,7 @@ from mazelab.multisets import (
     covering_count,
     covering_counts,
     covering_sets,
-    enumerate_sub_multisets,
     enumerate_supported,
-    support_lift,
     table_count,
     tables,
 )
@@ -23,12 +20,6 @@ from mazelab.multisets import (
 
 def ms(*names):
     return MultiSet(list(names))
-
-
-def support_project(name):
-    """Undo support_lift on a single tagged name: the oracle that projects
-    a lifted instance back to its element."""
-    return name.rsplit(multisets.LIFT_SEP, 1)[0]
 
 
 def test_construction_canonical():
@@ -47,45 +38,6 @@ def test_multiset_refuses_non_int_multiplicities(mult):
         MultiSet([("b", 1), ("a", mult)])
 
 
-def test_operations():
-    a = ms("a", "a", "b")
-    b = ms("a", "c")
-    assert a.disjoint_union(b) == ms("a", "a", "a", "b", "c")
-    assert a.union(b) == ms("a", "a", "b", "c")
-    assert a.intersection(b) == ms("a")
-    assert a.difference(ms("a", "b", "b")) == ms("a")
-    assert ms("a", "a").product(ms("x")) == MultiSet({"a,x": 2})
-
-
-def test_is_sub():
-    assert ms("a").is_sub(ms("a", "a"))
-    assert not ms("a", "a", "a").is_sub(ms("a", "a"))
-    assert MultiSet().is_sub(MultiSet())
-
-
-def test_algebra_properties_random():
-    rng = random.Random(3)
-    names = ["a", "b", "c", "d"]
-    for _ in range(100):
-        a = MultiSet({n: rng.randint(0, 3) for n in names})
-        b = MultiSet({n: rng.randint(0, 3) for n in names})
-        assert a.disjoint_union(b).cardinality == a.cardinality + b.cardinality
-        assert a.intersection(b).is_sub(a)
-        assert a.is_sub(a.union(b))
-
-
-def test_support_lift():
-    assert support_lift(ms("x", "x", "y")) == ("x#1", "x#2", "y#1")
-    assert support_lift(ms("a")) == ("a#1",)
-    assert support_lift(MultiSet()) == ()
-    assert support_project("x#2") == "x"
-
-
-def test_support_lift_cardinality():
-    for m in [ms(), ms("a"), ms("a", "a", "b"), ms("q", "q", "q")]:
-        assert len(support_lift(m)) == m.cardinality
-
-
 def test_enumerate_supported_set():
     got = enumerate_supported({"a", "b", "c"}, 4)
     assert got == [
@@ -99,19 +51,6 @@ def test_enumerate_supported_set():
     assert enumerate_supported(set(), 2) == []
 
 
-def test_enumerate_supported_multiset_lifts():
-    # A multi-set support enumerates over its tagged instances; projecting
-    # the tags away reproduces the plain multi-sets (with collisions).
-    n = ms("x", "x", "y")
-    lifted = enumerate_supported(n, 4)
-    assert len(lifted) == 3
-    projected = [
-        MultiSet([support_project(e) for e in m.elements()]) for m in lifted
-    ]
-    assert projected == [ms("x", "x", "x", "y"), ms("x", "x", "x", "y"),
-                         ms("x", "x", "y", "y")]
-
-
 def test_enumerate_supported_stars_and_bars():
     for size in range(1, 5):
         support = {f"e{i}" for i in range(size)}
@@ -119,18 +58,9 @@ def test_enumerate_supported_stars_and_bars():
             assert len(enumerate_supported(support, n)) == comb(n - 1, size - 1)
 
 
-def test_enumerate_sub_multisets():
-    assert enumerate_sub_multisets(ms("a", "a")) == [ms(), ms("a"), ms("a", "a")]
-    assert enumerate_sub_multisets(ms("a", "b")) == \
-        [ms(), ms("a"), ms("b"), ms("a", "b")]
-    assert enumerate_sub_multisets(ms()) == [ms()]
-
-
 def test_enumeration_guard():
     with pytest.raises(EnumerationLimitError):
         enumerate_supported({f"e{i}" for i in range(30)}, 60)
-    with pytest.raises(EnumerationLimitError):
-        enumerate_sub_multisets(MultiSet({f"e{i}": 3 for i in range(15)}))
 
 
 def test_tables_margins():
