@@ -27,7 +27,7 @@ from .msetcat import MultHom, Multation
 from .multisets import (MultiSet, all_cardinality_multisets, check_names,
                         compositions, enumerate_supported, json_int,
                         json_list)
-from .scalars import LinComb, surjections
+from .scalars import surjections
 
 
 class AriadneMatrix(Immutable):
@@ -64,9 +64,9 @@ class AriadneMatrix(Immutable):
         dict, at (B, A); from package arithmetic, so nothing is checked."""
         entries = {}
         for (b, a), coeffs in terms.items():
-            comb = LinComb._trusted(coeffs)
-            if comb:
-                entries[b, a] = MultHom._trusted(a, b, comb)
+            hom = MultHom._trusted(a, b, coeffs)
+            if hom.comb:
+                entries[b, a] = hom
         matrix = object.__new__(cls)
         for name, value in zip(cls.__slots__, (dom, cod, n, entries)):
             object.__setattr__(matrix, name, value)
@@ -144,6 +144,8 @@ class AriadneMatrix(Immutable):
                     0 <= json_int(ci, f"{at}: column index") < len(cols)):
                 raise ValueError(f"{at}: index outside the {len(rows)} x "
                                  f"{len(cols)} matrix")
+            if (rows[ri], cols[ci]) in entries:
+                raise ValueError(f"{at}: listed twice")
             entries[(rows[ri], cols[ci])] = MultHom.from_json(hom)
         return cls(*(json_list(data[k], k) for k in ("dom", "cod")),
                    json_int(data["n"], "degree"), entries)
@@ -217,7 +219,7 @@ def theseus_hom(hom: MultHom, n: int) -> MazeHom:
         maze = Maze._trusted(dom, cod, tuple(
             (pure_passage(a, b), m) for (a, b), m in mu.pairs))
         terms[maze] = c / mu.degree  # one maze per multation
-    return MazeHom._trusted(dom, cod, LinComb._trusted(terms))
+    return MazeHom._trusted(dom, cod, terms)
 
 
 def all_pure_mazes_on(universe, n: int):

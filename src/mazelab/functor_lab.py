@@ -442,8 +442,8 @@ class AbHom(Immutable):
         Fraction of denominator 1).  A sum of integer multiples of well
         defined maps is well defined, so only the torsion rows of the
         result are reduced."""
-        dom_orders = tuple(map(int, dom_orders))
-        cod_orders = tuple(map(int, cod_orders))
+        dom_orders = _int_orders(dom_orders)
+        cod_orders = _int_orders(cod_orders)
         return cls._trusted(dom_orders, cod_orders, combination_rows(
             len(cod_orders), len(dom_orders), (
                 (_checked_mat(hom, dom_orders, cod_orders), integer(c))
@@ -608,8 +608,10 @@ class Presentation(Immutable):
         pivots e are 1 or -1, so the generators' values fix the table with
         no division, exactly on torsion carriers too.  No stored value is
         overwritten; a missing generator value raises check's KeyError, an
-        unspanned hom-set ValueError.  Run it before the index is read."""
+        unspanned hom-set ValueError.  A fill that adds a value drops the
+        hom-set index, which may hold the values missing before."""
         sc, table, gens = self.constants(), self.table, self.generators()
+        stored = len(table)
         rows, missing = sc.span(gens, self.identity)
         names = {ends: name for name, ends in self.ends()}
         for a, c in missing:
@@ -626,6 +628,8 @@ class Presentation(Immutable):
                 table[xs[u]] = AbHom.combination(
                     gy.dom_orders, gy.cod_orders, [(gy, e)] + [
                         (table[xs[v]], -e * c) for v, c in terms if v != u])
+        if len(table) > stored:
+            self.hom_sets.clear()
 
     def check(self):
         """Refuse a table that is not a functor: identities must map to

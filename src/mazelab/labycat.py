@@ -54,7 +54,7 @@ from .errors import DomainMismatchError, EnumerationLimitError, Immutable
 from .multisets import (CONSTANTS_KEPT, MultiSet, compositions,
                         covering_count, covering_sets, guard_count, json_int,
                         json_list, tables)
-from .scalars import (HomComb, LinComb, StructureConstants, scalar, scalar_str,
+from .scalars import (HomComb, StructureConstants, scalar, scalar_str,
                       surjections)
 
 
@@ -284,7 +284,7 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
     guard_count(count, "maze_compose",
                 lambda: f"{p.size} passages after {q.size}")
     if not count:
-        return MazeHom._trusted(q.dom, p.cod, LinComb())
+        return MazeHom._trusted(q.dom, p.cod, {})
     # The composed passage of each pair through each point, row by row;
     # between pure mazes it is the shared pure passage of its ends.
     pure = p.is_pure() and q.is_pure()
@@ -295,10 +295,10 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
     # With one covering subset every point is a line, all of whose pairs
     # cover it: two sides above 1 give two covering sets at least.
     if count == 1:
-        return MazeHom._trusted(q.dom, p.cod, LinComb._trusted({
+        return MazeHom._trusted(q.dom, p.cod, {
             Maze._trusted(q.dom, p.cod, tuple(sorted(
                 Counter(chain.from_iterable(cells)).items(),
-                key=lambda pm: pm[0]._key))): Fraction(1)}))
+                key=lambda pm: pm[0]._key))): Fraction(1)})
     # A composite is its size and its passage counts, `width` bits each in
     # sort-key order, packed into an int, so that the points add theirs as
     # ints: no count passes n.  A point takes max(a, b) pairs at least, so
@@ -323,11 +323,11 @@ def maze_compose(p: Maze, q: Maze, n=None) -> MazeHom:
                 step[key] = step.get(key, 0) + c * d
         found = step
     mask = (1 << width) - 1
-    return MazeHom._trusted(q.dom, p.cod, LinComb._trusted({
+    return MazeHom._trusted(q.dom, p.cod, {
         Maze._trusted(q.dom, p.cod, tuple(
             (passage, packed >> width * k & mask)
             for k, passage in enumerate(order) if packed >> width * k & mask)):
-        Fraction(c) for (_, packed), c in found.items()}))
+        Fraction(c) for (_, packed), c in found.items()})
 
 
 def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
@@ -340,7 +340,7 @@ def maze_hom_compose(f: MazeHom, g: MazeHom, n=None) -> MazeHom:
         for q, d in g.comb:
             for maze, e in maze_compose(p, q, n).comb:
                 accum[maze] = accum.get(maze, 0) + c * d * e
-    return MazeHom._trusted(g.dom, f.cod, LinComb._trusted(accum))
+    return MazeHom._trusted(g.dom, f.cod, accum)
 
 
 def _numerical_terms(maze: Maze, n: int):
@@ -416,7 +416,7 @@ def normalize_numerical(h: MazeHom, n: int) -> MazeHom:
             for coeff, pure in expansion:
                 accum[pure] = accum.get(pure, 0) + c * coeff
     # Each term keeps the ends of the maze it expands.
-    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(accum))
+    return MazeHom._trusted(h.dom, h.cod, accum)
 
 
 class LabyConstants(StructureConstants):
@@ -535,8 +535,8 @@ def _read_off(sc: LabyConstants, f: MazeHom, g: MazeHom):
     if (g.dom, f.cod) != (a, c):
         src, dst = dict(zip(a, g.dom)), dict(zip(c, f.cod))
         mazes = {t: rename_maze(mazes[t], src, dst) for t in accum}
-    return MazeHom._trusted(g.dom, f.cod, LinComb._trusted(
-        {mazes[t]: Fraction(x) for t, x in accum.items()}))
+    return MazeHom._trusted(g.dom, f.cod, {
+        mazes[t]: Fraction(x) for t, x in accum.items()})
 
 
 def compose_in_laby_n(f: MazeHom, g: MazeHom, n: int) -> MazeHom:
@@ -631,7 +631,7 @@ def normalize_homogeneous(h: MazeHom, n: int) -> MazeHom:
             # counts follows maze.passages, each t >= r >= 1: canonical.
             pure = Maze._trusted(maze.dom, maze.cod, tuple(counts))
             merged[pure] = merged.get(pure, 0) + coeff
-    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))
+    return MazeHom._trusted(h.dom, h.cod, merged)
 
 
 def splitting_idempotents(names, n: int):

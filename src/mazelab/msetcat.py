@@ -29,7 +29,7 @@ from math import comb, factorial, prod
 from .errors import DomainMismatchError, Immutable, IntegralityError
 from .multisets import (CONSTANTS_KEPT, MultiSet, all_cardinality_multisets,
                         guard_count, json_int, json_list, table_count, tables)
-from .scalars import HomComb, LinComb, StructureConstants
+from .scalars import HomComb, StructureConstants
 
 
 class Multation(Immutable):
@@ -218,8 +218,8 @@ def multation_compose(mu: Multation, nu: Multation) -> MultHom:
                 f"{basis.degree}/{table_factor} at {basis!r}")
         accum[basis] = accum.get(basis, 0) + coeff
 
-    return MultHom._trusted(nu.dom, mu.cod, LinComb._trusted(
-        {b: Fraction(c) for b, c in accum.items()}))
+    return MultHom._trusted(nu.dom, mu.cod, {
+        b: Fraction(c) for b, c in accum.items()})
 
 
 def multhom_compose(f: MultHom, g: MultHom) -> MultHom:
@@ -231,7 +231,7 @@ def multhom_compose(f: MultHom, g: MultHom) -> MultHom:
         for nu, d in g.comb:
             for basis, e in multation_compose(mu, nu).comb:
                 accum[basis] = accum.get(basis, 0) + c * d * e
-    return MultHom._trusted(g.dom, f.cod, LinComb._trusted(accum))
+    return MultHom._trusted(g.dom, f.cod, accum)
 
 
 def all_multations(a: MultiSet, b: MultiSet):

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and formal linear combinations.
+"""Exact scalar arithmetic and formal linear combinations of arrows.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), which
 already keeps them reduced with a positive denominator.  Nothing in this
@@ -84,80 +84,29 @@ def _canonical(merged):
     return tuple(kept)
 
 
-class LinComb(Immutable):
-    """A formal linear combination over an ordered basis.
-
-    Stored canonically: terms sorted by the basis element's ``sort_key()``,
-    duplicates merged, zero coefficients dropped.  Instances are immutable;
-    all operations return new combinations.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged = {}
-        for basis, coeff in terms:
-            coeff = scalar(coeff)
-            if basis in merged:
-                merged[basis] += coeff
-            else:
-                merged[basis] = coeff
-        object.__setattr__(self, "terms", _canonical(merged))
-
-    @classmethod
-    def _trusted(cls, merged):
-        """The combination of a {basis: Fraction} dict, unchecked."""
-        comb = object.__new__(cls)
-        object.__setattr__(comb, "terms", _canonical(merged))
-        return comb
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LinComb) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __add__(self, other):
-        return LinComb(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return LinComb(self.terms + tuple((b, -c) for b, c in other.terms))
-
-    def scale(self, factor):
-        factor = scalar(factor)
-        return LinComb((b, factor * c) for b, c in self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "LinComb(0)"
-        bits = " + ".join(f"{scalar_str(c)}*{b!r}" for b, c in self.terms)
-        return f"LinComb({bits})"
-
-
 class HomComb(Immutable):
     """A formal linear combination of basis arrows sharing dom and cod.
 
+    Stored canonically in `comb`: (arrow, Fraction) pairs sorted by the
+    arrow's ``sort_key()``, duplicates merged, zero coefficients dropped.
     Subclasses name the basis class and how endpoints are normalized
     (``norm_ends``) and serialized (``ends_to_json``, ``ends_from_json``);
     equality is exact on type, so combinations from different categories
-    never compare equal.  Instances are immutable.
+    never compare equal.  Instances are immutable; all operations return
+    new combinations.
     """
 
     __slots__ = ("dom", "cod", "comb")
 
-    def __init__(self, dom, cod, comb: LinComb):
+    def __init__(self, dom, cod, terms=()):
+        merged = {}
+        for arrow, coeff in terms:
+            coeff = scalar(coeff)
+            if arrow in merged:
+                merged[arrow] += coeff
+            else:
+                merged[arrow] = coeff
+        comb = _canonical(merged)
         dom = self.norm_ends(dom)
         cod = self.norm_ends(cod)
         for arrow, _ in comb:
@@ -168,19 +117,19 @@ class HomComb(Immutable):
         object.__setattr__(self, "comb", comb)
 
     @classmethod
-    def _trusted(cls, dom, cod, comb: LinComb):
-        """A combination from package arithmetic: dom and cod are already
-        normalized ends and every term of comb joins them by construction,
-        so neither is checked again."""
+    def _trusted(cls, dom, cod, merged):
+        """The combination of a {arrow: Fraction} dict from package
+        arithmetic: dom and cod are already normalized ends and every arrow
+        joins them by construction, so neither is checked again."""
         h = object.__new__(cls)
         object.__setattr__(h, "dom", dom)
         object.__setattr__(h, "cod", cod)
-        object.__setattr__(h, "comb", comb)
+        object.__setattr__(h, "comb", _canonical(merged))
         return h
 
     @classmethod
     def zero(cls, dom, cod):
-        return cls(dom, cod, LinComb())
+        return cls(dom, cod)
 
     @classmethod
     def of(cls, arrow, coeff=ONE):
@@ -189,11 +138,7 @@ class HomComb(Immutable):
         dom, cod = cls.norm_ends(arrow.dom), cls.norm_ends(arrow.cod)
         if coeff and (arrow.dom != dom or arrow.cod != cod):
             raise ValueError("all terms must share dom and cod")
-        return cls._trusted(dom, cod, LinComb._trusted({arrow: coeff}))
-
-    @classmethod
-    def from_terms(cls, dom, cod, terms):
-        return cls(dom, cod, LinComb(terms))
+        return cls._trusted(dom, cod, {arrow: coeff})
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.dom == other.dom
@@ -211,10 +156,12 @@ class HomComb(Immutable):
         return self + other.scale(-1)
 
     def scale(self, factor):
-        return type(self)(self.dom, self.cod, self.comb.scale(factor))
+        factor = scalar(factor)
+        return type(self)(self.dom, self.cod,
+                          ((arrow, factor * c) for arrow, c in self.comb))
 
     def is_zero(self):
-        return self.comb.is_zero()
+        return not self.comb
 
     def __repr__(self):
         if self.is_zero():
@@ -235,7 +182,7 @@ class HomComb(Immutable):
     def from_json(cls, data):
         terms = [(cls.basis.from_json(a), scalar(c)) for c, a in data["terms"]]
         return cls(*(cls.ends_from_json(json_list(data[k], k))
-                     for k in ("dom", "cod")), LinComb(terms))
+                     for k in ("dom", "cod")), terms)
 
 
 class StructureConstants:
@@ -288,8 +235,8 @@ class StructureConstants:
     def hom(self, hom_type, f, g):
         """The composite f . g of two basis arrows as a hom_type."""
         arrows = self.arrows[g.dom, f.cod]
-        return hom_type._trusted(g.dom, f.cod, LinComb._trusted(
-            {arrows[t]: Fraction(c) for t, c in self.terms(f, g)}))
+        return hom_type._trusted(g.dom, f.cod, {
+            arrows[t]: Fraction(c) for t, c in self.terms(f, g)})
 
     def table(self, hom_type, gens):
         """Every composite row . col of the named basis arrows in `gens`,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from mazelab.functor_lab import MatrixFunctor
 from mazelab.labycat import Maze, MazeHom, Passage
 from mazelab.matrices import IntMat
-from mazelab.scalars import LinComb, scalar
+from mazelab.scalars import scalar
 
 
 def expand_label(p: Maze, passage: Passage, parts) -> MazeHom:
@@ -39,7 +39,7 @@ def expand_label(p: Maze, passage: Passage, parts) -> MazeHom:
                 q = Passage(passage.src, passage.dst, parts[i])
                 new[q] = new.get(q, 0) + 1
         terms.append((Maze(p.dom, p.cod, new), 1))
-    return MazeHom(p.dom, p.cod, LinComb(terms))
+    return MazeHom(p.dom, p.cod, terms)
 
 
 def collapse_parallel(p: Maze, group) -> MazeHom:
@@ -72,7 +72,7 @@ def collapse_parallel(p: Maze, group) -> MazeHom:
         q = Passage(src, dst, total)
         new[q] = new.get(q, 0) + 1
         terms.append((Maze(p.dom, p.cod, new), sign))
-    return MazeHom(p.dom, p.cod, LinComb(terms))
+    return MazeHom(p.dom, p.cod, terms)
 
 
 def direct_sum_functor(f: MatrixFunctor, g: MatrixFunctor) -> MatrixFunctor:

@@ -394,6 +394,20 @@ def test_ariadne_matrix_json_refuses_entries_at_swapped_rows():
         AriadneMatrix.from_json(data)
 
 
+def test_ariadne_matrix_json_refuses_an_entry_listed_twice():
+    # Neither of two entries at one index may win silently.
+    data = two_row_ariadne_json()
+    data["entries"].append(list(data["entries"][0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "entry [1, 0]: listed twice")):
+        AriadneMatrix.from_json(data)
+    data = two_row_ariadne_json()
+    data["entries"][0][0] = 0
+    with pytest.raises(ValueError, match=re.escape(
+            "entry [0, 0]: listed twice")):
+        AriadneMatrix.from_json(data)
+
+
 def a_maze():
     return Maze.pure([("x", "z"), ("y", "z")]).to_json()
 

@@ -42,8 +42,7 @@ def test_compose_mset(capsys):
     hom = MultHom.from_json(json.loads(out))
     i12 = Multation.identity(MultiSet(["1", "2"]))
     sigma = mset2_generators()["sigma"]
-    assert hom == MultHom.from_terms(i12.dom, i12.cod,
-                                     [(i12, 1), (sigma, 1)])
+    assert hom == MultHom(i12.dom, i12.cod, [(i12, 1), (sigma, 1)])
 
 
 def test_compose_laby_seven_terms(capsys):
@@ -299,8 +298,7 @@ def test_normalize(capsys):
 
     double = Maze(("x",), ("y",), [(Passage("x", "y", 1), 2)])
     triple = Maze(("x",), ("y",), [(Passage("x", "y", 1), 3)])
-    assert hom == MazeHom.from_terms(("x",), ("y",),
-                                     [(double, 2), (triple, 1)])
+    assert hom == MazeHom(("x",), ("y",), [(double, 2), (triple, 1)])
 
 
 def test_ariadne_and_theseus(capsys):

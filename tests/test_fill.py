@@ -17,8 +17,10 @@ import pytest
 
 from mazelab import functor_lab
 from mazelab.functor_lab import (LabyModulePresentation,
-                                 MSetModulePresentation, tensor_power_functor)
+                                 MSetModulePresentation, phi_inverse_eval,
+                                 psi_inverse_eval, tensor_power_functor)
 from mazelab.labycat import laby_structure_constants, reset_laby_constants
+from mazelab.matrices import IntMat
 from mazelab.msetcat import mset_structure_constants
 from mazelab.scalars import StructureConstants
 
@@ -70,6 +72,26 @@ def test_tensor_power_cut_to_its_divided_powers_fills_back(
     h.fill()
     assert len(h.table) == filled
     assert h.table == j.table
+
+
+@pytest.mark.parametrize("source, evaluate", [
+    (lambda: LabyModulePresentation.from_functor(tensor_power_functor(2), 2),
+     phi_inverse_eval),
+    (lambda: MSetModulePresentation.tensor_power(2, "12"), psi_inverse_eval),
+], ids=["laby", "mset"])
+def test_a_fill_after_the_index_is_read_leaves_it_current(source, evaluate):
+    # An index read before the fill must not keep the values missing then.
+    j = source()
+    h = cut(j)
+    arrows = h.constants().arrows
+    for ends in arrows:
+        h.hom_set(*ends)
+    h.fill()
+    h.check()
+    for ends, xs in arrows.items():
+        assert h.hom_set(*ends).values == [j.table[x] for x in xs]
+    m = IntMat.from_rows([[2, -1], [1, 3]])
+    assert evaluate(h, m) == evaluate(j, m)
 
 
 PRESENTATIONS = [

@@ -831,6 +831,17 @@ def test_abhom_combination_refuses_bad_terms():
         AbHom.combination((0,), (0, 4), [(hom, 1)])
 
 
+def test_abhom_combination_refuses_orders_the_constructor_refuses():
+    for bad in (2.5, 2.0, True, "2"):
+        for dom, cod in (((bad,), (0,)), ((0,), (bad,))):
+            text = re.escape(f"order {bad!r} is not an integer")
+            with pytest.raises(ValueError, match=text):
+                AbHom.combination(dom, cod, [])
+            with pytest.raises(ValueError, match=text):
+                AbHom(dom, cod, IntMat.zeros(1, 1))
+    assert AbHom.combination((2,), (0,), []).dom_orders == (2,)
+
+
 def test_abhom_arithmetic_is_entrywise_integer_arithmetic():
     rng = random.Random(14)
     orders = (0, 2, 3, 4, 6)

@@ -63,7 +63,7 @@ def test_worked_composites():
     nu = mut("a a b/c d d")
     mu = mut("c d d/e e f")
     got = multation_compose(mu, nu)
-    expected = MultHom.from_terms(
+    expected = MultHom(
         nu.dom, mu.cod,
         [(mut("a a b/e e f"), 2), (mut("a a b/e f e"), 1)])
     assert got == expected
@@ -71,7 +71,7 @@ def test_worked_composites():
     nu2 = mut("a a a/c d d")
     mu2 = mut("c d d/e e e")
     got2 = multation_compose(mu2, nu2)
-    assert got2 == MultHom.from_terms(
+    assert got2 == MultHom(
         nu2.dom, mu2.cod, [(mut("a a a/e e e"), 3)])
 
 
@@ -102,7 +102,7 @@ def test_mset2_table():
     table = mset2_table()
     i11 = Multation.identity(ms("1", "1"))
     i12 = Multation.identity(ms("1", "2"))
-    assert table[("alpha", "beta")] == MultHom.from_terms(
+    assert table[("alpha", "beta")] == MultHom(
         i12.dom, i12.cod, [(i12, 1), (gens["sigma"], 1)])
     assert table[("beta", "alpha")] == MultHom.of(i11, 2)
     assert table[("sigma", "sigma")] == MultHom.of(i12)
@@ -220,7 +220,7 @@ def test_all_multations_counts():
 def test_json_roundtrip():
     nu = mut("a a b/c d d")
     assert Multation.from_json(nu.to_json()) == nu
-    hom = MultHom.from_terms(nu.dom, nu.cod, [(nu, 2)])
+    hom = MultHom(nu.dom, nu.cod, [(nu, 2)])
     assert MultHom.from_json(hom.to_json()) == hom
 
 
@@ -240,7 +240,7 @@ def test_composite_terms_equal_checked_multations():
                 for nu in arrows[a, b]:
                     for mu in arrows[b, c]:
                         got = multation_compose(mu, nu)
-                        checked = MultHom.from_terms(a, c, [
+                        checked = MultHom(a, c, [
                             (Multation(x.dom, x.cod, list(x.pairs)), k)
                             for x, k in got.comb])
                         assert got == checked

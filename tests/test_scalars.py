@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mazelab.labycat import MazeHom, laby_structure_constants
+from mazelab.msetcat import MultHom, mset_structure_constants
 from mazelab.scalars import (
-    LinComb,
+    HomComb,
     binomial,
     scalar,
     scalar_str,
@@ -28,7 +31,9 @@ def multinomial(parts) -> int:
 
 
 class Tok:
-    """Tiny basis stand-in with a sort key."""
+    """Tiny basis stand-in with a sort key, joining the empty ends."""
+
+    dom = cod = ()
 
     def __init__(self, name):
         self.name = name
@@ -44,6 +49,16 @@ class Tok:
 
     def __repr__(self):
         return self.name
+
+
+class TokHom(HomComb):
+    """A combination of Toks, whose ends are kept as they are."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def norm_ends(ends):
+        return ends
 
 
 def test_binomial_values():
@@ -120,29 +135,65 @@ def test_scalar_roundtrip():
 
 def test_lincomb_identity_and_cancellation():
     t = Tok("t")
-    single = LinComb([(t, 1)])
+    single = TokHom((), (), [(t, 1)])
     assert single.scale(1) == single
     assert (single - single).is_zero()
 
 
 def test_lincomb_merge():
     b1, b2 = Tok("b1"), Tok("b2")
-    x = LinComb([(b1, 2), (b2, 1)])
-    y = LinComb([(b2, 1)])
+    x = TokHom((), (), [(b1, 2), (b2, 1)])
+    y = TokHom._trusted((), (), {b2: Fraction(1)})
     merged = x + y
-    assert merged == LinComb([(b1, 2), (b2, 2)])
+    assert merged == TokHom((), (), [(b1, 2), (b2, 2)])
 
 
 def test_lincomb_canonicalization_is_order_independent():
     rng = random.Random(7)
     toks = [Tok(c) for c in "abcdef"]
     terms = [(rng.choice(toks), Fraction(rng.randint(-3, 3))) for _ in range(12)]
-    base = LinComb(terms)
+    base = TokHom((), (), terms)
     for _ in range(5):
         rng.shuffle(terms)
-        assert LinComb(terms) == base
+        assert TokHom((), (), terms) == base
     # idempotent: rebuilding from stored terms changes nothing
-    assert LinComb(base.terms) == base
+    assert TokHom((), (), base.comb) == base
+
+
+SIDES = {"laby": (MazeHom, lambda: laby_structure_constants(2).arrows),
+         "mset": (MultHom,
+                  lambda: mset_structure_constants(("1", "2"), 2).arrows)}
+COEFFS = [0, 1, 2, Fraction(1, 2), -1, -2, Fraction(-1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(side=st.sampled_from(sorted(SIDES)), data=st.data())
+def test_the_constructor_is_the_sum_of_its_one_term_lifts(side, data):
+    cls, constants = SIDES[side]
+    arrows = constants()
+    keys = sorted((k for k, fs in arrows.items() if fs), key=repr)
+    ends = data.draw(st.sampled_from(keys))
+    basis = arrows[ends]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(basis),
+                                         st.sampled_from(COEFFS)),
+                               max_size=8))
+    dom, cod = basis[0].dom, basis[0].cod
+    h = cls(dom, cod, terms)
+    want = cls.zero(dom, cod)
+    for x, c in terms:
+        want = want + cls.of(x, c)
+    assert h == want
+    assert cls(dom, cod, data.draw(st.permutations(terms))) == h
+    assert cls(dom, cod, h.comb) == h
+    assert cls._trusted(h.dom, h.cod, dict(h.comb)) == h
+    # Only the kept terms must share the ends: a zero one is dropped.
+    stray = data.draw(st.sampled_from(
+        arrows[data.draw(st.sampled_from([k for k in keys if k != ends]))]))
+    c = data.draw(st.sampled_from([c for c in COEFFS if c]))
+    for zero in ([(stray, 0)], [(stray, c), (stray, -c)]):
+        assert cls(dom, cod, terms + zero) == h
+    with pytest.raises(ValueError, match="all terms must share dom and cod"):
+        cls(dom, cod, terms + [(stray, c)])
 
 
 def test_combinations_with_endpoints_share_code_not_equality():
@@ -160,7 +211,7 @@ def test_combinations_with_endpoints_share_code_not_equality():
         assert (hom - hom).is_zero() and repr(hom - hom) == "0"
         assert not hasattr(hom, "__dict__")
         with pytest.raises(AttributeError, match=f"{name} is immutable"):
-            hom.comb = LinComb()
+            hom.comb = ()
     assert maze_hom.to_json()["dom"] == ["1"]
     assert mult_hom.to_json()["dom"] == [["1", 2]]
     assert repr(maze_hom) == "2*[1 -(1)-> 1: {'1'}->{'1'}]"

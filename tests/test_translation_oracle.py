@@ -36,7 +36,7 @@ from mazelab.msetcat import (MultHom, Multation, all_multations,
                              mset_structure_constants)
 from mazelab.multisets import (ENUM_LIMIT, MultiSet, all_cardinality_multisets,
                                compositions, guard_count, tables)
-from mazelab.scalars import LinComb, surjections
+from mazelab.scalars import HomComb, surjections
 from test_labycat import box_product
 from test_scalars import multinomial
 from test_structure_constants import fill_every_block, rename_multation
@@ -45,14 +45,13 @@ from test_structure_constants import fill_every_block, rename_multation
 
 
 def scaled_sum(combs, scales):
-    """The sum of the combinations, each times its scale, through the
-    validating LinComb."""
-    return LinComb((b, s * c) for comb, s in zip(combs, scales)
-                   for b, c in comb)
+    """The terms of the sum of the combinations, each times its scale, for
+    the validating constructor."""
+    return [(b, s * c) for comb, s in zip(combs, scales) for b, c in comb]
 
 
 def old_ariadne_from_terms(dom, cod, n, terms):
-    return AriadneMatrix(dom, cod, n, {(b, a): MultHom.from_terms(a, b, t)
+    return AriadneMatrix(dom, cod, n, {(b, a): MultHom(a, b, t)
                                        for (b, a), t in terms.items()})
 
 
@@ -170,8 +169,7 @@ def old_multation_compose(mu, nu):
         if rest:
             raise IntegralityError("non-integral composition coefficient")
         accum[basis] = accum.get(basis, 0) + coeff
-    return MultHom(nu.dom, mu.cod,
-                   LinComb((b, c) for b, c in accum.items()))
+    return MultHom(nu.dom, mu.cod, accum.items())
 
 
 def old_multhom_compose(f, g):
@@ -205,7 +203,7 @@ def old_maze_compose(p, q, n=None):
                             [Passage(qj.src, pi.dst, pi.label * qj.label)
                              for (_, pi), (_, qj) in chosen])
                 accum[maze] = accum.get(maze, 0) + 1
-    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+    return MazeHom(q.dom, p.cod, accum.items())
 
 
 def old_bundle_compose(p, q, n=None, limit=ENUM_LIMIT):
@@ -221,7 +219,7 @@ def old_bundle_compose(p, q, n=None, limit=ENUM_LIMIT):
     if n is None:
         n = len(pairs)
     elif max(np_, nq) > n:
-        return MazeHom(q.dom, p.cod, LinComb())
+        return MazeHom(q.dom, p.cod)
     full_p = (1 << np_) - 1
     groups = [[] for _ in range(nq)]
     for (i, pi), (j, qj) in pairs:
@@ -265,7 +263,7 @@ def old_bundle_compose(p, q, n=None, limit=ENUM_LIMIT):
             rec(t + 1, covered | cover, chosen + bundle)
 
     rec(0, 0, [])
-    return MazeHom(q.dom, p.cod, LinComb(accum.items()))
+    return MazeHom(q.dom, p.cod, accum.items())
 
 
 def old_maze_hom_compose(f, g, n=None):
@@ -286,7 +284,7 @@ def old_normalize_numerical(h, n):
         else:
             terms.extend((pure, c * coeff)
                          for coeff, pure in _numerical_terms(maze, n))
-    return MazeHom(h.dom, h.cod, LinComb(terms))
+    return MazeHom(h.dom, h.cod, terms)
 
 
 def old_compose_in_laby_n(f, g, n):
@@ -297,7 +295,7 @@ def old_compose_in_laby_n(f, g, n):
 
 def old_of(cls, arrow, coeff=1):
     """cls.of through the validating constructors."""
-    return cls(arrow.dom, arrow.cod, LinComb([(arrow, coeff)]))
+    return cls(arrow.dom, arrow.cod, [(arrow, coeff)])
 
 
 def old_normalize_homogeneous(h, n):
@@ -324,7 +322,7 @@ def old_normalize_homogeneous(h, n):
                 coeff *= weights[t, r]
             pure = Maze._trusted(maze.dom, maze.cod, tuple(counts))
             merged[pure] = merged.get(pure, 0) + coeff
-    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted(merged))
+    return MazeHom._trusted(h.dom, h.cod, merged)
 
 # ------------------------------------------------------------ comparison
 
@@ -348,12 +346,12 @@ def assert_same(new, old):
         rebuilt = AriadneMatrix(new.dom, new.cod, new.n, new.entries)
     else:
         assert (new.dom, new.cod) == (old.dom, old.cod)
-        assert new.comb.terms == old.comb.terms
+        assert new.comb == old.comb
         for (x, c), (y, d) in zip(new.comb, old.comb):
             assert type(c) is Fraction and type(d) is Fraction
             assert hash(x) == hash(y) and x.sort_key() == y.sort_key()
             assert rebuilt_arrow(x) == x
-        rebuilt = type(new)(new.dom, new.cod, LinComb(new.comb.terms))
+        rebuilt = type(new)(new.dom, new.cod, new.comb)
         assert repr(new) == repr(old)
     assert rebuilt == new == old
     assert hash(rebuilt) == hash(new) == hash(old)
@@ -387,7 +385,7 @@ def relabelled(maze, shift):
 
 def mixed(dom, cod, arrows, shift=0):
     """Every arrow of a hom-set at once, with mixed coefficients."""
-    return MultHom.from_terms(dom, cod, [
+    return MultHom(dom, cod, [
         (mu, SCALARS[(shift + i) % len(SCALARS)])
         for i, mu in enumerate(arrows)])
 
@@ -434,7 +432,7 @@ def test_every_pure_maze_over_123(n):
         by_ends.setdefault((maze.dom, maze.cod), []).append(
             (maze, SCALARS[i % len(SCALARS)]))
     for (dom, cod), terms in by_ends.items():
-        h = MazeHom.from_terms(dom, cod, terms)
+        h = MazeHom(dom, cod, terms)
         assert_same(ariadne_hom(h, n), old_ariadne_hom(h, n))
 
 
@@ -463,7 +461,7 @@ def test_cancelling_labels_and_zero_labels():
     # Two mazes whose translations cancel against each other.
     p = Maze(["1"], ["2"], [Passage("1", "2", 2)])
     q = Maze(["1"], ["2"], [Passage("1", "2", -2)])
-    h = MazeHom.from_terms(("1",), ("2",), [(p, 1), (q, 1)])
+    h = MazeHom(("1",), ("2",), [(p, 1), (q, 1)])
     assert_same(ariadne_hom(h, 2), old_ariadne_hom(h, 2))
     assert ariadne_hom(h, 3).is_zero() and not ariadne_hom(h, 2).is_zero()
 
@@ -518,7 +516,7 @@ def test_a_homs_ends_are_refused_once_as_each_term_refused_them():
 
     def hom(dom, cod, *passage_lists):
         mazes = [Maze(dom, cod, passages) for passages in passage_lists]
-        h = MazeHom.from_terms(dom, cod, [(m, i + 1)
+        h = MazeHom(dom, cod, [(m, i + 1)
                                           for i, m in enumerate(mazes)])
         assert [m for m, _ in h.comb] == mazes  # in this order
         return h
@@ -538,7 +536,7 @@ def test_a_homs_ends_are_refused_once_as_each_term_refused_them():
     empty = ariadne_hom(MazeHom.zero([""], ["2"]), 2)
     assert empty.entries == {} and (empty.dom, empty.cod) == (("",), ("2",))
     a, b = MultiSet("12"), MultiSet("34")
-    h = MultHom.from_terms(a, b, [(mu, 1) for mu in all_multations(a, b)])
+    h = MultHom(a, b, [(mu, 1) for mu in all_multations(a, b)])
     assert len(h.comb) == 2
     for n in (1, 3):
         assert outcome(lambda: theseus_hom(h, n)) == (
@@ -617,7 +615,7 @@ def seeded_combination(rng, dom, cod):
         maze = Maze(dom, cod, [Passage(x, y, rng.choice(SCALARS))
                                for x, y in ends])
         terms.append((maze, rng.choice(SCALARS)))
-    return MazeHom.from_terms(dom, cod, terms)
+    return MazeHom(dom, cod, terms)
 
 
 def seeded_combination_pairs():
@@ -903,7 +901,7 @@ def test_a_pure_combination_within_the_degree_is_its_own_normal_form():
         for j, k in iproduct(range(n + 1), repeat=2):
             mazes = pure_mazes_between(skeleton(j), skeleton(k),
                                        range(n + 1))
-            h = MazeHom.from_terms(skeleton(j), skeleton(k), [
+            h = MazeHom(skeleton(j), skeleton(k), [
                 (maze, SCALARS[i % len(SCALARS)])
                 for i, maze in enumerate(mazes)])
             for degree in (n, n + 1):
@@ -927,10 +925,10 @@ def raised(call):
 
 
 @pytest.fixture
-def lincombs(monkeypatch):
-    """Count the LinComb built through __init__ and through _trusted."""
+def homcombs(monkeypatch):
+    """Count the HomComb built through __init__ and through _trusted."""
     built = {"__init__": 0, "_trusted": 0}
-    init, trusted = LinComb.__init__, LinComb._trusted.__func__
+    init, trusted = HomComb.__init__, HomComb._trusted.__func__
 
     def counted_init(self, *args):
         built["__init__"] += 1
@@ -940,21 +938,21 @@ def lincombs(monkeypatch):
         built["_trusted"] += 1
         return trusted(cls, *args)
 
-    monkeypatch.setattr(LinComb, "__init__", counted_init)
-    monkeypatch.setattr(LinComb, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(HomComb, "__init__", counted_init)
+    monkeypatch.setattr(HomComb, "_trusted", classmethod(counted_trusted))
     return built
 
 
-def test_one_term_lifts_build_as_the_validating_path(lincombs):
+def test_one_term_lifts_build_as_the_validating_path(homcombs):
     _, multations = arrows_over("123", 3)
     arrows = [(MazeHom, maze) for maze in laby_structure_constants(3).index]
     arrows += [(MultHom, mu) for mus in multations.values() for mu in mus]
     for cls, arrow in arrows:
         for c in (None, 1, -2, "3/4", Fraction(0)):
             args = (arrow,) if c is None else (arrow, c)  # None: the default
-            lincombs["__init__"] = 0
+            homcombs["__init__"] = 0
             new = cls.of(*args)
-            assert lincombs["__init__"] == 0, (arrow, c)
+            assert homcombs["__init__"] == 0, (arrow, c)
             assert len(new.comb) == (c != 0), (arrow, c)
             assert_same(new, old_of(cls, *args))
     assert len(arrows) == 40 + 165
@@ -976,13 +974,13 @@ def test_one_term_lifts_refuse_as_the_validating_path():
     assert_same(MazeHom.of(unsorted, 0), old_of(MazeHom, unsorted, 0))
 
 
-def test_homogeneous_forms_of_laby3_composites_match_the_oracle(lincombs):
+def test_homogeneous_forms_of_laby3_composites_match_the_oracle(homcombs):
     kept = 0
     for p, q in skeleton_pairs(3):
         h = compose_in_laby_n(MazeHom.of(p), MazeHom.of(q), 3)
         want = old_normalize_homogeneous(h, 3)
-        lincombs.update({"__init__": 0, "_trusted": 0})
-        got, built = normalize_homogeneous(h, 3), dict(lincombs)
+        homcombs.update({"__init__": 0, "_trusted": 0})
+        got, built = normalize_homogeneous(h, 3), dict(homcombs)
         assert_same(got, want)
         if all(maze.size == 3 for maze, _ in h.comb):
             # Pure with 3 passages in every term: h itself, nothing built.
@@ -1016,9 +1014,9 @@ def returned_as_they_are(h, n):
 
 def cold(h):
     """h with every maze built again, its size and purity not yet asked."""
-    return MazeHom._trusted(h.dom, h.cod, LinComb._trusted({
+    return MazeHom._trusted(h.dom, h.cod, {
         Maze._trusted(maze.dom, maze.cod, maze.passages): c
-        for maze, c in h.comb}))
+        for maze, c in h.comb})
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1069,7 +1067,7 @@ def maze_combinations(draw):
         ends += draw(st.lists(st.sampled_from(ends), max_size=1))
         maze = Maze(dom, cod, [Passage(s, d, draw(scalars)) for s, d in ends])
         terms.append((maze, draw(scalars)))
-    return MazeHom.from_terms(dom, cod, terms)
+    return MazeHom(dom, cod, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1089,7 +1087,7 @@ def test_multation_combinations_match_the_oracle(data, n):
     a, b, c = (data.draw(st.sampled_from(objs)) for _ in range(3))
 
     def combination(x, y):
-        return MultHom.from_terms(x, y, data.draw(st.lists(
+        return MultHom(x, y, data.draw(st.lists(
             st.tuples(st.sampled_from(arrows[x, y]), scalars), max_size=4)))
 
     f, g = combination(b, c), combination(a, b)
